@@ -1,8 +1,9 @@
 """Perf-regression gate: re-run benchmarks, compare against baselines.
 
-Runs the payload-emitting benchmarks (``bench_cache``, ``bench_service``,
-``bench_trace``, ``bench_localrt``)
-and gates each fresh ``BENCH_*.json`` against the committed baseline
+Runs the six payload-emitting benchmarks (``bench_cache``,
+``bench_service``, ``bench_trace``, ``bench_localrt``, ``bench_shard``,
+``bench_live`` — the ``BENCHMARKS`` tuple below is the list) and gates
+each fresh ``BENCH_*.json`` against the committed baseline
 with the default metric specs from :mod:`repro.obs.regress` — only
 hardware-independent metrics (hit ratios, block counters, invariant
 checks), never raw seconds.  Exits non-zero if any gated metric

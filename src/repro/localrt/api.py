@@ -10,6 +10,7 @@ optionally a combiner, and the framework handles splits, shuffle and sort.
 from __future__ import annotations
 
 import abc
+import functools
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import (
@@ -25,6 +26,7 @@ from typing import (
 )
 
 from ..common.errors import ExecutionError
+from . import tokens
 from .counters import Counters
 from .records import RecordReader, TextLineReader
 
@@ -125,6 +127,7 @@ class BlockData(bytes):
     _lines: "list[bytes] | None" = None
     _line_count: "int | None" = None
     _token_counts: "Counter[str] | None" = None
+    _encoded: "tokens.EncodedBlock | None" = None
     _derived: "dict[Hashable, Any] | None" = None
 
     def text(self) -> str:
@@ -174,6 +177,18 @@ class BlockData(bytes):
         if self._token_counts is None:
             self._token_counts = Counter(self.text().split())
         return self._token_counts
+
+    def encoded(self) -> "tokens.EncodedBlock":
+        """:meth:`token_counts` dictionary-encoded (memoized).
+
+        Built once per block against the process's token dictionary
+        (:mod:`repro.localrt.tokens`) and shared by the wave: each
+        rider's map is then a gather at the block's ids instead of a
+        loop over its words.
+        """
+        if self._encoded is None:
+            self._encoded = tokens.ENCODER.encode(self.token_counts())
+        return self._encoded
 
     def memo(self, key: Hashable, compute: "Callable[[], Any]") -> Any:
         """Kernel-defined derived view, computed once per block.
@@ -274,14 +289,30 @@ class SumReducer(Reducer):
         yield (key, sum(values))
 
 
+#: Most ``str`` keys whose digest stays memoized (least recently used
+#: dropped first).
+DIGEST_TABLE_CAP = 1 << 16
+
+
+@functools.lru_cache(maxsize=DIGEST_TABLE_CAP)
+def _str_digest(key: str) -> int:
+    """Java's ``String.hashCode`` folded to 31 bits.
+
+    Memoized: the shuffle partitions every absorbed record, and a scan's
+    keys repeat in every block and every job, so the per-character loop
+    runs once per distinct key instead of once per record.
+    """
+    digest = 0
+    for ch in key:
+        digest = (digest * 31 + ord(ch)) & 0x7FFFFFFF
+    return digest
+
+
 def default_partitioner(key: Hashable, num_partitions: int) -> int:
     """Hash partitioner (Hadoop's default), stable across processes."""
     # hash() is salted for str in CPython; use a deterministic fallback.
     if isinstance(key, str):
-        digest = 0
-        for ch in key:
-            digest = (digest * 31 + ord(ch)) & 0x7FFFFFFF
-        return digest % num_partitions
+        return _str_digest(key) % num_partitions
     return hash(key) % num_partitions
 
 

@@ -52,9 +52,16 @@ class JobRunState:
     def absorb(self, records: list[Record]) -> None:
         """Fold one map task's (possibly combined) output into the shuffle."""
         self.map_output_records += len(records)
+        partitions = self.partitions
+        num_partitions = self.job.num_partitions
+        if num_partitions == 1:
+            groups = partitions[0]
+            for key, value in records:
+                groups[key].append(value)
+            return
         for key, value in records:
-            partition = default_partitioner(key, self.job.num_partitions)
-            self.partitions[partition][key].append(value)
+            partitions[default_partitioner(key, num_partitions)][key].append(
+                value)
 
 
 def batch_mapper_for(job: LocalJob, reader: RecordReader,

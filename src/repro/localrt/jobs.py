@@ -21,6 +21,8 @@ benchmarks use as their baseline).
 from __future__ import annotations
 
 import re
+from itertools import compress
+from operator import itemgetter
 from typing import Any, Hashable, Iterator
 
 try:  # numpy powers the columnar fast path; everything works without it.
@@ -30,6 +32,7 @@ except ImportError:  # pragma: no cover - exercised via _np=None monkeypatch
 
 from ..common.errors import ExecutionError
 from ..workloads.tpch import LINEITEM_COLUMNS
+from . import tokens
 from .api import (
     BlockData,
     BlockMapper,
@@ -41,6 +44,9 @@ from .api import (
 )
 from .counters import Counters, CounterUser
 from .records import DelimitedReader, RecordReader
+
+#: The count of a ``(word, count)`` item.
+_COUNT_OF = itemgetter(1)
 
 
 class PatternWordCount(Mapper, CounterUser):
@@ -69,14 +75,17 @@ class PatternWordCount(Mapper, CounterUser):
 
 
 class PatternWordCountBlock(PatternWordCount, BlockMapper):
-    """Batched wordcount: one tokenization pass per block, not per record.
+    """Batched wordcount: one gather per block, not one loop per record.
 
-    ``map_block`` works from the block's distinct-token counts (shared
-    with every other wordcount job in the wave via
-    :class:`~repro.localrt.api.BlockData`), so the regex runs once per
-    *distinct* word instead of once per occurrence, and match verdicts
-    are memoized across blocks — the regex cost amortizes to once per
-    vocabulary word for the whole scan.
+    ``map_block`` works from the block's dictionary-encoded token counts
+    (:meth:`~repro.localrt.api.BlockData.encoded`, built once per block
+    and shared with every other wordcount job in the wave) and from the
+    pattern's verdict vector in the process's token dictionary
+    (:mod:`repro.localrt.tokens`, shared with every job that has this
+    pattern): it gathers the vector at the block's ids and keeps the
+    ``(word, count)`` items that hit.  The regex itself runs once per
+    vocabulary word per pattern per process; the mapper holds no state
+    that grows with the blocks it has mapped.
 
     ``counted`` controls the emission shape: ``True`` (for jobs with the
     standard ``SumReducer`` combiner) emits one ``(word, count)`` record
@@ -92,38 +101,25 @@ class PatternWordCountBlock(PatternWordCount, BlockMapper):
         super().__init__(pattern)
         self.counted = counted
         self.combined_output = counted
-        #: word -> did the regex match (memoized across blocks; a pure
-        #: function of the pattern, so races/pickling are harmless).
-        self._match_memo: dict[str, bool] = {}
 
     def map_block(self, data: bytes, base_offset: int,
                   ) -> tuple[int, list[Record], Counters | None]:
         block = data if isinstance(data, BlockData) else BlockData(data)
-        counts = block.token_counts()
-        match = self._regex.match
-        memo = self._match_memo
-        scanned = 0
-        matched = 0
-        outputs: list[Record] = []
-        for word, count in counts.items():
-            scanned += count
-            hit = memo.get(word)
-            if hit is None:
-                hit = match(word) is not None
-                memo[word] = hit
-            if hit:
-                matched += count
-                if self.counted:
-                    outputs.append((word, count))
-                else:
-                    outputs.extend([(word, 1)] * count)
+        encoded = block.encoded()
+        verdicts = tokens.ENCODER.verdicts(
+            encoded.dictionary, self.pattern, self._regex.match)
+        hits: list[Record] = list(
+            compress(encoded.items, encoded.gather(verdicts)))
+        outputs: list[Record] = hits if self.counted else [
+            (word, 1) for word, count in hits for _ in range(count)]
         counters = Counters()
         if block.line_count():
             # The per-record path increments once per record, creating
             # the counter entries even when every count is zero; an
             # empty block creates none.  Mirror that exactly.
-            counters.increment("wordcount", "words_scanned", scanned)
-            counters.increment("wordcount", "words_matched", matched)
+            counters.increment("wordcount", "words_scanned", encoded.total)
+            counters.increment("wordcount", "words_matched",
+                               sum(map(_COUNT_OF, hits)))
         return block.line_count(), outputs, counters
 
 

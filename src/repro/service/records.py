@@ -140,15 +140,22 @@ def jain_index(values: Sequence[float]) -> float:
 
     ``(sum x)^2 / (n * sum x^2)``; 1.0 when all equal, ``1/n`` when one
     value dominates.  An empty or all-zero sequence is vacuously fair.
+
+    Computed on the values divided by their maximum (the index is
+    scale-free), so squares neither overflow nor vanish, and clamped to
+    its mathematical range ``[1/n, 1]``: rounding may not report more
+    than perfect fairness — one tenant is exactly 1.0.
     """
     xs = [float(v) for v in values]
     if not xs or all(x == 0.0 for x in xs):
         return 1.0
     if any(x < 0 for x in xs):
         raise ValueError(f"allocations must be non-negative, got {xs}")
-    square_of_sum = sum(xs) ** 2
-    sum_of_squares = sum(x * x for x in xs)
-    return square_of_sum / (len(xs) * sum_of_squares)
+    peak = max(xs)
+    scaled = [x / peak for x in xs]
+    total = sum(scaled)
+    index = total * total / (len(xs) * sum(x * x for x in scaled))
+    return min(1.0, max(1.0 / len(xs), index))
 
 
 @dataclass(frozen=True)

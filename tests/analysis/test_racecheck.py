@@ -205,3 +205,27 @@ def test_detector_fires_on_unguarded_service_mutation(store):
     in_thread(repair)
     while service.step():
         pass
+
+
+def test_detector_covers_the_token_dictionary(monkeypatch):
+    """The process-wide token encoder is shared by every ``threads``
+    map task: its roll-over (the one field it ever rebinds) is
+    registered, so swapping the dictionary outside the encoder's lock
+    trips the detector while roll-overs from any thread do not."""
+    from collections import Counter
+
+    import repro.localrt.tokens as tokens
+
+    monkeypatch.setattr(tokens, "TOKEN_DICTIONARY_CAP", 2)
+    encoder = tokens.TokenEncoder()
+    encoder.encode(Counter(["a", "b"]))
+    in_thread(lambda: encoder.encode(Counter(["c"])))       # rolls over
+    in_thread(lambda: encoder.encode(Counter(["d", "e"])))  # and again
+    assert encoder.current_size() == 2
+
+    with pytest.raises(RaceError) as excinfo:
+        def unguarded():
+            encoder._current = tokens.TokenDictionary()
+        in_thread(unguarded, name="rogue")
+    assert "TokenEncoder._current" in str(excinfo.value)
+    assert "expected guard: TokenEncoder._lock" in str(excinfo.value)

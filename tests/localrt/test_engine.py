@@ -14,6 +14,7 @@ from repro.localrt.engine import (
 )
 from repro.localrt.jobs import PatternWordCount, PatternWordCountBlock
 from repro.localrt.records import DelimitedReader, TextLineReader
+from repro.localrt.tokens import TokenEncoder
 
 
 def make_state(pattern=".*", combiner=False):
@@ -171,26 +172,43 @@ def test_batched_counters_are_returned_not_accumulated():
     assert state.counters.value("g", "blocks") == 2
 
 
-def test_wave_shares_one_blockdata_tokenization():
-    """Both wordcount kernels in a wave must see the same BlockData and
-    reuse its memoized token counts (one tokenization per block)."""
-    seen = []
-    original = BlockData.token_counts
+def test_wave_builds_the_encoded_view_once(monkeypatch):
+    """However many wordcount riders share a block, it is tokenized and
+    dictionary-encoded once; every rider maps from that one view."""
+    built = []
+    original = TokenEncoder.encode
 
-    def spying(self):
-        result = original(self)
-        seen.append((id(self), id(result)))
-        return result
+    def spying(self, counts):
+        encoded = original(self, counts)
+        built.append(encoded)
+        return encoded
 
-    s1 = upper_state(PatternWordCountBlock("^a.*"), combiner=True)
-    s2 = upper_state(PatternWordCountBlock("^b.*"), combiner=True)
-    try:
-        BlockData.token_counts = spying
-        run_map_on_block([s1, s2], TextLineReader(), b"aa bb\naa\n")
-    finally:
-        BlockData.token_counts = original
-    # Same BlockData object, and the second lookup returned the
-    # memoized Counter (identical object — tokenized once).
-    assert len(seen) == 2 and seen[0] == seen[1]
-    assert s1.map_output_records == 1  # ("aa", 2) pre-combined
-    assert s2.map_output_records == 1  # ("bb", 1)
+    monkeypatch.setattr(TokenEncoder, "encode", spying)
+    patterns = ["^a.*", "^b.*", "^a.*", ".*"]
+    states = [upper_state(PatternWordCountBlock(pattern), combiner=True)
+              for pattern in patterns]
+    run_map_on_block(states, TextLineReader(), b"aa bb\naa\n")
+    assert len(built) == 1
+    assert built[0].items == (("aa", 2), ("bb", 1)) and built[0].total == 3
+    assert [s.map_output_records for s in states] == [1, 1, 1, 2]
+    run_map_on_block(states, TextLineReader(), b"bb cc\n")
+    assert len(built) == 2  # once per block, not per rider
+
+
+def test_single_partition_absorb_never_partitions(monkeypatch):
+    """With one partition every key lands in partition 0 whatever it
+    hashes to, so absorb skips the partitioner."""
+    import repro.localrt.engine as engine
+
+    def refuse(key, partitions):
+        raise AssertionError("partitioned a single-partition job")
+
+    monkeypatch.setattr(engine, "default_partitioner", refuse)
+    state = JobRunState(LocalJob(
+        job_id="j", mapper=PatternWordCountBlock(".*"), reducer=SumReducer(),
+        combiner=SumReducer(), num_partitions=1))
+    run_map_on_block([state], TextLineReader(), b"b a b\nc a\n")
+    run_map_on_block([state], TextLineReader(), b"a\n")
+    assert state.map_output_records == 4
+    assert state.partitions == {0: {"b": [2], "a": [2, 1], "c": [1]}}
+    assert run_reduce(state) == [("a", 3), ("b", 2), ("c", 1)]

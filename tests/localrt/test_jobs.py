@@ -1,10 +1,13 @@
 """Ready-made local job tests (wordcount, selection, aggregation)."""
 
+import pickle
+
 import pytest
 
 import repro.localrt.jobs as jobs_module
 from repro.common.errors import ExecutionError
 from repro.localrt.api import BlockData
+from repro.localrt.engine import collect_map_outputs
 from repro.localrt.jobs import (
     PatternWordCount,
     PatternWordCountBlock,
@@ -232,12 +235,88 @@ def test_columnar_structural_pass_shared_across_wave(monkeypatch):
     assert len(out_a) == 1 and len(out_b) == 2
 
 
-def test_wordcount_match_memo_amortizes_across_blocks():
-    mapper = PatternWordCountBlock("^th.*")
-    mapper.map_block(b"the thing\n", 0)
-    assert mapper._match_memo == {"the": True, "thing": True}
-    mapper.map_block(b"the other\n", 0)
-    assert mapper._match_memo["other"] is False
+class _CountingRegex:
+    """Stands in for a compiled pattern (``re.Pattern.match`` itself
+    cannot be patched) and counts the words it is asked about."""
+
+    def __init__(self, regex):
+        self._regex = regex
+        self.asked = []
+
+    def match(self, word):
+        self.asked.append(word)
+        return self._regex.match(word)
+
+
+def test_second_job_with_same_pattern_matches_nothing_again():
+    """Verdicts belong to the pattern, not to the job: once any job has
+    mapped a block, a fresh job with the same pattern runs zero regex
+    matches on it, and only the new words of a block it has not seen."""
+    pattern = "^zq.*"  # private to this test: no other verdicts exist
+    first = PatternWordCountBlock(pattern)
+    first._regex = _CountingRegex(first._regex)
+    expected = first.map_block(b"zqa zqb other zqa\n", 0)
+    assert sorted(first._regex.asked).count("zqa") == 1  # once per word
+    assert {"zqa", "zqb", "other"} <= set(first._regex.asked)
+
+    second = PatternWordCountBlock(pattern)
+    second._regex = _CountingRegex(second._regex)
+    count, outputs, counters = second.map_block(b"zqa zqb other zqa\n", 0)
+    assert second._regex.asked == []
+    assert (count, outputs, list(counters)) == (
+        expected[0], expected[1], list(expected[2]))
+    assert outputs == [("zqa", 2), ("zqb", 1)]
+    second.map_block(b"zqa zqnew\n", 0)
+    assert second._regex.asked == ["zqnew"]
+
+
+def test_wordcount_mapper_pickle_size_independent_of_blocks_mapped():
+    """The kernel keeps no per-job state that grows with the scan, so
+    shipping a job to a pool worker costs the same before and after."""
+    mapper = PatternWordCountBlock("^w1.*")
+    before = len(pickle.dumps(mapper))
+    for block in range(20):
+        words = " ".join(f"w{block}x{i}" for i in range(50))
+        mapper.map_block(f"{words}\n".encode(), 0)
+    assert len(pickle.dumps(mapper)) == before
+
+
+def _task_result(job, data: bytes):
+    """One map task's observable result.  Without a combiner the kernel
+    emits a word's ``(word, 1)`` records together rather than in
+    occurrence order — the shuffle groups by key, so only the multiset
+    is observable."""
+    count, outputs, counters = collect_map_outputs(
+        [job], TextLineReader(), data)
+    records = outputs[0] if job.combiner is not None else sorted(outputs[0])
+    return count, records, list(counters[0])
+
+
+@pytest.mark.parametrize("use_combiner", [True, False])
+@pytest.mark.parametrize("data", [
+    b"",                                  # empty block
+    b" \n\t \n  \n",                      # whitespace only
+    b"solo solo\nsolo\n",                 # one distinct token
+    b"the thing\nthe end",                # no trailing newline
+    b"\n\nthe\n\n",                       # blank records around a hit
+    b"other words only\n",                # tokens, no hit
+], ids=["empty", "whitespace", "one-token", "no-final-newline",
+        "blank-lines", "no-hit"])
+def test_wordcount_kernel_edge_blocks_equal_per_record(data, use_combiner):
+    for pattern in ("^th.*", "^so.*", ".*"):
+        job = wordcount_job("w", pattern, use_combiner=use_combiner)
+        oracle = wordcount_job("w", pattern, use_combiner=use_combiner,
+                               batched=False)  # per-record PatternWordCount
+        result = _task_result(job, data)
+        assert result == _task_result(oracle, data), pattern
+        if use_combiner:
+            # combined_output's contract: unique keys in first-occurrence
+            # order (the oracle's, checked above), each value what the
+            # combiner would leave.
+            keys = [key for key, _ in result[1]]
+            assert len(set(keys)) == len(keys)
+            assert all(list(job.combiner.reduce(key, [value]))
+                       == [(key, value)] for key, value in result[1])
 
 
 def test_batched_kernels_vouch_only_for_exact_reader():

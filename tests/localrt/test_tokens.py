@@ -1,0 +1,244 @@
+"""The process-wide token dictionary: ids, verdicts, bounds, roll-over,
+and the threads that share it."""
+
+import gc
+import hashlib
+import re
+import sys
+import threading
+import weakref
+from collections import Counter
+
+import pytest
+
+import repro.localrt.tokens as tokens
+from repro.common.config import ExecutionConfig
+from repro.localrt.api import BlockData
+from repro.localrt.jobs import wordcount_job
+from repro.localrt.output import write_output
+from repro.localrt.parallel import BACKEND_NAMES
+from repro.localrt.runners import SharedScanRunner
+from repro.localrt.storage import BlockStore
+from repro.localrt.tokens import TokenEncoder
+from repro.workloads.text import TextCorpusGenerator
+
+
+def _decoded(encoded):
+    """The words an encoded block's ids stand for, via its dictionary."""
+    return tuple(encoded.dictionary.words[i] for i in encoded.ids)
+
+
+# ------------------------------------------------------------------ encoding
+
+def test_encode_assigns_each_word_one_dense_id():
+    encoder = TokenEncoder()
+    first = encoder.encode(Counter("b a b c".split()))
+    second = encoder.encode(Counter("c d a".split()))
+    assert first.items == (("b", 2), ("a", 1), ("c", 1)) and first.total == 4
+    assert first.ids == (0, 1, 2)
+    assert second.ids == (2, 3, 1)  # known words keep their ids
+    assert second.dictionary is first.dictionary
+    assert _decoded(second) == ("c", "d", "a")
+    assert encoder.current_size() == 4
+
+
+@pytest.mark.parametrize("text", ["", "one", "one two", "a b c d e"])
+def test_gather_has_one_shape_for_any_number_of_ids(text):
+    """``itemgetter`` answers a bare item for one index and refuses
+    none; the encoded view hides both."""
+    encoder = TokenEncoder()
+    encoder.encode(Counter("pad the ids so they are not 0..n".split()))
+    encoded = encoder.encode(Counter(text.split()))
+    vector = list(range(100, 100 + encoder.current_size()))
+    assert encoded.gather(vector) == tuple(100 + i for i in encoded.ids)
+    assert len(encoded.gather(vector)) == len(text.split())
+
+
+def test_verdicts_match_each_word_once_per_pattern():
+    encoder = TokenEncoder()
+    asked = []
+
+    def match(word):
+        asked.append(word)
+        return re.match("^t", word)
+
+    first = encoder.encode(Counter("the cat".split()))
+    vector = encoder.verdicts(first.dictionary, "^t", match)
+    assert first.gather(vector) == (1, 0) and asked == ["the", "cat"]
+    second = encoder.encode(Counter("cat tom the".split()))
+    again = encoder.verdicts(second.dictionary, "^t", match)
+    assert again is vector  # one vector per (dictionary, pattern) ...
+    assert asked == ["the", "cat", "tom"]  # ... extended, never redone
+    assert second.gather(again) == (0, 1, 1)
+    assert first.gather(vector) == (1, 0)  # earlier ids still valid
+
+
+def test_verdict_table_keeps_a_bounded_number_of_patterns(monkeypatch):
+    monkeypatch.setattr(tokens, "VERDICT_PATTERNS_CAP", 2)
+    encoder = TokenEncoder()
+    encoded = encoder.encode(Counter(["aa", "bb"]))
+    for pattern in ("^a", "^b", "^c", "^a"):
+        vector = encoder.verdicts(encoded.dictionary, pattern,
+                                  re.compile(pattern).match)
+        assert len(encoded.dictionary.verdicts) <= 2
+        assert encoded.gather(vector) == (pattern == "^a", pattern == "^b")
+    assert list(encoded.dictionary.verdicts) == ["^c", "^a"]  # oldest out
+
+
+# ----------------------------------------------------------------- roll-over
+
+def test_roll_over_replaces_the_dictionary_and_never_passes_the_cap(
+        monkeypatch):
+    monkeypatch.setattr(tokens, "TOKEN_DICTIONARY_CAP", 5)
+    encoder = TokenEncoder()
+    old = encoder.encode(Counter("a b c".split()))
+    same = encoder.encode(Counter("c d e".split()))  # 5 words: fits
+    assert same.dictionary is old.dictionary and encoder.current_size() == 5
+    rolled = encoder.encode(Counter("e f".split()))  # a 6th word: roll
+    assert rolled.dictionary is not old.dictionary
+    assert rolled.ids == (0, 1) and encoder.current_size() == 2
+    # The in-flight block still reads its own dictionary, untouched.
+    assert _decoded(old) == ("a", "b", "c")
+    assert len(old.dictionary.words) == 5
+    assert encoder.encode(Counter(["f"])).dictionary is rolled.dictionary
+
+
+def test_block_wider_than_the_cap_gets_a_dictionary_of_its_own(monkeypatch):
+    monkeypatch.setattr(tokens, "TOKEN_DICTIONARY_CAP", 3)
+    encoder = TokenEncoder()
+    shared = encoder.encode(Counter("a b".split()))
+    wide = encoder.encode(Counter("a b c d e".split()))
+    assert wide.dictionary is not shared.dictionary
+    assert _decoded(wide) == ("a", "b", "c", "d", "e")
+    assert encoder.current_size() == 2  # the shared one is as it was
+    assert encoder.encode(Counter(["b"])).dictionary is shared.dictionary
+
+
+def test_rolled_over_dictionary_is_collectable(monkeypatch):
+    monkeypatch.setattr(tokens, "TOKEN_DICTIONARY_CAP", 2)
+    encoder = TokenEncoder()
+    in_flight = encoder.encode(Counter("a b".split()))
+    encoder.verdicts(in_flight.dictionary, "^a", re.compile("^a").match)
+    old = weakref.ref(in_flight.dictionary)
+    encoder.encode(Counter(["c"]))  # rolls over
+    gc.collect()
+    assert old() is not None  # the in-flight block keeps it alive
+    del in_flight
+    gc.collect()
+    assert old() is None
+
+
+def _corpus_store(tmp_path):
+    lines = list(TextCorpusGenerator(vocabulary_size=60, seed=11).lines(6_000))
+    return BlockStore.create(tmp_path / "corpus", lines, block_size_bytes=400)
+
+
+def _scan(store, backend, out_root):
+    """Three jobs joining a circular scan at different iterations; every
+    observable of the run, part files as bytes."""
+    jobs = [wordcount_job("early", ".*a$"),
+            wordcount_job("late", "^[bcd].*"),
+            wordcount_job("loose", ".*e.*", use_combiner=False)]
+    store.reset_stats()
+    config = ExecutionConfig(blocks_per_segment=2, map_backend=backend,
+                             map_workers=2)
+    with SharedScanRunner(store, config) as runner:
+        report = runner.run(jobs, {"late": 2, "loose": 5})
+    parts = {}
+    for job_id, result in sorted(report.results.items()):
+        for path in write_output(result, out_root / backend / job_id):
+            parts[(job_id, path.name)] = hashlib.sha256(
+                path.read_bytes()).hexdigest()
+    stats = store.stats_snapshot()
+    return (parts,
+            {job_id: list(result.counters)
+             for job_id, result in report.results.items()},
+            (stats.blocks_read, stats.bytes_read))
+
+
+def test_roll_over_mid_scan_changes_nothing_observable(tmp_path, monkeypatch):
+    """With room for only a handful of words the dictionary rolls over
+    again and again while three jobs ride one circular scan; outputs,
+    counters and logical reads equal the uncapped run's on every
+    backend, and the shared dictionary never passes its cap."""
+    store = _corpus_store(tmp_path)
+    reference = _scan(store, "serial", tmp_path / "reference")
+
+    cap = 40
+    monkeypatch.setattr(tokens, "TOKEN_DICTIONARY_CAP", cap)
+    monkeypatch.setattr(tokens, "ENCODER", TokenEncoder())  # start empty
+    generations = []  # strong references: ids of dead ones get reused
+    sizes = []
+    original = TokenEncoder.encode
+
+    def spying(self, counts):
+        encoded = original(self, counts)
+        if encoded.dictionary not in generations:
+            generations.append(encoded.dictionary)
+        sizes.append(self.current_size())
+        return encoded
+
+    monkeypatch.setattr(TokenEncoder, "encode", spying)
+    for backend in BACKEND_NAMES:
+        assert _scan(store, backend, tmp_path / "capped") == reference, backend
+    # In-process backends ran through the spy (pool workers roll over in
+    # their own processes, forked with the same cap).
+    assert len(generations) > 2
+    assert max(sizes) <= cap
+    assert all(len(dictionary.words) <= cap for dictionary in generations)
+
+
+# ------------------------------------------------------------------- threads
+
+def test_concurrent_encoders_assign_each_word_exactly_one_id():
+    """Four threads encode overlapping vocabularies at once (more
+    threads than cores, a switch interval that interleaves them inside
+    ``encode``): a lost update would give a word two ids or an id two
+    words."""
+    encoder = TokenEncoder()
+    vocabulary = [f"w{i}" for i in range(400)]
+    seen = [[] for _ in range(4)]
+    start = threading.Barrier(4)
+
+    def work(k):
+        start.wait(timeout=10)
+        for round_ in range(60):
+            lo = (k * 50 + round_ * 7) % 300
+            encoded = encoder.encode(Counter(vocabulary[lo:lo + 100]))
+            vector = encoder.verdicts(encoded.dictionary, "5$",
+                                      re.compile(".*5$").match)
+            seen[k].append((encoded, encoded.gather(vector)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+
+    dictionary = seen[0][0][0].dictionary
+    assert sorted(dictionary.ids.values()) == list(range(len(dictionary.ids)))
+    assert [dictionary.ids[word] for word in dictionary.words] \
+        == list(range(len(dictionary.words)))
+    for per_thread in seen:
+        assert len(per_thread) == 60
+        for encoded, hits in per_thread:
+            assert encoded.dictionary is dictionary
+            words = [word for word, _ in encoded.items]
+            assert list(_decoded(encoded)) == words
+            assert list(hits) == [word.endswith("5") for word in words]
+
+
+def test_process_encoder_is_shared_by_every_block():
+    """``BlockData.encoded`` goes through the one module-level encoder,
+    so blocks of different jobs and waves share ids and verdicts."""
+    first = BlockData(b"shared-token-x other\n").encoded()
+    second = BlockData(b"shared-token-x\n").encoded()
+    assert first.dictionary is second.dictionary
+    assert second.ids[0] == first.ids[0]
+    assert tokens.ENCODER.current_size() >= 2

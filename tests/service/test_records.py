@@ -1,6 +1,8 @@
 """Job tickets, tenant accounting and Jain fairness."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.service.records import (
     FairnessReport,
@@ -38,6 +40,20 @@ def test_jain_index_bounds():
     assert jain_index([1.0, 0.0, 0.0, 0.0]) == pytest.approx(0.25)
     with pytest.raises(ValueError):
         jain_index([1.0, -1.0])
+
+
+@given(st.lists(st.floats(min_value=0.0, allow_nan=False,
+                          allow_infinity=False), min_size=1, max_size=12))
+@example([0.633541589146366])  # x ** 2 > x * x: once 1.0000000000000002
+@example([1e-200, 1e-200])     # squares underflow to zero
+@example([1e200, 1.0])         # squares overflow
+@example([5e-324])
+@settings(max_examples=300)
+def test_jain_index_stays_in_its_range(values):
+    index = jain_index(values)
+    assert 1.0 / len(values) <= index <= 1.0
+    if len(values) == 1:
+        assert index == 1.0  # exactly: one tenant cannot be unfair
 
 
 def test_tenant_account_means():
