@@ -54,11 +54,6 @@ class JobRunState:
         self.map_output_records += len(records)
         partitions = self.partitions
         num_partitions = self.job.num_partitions
-        if num_partitions == 1:
-            groups = partitions[0]
-            for key, value in records:
-                groups[key].append(value)
-            return
         for key, value in records:
             partitions[default_partitioner(key, num_partitions)][key].append(
                 value)

@@ -106,10 +106,10 @@ class PatternWordCountBlock(PatternWordCount, BlockMapper):
                   ) -> tuple[int, list[Record], Counters | None]:
         block = data if isinstance(data, BlockData) else BlockData(data)
         encoded = block.encoded()
-        verdicts = tokens.ENCODER.verdicts(
-            encoded.dictionary, self.pattern, self._regex.match)
-        hits: list[Record] = list(
-            compress(encoded.items, encoded.gather(verdicts)))
+        hits: list[Record] = list(compress(
+            encoded.items,
+            tokens.ENCODER.selectors(
+                encoded, self.pattern, self._regex.match)))
         outputs: list[Record] = hits if self.counted else [
             (word, 1) for word, count in hits for _ in range(count)]
         counters = Counters()

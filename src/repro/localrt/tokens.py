@@ -19,18 +19,26 @@ Blocks in flight keep a reference to the dictionary they were encoded
 against, so their ids stay valid, and the old dictionary — verdict
 vectors included — is garbage once the last of them is done.  Roll-over
 costs one re-match per (word, pattern) as the vocabulary is met again;
-ids and verdicts are internal, so outputs cannot depend on it.
+ids and verdicts are internal, so outputs cannot depend on it.  A
+dictionary keeps vectors for at most :data:`VERDICT_PATTERNS_CAP`
+patterns and only ever drops an idle one: a pattern that finds the
+table full of vectors still in use matches each block's own words
+instead, uncached, so its cost per block never exceeds the block's
+vocabulary however many patterns ride the scan.
 
 Concurrency: the ``threads`` map backend encodes different blocks from
 several tasks at once.  Every mutation — id assignment, roll-over,
 verdict extension — happens under ``TokenEncoder._lock``.  What leaves
 the lock is safe to read without it by construction: an id is never
 reassigned, and words and verdict vectors are append-only, so a gather
-at ids a block was handed stays valid while another task appends.
+at ids a block was handed stays valid while another task appends.  A
+forked child (a ``processes`` pool worker) starts with an encoder of
+its own: the parent's lock may be held by another thread at the fork.
 """
 
 from __future__ import annotations
 
+import os
 from operator import itemgetter
 from typing import Any, Callable, Hashable, Mapping, Sequence
 
@@ -42,9 +50,14 @@ from ..analysis.racecheck import register_instance
 #: pattern that has been matched against the dictionary.
 TOKEN_DICTIONARY_CAP = 1 << 17
 
-#: Most patterns one dictionary keeps verdict vectors for; the oldest
-#: vector is dropped to admit a new pattern (and rebuilt if it returns).
+#: Most patterns one dictionary keeps verdict vectors for.
 VERDICT_PATTERNS_CAP = 256
+
+#: Blocks encoded since a verdict vector's last use before a full table
+#: may drop it for a new pattern.  A job riding a scan uses its vector on
+#: every block, so one that sat this many out belongs to no rider (a few
+#: blocks can be in flight at once on the ``threads`` backend).
+VERDICT_IDLE_BLOCKS = 64
 
 
 def _gatherer(keys: Sequence[Hashable]) -> Callable[[Any], tuple[Any, ...]]:
@@ -62,13 +75,17 @@ class TokenDictionary:
     A plain record: only :class:`TokenEncoder` mutates it, under its
     lock.  ``words[i]`` is the word with id ``i``; ``verdicts[pattern]``
     holds one byte per id assigned when it was last extended (1 = the
-    pattern matches the word).
+    pattern matches the word) and ``used[pattern]`` the value of
+    ``blocks`` — blocks encoded against this dictionary — at its last
+    use.
     """
 
     def __init__(self) -> None:
         self.ids: dict[str, int] = {}
         self.words: list[str] = []
+        self.blocks = 0
         self.verdicts: dict[str, bytearray] = {}
+        self.used: dict[str, int] = {}
 
 
 class EncodedBlock:
@@ -129,29 +146,47 @@ class TokenEncoder:
                     zip(fresh, range(first, first + len(fresh))))
                 dictionary.words.extend(fresh)
                 ids = lookup(dictionary.ids)
+            dictionary.blocks += 1
         return EncodedBlock(dictionary, ids, tuple(counts.items()),
                             sum(counts.values()))
 
-    def verdicts(self, dictionary: TokenDictionary, pattern: str,
-                 match: Callable[[str], object]) -> bytearray:
-        """``pattern``'s verdict vector over every id in ``dictionary``.
+    def selectors(self, block: EncodedBlock, pattern: str,
+                  match: Callable[[str], object]) -> Sequence[object]:
+        """One truth value per item of ``block``: ``pattern`` matches it.
 
         ``match(word)`` (``None`` = no match) runs once per word the
-        vector does not cover yet — never again for that word while the
-        vector lives, whichever job asks.
+        pattern's verdict vector does not cover yet — never again for
+        that word while the vector lives, whichever job asks — and the
+        answer is a gather of that vector at the block's ids.  A
+        pattern the full table has no room for matches the block's own
+        words and keeps nothing.
         """
+        dictionary = block.dictionary
         with self._lock:
-            table = dictionary.verdicts
-            vector = table.get(pattern)
-            if vector is None:
-                if len(table) >= VERDICT_PATTERNS_CAP:
-                    del table[next(iter(table))]
-                vector = table[pattern] = bytearray()
-            covered = len(vector)
-            if covered < len(dictionary.words):
+            vector = self._vector(dictionary, pattern)
+            if vector is not None and len(vector) < len(dictionary.words):
                 vector.extend(match(word) is not None
-                              for word in dictionary.words[covered:])
-            return vector
+                              for word in dictionary.words[len(vector):])
+        if vector is None:
+            return [match(word) is not None for word, _ in block.items]
+        return block.gather(vector)
+
+    def _vector(self, dictionary: TokenDictionary, pattern: str,
+                ) -> bytearray | None:
+        """``pattern``'s verdict vector in ``dictionary``, marked used
+        (caller holds the lock); ``None`` if it has none and every
+        vector in the full table is still in use."""
+        table, used = dictionary.verdicts, dictionary.used
+        vector = table.get(pattern)
+        if vector is None:
+            if len(table) >= VERDICT_PATTERNS_CAP:
+                idlest = min(used, key=used.__getitem__)
+                if dictionary.blocks - used[idlest] < VERDICT_IDLE_BLOCKS:
+                    return None
+                del table[idlest], used[idlest]
+            vector = table[pattern] = bytearray()
+        used[pattern] = dictionary.blocks
+        return vector
 
     def current_size(self) -> int:
         """Words in the current dictionary (never above the cap)."""
@@ -162,3 +197,14 @@ class TokenEncoder:
 #: The process's encoder: one per parent, one per pool worker, alive
 #: between tasks so a worker matches each word once, not once per task.
 ENCODER = TokenEncoder()
+
+
+def _fresh_encoder_after_fork() -> None:
+    """A child must not inherit ``ENCODER``: another thread of the
+    parent may hold its lock, or be half-way through a mutation, at the
+    moment of the fork."""
+    global ENCODER
+    ENCODER = TokenEncoder()
+
+
+os.register_at_fork(after_in_child=_fresh_encoder_after_fork)

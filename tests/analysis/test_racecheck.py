@@ -219,7 +219,10 @@ def test_detector_covers_the_token_dictionary(monkeypatch):
     monkeypatch.setattr(tokens, "TOKEN_DICTIONARY_CAP", 2)
     encoder = tokens.TokenEncoder()
     encoder.encode(Counter(["a", "b"]))
-    in_thread(lambda: encoder.encode(Counter(["c"])))       # rolls over
+    # The first roll-over is this thread's on purpose: a finished
+    # thread's ident can be reused, which the detector would read as
+    # one thread writing throughout.
+    encoder.encode(Counter(["c"]))                          # rolls over
     in_thread(lambda: encoder.encode(Counter(["d", "e"])))  # and again
     assert encoder.current_size() == 2
 

@@ -194,21 +194,3 @@ def test_wave_builds_the_encoded_view_once(monkeypatch):
     run_map_on_block(states, TextLineReader(), b"bb cc\n")
     assert len(built) == 2  # once per block, not per rider
 
-
-def test_single_partition_absorb_never_partitions(monkeypatch):
-    """With one partition every key lands in partition 0 whatever it
-    hashes to, so absorb skips the partitioner."""
-    import repro.localrt.engine as engine
-
-    def refuse(key, partitions):
-        raise AssertionError("partitioned a single-partition job")
-
-    monkeypatch.setattr(engine, "default_partitioner", refuse)
-    state = JobRunState(LocalJob(
-        job_id="j", mapper=PatternWordCountBlock(".*"), reducer=SumReducer(),
-        combiner=SumReducer(), num_partitions=1))
-    run_map_on_block([state], TextLineReader(), b"b a b\nc a\n")
-    run_map_on_block([state], TextLineReader(), b"a\n")
-    assert state.map_output_records == 4
-    assert state.partitions == {0: {"b": [2], "a": [2, 1], "c": [1]}}
-    assert run_reduce(state) == [("a", 3), ("b", 2), ("c", 1)]

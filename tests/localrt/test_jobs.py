@@ -5,6 +5,7 @@ import pickle
 import pytest
 
 import repro.localrt.jobs as jobs_module
+import repro.localrt.tokens as tokens
 from repro.common.errors import ExecutionError
 from repro.localrt.api import BlockData
 from repro.localrt.engine import collect_map_outputs
@@ -317,6 +318,28 @@ def test_wordcount_kernel_edge_blocks_equal_per_record(data, use_combiner):
             assert len(set(keys)) == len(keys)
             assert all(list(job.combiner.reduce(key, [value]))
                        == [(key, value)] for key, value in result[1])
+
+
+@pytest.mark.parametrize("use_combiner", [True, False])
+def test_wordcount_kernel_without_a_verdict_vector_equals_per_record(
+        use_combiner, monkeypatch):
+    """A rider whose pattern finds the verdict table full of vectors in
+    use matches the block's own words instead; nothing observable moves."""
+    monkeypatch.setattr(tokens, "VERDICT_PATTERNS_CAP", 1)
+    monkeypatch.setattr(tokens, "ENCODER", tokens.TokenEncoder())
+    data = b"the thing\nsolo the\n\nend"
+    jobs = [wordcount_job(pattern, pattern, use_combiner=use_combiner)
+            for pattern in ("^th.*", "^so.*", ".*")]
+    _, outputs, counters = collect_map_outputs(jobs, TextLineReader(), data)
+    dictionary = BlockData(data).encoded().dictionary
+    assert list(dictionary.verdicts) == ["^th.*"]  # the others had no room
+    for job, records, job_counters in zip(jobs, outputs, counters):
+        oracle = wordcount_job(job.job_id, job.job_id, batched=False,
+                               use_combiner=use_combiner)
+        _, expected, expected_counters = _task_result(oracle, data)
+        if not use_combiner:
+            records = sorted(records)
+        assert (records, list(job_counters)) == (expected, expected_counters)
 
 
 def test_batched_kernels_vouch_only_for_exact_reader():

@@ -3,7 +3,9 @@ and the threads that share it."""
 
 import gc
 import hashlib
+import os
 import re
+import signal
 import sys
 import threading
 import weakref
@@ -63,26 +65,81 @@ def test_verdicts_match_each_word_once_per_pattern():
         return re.match("^t", word)
 
     first = encoder.encode(Counter("the cat".split()))
-    vector = encoder.verdicts(first.dictionary, "^t", match)
-    assert first.gather(vector) == (1, 0) and asked == ["the", "cat"]
+    assert encoder.selectors(first, "^t", match) == (1, 0)
+    assert asked == ["the", "cat"]
+    vector = first.dictionary.verdicts["^t"]
     second = encoder.encode(Counter("cat tom the".split()))
-    again = encoder.verdicts(second.dictionary, "^t", match)
-    assert again is vector  # one vector per (dictionary, pattern) ...
-    assert asked == ["the", "cat", "tom"]  # ... extended, never redone
-    assert second.gather(again) == (0, 1, 1)
-    assert first.gather(vector) == (1, 0)  # earlier ids still valid
+    assert encoder.selectors(second, "^t", match) == (0, 1, 1)
+    # One vector per (dictionary, pattern), extended and never redone.
+    assert second.dictionary.verdicts["^t"] is vector
+    assert asked == ["the", "cat", "tom"]
+    assert encoder.selectors(first, "^t", match) == (1, 0)  # ids still valid
+    assert asked == ["the", "cat", "tom"]
 
 
-def test_verdict_table_keeps_a_bounded_number_of_patterns(monkeypatch):
-    monkeypatch.setattr(tokens, "VERDICT_PATTERNS_CAP", 2)
+class _CountingMatch:
+    """``re.compile(pattern).match`` that counts its calls."""
+
+    def __init__(self, pattern):
+        self._match = re.compile(pattern).match
+        self.calls = 0
+
+    def __call__(self, word):
+        self.calls += 1
+        return self._match(word)
+
+
+def test_more_patterns_than_the_table_holds_never_thrash_it(monkeypatch):
+    """One pattern more than the cap cycles over a scan: the vectors in
+    use stay, and the rider without one matches each block's own words —
+    no rider ever matches more than the block's vocabulary on a block,
+    let alone the whole dictionary again."""
+    cap = 3
+    monkeypatch.setattr(tokens, "VERDICT_PATTERNS_CAP", cap)
     encoder = TokenEncoder()
-    encoded = encoder.encode(Counter(["aa", "bb"]))
-    for pattern in ("^a", "^b", "^c", "^a"):
-        vector = encoder.verdicts(encoded.dictionary, pattern,
-                                  re.compile(pattern).match)
-        assert len(encoded.dictionary.verdicts) <= 2
-        assert encoded.gather(vector) == (pattern == "^a", pattern == "^b")
-    assert list(encoded.dictionary.verdicts) == ["^c", "^a"]  # oldest out
+    vocabulary = [f"{letter}{i}" for letter in "abcd" for i in range(30)]
+    encoder.encode(Counter(vocabulary))  # the dictionary is far wider ...
+    blocks = [vocabulary[lo::12] for lo in range(12)]  # ... than a block
+    matchers = {f"^{letter}": _CountingMatch(f"^{letter}")
+                for letter in "abcd"}
+    assert len(matchers) == cap + 1
+    for lap in range(2):
+        for words in blocks:
+            encoded = encoder.encode(Counter(words))
+            for pattern, match in matchers.items():
+                before = match.calls
+                selected = encoder.selectors(encoded, pattern, match)
+                assert list(selected) == [w.startswith(pattern[1])
+                                          for w in words]
+                if (lap, words) != (0, blocks[0]):  # vectors built there
+                    assert match.calls - before <= len(words)
+            assert list(encoded.dictionary.verdicts) == ["^a", "^b", "^c"]
+    # The three with a vector matched each dictionary word once, ever;
+    # the fourth matched each block's words, every time.
+    assert [m.calls for m in matchers.values()] == [120, 120, 120, 2 * 120]
+
+
+def test_full_verdict_table_drops_only_an_idle_vector(monkeypatch):
+    monkeypatch.setattr(tokens, "VERDICT_PATTERNS_CAP", 2)
+    monkeypatch.setattr(tokens, "VERDICT_IDLE_BLOCKS", 3)
+    encoder = TokenEncoder()
+    counts = Counter(["aa", "bb"])
+
+    def ride(*patterns):
+        encoded = encoder.encode(counts)
+        for pattern in patterns:
+            assert list(encoder.selectors(
+                encoded, pattern, re.compile(pattern).match,
+            )) == [pattern == "^a", pattern == "^b"]
+        table = encoded.dictionary.verdicts
+        assert len(table) <= 2 and set(table) == set(encoded.dictionary.used)
+        return sorted(table)
+
+    assert ride("^a", "^b", "^c") == ["^a", "^b"]  # both in use: ^c waits
+    assert ride("^b", "^c") == ["^a", "^b"]  # ^a sat out one block ...
+    assert ride("^b", "^c") == ["^a", "^b"]  # ... two ...
+    assert ride("^b", "^c") == ["^b", "^c"]  # ... three: idle, replaced
+    assert ride("^a", "^b", "^c") == ["^b", "^c"]  # and now ^a waits
 
 
 # ----------------------------------------------------------------- roll-over
@@ -118,7 +175,7 @@ def test_rolled_over_dictionary_is_collectable(monkeypatch):
     monkeypatch.setattr(tokens, "TOKEN_DICTIONARY_CAP", 2)
     encoder = TokenEncoder()
     in_flight = encoder.encode(Counter("a b".split()))
-    encoder.verdicts(in_flight.dictionary, "^a", re.compile("^a").match)
+    encoder.selectors(in_flight, "^a", re.compile("^a").match)
     old = weakref.ref(in_flight.dictionary)
     encoder.encode(Counter(["c"]))  # rolls over
     gc.collect()
@@ -205,9 +262,8 @@ def test_concurrent_encoders_assign_each_word_exactly_one_id():
         for round_ in range(60):
             lo = (k * 50 + round_ * 7) % 300
             encoded = encoder.encode(Counter(vocabulary[lo:lo + 100]))
-            vector = encoder.verdicts(encoded.dictionary, "5$",
-                                      re.compile(".*5$").match)
-            seen[k].append((encoded, encoded.gather(vector)))
+            seen[k].append((encoded, encoder.selectors(
+                encoded, "5$", re.compile(".*5$").match)))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -232,6 +288,40 @@ def test_concurrent_encoders_assign_each_word_exactly_one_id():
             words = [word for word, _ in encoded.items]
             assert list(_decoded(encoded)) == words
             assert list(hits) == [word.endswith("5") for word in words]
+
+
+def test_forked_child_starts_with_an_encoder_of_its_own():
+    """A pool worker can be forked while another thread of the parent is
+    inside the encoder; the lock it would inherit held is not the one it
+    uses."""
+    parent = tokens.ENCODER
+    holding, done = threading.Event(), threading.Event()
+
+    def hold():
+        with parent._lock:
+            holding.set()
+            done.wait(timeout=30)
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    try:
+        assert holding.wait(timeout=10)
+        pid = os.fork()
+        if pid == 0:  # the child: report through the exit status
+            status = 1
+            try:
+                signal.alarm(10)  # a deadlock kills it instead of hanging
+                encoded = BlockData(b"fork me\n").encoded()
+                if (tokens.ENCODER is not parent and encoded.ids == (0, 1)
+                        and tokens.ENCODER.current_size() == 2):
+                    status = 0
+            finally:
+                os._exit(status)
+    finally:
+        done.set()
+        holder.join(timeout=10)
+    assert os.waitpid(pid, 0)[1] == 0
+    assert tokens.ENCODER is parent
 
 
 def test_process_encoder_is_shared_by_every_block():
