@@ -31,14 +31,12 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from repro.common.clock import Stopwatch                        # noqa: E402
 from repro.common.config import ExecutionConfig, TraceConfig    # noqa: E402
 from repro.localrt.jobs import wordcount_job                    # noqa: E402
+from repro.localrt.runners import FifoLocalRunner               # noqa: E402
 from repro.localrt.storage import BlockStore                    # noqa: E402
 from repro.obs.analyze import attribute_sharing, build_forest   # noqa: E402
 from repro.obs.export import export_chrome, load_events         # noqa: E402
 from repro.service.config import ServiceConfig                  # noqa: E402
-from repro.service.core import (                                # noqa: E402
-    SchedulerService,
-    batch_equivalent,
-)
+from repro.service.core import SchedulerService                 # noqa: E402
 from repro.service.driver import replay_iterations              # noqa: E402
 from repro.workloads.arrivals import poisson_streams            # noqa: E402
 from repro.workloads.text import TextCorpusGenerator            # noqa: E402
@@ -107,14 +105,16 @@ def main(argv: list[str] | None = None) -> int:
         service.shutdown()
         ratio = sharing_ratio(tmp, service.tracer)
 
+        # The oracle is a solo FIFO run of each completed job: it shares
+        # no code with the scan it checks.  (The payload key keeps its
+        # historical name; committed baselines pin it.)
         done = [t for t in tickets if t.status.value == "done"]
-        batch_store = BlockStore(tmp / "corpus")
-        batch = batch_equivalent(
-            batch_store,
+        done_ids = {t.job_id for t in done}
+        fifo = FifoLocalRunner(BlockStore(tmp / "corpus")).run(
             [job_for(e) for e in events
-             if f"{e.tenant}_j{e.index}" in {t.job_id for t in done}])
+             if f"{e.tenant}_j{e.index}" in done_ids])
         outputs_identical = all(
-            sorted(results[t.job_id].output) == sorted(batch[t.job_id].output)
+            results[t.job_id].output == fifo.result(t.job_id).output
             for t in done)
 
     rejected = sum(acc.rejected for acc in accounts.values())

@@ -35,7 +35,7 @@ from .jobs import (
     selection_job,
     wordcount_job,
 )
-from .live import LiveScanExecutor
+from .live import SharedScanCore
 from .output import SUCCESS_MARKER, read_output, write_output
 from .parallel import (
     MapBackend,
@@ -69,6 +69,6 @@ __all__ = [
     "SelectionMapper", "aggregation_job", "selection_job", "wordcount_job",
     "SUCCESS_MARKER", "read_output", "write_output",
     "DelimitedReader", "RecordReader", "TextLineReader",
-    "FifoLocalRunner", "LiveScanExecutor", "RunReport", "SharedScanRunner",
+    "FifoLocalRunner", "RunReport", "SharedScanCore", "SharedScanRunner",
     "BlockStore", "ReadStats", "ShardedBlockStore", "open_store",
 ]

@@ -317,68 +317,37 @@ def backend_from_config(config: ExecutionConfig) -> MapBackend:
     return make_backend(config.map_backend, workers=config.map_workers)
 
 
-def resolve_backend(backend: "MapBackend | str | None",
-                    workers: int = 1) -> tuple[MapBackend, bool]:
-    """Normalise a runner's ``backend=`` knob to an instance.
-
-    Returns ``(backend, owned)``: ``owned`` is True when this call created
-    the instance (the caller should close it when done).  ``backend=None``
-    preserves the historical ``workers=`` behaviour — 1 worker runs serial,
-    more run the thread pool.
-    """
-    if backend is None:
-        if workers < 1:
-            raise ExecutionError(f"workers must be >= 1, got {workers}")
-        if workers == 1:
-            return SerialMapBackend(), True
-        return ThreadMapBackend(workers), True
-    if isinstance(backend, str):
-        return make_backend(backend, workers=workers), True
-    if isinstance(backend, MapBackend):
-        return backend, False
-    raise ExecutionError(
-        f"backend must be a MapBackend, a backend name or None, "
-        f"got {backend!r}")
-
-
 def execute_map_wave(store: BlockStoreProtocol, reader: RecordReader,
-                     tasks: list[MapTaskSpec], *, workers: int = 1,
-                     backend: "MapBackend | str | None" = None,
+                     tasks: Sequence[MapTaskSpec], *, backend: MapBackend,
                      tracer: Tracer | None = None) -> None:
     """Run a wave of block-level map tasks under a map backend.
 
-    Collect (read + map + combine) runs under ``backend`` — defaulting to
-    serial/threads per ``workers`` for backwards compatibility — and shuffle
-    absorption is serial in ``tasks`` order for determinism.  A backend
-    returning the wrong number or shape of results fails loudly rather than
-    silently truncating the wave.
+    Collect (read + map + combine) runs under ``backend`` (the caller
+    owns and closes it) and shuffle absorption is serial in ``tasks``
+    order for determinism.  A backend returning the wrong number or
+    shape of results fails loudly rather than silently truncating the
+    wave.
 
     An enabled ``tracer`` records a ``map.wave`` span around the collect
     phase (with per-block ``map.task`` children from the backend) and a
     ``shuffle.absorb`` span around the fold into job shuffle state.
     """
-    resolved, owned = resolve_backend(backend, workers)
     if not tasks:
         return
     seen_blocks = [t.block_index for t in tasks]
     if len(set(seen_blocks)) != len(seen_blocks):
         raise ExecutionError(f"duplicate blocks in wave: {seen_blocks}")
     trace = tracer if tracer is not None else NULL_TRACER
-    try:
-        with trace.span("map.wave", blocks=len(tasks), backend=resolved.name):
-            # Pass the tracer only when recording: backends subclassed
-            # before the tracer existed keep their 3-argument run_wave.
-            if tracer is not None and tracer.enabled:
-                results = resolved.run_wave(store, reader, tasks,
-                                            tracer=tracer)
-            else:
-                results = resolved.run_wave(store, reader, tasks)
-    finally:
-        if owned:
-            resolved.close()
+    with trace.span("map.wave", blocks=len(tasks), backend=backend.name):
+        # Pass the tracer only when recording: backends subclassed
+        # before the tracer existed keep their 3-argument run_wave.
+        if tracer is not None and tracer.enabled:
+            results = backend.run_wave(store, reader, tasks, tracer=tracer)
+        else:
+            results = backend.run_wave(store, reader, tasks)
     if len(results) != len(tasks):
         raise ExecutionError(
-            f"map backend {resolved.name!r} returned {len(results)} results "
+            f"map backend {backend.name!r} returned {len(results)} results "
             f"for {len(tasks)} tasks")
     with trace.span("shuffle.absorb", blocks=len(tasks)):
         for task, (record_count, outputs, task_counters) in zip(tasks, results,
@@ -389,5 +358,5 @@ def execute_map_wave(store: BlockStoreProtocol, reader: RecordReader,
                     absorb_map_result(state, record_count, buffer, counters)
             except ValueError as exc:
                 raise ExecutionError(
-                    f"map backend {resolved.name!r} returned a malformed "
+                    f"map backend {backend.name!r} returned a malformed "
                     f"result for block {task.block_index}: {exc}") from exc

@@ -5,17 +5,21 @@ Both runners execute *real* map/reduce functions over a
 many times the input bytes are read:
 
 * :class:`FifoLocalRunner` — each job performs its own full scan
-  (``n_jobs x file_bytes`` read), like Hadoop's FIFO queue;
-* :class:`SharedScanRunner` — the S3 loop: blocks are visited in circular
-  segment order, each block is read **once per iteration** and its records
-  feed every active job; jobs admitted later start mid-file and wrap
-  around.
+  (``n_jobs x file_bytes`` read), like Hadoop's FIFO queue.  It keeps
+  its own loop on purpose: it is the oracle every shared-scan output is
+  compared against, and a reference must not share the code it checks.
+* :class:`SharedScanRunner` — the batch front-end of the one shared-scan
+  core (:class:`~repro.localrt.live.SharedScanCore`): blocks are visited
+  in circular segment order, each block is read **once per iteration**
+  and its records feed every active job; jobs admitted later start
+  mid-file and wrap around.  The scheduler service
+  (:mod:`repro.service.core`) is the live front-end of the same core.
 
 The runners report byte-level I/O so tests and examples can verify the
 shared-scan saving directly.
 
-Construction (the canonical path)
----------------------------------
+Construction
+------------
 Every knob — map backend, workers, cache, prefetch depth, segment size,
 tracing — lives on one :class:`~repro.common.config.ExecutionConfig`::
 
@@ -24,11 +28,8 @@ tracing — lives on one :class:`~repro.common.config.ExecutionConfig`::
         prefetch_depth=2, blocks_per_segment=8,
         trace=TraceConfig(enabled=True, path="run.trace.json")))
 
-``SharedScanRunner(store)`` uses the defaults.  The historical surface —
-per-call ``workers=`` / ``backend=`` / ``prefetch_depth=`` /
-``blocks_per_segment=`` keywords, the FIFO runner's positional reader,
-and the ``from_config`` classmethods — still works but emits
-``DeprecationWarning`` and will be removed.
+``SharedScanRunner(store)`` uses the defaults; the record format of the
+store's data is the ``reader=`` keyword.
 
 Observability
 -------------
@@ -46,8 +47,6 @@ check per instrumentation point.
 
 from __future__ import annotations
 
-import dataclasses
-import warnings
 from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import Callable, Mapping, Sequence
 
@@ -55,21 +54,14 @@ from ..common.config import ExecutionConfig
 from ..common.errors import ExecutionError
 from ..obs.export import export_chrome, export_jsonl
 from ..obs.metrics import MetricsRegistry
-from ..obs.runtime import resolve_tracer
 from ..obs.tracer import Tracer
-from ..schedulers.assignment import group_blocks_by_location
 from .api import BlockStoreProtocol, JobResult, LocalJob
 from .counters import Counters
 from .engine import JobRunState, count_pending_values, run_reduce
-from .parallel import (
-    MapBackend,
-    MapTaskSpec,
-    backend_from_config,
-    execute_map_wave,
-    resolve_backend,
-)
+from .live import SharedScanCore, _LocalRunnerBase, _start_prefetcher
+from .parallel import MapTaskSpec, backend_from_config, execute_map_wave
 from .prefetch import ReadAheadPrefetcher
-from .records import RecordReader, TextLineReader
+from .records import RecordReader
 from .storage import ReadStats
 
 #: Hook invoked after each shared-scan iteration's map phase:
@@ -78,9 +70,6 @@ IterationHook = Callable[[int, list[JobRunState]], None]
 
 #: Counter group used by :meth:`RunReport.io_counters`.
 IO_COUNTER_GROUP = "io"
-
-#: Wave-size histogram buckets (blocks per wave).
-_WAVE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
 
 @dataclass
@@ -123,164 +112,33 @@ class RunReport:
         return counters
 
 
-def _attach_cache_from_config(store: BlockStoreProtocol,
-                              config: ExecutionConfig) -> None:
-    """Attach the cache an ExecutionConfig asks for (idempotent: an
-    already-attached cache is kept, so repeat runners share it)."""
-    if config.cache_capacity_bytes is not None and not store.has_cache:
-        store.ensure_cache(config.cache_capacity_bytes)
+def _check_job_ids(jobs: Sequence[LocalJob]) -> list[str]:
+    if not jobs:
+        raise ExecutionError("no jobs to run")
+    ids = [job.job_id for job in jobs]
+    if len(set(ids)) != len(ids):
+        raise ExecutionError(f"duplicate job ids: {ids}")
+    return ids
 
 
-def _deprecated(message: str) -> None:
-    warnings.warn(message, DeprecationWarning, stacklevel=4)
-
-
-def _resolve_tracer(tracer: Tracer | None, config: ExecutionConfig,
-                    name: str) -> Tracer:
-    """Pick the runner's event sink (see :func:`repro.obs.resolve_tracer`).
-
-    Precedence: an explicit ``tracer=`` wins; else ``config.trace.enabled``
-    creates a wall-clock tracer (adopted by any active session); else an
-    active :class:`~repro.obs.runtime.TraceSession` supplies one; else
-    the no-op :data:`~repro.obs.tracer.NULL_TRACER`.
-    """
-    return resolve_tracer(tracer, config.trace.enabled, name)
-
-
-class _LocalRunnerBase:
-    """Shared construction logic: the canonical ExecutionConfig path plus
-    the deprecated per-call knobs, folded identically for both runners."""
-
-    #: Tracer name for this runner kind (exporters show it as the track).
-    _tracer_name = "localrt"
-
-    def __init__(self, store: BlockStoreProtocol,
-                 config: "ExecutionConfig | RecordReader | None" = None, *,
-                 reader: RecordReader | None = None,
-                 tracer: Tracer | None = None,
-                 workers: int | None = None,
-                 backend: "MapBackend | str | None" = None,
-                 prefetch_depth: int | None = None) -> None:
-        if isinstance(config, RecordReader):
-            # Historical FifoLocalRunner(store, reader) positional form.
-            _deprecated(
-                f"{type(self).__name__}(store, reader) is deprecated; pass "
-                "the reader as a keyword: Runner(store, config, reader=...)")
-            if reader is not None:
-                raise ExecutionError(
-                    "reader passed both positionally and as a keyword")
-            reader = config
-            config = None
-        if config is None:
-            config = ExecutionConfig()
-        elif not isinstance(config, ExecutionConfig):
-            raise ExecutionError(
-                f"config must be an ExecutionConfig, got {type(config).__name__}")
-        legacy = [name for name, value in
-                  (("workers", workers), ("backend", backend),
-                   ("prefetch_depth", prefetch_depth)) if value is not None]
-        if legacy:
-            _deprecated(
-                f"{type(self).__name__}({', '.join(f'{k}=' for k in legacy)}"
-                ") is deprecated; set the equivalent fields on an "
-                "ExecutionConfig and pass Runner(store, config)")
-        self.store = store
-        self.config = config
-        self.reader = reader or TextLineReader()
-        _attach_cache_from_config(store, config)
-        if workers is not None or backend is not None:
-            # Deprecated path: preserve the historical semantics exactly
-            # (workers=1 -> serial, >1 -> thread pool; instances are
-            # caller-owned, names/None are runner-owned).
-            effective_workers = 1 if workers is None else workers
-            if effective_workers < 1:
-                raise ExecutionError(
-                    f"workers must be >= 1, got {effective_workers}")
-            self.workers = effective_workers
-            self.backend, self._owns_backend = resolve_backend(
-                backend, effective_workers)
-        else:
-            self.workers = config.map_workers or 1
-            self.backend = backend_from_config(config)
-            self._owns_backend = True
-        depth = (config.prefetch_depth if prefetch_depth is None
-                 else prefetch_depth)
-        self.prefetch_depth = _check_prefetch_depth(store, depth)
-        self.tracer = _resolve_tracer(tracer, config, self._tracer_name)
-        # Placement-aware stores emit shard.read/shard.failover through
-        # the runner's tracer; a single store's attach is a no-op.
-        store.attach_tracer(self.tracer)
-        #: Per-run metric instruments (populated only while tracing).
-        self.metrics = MetricsRegistry()
-
-    # -------------------------------------------------------------- lifecycle
-    def close(self) -> None:
-        """Release the runner's owned resources (idempotent).
-
-        Long-lived holders — the scheduler service keeps one executor
-        across its whole lifetime — call this at shutdown; batch callers
-        get the same cleanup from ``run()``'s ``finally`` and may also
-        use the runner as a context manager.
-        """
-        if self._owns_backend:
-            self.backend.close()
-
-    def __enter__(self) -> "_LocalRunnerBase":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    # ---------------------------------------------------------- observability
-    def _wave_placement(self, label: str, blocks: Sequence[int]) -> None:
-        """Annotate a wave with where its blocks will be served from.
-
-        Groups the wave's blocks by preferred (first-listed) replica
-        holder — for a sharded store that is the primary shard, or the
-        first live replica once a shard is down.  Purely observational:
-        task order (and therefore absorb order and job outputs) never
-        changes.  Single stores report only the synthetic ``"local"``
-        node, so the event is skipped for them.
-        """
-        if not self.tracer.enabled or not blocks:
-            return
-        plan = group_blocks_by_location(self.store.block_locations, blocks)
-        if set(plan) == {"local"}:
-            return
-        self.tracer.event(
-            "wave.placement", subject=label,
-            args={location: len(held)
-                  for location, held in sorted(plan.items())})
-
-    def _absorb_wave(self, label: str, before: ReadStats) -> None:
-        """Record one wave's I/O delta as an ``io.wave`` event + metrics."""
-        delta = self.store.stats_snapshot().delta(before)
-        self.metrics.absorb_read_stats(delta)
-        self.metrics.histogram("wave.blocks",
-                               buckets=_WAVE_BUCKETS).observe(delta.blocks_read)
-        self.tracer.event("io.wave", subject=label,
-                          blocks=delta.blocks_read, bytes=delta.bytes_read,
-                          physical_blocks=delta.physical_blocks_read,
-                          cache_hits=delta.cache_hits,
-                          cache_misses=delta.cache_misses,
-                          prefetched=delta.prefetched_blocks)
-
-    def _finish_trace(self, report: RunReport) -> RunReport:
-        """End-of-run bookkeeping: cache event, metrics + export paths."""
-        if not self.tracer.enabled:
-            return report
-        cache_stats = self.store.cache_stats()
-        if cache_stats is not None:
-            self.tracer.event("cache.stats", args=cache_stats)
-        report.metrics = self.metrics
-        trace = self.config.trace
-        if trace.path is not None:
-            if trace.format == "jsonl":
-                export_jsonl(trace.path, [self.tracer])
-            else:
-                export_chrome(trace.path, [self.tracer])
-            report.trace_path = trace.path
+def _finish_trace(runner: _LocalRunnerBase, report: RunReport) -> RunReport:
+    """End-of-run bookkeeping: cache event, metrics + export paths.
+    ``runner`` is whoever ran the waves and so holds the run's registry
+    (the FIFO runner itself; the shared-scan runner's per-run core)."""
+    if not runner.tracer.enabled:
         return report
+    cache_stats = runner.store.cache_stats()
+    if cache_stats is not None:
+        runner.tracer.event("cache.stats", args=cache_stats)
+    report.metrics = runner.metrics
+    trace = runner.config.trace
+    if trace.path is not None:
+        if trace.format == "jsonl":
+            export_jsonl(trace.path, [runner.tracer])
+        else:
+            export_chrome(trace.path, [runner.tracer])
+        report.trace_path = trace.path
+    return report
 
 
 class FifoLocalRunner(_LocalRunnerBase):
@@ -295,23 +153,20 @@ class FifoLocalRunner(_LocalRunnerBase):
 
     _tracer_name = "fifo"
 
-    @classmethod
-    def from_config(cls, store: BlockStoreProtocol, config: ExecutionConfig,
-                    *, reader: RecordReader | None = None,
-                    ) -> "FifoLocalRunner":
-        """Deprecated alias of ``FifoLocalRunner(store, config)``."""
-        warnings.warn(
-            "FifoLocalRunner.from_config(store, config) is deprecated; "
-            "construct FifoLocalRunner(store, config) directly",
-            DeprecationWarning, stacklevel=2)
-        return cls(store, config, reader=reader)
+    def __init__(self, store: BlockStoreProtocol,
+                 config: ExecutionConfig | None = None, *,
+                 reader: RecordReader | None = None,
+                 tracer: Tracer | None = None) -> None:
+        super().__init__(store, config, reader=reader, tracer=tracer)
+        self.backend = backend_from_config(self.config)
+
+    def close(self) -> None:
+        """Release the map backend (idempotent; ``run()``'s ``finally``
+        does the same, so batch callers need not call it)."""
+        self.backend.close()
 
     def run(self, jobs: Sequence[LocalJob]) -> RunReport:
-        if not jobs:
-            raise ExecutionError("no jobs to run")
-        ids = [job.job_id for job in jobs]
-        if len(set(ids)) != len(ids):
-            raise ExecutionError(f"duplicate job ids: {ids}")
+        _check_job_ids(jobs)
         before = self.store.stats_snapshot()
         results: dict[str, JobResult] = {}
         prefetcher = _start_prefetcher(self.store, self.prefetch_depth,
@@ -323,10 +178,9 @@ class FifoLocalRunner(_LocalRunnerBase):
             if prefetcher is not None:
                 prefetcher.close()
             # Pools re-create lazily, so closing keeps the runner reusable.
-            if self._owns_backend:
-                self.backend.close()
+            self.backend.close()
         io = self.store.stats_snapshot().delta(before)
-        return self._finish_trace(RunReport(
+        return _finish_trace(self, RunReport(
             results=results,
             blocks_read=io.blocks_read,
             bytes_read=io.bytes_read,
@@ -370,27 +224,8 @@ class FifoLocalRunner(_LocalRunnerBase):
             )
 
 
-@dataclass
-class _ScanState:
-    """Scan progress of one job inside the shared-scan loop."""
-
-    job: LocalJob
-    run_state: JobRunState
-    total_blocks: int
-    start_block: int | None = None
-    covered: int = 0
-
-    @property
-    def remaining(self) -> int:
-        return self.total_blocks - self.covered
-
-    @property
-    def done(self) -> bool:
-        return self.covered >= self.total_blocks
-
-
 class SharedScanRunner(_LocalRunnerBase):
-    """The S3 execution loop over real data.
+    """The S3 execution loop over real data, for a fixed job list.
 
     Built from an :class:`~repro.common.config.ExecutionConfig` (see the
     module docstring).  ``config.blocks_per_segment`` is the iteration
@@ -403,43 +238,9 @@ class SharedScanRunner(_LocalRunnerBase):
 
     _tracer_name = "shared-scan"
 
-    def __init__(self, store: BlockStoreProtocol,
-                 config: "ExecutionConfig | None" = None, *,
-                 reader: RecordReader | None = None,
-                 tracer: Tracer | None = None,
-                 blocks_per_segment: int | None = None,
-                 workers: int | None = None,
-                 backend: "MapBackend | str | None" = None,
-                 prefetch_depth: int | None = None) -> None:
-        super().__init__(store, config, reader=reader, tracer=tracer,
-                         workers=workers, backend=backend,
-                         prefetch_depth=prefetch_depth)
-        if blocks_per_segment is not None:
-            _deprecated(
-                "SharedScanRunner(blocks_per_segment=...) is deprecated; "
-                "set blocks_per_segment on the ExecutionConfig")
-            if blocks_per_segment <= 0:
-                raise ExecutionError("blocks_per_segment must be positive")
-            self.blocks_per_segment = blocks_per_segment
-        else:
-            self.blocks_per_segment = self.config.blocks_per_segment
-
-    @classmethod
-    def from_config(cls, store: BlockStoreProtocol, config: ExecutionConfig,
-                    *, reader: RecordReader | None = None,
-                    blocks_per_segment: int = 4) -> "SharedScanRunner":
-        """Deprecated alias of ``SharedScanRunner(store, config)``.
-
-        Keeps the historical quirk that its ``blocks_per_segment``
-        argument (default 4) overrides the config.
-        """
-        warnings.warn(
-            "SharedScanRunner.from_config(store, config) is deprecated; "
-            "construct SharedScanRunner(store, config) directly",
-            DeprecationWarning, stacklevel=2)
-        config = dataclasses.replace(config,
-                                     blocks_per_segment=blocks_per_segment)
-        return cls(store, config, reader=reader)
+    @property
+    def blocks_per_segment(self) -> int:
+        return self.config.blocks_per_segment
 
     def run(self, jobs: Sequence[LocalJob],
             arrival_iterations: Mapping[str, int] | None = None, *,
@@ -456,11 +257,7 @@ class SharedScanRunner(_LocalRunnerBase):
         Section V.G extension uses it to fold partial aggregates
         progressively.
         """
-        if not jobs:
-            raise ExecutionError("no jobs to run")
-        ids = [job.job_id for job in jobs]
-        if len(set(ids)) != len(ids):
-            raise ExecutionError(f"duplicate job ids: {ids}")
+        ids = _check_job_ids(jobs)
         arrivals = dict(arrival_iterations or {})
         unknown = set(arrivals) - set(ids)
         if unknown:
@@ -473,127 +270,36 @@ class SharedScanRunner(_LocalRunnerBase):
             pending.setdefault(arrivals.get(job.job_id, 0), []).append(job)
         before = self.store.stats_snapshot()
         results: dict[str, JobResult] = {}
-        prefetcher = _start_prefetcher(self.store, self.prefetch_depth,
-                                       self.tracer)
+        # A fresh core per run: the pointer starts at block 0 and the
+        # prefetcher's pacing baseline is this run's start.
+        core = SharedScanCore(self.store, self.config, reader=self.reader,
+                              tracer=self.tracer)
+        iteration = 0
         try:
             with self.tracer.span("s3.run", jobs=len(jobs),
                                   segment=self.blocks_per_segment):
-                iterations = self._scan_loop(pending, results,
-                                             before.blocks_read,
-                                             on_iteration_end, prefetcher)
+                while pending or core.has_work():
+                    if not core.has_work() and iteration not in pending:
+                        # Idle until the next arrival (skip empty iterations).
+                        iteration = min(pending)
+                    for job in pending.pop(iteration, ()):
+                        core.add_job(job, arrival=iteration)
+                    wave = core.plan(iteration, more_arrivals=bool(pending))
+                    assert wave is not None  # a job was waiting or scanning
+                    core.run(wave)
+                    if on_iteration_end is not None:
+                        on_iteration_end(iteration, list(wave.riders))
+                    for state in wave.finishing:
+                        results[state.job.job_id] = core.finish(state,
+                                                                iteration)
+                    iteration += 1
         finally:
-            if prefetcher is not None:
-                prefetcher.close()
-            # Pools re-create lazily, so closing keeps the runner reusable.
-            if self._owns_backend:
-                self.backend.close()
+            core.close()
         io = self.store.stats_snapshot().delta(before)
-        return self._finish_trace(RunReport(
+        return _finish_trace(core, RunReport(
             results=results,
             blocks_read=io.blocks_read,
             bytes_read=io.bytes_read,
-            iterations=iterations,
+            iterations=iteration,
             io=io,
         ))
-
-    def _scan_loop(self, pending: dict[int, list[LocalJob]],
-                   results: dict[str, JobResult],
-                   before_blocks: int,
-                   on_iteration_end: "IterationHook | None",
-                   prefetcher: ReadAheadPrefetcher | None = None,
-                   ) -> int:
-        """The circular segment loop; returns the iteration count.
-
-        Owns all scan-cursor state (active set, circular pointer,
-        iteration counter).
-        """
-        n = self.store.num_blocks
-        traced = self.tracer.enabled
-        active: list[_ScanState] = []
-        pointer = 0
-        iteration = 0
-        while pending or active:
-            if not active and iteration not in pending:
-                # Idle until the next arrival (skip empty iterations).
-                iteration = min(pending)
-            for job in pending.pop(iteration, []):
-                active.append(_ScanState(job=job, run_state=JobRunState(job),
-                                         total_blocks=n, start_block=pointer))
-            chunk_len = min(self.blocks_per_segment, n - pointer,
-                            max(s.remaining for s in active))
-            tasks = []
-            for offset in range(chunk_len):
-                participants = tuple(s.run_state for s in active
-                                     if s.remaining > offset)
-                tasks.append(MapTaskSpec(block_index=pointer + offset,
-                                         states=participants))
-            wave_before = self.store.stats_snapshot() if traced else None
-            self._wave_placement(f"iter_{iteration}",
-                                 [task.block_index for task in tasks])
-            with self.tracer.span("s3.iteration", subject=f"iter_{iteration}",
-                                  pointer=pointer, blocks=chunk_len,
-                                  jobs=len(active),
-                                  job_ids=[s.job.job_id for s in active]):
-                if prefetcher is not None:
-                    # Double-buffer: warm the next chunk while this one
-                    # maps.  The circular pointer tells us exactly where
-                    # it starts; only warm when some job will still be
-                    # scanning then.
-                    more = bool(pending) or any(s.remaining > chunk_len
-                                                for s in active)
-                    if more:
-                        next_pointer = (pointer + chunk_len) % n
-                        next_len = min(self.blocks_per_segment,
-                                       n - next_pointer)
-                        prefetcher.schedule(
-                            range(next_pointer, next_pointer + next_len))
-                execute_map_wave(self.store, self.reader, tasks,
-                                 backend=self.backend, tracer=self.tracer)
-                if on_iteration_end is not None:
-                    on_iteration_end(iteration,
-                                     [s.run_state for s in active])
-            if wave_before is not None:
-                self._absorb_wave(f"iter_{iteration}", wave_before)
-            for state in active:
-                state.covered += min(chunk_len, state.remaining)
-            finished = [s for s in active if s.done]
-            active = [s for s in active if not s.done]
-            for state in finished:
-                reduce_input = count_pending_values(state.run_state)
-                output = run_reduce(state.run_state, self.tracer)
-                results[state.job.job_id] = JobResult(
-                    job_id=state.job.job_id,
-                    output=output,
-                    map_input_records=state.run_state.map_input_records,
-                    map_output_records=state.run_state.map_output_records,
-                    reduce_output_records=len(output),
-                    reduce_input_values=reduce_input,
-                    completed_iteration=iteration,
-                    completed_blocks_read=(self.store.logical_blocks_read()
-                                           - before_blocks),
-                    counters=state.run_state.counters,
-                )
-            pointer = (pointer + chunk_len) % n
-            iteration += 1
-        return iteration
-
-
-def _check_prefetch_depth(store: BlockStoreProtocol, depth: int) -> int:
-    """Validate a runner's prefetch knob against its store."""
-    if depth < 0:
-        raise ExecutionError(f"prefetch_depth must be >= 0, got {depth}")
-    if depth > 0 and not store.has_cache:
-        raise ExecutionError(
-            "prefetch_depth > 0 requires a BlockCache on the store "
-            "(attach one, or set cache_capacity_bytes on the "
-            "ExecutionConfig)")
-    return depth
-
-
-def _start_prefetcher(store: BlockStoreProtocol, depth: int,
-                      tracer: Tracer | None = None,
-                      ) -> ReadAheadPrefetcher | None:
-    """One prefetcher per run (its pacing baseline is the run's start)."""
-    if depth <= 0 or not store.has_cache:
-        return None
-    return ReadAheadPrefetcher(store, depth=depth, tracer=tracer)

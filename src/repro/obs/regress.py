@@ -9,10 +9,12 @@ against a baseline/current payload pair and returns a
 exit code.
 
 Only *hardware-independent* metrics are gated — cache-hit ratios,
-logical/physical block counts, invariant-check booleans, relative
-overhead fractions.  Raw wall-clock seconds are never compared across
-runs: CI machines differ, and a seconds-based gate is either flaky or
-vacuous.  Baselines live in ``benchmarks/baselines/`` (smoke mode) and
+logical/physical block counts, invariant-check booleans.  Nothing
+derived from wall-clock time is compared across runs, neither raw
+seconds nor ratios of them (speedups, overhead fractions): CI machines
+differ and drift, and a time-based gate is either flaky or vacuous.
+The benchmarks that have a timing floor enforce it themselves and exit
+non-zero (the ``bench-smoke`` CI job runs them).  Baselines live in ``benchmarks/baselines/`` (smoke mode) and
 at the repo root (full mode); ``benchmarks/regress.py`` orchestrates
 re-running the benchmarks and gating the result, and
 ``python -m repro.obs regress BASELINE CURRENT`` compares two existing
@@ -207,7 +209,7 @@ def format_regression(report: RegressionReport) -> str:
 #: Gated metrics per benchmark payload (``payload["benchmark"]`` key).
 #: Counters that the runtime computes deterministically are pinned
 #: exactly; cache-interaction counters get slack for prefetch timing;
-#: wall-clock seconds are deliberately absent.
+#: wall-clock seconds, and every ratio of them, are deliberately absent.
 DEFAULT_SPECS: dict[str, tuple[MetricSpec, ...]] = {
     "bench_cache": (
         MetricSpec("checks.fifo_hit_ratio_ge_90pct"),
@@ -239,8 +241,10 @@ DEFAULT_SPECS: dict[str, tuple[MetricSpec, ...]] = {
         # fairness.* is wall-clock-derived and deliberately absent.
     ),
     "bench_localrt": (
-        MetricSpec("checks.wordcount_speedup_ge_5x"),
-        MetricSpec("checks.selection_speedup_ge_5x"),
+        # checks.*_speedup_ge_5x and the *.wave_speedup /
+        # *.single_job_speedup ratios are wall clock and deliberately
+        # absent: bench_localrt enforces its own >=5x floor, and
+        # map.kernel_mb_per_s in BENCHMARK.json is the tracked number.
         MetricSpec("checks.outputs_identical"),
         MetricSpec("checks.counters_identical"),
         MetricSpec("checks.logical_io_identical"),
@@ -260,14 +264,6 @@ DEFAULT_SPECS: dict[str, tuple[MetricSpec, ...]] = {
         MetricSpec("selection.bytes_blocks_read"),
         MetricSpec("selection.wave_jobs"),
         MetricSpec("selection.threshold"),
-        # Speedup *ratios* are host-comparable (both paths run
-        # interleaved on the same machine) but still noisy on loaded CI
-        # hosts, so the tolerances are generous; the hard ≥5x floor is
-        # enforced by the checks.* booleans above.
-        MetricSpec("wordcount.wave_speedup", "ge", rel_tol=0.35),
-        MetricSpec("selection.wave_speedup", "ge", rel_tol=0.35),
-        MetricSpec("wordcount.single_job_speedup", "ge", rel_tol=0.5),
-        MetricSpec("selection.single_job_speedup", "ge", rel_tol=0.5),
     ),
     "bench_shard": (
         MetricSpec("checks.outputs_identical_fifo_s3"),
@@ -325,12 +321,10 @@ DEFAULT_SPECS: dict[str, tuple[MetricSpec, ...]] = {
         MetricSpec("checks.traced_io_counters_identical"),
         MetricSpec("checks.traced_outputs_identical"),
         MetricSpec("traced_events", "ge"),
-        # checks.disabled_overhead_within_limit is deliberately absent:
-        # it thresholds sub-second wall clock and flakes on loaded CI
-        # hosts (bench_trace itself still enforces it).  This generous
-        # bound only catches a broken tracer no-op fast path.
-        MetricSpec("disabled_overhead_fraction", "le", abs_tol=0.10,
-                   required=False),
+        # checks.disabled_overhead_within_limit and
+        # disabled_overhead_fraction are deliberately absent: both
+        # threshold sub-second wall clock and flake on loaded hosts
+        # (bench_trace itself still enforces the limit).
     ),
 }
 

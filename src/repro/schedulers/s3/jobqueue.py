@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Protocol
 
-from ...analysis.racecheck import race_checked
 from ...common.errors import SchedulingError
 from ...dfs.block import DfsFile
 from ...mapreduce.job import JobSpec
@@ -23,21 +22,18 @@ class FileResolver(Protocol):
     """Anything that can resolve a file name to its block chain.
 
     The simulator's :class:`~repro.dfs.namenode.NameNode` satisfies this
-    structurally; the scheduler service satisfies it with a synthetic
-    single-node view of a local :class:`~repro.localrt.storage.BlockStore`.
+    structurally.
     """
 
     def get_file(self, name: str) -> DfsFile: ...
 
 
-@race_checked(fields=("_next_loop_index",), guard="SchedulerService._cond")
 class JobQueueManager:
     """Per-file scan loops plus the round-robin loop selector.
 
-    Like :class:`~repro.schedulers.s3.scanloop.ScanLoop`, lock-free by
-    design — single-threaded in the simulator, serialised under the
-    service's condition variable when live (checked by
-    ``REPRO_RACECHECK=1``).
+    Simulator-only, hence single-threaded: the local runtime scans one
+    store, so its :class:`~repro.localrt.live.SharedScanCore` holds the
+    one :class:`~repro.schedulers.s3.scanloop.ScanLoop` directly.
     """
 
     def __init__(self, namenode: FileResolver, blocks_per_segment: int) -> None:

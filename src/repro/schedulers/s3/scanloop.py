@@ -89,8 +89,9 @@ class Iteration:
 class ScanLoop:
     """Circular scan state for one file (pointer + active jobs).
 
-    Owns no lock: the simulator drives it single-threaded and the
-    scheduler service serialises every call under its own condition
+    Owns no lock: the simulator drives it single-threaded, the batch
+    runner's per-run scan core likewise, and the scheduler service
+    serialises every call into its core's loop under its own condition
     variable — a cross-object guard the ``@race_checked``
     instrumentation verifies at runtime (``REPRO_RACECHECK=1``).
     """

@@ -13,9 +13,10 @@ Layers
   local HTTP status endpoint.
 """
 
+from ..localrt.live import STORE_FILE_NAME
 from .asyncapi import AsyncSchedulerService
 from .config import OVERLOAD_POLICIES, ServiceConfig
-from .core import STORE_FILE_NAME, SchedulerService, batch_equivalent
+from .core import SchedulerService
 from .driver import DriverReport, JobFactory, OpenLoopDriver, replay_iterations
 from .records import (
     FairnessReport,
@@ -39,7 +40,6 @@ __all__ = [
     "SchedulerService",
     "ServiceConfig",
     "TenantAccount",
-    "batch_equivalent",
     "fairness_report",
     "jain_index",
     "replay_iterations",

@@ -7,17 +7,19 @@ are first-class operations on a *running* scan, and a job submitted
 while an iteration is in flight joins the circular scan at the current
 segment pointer (the paper's mid-scan admission, Section IV-B).
 
-Architecture (one paragraph): a single **core thread** runs the scan
-loop.  Scheduling state — who waits, who scans, where the pointer is —
-lives in the existing S3 machinery (:class:`~repro.schedulers.s3.
-jobqueue.JobQueueManager` over a synthetic single-node view of the
-local :class:`~repro.localrt.storage.BlockStore`), so admission,
-alignment and the per-iteration admission cap are literally the
-scheduler the simulator validates.  Execution — reading blocks once and
-feeding every active job's mapper — is a :class:`~repro.localrt.live.
-LiveScanExecutor`.  All public methods synchronise with the core thread
-through one condition variable; no public call blocks while a map wave
-runs (the wave executes outside the lock).
+Architecture (one paragraph): the service is the **live front-end** of
+the one shared-scan core, :class:`~repro.localrt.live.SharedScanCore`
+(the batch front-end is :class:`~repro.localrt.runners.
+SharedScanRunner`).  The core owns the scan — the
+:class:`~repro.schedulers.s3.scanloop.ScanLoop` the simulator
+validates, so admission, alignment and the per-iteration admission cap
+are literally that scheduler — plus the riders' run states, the map
+backend and the prefetcher.  The service keeps only what is a
+service's: the bounded pending queue, the tenant books, lifecycle and
+telemetry.  A single **core thread** (or ``step()``) drives iterations:
+it *plans* a wave under the condition variable (scheduling state), then
+*runs* it and *finishes* its scan-complete jobs outside the lock, so no
+public call blocks while a map wave or a reduce runs.
 
 Overload behaviour: accepted-but-unadmitted jobs form a bounded pending
 queue (``ServiceConfig.max_pending``).  Beyond the bound the service
@@ -29,34 +31,28 @@ Observability: ``service.submit`` / ``service.admit`` /
 ``service.reject`` / ``service.cancel`` / ``service.complete`` instant
 events, ``s3.align`` events at mid-scan admissions (same shape the
 simulator emits), ``s3.iteration`` spans with per-wave ``io.wave``
-deltas from the executor — so scan-sharing attribution and the trace
+deltas from the core — so scan-sharing attribution and the trace
 analyzer work unchanged on service traces.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterator
 
 from ..analysis.lockgraph import OrderedLock
 from ..analysis.racecheck import race_checked, register_instance
-from ..common import ids
 from ..common.clock import Clock, monotonic_clock
 from ..common.errors import AdmissionRejected, ServiceError
-from ..dfs.block import Block, DfsFile
 from ..localrt.api import BlockStoreProtocol, JobResult, LocalJob
-from ..localrt.engine import JobRunState
-from ..localrt.live import LiveScanExecutor
-from ..localrt.parallel import MapTaskSpec
-from ..mapreduce.job import JobSpec
-from ..mapreduce.profile import JobProfile, normal_wordcount
+from ..localrt.live import SharedScanCore, Wave
+from ..localrt.records import RecordReader
 from ..obs.live.slo import SLOStatus
 from ..obs.live.telemetry import ServiceTelemetry
 from ..obs.metrics import MetricsRegistry
 from ..obs.runtime import resolve_tracer
 from ..obs.tracer import Tracer
-from ..schedulers.s3.jobqueue import JobQueueManager
 from ..schedulers.s3.state import S3JobState
 from .config import ServiceConfig
 from .records import (
@@ -67,9 +63,6 @@ from .records import (
     fairness_report,
 )
 
-#: Name under which the service's block store appears in scan-loop state.
-STORE_FILE_NAME = "service.store"
-
 #: Version of the :meth:`SchedulerService.snapshot` shape.  Bump on any
 #: key addition/removal/rename so ``/status`` consumers (dashboard,
 #: golden tests) detect drift instead of silently misreading.
@@ -77,29 +70,6 @@ SNAPSHOT_SCHEMA_VERSION = 2
 
 #: How long ``shutdown`` waits for the core thread.
 _JOIN_TIMEOUT_S = 30.0
-
-
-class _StoreView:
-    """A :class:`~repro.schedulers.s3.jobqueue.FileResolver` over a local
-    block store: sizes and replica locations taken from the real store,
-    so scan-loop state sees the same placement the reads will route by
-    (a single store reports one synthetic ``"local"`` node; a sharded
-    store reports its shard names, primary first)."""
-
-    def __init__(self, store: BlockStoreProtocol, name: str) -> None:
-        blocks = tuple(
-            Block(block_id=ids.block_id(name, index), file_name=name,
-                  index=index,
-                  size_mb=max(store.block_size_bytes(index), 1) / 2 ** 20,
-                  locations=store.block_locations(index))
-            for index in range(store.num_blocks))
-        self._file = DfsFile(name=name, blocks=blocks)
-
-    def get_file(self, name: str) -> DfsFile:
-        if name != self._file.name:
-            raise ServiceError(f"unknown file {name!r} "
-                               f"(service scans {self._file.name!r})")
-        return self._file
 
 
 @race_checked(fields=("status", "admitted_at", "finished_at", "result",
@@ -117,7 +87,6 @@ class _Entry:
     job: LocalJob
     tenant: str
     scan_state: S3JobState
-    run_state: JobRunState
     status: JobStatus
     submitted_at: float
     admitted_at: float | None = None
@@ -151,21 +120,6 @@ class _Scheduled:
     priority: int
 
 
-@race_checked(fields=("next_chunk", "admitted"),
-              guard="SchedulerService._cond")
-@dataclass
-class _Work:
-    """One built iteration, snapshotted for execution outside the lock."""
-
-    index: int
-    pointer: int
-    tasks: list[MapTaskSpec]
-    participants: tuple[str, ...]
-    finishing: tuple[str, ...]
-    next_chunk: "range | None" = None
-    admitted: tuple[str, ...] = field(default_factory=tuple)
-
-
 class SchedulerService:
     """Live multi-tenant shared-scan scheduler over one block store.
 
@@ -184,8 +138,8 @@ class SchedulerService:
 
     def __init__(self, store: BlockStoreProtocol,
                  config: ServiceConfig | None = None, *,
+                 reader: RecordReader | None = None,
                  tracer: Tracer | None = None,
-                 profile: JobProfile | None = None,
                  clock: Clock | None = None) -> None:
         self.config = config or ServiceConfig()
         self.store = store
@@ -201,19 +155,21 @@ class SchedulerService:
             slo=self.config.slo,
             clock=self._now,
             max_samples=self.config.window_max_samples)
-        self._profile = profile if profile is not None else normal_wordcount()
-        self._resolver = _StoreView(store, STORE_FILE_NAME)
-        self._jqm = JobQueueManager(
-            self._resolver, self.config.execution.blocks_per_segment)
-        self._executor = LiveScanExecutor(
-            store, self.config.execution, tracer=self.tracer)
         self._cond = threading.Condition(
             OrderedLock("SchedulerService._cond"))  # type: ignore[arg-type]
+        # The shared-scan core.  add_job / cancel / has_work / plan touch
+        # scheduling state and are only called under _cond; run / finish
+        # touch none and are called outside it.  ``reader`` is the record
+        # format of the store's data (default: text lines).
+        self._scan = SharedScanCore(store, self.config.execution,
+                                    reader=reader, tracer=self.tracer)
         self._entries: dict[str, _Entry] = {}  # guarded-by: _cond
         self._accounts: dict[str, TenantAccount] = {}  # guarded-by: _cond
         self._scheduled: list[_Scheduled] = []  # guarded-by: _cond
         self._iteration = 0  # guarded-by: _cond
         self._pending = 0  # guarded-by: _cond
+        #: The same count per tenant (tenants with none are absent).
+        self._pending_by_tenant: dict[str, int] = {}  # guarded-by: _cond
         self._running = False  # guarded-by: _cond
         self._stopping = False  # guarded-by: _cond
         self._draining = False  # guarded-by: _cond
@@ -263,7 +219,7 @@ class SchedulerService:
             self._thread.join(timeout=_JOIN_TIMEOUT_S)
             if self._thread.is_alive():  # pragma: no cover - defensive
                 raise ServiceError("service core thread failed to stop")
-        self._executor.close()
+        self._scan.close()
 
     def __enter__(self) -> "SchedulerService":
         return self.start()
@@ -290,15 +246,9 @@ class SchedulerService:
         tenant = tenant or self.config.default_tenant
         with self._cond:
             self._ensure_accepting()
-            account = self._account_locked(tenant)
-            account.submitted += 1
             if not self._await_capacity_locked():
-                account.rejected += 1
                 depth = self._pending
-                self.metrics.counter("service.reject").inc()
-                self.telemetry.record_reject(tenant)
-                self.tracer.event("service.reject", subject=job.job_id,
-                                  tenant=tenant, queue_depth=depth)
+                self._reject_locked(job.job_id, tenant)
                 raise AdmissionRejected(
                     f"{job.job_id}: pending queue full "
                     f"({depth}/{self.config.max_pending}) under policy "
@@ -343,16 +293,14 @@ class SchedulerService:
             entry = self._entries.get(job_id)
             if entry is None or entry.status.terminal:
                 return False
-            removed = self._jqm.cancel(job_id)
-            if removed is None:
+            if not self._scan.cancel(job_id):
                 # Scan finished; its reduce is imminent or in flight.
                 return False
             was_pending = entry.status is JobStatus.PENDING
             self._finish_locked(entry, JobStatus.CANCELLED,
                                 error="cancelled by client")
             if was_pending:
-                self._pending -= 1
-                self._set_depth_gauge_locked(entry.tenant)
+                self._move_pending_locked(entry.tenant, -1)
             self.metrics.counter("service.cancel").inc()
             self.tracer.event("service.cancel", subject=job_id,
                               tenant=entry.tenant,
@@ -417,11 +365,7 @@ class SchedulerService:
     def queue_depths(self) -> dict[str, int]:
         """Live pending-queue depth per tenant."""
         with self._cond:
-            depths: dict[str, int] = {}
-            for entry in self._entries.values():
-                if entry.status is JobStatus.PENDING:
-                    depths[entry.tenant] = depths.get(entry.tenant, 0) + 1
-            return depths
+            return dict(self._pending_by_tenant)
 
     def fairness(self) -> FairnessReport:
         """Cross-tenant fairness summary (Jain index over ART)."""
@@ -505,8 +449,8 @@ class SchedulerService:
 
     @property
     def executor_metrics(self) -> MetricsRegistry:
-        """The live executor's registry (``io.*`` counters, wave stats)."""
-        return self._executor.metrics
+        """The scan core's registry (``io.*`` counters, wave stats)."""
+        return self._scan.metrics
 
     def step(self) -> bool:
         """Advance the scan by one iteration, synchronously.
@@ -519,7 +463,6 @@ class SchedulerService:
         and I/O counts are bit-stable.  Must not be mixed with a running
         core thread.
         """
-        work: _Work | None
         with self._cond:
             if self._running:
                 raise ServiceError(
@@ -527,12 +470,10 @@ class SchedulerService:
                     "with a running core thread")
             self._raise_if_dead_locked()
             self._release_scheduled_locked()
-            work = self._build_iteration_locked()
-        if work is None:
-            with self._cond:
-                has_more = bool(self._scheduled) or self._jqm.has_work()
-            return has_more
-        self._execute_work(work)
+            wave = self._plan_locked()
+            if wave is None:
+                return bool(self._scheduled) or self._scan.has_work()
+        self._execute_wave(wave)
         return True
 
     # ------------------------------------------------------ internal helpers
@@ -594,18 +535,14 @@ class SchedulerService:
                 f"duplicate job id {job.job_id!r}; ids are unique for the "
                 "lifetime of the service")
         now = self._now()
-        spec = JobSpec(job_id=job.job_id, file_name=STORE_FILE_NAME,
-                       profile=self._profile, priority=priority,
-                       tag=tenant)
-        scan_state = self._jqm.admit(spec, now)
+        scan_state = self._scan.add_job(job, priority=priority, arrival=now)
         self._entries[job.job_id] = _Entry(
             job=job, tenant=tenant, scan_state=scan_state,
-            run_state=JobRunState(job), status=JobStatus.PENDING,
-            submitted_at=now)
+            status=JobStatus.PENDING, submitted_at=now)
         account = self._account_locked(tenant)
+        account.submitted += 1
         account.in_flight += 1
-        self._pending += 1
-        self._set_depth_gauge_locked(tenant)
+        self._move_pending_locked(tenant, +1)
         self.metrics.counter("service.submit").inc()
         self.telemetry.record_submit(tenant)
         self.tracer.event("service.submit", subject=job.job_id,
@@ -614,10 +551,24 @@ class SchedulerService:
         self._cond.notify_all()
         return job.job_id
 
-    def _set_depth_gauge_locked(self, tenant: str) -> None:
-        depth = sum(1 for e in self._entries.values()
-                    if e.tenant == tenant
-                    and e.status is JobStatus.PENDING)
+    def _reject_locked(self, job_id: str, tenant: str) -> None:
+        """Book one turned-away arrival — the only place a rejection is
+        recorded, so account, counter, telemetry and trace agree."""
+        account = self._account_locked(tenant)
+        account.submitted += 1
+        account.rejected += 1
+        self.metrics.counter("service.reject").inc()
+        self.telemetry.record_reject(tenant)
+        self.tracer.event("service.reject", subject=job_id, tenant=tenant,
+                          queue_depth=self._pending)
+
+    def _move_pending_locked(self, tenant: str, delta: int) -> None:
+        """The pending queue grew (accept) or shrank (admit, cancel or
+        abort while pending) by one of ``tenant``'s jobs."""
+        self._pending += delta
+        depth = self._pending_by_tenant.pop(tenant, 0) + delta
+        if depth:
+            self._pending_by_tenant[tenant] = depth
         self.metrics.gauge(f"service.queue_depth.{tenant}").set(depth)
 
     def _finish_locked(self, entry: _Entry, status: JobStatus, *,
@@ -643,17 +594,14 @@ class SchedulerService:
         elif status is JobStatus.FAILED:
             account.failed += 1
             self.telemetry.record_fail(entry.tenant)
-        elif status is JobStatus.REJECTED:
-            account.rejected += 1
-            self.telemetry.record_reject(entry.tenant)
 
     # -------------------------------------------------------------- core loop
     def _run_core(self) -> None:
         try:
             while True:
-                work: _Work | None = None
+                wave: Wave | None = None
                 with self._cond:
-                    while work is None:
+                    while wave is None:
                         if self._stopping:
                             self._abort_live_locked(
                                 "service shut down before completion")
@@ -661,10 +609,10 @@ class SchedulerService:
                             self._cond.notify_all()
                             return
                         self._release_scheduled_locked()
-                        work = self._build_iteration_locked()
-                        if work is None:
+                        wave = self._plan_locked()
+                        if wave is None:
                             self._cond.wait(self.config.idle_poll_s)
-                self._execute_work(work)
+                self._execute_wave(wave)
         except BaseException as exc:  # the service must not die silently
             with self._cond:
                 self._core_error = exc
@@ -676,7 +624,7 @@ class SchedulerService:
         """Feed due iteration-paced arrivals through the admit path."""
         if not self._scheduled:
             return
-        if not self._jqm.has_work():
+        if not self._scan.has_work():
             # Idle: jump the iteration counter to the next arrival so
             # scheduled submissions cannot deadlock an empty loop.
             self._iteration = max(
@@ -688,93 +636,58 @@ class SchedulerService:
             return
         self._scheduled = [item for item in self._scheduled
                            if item.at_iteration > self._iteration]
+        bound = self.config.max_pending
         for item in due:
-            account = self._account_locked(item.tenant)
-            account.submitted += 1
-            bound = self.config.max_pending
             if bound is not None and self._pending >= bound:
-                account.rejected += 1
-                self.metrics.counter("service.reject").inc()
-                self.telemetry.record_reject(item.tenant)
-                self.tracer.event("service.reject", subject=item.job.job_id,
-                                  tenant=item.tenant,
-                                  queue_depth=self._pending)
-                continue
-            self._accept_locked(item.job, item.tenant, item.priority)
+                self._reject_locked(item.job.job_id, item.tenant)
+            else:
+                self._accept_locked(item.job, item.tenant, item.priority)
 
-    def _build_iteration_locked(self) -> _Work | None:
-        loop = self._jqm.next_loop_with_work()
-        if loop is None:
-            self.metrics.gauge("service.slots_active").set(0)
-            return None
-        pointer_before = loop.pointer
-        iteration = loop.build_iteration(
-            self._jqm.blocks_per_segment,
-            max_jobs=self.config.max_jobs_per_iteration)
-        if iteration is None:
-            return None
+    def _plan_locked(self) -> Wave | None:
+        """Plan the next wave and book its admissions (scheduling state)."""
+        wave = self._scan.plan(
+            self._iteration, max_jobs=self.config.max_jobs_per_iteration,
+            more_arrivals=bool(self._scheduled))
         # Slot occupancy: jobs concurrently riding this scan iteration
         # (bounded by the S3 admission cap when one is configured).
         self.metrics.gauge("service.slots_active").set(
-            len(iteration.participants))
+            len(wave.riders) if wave is not None else 0)
+        if wave is None:
+            return None
         now = self._now()
-        for job_id in loop.last_admitted:
+        for job_id in wave.admitted:
             entry = self._entries[job_id]
             entry.status = JobStatus.SCANNING
             entry.admitted_at = now
-            self._pending -= 1
             account = self._account_locked(entry.tenant)
             account.admitted += 1
-            self._set_depth_gauge_locked(entry.tenant)
+            self._move_pending_locked(entry.tenant, -1)
             self.metrics.counter("service.admit").inc()
             self.telemetry.record_admit(entry.tenant,
                                         now - entry.submitted_at)
             self.tracer.event("service.admit", subject=job_id,
                               tenant=entry.tenant,
-                              start_block=pointer_before,
+                              start_block=wave.pointer,
                               iteration=self._iteration)
             # Sub-job alignment, same event shape as the simulator: the
             # job's scan starts at the segment boundary the pointer sat on.
             self.tracer.event("s3.align", subject=job_id,
-                              start_block=pointer_before,
+                              start_block=wave.pointer,
                               iteration=f"iter_{self._iteration}")
-        tasks = [
-            MapTaskSpec(
-                block_index=block,
-                states=tuple(self._entries[job_id].run_state
-                             for job_id in iteration.block_jobs[block]))
-            for block in iteration.chunk
-        ]
-        next_chunk: range | None = None
-        if loop.has_work():
-            num_blocks = loop.num_blocks
-            next_len = min(self._jqm.blocks_per_segment,
-                           num_blocks - loop.pointer)
-            next_chunk = range(loop.pointer, loop.pointer + next_len)
-        return _Work(
-            index=self._iteration,
-            pointer=pointer_before,
-            tasks=tasks,
-            participants=iteration.participants,
-            finishing=iteration.finishing_jobs,
-            next_chunk=next_chunk,
-            admitted=loop.last_admitted,
-        )
+        return wave
 
-    def _execute_work(self, work: _Work) -> None:
-        """Run one iteration's map wave + finishing reduces (unlocked)."""
-        self._executor.run_iteration(
-            work.index, work.tasks, pointer=work.pointer,
-            job_ids=list(work.participants), next_chunk=work.next_chunk)
+    def _execute_wave(self, wave: Wave) -> None:
+        """Run one wave's map phase + finishing reduces (unlocked)."""
+        self._scan.run(wave)
         with self._cond:
-            finishing = [self._entries[job_id] for job_id in work.finishing
-                         if self._entries[job_id].status
-                         is JobStatus.SCANNING]
-        results: list[tuple[_Entry, JobResult]] = []
-        for entry in finishing:
-            # Reduce outside the lock: shuffle/sort/reduce is CPU work.
-            results.append((entry, self._executor.finish_job(
-                entry.run_state, work.index)))
+            finishing = [
+                (self._entries[state.job.job_id], state)
+                for state in wave.finishing
+                if self._entries[state.job.job_id].status
+                is JobStatus.SCANNING]
+        # Reduce outside the lock: shuffle/sort/reduce is CPU work.
+        results = [(entry, self._scan.finish(state, wave.index))
+                   for entry, state in finishing]
         with self._cond:
             now = self._now()
             for entry, result in results:
@@ -783,7 +696,7 @@ class SchedulerService:
                 self.tracer.event("service.complete",
                                   subject=entry.job.job_id,
                                   tenant=entry.tenant,
-                                  iteration=work.index,
+                                  iteration=wave.index,
                                   response_s=now - entry.submitted_at)
             self._iteration += 1
             self._cond.notify_all()
@@ -799,15 +712,12 @@ class SchedulerService:
             if entry.status.terminal:
                 continue
             was_pending = entry.status is JobStatus.PENDING
-            self._jqm.cancel(entry.job.job_id)
+            self._scan.cancel(entry.job.job_id)
             self._finish_locked(entry, JobStatus.CANCELLED, error=reason)
             if was_pending:
-                self._pending -= 1
-            self._set_depth_gauge_locked(entry.tenant)
+                self._move_pending_locked(entry.tenant, -1)
         for item in self._scheduled:
-            account = self._account_locked(item.tenant)
-            account.submitted += 1
-            account.rejected += 1
+            self._reject_locked(item.job.job_id, item.tenant)
         self._scheduled.clear()
 
     # --------------------------------------------------------------- reports
@@ -839,7 +749,7 @@ class SchedulerService:
         return {
             "schema_version": SNAPSHOT_SCHEMA_VERSION,
             "iterations": iterations,
-            "blocks_read": self._executor.blocks_read,
+            "blocks_read": self._scan.blocks_read,
             "jobs": jobs,
             "tenants": accounts,
             "fairness": report.as_dict(),
@@ -847,19 +757,3 @@ class SchedulerService:
             "telemetry": self.telemetry.snapshot(),
             "readiness": self.readiness(),
         }
-
-
-def batch_equivalent(store: BlockStoreProtocol, jobs: Sequence[LocalJob],
-                     config: ServiceConfig | None = None) -> dict[str, JobResult]:
-    """Run the same job set batch-style (fresh runner) for comparisons.
-
-    Byte-identical outputs between this and a live service run are the
-    service's correctness contract (scheduling must never change
-    results).
-    """
-    from ..localrt.runners import SharedScanRunner
-
-    config = config or ServiceConfig()
-    runner = SharedScanRunner(store, config.execution)
-    report = runner.run(list(jobs))
-    return report.results

@@ -88,3 +88,14 @@ def test_execution_config_validates_backend_name():
 def test_execution_config_validates_workers():
     with pytest.raises(ConfigError):
         ExecutionConfig(map_workers=0)
+
+
+def test_execution_config_validates_scan_knobs():
+    # The runners take these from the config and nowhere else, so this
+    # is the one place an invalid value can be (and is) refused.
+    with pytest.raises(ConfigError, match="prefetch_depth"):
+        ExecutionConfig(cache_capacity_bytes=1 << 20, prefetch_depth=-1)
+    with pytest.raises(ConfigError, match="cache_capacity_bytes"):
+        ExecutionConfig(prefetch_depth=2)
+    with pytest.raises(ConfigError, match="blocks_per_segment"):
+        ExecutionConfig(blocks_per_segment=0)

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.common.config import ExecutionConfig
-from repro.common.errors import ExecutionError
-from repro.localrt.engine import JobRunState
+from repro.common.errors import ConfigError, ExecutionError
+from repro.localrt.engine import JobRunState, run_reduce
 from repro.localrt.jobs import wordcount_job
 from repro.localrt.parallel import (
     BACKEND_NAMES,
@@ -16,7 +16,6 @@ from repro.localrt.parallel import (
     backend_from_config,
     execute_map_wave,
     make_backend,
-    resolve_backend,
 )
 from repro.localrt.records import TextLineReader
 from repro.localrt.runners import FifoLocalRunner, SharedScanRunner
@@ -68,26 +67,27 @@ def test_read_counters_thread_safe(corpus_store):
 def test_execute_map_wave_validation(corpus_store):
     reader = TextLineReader()
     state = JobRunState(wordcount_job("a", ".*"))
-    with pytest.raises(ExecutionError, match="workers"):
-        execute_map_wave(corpus_store, reader,
-                         [MapTaskSpec(0, (state,))], workers=0)
     with pytest.raises(ExecutionError, match="duplicate"):
         execute_map_wave(corpus_store, reader,
-                         [MapTaskSpec(0, (state,)), MapTaskSpec(0, (state,))])
+                         [MapTaskSpec(0, (state,)), MapTaskSpec(0, (state,))],
+                         backend=SerialMapBackend())
     with pytest.raises(ExecutionError, match="no jobs"):
         MapTaskSpec(0, ())
 
 
 def test_empty_wave_is_noop(corpus_store):
-    execute_map_wave(corpus_store, TextLineReader(), [], workers=4)
+    execute_map_wave(corpus_store, TextLineReader(), [],
+                     backend=SerialMapBackend())
 
 
 def test_invalid_workers_on_runners(corpus_store):
-    # The legacy kwarg still validates (until the shim is removed).
-    with pytest.warns(DeprecationWarning), pytest.raises(ExecutionError):
-        FifoLocalRunner(corpus_store, workers=0)
-    with pytest.warns(DeprecationWarning), pytest.raises(ExecutionError):
-        SharedScanRunner(corpus_store, workers=0)
+    # The worker count reaches a runner only through its config, which
+    # refuses a non-positive one; the pooled backends check it again.
+    with pytest.raises(ConfigError, match="map_workers"):
+        ExecutionConfig(map_backend="threads", map_workers=0)
+    for backend_cls in (ThreadMapBackend, ProcessMapBackend):
+        with pytest.raises(ExecutionError, match="workers"):
+            backend_cls(workers=0)
 
 
 # ---------------------------------------------------------------- backends
@@ -137,19 +137,6 @@ def test_backend_from_config():
     backend.close()
 
 
-def test_resolve_backend_contract():
-    serial, owned = resolve_backend(None, 1)
-    assert isinstance(serial, SerialMapBackend) and owned
-    threads, owned = resolve_backend(None, 4)
-    assert isinstance(threads, ThreadMapBackend) and owned
-    threads.close()
-    mine = SerialMapBackend()
-    same, owned = resolve_backend(mine, 4)
-    assert same is mine and not owned
-    with pytest.raises(ExecutionError, match="backend"):
-        resolve_backend(42, 1)  # type: ignore[arg-type]
-
-
 def test_unpicklable_job_fails_by_name(corpus_store):
     job = wordcount_job("closure", ".*")
     # A lambda-held mapper attribute cannot cross the process boundary.
@@ -186,12 +173,20 @@ def test_backend_result_shape_is_validated(corpus_store):
 
 
 def test_backend_context_manager_reusable(corpus_store):
+    def wave(backend):
+        states = tuple(JobRunState(job) for job in make_jobs())
+        tasks = [MapTaskSpec(index, states)
+                 for index in range(corpus_store.num_blocks)]
+        execute_map_wave(corpus_store, TextLineReader(), tasks,
+                         backend=backend)
+        return [run_reduce(state) for state in states]
+
+    expected = wave(SerialMapBackend())
     with ProcessMapBackend(workers=2) as backend:
-        # Injecting a caller-owned backend instance is only possible
-        # through the legacy kwarg; keep exercising it until removal.
-        with pytest.warns(DeprecationWarning):
-            runner = SharedScanRunner(corpus_store, backend=backend)
-        first = runner.run(make_jobs())
-        second = runner.run(make_jobs())  # pool reused across runs
-    for job_id in ("wc0", "wc1", "wc2"):
-        assert first.results[job_id].output == second.results[job_id].output
+        assert wave(backend) == expected
+        pool = backend._pool
+        assert wave(backend) == expected      # pool reused across waves
+        assert backend._pool is pool
+    assert backend._pool is None
+    assert wave(backend) == expected          # re-created lazily after close
+    backend.close()

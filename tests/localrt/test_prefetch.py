@@ -11,7 +11,7 @@ import time
 import pytest
 
 from repro.common.config import ExecutionConfig
-from repro.common.errors import ExecutionError
+from repro.common.errors import ConfigError, ExecutionError
 from repro.localrt.api import LocalJob, Mapper, SumReducer
 from repro.localrt.cache import BlockCache
 from repro.localrt.jobs import wordcount_job
@@ -132,13 +132,14 @@ def test_prefetch_error_recorded_not_raised(tmp_path):
 
 def test_runner_rejects_prefetch_without_cache(tmp_path):
     store = BlockStore.create(tmp_path / "s", lines(10), block_size_bytes=300)
-    # Legacy kwarg path: still validated until the shim is removed.
-    with pytest.warns(DeprecationWarning), \
-            pytest.raises(ExecutionError, match="BlockCache"):
-        FifoLocalRunner(store, prefetch_depth=2)
-    with pytest.warns(DeprecationWarning), \
-            pytest.raises(ExecutionError, match="BlockCache"):
-        SharedScanRunner(store, prefetch_depth=2)
+    # The depth reaches a runner only through its config, which refuses
+    # prefetching without a cache (and the cache is attached from it).
+    with pytest.raises(ConfigError, match="cache_capacity_bytes"):
+        ExecutionConfig(prefetch_depth=2)
+    config = ExecutionConfig(cache_capacity_bytes=1 << 20, prefetch_depth=2)
+    for runner_cls in (FifoLocalRunner, SharedScanRunner):
+        assert runner_cls(store, config).prefetch_depth == 2
+        assert store.has_cache
 
 
 @pytest.mark.parametrize("runner_cls", [FifoLocalRunner, SharedScanRunner])

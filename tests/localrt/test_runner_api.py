@@ -1,5 +1,4 @@
-"""Runner construction surface: canonical ExecutionConfig path and the
-deprecated legacy shims (which must warn but keep their semantics)."""
+"""Runner construction surface: everything goes through ExecutionConfig."""
 
 import json
 import tempfile
@@ -10,7 +9,6 @@ import pytest
 from repro.common.config import ExecutionConfig, TraceConfig
 from repro.common.errors import ExecutionError
 from repro.localrt.jobs import wordcount_job
-from repro.localrt.parallel import SerialMapBackend
 from repro.localrt.records import TextLineReader
 from repro.localrt.runners import FifoLocalRunner, SharedScanRunner
 from repro.obs import NULL_TRACER, TraceSession, Tracer
@@ -51,6 +49,10 @@ def test_config_drives_every_knob(store):
 def test_config_type_is_checked(store):
     with pytest.raises(ExecutionError, match="ExecutionConfig"):
         SharedScanRunner(store, {"blocks_per_segment": 2})
+    # The reader is keyword-only: a positional one lands in the config
+    # slot and is refused, not silently adopted.
+    with pytest.raises(ExecutionError, match="ExecutionConfig"):
+        FifoLocalRunner(store, TextLineReader())
 
 
 def test_untraced_run_reports_no_trace_or_metrics(store):
@@ -111,62 +113,3 @@ def test_jsonl_trace_format(tmp_path, store):
     assert report.trace_path == str(trace_path)
     first = trace_path.read_text(encoding="utf-8").splitlines()[0]
     assert json.loads(first)["name"]
-
-
-# ------------------------------------------------------------ legacy shims
-def test_legacy_workers_kwarg_warns_but_works(store):
-    with pytest.warns(DeprecationWarning, match="workers="):
-        runner = FifoLocalRunner(store, workers=2)
-    assert runner.workers == 2
-    assert runner.run(jobs()).result("wc").output
-
-
-def test_legacy_backend_instance_is_caller_owned(store):
-    backend = SerialMapBackend()
-    with pytest.warns(DeprecationWarning, match="backend="):
-        runner = SharedScanRunner(store, backend=backend)
-    assert runner.backend is backend
-    assert runner._owns_backend is False
-
-
-def test_legacy_blocks_per_segment_warns_and_overrides(store):
-    with pytest.warns(DeprecationWarning, match="blocks_per_segment"):
-        runner = SharedScanRunner(store, blocks_per_segment=7)
-    assert runner.blocks_per_segment == 7
-
-
-def test_legacy_positional_reader_warns(store):
-    with pytest.warns(DeprecationWarning, match="reader as a keyword"):
-        runner = FifoLocalRunner(store, TextLineReader())
-    assert isinstance(runner.reader, TextLineReader)
-
-
-def test_reader_passed_twice_is_an_error(store):
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(ExecutionError, match="both"):
-            FifoLocalRunner(store, TextLineReader(),
-                            reader=TextLineReader())
-
-
-def test_from_config_warns_and_matches_canonical(store):
-    config = ExecutionConfig(blocks_per_segment=3)
-    with pytest.warns(DeprecationWarning, match="from_config"):
-        legacy = SharedScanRunner.from_config(store, config,
-                                              blocks_per_segment=5)
-    # Historical quirk preserved: the argument overrides the config.
-    assert legacy.blocks_per_segment == 5
-    with pytest.warns(DeprecationWarning, match="from_config"):
-        fifo = FifoLocalRunner.from_config(store, config)
-    assert fifo.run(jobs()).result("wc").output
-
-
-def test_legacy_invalid_workers_still_raises(store):
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(ExecutionError, match="workers"):
-            FifoLocalRunner(store, workers=0)
-
-
-def test_legacy_invalid_blocks_per_segment_still_raises(store):
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(ExecutionError, match="positive"):
-            SharedScanRunner(store, blocks_per_segment=0)

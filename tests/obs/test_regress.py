@@ -102,6 +102,9 @@ def test_default_specs_gate_no_wall_clock_seconds():
         for spec in specs:
             assert not spec.path.endswith("_s")
             assert "seconds" not in spec.path
+            # ... nor ratios of wall-clock times.
+            assert "speedup" not in spec.path
+            assert "overhead" not in spec.path
 
 
 def test_specs_for_unknown_benchmark_raises():

@@ -10,8 +10,10 @@ import pytest
 from repro.common.config import ExecutionConfig, TraceConfig
 from repro.common.errors import AdmissionRejected, ServiceError
 from repro.localrt.jobs import wordcount_job
+from repro.localrt.runners import FifoLocalRunner
+from repro.localrt.storage import BlockStore
 from repro.service.config import ServiceConfig
-from repro.service.core import SchedulerService, batch_equivalent
+from repro.service.core import SchedulerService
 from repro.service.records import JobStatus
 
 
@@ -59,22 +61,21 @@ def test_mid_scan_admission_joins_at_pointer(store):
 
 
 def test_results_byte_identical_with_batch(store, tmp_path):
-    jobs = [wordcount_job("wc_a", r"alpha"), wordcount_job("wc_b", r"beta"),
-            wordcount_job("wc_c", r"gamma")]
+    """The contract: sharing a scan never changes a job's answer — every
+    output equals a solo FIFO run's, byte for byte."""
+    patterns = {"wc_a": r"alpha", "wc_b": r"beta", "wc_c": r"gamma"}
     service = make_service(store)
-    for i, job in enumerate(jobs):
-        service.submit_at_iteration(job, i, tenant=f"t{i % 2}")
+    for i, (job_id, pattern) in enumerate(patterns.items()):
+        service.submit_at_iteration(wordcount_job(job_id, pattern), i,
+                                    tenant=f"t{i % 2}")
     run_to_completion(service)
     live = dict(service.results())
     service.shutdown()
-    from repro.localrt.storage import BlockStore
-    fresh = BlockStore(tmp_path / "corpus")
-    batch = batch_equivalent(fresh, [
-        wordcount_job("wc_a", r"alpha"), wordcount_job("wc_b", r"beta"),
-        wordcount_job("wc_c", r"gamma")])
-    for job in jobs:
-        assert sorted(live[job.job_id].output) == \
-            sorted(batch[job.job_id].output)
+    fifo = FifoLocalRunner(BlockStore(tmp_path / "corpus")).run(
+        [wordcount_job(job_id, pattern)
+         for job_id, pattern in patterns.items()])
+    for job_id in patterns:
+        assert live[job_id].output == fifo.result(job_id).output
 
 
 def test_cancel_pending_job(store):
@@ -167,6 +168,89 @@ def test_scheduled_arrival_over_bound_is_recorded_rejected(store):
     with pytest.raises(ServiceError, match="unknown"):
         service.status("b")
     service.shutdown()
+
+
+def assert_rejections_booked_once(service, expected):
+    """Per tenant: account == telemetry window total; their sum == the
+    ``service.reject`` counter == the global window == the trace."""
+    accounts = service.accounts()
+    snapshot = service.snapshot()
+    windows = snapshot["telemetry"]["tenants"]
+    assert {tenant: account.rejected
+            for tenant, account in accounts.items()} == expected
+    for tenant, count in expected.items():
+        assert windows[tenant]["edges"]["rejected"]["total"] == count
+    total = sum(expected.values())
+    assert snapshot["telemetry"]["edges"]["rejected"]["total"] == total
+    assert snapshot["metrics"].get("service.reject", 0) == total
+    events = [e for e in service.tracer.events()
+              if e.name == "service.reject"]
+    assert len(events) == total
+
+
+def traced_service(store, **kwargs):
+    return make_service(store, execution=ExecutionConfig(
+        blocks_per_segment=4, trace=TraceConfig(enabled=True)), **kwargs)
+
+
+def test_rejection_at_shutdown_is_booked_like_any_other(store):
+    """A scheduled arrival that shutdown turns away is a rejection in
+    every book, not only in the tenant account."""
+    service = traced_service(store)
+    service.submit(wordcount_job("a", r"a"), tenant="t")
+    service.submit_at_iteration(wordcount_job("late", r"b"), 50, tenant="u")
+    service.step()
+    service.shutdown()
+    assert_rejections_booked_once(service, {"t": 0, "u": 1})
+    accounts = service.accounts()
+    assert accounts["u"].submitted == 1 and accounts["u"].in_flight == 0
+
+
+def test_rejection_at_release_and_at_submit_are_booked_alike(store):
+    service = traced_service(store, max_pending=1)
+    service.submit_at_iteration(wordcount_job("a", r"a"), 0, tenant="t")
+    service.submit_at_iteration(wordcount_job("b", r"b"), 0, tenant="u")
+    service.step()  # releases both: "a" accepted, "b" over the bound
+    service.submit(wordcount_job("c", r"c"), tenant="t")
+    with pytest.raises(AdmissionRejected):
+        service.submit(wordcount_job("d", r"d"), tenant="t")
+    assert_rejections_booked_once(service, {"t": 1, "u": 1})
+    # A refused duplicate id is an error, not a submission: the books
+    # still balance (submitted == every outcome + in flight).
+    service.step()  # "c" joins the scan: the queue has room again
+    with pytest.raises(ServiceError, match="duplicate"):
+        service.submit(wordcount_job("a", r"x"), tenant="t")
+    run_to_completion(service)
+    service.shutdown()
+    for account in service.accounts().values():
+        assert account.submitted == (account.completed + account.cancelled
+                                     + account.rejected + account.failed)
+
+
+def test_queue_depth_count_returns_to_empty(store):
+    """The per-tenant pending count moves with accept / admit / cancel /
+    abort and is empty again whichever way a job left the queue."""
+    service = make_service(store, max_pending=2, max_jobs_per_iteration=1)
+    service.submit(wordcount_job("run", r"a"), tenant="t")
+    service.step()  # "run" scanning; the cap holds later arrivals pending
+    held = service.submit(wordcount_job("held", r"b"), tenant="t")
+    other = service.submit(wordcount_job("other", r"c"), tenant="u")
+    assert service.queue_depths() == {"t": 1, "u": 1}
+    assert service.metrics.gauge("service.queue_depth.u").value == 1
+    # Reject at release: the queue is full, the arrival never counts.
+    service.submit_at_iteration(wordcount_job("over", r"d"), 0, tenant="v")
+    service.step()
+    assert service.queue_depths() == {"t": 1, "u": 1}
+    # Cancel while pending.
+    assert service.cancel(held) is True
+    assert service.queue_depths() == {"u": 1}
+    assert service.metrics.gauge("service.queue_depth.t").value == 0
+    # Shutdown aborts the rest.
+    service.shutdown()
+    assert service.status(other).status is JobStatus.CANCELLED
+    assert service.queue_depths() == {}
+    assert service.readiness()["queue_depth"] == 0
+    assert service.metrics.gauge("service.queue_depth.u").value == 0
 
 
 def test_shutdown_cancels_everything_no_strands(store):

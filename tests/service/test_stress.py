@@ -8,15 +8,16 @@ Asserted facts are order-independent (thread scheduling varies):
   strands in PENDING/SCANNING after drain;
 * accounting — per-tenant counters are internally consistent and the
   fairness report is computable;
-* correctness — completed jobs' outputs are byte-identical to a
-  batch-style run of the same job set.
+* correctness — completed jobs' outputs are byte-identical to solo
+  FIFO runs of the same jobs (the oracle shares no code with the scan).
 """
 
 from repro.common.config import ExecutionConfig
 from repro.localrt.jobs import wordcount_job
+from repro.localrt.runners import FifoLocalRunner
 from repro.localrt.storage import BlockStore
 from repro.service.config import ServiceConfig
-from repro.service.core import SchedulerService, batch_equivalent
+from repro.service.core import SchedulerService
 from repro.service.driver import OpenLoopDriver
 from repro.service.records import JobStatus
 from repro.workloads.arrivals import poisson_streams
@@ -73,15 +74,14 @@ def test_streaming_poisson_under_strict_cap(store, tmp_path):
         assert (acc.completed + acc.cancelled + acc.rejected
                 + acc.failed) == acc.submitted
 
-    # Byte-identical outputs vs a batch-style run of the completed set.
-    fresh = BlockStore(tmp_path / "corpus")
-    batch_jobs = [
-        _factory(e) for e in events
-        if f"{e.tenant}_j{e.index}" in {t.job_id for t in done}]
-    batch = batch_equivalent(fresh, batch_jobs)
+    # Byte-identical outputs vs solo FIFO runs of the completed set.
+    done_ids = {t.job_id for t in done}
+    fifo = FifoLocalRunner(BlockStore(tmp_path / "corpus")).run(
+        [_factory(e) for e in events
+         if f"{e.tenant}_j{e.index}" in done_ids])
     for ticket in done:
-        assert sorted(live[ticket.job_id].output) == \
-            sorted(batch[ticket.job_id].output)
+        assert live[ticket.job_id].output == \
+            fifo.result(ticket.job_id).output
 
 
 def test_backpressure_blocking_submitters_drain(store):
