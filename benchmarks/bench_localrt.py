@@ -134,9 +134,9 @@ def map_phase_mb_s(store: BlockStore, reader, make_jobs, *,
                    repetitions: int) -> tuple[float, float]:
     """Single-thread map-phase throughput on both paths, interleaved.
 
-    ``make_jobs(batched)`` builds the wave; one pass reads every block
-    and maps it — the bytes path for batched jobs, the decoded-text path
-    for per-record jobs, exactly what the execution backends do.
+    ``make_jobs(batched)`` builds the wave; one pass reads every block's
+    bytes and maps them (per-record jobs pay their one decode inside
+    ``collect_map_outputs``), exactly what the execution backends do.
     Per-record and batched passes alternate within one process and the
     best of ``repetitions`` passes is kept per side, so machine-state
     swings (CPU frequency, cache pressure) hit both sides alike: raw
@@ -150,10 +150,8 @@ def map_phase_mb_s(store: BlockStore, reader, make_jobs, *,
             jobs = make_jobs(batched)
             watch = Stopwatch()
             for index in range(store.num_blocks):
-                data: "str | bytes" = (store.read_block_bytes(index)
-                                       if batched
-                                       else store.read_block(index))
-                collect_map_outputs(jobs, reader, data,
+                collect_map_outputs(jobs, reader,
+                                    store.read_block_bytes(index),
                                     store.block_offset(index))
             elapsed = watch.elapsed()
             best[batched] = min(best.get(batched, elapsed), elapsed)
@@ -188,7 +186,6 @@ def run_equivalence(store: BlockStore, reader, make_jobs) -> dict:
             per_record.io.blocks_read == batched.io.blocks_read
             and per_record.io.bytes_read == batched.io.bytes_read,
         "blocks_read": batched.io.blocks_read,
-        "bytes_blocks_read": batched.io.bytes_blocks_read,
     }
 
 
@@ -289,10 +286,6 @@ def main(argv: "list[str] | None" = None) -> int:
                                and selection["counters_identical"]),
         "logical_io_identical": (wordcount["logical_io_identical"]
                                  and selection["logical_io_identical"]),
-        # Every block of a batched run must flow through the bytes API.
-        "batched_reads_all_bytes": (
-            wordcount["bytes_blocks_read"] == wordcount["blocks_read"]
-            and selection["bytes_blocks_read"] == selection["blocks_read"]),
     }
 
     payload = {

@@ -168,9 +168,9 @@ READSTATS_FIELDS = frozenset({
     "blocks_read", "bytes_read", "physical_blocks_read",
     "physical_bytes_read", "cache_hits", "cache_misses",
     "cache_evictions", "prefetched_blocks",
-    # Bytes-path counters (batched zero-copy scan, PR 7): writable only
-    # from the same allowlist so path attribution stays trustworthy.
-    "bytes_blocks_read", "mmap_blocks_read",
+    # Bytes-path counter (zero-copy scan, PR 7): writable only from the
+    # same allowlist so path attribution stays trustworthy.
+    "mmap_blocks_read",
     # Sharded-store failover accounting (PR 9).
     "replica_fallback_reads",
 })
@@ -212,8 +212,7 @@ def check_rep003(tree: ast.Module,
                        f"write to ReadStats.{target.attr} outside "
                        "localrt/storage.py|counters.py breaks the "
                        "logical-vs-physical I/O accounting; use the "
-                       "BlockStore APIs (note_external_read, snapshot/"
-                       "delta)")
+                       "BlockStore APIs (delegate_read, snapshot/delta)")
 
 
 # ------------------------------------------------- REP004: blocking in lock

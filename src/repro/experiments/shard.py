@@ -57,7 +57,7 @@ def run(num_jobs: int = 4, *, corpus_bytes: int = 400_000,
     Three stores are built from the *same* corpus lines: a single-store
     reference (for the saving cross-check), a sharded store (FIFO vs S3
     plus the balance table) and a second sharded store used only for the
-    failure drill, so ``.down`` markers and fallback counters never leak
+    failure drill, so down state and fallback counters never leak
     between measurements.
     """
     if num_jobs <= 0:

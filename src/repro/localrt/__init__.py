@@ -50,7 +50,7 @@ from .parallel import (
 from .prefetch import ReadAheadPrefetcher
 from .records import DelimitedReader, RecordReader, TextLineReader
 from .runners import FifoLocalRunner, RunReport, SharedScanRunner
-from .sharded import ShardedBlockStore, open_store
+from .sharded import ShardedBlockStore
 from .storage import BlockStore, ReadStats
 
 __all__ = [
@@ -70,5 +70,5 @@ __all__ = [
     "SUCCESS_MARKER", "read_output", "write_output",
     "DelimitedReader", "RecordReader", "TextLineReader",
     "FifoLocalRunner", "RunReport", "SharedScanCore", "SharedScanRunner",
-    "BlockStore", "ReadStats", "ShardedBlockStore", "open_store",
+    "BlockStore", "ReadStats", "ShardedBlockStore",
 ]

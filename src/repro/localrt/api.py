@@ -21,7 +21,6 @@ from typing import (
     Iterable,
     Iterator,
     Protocol,
-    Sequence,
     runtime_checkable,
 )
 
@@ -52,24 +51,19 @@ class BlockStoreProtocol(Protocol):
 
     * **geometry** — ``num_blocks`` / ``total_bytes`` / per-block sizes,
       offsets and replica locations, all fixed once the store is open;
-    * **reads** — ``read_block`` (decoded text) / ``read_block_bytes``
-      (zero-copy) / ``iter_blocks``, each charging one *logical* read,
-      plus advisory ``prefetch_block`` warming (physical only);
+    * **reads** — ``read_block_bytes`` (zero-copy; what every map wave
+      reads) / ``read_block`` (its decoding shim) / ``iter_blocks``,
+      each charging one *logical* read; ``delegate_read``, which routes
+      and charges the same read but returns the block *file* for a pool
+      worker to open — a read is counted once, by the store that routed
+      it; plus advisory ``prefetch_block`` warming (physical only);
     * **accounting** — ``stats_snapshot`` / ``logical_blocks_read`` /
       ``reset_stats`` over one cumulative
-      :class:`~repro.localrt.storage.ReadStats`, and
-      ``note_external_read`` for mirroring worker-process reads;
+      :class:`~repro.localrt.storage.ReadStats`;
     * **attachments** — idempotent ``ensure_cache`` plus ``has_cache`` /
       ``cache_stats`` introspection, and ``attach_tracer`` for stores
       with placement events to emit.
-
-    ``directory`` is the store's on-disk root: opening the same path in
-    another process must yield an equivalent store (the process map
-    backend relies on exactly this).
     """
-
-    @property
-    def directory(self) -> "pathlib.Path": ...
 
     @property
     def num_blocks(self) -> int: ...
@@ -90,6 +84,8 @@ class BlockStoreProtocol(Protocol):
 
     def read_block_bytes(self, index: int) -> bytes: ...
 
+    def delegate_read(self, index: int) -> "pathlib.Path": ...
+
     def iter_blocks(self) -> Iterator[tuple[int, str]]: ...
 
     def prefetch_block(self, index: int) -> bool: ...
@@ -105,11 +101,6 @@ class BlockStoreProtocol(Protocol):
     def logical_blocks_read(self) -> int: ...
 
     def reset_stats(self) -> None: ...
-
-    def note_external_read(self, blocks: int, nbytes: int, *,
-                           bytes_blocks: int = 0,
-                           block_indices: Sequence[int] | None = None,
-                           ) -> None: ...
 
 
 class BlockData(bytes):

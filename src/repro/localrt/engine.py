@@ -140,9 +140,10 @@ def collect_map_outputs(jobs: list[LocalJob], reader: RecordReader,
     (or another kernel) raises :class:`ExecutionError` rather than
     silently corrupting ``map_input_records``.
 
-    ``block_data`` may be ``str`` (legacy text path) or ``bytes`` (the
-    zero-copy path from ``BlockStore.read_block_bytes``); a ``str`` is
-    encoded back to UTF-8 only when a batch kernel needs it.
+    ``block_data`` is ``bytes`` on every map wave (the zero-copy path
+    from ``read_block_bytes``), decoded here once when only per-record
+    mappers ride; a ``str`` (direct callers) is encoded back to UTF-8
+    only when a batch kernel needs it.
     """
     if not jobs:
         raise ExecutionError("map task with no participating job")

@@ -4,7 +4,9 @@ Map tasks over distinct blocks are independent, so the collect phase
 (:func:`repro.localrt.engine.collect_map_outputs`) can run under any
 execution strategy; the absorb phase then folds results into each job's
 shuffle state serially **in block order**, so every backend is bit-identical
-to the serial one (the equivalence is property-tested).
+to the serial one (the equivalence is property-tested).  Every backend
+reads a block's *bytes* and runs the one task body, :func:`_collect_block`
+(per-record mappers get their single decode in ``collect_map_outputs``).
 
 Three backends implement the :class:`MapBackend` strategy:
 
@@ -13,16 +15,15 @@ Three backends implement the :class:`MapBackend` strategy:
 * :class:`ThreadMapBackend` — a thread pool.  CPython's GIL limits the
   speedup for pure-Python mappers, but I/O-heavy readers do overlap;
 * :class:`ProcessMapBackend` — a process pool that actually bypasses the
-  GIL.  Workers open the :class:`~repro.localrt.storage.BlockStore` path
-  themselves and read their block in-process (the parent never ships block
-  text across the pipe); jobs, readers and result buffers therefore must be
-  picklable, which :func:`ProcessMapBackend.run_wave` validates with a
-  by-name error before submitting work.  Worker stores are plain
-  (cache-less) instances: a parent-attached
+  GIL.  The parent's store routes and counts every read
+  (``delegate_read``) and hands the worker the block *file*; the worker
+  opens it — no store, no counters, and the parent never ships block
+  bytes across the pipe.  Jobs, readers and result buffers therefore
+  must be picklable, which :func:`ProcessMapBackend.run_wave` validates
+  with a by-name error before submitting work.  A parent-attached
   :class:`~repro.localrt.cache.BlockCache` is **not** shared across the
-  process boundary, so worker reads always hit disk and are mirrored into
-  the parent's logical *and* physical counters via
-  :meth:`~repro.localrt.storage.BlockStore.note_external_read`.
+  process boundary, so worker reads always hit disk and are charged to
+  the logical *and* physical counters.
 
 Backends are context managers; ``close()`` releases any pool.  Pools are
 created lazily on first use, so a closed backend can be reused.
@@ -40,12 +41,14 @@ from typing import TYPE_CHECKING, Sequence
 from ..common.config import ExecutionConfig
 from ..common.errors import ExecutionError
 from ..obs.tracer import NULL_TRACER, Tracer
-from .api import BlockMapper, BlockStoreProtocol, LocalJob, Record
+from .api import BlockStoreProtocol, LocalJob, Record
 from .counters import Counters
 from .engine import JobRunState, absorb_map_result, collect_map_outputs
 from .records import RecordReader
+from .storage import read_block_file
 
 if TYPE_CHECKING:  # pragma: no cover
+    import pathlib
     from concurrent.futures import Executor
 
 #: One map task's collected result: ``(record_count, outputs_per_job,
@@ -138,11 +141,11 @@ class ThreadMapBackend(MapBackend):
 class ProcessMapBackend(MapBackend):
     """Process-pool backend: true parallelism for pure-Python mappers.
 
-    Each worker opens the block store from its on-disk path and reads its
-    own block, so only the (small) job/reader definitions travel to the
-    worker and only per-job output buffers travel back.  The parent folds
-    the bytes each worker read into the store's I/O counters, keeping the
-    scan-sharing accounting identical to the in-process backends.
+    Each worker opens the block file the parent's store routed it to, so
+    only a path and the (small) job/reader definitions travel to the
+    worker and only per-job output buffers travel back.  The store counts
+    the read where it routes it — in the parent, at submit — so I/O
+    accounting is identical to the in-process backends.
     """
 
     name = "processes"
@@ -150,8 +153,10 @@ class ProcessMapBackend(MapBackend):
     def __init__(self, workers: int | None = None) -> None:
         self.workers = _resolve_workers(workers)
         self._pool: "Executor | None" = None
-        #: Job ids already proven picklable (validated once per job).
-        self._validated: set[str] = set()
+        #: Ids of the last wave's riders, proven picklable.  Riders span
+        #: consecutive waves, so a job is still validated once, and the
+        #: memo does not outlive the jobs (a service runs for ever).
+        self._validated: frozenset[str] = frozenset()
 
     def run_wave(self, store: BlockStoreProtocol, reader: RecordReader,
                  tasks: Sequence[MapTaskSpec], *,
@@ -159,31 +164,23 @@ class ProcessMapBackend(MapBackend):
         self._validate_picklable(tasks, reader)
         if self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        directory = str(store.directory)
+        # Route and count the whole wave before submitting any of it: a
+        # block with no live replica fails here, in the parent.
+        paths = [store.delegate_read(task.block_index) for task in tasks]
         futures = [
-            self._pool.submit(_collect_in_worker, directory, task.block_index,
-                              tuple(s.job for s in task.states), reader)
-            for task in tasks]
+            self._pool.submit(_collect_in_worker, path, task.block_index,
+                              store.block_offset(task.block_index),
+                              [s.job for s in task.states], reader)
+            for task, path in zip(tasks, paths, strict=True)]
         results: list[TaskResult] = []
         for task, future in zip(tasks, futures, strict=True):
-            record_count, outputs, task_counters, block_bytes = future.result()
-            # The read happened in the worker's store instance; mirror it
-            # into the parent's counters so I/O accounting stays exact.
-            # Whether the worker took the bytes path is a pure function
-            # of (jobs, reader), so the parent mirrors that too.
-            bytes_blocks = 1 if _task_wants_bytes(task, reader) else 0
-            # Naming the block lets a sharded store attribute the read to
-            # the shard that actually served it in the worker (replica
-            # routing is deterministic and shared via on-disk markers).
-            store.note_external_read(blocks=1, nbytes=block_bytes,
-                                     bytes_blocks=bytes_blocks,
-                                     block_indices=(task.block_index,))
+            results.append(future.result())
             if tracer is not None and tracer.enabled:
                 tracer.event("map.task.remote",
                              subject=f"block_{task.block_index}",
-                             bytes=block_bytes, jobs=len(task.states),
+                             bytes=store.block_size_bytes(task.block_index),
+                             jobs=len(task.states),
                              job_ids=[s.job.job_id for s in task.states])
-            results.append((record_count, outputs, task_counters))
         return results
 
     def close(self) -> None:
@@ -194,19 +191,19 @@ class ProcessMapBackend(MapBackend):
     def _validate_picklable(self, tasks: Sequence[MapTaskSpec],
                             reader: RecordReader) -> None:
         """Fail with a by-name error before work reaches the pool."""
-        for task in tasks:
-            for state in task.states:
-                job = state.job
-                if job.job_id in self._validated:
-                    continue
-                try:
-                    pickle.dumps((job, reader))
-                except Exception as exc:
-                    raise ExecutionError(
-                        f"job {job.job_id!r} cannot run on the 'processes' "
-                        f"backend: its mapper/combiner/reducer or the record "
-                        f"reader is not picklable ({exc})") from exc
-                self._validated.add(job.job_id)
+        riders = {state.job.job_id: state.job
+                  for task in tasks for state in task.states}
+        for job_id, job in riders.items():
+            if job_id in self._validated:
+                continue
+            try:
+                pickle.dumps((job, reader))
+            except Exception as exc:
+                raise ExecutionError(
+                    f"job {job_id!r} cannot run on the 'processes' "
+                    f"backend: its mapper/combiner/reducer or the record "
+                    f"reader is not picklable ({exc})") from exc
+        self._validated = frozenset(riders)
 
 
 def _resolve_workers(workers: int | None) -> int:
@@ -217,78 +214,45 @@ def _resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def _job_wants_bytes(job: LocalJob, reader: RecordReader) -> bool:
-    """True when the job's mapper will take the batched bytes path."""
-    mapper = job.mapper
-    return isinstance(mapper, BlockMapper) and mapper.supports_reader(reader)
+def _collect_block(block_index: int, data: bytes, offset: int,
+                   jobs: list[LocalJob], reader: RecordReader) -> TaskResult:
+    """Map + combine one block's bytes: the task body of every backend.
 
-
-def _task_wants_bytes(task: MapTaskSpec, reader: RecordReader) -> bool:
-    """True when any job in the task batches — the block is then read
-    through ``read_block_bytes`` and decoded at most once in-engine."""
-    return any(_job_wants_bytes(state.job, reader) for state in task.states)
-
-
-def _read_for_task(store: BlockStoreProtocol, reader: RecordReader,
-                   task: MapTaskSpec) -> "tuple[str | bytes, int]":
-    """Read the task's block via the path its jobs will consume.
-
-    Bytes for waves with at least one batch kernel (zero decode when
-    every job batches), text for purely per-record waves — keeping the
-    legacy path's counters and decode-error behaviour untouched.
+    Every decode happens below this call (``collect_map_outputs`` for
+    per-record mappers, ``BlockData`` for kernels), so a block that is
+    not UTF-8 surfaces here: one :class:`ExecutionError` naming the
+    block, for every mapper kind, picklable back from a worker.
     """
-    if _task_wants_bytes(task, reader):
-        data: "str | bytes" = store.read_block_bytes(task.block_index)
-    else:
-        data = store.read_block(task.block_index)
-    return data, store.block_offset(task.block_index)
+    try:
+        return collect_map_outputs(jobs, reader, data, offset)
+    except UnicodeDecodeError as exc:
+        raise ExecutionError(
+            f"block {block_index} is not valid UTF-8 ({exc})") from exc
 
 
 def _collect_in_parent(store: BlockStoreProtocol, reader: RecordReader,
                        task: MapTaskSpec,
                        tracer: Tracer | None = None) -> TaskResult:
     """Read + map + combine one block inside the parent process."""
-    if tracer is None or not tracer.enabled:
-        data, offset = _read_for_task(store, reader, task)
-        return collect_map_outputs([s.job for s in task.states], reader,
-                                   data, offset)
-    with tracer.span("map.task", subject=f"block_{task.block_index}",
-                     jobs=len(task.states),
-                     job_ids=[s.job.job_id for s in task.states]):
-        data, offset = _read_for_task(store, reader, task)
-        return collect_map_outputs([s.job for s in task.states], reader,
-                                   data, offset)
+    if tracer is not None and tracer.enabled:
+        with tracer.span("map.task", subject=f"block_{task.block_index}",
+                         jobs=len(task.states),
+                         job_ids=[s.job.job_id for s in task.states]):
+            return _collect_in_parent(store, reader, task)
+    index = task.block_index
+    return _collect_block(index, store.read_block_bytes(index),
+                          store.block_offset(index),
+                          [s.job for s in task.states], reader)
 
 
-#: Per-worker-process cache of opened stores (keyed by directory), so a
-#: long wave does not re-glob the block directory for every task.
-_WORKER_STORES: dict[str, BlockStoreProtocol] = {}
-
-
-def _collect_in_worker(directory: str, block_index: int,
-                       jobs: tuple[LocalJob, ...], reader: RecordReader,
-                       ) -> tuple[int, "list[list[Record]]",
-                                  "list[Counters | None]", int]:
-    """Module-level worker entry point (must be importable for pickling)."""
-    store = _WORKER_STORES.get(directory)
-    if store is None:
-        # Dispatch on the on-disk layout: sharded stores reopen as
-        # sharded (with replica routing + .down markers honoured),
-        # plain directories as single stores.
-        from .sharded import open_store
-        store = open_store(directory)
-        _WORKER_STORES[directory] = store
-    if any(_job_wants_bytes(job, reader) for job in jobs):
-        data: "str | bytes" = store.read_block_bytes(block_index)
-    else:
-        data = store.read_block(block_index)
-    offset = store.block_offset(block_index)
-    record_count, outputs, task_counters = collect_map_outputs(
-        list(jobs), reader, data, offset)
-    # Report the on-disk byte size, not the decoded length: they differ
-    # for non-ASCII corpora, and the parent mirrors *bytes* read.
-    return record_count, outputs, task_counters, \
-        store.block_size_bytes(block_index)
+def _collect_in_worker(path: "pathlib.Path", block_index: int, offset: int,
+                       jobs: list[LocalJob],
+                       reader: RecordReader) -> TaskResult:
+    """Module-level worker entry point (must be importable for pickling).
+    ``path`` is the block file the parent's store routed and already
+    counted; the worker holds no store of its own."""
+    data, _mapped = read_block_file(path)
+    return _collect_block(block_index, data, offset, jobs, reader)
 
 
 #: Names accepted by :func:`make_backend` (mirrors ExecutionConfig).
@@ -339,12 +303,7 @@ def execute_map_wave(store: BlockStoreProtocol, reader: RecordReader,
         raise ExecutionError(f"duplicate blocks in wave: {seen_blocks}")
     trace = tracer if tracer is not None else NULL_TRACER
     with trace.span("map.wave", blocks=len(tasks), backend=backend.name):
-        # Pass the tracer only when recording: backends subclassed
-        # before the tracer existed keep their 3-argument run_wave.
-        if tracer is not None and tracer.enabled:
-            results = backend.run_wave(store, reader, tasks, tracer=tracer)
-        else:
-            results = backend.run_wave(store, reader, tasks)
+        results = backend.run_wave(store, reader, tasks, tracer=tracer)
     if len(results) != len(tasks):
         raise ExecutionError(
             f"map backend {backend.name!r} returned {len(results)} results "

@@ -14,21 +14,23 @@ Each shard directory is a plain :class:`~repro.localrt.storage.BlockStore`
 (block files keep their *global* index in the name, so a shard's sorted
 directory listing is its sorted global holdings).  Every read routes to
 the first *live* replica — primary first — and failure injection is just
-state: :meth:`ShardedBlockStore.fail_shard` marks a shard down (in
-memory plus an on-disk ``.down`` marker, so worker processes observe the
-failure too) and subsequent reads of its primaries fail over to replica
-shards, charging ``replica_fallback_reads`` and emitting
-``shard.failover`` events.  Block files are never deleted — a "failed"
-shard is unavailable, not erased — and replicas are byte-identical, so
-job outputs are unchanged by any failover pattern.
+state: :meth:`ShardedBlockStore.fail_shard` marks a shard down in this
+handle's memory (nothing is written to disk; every read, a pool
+worker's included, is routed by the handle the runner holds — see
+:meth:`ShardedBlockStore.delegate_read`) and subsequent reads of its
+primaries fail over to replica shards, charging
+``replica_fallback_reads`` and emitting ``shard.failover`` events.
+Block files are never deleted — a "failed" shard is unavailable, not
+erased — and replicas are byte-identical, so job outputs are unchanged
+by any failover pattern.
 
 Counter model: each shard store keeps its own
 :class:`~repro.localrt.storage.ReadStats` (that is where routed reads
 are charged, preserving the logical/physical split per shard), and the
 facade aggregates them field-wise on :meth:`stats_snapshot`, folding in
-a small ``_extra_stats`` record of its own for ``replica_fallback_reads``
-and unattributed external reads.  :meth:`shard_blocks_read` exposes the
-per-shard logical read balance that the analyze report tabulates.
+a small ``_extra_stats`` record of its own for ``replica_fallback_reads``.
+:meth:`shard_blocks_read` exposes the per-shard logical read balance
+that the analyze report tabulates.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 import json
 import pathlib
 from dataclasses import fields
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ..analysis.lockgraph import OrderedLock
 from ..analysis.racecheck import register_instance
@@ -48,12 +50,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..obs.tracer import Tracer
 
 #: Manifest file marking a directory as a sharded store (and recording
-#: its geometry); :func:`open_store` dispatches on its presence.
+#: its geometry).
 MANIFEST_NAME = "_shards.json"
 #: Shard directory naming, e.g. ``shard_00``.
 SHARD_PATTERN = "shard_{:02d}"
-#: Marker file inside a shard directory while that shard is "down".
-DOWN_MARKER = ".down"
 
 
 def shard_id(index: int) -> str:
@@ -145,8 +145,8 @@ class ShardedBlockStore:
             offset += size
         self._total_bytes = offset
 
-        #: Guards the facade's own counters and the observed-down set
-        #: (shard stores guard their stats themselves).
+        #: Guards the facade's own counters and the down set (shard
+        #: stores guard their stats themselves).
         self._lock = OrderedLock("ShardedBlockStore._lock")
         self._extra_stats = ReadStats()  # guarded-by: _lock
         register_instance(
@@ -292,14 +292,11 @@ class ShardedBlockStore:
         """Mark shard ``index`` down: subsequent reads of blocks whose
         primary lives there fail over to replica shards.
 
-        The failure is recorded in memory *and* as a ``.down`` marker
-        file in the shard directory, so map workers in other processes
-        (which open the store by path) observe it on their next read.
+        The failure is state of this handle only — in memory, nothing
+        on disk, invisible to another handle on the same directory.
         Block files are untouched — :meth:`restore_shard` undoes this.
         """
         self._check_shard(index)
-        marker = self.directory / shard_id(index) / DOWN_MARKER
-        marker.write_bytes(b"")
         with self._lock:
             self._down.add(index)
         tracer = self._tracer
@@ -311,8 +308,6 @@ class ShardedBlockStore:
         """Bring shard ``index`` back: reads prefer it again wherever it
         holds the primary replica."""
         self._check_shard(index)
-        marker = self.directory / shard_id(index) / DOWN_MARKER
-        marker.unlink(missing_ok=True)
         with self._lock:
             self._down.discard(index)
         tracer = self._tracer
@@ -321,10 +316,7 @@ class ShardedBlockStore:
                          args={"shard": shard_id(index)})
 
     def down_shards(self) -> tuple[int, ...]:
-        """Currently-observed down shards, ascending (marker files from
-        other processes count once a read has observed them)."""
-        for shard in range(self._num_shards):
-            self._is_down(shard)
+        """Currently-down shards, ascending."""
         with self._lock:
             return tuple(sorted(self._down))
 
@@ -354,60 +346,21 @@ class ShardedBlockStore:
         store, local, _shard, _fallback = self._serve(index)
         return store.prefetch_block(local)
 
-    def note_external_read(self, blocks: int, nbytes: int, *,
-                           bytes_blocks: int = 0,
-                           block_indices: Sequence[int] | None = None,
-                           ) -> None:
-        """Fold worker-process reads into the counters, per serving shard.
-
-        With ``block_indices`` (what the process map backend passes),
-        each read is routed exactly as the worker routed it — same
-        replica mapping, same on-disk down markers — and charged to that
-        shard's stats, with failovers counted and traced here in the
-        parent.  ``nbytes`` must match the blocks' on-disk sizes (the
-        mirror is an accounting claim, not a measurement).  Without
-        indices the read cannot be attributed and lands in the facade's
-        own unattributed-counter record.
-        """
-        if blocks < 0 or nbytes < 0 or bytes_blocks < 0:
-            raise ExecutionError(
-                f"external read counts must be non-negative, "
-                f"got blocks={blocks}, nbytes={nbytes}, "
-                f"bytes_blocks={bytes_blocks}")
-        if bytes_blocks > blocks:
-            raise ExecutionError(
-                f"bytes_blocks ({bytes_blocks}) cannot exceed "
-                f"blocks ({blocks})")
-        if block_indices is None:
-            with self._lock:
-                self._extra_stats.blocks_read += blocks
-                self._extra_stats.bytes_read += nbytes
-                self._extra_stats.physical_blocks_read += blocks
-                self._extra_stats.physical_bytes_read += nbytes
-                self._extra_stats.bytes_blocks_read += bytes_blocks
-            return
-        if len(block_indices) != blocks:
-            raise ExecutionError(
-                f"block_indices carries {len(block_indices)} entries for "
-                f"{blocks} block(s)")
-        for index in block_indices:
-            self._check(index)
-        expected = sum(self._sizes[index] for index in block_indices)
-        if nbytes != expected:
-            raise ExecutionError(
-                f"external read of blocks {tuple(block_indices)} claims "
-                f"{nbytes} bytes; on-disk size is {expected}")
-        for position, index in enumerate(block_indices):
-            store, _local, shard, fallback = self._serve(index)
-            store.note_external_read(
-                1, self._sizes[index],
-                bytes_blocks=1 if position < bytes_blocks else 0)
-            self._note_read(index, shard, fallback)
+    def delegate_read(self, index: int) -> pathlib.Path:
+        """Route and count one read of block ``index`` exactly as
+        :meth:`read_block_bytes` would, returning the serving replica's
+        file for a pool worker to open — routing happens here, in the
+        process that holds the down set, so a worker needs no store and
+        a shard lost mid-scan re-routes on every backend alike."""
+        store, local, shard, fallback = self._serve(index)
+        path = store.delegate_read(local)
+        self._note_read(index, shard, fallback)
+        return path
 
     # ------------------------------------------------------------- accounting
     def stats_snapshot(self) -> ReadStats:
         """Field-wise sum of every shard's counters plus the facade's
-        own (fallback + unattributed-external) record."""
+        own (fallback) record."""
         snaps = [store.stats_snapshot()
                  for store in self._shard_stores if store is not None]
         with self._lock:
@@ -417,10 +370,8 @@ class ShardedBlockStore:
             for spec in fields(ReadStats)})
 
     def logical_blocks_read(self) -> int:
-        total = sum(store.logical_blocks_read()
-                    for store in self._shard_stores if store is not None)
-        with self._lock:
-            return total + self._extra_stats.blocks_read
+        return sum(store.logical_blocks_read()
+                   for store in self._shard_stores if store is not None)
 
     def reset_stats(self) -> None:
         for store in self._shard_stores:
@@ -430,7 +381,7 @@ class ShardedBlockStore:
             self._extra_stats.reset()
 
     def shard_blocks_read(self) -> tuple[int, ...]:
-        """Logical blocks served by each shard so far (mirrored worker
+        """Logical blocks served by each shard so far (delegated worker
         reads included) — the read-balance table's raw data."""
         return tuple(
             0 if store is None else store.stats_snapshot().blocks_read
@@ -460,15 +411,7 @@ class ShardedBlockStore:
 
     def _is_down(self, shard: int) -> bool:
         with self._lock:
-            if shard in self._down:
-                return True
-        # The marker file is how failures injected by *other* processes
-        # become visible here (and vice versa); once seen, cache it.
-        if (self.directory / shard_id(shard) / DOWN_MARKER).exists():
-            with self._lock:
-                self._down.add(shard)
-            return True
-        return False
+            return shard in self._down
 
     def _note_read(self, index: int, shard: int, fallback: bool) -> None:
         """Charge fallback accounting and emit placement events for one
@@ -500,17 +443,3 @@ class ShardedBlockStore:
             raise ExecutionError(
                 f"shard index {index} out of range (n={self._num_shards})")
 
-
-def open_store(directory: pathlib.Path | str,
-               ) -> Union[BlockStore, "ShardedBlockStore"]:
-    """Open whichever store lives at ``directory``.
-
-    Dispatches on the ``_shards.json`` manifest: present → sharded,
-    absent → plain single-directory store.  This is how map worker
-    processes reopen the parent's store from its path without knowing
-    (or caring) which layout the parent chose.
-    """
-    directory = pathlib.Path(directory)
-    if (directory / MANIFEST_NAME).is_file():
-        return ShardedBlockStore(directory)
-    return BlockStore(directory)

@@ -18,6 +18,10 @@ The counter model distinguishes two layers:
   attached, repeat visits hit memory and the physical counters lag the
   logical ones; the gap (plus ``cache_hits``/``cache_misses``/
   ``cache_evictions``) quantifies what the cache saved.
+
+Every read is counted by the store that routed it: ``read_block_bytes``
+reads and counts; ``delegate_read`` counts and hands back the block file
+for a pool worker to open with :func:`read_block_file`.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 import mmap
 import pathlib
 from dataclasses import dataclass, fields, replace
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ..analysis.lockgraph import OrderedLock
 from ..analysis.racecheck import register_instance
@@ -70,6 +74,24 @@ def iter_block_payloads(lines: Iterable[str],
         yield b"".join(buffer)
 
 
+def read_block_file(path: pathlib.Path) -> tuple[bytes, bool]:
+    """One actual disk read of a block file: ``(bytes, mapped)``.
+
+    Reads via ``mmap`` when the file can be mapped (zero kernel buffer
+    copy; the bytes are materialized once so the mapping can be closed
+    immediately) and falls back to a plain buffered read for anything
+    unmappable — empty files, exotic filesystems.  Counts nothing: the
+    store that routed the read charges it.
+    """
+    try:
+        with open(path, "rb") as handle:
+            with mmap.mmap(handle.fileno(), 0,
+                           access=mmap.ACCESS_READ) as view:
+                return bytes(view), True
+    except (ValueError, OSError):
+        return path.read_bytes(), False
+
+
 @dataclass
 class ReadStats:
     """Cumulative I/O counters of one :class:`BlockStore`.
@@ -88,11 +110,6 @@ class ReadStats:
     cache_misses: int = 0
     cache_evictions: int = 0
     prefetched_blocks: int = 0
-    #: Logical reads served through the raw-bytes API
-    #: (``read_block_bytes``); a subset of ``blocks_read``.  The batched
-    #: scan path reads bytes, the per-record fallback reads text, so
-    #: this counter is how benchmarks audit which path actually ran.
-    bytes_blocks_read: int = 0
     #: Physical reads satisfied via ``mmap`` rather than a buffered
     #: ``read()``.  Diagnostic only — hosts without usable mmap fall
     #: back silently and the returned bytes are identical.
@@ -281,42 +298,52 @@ class BlockStore:
     def read_block(self, index: int) -> str:
         """Read one block's text, updating the I/O counters (thread-safe).
 
-        Always charges one *logical* block read; goes to disk (and
-        charges a *physical* read) only when no cache is attached or the
-        block is not resident.  This is a decoding shim over
-        :meth:`read_block_bytes`'s load path — blocks are stored and
-        cached as raw bytes, and this method pays one UTF-8 decode per
-        call.  Batched mappers should prefer the bytes API.
+        A decoding shim over :meth:`read_block_bytes` — blocks are
+        stored and cached as raw bytes, and this method pays one UTF-8
+        decode per call.  Map waves read bytes; this is for
+        :meth:`iter_blocks` and callers that want text.
         """
-        self._check(index)
-        data = self._load_bytes(index)
+        data = self.read_block_bytes(index)
         try:
-            text = data.decode("utf-8")
+            return data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ExecutionError(
                 f"block {index} of {self.directory} is not valid UTF-8 "
                 f"({exc})") from exc
-        with self._stats_lock:
-            self.stats.blocks_read += 1
-            self.stats.bytes_read += self._sizes[index]
-        return text
 
     def read_block_bytes(self, index: int) -> bytes:
         """Read one block's raw bytes, updating the I/O counters.
 
-        The zero-copy scan path: no decode, and a cached block is
+        Always charges one *logical* block read; goes to disk (and
+        charges a *physical* read) only when no cache is attached or the
+        block is not resident.  No decode, and a cached block is
         returned as the same immutable ``bytes`` object that is resident
-        in the cache.  Charges exactly the same logical/physical
-        counters as :meth:`read_block` plus ``bytes_blocks_read`` so the
-        two paths stay distinguishable in benchmarks.
+        in the cache.
         """
         self._check(index)
         data = self._load_bytes(index)
         with self._stats_lock:
             self.stats.blocks_read += 1
             self.stats.bytes_read += self._sizes[index]
-            self.stats.bytes_blocks_read += 1
         return data
+
+    def delegate_read(self, index: int) -> pathlib.Path:
+        """Count one read of block ``index``; return its file for a
+        pool worker to open with :func:`read_block_file`.
+
+        A worker cannot reach this store's counters (or its cache), so
+        the read is charged here — one logical and one physical at the
+        block's on-disk size, what a cache-less :meth:`read_block_bytes`
+        charges.
+        """
+        self._check(index)
+        size = self._sizes[index]
+        with self._stats_lock:
+            self.stats.blocks_read += 1
+            self.stats.bytes_read += size
+            self.stats.physical_blocks_read += 1
+            self.stats.physical_bytes_read += size
+        return self._blocks[index]
 
     def prefetch_block(self, index: int) -> bool:
         """Warm block ``index`` into the cache without logical accounting.
@@ -337,46 +364,6 @@ class BlockStore:
             if evicted:
                 self.stats.cache_evictions += evicted
         return True
-
-    def note_external_read(self, blocks: int, nbytes: int, *,
-                           bytes_blocks: int = 0,
-                           block_indices: Sequence[int] | None = None,
-                           ) -> None:
-        """Fold reads performed outside this process into the I/O counters.
-
-        The process map backend reads blocks in worker processes, whose
-        store instances (and counters) are private copies; the parent calls
-        this per completed task so scan-sharing accounting stays exact.
-        Worker reads are genuine disk trips (workers do not share the
-        parent's cache), so both the logical and the physical counters
-        advance.  ``bytes_blocks`` mirrors how many of those reads went
-        through the worker's raw-bytes path (``read_block_bytes``).
-        ``block_indices`` optionally names which blocks were read (one
-        entry per block); a single store only validates them, while the
-        sharded store uses them to attribute the reads to serving shards.
-        """
-        if block_indices is not None and len(block_indices) != blocks:
-            raise ExecutionError(
-                f"block_indices carries {len(block_indices)} entries for "
-                f"{blocks} block(s)")
-        if block_indices is not None:
-            for index in block_indices:
-                self._check(index)
-        if blocks < 0 or nbytes < 0 or bytes_blocks < 0:
-            raise ExecutionError(
-                f"external read counts must be non-negative, "
-                f"got blocks={blocks}, nbytes={nbytes}, "
-                f"bytes_blocks={bytes_blocks}")
-        if bytes_blocks > blocks:
-            raise ExecutionError(
-                f"bytes_blocks ({bytes_blocks}) cannot exceed "
-                f"blocks ({blocks})")
-        with self._stats_lock:
-            self.stats.blocks_read += blocks
-            self.stats.bytes_read += nbytes
-            self.stats.physical_blocks_read += blocks
-            self.stats.physical_bytes_read += nbytes
-            self.stats.bytes_blocks_read += bytes_blocks
 
     def iter_blocks(self) -> Iterator[tuple[int, str]]:
         """Sequentially read every block (counts toward the I/O stats)."""
@@ -403,23 +390,8 @@ class BlockStore:
         return data
 
     def _physical_read_bytes(self, index: int) -> bytes:
-        """One actual disk read (always charged to the physical counters).
-
-        Reads via ``mmap`` when the file can be mapped (zero kernel
-        buffer copy; the bytes are materialized once so the mapping can
-        be closed immediately) and falls back to a plain buffered read
-        for anything unmappable — empty files, exotic filesystems.
-        """
-        path = self._blocks[index]
-        mapped = False
-        try:
-            with open(path, "rb") as handle:
-                with mmap.mmap(handle.fileno(), 0,
-                               access=mmap.ACCESS_READ) as view:
-                    data = bytes(view)
-            mapped = True
-        except (ValueError, OSError):
-            data = path.read_bytes()
+        """One actual disk read (always charged to the physical counters)."""
+        data, mapped = read_block_file(self._blocks[index])
         with self._stats_lock:
             self.stats.physical_blocks_read += 1
             self.stats.physical_bytes_read += len(data)

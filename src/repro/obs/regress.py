@@ -248,20 +248,17 @@ DEFAULT_SPECS: dict[str, tuple[MetricSpec, ...]] = {
         MetricSpec("checks.outputs_identical"),
         MetricSpec("checks.counters_identical"),
         MetricSpec("checks.logical_io_identical"),
-        MetricSpec("checks.batched_reads_all_bytes"),
         MetricSpec("wordcount.corpus_bytes"),
         MetricSpec("wordcount.num_blocks"),
         MetricSpec("wordcount.records"),
         MetricSpec("wordcount.output_records"),
         MetricSpec("wordcount.blocks_read"),
-        MetricSpec("wordcount.bytes_blocks_read"),
         MetricSpec("wordcount.wave_jobs"),
         MetricSpec("selection.corpus_bytes"),
         MetricSpec("selection.num_blocks"),
         MetricSpec("selection.records"),
         MetricSpec("selection.output_records"),
         MetricSpec("selection.blocks_read"),
-        MetricSpec("selection.bytes_blocks_read"),
         MetricSpec("selection.wave_jobs"),
         MetricSpec("selection.threshold"),
     ),

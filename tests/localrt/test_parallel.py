@@ -1,5 +1,7 @@
 """Parallel map execution: every backend must equal the serial run."""
 
+from concurrent.futures import Future
+
 import pytest
 
 from repro.common.config import ExecutionConfig
@@ -19,6 +21,8 @@ from repro.localrt.parallel import (
 )
 from repro.localrt.records import TextLineReader
 from repro.localrt.runners import FifoLocalRunner, SharedScanRunner
+from repro.localrt.sharded import ShardedBlockStore
+from repro.localrt.storage import BlockStore
 
 PATTERNS = ["^b.*", ".*ing$", "^[aeiou].*"]
 
@@ -148,17 +152,99 @@ def test_unpicklable_job_fails_by_name(corpus_store):
         runner.run([job])
 
 
+class _RecordingPool:
+    """Stands in for the process pool: counts submits, runs inline."""
+
+    def __init__(self):
+        self.submitted = 0
+
+    def submit(self, fn, *args):
+        self.submitted += 1
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait=True):
+        pass
+
+
+def test_picklable_memo_holds_only_the_current_wave(corpus_store):
+    """The validated-ids memo is bounded by the wave, not the service's
+    lifetime: riders span consecutive waves, so it still hits."""
+    backend = ProcessMapBackend(workers=1)
+    backend._pool = pool = _RecordingPool()
+    reader = TextLineReader()
+    for n in range(50):
+        state = JobRunState(wordcount_job(f"job{n}", ".*"))
+        backend.run_wave(corpus_store, reader, [MapTaskSpec(0, (state,))])
+        assert backend._validated == {f"job{n}"}
+    riders = tuple(JobRunState(wordcount_job(f"r{i}", ".*")) for i in (0, 1))
+    backend.run_wave(corpus_store, reader,
+                     [MapTaskSpec(0, riders), MapTaskSpec(1, riders[:1])])
+    assert backend._validated == {"r0", "r1"}
+
+    # An unpicklable mapper still fails by job name, before any task of
+    # its wave (the picklable rider's included) reaches the pool.
+    poisoned = wordcount_job("closure", ".*")
+    poisoned.mapper.poison = lambda: None
+    submitted = pool.submitted
+    with pytest.raises(ExecutionError, match="'closure'.*processes"):
+        backend.run_wave(corpus_store, reader,
+                         [MapTaskSpec(0, riders[:1]),
+                          MapTaskSpec(1, (JobRunState(poisoned),))])
+    assert pool.submitted == submitted
+    assert backend._validated == {"r0", "r1"}
+    backend.close()
+
+
+def test_unroutable_block_fails_in_parent_before_any_submit(tmp_path):
+    store = ShardedBlockStore.create(
+        tmp_path / "s", [f"line {i}" for i in range(40)], 40,
+        num_shards=4, replication=2)
+    store.fail_shard(0)
+    store.fail_shard(1)          # block 0 lives on shards 0 and 1 only
+    states = (JobRunState(wordcount_job("wc", ".*")),)
+    backend = ProcessMapBackend(workers=1)
+    backend._pool = pool = _RecordingPool()
+    with pytest.raises(ExecutionError, match="all 2 replicas of block 0"):
+        # Block 1 still routes (to shard 2); block 0 cannot.
+        backend.run_wave(store, TextLineReader(),
+                         [MapTaskSpec(1, states), MapTaskSpec(0, states)])
+    assert pool.submitted == 0
+    backend.close()
+
+
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
+@pytest.mark.parametrize("batched", [True, False])
+def test_undecodable_block_fails_naming_the_block(tmp_path, backend, batched):
+    """One error shape for a block that is not UTF-8, whichever mapper
+    kind decodes it and whichever process it is decoded in."""
+    store = BlockStore.create(
+        tmp_path / "s", [f"line {i} of some text" for i in range(40)],
+        block_size_bytes=200)
+    bad = 2
+    path = store.directory / BlockStore.BLOCK_PATTERN.format(bad)
+    payload = bytearray(path.read_bytes())
+    payload[5] = 0xFF                   # same size, no longer UTF-8
+    path.write_bytes(bytes(payload))
+    runner = FifoLocalRunner(
+        store, ExecutionConfig(map_backend=backend, map_workers=2))
+    with pytest.raises(ExecutionError,
+                       match=rf"^block {bad} is not valid UTF-8 \(.*0xff"):
+        runner.run([wordcount_job("wc", "^l.*", batched=batched)])
+
+
 def test_backend_result_shape_is_validated(corpus_store):
     class TruncatingBackend(MapBackend):
         name = "truncating"
 
-        def run_wave(self, store, reader, tasks):
+        def run_wave(self, store, reader, tasks, *, tracer=None):
             return []  # silently drops every task
 
     class MalformedBackend(MapBackend):
         name = "malformed"
 
-        def run_wave(self, store, reader, tasks):
+        def run_wave(self, store, reader, tasks, *, tracer=None):
             # One output list per task but too few per-job buffers.
             return [(0, [], []) for _ in tasks]
 

@@ -9,14 +9,8 @@ from repro.common.errors import ExecutionError
 from repro.localrt.api import BlockStoreProtocol
 from repro.localrt.jobs import wordcount_job
 from repro.localrt.runners import FifoLocalRunner, SharedScanRunner
-from repro.localrt.sharded import (
-    DOWN_MARKER,
-    MANIFEST_NAME,
-    ShardedBlockStore,
-    open_store,
-    shard_id,
-)
-from repro.localrt.storage import BlockStore
+from repro.localrt.sharded import MANIFEST_NAME, ShardedBlockStore, shard_id
+from repro.localrt.storage import BlockStore, ReadStats
 from repro.workloads.text import TextCorpusGenerator
 
 NUM_SHARDS = 4
@@ -73,11 +67,6 @@ def test_geometry_matches_single_store(sharded, single):
         assert sharded.read_block(index) == single.read_block(index)
         assert sharded.read_block_bytes(index) \
             == single.read_block_bytes(index)
-
-
-def test_open_store_dispatches_on_manifest(sharded, single):
-    assert isinstance(open_store(sharded.directory), ShardedBlockStore)
-    assert isinstance(open_store(single.directory), BlockStore)
 
 
 def test_create_validation(tmp_path, lines):
@@ -168,14 +157,18 @@ def test_all_replicas_down_raises(sharded):
         sharded.read_block(0)  # replicas of block 0 live on shards 0 and 1
 
 
-def test_down_marker_visible_to_other_instances(sharded):
+def test_shard_state_is_per_handle_and_in_memory(sharded):
+    before = sorted(p.relative_to(sharded.directory)
+                    for p in sharded.directory.rglob("*"))
     sharded.fail_shard(2)
-    assert (sharded.directory / shard_id(2) / DOWN_MARKER).is_file()
+    # Nothing but block files and the manifest, before and after.
+    after = sorted(p.relative_to(sharded.directory)
+                   for p in sharded.directory.rglob("*"))
+    assert after == before
+    assert all(p.name == MANIFEST_NAME or p.name.startswith("shard_")
+               or p.match("block_*.dat") for p in after)
     other = ShardedBlockStore(sharded.directory)
-    assert other.down_shards() == (2,)
-    other.restore_shard(2)
-    # An instance that already observed the failure keeps it until its
-    # own restore_shard — recovery is an explicit action, not a poll.
+    assert other.down_shards() == ()
     assert sharded.down_shards() == (2,)
     sharded.restore_shard(2)
     assert sharded.down_shards() == ()
@@ -196,31 +189,25 @@ def test_stats_aggregate_and_reset(sharded):
     assert sharded.shard_blocks_read() == (0,) * NUM_SHARDS
 
 
-def test_note_external_read_attributed(sharded):
-    size = sharded.block_size_bytes(3)
-    sharded.note_external_read(1, size, bytes_blocks=1, block_indices=(3,))
-    served = 3 % NUM_SHARDS
-    assert sharded.shard_blocks_read()[served] == 1
-    stats = sharded.stats_snapshot()
-    assert stats.blocks_read == 1
-    assert stats.bytes_blocks_read == 1
-
-
-def test_note_external_read_checks_sizes(sharded):
-    with pytest.raises(ExecutionError, match="on-disk size"):
-        sharded.note_external_read(1, 1, block_indices=(0,))
-    with pytest.raises(ExecutionError, match="entries"):
-        sharded.note_external_read(2, 100, block_indices=(0,))
-    with pytest.raises(ExecutionError, match="non-negative"):
-        sharded.note_external_read(-1, 0)
-
-
-def test_note_external_read_unattributed(sharded):
-    sharded.note_external_read(2, 100)
-    stats = sharded.stats_snapshot()
-    assert stats.blocks_read == 2
-    assert stats.bytes_read == 100
-    assert sharded.shard_blocks_read() == (0,) * NUM_SHARDS
+def test_delegate_read_routes_and_counts_like_a_read(sharded, single):
+    """The facade routes a delegated read exactly as its own: first live
+    replica, serving shard charged, fallback counted — and hands back
+    that replica's file."""
+    sharded.fail_shard(0)
+    path = sharded.delegate_read(4)           # primary on the dead shard 0
+    assert path == (sharded.directory / shard_id(1)
+                    / BlockStore.BLOCK_PATTERN.format(4))
+    assert path.read_bytes() == single.read_block_bytes(4)
+    assert sharded.shard_blocks_read() == (0, 1, 0, 0)
+    size = sharded.block_size_bytes(4)
+    assert sharded.stats_snapshot() == ReadStats(
+        blocks_read=1, bytes_read=size, physical_blocks_read=1,
+        physical_bytes_read=size, replica_fallback_reads=1)
+    sharded.fail_shard(1)
+    with pytest.raises(ExecutionError, match="all 2 replicas"):
+        sharded.delegate_read(4)
+    with pytest.raises(ExecutionError, match="out of range"):
+        sharded.delegate_read(sharded.num_blocks)
 
 
 def test_cache_split_across_shards(sharded):
@@ -254,8 +241,7 @@ def make_jobs():
 @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
 def test_mid_scan_shard_loss_is_invisible(tmp_path, lines, backend):
     """Outputs and logical I/O must not change when a shard dies
-    mid-scan, on every map backend (workers re-route via the on-disk
-    down marker)."""
+    mid-scan, on every map backend."""
     config = ExecutionConfig(blocks_per_segment=3, map_backend=backend,
                             map_workers=2)
     arrivals = {"wc1": 1, "wc2": 2}

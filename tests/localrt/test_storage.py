@@ -1,12 +1,13 @@
 """Block store tests."""
 
+import dataclasses
 import threading
 
 import pytest
 
 from repro.common.errors import ExecutionError
 from repro.localrt.cache import BlockCache
-from repro.localrt.storage import BlockStore, ReadStats
+from repro.localrt.storage import BlockStore, ReadStats, read_block_file
 
 
 def lines(n, width=20):
@@ -177,17 +178,6 @@ def test_read_block_concurrent_threads_accounting(tmp_path, with_cache):
         assert store.stats.physical_blocks_read == total
 
 
-def test_note_external_read_counts_logical_and_physical(tmp_path):
-    store = BlockStore.create(tmp_path / "s", lines(10), block_size_bytes=100)
-    store.note_external_read(blocks=3, nbytes=300)
-    assert store.stats.blocks_read == 3
-    assert store.stats.bytes_read == 300
-    assert store.stats.physical_blocks_read == 3
-    assert store.stats.physical_bytes_read == 300
-    with pytest.raises(ExecutionError):
-        store.note_external_read(blocks=-1, nbytes=0)
-
-
 def test_read_stats_snapshot_and_delta():
     stats = ReadStats(blocks_read=10, bytes_read=100, cache_hits=4)
     before = stats.snapshot()
@@ -222,10 +212,8 @@ def test_read_block_bytes_counter_accounting(tmp_path):
     store.read_block_bytes(0)
     store.read_block_bytes(1)
     store.read_block(0)
-    # Logical counters are charged identically on both paths;
-    # bytes_blocks_read singles out the raw-bytes reads.
+    # Logical counters are charged identically on both paths.
     assert store.stats.blocks_read == 3
-    assert store.stats.bytes_blocks_read == 2
     assert store.stats.bytes_read == (2 * store.block_size_bytes(0)
                                       + store.block_size_bytes(1))
 
@@ -259,7 +247,6 @@ def test_mmap_fallback_returns_identical_bytes(tmp_path, monkeypatch):
     assert store.stats.bytes_read == mapped_stats.bytes_read
     assert (store.stats.physical_blocks_read
             == mapped_stats.physical_blocks_read)
-    assert store.stats.bytes_blocks_read == mapped_stats.bytes_blocks_read
 
 
 def test_cache_stores_raw_bytes_with_exact_sizes(tmp_path):
@@ -279,12 +266,23 @@ def test_cache_stores_raw_bytes_with_exact_sizes(tmp_path):
     assert store.read_block_bytes(0) is raw
 
 
-def test_note_external_read_mirrors_bytes_blocks(tmp_path):
-    store = BlockStore.create(tmp_path / "s", lines(10), block_size_bytes=100)
-    store.note_external_read(blocks=4, nbytes=400, bytes_blocks=3)
-    assert store.stats.blocks_read == 4
-    assert store.stats.bytes_blocks_read == 3
-    with pytest.raises(ExecutionError, match="cannot exceed"):
-        store.note_external_read(blocks=1, nbytes=10, bytes_blocks=2)
-    with pytest.raises(ExecutionError, match="non-negative"):
-        store.note_external_read(blocks=1, nbytes=10, bytes_blocks=-1)
+# ------------------------------------------------------ delegated reads
+
+def test_delegate_read_counts_and_returns_the_block_file(tmp_path):
+    """The store counts the read; whoever opens the file counts nothing."""
+    cache = BlockCache(10_000_000)
+    store = BlockStore.create(tmp_path / "s", lines(30), block_size_bytes=120,
+                              cache=cache)
+    path = store.delegate_read(1)
+    assert path == tmp_path / "s" / BlockStore.BLOCK_PATTERN.format(1)
+    size = store.block_size_bytes(1)
+    # One logical and one physical read at the known size; the cache is
+    # the parent's and a delegated read never consults it.
+    assert dataclasses.asdict(store.stats) == dataclasses.asdict(
+        ReadStats(blocks_read=1, bytes_read=size, physical_blocks_read=1,
+                  physical_bytes_read=size))
+    data, _mapped = read_block_file(path)
+    assert store.stats.blocks_read == 1
+    assert data == store.read_block_bytes(1)
+    with pytest.raises(ExecutionError, match="out of range"):
+        store.delegate_read(store.num_blocks)

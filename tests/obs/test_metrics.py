@@ -180,10 +180,9 @@ def test_registry_concurrent_updates_and_snapshots():
 def test_absorb_read_stats_covers_sharded_fields():
     registry = MetricsRegistry()
     delta = ReadStats(blocks_read=2, bytes_read=64,
-                      bytes_blocks_read=2, replica_fallback_reads=1)
+                      replica_fallback_reads=1)
     registry.absorb_read_stats(delta)
     snap = registry.snapshot()
-    assert snap["io.bytes_blocks_read"] == 2
     assert snap["io.replica_fallback_reads"] == 1
     # Every ReadStats field lands as a counter, none silently dropped.
     for field in dataclasses.fields(ReadStats):

@@ -5,8 +5,7 @@ execution-strategy change, never a semantics change: for any corpus, any
 block size and any map backend, with or without a block cache, batched
 and per-record jobs must produce **byte-identical** part files,
 identical counters and identical *logical* ReadStats.  Physical counters
-may differ (the cache changes disk trips; ``bytes_blocks_read`` is the
-point of the bytes API) — logical accounting may not.
+may differ (the cache changes disk trips) — logical accounting may not.
 """
 
 import hashlib
@@ -82,12 +81,6 @@ def test_batched_matrix_byte_identical(tmp_path_factory, corpus, seg,
                     "logical": (store.stats.blocks_read,
                                 store.stats.bytes_read),
                 }
-                if batched:
-                    # Every logical read of a batched-only wave takes
-                    # the bytes API (the process backend mirrors its
-                    # workers' bytes reads via note_external_read).
-                    assert (store.stats.bytes_blocks_read
-                            == store.stats.blocks_read)
 
     reference = outcomes[(False, "serial", False)]
     for key, outcome in outcomes.items():
