@@ -10,10 +10,10 @@ perf trajectory of the shared-scan I/O path is tracked across PRs:
   (12 jobs -> 91.7 % even before prefetching helps).
 * **shared_scan_prefetch** — one shared-scan batch under the serial map
   backend, prefetch off vs on.  With read-ahead the next segment's
-  blocks load while the current segment's mappers run, so wall-clock
-  should not regress and usually improves.  Like
-  ``bench_parallel.py``, the wall-clock assertion is skipped on
-  single-core hosts (there is no second core to overlap with).
+  blocks load while the current segment's mappers run; the run asserts
+  that outputs and logical read counters do not change and records the
+  physical reads, prefetched blocks and hit ratio.  No wall clock is
+  compared (``store.read_ms_per_job`` in ``BENCHMARK.json`` tracks it).
 
 Run directly (``--smoke`` shrinks the corpus for CI)::
 
@@ -94,20 +94,16 @@ def bench_shared_prefetch(corpus_bytes: int, block_size: int,
     arrivals = {"wc0": 0, "wc1": 1, "wc2": 2, "wc3": 4}
     with tempfile.TemporaryDirectory() as tmp:
         store = build_store(tmp, corpus_bytes, block_size)
-        watch = Stopwatch()
         off = SharedScanRunner(store, ExecutionConfig(
             blocks_per_segment=segment)).run(
             make_jobs(4), arrival_iterations=arrivals)
-        off_s = watch.elapsed()
 
         cache_bytes = block_size * 4 * segment
         store.attach_cache(BlockCache(capacity_bytes=cache_bytes))
-        watch.restart()
         on = SharedScanRunner(store, ExecutionConfig(
             blocks_per_segment=segment, prefetch_depth=segment,
             cache_capacity_bytes=cache_bytes)).run(
             make_jobs(4), arrival_iterations=arrivals)
-        on_s = watch.elapsed()
 
         outputs_off = {j: r.output for j, r in off.results.items()}
         outputs_on = {j: r.output for j, r in on.results.items()}
@@ -121,8 +117,6 @@ def bench_shared_prefetch(corpus_bytes: int, block_size: int,
             "physical_blocks_read": on.io.physical_blocks_read,
             "prefetched_blocks": on.io.prefetched_blocks,
             "hit_ratio": on.cache_hit_ratio,
-            "prefetch_off_seconds": off_s,
-            "prefetch_on_seconds": on_s,
         }
 
 
@@ -139,21 +133,15 @@ def main(argv: list[str] | None = None) -> int:
     else:
         corpus_bytes, block_size, n_jobs, segment = 600_000, 25_000, 12, 8
 
-    cores = os.cpu_count() or 1
     fifo = bench_fifo_rescan(corpus_bytes, block_size, n_jobs)
     shared = bench_shared_prefetch(corpus_bytes, block_size, segment)
 
     checks = {"fifo_hit_ratio_ge_90pct": fifo["hit_ratio"] >= 0.90}
-    if cores >= 2:
-        checks["prefetch_no_slower"] = (
-            shared["prefetch_on_seconds"] <= shared["prefetch_off_seconds"])
-    else:
-        checks["prefetch_no_slower"] = "skipped (single-core host)"
 
     payload = {
         "benchmark": "bench_cache",
         "mode": "smoke" if args.smoke else "full",
-        "host_cpus": cores,
+        "host_cpus": os.cpu_count() or 1,
         "fifo_rescan": fifo,
         "shared_scan_prefetch": shared,
         "checks": checks,

@@ -1,21 +1,18 @@
 #!/usr/bin/env python
-"""Tracer overhead benchmark: observability must be (nearly) free when off.
+"""Tracer benchmark: enabling tracing changes nothing but the trace.
 
-Two claims backed by the ISSUE acceptance criteria, written machine-
-readably to ``BENCH_trace.json``:
+One claim, written machine-readably to ``BENCH_trace.json``:
 
-* **disabled overhead** — a shared-scan wordcount batch run with the
-  default ``NULL_TRACER`` must cost < 2 % wall clock over a build with
-  no instrumentation at all.  We cannot un-instrument the runtime, so
-  the baseline is the same runner measured back to back; the check is
-  that the best-of-k traced-off run stays within 2 % (plus a small
-  timer-noise allowance) of the best-of-k plain run — min-of-k being
-  the standard noise-robust wall-clock estimator.
-* **byte-identical outputs** — enabling tracing changes nothing: job
-  outputs and logical read counters are equal between a traced and an
-  untraced run of the same batch (also property-tested in
+* **byte-identical outputs** — job outputs and logical read counters
+  are equal between a traced and an untraced run of the same
+  shared-scan wordcount batch (also property-tested in
   ``tests/properties/test_obs_props.py``; asserted here on the bench
   workload too).
+
+What tracing *costs* is not measured here: the runtime cannot be
+un-instrumented, so a tracer-off run has nothing to be compared with
+but itself.  ``trace.overhead_share`` in ``BENCHMARK.json`` (traced
+replay vs untraced run, per workload) is the tracked number.
 
 Run directly (``--smoke`` shrinks the corpus for CI)::
 
@@ -43,11 +40,6 @@ DEFAULT_OUT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_trace.json
 
 PATTERNS = ["^th.*", ".*ing$", "^[aeiou].*", ".*tion$"]
 
-# The acceptance bar is 2 %; single runs of a sub-second workload are
-# noisier than that, hence repeats + a small measurement allowance.
-OVERHEAD_LIMIT = 0.02
-NOISE_ALLOWANCE = 0.03
-
 
 def make_jobs(n: int) -> list:
     return [wordcount_job(f"wc{i}", PATTERNS[i % len(PATTERNS)])
@@ -59,12 +51,6 @@ def build_store(tmp: str, corpus_bytes: int, block_size: int) -> BlockStore:
         pathlib.Path(tmp) / "corpus",
         TextCorpusGenerator(vocabulary_size=1200, seed=17).lines(corpus_bytes),
         block_size_bytes=block_size)
-
-
-def timed_run(store: BlockStore, config: ExecutionConfig, n_jobs: int):
-    watch = Stopwatch()
-    report = SharedScanRunner(store, config).run(make_jobs(n_jobs))
-    return watch.elapsed(), report
 
 
 def normalise(report) -> dict:
@@ -81,11 +67,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.smoke:
-        corpus_bytes, block_size, n_jobs, segment, repeats = \
-            120_000, 10_000, 6, 4, 5
+        corpus_bytes, block_size, n_jobs, segment = 120_000, 10_000, 6, 4
     else:
-        corpus_bytes, block_size, n_jobs, segment, repeats = \
-            600_000, 25_000, 8, 8, 7
+        corpus_bytes, block_size, n_jobs, segment = 600_000, 25_000, 8, 8
 
     plain_config = ExecutionConfig(blocks_per_segment=segment)
     traced_config = ExecutionConfig(blocks_per_segment=segment,
@@ -93,23 +77,12 @@ def main(argv: list[str] | None = None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         store = build_store(tmp, corpus_bytes, block_size)
-
-        # Interleave plain/off runs so drift (thermal, page cache) hits
-        # both series equally.
-        plain_times, off_times = [], []
-        plain_report = off_report = None
-        for _ in range(repeats):
-            seconds, plain_report = timed_run(store, plain_config, n_jobs)
-            plain_times.append(seconds)
-            seconds, off_report = timed_run(store, plain_config, n_jobs)
-            off_times.append(seconds)
-
-        traced_seconds, traced_report = timed_run(store, traced_config,
-                                                  n_jobs)
-
-    baseline = min(plain_times)
-    disabled = min(off_times)
-    overhead = disabled / baseline - 1.0
+        plain_report = SharedScanRunner(store, plain_config).run(
+            make_jobs(n_jobs))
+        watch = Stopwatch()
+        traced_report = SharedScanRunner(store, traced_config).run(
+            make_jobs(n_jobs))
+        traced_seconds = watch.elapsed()
 
     identical_outputs = normalise(traced_report) == normalise(plain_report)
     identical_io = (
@@ -118,8 +91,6 @@ def main(argv: list[str] | None = None) -> int:
         and traced_report.iterations == plain_report.iterations)
 
     checks = {
-        "disabled_overhead_within_limit":
-            overhead <= OVERHEAD_LIMIT + NOISE_ALLOWANCE,
         "traced_outputs_identical": identical_outputs,
         "traced_io_counters_identical": identical_io,
     }
@@ -127,13 +98,7 @@ def main(argv: list[str] | None = None) -> int:
     payload = {
         "benchmark": "bench_trace",
         "mode": "smoke" if args.smoke else "full",
-        "repeats": repeats,
-        "plain_seconds": plain_times,
-        "tracer_off_seconds": off_times,
         "tracer_on_seconds": traced_seconds,
-        "disabled_overhead_fraction": overhead,
-        "overhead_limit": OVERHEAD_LIMIT,
-        "noise_allowance": NOISE_ALLOWANCE,
         "traced_events": (len(traced_report.metrics.snapshot())
                           if traced_report.metrics else 0),
         "checks": checks,

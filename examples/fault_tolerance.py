@@ -74,7 +74,7 @@ def main() -> None:
         result = run(scheduler, cluster_config=straggly,
                      speculation=speculation)
         metrics = compute_metrics(label, result.timelines)
-        util = slot_utilization(result.trace, 12, kind="map")
+        util = slot_utilization(result.tracer, 12, kind="map")
         extra = (f"  backups={result.speculative_launched}"
                  if result.speculative_launched else "")
         print(f"{label:<18} TET {metrics.tet:7.1f}s  ART {metrics.art:7.1f}s  "
@@ -84,7 +84,7 @@ def main() -> None:
     print("\nPer-node map occupancy with slot checking — the checker "
           "benches the\nslow nodes (node_009-011) instead of letting every "
           "wave wait for them:")
-    print(render_gantt(results["S3 + slot check"].trace, width=64,
+    print(render_gantt(results["S3 + slot check"].tracer, width=64,
                        max_nodes=12))
 
 

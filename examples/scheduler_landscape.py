@@ -61,7 +61,7 @@ def main() -> None:
         metrics, result = run_scheduler(
             factory(), pooled_jobs(), arrivals,
             file_name=workload.file_name, file_size_mb=workload.file_size_mb)
-        util = slot_utilization(result.trace, 40, kind="map")
+        util = slot_utilization(result.tracer, 40, kind="map")
         sharing = mean_sharing_fraction(result)
         print(f"{label:<9} {metrics.tet:>8.0f} {metrics.art:>8.0f} "
               f"{util:>8.0%} {sharing:>11.0%}")
@@ -69,7 +69,7 @@ def main() -> None:
 
     print("\nmap-slot occupancy over time (one char ~ 1/60 of each run):")
     for label, result in results.items():
-        strip = render_utilization_strip(result.trace, 40, width=60)
+        strip = render_utilization_strip(result.tracer, 40, width=60)
         print(f"{label:<9} |{strip}|")
 
     print("\nper-job breakdown under S3 (waiting vs processing, "

@@ -1,4 +1,4 @@
-"""Shared infrastructure: configuration, units, ids, RNG and tracing."""
+"""Shared infrastructure: configuration, errors, units, ids, clock and RNG."""
 
 from .config import (
     ClusterConfig,
@@ -22,7 +22,6 @@ from .errors import (
 )
 from .ids import IdAllocator
 from .rng import DEFAULT_SEED, make_rng
-from .tracelog import TraceLog, TraceRecord
 from .units import bytes_to_mb, fmt_duration, fmt_size_mb, gb, mb, mb_to_bytes, minutes
 
 __all__ = [
@@ -32,6 +31,5 @@ __all__ = [
     "ExperimentError", "ReproError", "SchedulingError", "ServiceError",
     "SimulationError", "WorkloadError",
     "IdAllocator", "DEFAULT_SEED", "make_rng",
-    "TraceLog", "TraceRecord",
     "bytes_to_mb", "fmt_duration", "fmt_size_mb", "gb", "mb", "mb_to_bytes", "minutes",
 ]

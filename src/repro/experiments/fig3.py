@@ -32,10 +32,10 @@ def run(batch_sizes: tuple[int, ...] = BATCH_SIZES) -> ExperimentResult:
             file_name=workload.file_name, file_size_mb=workload.file_size_mb)
         tet.append(metrics.tet)
         # Average map / reduce task durations, from the trace.
-        maps = [r.detail["duration"] for r in result.trace
-                if r.kind == "task.start.map"]
-        reduces = [r.detail["duration"] for r in result.trace
-                   if r.kind == "task.start.reduce"]
+        maps = [e.args["duration"]
+                for e in result.tracer.instants(name="task.start.map")]
+        reduces = [e.args["duration"]
+                   for e in result.tracer.instants(name="task.start.reduce")]
         map_time.append(sum(maps) / len(maps))
         reduce_time.append(sum(reduces) / len(reduces))
     series = {

@@ -9,7 +9,9 @@ Responsibilities
 * inject faults (task failures, tasktracker outages) and run Hadoop-style
   speculative execution when configured;
 * record the per-job timeline (submit / first launch / completion) that the
-  metrics layer turns into TET and ART.
+  metrics layer turns into TET and ART;
+* record the run on the simulator's sim-clock tracer: an instant per state
+  change and one ``task.<kind>`` span per attempt, whatever its outcome.
 
 The driver is scheduler-agnostic: FIFO, MRShare and S3 all run through the
 same loop, so measured differences come from scheduling policy alone.
@@ -37,11 +39,10 @@ from ..cluster.node import Node
 from ..common.config import ClusterConfig, DfsConfig
 from ..common.errors import SchedulingError, SimulationError
 from ..common.rng import jittered, make_rng
-from ..common.tracelog import TraceLog
 from ..dfs.block import DfsFile
 from ..dfs.namenode import NameNode
 from ..dfs.placement import RackAwarePlacement, RoundRobinPlacement
-from ..obs.tracer import NULL_TRACER, Tracer
+from ..obs.tracer import Tracer
 from ..simengine.events import ScheduledEvent
 from ..simengine.simulator import Simulator
 from .costmodel import CostModel
@@ -58,14 +59,14 @@ class SchedulerContext:
     cluster: Cluster
     namenode: NameNode
     cost: CostModel
-    trace: TraceLog
+    #: The simulator's sim-clock tracer, the run's one record: schedulers
+    #: log decisions as instants (``tracer.event``) and waves as spans.
+    tracer: Tracer
     #: Ask the driver to run its dispatch loop now (e.g. after a scheduler-
     #: internal timer fires and new work became available).
     request_dispatch: Callable[[], None]
     #: Tell the driver a job has fully completed.
     job_completed: Callable[[str], None]
-    #: Sim-clocked span/event sink (shares the event stream with ``trace``).
-    tracer: Tracer = NULL_TRACER
 
 
 class Scheduler(abc.ABC):
@@ -163,7 +164,10 @@ class SimulationResult:
 
     scheduler_name: str
     timelines: dict[str, JobTimeline]
-    trace: TraceLog
+    #: Everything the run recorded, on the simulation clock: one instant
+    #: per state change, one ``task.<kind>`` span per attempt (``outcome``
+    #: finish / fail / killed), the schedulers' wave spans.
+    tracer: Tracer
     locality: LocalityStats
     events_processed: int
     end_time: float
@@ -234,7 +238,7 @@ class SimulationDriver:
         self._jitter_rng = (make_rng(jitter_seed)
                             if self.cost.duration_jitter > 0 else None)
         self.sim = Simulator()
-        self.trace = self.sim.trace
+        self.tracer = self.sim.tracer
         self.cluster = Cluster.from_config(self.cluster_config)
         # Replication 1 (the paper's setting) spreads blocks round-robin —
         # exactly 4 GB/node for the 160 GB corpus; with replication > 1 the
@@ -265,10 +269,9 @@ class SimulationDriver:
             cluster=self.cluster,
             namenode=self.namenode,
             cost=self.cost,
-            trace=self.trace,
+            tracer=self.tracer,
             request_dispatch=self._request_dispatch,
             job_completed=self._job_completed,
-            tracer=self.sim.tracer,
         ))
 
     # -------------------------------------------------------------- plumbing
@@ -346,8 +349,8 @@ class SimulationDriver:
             timeline = self._timelines.get(job_id)
             if timeline is not None and timeline.first_launch is None:
                 timeline.first_launch = now
-        self.trace.record(now, f"task.start.{launch.kind.value}",
-                          launch.attempt_id, node=launch.node_id,
+        self.tracer.event(f"task.start.{launch.kind.value}",
+                          subject=launch.attempt_id, node=launch.node_id,
                           duration=round(launch.duration, 3),
                           jobs=len(launch.job_ids), block=launch.block_index,
                           backup=is_backup)
@@ -373,11 +376,23 @@ class SimulationDriver:
         group.attempts.append(_Attempt(launch=launch, node=node, event=event,
                                        started=now, is_backup=is_backup))
 
-    def _release_slot(self, attempt: _Attempt) -> None:
-        if attempt.launch.kind is TaskKind.MAP:
-            attempt.node.release_map_slot(attempt.launch.attempt_id)
+    def _end_attempt(self, attempt: _Attempt, outcome: str) -> None:
+        """Free the attempt's slot and record how it ended, at ``sim.now``:
+        the ``task.<outcome>.<kind>`` instant plus the ``task.<kind>`` span
+        of its slot occupancy (every attempt gets exactly one)."""
+        launch = attempt.launch
+        kind = launch.kind.value
+        if launch.kind is TaskKind.MAP:
+            attempt.node.release_map_slot(launch.attempt_id)
         else:
-            attempt.node.release_reduce_slot(attempt.launch.attempt_id)
+            attempt.node.release_reduce_slot(launch.attempt_id)
+        self.tracer.event(f"task.{outcome}.{kind}", subject=launch.attempt_id,
+                          node=launch.node_id)
+        self.tracer.span_at(
+            f"task.{kind}", attempt.started, self.sim.now,
+            lane=launch.node_id, subject=launch.attempt_id,
+            jobs=len(launch.job_ids), block=launch.block_index,
+            outcome=outcome)
 
     def _attempt_finished(self, group: _WorkGroup, launch: TaskLaunch,
                           now: float) -> None:
@@ -392,17 +407,13 @@ class SimulationDriver:
             else:
                 # Kill the losing sibling (Hadoop kills the slower attempt).
                 attempt.event.cancel()
-                self._release_slot(attempt)
-                self.trace.record(now, f"task.killed.{group.kind.value}",
-                                  attempt.launch.attempt_id,
-                                  node=attempt.node.node_id)
+                self._end_attempt(attempt, "killed")
         if winner is None:
             raise SimulationError(f"{launch.attempt_id}: winner not in group")
         if winner.is_backup:
             self.speculative_won += 1
         group.attempts.clear()
         self._groups.pop(group.key, None)
-        self._release_slot(winner)
         launch.finished_at = now
         if launch.kind is TaskKind.MAP:
             self._completed_map_durations.append(launch.duration)
@@ -413,13 +424,7 @@ class SimulationDriver:
                 if shared:
                     self._job_shared_map_tasks[job_id] = \
                         self._job_shared_map_tasks.get(job_id, 0) + 1
-        self.trace.record(now, f"task.finish.{launch.kind.value}",
-                          launch.attempt_id, node=launch.node_id)
-        if launch.started_at is not None:
-            self.sim.tracer.span_at(
-                f"task.{launch.kind.value}", launch.started_at, now,
-                lane=launch.node_id, subject=launch.attempt_id,
-                jobs=len(launch.job_ids), block=launch.block_index)
+        self._end_attempt(winner, "finish")
         self.scheduler.on_task_complete(launch, now)
         self._request_dispatch()
 
@@ -428,9 +433,7 @@ class SimulationDriver:
         self.task_failures += 1
         attempt = next(a for a in group.attempts if a.launch is launch)
         group.attempts.remove(attempt)
-        self._release_slot(attempt)
-        self.trace.record(now, f"task.fail.{group.kind.value}",
-                          launch.attempt_id, node=launch.node_id)
+        self._end_attempt(attempt, "fail")
         if group.attempts:
             return  # a sibling is still running; the work is not lost
         self._groups.pop(group.key, None)
@@ -516,7 +519,7 @@ class SimulationDriver:
     def _outage_start(self, outage, now: float) -> None:
         node = self.cluster.node(outage.node_id)
         node.offline = True
-        self.trace.record(now, "node.offline", node.node_id)
+        self.tracer.event("node.offline", subject=node.node_id)
         # Fail every attempt running on the node.
         for group in list(self._groups.values()):
             for attempt in list(group.attempts):
@@ -527,7 +530,7 @@ class SimulationDriver:
     def _outage_end(self, outage, now: float) -> None:
         node = self.cluster.node(outage.node_id)
         node.offline = False
-        self.trace.record(now, "node.online", node.node_id)
+        self.tracer.event("node.online", subject=node.node_id)
         self._request_dispatch()
 
     # ------------------------------------------------------------ speculation
@@ -569,7 +572,8 @@ class SimulationDriver:
             if now + backup.duration >= primary_finish:
                 continue
             self.speculative_launched += 1
-            self.trace.record(now, "task.speculate", attempt.launch.attempt_id,
+            self.tracer.event("task.speculate",
+                              subject=attempt.launch.attempt_id,
                               backup=backup.attempt_id, node=backup.node_id)
             self._execute(backup, now, is_backup=True, group=group)
         return False
@@ -581,7 +585,7 @@ class SimulationDriver:
         if timeline.completed is not None:
             raise SchedulingError(f"job {job_id!r} completed twice")
         timeline.completed = self.sim.now
-        self.trace.record(self.sim.now, "job.complete", job_id)
+        self.tracer.event("job.complete", subject=job_id)
 
     # ------------------------------------------------------------------ run
     def run(self) -> SimulationResult:
@@ -592,8 +596,9 @@ class SimulationDriver:
         self._schedule_outages()
         for at, job in sorted(self._submissions, key=lambda pair: pair[0]):
             def arrive(now: float, job: JobSpec = job) -> None:
-                self.trace.record(now, "job.submit", job.job_id,
-                                  file=job.file_name, profile=job.profile.name)
+                self.tracer.event("job.submit", subject=job.job_id,
+                                  file=job.file_name,
+                                  profile=job.profile.name)
                 self.scheduler.on_job_submitted(job, now)
                 self._start_speculation_ticker()
                 self._request_dispatch()
@@ -608,7 +613,7 @@ class SimulationDriver:
         return SimulationResult(
             scheduler_name=self.scheduler.name,
             timelines=dict(self._timelines),
-            trace=self.trace,
+            tracer=self.tracer,
             locality=self.locality,
             events_processed=self.sim.events_processed,
             end_time=self.sim.now,

@@ -1,6 +1,5 @@
 """Metrics: TET/ART computation and report formatting."""
 
-from .export import dump_trace, load_trace, trace_summary
 from .jobstats import (
     JobPhaseStats,
     format_phase_table,
@@ -10,18 +9,16 @@ from .jobstats import (
 from .measures import NormalizedMetrics, ScheduleMetrics, compute_metrics
 from .report import format_io_table, format_series, format_table, normalize_all
 from .utilization import (
-    Interval,
     busy_slots_series,
     render_gantt,
     render_utilization_strip,
     slot_utilization,
-    task_intervals,
+    task_spans,
 )
 
-__all__ = ["dump_trace", "load_trace", "trace_summary",
-           "JobPhaseStats", "format_phase_table", "job_phase_stats",
+__all__ = ["JobPhaseStats", "format_phase_table", "job_phase_stats",
            "mean_sharing_fraction",
            "NormalizedMetrics", "ScheduleMetrics", "compute_metrics",
            "format_io_table", "format_series", "format_table", "normalize_all",
-           "Interval", "busy_slots_series", "render_gantt",
-           "render_utilization_strip", "slot_utilization", "task_intervals"]
+           "busy_slots_series", "render_gantt",
+           "render_utilization_strip", "slot_utilization", "task_spans"]

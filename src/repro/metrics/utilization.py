@@ -1,74 +1,34 @@
-"""Cluster-utilisation analytics derived from simulation traces.
+"""Cluster-utilisation analytics derived from a simulation's task spans.
 
 The paper's Section II argument is fundamentally about utilisation: FIFO
 fully utilises the cluster but serialises jobs; capacity/fair schedulers
 run jobs concurrently but under-provision each; S3 keeps utilisation high
-*and* shares scans.  These helpers turn a :class:`~repro.common.tracelog.
-TraceLog` into slot-occupancy statistics and an ASCII Gantt strip so that
-claim can be inspected directly.
+*and* shares scans.  The driver closes every attempt — finished, failed
+or killed — with one ``task.<kind>`` span on its node's lane, so those
+spans *are* the slot-occupancy intervals; these helpers turn them into
+occupancy statistics and an ASCII Gantt strip so that claim can be
+inspected directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..common.errors import ExperimentError
-from ..common.tracelog import TraceLog
-
-#: Trace kinds marking task lifecycle edges, per slot class.
-_START_KINDS = {"map": "task.start.map", "reduce": "task.start.reduce"}
-_END_KINDS = {
-    "map": ("task.finish.map", "task.fail.map", "task.killed.map"),
-    "reduce": ("task.finish.reduce", "task.fail.reduce",
-               "task.killed.reduce"),
-}
+from ..obs.analyze.timeline import mean_busy, render_ramp
+from ..obs.tracer import TraceEvent, Tracer
 
 
-@dataclass(frozen=True)
-class Interval:
-    """One task occupancy interval on one node."""
-
-    attempt_id: str
-    node_id: str
-    start: float
-    end: float
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-
-def task_intervals(trace: TraceLog, kind: str = "map") -> list[Interval]:
-    """Extract completed occupancy intervals of ``kind`` from a trace.
+def task_spans(tracer: Tracer, kind: str = "map") -> list[TraceEvent]:
+    """The occupancy spans of ``kind`` slots, one per attempt.
 
     Failed and speculatively-killed attempts count as occupancy too — they
     held a slot until their end event.
     """
-    if kind not in _START_KINDS:
+    if kind not in ("map", "reduce"):
         raise ExperimentError(f"kind must be 'map' or 'reduce', got {kind!r}")
-    open_attempts: dict[str, tuple[float, str]] = {}
-    intervals: list[Interval] = []
-    end_kinds = set(_END_KINDS[kind])
-    for record in trace:
-        if record.kind == _START_KINDS[kind]:
-            open_attempts[record.subject] = (record.time,
-                                             record.detail["node"])
-        elif record.kind in end_kinds:
-            opened = open_attempts.pop(record.subject, None)
-            if opened is None:
-                raise ExperimentError(
-                    f"end event for unopened attempt {record.subject}")
-            start, node = opened
-            intervals.append(Interval(attempt_id=record.subject,
-                                      node_id=node, start=start,
-                                      end=record.time))
-    if open_attempts:
-        raise ExperimentError(
-            f"attempts never closed: {sorted(open_attempts)[:5]}")
-    return intervals
+    return tracer.spans(name=f"task.{kind}")
 
 
-def slot_utilization(trace: TraceLog, total_slots: int, *,
+def slot_utilization(tracer: Tracer, total_slots: int, *,
                      kind: str = "map",
                      start: float | None = None,
                      end: float | None = None) -> float:
@@ -78,19 +38,19 @@ def slot_utilization(trace: TraceLog, total_slots: int, *,
     """
     if total_slots <= 0:
         raise ExperimentError("total_slots must be positive")
-    intervals = task_intervals(trace, kind)
-    if not intervals:
+    spans = task_spans(tracer, kind)
+    if not spans:
         return 0.0
-    window_start = min(i.start for i in intervals) if start is None else start
-    window_end = max(i.end for i in intervals) if end is None else end
+    window_start = min(s.ts for s in spans) if start is None else start
+    window_end = max(s.end for s in spans) if end is None else end
     if window_end <= window_start:
         raise ExperimentError("empty utilisation window")
-    busy = sum(max(0.0, min(i.end, window_end) - max(i.start, window_start))
-               for i in intervals)
+    busy = sum(max(0.0, min(s.end, window_end) - max(s.ts, window_start))
+               for s in spans)
     return busy / (total_slots * (window_end - window_start))
 
 
-def busy_slots_series(trace: TraceLog, *, kind: str = "map",
+def busy_slots_series(tracer: Tracer, *, kind: str = "map",
                       bins: int = 60) -> tuple[list[float], list[float]]:
     """Occupancy sampled over ``bins`` equal time buckets.
 
@@ -98,66 +58,51 @@ def busy_slots_series(trace: TraceLog, *, kind: str = "map",
     """
     if bins <= 0:
         raise ExperimentError("bins must be positive")
-    intervals = task_intervals(trace, kind)
-    if not intervals:
+    spans = task_spans(tracer, kind)
+    if not spans:
         return [], []
-    t0 = min(i.start for i in intervals)
-    t1 = max(i.end for i in intervals)
+    t0 = min(s.ts for s in spans)
+    t1 = max(s.end for s in spans)
     width = (t1 - t0) / bins or 1.0
-    series = [0.0] * bins
-    for interval in intervals:
-        first = int((interval.start - t0) / width)
-        last = min(int((interval.end - t0) / width), bins - 1)
-        for b in range(first, last + 1):
-            bucket_start = t0 + b * width
-            bucket_end = bucket_start + width
-            overlap = (min(interval.end, bucket_end)
-                       - max(interval.start, bucket_start))
-            if overlap > 0:
-                series[b] += overlap / width
+    series = mean_busy(((s.ts, s.end) for s in spans), t0, width, bins)
     return [t0 + b * width for b in range(bins)], series
 
 
-def render_utilization_strip(trace: TraceLog, total_slots: int, *,
+def render_utilization_strip(tracer: Tracer, total_slots: int, *,
                              kind: str = "map", width: int = 60) -> str:
-    """One-line ASCII occupancy strip: ``' ' .:-=+*#%@'`` by load decile."""
-    _, series = busy_slots_series(trace, kind=kind, bins=width)
+    """One-line ASCII occupancy strip, one ramp character per bucket by
+    load decile (:func:`~repro.obs.analyze.timeline.render_ramp`)."""
+    _, series = busy_slots_series(tracer, kind=kind, bins=width)
     if not series:
         return "(no tasks)"
-    ramp = " .:-=+*#%@"
-    chars = []
-    for busy in series:
-        level = min(int(busy / total_slots * (len(ramp) - 1) + 0.5),
-                    len(ramp) - 1)
-        chars.append(ramp[level])
-    return "".join(chars)
+    return render_ramp(busy / total_slots for busy in series)
 
 
-def render_gantt(trace: TraceLog, *, kind: str = "map", width: int = 72,
+def render_gantt(tracer: Tracer, *, kind: str = "map", width: int = 72,
                  max_nodes: int = 16) -> str:
     """Per-node ASCII Gantt chart of task occupancy.
 
     Each row is one node; ``#`` marks busy buckets, ``.`` idle.  Nodes
     beyond ``max_nodes`` are summarised.
     """
-    intervals = task_intervals(trace, kind)
-    if not intervals:
+    spans = task_spans(tracer, kind)
+    if not spans:
         return "(no tasks)"
-    t0 = min(i.start for i in intervals)
-    t1 = max(i.end for i in intervals)
-    span = (t1 - t0) or 1.0
-    by_node: dict[str, list[Interval]] = {}
-    for interval in intervals:
-        by_node.setdefault(interval.node_id, []).append(interval)
+    t0 = min(s.ts for s in spans)
+    t1 = max(s.end for s in spans)
+    extent = (t1 - t0) or 1.0
+    by_node: dict[str, list[TraceEvent]] = {}
+    for span in spans:
+        by_node.setdefault(span.lane, []).append(span)
     lines = [f"{kind} tasks  [{t0:.1f}s .. {t1:.1f}s]"]
     for index, node in enumerate(sorted(by_node)):
         if index >= max_nodes:
             lines.append(f"... and {len(by_node) - max_nodes} more nodes")
             break
         row = [" "] * width
-        for interval in by_node[node]:
-            first = int((interval.start - t0) / span * (width - 1))
-            last = int((interval.end - t0) / span * (width - 1))
+        for span in by_node[node]:
+            first = int((span.ts - t0) / extent * (width - 1))
+            last = int((span.end - t0) / extent * (width - 1))
             for pos in range(first, last + 1):
                 row[pos] = "#"
         lines.append(f"{node:<10} |{''.join(row)}|")

@@ -1,9 +1,10 @@
 """Trace validation: structural invariants every legal run satisfies.
 
-A simulation trace, wherever it came from (a live run, a JSON archive, a
-third-party scheduler plugged into the driver), must satisfy the engine's
-contracts.  :func:`validate_trace` checks them and returns the violations —
-the harness's equivalent of ``fsck``:
+A simulation trace, wherever it came from (a live run, a JSONL archive
+reloaded through :mod:`repro.obs.export`, a third-party scheduler plugged
+into the driver), must satisfy the engine's contracts.
+:func:`validate_trace` checks them over the tracer's instants, in record
+order, and returns the violations — the harness's equivalent of ``fsck``:
 
 1. timestamps are non-decreasing;
 2. every task start has exactly one end (finish, fail, or killed), and
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..common.config import ClusterConfig
-from ..common.tracelog import TraceLog
+from ..obs.tracer import Tracer
 
 _STARTS = {"task.start.map": "map", "task.start.reduce": "reduce"}
 _ENDS = {
@@ -52,7 +53,7 @@ class ValidationReport:
                 f"trace invalid ({len(self.violations)} violations): {summary}")
 
 
-def validate_trace(trace: TraceLog,
+def validate_trace(tracer: Tracer,
                    cluster_config: ClusterConfig | None = None,
                    ) -> ValidationReport:
     """Check the structural invariants; slots are checked when a
@@ -69,29 +70,29 @@ def validate_trace(trace: TraceLog,
     completed: dict[str, float] = {}
     offline_since: dict[str, float] = {}
 
-    for record in trace:
-        if record.time < last_time - 1e-9:
-            report.add(f"time went backwards at {record.kind} "
-                       f"{record.subject} ({record.time} < {last_time})")
-        last_time = max(last_time, record.time)
+    for record in tracer.instants():
+        if record.ts < last_time - 1e-9:
+            report.add(f"time went backwards at {record.name} "
+                       f"{record.subject} ({record.ts} < {last_time})")
+        last_time = max(last_time, record.ts)
 
-        if record.kind == "job.submit":
+        if record.name == "job.submit":
             if record.subject in submitted:
                 report.add(f"job {record.subject} submitted twice")
-            submitted[record.subject] = record.time
-        elif record.kind == "job.complete":
+            submitted[record.subject] = record.ts
+        elif record.name == "job.complete":
             if record.subject in completed:
                 report.add(f"job {record.subject} completed twice")
-            completed[record.subject] = record.time
+            completed[record.subject] = record.ts
             if record.subject not in submitted:
                 report.add(f"job {record.subject} completed without submit")
-        elif record.kind == "node.offline":
-            offline_since[record.subject] = record.time
-        elif record.kind == "node.online":
+        elif record.name == "node.offline":
+            offline_since[record.subject] = record.ts
+        elif record.name == "node.online":
             offline_since.pop(record.subject, None)
-        elif record.kind in _STARTS:
-            kind = _STARTS[record.kind]
-            node = record.detail.get("node")
+        elif record.name in _STARTS:
+            kind = _STARTS[record.name]
+            node = record.args.get("node")
             if node is None:
                 report.add(f"{record.subject}: start without node")
                 continue
@@ -105,9 +106,9 @@ def validate_trace(trace: TraceLog,
             limit = map_slots if kind == "map" else reduce_slots
             if limit is not None and node_busy[key] > limit:
                 report.add(f"{node}: {node_busy[key]} concurrent {kind} "
-                           f"tasks exceed {limit} slots at t={record.time}")
-        elif record.kind in _ENDS:
-            kind = _ENDS[record.kind]
+                           f"tasks exceed {limit} slots at t={record.ts}")
+        elif record.name in _ENDS:
+            kind = _ENDS[record.name]
             opened = open_attempts.pop(record.subject, None)
             if opened is None:
                 report.add(f"end without start: {record.subject}")

@@ -35,11 +35,6 @@ Pieces:
   dashboard over a running scheduler service.
 """
 
-# Import-order note: repro.common's __init__ imports the TraceLog
-# adapter, which imports repro.obs.tracer.  That works because this
-# package only ever imports *submodules* of repro.common (config,
-# errors, clock), each of which is fully importable before the
-# repro.common package object finishes initialising.
 from ..common.config import TraceConfig
 from .analyze import analyze_events, analyze_file, format_report
 from .export import (

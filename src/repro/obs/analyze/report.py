@@ -19,7 +19,12 @@ from ..export import load_events
 from .attribution import attribute_sharing
 from .critical import critical_path, name_breakdown
 from .spans import SpanNode, build_forest, instants_in
-from .timeline import detect_stragglers, utilization_series, wave_occupancy
+from .timeline import (
+    detect_stragglers,
+    render_ramp,
+    utilization_series,
+    wave_occupancy,
+)
 
 #: Decimal places kept in emitted floats (nanosecond-scale resolution).
 _DIGITS = 9
@@ -230,15 +235,10 @@ def _render_breakdown(document: Mapping[str, Any]) -> list[str]:
 def _render_utilization(document: Mapping[str, Any]) -> list[str]:
     lines = ["slot utilization (busy fraction of observed lanes)",
              "-" * 50]
-    blocks = " .:-=+*#%@"
     for tracer, series in document["utilization"].items():
-        values = series["values"]
-        spark = "".join(
-            blocks[min(len(blocks) - 1, int(v * (len(blocks) - 1) + 0.5))]
-            for v in values)
         lines.append(f"[{tracer}] lanes={series['lanes']} "
                      f"mean={series['mean']:.2%}")
-        lines.append(f"  |{spark}|")
+        lines.append(f"  |{render_ramp(series['values'])}|")
     return lines
 
 

@@ -13,6 +13,10 @@ derive from the recorded ``map.task`` spans
 * **stragglers** — tasks that took more than ``k`` times their wave's
   median, the per-wave signal the paper's periodical slot checking
   thresholds on.
+
+:func:`mean_busy` and :func:`render_ramp` are the one interval-binning
+loop and the one ASCII ramp; :mod:`repro.metrics.utilization` renders the
+simulator's ``task.<kind>`` spans with them too.
 """
 
 from __future__ import annotations
@@ -29,6 +33,33 @@ TASK_NAMES = ("map.task", "task.map")
 
 #: Span names that represent one shared wave / scheduling unit.
 WAVE_NAMES = ("s3.iteration", "fifo.job", "s3.segment")
+
+#: Ten-level ASCII intensity ramp, idle to saturated.
+_RAMP = " .:-=+*#%@"
+
+
+def mean_busy(intervals: Iterable[tuple[float, float]], start: float,
+              step: float, bins: int) -> list[float]:
+    """Mean number of open ``(lo, hi)`` intervals in each of ``bins``
+    buckets of ``step`` seconds from ``start`` (intervals lie inside the
+    binned window)."""
+    busy = [0.0] * bins
+    for lo, hi in intervals:
+        first = min(bins - 1, int((lo - start) / step))
+        last = min(bins - 1, int((hi - start) / step))
+        for index in range(first, last + 1):
+            bin_lo = start + index * step
+            overlap = min(hi, bin_lo + step) - max(lo, bin_lo)
+            if overlap > 0:
+                busy[index] += overlap / step
+    return busy
+
+
+def render_ramp(fractions: Iterable[float]) -> str:
+    """One :data:`_RAMP` character per busy fraction in ``[0, 1]``."""
+    top = len(_RAMP) - 1
+    return "".join(_RAMP[min(top, int(fraction * top + 0.5))]
+                   for fraction in fractions)
 
 
 @dataclass(frozen=True)
@@ -123,8 +154,8 @@ def utilization_series(tracer: str, roots: Sequence[SpanNode], *,
 
     The window is the tracer's overall span extent (so idle lead-in and
     tail count as idle); ``None`` when the tracer recorded no tasks.
-    Every value is in ``[0, 1]``: per bin, summed busy seconds over
-    ``lanes * step`` — a lane can only be busy once at a time, its spans
+    Every value is in ``[0, 1]``: per bin, the mean number of busy lanes
+    over ``lanes`` — a lane can only be busy once at a time, its spans
     within a bin never overlap.
     """
     if bins < 1:
@@ -136,25 +167,13 @@ def utilization_series(tracer: str, roots: Sequence[SpanNode], *,
     end = max(root.end for root in roots)
     if end <= start:
         return None
-    lanes = sorted({task.lane for task in tasks})
+    lanes = len({task.lane for task in tasks})
     step = (end - start) / bins
-    busy = [0.0] * bins
-    for task in tasks:
-        lo = max(task.start, start)
-        hi = min(task.end, end)
-        if hi <= lo:
-            continue
-        first = min(bins - 1, int((lo - start) / step))
-        last = min(bins - 1, int((hi - start) / step))
-        for index in range(first, last + 1):
-            bin_lo = start + index * step
-            bin_hi = bin_lo + step
-            overlap = min(hi, bin_hi) - max(lo, bin_lo)
-            if overlap > 0:
-                busy[index] += overlap
-    capacity = len(lanes) * step
-    values = tuple(min(1.0, b / capacity) for b in busy)
-    return UtilizationSeries(tracer=tracer, lanes=len(lanes), start=start,
+    # Tasks are spans of this forest, so they lie inside its extent.
+    busy = mean_busy(((task.start, task.end) for task in tasks),
+                     start, step, bins)
+    values = tuple(min(1.0, b / lanes) for b in busy)
+    return UtilizationSeries(tracer=tracer, lanes=lanes, start=start,
                              step=step, values=values)
 
 

@@ -24,7 +24,7 @@ import argparse
 import json
 import pathlib
 import sys
-from typing import Any, Sequence
+from typing import Sequence
 
 from ..common.errors import ExperimentError
 from .analyze import analyze_events, format_report
@@ -35,9 +35,9 @@ from .export import (
     format_summary,
     load_events,
     summarize,
+    tracers_from_records,
 )
 from .regress import compare, format_regression, load_payload, specs_for
-from .tracer import PHASE_INSTANT, PHASE_SPAN, TraceEvent, Tracer
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -96,25 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _rebuild_tracers(events: Sequence[dict[str, Any]]) -> list[Tracer]:
-    """Reconstruct per-source tracers from normalised event dicts."""
-    tracers: dict[str, Tracer] = {}
-    for event in events:
-        name = event["tracer"] or "trace"
-        tracer = tracers.get(name)
-        if tracer is None:
-            tracer = Tracer(name=name, clock=lambda: 0.0)
-            tracers[name] = tracer
-        phase = event["ph"]
-        if phase not in (PHASE_SPAN, PHASE_INSTANT):
-            continue
-        tracer._append(TraceEvent(
-            phase=phase, name=event["name"], ts=event["ts"],
-            dur=event["dur"], lane=event["lane"], subject=event["subject"],
-            depth=0, args=dict(event["args"])))
-    return list(tracers.values())
-
-
 def _cmd_regress(args: argparse.Namespace) -> int:
     try:
         baseline = load_payload(args.baseline)
@@ -168,7 +149,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
     # convert
-    tracers = _rebuild_tracers(events)
+    tracers = tracers_from_records(events)
     if args.format == "chrome":
         count = export_chrome(args.output, tracers)
     else:

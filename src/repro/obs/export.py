@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import json
 import pathlib
-from typing import IO, Any, Iterable, Sequence
+from typing import IO, Any, Iterable, Iterator, Sequence
 
 from ..common.errors import ExperimentError
 from .live.window import exact_percentile
-from .tracer import PHASE_INSTANT, PHASE_SPAN, Tracer
+from .tracer import PHASE_INSTANT, PHASE_SPAN, TraceEvent, Tracer
 
 _MICRO = 1e6
 
@@ -110,6 +110,46 @@ def export_chrome(target: pathlib.Path | str | IO[str],
     return sum(1 for e in document["traceEvents"] if e["ph"] != "M")
 
 
+def event_records(tracers: Iterable[Tracer]) -> Iterator[dict[str, Any]]:
+    """Every event of ``tracers`` as a normalised plain dict.
+
+    The one :class:`TraceEvent` → record conversion: the shape
+    :func:`export_jsonl` writes a line of, :func:`load_events` returns
+    and :func:`summarize` / the analyzer read.
+    """
+    for tracer in tracers:
+        for event in tracer.events():
+            yield {
+                "tracer": tracer.name,
+                "ph": event.phase,
+                "name": event.name,
+                "ts": event.ts,
+                "dur": event.dur,
+                "lane": event.lane,
+                "subject": event.subject,
+                "depth": event.depth,
+                "args": event.args,
+            }
+
+
+def tracers_from_records(events: Iterable[dict[str, Any]]) -> list[Tracer]:
+    """Rebuild one tracer per source from normalised records (the inverse
+    of :func:`event_records`; the clocks are gone, the events are not)."""
+    tracers: dict[str, Tracer] = {}
+    for event in events:
+        name = event["tracer"] or "trace"
+        tracer = tracers.get(name)
+        if tracer is None:
+            tracer = tracers[name] = Tracer(name=name, clock=lambda: 0.0)
+        if event["ph"] not in (PHASE_SPAN, PHASE_INSTANT):
+            continue
+        tracer._append(TraceEvent(
+            phase=event["ph"], name=event["name"], ts=event["ts"],
+            dur=event["dur"], lane=event["lane"], subject=event["subject"],
+            depth=event.get("depth", 0), args=dict(event["args"])))
+    return list(tracers.values())
+
+
 def export_jsonl(target: pathlib.Path | str | IO[str],
                  tracers: Sequence[Tracer]) -> int:
     """Write one JSON object per event; returns the number of events.
@@ -122,21 +162,11 @@ def export_jsonl(target: pathlib.Path | str | IO[str],
     handle: IO[str] = open(target, "w", encoding="utf-8") if own else target
     count = 0
     try:
-        for tracer in tracers:
-            for event in tracer.events():
-                handle.write(json.dumps({
-                    "tracer": tracer.name,
-                    "ph": event.phase,
-                    "name": event.name,
-                    "ts": event.ts,
-                    "dur": event.dur,
-                    "lane": event.lane,
-                    "subject": event.subject,
-                    "depth": event.depth,
-                    "args": event.args,
-                }, separators=(",", ":"), sort_keys=True))
-                handle.write("\n")
-                count += 1
+        for record in event_records(tracers):
+            handle.write(json.dumps(record, separators=(",", ":"),
+                                    sort_keys=True))
+            handle.write("\n")
+            count += 1
     finally:
         if own:
             handle.close()
@@ -147,9 +177,10 @@ def load_events(path: pathlib.Path | str) -> list[dict[str, Any]]:
     """Load a Chrome (``.trace.json``) or JSONL trace into plain dicts.
 
     Returns records with keys ``ph``/``name``/``ts``/``dur``/``lane``/
-    ``tracer``/``args``, timestamps in **seconds** regardless of the
-    on-disk format.  Metadata records are consumed to resolve lane and
-    tracer names, not returned.
+    ``tracer``/``subject``/``args`` (JSONL also keeps ``depth``, which
+    the Chrome format does not carry), timestamps in **seconds**
+    regardless of the on-disk format.  Metadata records are consumed to
+    resolve lane and tracer names, not returned.
     """
     text = pathlib.Path(path).read_text(encoding="utf-8")
     stripped = text.lstrip()
@@ -219,6 +250,7 @@ def _from_jsonl(lines: Iterable[str]) -> list[dict[str, Any]]:
             "lane": record.get("lane", ""),
             "tracer": record.get("tracer", ""),
             "subject": record.get("subject", ""),
+            "depth": int(record.get("depth", 0)),
             "args": record.get("args", {}),
         })
     return events

@@ -318,10 +318,6 @@ DEFAULT_SPECS: dict[str, tuple[MetricSpec, ...]] = {
         MetricSpec("checks.traced_io_counters_identical"),
         MetricSpec("checks.traced_outputs_identical"),
         MetricSpec("traced_events", "ge"),
-        # checks.disabled_overhead_within_limit and
-        # disabled_overhead_fraction are deliberately absent: both
-        # threshold sub-second wall clock and flake on loaded hosts
-        # (bench_trace itself still enforces the limit).
     ),
 }
 

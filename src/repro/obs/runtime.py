@@ -19,7 +19,13 @@ import pathlib
 import threading
 from typing import Any, Callable
 
-from .export import export_chrome, export_jsonl, format_summary, summarize
+from .export import (
+    event_records,
+    export_chrome,
+    export_jsonl,
+    format_summary,
+    summarize,
+)
 from .tracer import NULL_TRACER, Tracer
 
 _ACTIVE: list["TraceSession"] = []
@@ -102,16 +108,7 @@ class TraceSession:
 
     def summary(self) -> str:
         """Text summary of everything recorded so far."""
-        events = []
-        for tracer in self.tracers():
-            for event in tracer.events():
-                events.append({
-                    "ph": event.phase, "name": event.name, "ts": event.ts,
-                    "dur": event.dur, "lane": event.lane,
-                    "tracer": tracer.name, "subject": event.subject,
-                    "args": event.args,
-                })
-        return format_summary(summarize(events))
+        return format_summary(summarize(list(event_records(self.tracers()))))
 
     def event_count(self) -> int:
         """Total events recorded across all adopted tracers."""

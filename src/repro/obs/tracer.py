@@ -24,7 +24,9 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from types import TracebackType
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Mapping
+
+from ..common.clock import monotonic_clock
 
 #: Chrome trace-event phase of a duration ("complete") event.
 PHASE_SPAN = "X"
@@ -66,6 +68,11 @@ class TraceEvent:
     subject: str
     depth: int
     args: dict[str, Any] = field(default_factory=dict)
+
+    @property
+    def end(self) -> float:
+        """End time in seconds (``ts`` itself for an instant)."""
+        return self.ts + self.dur
 
 
 class _NullSpan:
@@ -153,10 +160,6 @@ class Tracer:
                  clock: Callable[[], float] | None = None,
                  enabled: bool = True) -> None:
         if clock is None:
-            # Imported lazily: repro.common imports this module while
-            # initialising (via the TraceLog adapter), so a module-level
-            # import here would be circular.
-            from ..common.clock import monotonic_clock
             clock = monotonic_clock()
         self.name = name
         self.enabled = enabled
@@ -253,13 +256,24 @@ class Tracer:
         """Snapshot of every recorded event, in record order."""
         return tuple(self._events)
 
-    def instants(self) -> Iterator[TraceEvent]:
-        """Iterate point events only (phase ``"i"``), in record order."""
-        return (e for e in tuple(self._events) if e.phase == PHASE_INSTANT)
+    def _select(self, phase: str, name: str | None,
+                subject: str | None) -> list[TraceEvent]:
+        return [e for e in self.events()
+                if e.phase == phase
+                and (name is None or e.name == name)
+                and (subject is None or e.subject == subject)]
 
-    def spans(self) -> Iterator[TraceEvent]:
-        """Iterate duration events only (phase ``"X"``), in record order."""
-        return (e for e in tuple(self._events) if e.phase == PHASE_SPAN)
+    def instants(self, *, name: str | None = None,
+                 subject: str | None = None) -> list[TraceEvent]:
+        """Point events only (phase ``"i"``), in record order; ``name``
+        and ``subject`` keep the events that match exactly."""
+        return self._select(PHASE_INSTANT, name, subject)
+
+    def spans(self, *, name: str | None = None,
+              subject: str | None = None) -> list[TraceEvent]:
+        """Duration events only (phase ``"X"``), in record order; ``name``
+        and ``subject`` keep the events that match exactly."""
+        return self._select(PHASE_SPAN, name, subject)
 
     def __len__(self) -> int:
         return len(self._events)

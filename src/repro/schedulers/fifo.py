@@ -53,7 +53,7 @@ class FifoScheduler(UnitQueueScheduler):
             raise SchedulingError("FIFO queue corrupted")
         self._units.insert(insert_at, unit)
         ctx = self.ctx
-        ctx.trace.record(now, "unit.enqueue", unit.unit_id,
+        ctx.tracer.event("unit.enqueue", subject=unit.unit_id,
                          jobs=1, ready=round(unit.ready_time, 3))
         if unit.ready_time > now:
             ctx.sim.at(unit.ready_time, lambda _t: ctx.request_dispatch(),

@@ -101,7 +101,7 @@ class MRShareScheduler(UnitQueueScheduler):
                 f"declared grouping ({len(self._group_of)} jobs expected)")
         batch = self._batches[group]
         batch.members.append(job)
-        self.ctx.trace.record(now, "mrshare.collect", job.job_id,
+        self.ctx.tracer.event("mrshare.collect", subject=job.job_id,
                               batch=group, have=len(batch.members),
                               need=batch.expected)
         if batch.complete and not batch.launched:

@@ -81,7 +81,7 @@ class S3Scheduler(Scheduler):
     # -------------------------------------------------------------- arrivals
     def on_job_submitted(self, job: JobSpec, now: float) -> None:
         self.queue.admit(job, now)
-        self.ctx.trace.record(now, "s3.queue", job.job_id,
+        self.ctx.tracer.event("s3.queue", subject=job.job_id,
                               pending=self.queue.pending_jobs())
         self._start_ticker()
         if self._current is None and not self._armed:
@@ -123,23 +123,24 @@ class S3Scheduler(Scheduler):
             return
         iteration.launched_at = now
         self._current = iteration
-        trace = self.ctx.trace
-        trace.record(
-            now, "s3.subjob.launch", iteration.iteration_id,
+        tracer = self.ctx.tracer
+        tracer.event(
+            "s3.subjob.launch", subject=iteration.iteration_id,
             blocks=len(iteration.chunk), jobs=iteration.batch_size,
             finishing=len(iteration.finishing_jobs))
         # Sub-job alignment (Section IV-B): jobs admitted by this build
         # start scanning at the segment boundary the pointer sat on.
         for job_id in loop.last_admitted:
-            trace.record(now, "s3.align", job_id,
+            tracer.event("s3.align", subject=job_id,
                          start_block=pointer_before,
                          iteration=iteration.iteration_id)
         if chunk_size < static_size:
             # Dynamic segment resizing (Section IV-D.2): the merged
             # sub-job shrank to the map slots actually available.
-            trace.record(now, "s3.segment.resize", iteration.iteration_id,
+            tracer.event("s3.segment.resize",
+                         subject=iteration.iteration_id,
                          blocks=chunk_size, static=static_size)
-        trace.record(now, "s3.pointer", iteration.file_name,
+        tracer.event("s3.pointer", subject=iteration.file_name,
                      pointer=loop.pointer, advanced=len(iteration.chunk),
                      wrapped=loop.pointer <= pointer_before)
         self.ctx.request_dispatch()
@@ -278,8 +279,8 @@ class S3Scheduler(Scheduler):
                     f"{iteration.iteration_id}: reduce over-completion")
             if iteration.reduces_outstanding == 0:
                 self._reducing.remove(iteration)
-                self.ctx.trace.record(now, "s3.subjob.complete",
-                                      iteration.iteration_id)
+                self.ctx.tracer.event("s3.subjob.complete",
+                                      subject=iteration.iteration_id)
                 # Whole-segment span: launch through merged-reduce end.
                 self.ctx.tracer.span_at(
                     "s3.segment", iteration.launched_at, now,
@@ -308,8 +309,9 @@ class S3Scheduler(Scheduler):
         iteration.reduces_to_launch = num_reduces
         iteration.reduces_outstanding = num_reduces
         self._reducing.append(iteration)
-        self.ctx.trace.record(now, "s3.subjob.maps_done",
-                              iteration.iteration_id, reduces=num_reduces)
+        self.ctx.tracer.event("s3.subjob.maps_done",
+                              subject=iteration.iteration_id,
+                              reduces=num_reduces)
         # Map-wave span: iteration launch through its last map completion;
         # nested one level under the enclosing s3.segment span.
         self.ctx.tracer.span_at(
@@ -343,7 +345,7 @@ class S3Scheduler(Scheduler):
                 node.excluded = False
             return True
         excluded = self.slot_checker.apply(self.ctx.cluster)
-        self.ctx.trace.record(now, "s3.slotcheck", "cluster",
+        self.ctx.tracer.event("s3.slotcheck", subject="cluster",
                               excluded=len(excluded),
                               nodes=sorted(excluded))
         return False

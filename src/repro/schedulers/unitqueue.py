@@ -95,7 +95,7 @@ class UnitQueueScheduler(Scheduler):
         """Append a unit; wakes the dispatch loop when it becomes ready."""
         self._units.append(unit)
         ctx = self.ctx
-        ctx.trace.record(now, "unit.enqueue", unit.unit_id,
+        ctx.tracer.event("unit.enqueue", subject=unit.unit_id,
                          jobs=len(unit.jobs), ready=round(unit.ready_time, 3))
         if unit.ready_time > now:
             ctx.sim.at(unit.ready_time,
@@ -217,13 +217,15 @@ class UnitQueueScheduler(Scheduler):
             if unit.maps_outstanding < 0:
                 raise SchedulingError(f"{unit.unit_id}: map over-completion")
             if unit.maps_all_complete:
-                self.ctx.trace.record(now, "unit.maps_done", unit.unit_id)
+                self.ctx.tracer.event("unit.maps_done",
+                                      subject=unit.unit_id)
         else:
             unit.reduces_outstanding -= 1
             if unit.reduces_outstanding < 0:
                 raise SchedulingError(f"{unit.unit_id}: reduce over-completion")
             if unit.reduces_outstanding == 0:
                 unit.done = True
-                self.ctx.trace.record(now, "unit.complete", unit.unit_id)
+                self.ctx.tracer.event("unit.complete",
+                                      subject=unit.unit_id)
                 for job_id in unit.job_ids:
                     self.ctx.job_completed(job_id)

@@ -16,6 +16,10 @@ Design notes
 * The engine is deliberately single-threaded and allocation-light: a full
   Figure-4 experiment (10 jobs x 2560 blocks x 5 schedulers) executes in
   well under a second, which keeps pytest-benchmark sweeps cheap.
+* :attr:`Simulator.tracer` is the run's one record — a
+  :class:`~repro.obs.tracer.Tracer` on the virtual clock.  It is built
+  enabled and the clock only moves forward, so what is recorded through
+  ``tracer.event`` is complete and in time order by construction.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import math
 from typing import Callable
 
 from ..common.errors import SimulationError
-from ..common.tracelog import TraceLog
 from ..obs.runtime import active_session
 from ..obs.tracer import Tracer
 from .events import EventCallback, EventQueue, ScheduledEvent
@@ -33,22 +36,15 @@ from .events import EventCallback, EventQueue, ScheduledEvent
 class Simulator:
     """A single-threaded discrete-event simulation engine."""
 
-    def __init__(self, *, trace: TraceLog | None = None,
-                 max_events: int = 50_000_000) -> None:
+    def __init__(self, *, max_events: int = 50_000_000) -> None:
         self._queue = EventQueue()
         self._now = 0.0
         self._events_processed = 0
         self._max_events = max_events
         self._running = False
-        if trace is None:
-            # The tracer reads the virtual clock, so spans recorded by
-            # schedulers land at simulation timestamps, not wall time.
-            trace = TraceLog(Tracer(name="sim", clock=lambda: self._now))
-        #: Shared trace log; components record state changes here.
-        self.trace = trace
-        #: Span/event sink on the simulation clock (the trace log's
-        #: instants and scheduler spans share it).
-        self.tracer = trace.tracer
+        #: The run's one record: driver and schedulers log state changes
+        #: (instants) and occupancy (spans) here, at simulation timestamps.
+        self.tracer = Tracer(name="sim", clock=lambda: self._now)
         session = active_session()
         if session is not None:
             session.adopt(self.tracer)

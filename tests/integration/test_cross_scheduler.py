@@ -66,7 +66,7 @@ def test_s3_block_coverage_exact(seed):
                      8, (4, 4), 30, arrivals)
     # Reconstructing per-job coverage from the scheduler-visible trace
     # is indirect; instead assert completion + map-task count bounds:
-    total_map_tasks = len(result.trace.filter(kind="task.start.map"))
+    total_map_tasks = len(result.tracer.instants(name="task.start.map"))
     # Shared scanning: between 30 (fully shared) and 120 (no sharing).
     assert 30 <= total_map_tasks <= 120
     assert result.all_complete

@@ -34,9 +34,9 @@ def test_arrival_during_armed_window_included(small_cluster_config,
     # overhead window at t=1.0.
     driver.submit_all(jobs, [0.0, 1.0])
     result = driver.run()
-    first = result.trace.filter(kind="s3.subjob.launch")[0]
-    assert first.time == pytest.approx(2.0)
-    assert first.detail["jobs"] == 2  # j1 was folded into the armed batch
+    first = result.tracer.instants(name="s3.subjob.launch")[0]
+    assert first.ts == pytest.approx(2.0)
+    assert first.args["jobs"] == 2  # j1 was folded into the armed batch
     # Fully shared from the very first segment.
     stats = job_phase_stats(result)
     assert stats["j1"].sharing_fraction == 1.0
@@ -52,9 +52,9 @@ def test_arrival_after_launch_waits_for_next_boundary(small_cluster_config,
     # j1 arrives while iteration 1 is running (launched at 0.5).
     driver.submit_all(jobs, [0.0, 1.0])
     result = driver.run()
-    launches = result.trace.filter(kind="s3.subjob.launch")
-    assert launches[0].detail["jobs"] == 1
-    assert launches[1].detail["jobs"] == 2
+    launches = result.tracer.instants(name="s3.subjob.launch")
+    assert launches[0].args["jobs"] == 1
+    assert launches[1].args["jobs"] == 2
 
 
 def test_multi_file_round_robin_fairness(small_cluster_config,
@@ -68,7 +68,7 @@ def test_multi_file_round_robin_fairness(small_cluster_config,
     driver.submit_all(jobs, [0.0, 0.0])
     result = driver.run()
     order = [r.subject.split(":")[0]
-             for r in result.trace.filter(kind="s3.subjob.launch")]
+             for r in result.tracer.instants(name="s3.subjob.launch")]
     # Strict alternation: f1, f2, f1, f2 (2 iterations per file).
     assert order == ["f1", "f2", "f1", "f2"]
     # Neither job starves: completions within one iteration of each other.
@@ -111,7 +111,7 @@ def test_adaptive_segments_shrink_to_available_slots(small_dfs_config,
     driver.submit_all([JobSpec(job_id="a", file_name="f",
                                profile=fast_profile)], [0.0])
     result = driver.run()
-    sizes = {r.detail["blocks"]
-             for r in result.trace.filter(kind="s3.subjob.launch")}
+    sizes = {r.args["blocks"]
+             for r in result.tracer.instants(name="s3.subjob.launch")}
     assert 8 in sizes           # full-cluster iterations before detection
     assert any(s < 8 for s in sizes)  # shrunk after exclusions kicked in

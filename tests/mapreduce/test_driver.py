@@ -92,11 +92,11 @@ def test_trace_records_lifecycle(small_cluster_config, small_dfs_config,
     driver.register_file("f", 64.0 * 4)
     driver.submit_all(job_factory(fast_profile, 1), [0.0])
     result = driver.run()
-    assert result.trace.first("job.submit", "j0") is not None
-    assert len(result.trace.filter(kind="task.start.map")) == 4
-    assert len(result.trace.filter(kind="task.finish.map")) == 4
-    assert len(result.trace.filter(kind="task.start.reduce")) == 4
-    assert result.trace.last("job.complete", "j0") is not None
+    assert result.tracer.instants(name="job.submit", subject="j0")
+    assert len(result.tracer.instants(name="task.start.map")) == 4
+    assert len(result.tracer.instants(name="task.finish.map")) == 4
+    assert len(result.tracer.instants(name="task.start.reduce")) == 4
+    assert result.tracer.instants(name="job.complete", subject="j0")
 
 
 def test_locality_with_round_robin_placement(small_cluster_config,

@@ -66,8 +66,8 @@ def test_jobs_survive_task_failures(scheduler_factory, small_cluster_config,
                              fast_profile, job_factory, blocks=24)
     assert result.all_complete
     assert result.task_failures > 0
-    assert len(result.trace.filter(kind="task.fail.map")) \
-        + len(result.trace.filter(kind="task.fail.reduce")) \
+    assert len(result.tracer.instants(name="task.fail.map")) \
+        + len(result.tracer.instants(name="task.fail.reduce")) \
         == result.task_failures
 
 
@@ -119,8 +119,8 @@ def test_outage_fails_running_tasks_and_recovers(small_cluster_config,
                              small_dfs_config, fast_profile, job_factory,
                              blocks=24)
     assert result.all_complete
-    assert result.trace.first("node.offline", "node_000") is not None
-    assert result.trace.first("node.online", "node_000") is not None
+    assert result.tracer.instants(name="node.offline", subject="node_000")
+    assert result.tracer.instants(name="node.online", subject="node_000")
     # The attempt running on node_000 at t=0.5 was failed.
     assert result.task_failures >= 1
 
@@ -133,8 +133,8 @@ def test_no_tasks_scheduled_during_outage(small_cluster_config,
                              small_dfs_config, fast_profile, job_factory,
                              blocks=16, num_jobs=1)
     offline_window_starts = [
-        r for r in result.trace.filter(kind="task.start.map")
-        if r.detail["node"] == "node_003" and r.time < 100.0]
+        r for r in result.tracer.instants(name="task.start.map")
+        if r.args["node"] == "node_003" and r.ts < 100.0]
     assert not offline_window_starts
 
 

@@ -64,8 +64,8 @@ def test_no_task_starts_between_heartbeats(small_cluster_config,
     result = run(FifoScheduler(), small_cluster_config, small_dfs_config,
                  job_factory(fast_profile, 1), [0.0], interval=interval)
     n = 8  # nodes
-    for record in result.trace.filter(kind="task.start.map"):
-        remainder = (record.time * n / interval) % 1.0
+    for record in result.tracer.instants(name="task.start.map"):
+        remainder = (record.ts * n / interval) % 1.0
         assert remainder == pytest.approx(0.0, abs=1e-6) or \
             remainder == pytest.approx(1.0, abs=1e-6)
 
@@ -77,8 +77,8 @@ def test_tasks_per_heartbeat_bounds_assignment(small_cluster_config,
                  job_factory(fast_profile, 1), [0.0], per_beat=1, blocks=24)
     # No node ever received two tasks at the same instant.
     starts: dict[tuple[float, str], int] = {}
-    for record in result.trace.filter(kind="task.start.map"):
-        key = (record.time, record.detail["node"])
+    for record in result.tracer.instants(name="task.start.map"):
+        key = (record.ts, record.args["node"])
         starts[key] = starts.get(key, 0) + 1
     assert all(count == 1 for count in starts.values())
 

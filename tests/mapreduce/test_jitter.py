@@ -36,8 +36,8 @@ def test_jitter_spreads_durations(small_cluster_config, small_dfs_config,
                                   fast_profile, job_factory):
     result = run(FifoScheduler(), small_cluster_config, small_dfs_config,
                  job_factory(fast_profile, 1), jitter=0.2, seed=1)
-    durations = {round(r.time, 6)
-                 for r in result.trace.filter(kind="task.finish.map")}
+    durations = {round(r.ts, 6)
+                 for r in result.tracer.instants(name="task.finish.map")}
     # Without jitter every wave finishes simultaneously; with it they spread.
     assert len(durations) > 4
 
@@ -63,7 +63,7 @@ def test_jittered_runs_stay_valid(scheduler_factory, small_cluster_config,
                  job_factory(fast_profile, 3), jitter=0.25, seed=3,
                  arrivals=[0.0, 1.0, 2.0])
     assert result.all_complete
-    validate_trace(result.trace, small_cluster_config).raise_if_invalid()
+    validate_trace(result.tracer, small_cluster_config).raise_if_invalid()
 
 
 def test_jitter_perturbs_metrics_modestly(small_cluster_config,

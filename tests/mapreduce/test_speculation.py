@@ -50,7 +50,7 @@ def test_speculation_launches_backups(spec_on, small_dfs_config, fast_profile,
     assert result.speculative_launched > 0
     assert result.speculative_won > 0
     # The losers were killed, not completed.
-    assert len(result.trace.filter(kind="task.killed.map")) > 0
+    assert len(result.tracer.instants(name="task.killed.map")) > 0
 
 
 def test_speculation_improves_makespan(spec_on, small_dfs_config,
@@ -79,6 +79,6 @@ def test_exactly_one_completion_per_task(spec_on, small_dfs_config,
     result = run(FifoScheduler(), speculation=spec_on,
                  small_dfs_config=small_dfs_config, fast_profile=fast_profile,
                  job_factory=job_factory, blocks=24)
-    finishes = result.trace.filter(kind="task.finish.map")
+    finishes = result.tracer.instants(name="task.finish.map")
     tasks = {r.subject.rsplit(".attempt_", 1)[0] for r in finishes}
     assert len(finishes) == len(tasks) == 24

@@ -1,69 +1,9 @@
-"""Trace export/import tests."""
+"""A simulated run survives its JSONL archive: same events, same summary,
+still valid — a trace validates wherever it came from."""
 
-import io
-
-import pytest
-
-from repro.common.errors import ExperimentError
-from repro.common.tracelog import TraceLog
-from repro.metrics.export import dump_trace, load_trace, trace_summary
-
-
-def make_trace() -> TraceLog:
-    log = TraceLog()
-    log.record(0.0, "job.submit", "j0", file="f")
-    log.record(1.0, "task.start.map", "a", node="n0", duration=2.0)
-    log.record(3.0, "task.finish.map", "a", node="n0")
-    log.record(3.5, "job.complete", "j0")
-    return log
-
-
-def test_round_trip_via_file(tmp_path):
-    path = tmp_path / "trace.jsonl"
-    count = dump_trace(make_trace(), path)
-    assert count == 4
-    loaded = load_trace(path)
-    assert len(loaded) == 4
-    assert loaded[1].detail == {"node": "n0", "duration": 2.0}
-    assert loaded[3].kind == "job.complete"
-
-
-def test_round_trip_via_stream():
-    buffer = io.StringIO()
-    dump_trace(make_trace(), buffer)
-    buffer.seek(0)
-    loaded = load_trace(buffer)
-    assert [r.kind for r in loaded] == [r.kind for r in make_trace()]
-
-
-def test_blank_lines_skipped():
-    loaded = load_trace(io.StringIO(
-        '{"t": 0.0, "kind": "a", "subject": "x"}\n\n'
-        '{"t": 1.0, "kind": "b", "subject": "y", "detail": {"n": 1}}\n'))
-    assert len(loaded) == 2
-    assert loaded[1].detail == {"n": 1}
-
-
-def test_malformed_line_rejected():
-    with pytest.raises(ExperimentError, match="bad trace line 1"):
-        load_trace(io.StringIO("not json\n"))
-    with pytest.raises(ExperimentError, match="bad trace line 1"):
-        load_trace(io.StringIO('{"t": 0.0}\n'))
-
-
-def test_summary():
-    summary = trace_summary(make_trace())
-    assert summary["records"] == 4
-    assert summary["jobs_submitted"] == 1
-    assert summary["jobs_completed"] == 1
-    assert summary["map_tasks"] == 1
-    assert summary["failures"] == 0
-    assert summary["span"] == pytest.approx(3.5)
-
-
-def test_summary_empty():
-    summary = trace_summary(TraceLog())
-    assert summary["records"] == 0 and summary["span"] == 0.0
+from repro.metrics.validate import validate_trace
+from repro.obs import export_jsonl, load_events, summarize
+from repro.obs.export import event_records, tracers_from_records
 
 
 def test_real_run_round_trip(tmp_path, small_cluster_config, small_dfs_config,
@@ -81,7 +21,10 @@ def test_real_run_round_trip(tmp_path, small_cluster_config, small_dfs_config,
     driver.submit_all(job_factory(fast_profile, 2), [0.0, 2.0])
     result = driver.run()
     path = tmp_path / "run.jsonl"
-    dump_trace(result.trace, path)
-    loaded = load_trace(path)
-    assert len(loaded) == len(result.trace)
-    assert trace_summary(loaded) == trace_summary(result.trace)
+    assert export_jsonl(path, [result.tracer]) == len(result.tracer)
+    loaded = load_events(path)
+    (rebuilt,) = tracers_from_records(loaded)
+    assert rebuilt.name == result.tracer.name
+    assert rebuilt.events() == result.tracer.events()
+    assert summarize(loaded) == summarize(list(event_records([result.tracer])))
+    validate_trace(rebuilt, small_cluster_config).raise_if_invalid()

@@ -3,57 +3,52 @@
 import pytest
 
 from repro.common.errors import ExperimentError
-from repro.common.tracelog import TraceLog
 from repro.metrics.utilization import (
     busy_slots_series,
     render_gantt,
     render_utilization_strip,
     slot_utilization,
-    task_intervals,
+    task_spans,
 )
+from repro.obs import Tracer
 
 
-def synthetic_trace() -> TraceLog:
+def sim_tracer() -> Tracer:
+    return Tracer(name="sim", clock=lambda: 0.0)
+
+
+def synthetic_trace() -> Tracer:
     """Two map tasks on two nodes: n0 busy 0-10, n1 busy 5-10."""
-    log = TraceLog()
-    log.record(0.0, "task.start.map", "a", node="n0", duration=10.0)
-    log.record(5.0, "task.start.map", "b", node="n1", duration=5.0)
-    log.record(10.0, "task.finish.map", "a", node="n0")
-    log.record(10.0, "task.finish.map", "b", node="n1")
-    return log
+    tracer = sim_tracer()
+    tracer.span_at("task.map", 0.0, 10.0, subject="a", lane="n0",
+                   outcome="finish")
+    tracer.span_at("task.map", 5.0, 10.0, subject="b", lane="n1",
+                   outcome="finish")
+    tracer.span_at("task.reduce", 10.0, 12.0, subject="r", lane="n0",
+                   outcome="finish")
+    return tracer
 
 
-def test_task_intervals_extracted():
-    intervals = task_intervals(synthetic_trace())
-    assert len(intervals) == 2
-    by_id = {i.attempt_id: i for i in intervals}
-    assert by_id["a"].duration == 10.0
-    assert by_id["b"].start == 5.0
+def test_task_spans_extracted():
+    spans = task_spans(synthetic_trace())
+    assert len(spans) == 2
+    by_id = {s.subject: s for s in spans}
+    assert by_id["a"].dur == 10.0
+    assert by_id["b"].ts == 5.0
+    assert [s.subject for s in task_spans(synthetic_trace(), "reduce")] == ["r"]
+    with pytest.raises(ExperimentError, match="'map' or 'reduce'"):
+        task_spans(synthetic_trace(), "shuffle")
 
 
 def test_failed_and_killed_count_as_occupancy():
-    log = TraceLog()
-    log.record(0.0, "task.start.map", "a", node="n0", duration=10.0)
-    log.record(4.0, "task.fail.map", "a", node="n0")
-    log.record(5.0, "task.start.map", "b", node="n1", duration=10.0)
-    log.record(6.0, "task.killed.map", "b", node="n1")
-    intervals = task_intervals(log)
-    assert {(i.attempt_id, i.duration) for i in intervals} == {
+    tracer = sim_tracer()
+    tracer.span_at("task.map", 0.0, 4.0, subject="a", lane="n0",
+                   outcome="fail")
+    tracer.span_at("task.map", 5.0, 6.0, subject="b", lane="n1",
+                   outcome="killed")
+    spans = task_spans(tracer)
+    assert {(s.subject, s.dur) for s in spans} == {
         ("a", 4.0), ("b", 1.0)}
-
-
-def test_unmatched_end_rejected():
-    log = TraceLog()
-    log.record(1.0, "task.finish.map", "ghost", node="n0")
-    with pytest.raises(ExperimentError, match="unopened"):
-        task_intervals(log)
-
-
-def test_never_closed_rejected():
-    log = TraceLog()
-    log.record(0.0, "task.start.map", "a", node="n0", duration=1.0)
-    with pytest.raises(ExperimentError, match="never closed"):
-        task_intervals(log)
 
 
 def test_slot_utilization_fraction():
@@ -86,8 +81,8 @@ def test_render_strip_and_gantt():
 
 
 def test_empty_trace_renders_placeholder():
-    assert render_gantt(TraceLog()) == "(no tasks)"
-    assert busy_slots_series(TraceLog()) == ([], [])
+    assert render_gantt(sim_tracer()) == "(no tasks)"
+    assert busy_slots_series(sim_tracer()) == ([], [])
 
 
 def test_real_simulation_utilization(small_cluster_config, small_dfs_config,
@@ -104,5 +99,5 @@ def test_real_simulation_utilization(small_cluster_config, small_dfs_config,
     driver.register_file("f", 64.0 * 32)
     driver.submit_all(job_factory(fast_profile, 1), [0.0])
     result = driver.run()
-    util = slot_utilization(result.trace, 8, kind="map")
+    util = slot_utilization(result.tracer, 8, kind="map")
     assert util > 0.95

@@ -4,18 +4,22 @@ import pytest
 
 from repro.common.config import ClusterConfig
 from repro.common.errors import ExperimentError
-from repro.common.tracelog import TraceLog
 from repro.metrics.validate import validate_trace
+from repro.obs import Tracer
 
 
-def valid_trace() -> TraceLog:
-    log = TraceLog()
-    log.record(0.0, "job.submit", "j0")
-    log.record(0.0, "task.start.map", "a", node="n0", duration=2.0)
-    log.record(2.0, "task.finish.map", "a", node="n0")
-    log.record(2.0, "task.start.reduce", "r", node="n0", duration=1.0)
-    log.record(3.0, "task.finish.reduce", "r", node="n0")
-    log.record(3.0, "job.complete", "j0")
+def sim_tracer() -> Tracer:
+    return Tracer(name="sim", clock=lambda: 0.0)
+
+
+def valid_trace() -> Tracer:
+    log = sim_tracer()
+    log.event_at(0.0, "job.submit", subject="j0")
+    log.event_at(0.0, "task.start.map", subject="a", node="n0", duration=2.0)
+    log.event_at(2.0, "task.finish.map", subject="a", node="n0")
+    log.event_at(2.0, "task.start.reduce", subject="r", node="n0", duration=1.0)
+    log.event_at(3.0, "task.finish.reduce", subject="r", node="n0")
+    log.event_at(3.0, "job.complete", subject="j0")
     return log
 
 
@@ -27,25 +31,34 @@ def test_valid_trace_passes():
 
 
 def test_unended_attempt_flagged():
-    log = TraceLog()
-    log.record(0.0, "task.start.map", "a", node="n0")
+    log = sim_tracer()
+    log.event_at(0.0, "task.start.map", subject="a", node="n0")
     report = validate_trace(log)
     assert any("never ended" in v for v in report.violations)
 
 
 def test_end_without_start_flagged():
-    log = TraceLog()
-    log.record(1.0, "task.finish.map", "ghost", node="n0")
+    log = sim_tracer()
+    log.event_at(1.0, "task.finish.map", subject="ghost", node="n0")
     report = validate_trace(log)
     assert any("end without start" in v for v in report.violations)
 
 
+def test_time_going_backwards_flagged():
+    log = sim_tracer()
+    log.event_at(5.0, "node.offline", subject="n0")
+    log.event_at(1.0, "node.online", subject="n0")
+    report = validate_trace(log)
+    assert report.violations == [
+        "time went backwards at node.online n0 (1.0 < 5.0)"]
+
+
 def test_slot_overcommit_flagged():
-    log = TraceLog()
-    log.record(0.0, "task.start.map", "a", node="n0")
-    log.record(0.0, "task.start.map", "b", node="n0")
-    log.record(1.0, "task.finish.map", "a", node="n0")
-    log.record(1.0, "task.finish.map", "b", node="n0")
+    log = sim_tracer()
+    log.event_at(0.0, "task.start.map", subject="a", node="n0")
+    log.event_at(0.0, "task.start.map", subject="b", node="n0")
+    log.event_at(1.0, "task.finish.map", subject="a", node="n0")
+    log.event_at(1.0, "task.finish.map", subject="b", node="n0")
     config = ClusterConfig(num_nodes=1, rack_sizes=(1,), map_slots_per_node=1)
     report = validate_trace(log, config)
     assert any("exceed 1 slots" in v for v in report.violations)
@@ -55,33 +68,33 @@ def test_slot_overcommit_flagged():
 
 
 def test_start_on_offline_node_flagged():
-    log = TraceLog()
-    log.record(0.0, "node.offline", "n0")
-    log.record(1.0, "task.start.map", "a", node="n0")
-    log.record(2.0, "task.finish.map", "a", node="n0")
+    log = sim_tracer()
+    log.event_at(0.0, "node.offline", subject="n0")
+    log.event_at(1.0, "task.start.map", subject="a", node="n0")
+    log.event_at(2.0, "task.finish.map", subject="a", node="n0")
     report = validate_trace(log)
     assert any("offline node" in v for v in report.violations)
 
 
 def test_incomplete_job_flagged():
-    log = TraceLog()
-    log.record(0.0, "job.submit", "j0")
+    log = sim_tracer()
+    log.event_at(0.0, "job.submit", subject="j0")
     report = validate_trace(log)
     assert any("never completed" in v for v in report.violations)
 
 
 def test_double_completion_flagged():
-    log = TraceLog()
-    log.record(0.0, "job.submit", "j0")
-    log.record(1.0, "job.complete", "j0")
-    log.record(2.0, "job.complete", "j0")
+    log = sim_tracer()
+    log.event_at(0.0, "job.submit", subject="j0")
+    log.event_at(1.0, "job.complete", subject="j0")
+    log.event_at(2.0, "job.complete", subject="j0")
     report = validate_trace(log)
     assert any("completed twice" in v for v in report.violations)
 
 
 def test_raise_if_invalid():
-    log = TraceLog()
-    log.record(0.0, "job.submit", "j0")
+    log = sim_tracer()
+    log.event_at(0.0, "job.submit", subject="j0")
     with pytest.raises(ExperimentError, match="trace invalid"):
         validate_trace(log).raise_if_invalid()
 
@@ -117,4 +130,4 @@ def test_real_runs_validate(scheduler_kind, small_cluster_config,
     driver.register_file("f", 64.0 * 24)
     driver.submit_all(job_factory(fast_profile, 2), [0.0, 5.0])
     result = driver.run()
-    validate_trace(result.trace, small_cluster_config).raise_if_invalid()
+    validate_trace(result.tracer, small_cluster_config).raise_if_invalid()

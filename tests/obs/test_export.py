@@ -104,6 +104,10 @@ def test_jsonl_roundtrip(tmp_path):
     wave = next(e for e in events if e["name"] == "map.wave")
     assert wave["ts"] == pytest.approx(0.0)
     assert wave["dur"] == pytest.approx(0.75)
+    # An open stream takes the same lines as a path.
+    stream = io.StringIO()
+    assert export_jsonl(stream, sample_tracers()) == 7
+    assert stream.getvalue() == path.read_text(encoding="utf-8")
 
 
 def test_exported_chrome_is_valid_json(tmp_path):

@@ -120,8 +120,7 @@ def _payload(tmp_path, name, **overrides):
     doc = {"benchmark": "bench_trace",
            "checks": {"traced_io_counters_identical": True,
                       "traced_outputs_identical": True},
-           "traced_events": 100,
-           "disabled_overhead_fraction": 0.01}
+           "traced_events": 100}
     doc.update(overrides)
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")

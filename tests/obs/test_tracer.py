@@ -111,6 +111,20 @@ def test_spans_and_instants_views():
     assert [e.name for e in tracer.instants()] == ["i1"]
 
 
+def test_instants_filter_by_name_and_subject():
+    tracer = Tracer(clock=StepClock())
+    tracer.event("a", subject="x")
+    tracer.event("a", subject="y")
+    tracer.event("b", subject="x")
+    tracer.span_at("a", 0.0, 1.0, subject="x")
+    assert len(tracer.instants(name="a")) == 2
+    assert len(tracer.instants(subject="x")) == 2
+    assert [e.ts for e in tracer.instants(name="a", subject="x")] == [0.0]
+    assert tracer.instants(name="missing") == []
+    assert [e.dur for e in tracer.spans(name="a", subject="x")] == [1.0]
+    assert tracer.spans(name="b") == []
+
+
 def test_clear_keeps_enabled_state():
     tracer = Tracer(clock=StepClock())
     tracer.event("e")

@@ -41,9 +41,9 @@ def test_no_scan_sharing(small_cluster_config, small_dfs_config,
     jobs = job_factory(fast_profile, 3)
     result = run_fifo(small_cluster_config, small_dfs_config, jobs,
                       [0.0, 0.0, 0.0], blocks=8)
-    map_starts = result.trace.filter(kind="task.start.map")
+    map_starts = result.tracer.instants(name="task.start.map")
     assert len(map_starts) == 3 * 8
-    assert all(r.detail["jobs"] == 1 for r in map_starts)
+    assert all(r.args["jobs"] == 1 for r in map_starts)
 
 
 def test_idle_cluster_starts_immediately(small_cluster_config,
@@ -85,10 +85,10 @@ def test_running_job_not_preempted(small_cluster_config, small_dfs_config,
     result = run_fifo(small_cluster_config, small_dfs_config, jobs,
                       [0.0, 0.5], blocks=32)
     # Job "a" started at 0; the high-priority job waits for its maps.
-    a_map_finishes = [r.time for r in result.trace.filter(
-        kind="task.start.map") if r.subject.startswith("fifo:a")]
-    hi_map_starts = [r.time for r in result.trace.filter(
-        kind="task.start.map") if r.subject.startswith("fifo:hi")]
+    a_map_finishes = [r.ts for r in result.tracer.instants(
+        name="task.start.map") if r.subject.startswith("fifo:a")]
+    hi_map_starts = [r.ts for r in result.tracer.instants(
+        name="task.start.map") if r.subject.startswith("fifo:hi")]
     assert min(hi_map_starts) >= max(a_map_finishes)
 
 
@@ -98,8 +98,8 @@ def test_reduce_overlaps_next_jobs_maps(small_cluster_config, small_dfs_config,
     jobs = job_factory(fast_profile, 2)
     result = run_fifo(small_cluster_config, small_dfs_config, jobs,
                       [0.0, 0.0], blocks=16)
-    j0_reduce_start = min(r.time for r in result.trace.filter(
-        kind="task.start.reduce") if r.subject.startswith("fifo:j0"))
-    j1_map_start = min(r.time for r in result.trace.filter(
-        kind="task.start.map") if r.subject.startswith("fifo:j1"))
+    j0_reduce_start = min(r.ts for r in result.tracer.instants(
+        name="task.start.reduce") if r.subject.startswith("fifo:j0"))
+    j1_map_start = min(r.ts for r in result.tracer.instants(
+        name="task.start.map") if r.subject.startswith("fifo:j1"))
     assert j1_map_start <= j0_reduce_start + 1e-9

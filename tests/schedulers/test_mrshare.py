@@ -45,7 +45,8 @@ def test_batch_waits_for_all_members(small_cluster_config, small_dfs_config,
                          small_cluster_config, small_dfs_config,
                          jobs, [0.0, 30.0])
     # No task can start before the last member arrives.
-    first_map = min(r.time for r in result.trace.filter(kind="task.start.map"))
+    first_map = min(r.ts
+                    for r in result.tracer.instants(name="task.start.map"))
     assert first_map >= 30.0
     # Both jobs complete at the same instant (batch completion).
     assert (result.timeline("j0").completed
@@ -58,9 +59,9 @@ def test_batch_shares_scan(small_cluster_config, small_dfs_config,
     result = run_mrshare(MRShareScheduler.single_batch(3),
                          small_cluster_config, small_dfs_config,
                          jobs, [0.0] * 3, blocks=8)
-    map_starts = result.trace.filter(kind="task.start.map")
+    map_starts = result.tracer.instants(name="task.start.map")
     assert len(map_starts) == 8  # one scan for all three jobs
-    assert all(r.detail["jobs"] == 3 for r in map_starts)
+    assert all(r.args["jobs"] == 3 for r in map_starts)
 
 
 def test_combined_tasks_cost_more(small_cluster_config, small_dfs_config,
@@ -71,8 +72,8 @@ def test_combined_tasks_cost_more(small_cluster_config, small_dfs_config,
     batch = run_mrshare(MRShareScheduler.single_batch(4),
                         small_cluster_config, small_dfs_config,
                         job_factory(fast_profile, 4), [0.0] * 4, blocks=8)
-    t1 = single.trace.filter(kind="task.start.map")[0].detail["duration"]
-    t4 = batch.trace.filter(kind="task.start.map")[0].detail["duration"]
+    t1 = single.tracer.instants(name="task.start.map")[0].args["duration"]
+    t4 = batch.tracer.instants(name="task.start.map")[0].args["duration"]
     assert t4 > t1
     # beta = 0.1: 4 jobs -> cpu factor 1.3 on the 0.5s cpu share.
     assert t4 - t1 == pytest.approx(0.5 * 0.3, abs=1e-6)

@@ -92,8 +92,8 @@ def test_fair_splits_slots_evenly(small_cluster_config, small_dfs_config,
     result = run(FairScheduler(), small_cluster_config, small_dfs_config,
                  jobs, [0.0, 0.0], blocks=32)
     # First wave (launches at t=0): 8 slots split 4/4.
-    first_wave = [r for r in result.trace.filter(kind="task.start.map")
-                  if r.time == 0.0]
+    first_wave = [r for r in result.tracer.instants(name="task.start.map")
+                  if r.ts == 0.0]
     assert len(first_wave) == 8
     by_job = {}
     for record in first_wave:
@@ -109,8 +109,8 @@ def test_capacity_respects_guarantees(small_cluster_config, small_dfs_config,
     jobs = pooled_jobs(fast_profile, ["big", "small"])
     result = run(scheduler, small_cluster_config, small_dfs_config, jobs,
                  [0.0, 0.0], blocks=64)
-    first_wave = [r for r in result.trace.filter(kind="task.start.map")
-                  if r.time == 0.0]
+    first_wave = [r for r in result.tracer.instants(name="task.start.map")
+                  if r.ts == 0.0]
     by_pool = {}
     for record in first_wave:
         pool = record.subject.split(":")[1]
@@ -126,8 +126,8 @@ def test_capacity_excess_flows_to_demanding_queue(small_cluster_config,
     jobs = pooled_jobs(fast_profile, ["a"])
     result = run(scheduler, small_cluster_config, small_dfs_config, jobs,
                  [0.0], blocks=16)
-    first_wave = [r for r in result.trace.filter(kind="task.start.map")
-                  if r.time == 0.0]
+    first_wave = [r for r in result.tracer.instants(name="task.start.map")
+                  if r.ts == 0.0]
     assert len(first_wave) == 8  # all slots, not 4
 
 

@@ -85,5 +85,5 @@ def test_without_injected_cap_semantics_no_stall_and_no_overlap(
     driver.submit_all(job_factory(fast_profile, 2), [0.0, 0.0])
     result = driver.run()
     assert result.all_complete
-    launches = result.trace.filter(kind="s3.subjob.launch")
-    assert all(r.detail["jobs"] == 1 for r in launches)
+    launches = result.tracer.instants(name="s3.subjob.launch")
+    assert all(r.args["jobs"] == 1 for r in launches)

@@ -30,19 +30,19 @@ def test_single_job_completes(small_cluster_config, small_dfs_config,
                     job_factory(fast_profile, 1), [0.0])
     assert result.all_complete
     # 16 blocks / 8 slots = 2 iterations of 8 maps each.
-    launches = result.trace.filter(kind="s3.subjob.launch")
+    launches = result.tracer.instants(name="s3.subjob.launch")
     assert len(launches) == 2
-    assert all(r.detail["blocks"] == 8 for r in launches)
+    assert all(r.args["blocks"] == 8 for r in launches)
 
 
 def test_shared_scan_batches_jobs(small_cluster_config, small_dfs_config,
                                   fast_profile, job_factory):
     result = run_s3(small_cluster_config, small_dfs_config,
                     job_factory(fast_profile, 3), [0.0, 0.0, 0.0], blocks=16)
-    map_starts = result.trace.filter(kind="task.start.map")
+    map_starts = result.tracer.instants(name="task.start.map")
     # One scan shared by all three jobs: 16 map tasks, each serving 3 jobs.
     assert len(map_starts) == 16
-    assert all(r.detail["jobs"] == 3 for r in map_starts)
+    assert all(r.args["jobs"] == 3 for r in map_starts)
 
 
 def test_late_job_joins_next_iteration(small_cluster_config, small_dfs_config,
@@ -51,10 +51,10 @@ def test_late_job_joins_next_iteration(small_cluster_config, small_dfs_config,
     # Job 1 arrives while iteration 1 is in flight.
     result = run_s3(small_cluster_config, small_dfs_config, jobs,
                     [0.0, 0.5], blocks=32)
-    launches = result.trace.filter(kind="s3.subjob.launch")
+    launches = result.tracer.instants(name="s3.subjob.launch")
     # Iterations: j0 alone (1st), then shared until j0 done, then j1's tail.
-    assert launches[0].detail["jobs"] == 1
-    assert launches[1].detail["jobs"] == 2
+    assert launches[0].args["jobs"] == 1
+    assert launches[1].args["jobs"] == 2
     # j1 covered the whole file despite starting mid-scan.
     assert result.all_complete
 
@@ -96,10 +96,10 @@ def test_subjob_overhead_delays_iterations(small_cluster_config,
     cost = CostModel(job_submit_overhead_s=0.0, subjob_overhead_s=3.0)
     result = run_s3(small_cluster_config, small_dfs_config,
                     job_factory(fast_profile, 1), [0.0], blocks=16, cost=cost)
-    launches = [r.time for r in result.trace.filter(kind="s3.subjob.launch")]
+    launches = [r.ts for r in result.tracer.instants(name="s3.subjob.launch")]
     assert launches[0] == pytest.approx(3.0)
     # Second iteration launches one overhead after the first completes.
-    first_maps_done = result.trace.filter(kind="s3.subjob.maps_done")[0].time
+    first_maps_done = result.tracer.instants(name="s3.subjob.maps_done")[0].ts
     assert launches[1] == pytest.approx(first_maps_done + 3.0)
 
 
@@ -108,10 +108,10 @@ def test_reduce_overlaps_next_iteration(small_cluster_config, small_dfs_config,
     result = run_s3(small_cluster_config, small_dfs_config,
                     job_factory(fast_profile, 1), [0.0], blocks=24)
     # Reduce of iteration 1 starts while iteration 2's maps run.
-    reduce_starts = [r.time for r in result.trace.filter(
-        kind="task.start.reduce")]
-    second_iter_map_start = [r.time for r in result.trace.filter(
-        kind="task.start.map")][8]
+    reduce_starts = [r.ts for r in result.tracer.instants(
+        name="task.start.reduce")]
+    second_iter_map_start = [r.ts for r in result.tracer.instants(
+        name="task.start.map")][8]
     assert min(reduce_starts) <= second_iter_map_start + 1e-6
 
 
@@ -120,9 +120,10 @@ def test_job_completes_only_after_final_reduce(small_cluster_config,
                                                job_factory):
     result = run_s3(small_cluster_config, small_dfs_config,
                     job_factory(fast_profile, 1), [0.0], blocks=16)
-    complete = result.trace.last("job.complete", "j0").time
-    last_reduce = max(r.time for r in result.trace.filter(
-        kind="task.finish.reduce"))
+    complete = result.tracer.instants(name="job.complete",
+                                      subject="j0")[-1].ts
+    last_reduce = max(r.ts for r in result.tracer.instants(
+        name="task.finish.reduce"))
     assert complete == pytest.approx(last_reduce)
 
 
@@ -149,8 +150,8 @@ def test_multiple_files_round_robin(small_cluster_config, small_dfs_config,
     driver.submit_all(jobs, [0.0, 0.0])
     result = driver.run()
     assert result.all_complete
-    files = {r.subject.split(":")[0] for r in result.trace.filter(
-        kind="s3.subjob.launch")}
+    files = {r.subject.split(":")[0] for r in result.tracer.instants(
+        name="s3.subjob.launch")}
     assert files == {"f1", "f2"}
 
 
@@ -166,8 +167,8 @@ def test_heterogeneous_cluster_with_slot_check(small_dfs_config, fast_profile,
                     cluster_config=cluster_config)
     assert result.all_complete
     # The checker eventually excluded the slow node at least once.
-    checks = result.trace.filter(kind="s3.slotcheck")
-    assert any(r.detail["excluded"] > 0 for r in checks)
+    checks = result.tracer.instants(name="s3.slotcheck")
+    assert any(r.args["excluded"] > 0 for r in checks)
 
 
 def test_custom_segment_size(small_cluster_config, small_dfs_config,
@@ -176,9 +177,9 @@ def test_custom_segment_size(small_cluster_config, small_dfs_config,
     result = run_s3(small_cluster_config, small_dfs_config,
                     job_factory(fast_profile, 1), [0.0], blocks=16,
                     config=config)
-    launches = result.trace.filter(kind="s3.subjob.launch")
+    launches = result.tracer.instants(name="s3.subjob.launch")
     assert len(launches) == 4
-    assert all(r.detail["blocks"] == 4 for r in launches)
+    assert all(r.args["blocks"] == 4 for r in launches)
 
 
 def test_max_jobs_per_iteration_defers(small_cluster_config, small_dfs_config,
@@ -188,8 +189,8 @@ def test_max_jobs_per_iteration_defers(small_cluster_config, small_dfs_config,
                     job_factory(fast_profile, 2), [0.0, 0.0], blocks=16,
                     config=config)
     assert result.all_complete
-    launches = result.trace.filter(kind="s3.subjob.launch")
-    assert all(r.detail["jobs"] == 1 for r in launches)
+    launches = result.tracer.instants(name="s3.subjob.launch")
+    assert all(r.args["jobs"] == 1 for r in launches)
     # Strictly sequential: j1 starts only after j0's scan ends.
     assert (result.timeline("j1").first_launch
             >= result.timeline("j0").first_launch)
