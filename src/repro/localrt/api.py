@@ -61,8 +61,10 @@ class BlockStoreProtocol(Protocol):
       ``reset_stats`` over one cumulative
       :class:`~repro.localrt.storage.ReadStats`;
     * **attachments** — idempotent ``ensure_cache`` plus ``has_cache`` /
-      ``cache_stats`` introspection, and ``attach_tracer`` for stores
-      with placement events to emit.
+      ``cache_stats`` introspection, ``attach_tracer`` for stores
+      with placement events to emit, and ``derived``, the handle's
+      :class:`~repro.localrt.tokens.DerivedViews` table (what was
+      derived from a block's bytes, kept between laps of a scan).
     """
 
     @property
@@ -73,6 +75,9 @@ class BlockStoreProtocol(Protocol):
 
     @property
     def has_cache(self) -> bool: ...
+
+    @property
+    def derived(self) -> "tokens.DerivedViews": ...
 
     def block_size_bytes(self, index: int) -> int: ...
 
@@ -112,6 +117,17 @@ class BlockData(bytes):
     happen at most once per block regardless of how many jobs share the
     scan.  Memoization is write-once per attribute and the derived
     values are never mutated, so sharing across jobs is safe.
+
+    The object itself lives for one wave.  The task body
+    (:mod:`repro.localrt.parallel`) binds it (:meth:`bind`) to its store
+    handle's :class:`~repro.localrt.tokens.DerivedViews` table, and the
+    two *compact* views — :meth:`encoded` and :meth:`memo` — are then
+    looked up there before they are computed and published there after:
+    once per block per store handle, not once per wave.  The large
+    views (:meth:`text`, :meth:`lines`, :meth:`token_counts`) are
+    deliberately never kept beyond the wave — each is at least as big
+    as the block — and an unbound :class:`BlockData` derives everything
+    itself, exactly as a table miss does.
     """
 
     _text: "str | None" = None
@@ -120,6 +136,17 @@ class BlockData(bytes):
     _token_counts: "Counter[str] | None" = None
     _encoded: "tokens.EncodedBlock | None" = None
     _derived: "dict[Hashable, Any] | None" = None
+    _views: "tokens.DerivedViews | None" = None
+    _block: Hashable = None
+
+    def bind(self, views: "tokens.DerivedViews",
+             block: Hashable) -> "BlockData":
+        """Share this block's compact views through ``views``, where it
+        is known as ``block`` (its index in the store the table belongs
+        to, or its file in a pool worker).  Returns ``self``."""
+        self._views = views
+        self._block = block
+        return self
 
     def text(self) -> str:
         """The block decoded as UTF-8 (memoized; one decode per block)."""
@@ -172,13 +199,23 @@ class BlockData(bytes):
     def encoded(self) -> "tokens.EncodedBlock":
         """:meth:`token_counts` dictionary-encoded (memoized).
 
-        Built once per block against the process's token dictionary
-        (:mod:`repro.localrt.tokens`) and shared by the wave: each
-        rider's map is then a gather at the block's ids instead of a
-        loop over its words.
+        Built against the process's token dictionary
+        (:mod:`repro.localrt.tokens`) and shared by every rider: each
+        one's map is then a gather at the block's ids instead of a loop
+        over its words.  A bound block takes the view its table kept on
+        an earlier lap — no decode, no split, no ``Counter`` — as long
+        as that view's dictionary is still the encoder's current one,
+        and otherwise builds it and offers it to the table (which keeps
+        it unless it is full, or the block is so wide that the encoder
+        gave it a dictionary of its own).
         """
         if self._encoded is None:
-            self._encoded = tokens.ENCODER.encode(self.token_counts())
+            encoder = tokens.ENCODER
+            self._encoded = self._through_table(
+                tokens.ENCODED_VIEW,
+                lambda: encoder.encode(self.token_counts()),
+                still_valid=lambda kept: encoder.is_current(kept, tick=True),
+                admit=lambda fresh: encoder.is_current(fresh, tick=False))
         return self._encoded
 
     def memo(self, key: Hashable, compute: "Callable[[], Any]") -> Any:
@@ -187,18 +224,38 @@ class BlockData(bytes):
         Lets batch kernels share work that depends on their own
         configuration (e.g. the delimiter-position structure of a
         delimited block, keyed by delimiter + field count): the first
-        kernel in the wave computes, the rest reuse.  ``compute`` must
-        be a pure function of the block bytes and the key, and the
-        cached value must never be mutated — the same object is handed
-        to every job in the wave.
+        kernel to meet the block computes, the rest reuse — in this
+        wave and, on a bound block, on every later lap for as long as
+        the table has room.  ``compute`` must be a pure function of the
+        block bytes and the key; the value must never be mutated (the
+        same object is handed to every job) and, because it outlives
+        the wave, must be compact and own what it holds: no view into
+        the block's bytes or into a larger intermediate.
         """
         cache = self._derived
         if cache is None:
             cache = {}
             self._derived = cache
         if key not in cache:
-            cache[key] = compute()
+            cache[key] = self._through_table(key, compute)
         return cache[key]
+
+    def _through_table(self, view: Hashable, compute: "Callable[[], Any]",
+                       still_valid: "Callable[[Any], bool] | None" = None,
+                       admit: "Callable[[Any], bool] | None" = None) -> Any:
+        """``compute()``, unless the bound table kept this block's
+        ``view`` (and ``still_valid`` agrees); what was computed is
+        offered to the table if ``admit`` agrees.  Unbound: just
+        ``compute()``."""
+        views = self._views
+        if views is None:
+            return compute()
+        value = views.lookup(self._block, view, still_valid)
+        if value is tokens.MISSING:
+            value = compute()
+            if admit is None or admit(value):
+                views.publish(self._block, view, value, len(self))
+        return value
 
 
 class Mapper(abc.ABC):

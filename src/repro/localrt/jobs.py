@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 from itertools import compress
-from operator import itemgetter
 from typing import Any, Hashable, Iterator
 
 try:  # numpy powers the columnar fast path; everything works without it.
@@ -44,9 +43,6 @@ from .api import (
 )
 from .counters import Counters, CounterUser
 from .records import DelimitedReader, RecordReader
-
-#: The count of a ``(word, count)`` item.
-_COUNT_OF = itemgetter(1)
 
 
 class PatternWordCount(Mapper, CounterUser):
@@ -79,11 +75,12 @@ class PatternWordCountBlock(PatternWordCount, BlockMapper):
 
     ``map_block`` works from the block's dictionary-encoded token counts
     (:meth:`~repro.localrt.api.BlockData.encoded`, built once per block
-    and shared with every other wordcount job in the wave) and from the
-    pattern's verdict vector in the process's token dictionary
+    per store handle and shared with every other wordcount job that
+    maps it, in this wave or a later lap) and from the pattern's
+    verdict vector in the process's token dictionary
     (:mod:`repro.localrt.tokens`, shared with every job that has this
-    pattern): it gathers the vector at the block's ids and keeps the
-    ``(word, count)`` items that hit.  The regex itself runs once per
+    pattern): it gathers the vector at the block's ids and pairs up the
+    words and counts that hit.  The regex itself runs once per
     vocabulary word per pattern per process; the mapper holds no state
     that grows with the blocks it has mapped.
 
@@ -106,10 +103,11 @@ class PatternWordCountBlock(PatternWordCount, BlockMapper):
                   ) -> tuple[int, list[Record], Counters | None]:
         block = data if isinstance(data, BlockData) else BlockData(data)
         encoded = block.encoded()
-        hits: list[Record] = list(compress(
-            encoded.items,
-            tokens.ENCODER.selectors(
-                encoded, self.pattern, self._regex.match)))
+        selectors = tokens.ENCODER.selectors(
+            encoded, self.pattern, self._regex.match)
+        hit_counts = tuple(compress(encoded.counts, selectors))
+        hits: list[Record] = list(zip(
+            compress(encoded.words, selectors), hit_counts))
         outputs: list[Record] = hits if self.counted else [
             (word, 1) for word, count in hits for _ in range(count)]
         counters = Counters()
@@ -118,8 +116,7 @@ class PatternWordCountBlock(PatternWordCount, BlockMapper):
             # the counter entries even when every count is zero; an
             # empty block creates none.  Mirror that exactly.
             counters.increment("wordcount", "words_scanned", encoded.total)
-            counters.increment("wordcount", "words_matched",
-                               sum(map(_COUNT_OF, hits)))
+            counters.increment("wordcount", "words_matched", sum(hit_counts))
         return block.line_count(), outputs, counters
 
 
@@ -227,9 +224,10 @@ class DelimitedBlockMapper(BlockMapper):
 
         On a :class:`BlockData` the result (including a rejection) is
         memoized per ``(delimiter, field count, column)``, so every
-        kernel in the wave reading the same column shares one
-        structural pass — the delimited analogue of the shared
-        ``token_counts`` tokenization.
+        kernel reading the same column — in this wave or, through the
+        store handle's derived-view table, on a later lap — shares one
+        structural pass: the delimited analogue of the shared
+        tokenization.
         """
         if (_np is None or self.expected_fields is None
                 or len(self._delimiter_bytes) != 1):
@@ -270,7 +268,9 @@ class DelimitedBlockMapper(BlockMapper):
                     and (mark_bytes[:, :-1] == delimiter).all()):
             return None
         table = marks.reshape(-1, expected)
-        newlines = table[:, -1]
+        # A copy: the result outlives the wave (``memo``), and a strided
+        # view would keep the whole mark table alive behind one column.
+        newlines = table[:, -1].copy()
         grid = table[:, :-1]
         starts = _np.concatenate(
             (_np.zeros(1, dtype=newlines.dtype), newlines[:-1] + 1))

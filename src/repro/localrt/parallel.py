@@ -23,7 +23,10 @@ Three backends implement the :class:`MapBackend` strategy:
   with a by-name error before submitting work.  A parent-attached
   :class:`~repro.localrt.cache.BlockCache` is **not** shared across the
   process boundary, so worker reads always hit disk and are charged to
-  the logical *and* physical counters.
+  the logical *and* physical counters.  Nor is the parent's table of
+  derived views (``store.derived``): each worker keeps one of its own
+  (:data:`_WORKER_VIEWS`), so a block is tokenised once per worker that
+  meets it, not once per lap.
 
 Backends are context managers; ``close()`` releases any pool.  Pools are
 created lazily on first use, so a closed backend can be reused.
@@ -41,11 +44,12 @@ from typing import TYPE_CHECKING, Sequence
 from ..common.config import ExecutionConfig
 from ..common.errors import ExecutionError
 from ..obs.tracer import NULL_TRACER, Tracer
-from .api import BlockStoreProtocol, LocalJob, Record
+from .api import BlockData, BlockStoreProtocol, LocalJob, Record
 from .counters import Counters
 from .engine import JobRunState, absorb_map_result, collect_map_outputs
 from .records import RecordReader
 from .storage import read_block_file
+from .tokens import DerivedViews
 
 if TYPE_CHECKING:  # pragma: no cover
     import pathlib
@@ -214,14 +218,19 @@ def _resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def _collect_block(block_index: int, data: bytes, offset: int,
+def _collect_block(block_index: int, data: BlockData, offset: int,
                    jobs: list[LocalJob], reader: RecordReader) -> TaskResult:
     """Map + combine one block's bytes: the task body of every backend.
 
-    Every decode happens below this call (``collect_map_outputs`` for
-    per-record mappers, ``BlockData`` for kernels), so a block that is
-    not UTF-8 surfaces here: one :class:`ExecutionError` naming the
-    block, for every mapper kind, picklable back from a worker.
+    ``data`` arrives bound to the derived-view table of whoever read it
+    (the store handle in the parent, :data:`_WORKER_VIEWS` in a pool
+    worker), so a block's compact views are derived once per table, not
+    once per lap of the scan.  Every decode happens below this call
+    (``collect_map_outputs`` for per-record mappers, ``BlockData`` for
+    kernels), so a block that is not UTF-8 surfaces here: one
+    :class:`ExecutionError` naming the block, for every mapper kind,
+    picklable back from a worker — on every visit, since a derive that
+    raises publishes nothing.
     """
     try:
         return collect_map_outputs(jobs, reader, data, offset)
@@ -240,9 +249,16 @@ def _collect_in_parent(store: BlockStoreProtocol, reader: RecordReader,
                          job_ids=[s.job.job_id for s in task.states]):
             return _collect_in_parent(store, reader, task)
     index = task.block_index
-    return _collect_block(index, store.read_block_bytes(index),
-                          store.block_offset(index),
+    data = BlockData(store.read_block_bytes(index)).bind(store.derived, index)
+    return _collect_block(index, data, store.block_offset(index),
                           [s.job for s in task.states], reader)
+
+
+#: A pool worker's derived views, keyed by block file: the parent's
+#: table cannot cross the pipe, so each worker keeps what it derived
+#: for as long as it lives — which is as long as its pool does.  Empty
+#: in every other process.
+_WORKER_VIEWS = DerivedViews()
 
 
 def _collect_in_worker(path: "pathlib.Path", block_index: int, offset: int,
@@ -251,8 +267,10 @@ def _collect_in_worker(path: "pathlib.Path", block_index: int, offset: int,
     """Module-level worker entry point (must be importable for pickling).
     ``path`` is the block file the parent's store routed and already
     counted; the worker holds no store of its own."""
-    data, _mapped = read_block_file(path)
-    return _collect_block(block_index, data, offset, jobs, reader)
+    raw, _mapped = read_block_file(path)
+    return _collect_block(block_index,
+                          BlockData(raw).bind(_WORKER_VIEWS, path),
+                          offset, jobs, reader)
 
 
 #: Names accepted by :func:`make_backend` (mirrors ExecutionConfig).

@@ -122,7 +122,8 @@ def _check_job_ids(jobs: Sequence[LocalJob]) -> list[str]:
 
 
 def _finish_trace(runner: _LocalRunnerBase, report: RunReport) -> RunReport:
-    """End-of-run bookkeeping: cache event, metrics + export paths.
+    """End-of-run bookkeeping: cache and derived-view events, metrics +
+    export paths.
     ``runner`` is whoever ran the waves and so holds the run's registry
     (the FIFO runner itself; the shared-scan runner's per-run core)."""
     if not runner.tracer.enabled:
@@ -130,6 +131,7 @@ def _finish_trace(runner: _LocalRunnerBase, report: RunReport) -> RunReport:
     cache_stats = runner.store.cache_stats()
     if cache_stats is not None:
         runner.tracer.event("cache.stats", args=cache_stats)
+    runner.tracer.event("derived.stats", args=runner.store.derived.stats())
     report.metrics = runner.metrics
     trace = runner.config.trace
     if trace.path is not None:

@@ -45,6 +45,7 @@ from ..analysis.racecheck import register_instance
 from ..common.errors import ExecutionError
 from ..dfs.placement import replica_shards
 from .storage import BlockStore, ReadStats, iter_block_payloads
+from .tokens import DerivedViews
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.tracer import Tracer
@@ -156,6 +157,10 @@ class ShardedBlockStore:
             label="ShardedBlockStore._extra_stats")
         self._down: set[int] = set()  # guarded-by: _lock
         self._tracer: "Tracer | None" = None
+        #: Derived views by *global* block index, whichever replica
+        #: served the bytes (replicas are byte-identical): a view
+        #: published before a shard failed is served after it.
+        self.derived = DerivedViews()
 
     # -------------------------------------------------------------- creation
     @classmethod

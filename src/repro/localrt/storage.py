@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 from ..analysis.lockgraph import OrderedLock
 from ..analysis.racecheck import register_instance
 from ..common.errors import ExecutionError
+from .tokens import DerivedViews
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.tracer import Tracer
@@ -187,6 +188,10 @@ class BlockStore:
             offset += size
         self._total_bytes = offset
         self.cache = cache
+        #: Compact derived views of this handle's blocks, kept from one
+        #: lap of a scan to the next (the bytes are still read and
+        #: counted every time).  Per handle, in memory, gone with it.
+        self.derived = DerivedViews()
 
     # -------------------------------------------------------------- creation
     @classmethod

@@ -1,23 +1,36 @@
-"""Process-wide token dictionary: what a wave shares beyond the scan.
+"""What jobs share beyond the scan: the token dictionary and the table
+of derived views.
 
 S³ shares one read of a block between the jobs riding it, and
 :class:`~repro.localrt.api.BlockData` extends that to the decode and the
-tokenisation.  This module extends it once more, to everything the
-riders would otherwise each recompute *per distinct word*: a
-:class:`TokenEncoder` maps words to dense integer ids, so a block is
-encoded once per wave (:class:`EncodedBlock`) and a pattern's match
-verdicts are one vector per (dictionary, pattern) indexed by id.  A
-rider's map over a block is then a gather of that vector at the block's
-ids — no per-word Python loop, no per-job memo — and each vocabulary
-word is matched once per pattern per process, whichever job, wave or
-pool task meets it first.
+tokenisation.  This module extends it twice more.
+
+*Across a process*, to everything the riders would otherwise each
+recompute *per distinct word*: a :class:`TokenEncoder` maps words to
+dense integer ids, so a block's token counts become an
+:class:`EncodedBlock` and a pattern's match verdicts are one vector per
+(dictionary, pattern) indexed by id.  A rider's map over a block is
+then a gather of that vector at the block's ids — no per-word Python
+loop, no per-job memo — and each vocabulary word is matched once per
+pattern per process, whichever job, wave or pool task meets it first.
+
+*Across time*, to jobs that never overlap: a :class:`DerivedViews` table
+— one per store handle, in memory, gone with the handle — keeps each
+block's compact derived views (its :class:`EncodedBlock`, a kernel's
+``memo`` value) from one lap of the circular scan to the next, so a
+block is tokenised and encoded once per store handle, not once per
+wave.  The bytes are still read and counted on every visit; only the
+work done on them is remembered.
 
 State is bounded.  A :class:`TokenDictionary` only grows up to
 :data:`TOKEN_DICTIONARY_CAP` words; the block that would pass the cap
 starts a fresh dictionary that replaces it wholesale (*roll-over*).
 Blocks in flight keep a reference to the dictionary they were encoded
-against, so their ids stay valid, and the old dictionary — verdict
-vectors included — is garbage once the last of them is done.  Roll-over
+against, so their ids stay valid; a :class:`DerivedViews` table drops
+every encoded view it holds at its first lookup after the roll-over, so
+the old dictionary — verdict vectors included — is garbage once the
+blocks in flight are done and each live table has been asked once.
+Roll-over
 costs one re-match per (word, pattern) as the vocabulary is met again;
 ids and verdicts are internal, so outputs cannot depend on it.  A
 dictionary keeps vectors for at most :data:`VERDICT_PATTERNS_CAP`
@@ -26,9 +39,21 @@ table full of vectors still in use matches each block's own words
 instead, uncached, so its cost per block never exceeds the block's
 vocabulary however many patterns ride the scan.
 
+A :class:`DerivedViews` table is bounded by
+:data:`DERIVED_VIEWS_CAP_BYTES` and *stops admitting* at the bound
+instead of evicting: the scan is circular, so a least-recently-used
+table one block too small for the file would evict every view just
+before its next use and hit never, while one that keeps what it first
+admitted hits on cap ÷ file size of its lookups.  Blocks are immutable
+once a store is created, so nothing else ever invalidates a view.
+Never kept: a block's decoded text, its ``Counter`` or its line list —
+each as large as the block or larger.
+
 Concurrency: the ``threads`` map backend encodes different blocks from
 several tasks at once.  Every mutation — id assignment, roll-over,
-verdict extension — happens under ``TokenEncoder._lock``.  What leaves
+verdict extension — happens under ``TokenEncoder._lock``, every table
+operation under that table's ``DerivedViews._lock``, and neither lock
+is ever taken while the other is held.  What leaves
 the lock is safe to read without it by construction: an id is never
 reassigned, and words and verdict vectors are append-only, so a gather
 at ids a block was handed stays valid while another task appends.  A
@@ -53,11 +78,25 @@ TOKEN_DICTIONARY_CAP = 1 << 17
 #: Most patterns one dictionary keeps verdict vectors for.
 VERDICT_PATTERNS_CAP = 256
 
-#: Blocks encoded since a verdict vector's last use before a full table
+#: Blocks mapped since a verdict vector's last use before a full table
 #: may drop it for a new pattern.  A job riding a scan uses its vector on
 #: every block, so one that sat this many out belongs to no rider (a few
 #: blocks can be in flight at once on the ``threads`` backend).
 VERDICT_IDLE_BLOCKS = 64
+
+#: Most block bytes one :class:`DerivedViews` table answers for.  Every
+#: view is O(its block's bytes) — an encoded natural-text block is a few
+#: per cent of them — so each admitted view is charged its block's raw
+#: length and the sum is capped.
+DERIVED_VIEWS_CAP_BYTES = 1 << 26
+
+#: What :meth:`DerivedViews.lookup` answers for a view it does not hold
+#: (``None`` is a value: a kernel memoises its rejection of a block).
+MISSING: Any = object()
+
+#: The view key of a block's :class:`EncodedBlock` (kernel ``memo`` keys
+#: are the kernels' own; none can equal this object).
+ENCODED_VIEW: Hashable = object()
 
 
 def _gatherer(keys: Sequence[Hashable]) -> Callable[[Any], tuple[Any, ...]]:
@@ -76,8 +115,8 @@ class TokenDictionary:
     lock.  ``words[i]`` is the word with id ``i``; ``verdicts[pattern]``
     holds one byte per id assigned when it was last extended (1 = the
     pattern matches the word) and ``used[pattern]`` the value of
-    ``blocks`` — blocks encoded against this dictionary — at its last
-    use.
+    ``blocks`` — blocks mapped against this dictionary, freshly encoded
+    or served from a :class:`DerivedViews` table — at its last use.
     """
 
     def __init__(self) -> None:
@@ -89,23 +128,29 @@ class TokenDictionary:
 
 
 class EncodedBlock:
-    """One block's token counts, dictionary-encoded; shared by its wave.
+    """One block's token counts, dictionary-encoded; shared by every job
+    that maps the block while ``dictionary`` is the encoder's current one.
 
-    ``items`` are the block's ``(word, count)`` pairs in first-occurrence
-    order and ``ids`` the same words' ids in ``dictionary``; ``total``
+    ``words`` are the block's distinct words in first-occurrence order
+    and ``counts`` their occurrence counts, two flat tuples; ``total``
     is the block's token count.  ``gather(vector)`` is
-    ``tuple(vector[i] for i in ids)``, built once per block.
+    ``tuple(vector[i] for i in ids)`` over the words' ids in
+    ``dictionary``, built once per block (and the ids' one home: they
+    are ``gather(range(len(dictionary.words)))``).  The view
+    outlives its wave (see :class:`DerivedViews`), so it owns nothing
+    per word: ``words`` holds the dictionary's own ``str`` objects, not
+    the block's, and there is no ``(word, count)`` tuple per word.
     """
 
-    __slots__ = ("dictionary", "ids", "items", "total", "gather")
+    __slots__ = ("dictionary", "words", "counts", "total", "gather")
 
     def __init__(self, dictionary: TokenDictionary, ids: tuple[int, ...],
-                 items: tuple[tuple[str, int], ...], total: int) -> None:
+                 counts: tuple[int, ...], total: int) -> None:
         self.dictionary = dictionary
-        self.ids = ids
-        self.items = items
-        self.total = total
         self.gather = _gatherer(ids)
+        self.words: tuple[str, ...] = self.gather(dictionary.words)
+        self.counts = counts
+        self.total = total
 
 
 class TokenEncoder:
@@ -147,12 +192,27 @@ class TokenEncoder:
                 dictionary.words.extend(fresh)
                 ids = lookup(dictionary.ids)
             dictionary.blocks += 1
-        return EncodedBlock(dictionary, ids, tuple(counts.items()),
-                            sum(counts.values()))
+        values = tuple(counts.values())
+        return EncodedBlock(dictionary, ids, values, sum(values))
+
+    def is_current(self, block: EncodedBlock, *, tick: bool) -> bool:
+        """Whether ``block`` was encoded against the current dictionary,
+        the only one whose ids a kept view may be served under (a
+        rolled-over dictionary is retired, an over-wide block's is its
+        own).  ``tick`` counts the block as mapped, as :meth:`encode`
+        does: the verdict table's idle clock runs on blocks mapped, and
+        a block served from a :class:`DerivedViews` table is never
+        encoded again.
+        """
+        with self._lock:
+            current = block.dictionary is self._current
+            if current and tick:
+                self._current.blocks += 1
+        return current
 
     def selectors(self, block: EncodedBlock, pattern: str,
                   match: Callable[[str], object]) -> Sequence[object]:
-        """One truth value per item of ``block``: ``pattern`` matches it.
+        """One truth value per word of ``block``: ``pattern`` matches it.
 
         ``match(word)`` (``None`` = no match) runs once per word the
         pattern's verdict vector does not cover yet — never again for
@@ -168,7 +228,7 @@ class TokenEncoder:
                 vector.extend(match(word) is not None
                               for word in dictionary.words[len(vector):])
         if vector is None:
-            return [match(word) is not None for word, _ in block.items]
+            return [match(word) is not None for word in block.words]
         return block.gather(vector)
 
     def _vector(self, dictionary: TokenDictionary, pattern: str,
@@ -192,6 +252,92 @@ class TokenEncoder:
         """Words in the current dictionary (never above the cap)."""
         with self._lock:
             return len(self._current.words)
+
+
+class DerivedViews:
+    """Compact derived views of a store's blocks, keyed ``(block, view)``.
+
+    One per store handle (``store.derived``; a ``processes`` pool worker
+    keeps one of its own, keyed by block file).  The task body binds
+    each wave's :class:`~repro.localrt.api.BlockData` to it, and
+    ``encoded()`` / ``memo()`` then :meth:`lookup` before they compute
+    and :meth:`publish` after, so a view is derived once per block per
+    table for as long as there is room.  A view that could not be
+    admitted is simply derived again on the block's next visit.
+    """
+
+    def __init__(self) -> None:
+        self._lock = OrderedLock("DerivedViews._lock")
+        #: (block, view) -> (value, bytes charged).
+        self._views: dict[tuple[Hashable, Hashable],
+                          tuple[Any, int]] = {}  # guarded-by: _lock
+        self._charged = 0  # guarded-by: _lock
+        self._hits = 0  # guarded-by: _lock
+        self._misses = 0  # guarded-by: _lock
+        self._admitted = 0  # guarded-by: _lock
+        self._refused_at_cap = 0  # guarded-by: _lock
+        self._invalidated = 0  # guarded-by: _lock
+        register_instance(
+            self, fields=("_charged", "_hits", "_misses", "_admitted",
+                          "_refused_at_cap", "_invalidated"),
+            guard="DerivedViews._lock")
+
+    def lookup(self, block: Hashable, view: Hashable,
+               still_valid: Callable[[Any], bool] | None = None) -> Any:
+        """The kept ``view`` of ``block``, or :data:`MISSING`.
+
+        ``still_valid(value)`` (called with no table lock held) can
+        retire what was found: a ``False`` drops *every* kept ``view``,
+        whichever block's — what made this one stale made them all —
+        and the lookup counts as a miss.  (A fresh view another task
+        published in between goes with them; its block's next visit
+        re-admits it.)
+        """
+        with self._lock:
+            held = self._views.get((block, view))
+        stale = (held is not None and still_valid is not None
+                 and not still_valid(held[0]))
+        with self._lock:
+            if held is None or stale:
+                self._misses += 1
+                if stale:
+                    for key in [key for key in self._views if key[1] == view]:
+                        self._charged -= self._views.pop(key)[1]
+                        self._invalidated += 1
+                return MISSING
+            self._hits += 1
+            return held[0]
+
+    def publish(self, block: Hashable, view: Hashable, value: Any,
+                nbytes: int) -> bool:
+        """Keep ``value`` as the ``view`` of ``block``, charged ``nbytes``
+        (the block's raw length), if the table has room; never evicts.
+        A view published twice (two tasks raced to derive it) keeps the
+        first value."""
+        with self._lock:
+            if (block, view) in self._views:
+                return True
+            if self._charged + nbytes > DERIVED_VIEWS_CAP_BYTES:
+                self._refused_at_cap += 1
+                return False
+            self._views[block, view] = (value, nbytes)
+            self._charged += nbytes
+            self._admitted += 1
+            return True
+
+    def stats(self) -> dict[str, int]:
+        """Plain-dict snapshot of the counters (trace-event / metrics
+        payload, like ``cache_stats()``)."""
+        with self._lock:
+            return {
+                "hits": self._hits,
+                "misses": self._misses,
+                "admitted": self._admitted,
+                "refused_at_cap": self._refused_at_cap,
+                "invalidated": self._invalidated,
+                "resident_blocks": len({key[0] for key in self._views}),
+                "charged_bytes": self._charged,
+            }
 
 
 #: The process's encoder: one per parent, one per pool worker, alive

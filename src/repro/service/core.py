@@ -66,7 +66,7 @@ from .records import (
 #: Version of the :meth:`SchedulerService.snapshot` shape.  Bump on any
 #: key addition/removal/rename so ``/status`` consumers (dashboard,
 #: golden tests) detect drift instead of silently misreading.
-SNAPSHOT_SCHEMA_VERSION = 2
+SNAPSHOT_SCHEMA_VERSION = 3
 
 #: How long ``shutdown`` waits for the core thread.
 _JOIN_TIMEOUT_S = 30.0
@@ -750,6 +750,7 @@ class SchedulerService:
             "schema_version": SNAPSHOT_SCHEMA_VERSION,
             "iterations": iterations,
             "blocks_read": self._scan.blocks_read,
+            "derived": self.store.derived.stats(),
             "jobs": jobs,
             "tenants": accounts,
             "fairness": report.as_dict(),

@@ -57,8 +57,9 @@ def metrics_families(service: SchedulerService) -> list[MetricFamily]:
 
     Service registry (``service.*`` counters/gauges), executor registry
     (``io.*`` physical/logical read counters, wave histograms), the live
-    telemetry windows, plus tenant-labelled queue depths and the
-    readiness verdict as 0/1 gauges.
+    telemetry windows, plus tenant-labelled queue depths, the readiness
+    verdict as 0/1 gauges and the store handle's derived-view table
+    (``repro_derived_*``).
     """
     families = registry_families(service.metrics)
     families.extend(registry_families(service.executor_metrics))
@@ -79,6 +80,15 @@ def metrics_families(service: SchedulerService) -> list[MetricFamily]:
             name=name, kind="gauge",
             help=f"1 when the readiness probe reports {key}.",
             samples=(Sample(name, (), 1.0 if ready[key] else 0.0),)))
+    for key, value in service.store.derived.stats().items():
+        # Two levels (what the table holds now); the rest only grow.
+        kind = ("gauge" if key in ("resident_blocks", "charged_bytes")
+                else "counter")
+        name = f"repro_derived_{key}" + ("_total" if kind == "counter" else "")
+        families.append(MetricFamily(
+            name=name, kind=kind,
+            help=f"Derived-view table of the store handle: {key}.",
+            samples=(Sample(name, (), value),)))
     iterations = "repro_service_iterations_total"
     families.append(MetricFamily(
         name=iterations, kind="counter",

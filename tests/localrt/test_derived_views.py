@@ -1,0 +1,443 @@
+"""The per-handle table of derived views: a block is tokenised once per
+store handle, not once per lap — and nothing observable changes."""
+
+import dataclasses
+import gc
+import hashlib
+import sys
+import threading
+import weakref
+
+import pytest
+
+import repro.localrt.tokens as tokens
+from repro.analysis.lockgraph import lock_order_graph
+from repro.common.config import ExecutionConfig, TraceConfig
+from repro.common.errors import ExecutionError
+from repro.localrt.api import BlockData
+from repro.localrt.jobs import selection_job, wordcount_job
+from repro.localrt.output import write_output
+from repro.localrt.parallel import BACKEND_NAMES
+from repro.localrt.records import DelimitedReader
+from repro.localrt.runners import FifoLocalRunner, SharedScanRunner
+from repro.localrt.sharded import ShardedBlockStore
+from repro.localrt.storage import BlockStore
+from repro.localrt.tokens import (
+    ENCODED_VIEW,
+    MISSING,
+    DerivedViews,
+    TokenEncoder,
+)
+from repro.workloads.text import TextCorpusGenerator
+from repro.workloads.tpch import LINEITEM_COLUMNS, LineitemGenerator
+
+ZERO = {"hits": 0, "misses": 0, "admitted": 0, "refused_at_cap": 0,
+        "invalidated": 0, "resident_blocks": 0, "charged_bytes": 0}
+
+
+# ------------------------------------------------------------------ the table
+
+def test_lookup_publish_and_the_books():
+    views = DerivedViews()
+    assert views.stats() == ZERO
+    assert views.lookup(0, "v") is MISSING
+    assert views.publish(0, "v", "value", 100)
+    assert views.publish(0, "w", None, 100)  # None is a value ...
+    assert views.lookup(0, "v") == "value"
+    assert views.lookup(0, "w") is None  # ... and a hit
+    assert views.lookup(1, "v") is MISSING
+    assert views.stats() == {
+        "hits": 2, "misses": 2, "admitted": 2, "refused_at_cap": 0,
+        "invalidated": 0, "resident_blocks": 1, "charged_bytes": 200}
+
+
+def test_first_publisher_wins():
+    views = DerivedViews()
+    first, second = object(), object()
+    assert views.publish(0, "v", first, 10)
+    assert views.publish(0, "v", second, 10)  # a racing task's duplicate
+    assert views.lookup(0, "v") is first
+    assert views.stats()["charged_bytes"] == 10
+    assert views.stats()["admitted"] == 1
+
+
+def test_full_table_stops_admitting_and_never_evicts(monkeypatch):
+    monkeypatch.setattr(tokens, "DERIVED_VIEWS_CAP_BYTES", 250)
+    views = DerivedViews()
+    assert views.publish(0, "v", "a", 100)
+    assert views.publish(1, "v", "b", 100)
+    assert not views.publish(2, "v", "c", 100)  # 300 > 250
+    assert views.publish(3, "v", "d", 50)  # what still fits is admitted
+    assert not views.publish(4, "v", "e", 1)
+    assert views.lookup(0, "v") == "a" and views.lookup(2, "v") is MISSING
+    stats = views.stats()
+    assert stats["charged_bytes"] == 250 and stats["resident_blocks"] == 3
+    assert stats["admitted"] == 3 and stats["refused_at_cap"] == 2
+
+
+def test_a_stale_view_takes_its_kind_with_it():
+    views = DerivedViews()
+    for block in range(3):
+        views.publish(block, "ids", f"ids{block}", 10)
+        views.publish(block, "shape", f"shape{block}", 10)
+    assert views.lookup(1, "ids", lambda kept: True) == "ids1"
+    assert views.lookup(1, "ids", lambda kept: False) is MISSING
+    stats = views.stats()
+    assert stats["invalidated"] == 3 and stats["charged_bytes"] == 30
+    assert (stats["hits"], stats["misses"]) == (1, 1)
+    assert views.lookup(0, "ids") is MISSING  # every block's, not just 1's
+    assert views.lookup(0, "shape") == "shape0"  # other views untouched
+    assert views.publish(1, "ids", "fresh", 10)  # and the room is free again
+    assert views.lookup(1, "ids", lambda kept: True) == "fresh"
+
+
+def test_concurrent_tasks_keep_the_books_straight(monkeypatch):
+    """Four threads (more than cores, a switch interval that interleaves
+    them inside the table) look up and publish overlapping blocks at
+    once: every lookup is a hit or a miss, every charge is an admitted
+    view's, and the cap holds at every instant anyone looked."""
+    cap = 40 * 10
+    monkeypatch.setattr(tokens, "DERIVED_VIEWS_CAP_BYTES", cap)
+    views = DerivedViews()
+    lookups = [0] * 4
+    start = threading.Barrier(4)
+    over_cap = []
+
+    def work(k):
+        start.wait(timeout=10)
+        for round_ in range(200):
+            block = (k * 13 + round_ * 7) % 60
+            lookups[k] += 1
+            if views.lookup(block, "v") is MISSING:
+                views.publish(block, "v", block, 10)
+            if views.stats()["charged_bytes"] > cap:
+                over_cap.append(block)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    stats = views.stats()
+    assert not over_cap
+    assert stats["hits"] + stats["misses"] == sum(lookups)
+    assert stats["charged_bytes"] == 10 * stats["admitted"] == cap
+    assert stats["resident_blocks"] == stats["admitted"] == 40
+    for block in range(60):
+        assert views.lookup(block, "v") in (block, MISSING)
+
+
+# ------------------------------------------------------------ bound BlockData
+
+def test_bound_block_derives_once_per_table(monkeypatch):
+    monkeypatch.setattr(tokens, "ENCODER", TokenEncoder())
+    derives = []
+    original = BlockData.token_counts
+    monkeypatch.setattr(
+        BlockData, "token_counts",
+        lambda self: derives.append(bytes(self)) or original(self))
+    views = DerivedViews()
+    raw = b"to be or not to be\n"
+    first = BlockData(raw).bind(views, 7).encoded()
+    again = BlockData(raw).bind(views, 7).encoded()  # a later lap's object
+    assert again is first and derives == [raw]
+    assert (first.words, first.counts) == (("to", "be", "or", "not"),
+                                           (2, 2, 1, 1))
+    assert BlockData(raw).encoded() is not first  # unbound: today's code
+    other = DerivedViews()
+    assert BlockData(raw).bind(other, 7).encoded() is not first
+    assert len(derives) == 3
+    assert views.stats()["hits"] == 1 and views.stats()["misses"] == 1
+
+
+def test_only_compact_views_are_kept(monkeypatch):
+    monkeypatch.setattr(tokens, "ENCODER", TokenEncoder())
+    views = DerivedViews()
+    block = BlockData(b"a b\nc\n").bind(views, 0)
+    block.text(), block.lines(), block.token_counts(), block.line_count()
+    assert views.stats() == ZERO  # none of these goes near the table
+    block.encoded()
+    assert block.memo("shape", lambda: (1, 2)) == (1, 2)
+    assert views.stats()["admitted"] == 2
+    later = BlockData(b"a b\nc\n").bind(views, 0)
+    assert later.memo("shape", lambda: pytest.fail("recomputed")) == (1, 2)
+    assert later.memo("shape", lambda: pytest.fail("recomputed")) == (1, 2)
+    assert views.stats()["hits"] == 1  # the second ask is the wave's memo
+
+
+def test_block_with_a_dictionary_of_its_own_is_never_admitted(monkeypatch):
+    monkeypatch.setattr(tokens, "TOKEN_DICTIONARY_CAP", 3)
+    monkeypatch.setattr(tokens, "ENCODER", TokenEncoder())
+    views = DerivedViews()
+    narrow = BlockData(b"a b\n").bind(views, 0).encoded()
+    wide = BlockData(b"a b c d e\n").bind(views, 1).encoded()
+    assert wide.dictionary is not narrow.dictionary
+    assert views.stats()["admitted"] == 1
+    assert views.lookup(1, ENCODED_VIEW) is MISSING
+    # Asking for it again encodes it again and retires nothing.
+    assert BlockData(b"a b c d e\n").bind(views, 1).encoded() is not wide
+    assert BlockData(b"a b\n").bind(views, 0).encoded() is narrow
+    assert views.stats()["invalidated"] == 0
+
+
+def test_roll_over_retires_every_encoded_view_at_the_next_lookup(monkeypatch):
+    """At most one retired dictionary stays reachable from a table, and
+    only until the table is next asked for an encoded view."""
+    monkeypatch.setattr(tokens, "TOKEN_DICTIONARY_CAP", 4)
+    monkeypatch.setattr(tokens, "ENCODER", TokenEncoder())
+    views = DerivedViews()
+    blocks = [b"a b\n", b"c d\n", b"a d\n"]
+    kept = [BlockData(raw).bind(views, i).encoded()
+            for i, raw in enumerate(blocks)]
+    retired = weakref.ref(kept[0].dictionary)
+    assert views.stats()["admitted"] == 3
+    BlockData(b"e f\n").encoded()  # an unbound block rolls it over
+    del kept
+    gc.collect()
+    assert retired() is not None  # pinned by the table, for now
+    fresh = BlockData(blocks[1]).bind(views, 1).encoded()
+    assert fresh.dictionary is not retired()
+    stats = views.stats()
+    assert stats["invalidated"] == 3 and stats["resident_blocks"] == 1
+    gc.collect()
+    assert retired() is None
+    assert BlockData(blocks[1]).bind(views, 1).encoded() is fresh
+
+
+# ------------------------------------------------------------------ the scan
+
+def _lines(total_bytes=24_000, vocabulary=120, seed=5):
+    return list(TextCorpusGenerator(vocabulary_size=vocabulary,
+                                    seed=seed).lines(total_bytes))
+
+
+def _observed(report, store, out_root):
+    """Everything a caller can see of a run: part files as bytes, job
+    counters, the store's cumulative ReadStats."""
+    parts = {}
+    for job_id, result in sorted(report.results.items()):
+        for path in write_output(result, out_root / job_id):
+            parts[job_id, path.name] = hashlib.sha256(
+                path.read_bytes()).hexdigest()
+    return (parts,
+            {job_id: list(result.counters)
+             for job_id, result in report.results.items()},
+            dataclasses.asdict(store.stats_snapshot()))
+
+
+def _three_laps(store, backend, out_root, on_iteration_end=None):
+    """Three jobs, each a full lap of its own (the next is admitted when
+    the one before has wrapped)."""
+    per_lap = _waves_per_lap(store)
+    jobs = [wordcount_job("lap1", ".*a$"),
+            wordcount_job("lap2", "^[bcd].*", use_combiner=False),
+            wordcount_job("lap3", ".*a$")]
+    config = ExecutionConfig(blocks_per_segment=2, map_backend=backend,
+                             map_workers=2)
+    with SharedScanRunner(store, config) as runner:
+        report = runner.run(jobs, {"lap2": per_lap, "lap3": 2 * per_lap},
+                            on_iteration_end=on_iteration_end)
+    return _observed(report, store, out_root)
+
+
+def _waves_per_lap(store):
+    return -(-store.num_blocks // 2)
+
+
+def test_a_scan_derives_each_block_once_whatever_the_laps(tmp_path):
+    store = BlockStore.create(tmp_path / "corpus", _lines(), 2_000)
+    _three_laps(store, "serial", tmp_path / "out")
+    stats = store.derived.stats()
+    n = store.num_blocks
+    assert store.stats_snapshot().blocks_read == 3 * n  # every read issued
+    assert (stats["misses"], stats["hits"]) == (n, 2 * n)
+    assert stats["admitted"] == stats["resident_blocks"] == n
+    assert stats["charged_bytes"] == store.total_bytes
+
+
+def test_capped_table_keeps_the_first_k_blocks_it_met(tmp_path, monkeypatch):
+    lines = _lines()
+    reference_store = BlockStore.create(tmp_path / "reference", lines, 2_000)
+    reference = _three_laps(reference_store, "serial", tmp_path / "ref-out")
+
+    store = BlockStore.create(tmp_path / "corpus", lines, 2_000)
+    n, k = store.num_blocks, 4
+    assert n > k + 2
+    cap = sum(store.block_size_bytes(i) for i in range(k))
+    monkeypatch.setattr(tokens, "DERIVED_VIEWS_CAP_BYTES", cap)
+    assert _three_laps(store, "serial", tmp_path / "out") == reference
+    stats = store.derived.stats()
+    assert stats["admitted"] == stats["resident_blocks"] == k
+    assert stats["hits"] == 2 * k and stats["misses"] == 3 * n - 2 * k
+    assert stats["charged_bytes"] == cap
+    assert stats["refused_at_cap"] == 3 * (n - k)
+    for index in range(n):  # exactly the first k of the scan
+        kept = store.derived.lookup(index, ENCODED_VIEW)
+        assert (kept is not MISSING) == (index < k)
+
+
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
+def test_roll_over_mid_scan_with_a_warm_table_changes_nothing_observable(
+        tmp_path, monkeypatch, backend):
+    """PR 17's roll-over test with the table in play: under three laps
+    of a scan whose table holds half the file, the dictionary rolls over
+    in the middle of the second, so views are admitted, refused, served,
+    retired and re-admitted mid-scan; outputs, counters and ReadStats
+    equal those of the same plan on unbound blocks under the shipped
+    caps."""
+    lines = _lines()
+    with monkeypatch.context() as unbound:
+        unbound.setattr(BlockData, "bind", lambda self, views, block: self)
+        reference_store = BlockStore.create(tmp_path / "reference", lines,
+                                            2_000)
+        reference = _three_laps(reference_store, backend,
+                                tmp_path / "ref-out")
+        assert reference_store.derived.stats() == ZERO
+
+    store = BlockStore.create(tmp_path / "corpus", lines, 2_000)
+    # The corpus has 119 words.  The dictionary starts with 20 others,
+    # so two more roll it over once every corpus word is in, and the
+    # dictionary that replaces it has room for the corpus again.
+    cap = 140
+    monkeypatch.setattr(tokens, "TOKEN_DICTIONARY_CAP", cap)
+    monkeypatch.setattr(tokens, "DERIVED_VIEWS_CAP_BYTES",
+                        store.total_bytes // 2)
+    monkeypatch.setattr(tokens, "ENCODER", TokenEncoder())
+    BlockData(" ".join(f"ballast{i}" for i in range(20)).encode()).encoded()
+
+    def roll_over(iteration, run_states):
+        if iteration == _waves_per_lap(store) + 1:
+            BlockData(b"two more").encoded()
+
+    assert _three_laps(store, backend, tmp_path / "out",
+                       roll_over) == reference
+    if backend == "processes":  # a pool worker's table is its own
+        assert store.derived.stats() == ZERO
+        return
+    stats = store.derived.stats()
+    assert stats["refused_at_cap"] > 0 and stats["invalidated"] > 0
+    assert stats["hits"] > 4  # before the roll-over and after it
+    assert stats["admitted"] > stats["resident_blocks"]  # re-admitted
+    assert stats["charged_bytes"] <= store.total_bytes // 2
+    assert tokens.ENCODER.current_size() <= cap
+
+
+def test_table_and_encoder_locks_are_never_nested(tmp_path, monkeypatch):
+    monkeypatch.setattr(tokens, "TOKEN_DICTIONARY_CAP", 100)  # rolls often
+    monkeypatch.setattr(tokens, "ENCODER", TokenEncoder())
+    store = BlockStore.create(tmp_path / "corpus", _lines(), 2_000)
+    _three_laps(store, "threads", tmp_path / "out")
+    assert store.derived.stats()["invalidated"] > 0
+    graph = lock_order_graph()
+    table, encoder = "DerivedViews._lock", "TokenEncoder._lock"
+    assert not graph.get(table)  # nothing is acquired under the table's
+    assert table not in graph.get(encoder, ())
+
+
+# ------------------------------------------------------------- store handles
+
+def test_view_published_from_the_primary_is_served_after_shard_loss(tmp_path):
+    lines = _lines()
+    job = [wordcount_job("wc", ".*a$")]
+
+    def lap(store):
+        return SharedScanRunner(
+            store, ExecutionConfig(blocks_per_segment=3)).run(job)
+
+    store = ShardedBlockStore.create(tmp_path / "sharded", lines, 2_000,
+                                     num_shards=3, replication=2)
+    n = store.num_blocks
+    first = lap(store)
+    assert store.derived.stats()["misses"] == n
+    store.fail_shard(0)
+    second = lap(store)
+    on_shard_0 = len(range(0, n, 3))
+    assert second.io.replica_fallback_reads == on_shard_0  # still counted
+    assert second.io.blocks_read == n
+    store.restore_shard(0)
+    third = lap(store)
+    assert third.io.replica_fallback_reads == 0
+    assert first.results["wc"].output == second.results["wc"].output \
+        == third.results["wc"].output
+    stats = store.derived.stats()
+    assert (stats["misses"], stats["hits"]) == (n, 2 * n)
+    assert store.stats_snapshot().replica_fallback_reads == on_shard_0
+
+
+def test_two_handles_on_one_directory_share_nothing(tmp_path):
+    directory = tmp_path / "corpus"
+    first = BlockStore.create(directory, _lines(), 2_000)
+    second = BlockStore(directory)
+    FifoLocalRunner(first).run([wordcount_job("wc", ".*a$")])
+    assert first.derived.stats()["admitted"] == first.num_blocks
+    assert second.derived is not first.derived
+    assert second.derived.stats() == ZERO
+    FifoLocalRunner(second).run([wordcount_job("wc", ".*a$")])
+    assert second.derived.stats()["hits"] == 0
+
+
+def test_dropped_handle_takes_its_table_with_it(tmp_path):
+    store = BlockStore.create(tmp_path / "corpus", _lines(), 2_000)
+    FifoLocalRunner(store).run([wordcount_job("wc", ".*a$")])
+    table = weakref.ref(store.derived)
+    assert table().stats()["resident_blocks"] == store.num_blocks
+    del store
+    gc.collect()
+    assert table() is None
+
+
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
+def test_invalid_utf8_block_raises_the_same_error_on_every_lap(tmp_path,
+                                                               backend):
+    directory = tmp_path / "corpus"
+    BlockStore.create(directory, _lines(8_000), 2_000)
+    bad = directory / BlockStore.BLOCK_PATTERN.format(1)
+    bad.write_bytes(b"fine words\n\xff\xfe broken\n")
+    store = BlockStore(directory)
+    config = ExecutionConfig(map_backend=backend, map_workers=2)
+    messages = []
+    for _lap in range(2):
+        with pytest.raises(ExecutionError) as raised:
+            with FifoLocalRunner(store, config) as runner:
+                runner.run([wordcount_job("wc", ".*")])
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("block 1 is not valid UTF-8")
+    assert store.derived.lookup(1, ENCODED_VIEW) is MISSING
+
+
+# -------------------------------------------------------------- other kernels
+
+def test_selection_kernel_shares_its_structural_pass_across_laps(tmp_path):
+    rows = list(LineitemGenerator(seed=3).rows_for_bytes(12_000))
+    store = BlockStore.create(tmp_path / "lineitem", rows, 3_000)
+    reader = DelimitedReader("|", len(LINEITEM_COLUMNS))
+    outputs = []
+    for _lap in range(2):
+        report = SharedScanRunner(store, reader=reader).run(
+            [selection_job("lo", 10.0), selection_job("hi", 30.0)])
+        outputs.append({job_id: result.output
+                        for job_id, result in report.results.items()})
+    assert outputs[0] == outputs[1]
+    stats = store.derived.stats()
+    assert stats["misses"] == stats["admitted"] == store.num_blocks
+    assert stats["hits"] == store.num_blocks
+
+
+# ------------------------------------------------------------- observability
+
+def test_traced_run_reports_the_table(tmp_path):
+    store = BlockStore.create(tmp_path / "corpus", _lines(), 2_000)
+    config = ExecutionConfig(trace=TraceConfig(enabled=True))
+    runner = SharedScanRunner(store, config)
+    runner.run([wordcount_job("wc", ".*a$")])
+    events = runner.tracer.instants(name="derived.stats")
+    assert len(events) == 1
+    assert events[0].args == store.derived.stats()
+    assert events[0].args["misses"] == store.num_blocks

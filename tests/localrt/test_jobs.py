@@ -236,6 +236,26 @@ def test_columnar_structural_pass_shared_across_wave(monkeypatch):
     assert len(out_a) == 1 and len(out_b) == 2
 
 
+def test_memoised_columnar_value_owns_only_what_it_needs():
+    """The structural pass's result outlives its wave (the store
+    handle's derived-view table keeps it), so no array in it may be a
+    view that pins a larger intermediate — the mark table is 16 fields
+    wide, the value needs one column of it."""
+    if jobs_module._np is None:
+        pytest.skip("numpy not available")
+    views = tokens.DerivedViews()
+    rows = "".join(_row(order, 1, order % 9 + 1) + "\n"
+                   for order in range(1, 40))
+    block = BlockData(rows.encode()).bind(views, 0)
+    SelectionBlockMapper(5.0).map_block(block, 0)
+    (key, value), = block._derived.items()
+    assert views.lookup(0, key) is value
+    assert len(value) == 3
+    for array in value:
+        assert len(array) == 39
+        assert array.base is None or array.base.nbytes == array.nbytes
+
+
 class _CountingRegex:
     """Stands in for a compiled pattern (``re.Pattern.match`` itself
     cannot be patched) and counts the words it is asked about."""

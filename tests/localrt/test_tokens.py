@@ -25,9 +25,14 @@ from repro.localrt.tokens import TokenEncoder
 from repro.workloads.text import TextCorpusGenerator
 
 
+def _ids(encoded):
+    """An encoded block's ids: what its ``gather`` reads a vector at."""
+    return encoded.gather(range(len(encoded.dictionary.words)))
+
+
 def _decoded(encoded):
     """The words an encoded block's ids stand for, via its dictionary."""
-    return tuple(encoded.dictionary.words[i] for i in encoded.ids)
+    return tuple(encoded.dictionary.words[i] for i in _ids(encoded))
 
 
 # ------------------------------------------------------------------ encoding
@@ -36,9 +41,10 @@ def test_encode_assigns_each_word_one_dense_id():
     encoder = TokenEncoder()
     first = encoder.encode(Counter("b a b c".split()))
     second = encoder.encode(Counter("c d a".split()))
-    assert first.items == (("b", 2), ("a", 1), ("c", 1)) and first.total == 4
-    assert first.ids == (0, 1, 2)
-    assert second.ids == (2, 3, 1)  # known words keep their ids
+    assert (first.words, first.counts) == (("b", "a", "c"), (2, 1, 1))
+    assert first.total == 4
+    assert _ids(first) == (0, 1, 2)
+    assert _ids(second) == (2, 3, 1)  # known words keep their ids
     assert second.dictionary is first.dictionary
     assert _decoded(second) == ("c", "d", "a")
     assert encoder.current_size() == 4
@@ -52,7 +58,7 @@ def test_gather_has_one_shape_for_any_number_of_ids(text):
     encoder.encode(Counter("pad the ids so they are not 0..n".split()))
     encoded = encoder.encode(Counter(text.split()))
     vector = list(range(100, 100 + encoder.current_size()))
-    assert encoded.gather(vector) == tuple(100 + i for i in encoded.ids)
+    assert encoded.gather(vector) == tuple(100 + i for i in _ids(encoded))
     assert len(encoded.gather(vector)) == len(text.split())
 
 
@@ -142,6 +148,45 @@ def test_full_verdict_table_drops_only_an_idle_vector(monkeypatch):
     assert ride("^a", "^b", "^c") == ["^b", "^c"]  # and now ^a waits
 
 
+def test_idle_clock_runs_on_blocks_served_from_a_warm_table(monkeypatch):
+    """Once every block is a table hit nothing is encoded any more; the
+    clock a full verdict table reads must still advance, or no vector
+    ever looks idle and a new pattern matches uncached for ever."""
+    monkeypatch.setattr(tokens, "VERDICT_PATTERNS_CAP", 2)
+    monkeypatch.setattr(tokens, "VERDICT_IDLE_BLOCKS", 3)
+    monkeypatch.setattr(tokens, "ENCODER", TokenEncoder())
+    views = tokens.DerivedViews()
+    blocks = [b"aa bb\n", b"bb cc\n"]
+    matchers = {pattern: _CountingMatch(pattern)
+                for pattern in ("^a", "^b", "^c")}
+
+    def lap(*patterns):
+        for index, raw in enumerate(blocks):
+            encoded = BlockData(raw).bind(views, index).encoded()
+            for pattern in patterns:
+                assert list(tokens.ENCODER.selectors(
+                    encoded, pattern, matchers[pattern])) == [
+                        word.startswith(pattern[1]) for word in encoded.words]
+        return sorted(encoded.dictionary.verdicts)
+
+    assert lap("^a", "^b") == ["^a", "^b"]  # cold: both blocks encoded
+    assert views.stats()["admitted"] == 2
+    encodes = []
+    original = TokenEncoder.encode
+    monkeypatch.setattr(
+        TokenEncoder, "encode",
+        lambda self, counts: encodes.append(counts) or original(self, counts))
+    # ^a's job is gone; ^c arrives at a full table, every block warm.
+    assert lap("^b", "^c") == ["^a", "^b"]  # ^a idle for 2 blocks: ^c waits
+    uncached = matchers["^c"].calls
+    assert uncached == 4  # each block's own words, nothing kept
+    assert lap("^b", "^c") == ["^b", "^c"]  # 3 blocks idle: replaced
+    vectored = matchers["^c"].calls
+    assert lap("^b", "^c") == ["^b", "^c"]
+    assert matchers["^c"].calls == vectored  # match is not called again
+    assert not encodes and views.stats()["hits"] == 6
+
+
 # ----------------------------------------------------------------- roll-over
 
 def test_roll_over_replaces_the_dictionary_and_never_passes_the_cap(
@@ -153,7 +198,7 @@ def test_roll_over_replaces_the_dictionary_and_never_passes_the_cap(
     assert same.dictionary is old.dictionary and encoder.current_size() == 5
     rolled = encoder.encode(Counter("e f".split()))  # a 6th word: roll
     assert rolled.dictionary is not old.dictionary
-    assert rolled.ids == (0, 1) and encoder.current_size() == 2
+    assert _ids(rolled) == (0, 1) and encoder.current_size() == 2
     # The in-flight block still reads its own dictionary, untouched.
     assert _decoded(old) == ("a", "b", "c")
     assert len(old.dictionary.words) == 5
@@ -285,7 +330,7 @@ def test_concurrent_encoders_assign_each_word_exactly_one_id():
         assert len(per_thread) == 60
         for encoded, hits in per_thread:
             assert encoded.dictionary is dictionary
-            words = [word for word, _ in encoded.items]
+            words = list(encoded.words)
             assert list(_decoded(encoded)) == words
             assert list(hits) == [word.endswith("5") for word in words]
 
@@ -312,7 +357,7 @@ def test_forked_child_starts_with_an_encoder_of_its_own():
             try:
                 signal.alarm(10)  # a deadlock kills it instead of hanging
                 encoded = BlockData(b"fork me\n").encoded()
-                if (tokens.ENCODER is not parent and encoded.ids == (0, 1)
+                if (tokens.ENCODER is not parent and _ids(encoded) == (0, 1)
                         and tokens.ENCODER.current_size() == 2):
                     status = 0
             finally:
@@ -330,5 +375,5 @@ def test_process_encoder_is_shared_by_every_block():
     first = BlockData(b"shared-token-x other\n").encoded()
     second = BlockData(b"shared-token-x\n").encoded()
     assert first.dictionary is second.dictionary
-    assert second.ids[0] == first.ids[0]
+    assert _ids(second)[0] == _ids(first)[0]
     assert tokens.ENCODER.current_size() >= 2
