@@ -3,7 +3,7 @@
 PR 3's rules police *how* code uses locks (no blocking calls while one
 is held); :mod:`~repro.analysis.lockgraph` polices the *order* locks
 nest in.  Neither knows which lock a given piece of shared state
-belongs to — an unguarded read of ``SchedulerService._pending`` would
+belongs to — an unguarded read of ``SchedulerService._iteration`` would
 sail through both.  This module closes that gap with a lightweight,
 lexical analogue of Clang's ``GUARDED_BY`` attribute:
 
@@ -27,7 +27,7 @@ lexical analogue of Clang's ``GUARDED_BY`` attribute:
   and re-acquires its lock before returning, so code after a ``wait()``
   inside the ``with`` block is still correctly treated as held.
 
-* **Call-local summaries.**  Private helper methods (``_finish_locked``
+* **Call-local summaries.**  Private helper methods (``_plan_locked``
   and friends) are usually called only with the lock already held.  The
   analysis computes, per private method, the *intersection* of the held
   sets at every intra-class call site and treats the method body as
@@ -49,7 +49,7 @@ Two rules are derived from the model:
   sharing, and are exempt.
 
 The analysis is deliberately per-class and lexical: cross-object guards
-(``_Entry.status`` is protected by the *service's* condition, not by a
+(``Entry.status`` is protected by the *service's* condition, not by a
 lock on the entry) are the dynamic half's job — see
 :mod:`repro.analysis.racecheck`.
 """

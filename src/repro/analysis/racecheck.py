@@ -2,7 +2,7 @@
 
 The static half (:mod:`repro.analysis.guardedby`, rules REP007/REP008)
 reasons per class and per file; it cannot see *cross-object* guards —
-``_Entry.status`` is protected by the **service's** condition variable,
+``Entry.status`` is protected by the **service's** condition variable,
 not by any lock on the entry itself.  This module is the dynamic
 complement: an Eraser-style lockset checker over real executions.
 
@@ -259,7 +259,7 @@ def race_checked(*, fields: tuple[str, ...], guard: str | None = None
         @race_checked(fields=("status", "result"),
                       guard="SchedulerService._cond")
         @dataclass
-        class _Entry: ...
+        class Entry: ...
 
     When checking is disabled the only cost is one extra function call
     per construction.

@@ -4,9 +4,9 @@ The encoder turns a :class:`~repro.obs.metrics.MetricsRegistry` and the
 live windows of :mod:`repro.obs.live.telemetry` into the plain-text
 format every metrics scraper understands::
 
-    # HELP repro_service_submit_total Counter repro_service_submit_total.
-    # TYPE repro_service_submit_total counter
-    repro_service_submit_total 8
+    # HELP repro_io_blocks_read_total Counter repro_io_blocks_read_total.
+    # TYPE repro_io_blocks_read_total counter
+    repro_io_blocks_read_total 8
 
 Determinism is a contract here, not a nicety: families are emitted in
 sorted name order, labels in construction order, and values through one

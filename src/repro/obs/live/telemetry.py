@@ -1,9 +1,12 @@
 """Service-side telemetry hub: global and per-tenant live windows.
 
-:class:`ServiceTelemetry` is the single object
-:class:`~repro.service.core.SchedulerService` feeds at every lifecycle
-edge — submit, admit, complete, reject, cancel, fail — and the single
-object the HTTP layer reads.  It owns:
+:class:`ServiceTelemetry` is the single object the service's lifecycle
+ledger (:meth:`repro.service.lifecycle.Ledger.transition`) feeds at
+every lifecycle edge — submit, admit, complete, reject, cancel, fail —
+and the single object the HTTP layer reads.  ``submitted`` counts every
+arrival the service answered, accepted or turned away, so per tenant
+and globally ``submitted == completed + cancelled + rejected + failed``
+plus the jobs still in flight.  It owns:
 
 * global windows — submitted/admitted/completed/rejected/cancelled/
   failed :class:`~repro.obs.live.window.RollingCounter` rates plus
@@ -113,7 +116,8 @@ class ServiceTelemetry:
         self.tenant(tenant).edges[name].inc()
 
     def record_submit(self, tenant: str) -> None:
-        """An arrival was accepted into the pending queue."""
+        """The service answered an arrival: accepted it into the pending
+        queue, or turned it away (then :meth:`record_reject` follows)."""
         self._edge(tenant, "submitted")
 
     def record_admit(self, tenant: str, wait_s: float) -> None:
@@ -131,7 +135,8 @@ class ServiceTelemetry:
         record.slo.observe(response_s)
 
     def record_reject(self, tenant: str) -> None:
-        """An arrival was turned away at admission control."""
+        """The arrival :meth:`record_submit` just counted was turned away
+        at admission control."""
         self._edge(tenant, "rejected")
 
     def record_cancel(self, tenant: str) -> None:

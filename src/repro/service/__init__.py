@@ -3,8 +3,11 @@
 Layers
 ------
 * :mod:`repro.service.core` — the threaded core: submit / status /
-  cancel / drain against a live circular scan, with mid-scan admission,
-  a bounded pending queue and per-tenant accounting.
+  cancel / drain against a live circular scan, with mid-scan admission
+  and a bounded pending queue.
+* :mod:`repro.service.lifecycle` — the job lifecycle as one transition
+  table; the ledger that books every move (entries, per-tenant
+  accounts, pending depth, telemetry, trace) and the books check.
 * :mod:`repro.service.asyncapi` — asyncio front-end over the core.
 * :mod:`repro.service.driver` — open-loop arrival driving (wall-clock
   and deterministic iteration replay).

@@ -9,6 +9,12 @@ drains and prints the per-tenant fairness and SLO reports.  With
 ``--linger SECONDS`` keeps the endpoints up after the drain so scrapers
 and the ``repro.obs top`` dashboard can observe the final state.
 
+Exit status 1 when the final books do not balance
+(:func:`repro.service.lifecycle.check_books`: accounts, telemetry, trace
+and the driver's own count of accepted / rejected arrivals tell one
+story and no accepted job is left live), so a zero exit means every
+accepted job reached a terminal state and was booked exactly once.
+
 Examples::
 
     python -m repro.service --jobs 12 --tenants 3 --time-scale 0.05
@@ -41,6 +47,7 @@ from .config import OVERLOAD_POLICIES, ServiceConfig
 from .core import SchedulerService
 from .driver import OpenLoopDriver
 from .http import ROUTES, start_http_server
+from .lifecycle import check_books
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -133,6 +140,7 @@ def main(argv: list[str] | None = None) -> int:
                                     time_scale=args.time_scale)
             report = driver.run()
             service.drain()
+            problems = check_books(service, report)
             snapshot = service.snapshot()
             fairness = service.fairness()
             slo_table = format_slo_table(service.slo_report())
@@ -159,7 +167,9 @@ def main(argv: list[str] | None = None) -> int:
         print(slo_table)
         if args.trace is not None:
             print(f"trace written to {args.trace}")
-    return 0
+    for problem in problems:
+        print(f"books do not balance: {problem}", file=sys.stderr)
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":

@@ -1,11 +1,10 @@
 """The long-running scheduler service: a live S3 shared scan behind an API.
 
-Everything before this package was batch-shaped — a pre-declared job
-list run to completion.  :class:`SchedulerService` inverts the control
-flow into a daemon: ``submit`` / ``status`` / ``cancel`` / ``drain``
-are first-class operations on a *running* scan, and a job submitted
-while an iteration is in flight joins the circular scan at the current
-segment pointer (the paper's mid-scan admission, Section IV-B).
+:class:`SchedulerService` is a daemon: ``submit`` / ``status`` /
+``cancel`` / ``drain`` are first-class operations on a *running* scan,
+and a job submitted while an iteration is in flight joins the circular
+scan at the current segment pointer (the paper's mid-scan admission,
+Section IV-B).
 
 Architecture (one paragraph): the service is the **live front-end** of
 the one shared-scan core, :class:`~repro.localrt.live.SharedScanCore`
@@ -14,35 +13,32 @@ SharedScanRunner`).  The core owns the scan — the
 :class:`~repro.schedulers.s3.scanloop.ScanLoop` the simulator
 validates, so admission, alignment and the per-iteration admission cap
 are literally that scheduler — plus the riders' run states, the map
-backend and the prefetcher.  The service keeps only what is a
-service's: the bounded pending queue, the tenant books, lifecycle and
-telemetry.  A single **core thread** (or ``step()``) drives iterations:
-it *plans* a wave under the condition variable (scheduling state), then
-*runs* it and *finishes* its scan-complete jobs outside the lock, so no
-public call blocks while a map wave or a reduce runs.
+backend and the prefetcher.  This module keeps the thread, the
+condition variable, the bounded pending queue's overload policy
+(``ServiceConfig.max_pending`` / ``overload_policy``) and the read-only
+reports; every job-state move and every book it touches goes through
+:meth:`repro.service.lifecycle.Ledger.transition`.  A single **core
+thread** (or ``step()``) drives iterations: it *plans* a wave under the
+condition variable (scheduling state), then *runs* it and *finishes*
+its scan-complete jobs outside the lock, so no public call blocks while
+a map wave or a reduce runs.  A fault on either driver takes the one
+``_core_failed_locked`` path: every live job ends ``CANCELLED``.
 
-Overload behaviour: accepted-but-unadmitted jobs form a bounded pending
-queue (``ServiceConfig.max_pending``).  Beyond the bound the service
-either rejects immediately or applies backpressure (``overload_policy``),
-counted per tenant and surfaced as ``service.reject`` events plus a
-live ``service.queue_depth.<tenant>`` gauge.
-
-Observability: ``service.submit`` / ``service.admit`` /
-``service.reject`` / ``service.cancel`` / ``service.complete`` instant
-events, ``s3.align`` events at mid-scan admissions (same shape the
-simulator emits), ``s3.iteration`` spans with per-wave ``io.wave``
-deltas from the core — so scan-sharing attribution and the trace
-analyzer work unchanged on service traces.
+Observability: the ledger's ``service.*`` lifecycle events, ``s3.align``
+events at mid-scan admissions (same shape the simulator emits) and
+``s3.iteration`` spans with per-wave ``io.wave`` deltas from the core —
+so scan-sharing attribution and the trace analyzer work unchanged on
+service traces.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from ..analysis.lockgraph import OrderedLock
-from ..analysis.racecheck import race_checked, register_instance
+from ..analysis.racecheck import register_instance
 from ..common.clock import Clock, monotonic_clock
 from ..common.errors import AdmissionRejected, ServiceError
 from ..localrt.api import BlockStoreProtocol, JobResult, LocalJob
@@ -53,8 +49,8 @@ from ..obs.live.telemetry import ServiceTelemetry
 from ..obs.metrics import MetricsRegistry
 from ..obs.runtime import resolve_tracer
 from ..obs.tracer import Tracer
-from ..schedulers.s3.state import S3JobState
 from .config import ServiceConfig
+from .lifecycle import Entry, Ledger
 from .records import (
     FairnessReport,
     JobStatus,
@@ -66,48 +62,10 @@ from .records import (
 #: Version of the :meth:`SchedulerService.snapshot` shape.  Bump on any
 #: key addition/removal/rename so ``/status`` consumers (dashboard,
 #: golden tests) detect drift instead of silently misreading.
-SNAPSHOT_SCHEMA_VERSION = 3
+SNAPSHOT_SCHEMA_VERSION = 4
 
 #: How long ``shutdown`` waits for the core thread.
 _JOIN_TIMEOUT_S = 30.0
-
-
-@race_checked(fields=("status", "admitted_at", "finished_at", "result",
-                      "error"),
-              guard="SchedulerService._cond")
-@dataclass
-class _Entry:
-    """Internal per-job record (ticket fields + live runtime state).
-
-    Mutable fields are guarded *cross-object* by the owning service's
-    ``_cond`` — a guard the per-class static pass cannot see, hence the
-    ``@race_checked`` instrumentation instead of ``# guarded-by``.
-    """
-
-    job: LocalJob
-    tenant: str
-    scan_state: S3JobState
-    status: JobStatus
-    submitted_at: float
-    admitted_at: float | None = None
-    finished_at: float | None = None
-    result: JobResult | None = None
-    error: str | None = None
-
-    def ticket(self) -> JobTicket:
-        return JobTicket(
-            job_id=self.job.job_id,
-            tenant=self.tenant,
-            status=self.status,
-            submitted_at=self.submitted_at,
-            admitted_at=self.admitted_at,
-            finished_at=self.finished_at,
-            start_block=self.scan_state.start_block,
-            covered_blocks=self.scan_state.covered,
-            total_blocks=self.scan_state.total_blocks,
-            result=self.result,
-            error=self.error,
-        )
 
 
 @dataclass
@@ -163,13 +121,13 @@ class SchedulerService:
         # format of the store's data (default: text lines).
         self._scan = SharedScanCore(store, self.config.execution,
                                     reader=reader, tracer=self.tracer)
-        self._entries: dict[str, _Entry] = {}  # guarded-by: _cond
-        self._accounts: dict[str, TenantAccount] = {}  # guarded-by: _cond
+        #: The lifecycle books; every job-state move is one
+        #: ``_ledger.transition`` call.
+        self._ledger = Ledger(  # guarded-by: _cond
+            self.telemetry, self.tracer, self.metrics,
+            max_pending=self.config.max_pending)
         self._scheduled: list[_Scheduled] = []  # guarded-by: _cond
         self._iteration = 0  # guarded-by: _cond
-        self._pending = 0  # guarded-by: _cond
-        #: The same count per tenant (tenants with none are absent).
-        self._pending_by_tenant: dict[str, int] = {}  # guarded-by: _cond
         self._running = False  # guarded-by: _cond
         self._stopping = False  # guarded-by: _cond
         self._draining = False  # guarded-by: _cond
@@ -180,8 +138,8 @@ class SchedulerService:
         self._thread: threading.Thread | None = None
         register_instance(
             self,
-            fields=("_scheduled", "_iteration", "_pending", "_running",
-                    "_stopping", "_draining", "_core_error"),
+            fields=("_scheduled", "_iteration", "_running", "_stopping",
+                    "_draining", "_core_error"),
             guard="SchedulerService._cond", label="SchedulerService")
 
     # ------------------------------------------------------------- lifecycle
@@ -247,8 +205,8 @@ class SchedulerService:
         with self._cond:
             self._ensure_accepting()
             if not self._await_capacity_locked():
-                depth = self._pending
-                self._reject_locked(job.job_id, tenant)
+                depth = self._ledger.pending
+                self._reject_locked(job, tenant, "pending queue full")
                 raise AdmissionRejected(
                     f"{job.job_id}: pending queue full "
                     f"({depth}/{self.config.max_pending}) under policy "
@@ -264,8 +222,11 @@ class SchedulerService:
         The deterministic open-loop mode: arrivals paced in iteration
         index instead of wall time, released by the core thread itself,
         so benchmarks and regression gates get bit-stable admission
-        patterns.  The overload bound still applies at release time
-        (a released job over the bound is recorded ``REJECTED``).
+        patterns.  An id that is already a job or already scheduled is
+        refused here, like a duplicate ``submit``.  The overload bound
+        still applies at release time: a released job over the bound (or
+        whose id was taken in the meantime) is booked as a rejection for
+        its tenant and creates no entry.
         """
         if at_iteration < 0:
             raise ServiceError(
@@ -273,6 +234,7 @@ class SchedulerService:
         tenant = tenant or self.config.default_tenant
         with self._cond:
             self._ensure_accepting()
+            self._refuse_duplicate_locked(job.job_id, scheduled=True)
             self._scheduled.append(_Scheduled(
                 at_iteration=at_iteration, job=job, tenant=tenant,
                 priority=priority))
@@ -290,53 +252,37 @@ class SchedulerService:
         already terminal.
         """
         with self._cond:
-            entry = self._entries.get(job_id)
+            entry = self._ledger.entries.get(job_id)
             if entry is None or entry.status.terminal:
                 return False
             if not self._scan.cancel(job_id):
                 # Scan finished; its reduce is imminent or in flight.
                 return False
-            was_pending = entry.status is JobStatus.PENDING
-            self._finish_locked(entry, JobStatus.CANCELLED,
-                                error="cancelled by client")
-            if was_pending:
-                self._move_pending_locked(entry.tenant, -1)
-            self.metrics.counter("service.cancel").inc()
-            self.tracer.event("service.cancel", subject=job_id,
-                              tenant=entry.tenant,
-                              was_pending=was_pending)
+            self._ledger.transition(entry, JobStatus.CANCELLED,
+                                    now=self._now(),
+                                    error="cancelled by client")
             self._cond.notify_all()
             return True
 
     def status(self, job_id: str) -> JobTicket:
         """Immutable snapshot of one job's lifecycle state."""
         with self._cond:
-            entry = self._entries.get(job_id)
-            if entry is None:
-                raise ServiceError(f"unknown job {job_id!r}")
-            return entry.ticket()
+            return self._entry_locked(job_id).ticket()
 
     def jobs(self) -> list[JobTicket]:
         """Snapshots of every job the service has accepted, in submit order."""
         with self._cond:
-            return [entry.ticket() for entry in self._entries.values()]
+            return self._ledger.tickets()
 
     def wait_for(self, job_id: str,
                  timeout: float | None = None) -> JobTicket:
         """Block until a job reaches a terminal state (or timeout)."""
-        deadline = (None if timeout is None
-                    else self._clock() + timeout)
         with self._cond:
-            while True:
-                entry = self._entries.get(job_id)
-                if entry is None:
-                    raise ServiceError(f"unknown job {job_id!r}")
-                if entry.status.terminal:
-                    return entry.ticket()
-                self._raise_if_dead_locked()
-                if not self._wait_locked(deadline):
-                    raise ServiceError(
-                        f"timed out waiting for job {job_id!r}")
+            entry = self._entry_locked(job_id)
+            if not self._wait_until_locked(
+                    lambda: entry.status.terminal, timeout):
+                raise ServiceError(f"timed out waiting for job {job_id!r}")
+            return entry.ticket()
 
     def drain(self, timeout: float | None = None) -> list[JobTicket]:
         """Complete all outstanding work, then return the final tickets.
@@ -346,31 +292,27 @@ class SchedulerService:
         admission — run to completion, so drain never strands a waiting
         entry.  Raises on timeout.
         """
-        deadline = (None if timeout is None
-                    else self._clock() + timeout)
         with self._cond:
             self._draining = True
             self._cond.notify_all()
             try:
-                while (self._scheduled
-                       or any(not e.status.terminal
-                              for e in self._entries.values())):
-                    self._raise_if_dead_locked()
-                    if not self._wait_locked(deadline):
-                        raise ServiceError("drain timed out")
-                return [entry.ticket() for entry in self._entries.values()]
+                if not self._wait_until_locked(
+                        lambda: not (self._scheduled or self._ledger.live()),
+                        timeout):
+                    raise ServiceError("drain timed out")
+                return self._ledger.tickets()
             finally:
                 self._draining = False
 
     def queue_depths(self) -> dict[str, int]:
         """Live pending-queue depth per tenant."""
         with self._cond:
-            return dict(self._pending_by_tenant)
+            return dict(self._ledger.pending_by_tenant)
 
     def fairness(self) -> FairnessReport:
         """Cross-tenant fairness summary (Jain index over ART)."""
         with self._cond:
-            return fairness_report(list(self._accounts.values()))
+            return fairness_report(list(self._ledger.accounts.values()))
 
     def readiness(self) -> dict[str, object]:
         """Live readiness verdict for the ``/readyz`` endpoint.
@@ -389,15 +331,14 @@ class SchedulerService:
                           and (self._thread is None
                                or self._thread.is_alive()))
             accepting = (core_alive and not self._draining)
-            bound = self.config.max_pending
-            overloaded = bound is not None and self._pending >= bound
+            overloaded = self._ledger.full
             return {
                 "ready": core_alive and accepting and not overloaded,
                 "core_alive": core_alive,
                 "accepting": accepting,
                 "overloaded": overloaded,
-                "queue_depth": self._pending,
-                "max_pending": bound,
+                "queue_depth": self._ledger.pending,
+                "max_pending": self.config.max_pending,
                 "draining": self._draining,
             }
 
@@ -439,7 +380,7 @@ class SchedulerService:
         """Snapshot of the per-tenant accounting records."""
         with self._cond:
             return {name: TenantAccount(**vars(acc))
-                    for name, acc in self._accounts.items()}
+                    for name, acc in self._ledger.accounts.items()}
 
     @property
     def iterations(self) -> int:
@@ -460,8 +401,10 @@ class SchedulerService:
         until it returns ``False`` (no work left).  Exactly the same
         scheduling and execution code paths as the threaded core; used
         by unit tests and the regression benchmark so admission patterns
-        and I/O counts are bit-stable.  Must not be mixed with a running
-        core thread.
+        and I/O counts are bit-stable — and the same failure path: a
+        fault kills the service as it kills the core thread (every live
+        job ``CANCELLED``), then re-raises.  Must not be mixed with a
+        running core thread.
         """
         with self._cond:
             if self._running:
@@ -469,11 +412,17 @@ class SchedulerService:
                     "step() drives the scan inline; it cannot be mixed "
                     "with a running core thread")
             self._raise_if_dead_locked()
-            self._release_scheduled_locked()
-            wave = self._plan_locked()
-            if wave is None:
-                return bool(self._scheduled) or self._scan.has_work()
-        self._execute_wave(wave)
+        try:
+            with self._cond:
+                self._release_scheduled_locked()
+                wave = self._plan_locked()
+                if wave is None:
+                    return bool(self._scheduled) or self._scan.has_work()
+            self._execute_wave(wave)
+        except BaseException as exc:
+            with self._cond:
+                self._core_failed_locked(exc)
+            raise
         return True
 
     # ------------------------------------------------------ internal helpers
@@ -494,106 +443,60 @@ class SchedulerService:
             raise ServiceError(
                 f"service core failed: {self._core_error!r}")
 
-    def _wait_locked(self, deadline: float | None) -> bool:
-        """Wait on the condition; False once ``deadline`` has passed."""
-        if deadline is None:
-            self._cond.wait(self.config.idle_poll_s)
-            return True
-        remaining = deadline - self._clock()
-        if remaining <= 0:
-            return False
-        self._cond.wait(min(remaining, self.config.idle_poll_s))
+    def _wait_until_locked(self, done: Callable[[], bool],
+                           timeout: float | None) -> bool:
+        """Wait on the condition until ``done()``; False once ``timeout``
+        has passed.  Raises if the core dies with ``done()`` still false.
+        """
+        deadline = None if timeout is None else self._clock() + timeout
+        while not done():
+            self._raise_if_dead_locked()
+            wait = self.config.idle_poll_s
+            if deadline is not None:
+                wait = min(wait, deadline - self._clock())
+                if wait <= 0:
+                    return False
+            self._cond.wait(wait)
         return True
-
-    def _account_locked(self, tenant: str) -> TenantAccount:
-        account = self._accounts.get(tenant)
-        if account is None:
-            account = TenantAccount(tenant=tenant)
-            self._accounts[tenant] = account
-        return account
 
     def _await_capacity_locked(self) -> bool:
         """True when the pending queue has room (blocking if configured)."""
-        bound = self.config.max_pending
-        if bound is None or self._pending < bound:
-            return True
-        if self.config.overload_policy != "block":
-            return False
-        deadline = self._clock() + self.config.block_timeout_s
-        while self._pending >= bound:
-            self._raise_if_dead_locked()
-            if not self._running or self._stopping:
-                return False
-            if not self._wait_locked(deadline):
-                return False
-        return True
+        ledger = self._ledger
+        if ledger.full and self.config.overload_policy == "block":
+            self._wait_until_locked(
+                lambda: (not ledger.full or not self._running
+                         or self._stopping),
+                self.config.block_timeout_s)
+        return not ledger.full
+
+    def _entry_locked(self, job_id: str) -> Entry:
+        entry = self._ledger.entries.get(job_id)
+        if entry is None:
+            raise ServiceError(f"unknown job {job_id!r}")
+        return entry
+
+    def _refuse_duplicate_locked(self, job_id: str, *,
+                                 scheduled: bool) -> None:
+        if job_id in self._ledger.entries or (scheduled and any(
+                item.job.job_id == job_id for item in self._scheduled)):
+            raise ServiceError(
+                f"duplicate job id {job_id!r}; ids are unique for the "
+                "lifetime of the service")
 
     def _accept_locked(self, job: LocalJob, tenant: str,
                        priority: int) -> str:
-        if job.job_id in self._entries:
-            raise ServiceError(
-                f"duplicate job id {job.job_id!r}; ids are unique for the "
-                "lifetime of the service")
+        self._refuse_duplicate_locked(job.job_id, scheduled=False)
         now = self._now()
         scan_state = self._scan.add_job(job, priority=priority, arrival=now)
-        self._entries[job.job_id] = _Entry(
-            job=job, tenant=tenant, scan_state=scan_state,
-            status=JobStatus.PENDING, submitted_at=now)
-        account = self._account_locked(tenant)
-        account.submitted += 1
-        account.in_flight += 1
-        self._move_pending_locked(tenant, +1)
-        self.metrics.counter("service.submit").inc()
-        self.telemetry.record_submit(tenant)
-        self.tracer.event("service.submit", subject=job.job_id,
-                          tenant=tenant, priority=priority,
-                          queue_depth=self._pending)
+        self._ledger.transition(None, JobStatus.PENDING, now=now, job=job,
+                                tenant=tenant, scan_state=scan_state,
+                                priority=priority)
         self._cond.notify_all()
         return job.job_id
 
-    def _reject_locked(self, job_id: str, tenant: str) -> None:
-        """Book one turned-away arrival — the only place a rejection is
-        recorded, so account, counter, telemetry and trace agree."""
-        account = self._account_locked(tenant)
-        account.submitted += 1
-        account.rejected += 1
-        self.metrics.counter("service.reject").inc()
-        self.telemetry.record_reject(tenant)
-        self.tracer.event("service.reject", subject=job_id, tenant=tenant,
-                          queue_depth=self._pending)
-
-    def _move_pending_locked(self, tenant: str, delta: int) -> None:
-        """The pending queue grew (accept) or shrank (admit, cancel or
-        abort while pending) by one of ``tenant``'s jobs."""
-        self._pending += delta
-        depth = self._pending_by_tenant.pop(tenant, 0) + delta
-        if depth:
-            self._pending_by_tenant[tenant] = depth
-        self.metrics.gauge(f"service.queue_depth.{tenant}").set(depth)
-
-    def _finish_locked(self, entry: _Entry, status: JobStatus, *,
-                       result: JobResult | None = None,
-                       error: str | None = None) -> None:
-        entry.status = status
-        entry.finished_at = self._now()
-        entry.result = result
-        entry.error = error
-        account = self._account_locked(entry.tenant)
-        account.in_flight -= 1
-        if status is JobStatus.DONE:
-            account.completed += 1
-            if entry.admitted_at is not None:
-                account.total_wait_s += entry.admitted_at - entry.submitted_at
-            account.total_response_s += (entry.finished_at
-                                         - entry.submitted_at)
-            self.telemetry.record_complete(
-                entry.tenant, entry.finished_at - entry.submitted_at)
-        elif status is JobStatus.CANCELLED:
-            account.cancelled += 1
-            self.telemetry.record_cancel(entry.tenant)
-        elif status is JobStatus.FAILED:
-            account.failed += 1
-            self.telemetry.record_fail(entry.tenant)
+    def _reject_locked(self, job: LocalJob, tenant: str, why: str) -> None:
+        self._ledger.transition(None, JobStatus.REJECTED, now=self._now(),
+                                job=job, tenant=tenant, error=why)
 
     # -------------------------------------------------------------- core loop
     def _run_core(self) -> None:
@@ -615,10 +518,14 @@ class SchedulerService:
                 self._execute_wave(wave)
         except BaseException as exc:  # the service must not die silently
             with self._cond:
-                self._core_error = exc
-                self._abort_live_locked(f"service core failed: {exc!r}")
-                self._running = False
-                self._cond.notify_all()
+                self._core_failed_locked(exc)
+
+    def _core_failed_locked(self, exc: BaseException) -> None:
+        """The one failure path of both drivers (thread and ``step``)."""
+        self._core_error = exc
+        self._abort_live_locked(f"service core failed: {exc!r}")
+        self._running = False
+        self._cond.notify_all()
 
     def _release_scheduled_locked(self) -> None:
         """Feed due iteration-paced arrivals through the admit path."""
@@ -636,10 +543,13 @@ class SchedulerService:
             return
         self._scheduled = [item for item in self._scheduled
                            if item.at_iteration > self._iteration]
-        bound = self.config.max_pending
         for item in due:
-            if bound is not None and self._pending >= bound:
-                self._reject_locked(item.job.job_id, item.tenant)
+            if item.job.job_id in self._ledger.entries:
+                # Taken by a direct submit since it was scheduled.
+                self._reject_locked(item.job, item.tenant, "duplicate job id")
+            elif self._ledger.full:
+                self._reject_locked(item.job, item.tenant,
+                                    "pending queue full")
             else:
                 self._accept_locked(item.job, item.tenant, item.priority)
 
@@ -656,19 +566,9 @@ class SchedulerService:
             return None
         now = self._now()
         for job_id in wave.admitted:
-            entry = self._entries[job_id]
-            entry.status = JobStatus.SCANNING
-            entry.admitted_at = now
-            account = self._account_locked(entry.tenant)
-            account.admitted += 1
-            self._move_pending_locked(entry.tenant, -1)
-            self.metrics.counter("service.admit").inc()
-            self.telemetry.record_admit(entry.tenant,
-                                        now - entry.submitted_at)
-            self.tracer.event("service.admit", subject=job_id,
-                              tenant=entry.tenant,
-                              start_block=wave.pointer,
-                              iteration=self._iteration)
+            self._ledger.transition(
+                self._ledger.entries[job_id], JobStatus.SCANNING, now=now,
+                start_block=wave.pointer, iteration=self._iteration)
             # Sub-job alignment, same event shape as the simulator: the
             # job's scan starts at the segment boundary the pointer sat on.
             self.tracer.event("s3.align", subject=job_id,
@@ -680,24 +580,20 @@ class SchedulerService:
         """Run one wave's map phase + finishing reduces (unlocked)."""
         self._scan.run(wave)
         with self._cond:
+            entries = self._ledger.entries
+            # A step-mode shutdown may have cancelled a rider meanwhile.
             finishing = [
-                (self._entries[state.job.job_id], state)
+                (entries[state.job.job_id], state)
                 for state in wave.finishing
-                if self._entries[state.job.job_id].status
-                is JobStatus.SCANNING]
+                if entries[state.job.job_id].status is JobStatus.SCANNING]
         # Reduce outside the lock: shuffle/sort/reduce is CPU work.
         results = [(entry, self._scan.finish(state, wave.index))
                    for entry, state in finishing]
         with self._cond:
             now = self._now()
             for entry, result in results:
-                self._finish_locked(entry, JobStatus.DONE, result=result)
-                self.metrics.counter("service.complete").inc()
-                self.tracer.event("service.complete",
-                                  subject=entry.job.job_id,
-                                  tenant=entry.tenant,
-                                  iteration=wave.index,
-                                  response_s=now - entry.submitted_at)
+                self._ledger.transition(entry, JobStatus.DONE, now=now,
+                                        result=result, iteration=wave.index)
             self._iteration += 1
             self._cond.notify_all()
 
@@ -708,16 +604,13 @@ class SchedulerService:
         (stranded) and the scan loop keeps no detached state —
         ``has_work()`` is false afterwards.
         """
-        for entry in self._entries.values():
-            if entry.status.terminal:
-                continue
-            was_pending = entry.status is JobStatus.PENDING
+        now = self._now()
+        for entry in self._ledger.live():
             self._scan.cancel(entry.job.job_id)
-            self._finish_locked(entry, JobStatus.CANCELLED, error=reason)
-            if was_pending:
-                self._move_pending_locked(entry.tenant, -1)
+            self._ledger.transition(entry, JobStatus.CANCELLED, now=now,
+                                    error=reason)
         for item in self._scheduled:
-            self._reject_locked(item.job.job_id, item.tenant)
+            self._reject_locked(item.job, item.tenant, reason)
         self._scheduled.clear()
 
     # --------------------------------------------------------------- reports
@@ -725,7 +618,7 @@ class SchedulerService:
         """(job_id, result) for every completed job, in submit order."""
         with self._cond:
             snapshot = [(job_id, entry.result)
-                        for job_id, entry in self._entries.items()
+                        for job_id, entry in self._ledger.entries.items()
                         if entry.result is not None]
         yield from snapshot
 
@@ -742,8 +635,9 @@ class SchedulerService:
                 "start_block": entry.scan_state.start_block,
                 "covered_blocks": entry.scan_state.covered,
                 "error": entry.error,
-            } for job_id, entry in self._entries.items()}
-            accounts = [acc.as_dict() for acc in self._accounts.values()]
+            } for job_id, entry in self._ledger.entries.items()}
+            accounts = [acc.as_dict()
+                        for acc in self._ledger.accounts.values()]
             iterations = self._iteration
         report = self.fairness()
         return {

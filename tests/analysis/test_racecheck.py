@@ -182,27 +182,33 @@ def test_detector_fires_on_unguarded_service_mutation(store):
     service = SchedulerService(store, ServiceConfig(
         execution=ExecutionConfig(blocks_per_segment=4)))
     service.submit(wordcount_job("wc", r"alpha"), tenant="t")
+    service.step()  # this thread has now written every target below
 
-    # Control: the same cross-thread mutation under the service's
-    # condition variable is legitimate and must not raise.
-    def guarded():
-        with service._cond:
-            service._pending += 1
-    in_thread(guarded)
+    # The lifecycle ledger's pending depth, an entry's status and a
+    # tenant account are all guarded cross-object by the service's
+    # condition variable.  Control: the same cross-thread mutation under
+    # it is legitimate and must not raise.
+    ledger = service._ledger
+    targets = [(ledger, "pending", "Ledger.pending"),
+               (ledger.accounts["t"], "submitted", "TenantAccount.submitted"),
+               (service, "_iteration", "SchedulerService._iteration")]
+    for obj, field, label in targets:
+        def bump(obj=obj, field=field, by=1):
+            setattr(obj, field, getattr(obj, field) + by)
 
-    with pytest.raises(RaceError) as excinfo:
-        def unguarded():
-            service._pending += 1
-        in_thread(unguarded, name="rogue")
-    message = str(excinfo.value)
-    assert "SchedulerService._pending" in message
-    assert "expected guard: SchedulerService._cond" in message
+        def guarded(bump=bump, by=1):
+            with service._cond:
+                bump(by=by)
+        in_thread(guarded)
 
-    # Undo the two injected increments so the service can still drain.
-    def repair():
-        with service._cond:
-            service._pending -= 2
-    in_thread(repair)
+        with pytest.raises(RaceError) as excinfo:
+            in_thread(bump, name="rogue")
+        message = str(excinfo.value)
+        assert label in message
+        assert "expected guard: SchedulerService._cond" in message
+
+        # Undo the two injected increments so the service can still drain.
+        in_thread(lambda guarded=guarded: guarded(by=-2))
     while service.step():
         pass
 

@@ -16,6 +16,8 @@ from repro.service.config import ServiceConfig
 from repro.service.core import SchedulerService
 from repro.service.records import JobStatus
 
+from .conftest import assert_books_balance
+
 
 def make_service(store, **kwargs):
     kwargs.setdefault("execution", ExecutionConfig(blocks_per_segment=4))
@@ -138,7 +140,7 @@ def test_overload_reject_policy(store):
     assert excinfo.value.queue_depth == 2
     accounts = service.accounts()
     assert accounts["t"].submitted == 3 and accounts["t"].rejected == 1
-    assert service.metrics.counter("service.reject").value == 1
+    assert service.telemetry.edges["rejected"].total() == 1
     # Rejected submissions leave no entry behind; the id is reusable.
     service.step()  # drain the pending queue into the scan
     service.submit(wordcount_job("c", r"c"), tenant="t")
@@ -170,22 +172,12 @@ def test_scheduled_arrival_over_bound_is_recorded_rejected(store):
     service.shutdown()
 
 
-def assert_rejections_booked_once(service, expected):
-    """Per tenant: account == telemetry window total; their sum == the
-    ``service.reject`` counter == the global window == the trace."""
-    accounts = service.accounts()
-    snapshot = service.snapshot()
-    windows = snapshot["telemetry"]["tenants"]
+def assert_rejections(service, expected):
+    """The accounts carry ``expected`` rejections per tenant, and every
+    other book (telemetry, trace, queue depths) agrees with them."""
     assert {tenant: account.rejected
-            for tenant, account in accounts.items()} == expected
-    for tenant, count in expected.items():
-        assert windows[tenant]["edges"]["rejected"]["total"] == count
-    total = sum(expected.values())
-    assert snapshot["telemetry"]["edges"]["rejected"]["total"] == total
-    assert snapshot["metrics"].get("service.reject", 0) == total
-    events = [e for e in service.tracer.events()
-              if e.name == "service.reject"]
-    assert len(events) == total
+            for tenant, account in service.accounts().items()} == expected
+    assert_books_balance(service)
 
 
 def traced_service(store, **kwargs):
@@ -201,7 +193,7 @@ def test_rejection_at_shutdown_is_booked_like_any_other(store):
     service.submit_at_iteration(wordcount_job("late", r"b"), 50, tenant="u")
     service.step()
     service.shutdown()
-    assert_rejections_booked_once(service, {"t": 0, "u": 1})
+    assert_rejections(service, {"t": 0, "u": 1})
     accounts = service.accounts()
     assert accounts["u"].submitted == 1 and accounts["u"].in_flight == 0
 
@@ -214,7 +206,7 @@ def test_rejection_at_release_and_at_submit_are_booked_alike(store):
     service.submit(wordcount_job("c", r"c"), tenant="t")
     with pytest.raises(AdmissionRejected):
         service.submit(wordcount_job("d", r"d"), tenant="t")
-    assert_rejections_booked_once(service, {"t": 1, "u": 1})
+    assert_rejections(service, {"t": 1, "u": 1})
     # A refused duplicate id is an error, not a submission: the books
     # still balance (submitted == every outcome + in flight).
     service.step()  # "c" joins the scan: the queue has room again
@@ -276,9 +268,13 @@ def test_metrics_and_events_emitted(store):
     service.submit(wordcount_job("wc", r"alpha"), tenant="t")
     run_to_completion(service)
     service.shutdown()
-    assert service.metrics.counter("service.submit").value == 1
-    assert service.metrics.counter("service.admit").value == 1
-    assert service.metrics.counter("service.complete").value == 1
+    edges = service.snapshot()["telemetry"]["edges"]
+    assert {name: edge["total"] for name, edge in edges.items()} == {
+        "submitted": 1, "admitted": 1, "completed": 1,
+        "rejected": 0, "cancelled": 0, "failed": 0}
+    # The registry keeps its gauges; the lifecycle counters are gone.
+    assert set(service.metrics.snapshot()) == {
+        "service.queue_depth.t", "service.slots_active"}
     assert service.metrics.gauge("service.queue_depth.t").value == 0
     names = {event.name for event in service.tracer.events()}
     assert {"service.submit", "service.admit", "service.complete",
