@@ -40,21 +40,21 @@ def fold_partial_aggregates(states: Sequence[JobRunState]) -> None:
     """Collapse each job's buffered shuffle state through its combiner.
 
     Only jobs with a combiner are folded (a combiner is exactly the promise
-    that partial aggregation is semantics-preserving).
+    that partial aggregation is semantics-preserving); what the combiner
+    returns is filed under the key it returns.
     """
     for state in states:
         combiner = state.job.combiner
         if combiner is None:
             continue
-        for partition, groups in state.partitions.items():
-            folded: dict[Hashable, list[Any]] = defaultdict(list)
-            for key, values in groups.items():
-                if len(values) <= 1:
-                    folded[key] = values
-                    continue
-                for out_key, out_value in combiner.reduce(key, values):
-                    folded[out_key].append(out_value)
-            state.partitions[partition] = folded
+        folded: defaultdict[Hashable, list[Any]] = defaultdict(list)
+        for key, values in state.groups.items():
+            if len(values) <= 1:
+                folded[key].extend(values)
+                continue
+            for out_key, out_value in combiner.reduce(key, values):
+                folded[out_key].append(out_value)
+        state.groups = folded
 
 
 @dataclass(frozen=True)

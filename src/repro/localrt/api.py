@@ -174,7 +174,8 @@ class BlockData(bytes):
         """Number of records in the block (== per-record reader count).
 
         Counted from the newline bytes directly (memoized) — no line
-        objects are allocated unless :meth:`lines` is also used.
+        objects are allocated unless :meth:`lines` is also used — or
+        taken from the :meth:`encoded` view when that was fetched first.
         """
         if self._line_count is None:
             count = self.count(b"\n")
@@ -207,15 +208,23 @@ class BlockData(bytes):
         as that view's dictionary is still the encoder's current one,
         and otherwise builds it and offers it to the table (which keeps
         it unless it is full, or the block is so wide that the encoder
-        gave it a dictionary of its own).
+        gave it a dictionary of its own).  The view carries the block's
+        record count, so after a table hit :meth:`line_count` is
+        answered without reading a byte of the block.
         """
         if self._encoded is None:
             encoder = tokens.ENCODER
+
+            def build() -> "tokens.EncodedBlock":
+                fresh = encoder.encode(self.token_counts())
+                fresh.lines = self.line_count()
+                return fresh
+
             self._encoded = self._through_table(
-                tokens.ENCODED_VIEW,
-                lambda: encoder.encode(self.token_counts()),
+                tokens.ENCODED_VIEW, build,
                 still_valid=lambda kept: encoder.is_current(kept, tick=True),
                 admit=lambda fresh: encoder.is_current(fresh, tick=False))
+            self._line_count = self._encoded.lines
         return self._encoded
 
     def memo(self, key: Hashable, compute: "Callable[[], Any]") -> Any:
@@ -346,9 +355,9 @@ DIGEST_TABLE_CAP = 1 << 16
 def _str_digest(key: str) -> int:
     """Java's ``String.hashCode`` folded to 31 bits.
 
-    Memoized: the shuffle partitions every absorbed record, and a scan's
-    keys repeat in every block and every job, so the per-character loop
-    runs once per distinct key instead of once per record.
+    Memoized: the reduce partitions each job's distinct keys, and a
+    scan's keys repeat in every job, so the per-character loop runs once
+    per distinct key per process instead of once per key per job.
     """
     digest = 0
     for ch in key:

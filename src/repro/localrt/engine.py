@@ -30,33 +30,28 @@ from .api import BlockData, BlockMapper, LocalJob, Record, default_partitioner
 from .counters import FRAMEWORK_GROUP, Counters, CounterUser
 from .records import RecordReader
 
-#: Intermediate store: partition -> key -> list of values.
-PartitionedOutput = dict[int, dict[Hashable, list[Any]]]
-
 
 @dataclass
 class JobRunState:
     """Mutable per-job accumulation across map tasks."""
 
     job: LocalJob
-    partitions: PartitionedOutput = field(default_factory=dict)
+    #: The shuffle, one table per job: key -> values in arrival order.
+    #: The partition is a function of the key alone, so the reduce
+    #: resolves it once per distinct key, not once per absorbed record.
+    groups: "defaultdict[Hashable, list[Any]]" = field(
+        default_factory=lambda: defaultdict(list))
     map_input_records: int = 0
     map_output_records: int = 0
     #: Job-level counters (framework built-ins + user counters).
     counters: Counters = field(default_factory=Counters)
 
-    def __post_init__(self) -> None:
-        for p in range(self.job.num_partitions):
-            self.partitions[p] = defaultdict(list)
-
     def absorb(self, records: list[Record]) -> None:
-        """Fold one map task's (possibly combined) output into the shuffle."""
+        """Append one map task's (possibly combined) output to the shuffle."""
         self.map_output_records += len(records)
-        partitions = self.partitions
-        num_partitions = self.job.num_partitions
+        groups = self.groups
         for key, value in records:
-            partitions[default_partitioner(key, num_partitions)][key].append(
-                value)
+            groups[key].append(value)
 
 
 def batch_mapper_for(job: LocalJob, reader: RecordReader,
@@ -237,18 +232,17 @@ def absorb_map_result(state: JobRunState, record_count: int,
 
 def count_pending_values(state: JobRunState) -> int:
     """Total values currently buffered in the shuffle (reduce input size)."""
-    return sum(len(values)
-               for partition in state.partitions.values()
-               for values in partition.values())
+    return sum(map(len, state.groups.values()))
 
 
 def run_reduce(state: JobRunState,
                tracer: Tracer | None = None) -> list[Record]:
     """Shuffle-sort-reduce: produce the job's final output, sorted by key.
 
-    Keys are processed in sorted order within each partition (Hadoop's
-    sort phase), partitions in index order.  An enabled ``tracer``
-    records the whole phase as one ``reduce.job`` span.
+    The distinct keys are partitioned (:func:`default_partitioner`, once
+    per key) and processed in sorted order within each partition
+    (Hadoop's sort phase), partitions in index order.  An enabled
+    ``tracer`` records the whole phase as one ``reduce.job`` span.
     """
     if tracer is not None and tracer.enabled:
         with tracer.span("reduce.job", subject=state.job.job_id):
@@ -261,10 +255,14 @@ def _run_reduce(state: JobRunState) -> list[Record]:
     if isinstance(reducer, CounterUser):
         reducer = copy.copy(reducer)
         reducer.attach_counters(state.counters)
+    groups = state.groups
+    num_partitions = state.job.num_partitions
+    buckets: list[list[Hashable]] = [[] for _ in range(num_partitions)]
+    for key in groups:
+        buckets[default_partitioner(key, num_partitions)].append(key)
     output: list[Record] = []
-    for partition in sorted(state.partitions):
-        groups = state.partitions[partition]
-        for key in sorted(groups, key=_sort_key):
+    for bucket in buckets:
+        for key in sorted(bucket, key=_sort_key):
             output.extend(reducer.reduce(key, groups[key]))
     state.counters.increment(FRAMEWORK_GROUP, "reduce_output_records",
                              len(output))

@@ -399,6 +399,19 @@ class AggregationBlockMapper(AggregationMapper, DelimitedBlockMapper):
     def map_block(self, data: bytes, base_offset: int,
                   ) -> tuple[int, list[Record], Counters | None]:
         block = data if isinstance(data, BlockData) else BlockData(data)
+        count, sums = block.memo(
+            ("flag_sums", self._delimiter_bytes, self.expected_fields),
+            lambda: self._flag_sums(block, base_offset))
+        return count, list(sums), None
+
+    def _flag_sums(self, block: BlockData, base_offset: int,
+                   ) -> tuple[int, tuple[Record, ...]]:
+        """The block's record count and its ``(flag, partial_sum)``
+        records: a function of the bytes and the reader contract alone
+        (``base_offset`` only words the error), so every aggregation
+        rider — in this wave or, through the store handle's
+        derived-view table, on a later lap — shares one per-line pass.
+        A malformed block raises instead, so it is never memoized."""
         delim = self._delimiter_bytes
         expected = self.expected_fields
         sums: dict[str, float] = {}
@@ -415,8 +428,7 @@ class AggregationBlockMapper(AggregationMapper, DelimitedBlockMapper):
             price = float(fields[_EXTENDEDPRICE_INDEX].decode("utf-8"))
             sums[flag] = sums.get(flag, 0.0) + price
             offset += len(line) + 1
-        outputs: list[Record] = [(flag, total) for flag, total in sums.items()]
-        return count, outputs, None
+        return count, tuple(sums.items())
 
 
 def aggregation_job(job_id: str, *, num_partitions: int = 2,

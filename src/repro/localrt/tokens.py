@@ -133,7 +133,10 @@ class EncodedBlock:
 
     ``words`` are the block's distinct words in first-occurrence order
     and ``counts`` their occurrence counts, two flat tuples; ``total``
-    is the block's token count.  ``gather(vector)`` is
+    is the block's token count and ``lines`` its record count, filled
+    in by :meth:`~repro.localrt.api.BlockData.encoded` — which knows the
+    bytes — before the view is shared, so a kept view answers for it too.
+    ``gather(vector)`` is
     ``tuple(vector[i] for i in ids)`` over the words' ids in
     ``dictionary``, built once per block (and the ids' one home: they
     are ``gather(range(len(dictionary.words)))``).  The view
@@ -142,7 +145,7 @@ class EncodedBlock:
     the block's, and there is no ``(word, count)`` tuple per word.
     """
 
-    __slots__ = ("dictionary", "words", "counts", "total", "gather")
+    __slots__ = ("dictionary", "words", "counts", "total", "lines", "gather")
 
     def __init__(self, dictionary: TokenDictionary, ids: tuple[int, ...],
                  counts: tuple[int, ...], total: int) -> None:
@@ -151,6 +154,7 @@ class EncodedBlock:
         self.words: tuple[str, ...] = self.gather(dictionary.words)
         self.counts = counts
         self.total = total
+        self.lines = 0
 
 
 class TokenEncoder:

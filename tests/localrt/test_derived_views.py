@@ -15,10 +15,16 @@ from repro.analysis.lockgraph import lock_order_graph
 from repro.common.config import ExecutionConfig, TraceConfig
 from repro.common.errors import ExecutionError
 from repro.localrt.api import BlockData
-from repro.localrt.jobs import selection_job, wordcount_job
+from repro.localrt.jobs import (
+    AggregationBlockMapper,
+    PatternWordCountBlock,
+    aggregation_job,
+    selection_job,
+    wordcount_job,
+)
 from repro.localrt.output import write_output
 from repro.localrt.parallel import BACKEND_NAMES
-from repro.localrt.records import DelimitedReader
+from repro.localrt.records import DelimitedReader, split_records
 from repro.localrt.runners import FifoLocalRunner, SharedScanRunner
 from repro.localrt.sharded import ShardedBlockStore
 from repro.localrt.storage import BlockStore
@@ -340,6 +346,65 @@ def test_table_and_encoder_locks_are_never_nested(tmp_path, monkeypatch):
     assert table not in graph.get(encoder, ())
 
 
+def test_warm_wordcount_lap_reads_no_byte_of_the_block(tmp_path, monkeypatch):
+    """The record count rides with the encoded view: on a warm handle
+    nothing counts the block's newlines again — the store read is still
+    issued and counted."""
+    store = BlockStore.create(tmp_path / "corpus", _lines(), 2_000)
+    counted = []
+    monkeypatch.setattr(
+        BlockData, "count",
+        lambda self, *args: counted.append(len(self))
+        or bytes.count(self, *args))
+    job = [wordcount_job("wc", ".*a$")]
+    cold = SharedScanRunner(store).run(job)
+    n = store.num_blocks
+    assert len(counted) == n  # once per block, on the miss
+    warm = SharedScanRunner(store).run(job)
+    assert len(counted) == n
+    assert warm.io.blocks_read == cold.io.blocks_read == n
+    assert warm.io.bytes_read == cold.io.bytes_read == store.total_bytes
+    assert warm.results["wc"].output == cold.results["wc"].output
+    assert warm.results["wc"].map_input_records \
+        == cold.results["wc"].map_input_records == len(_lines())
+    assert list(warm.results["wc"].counters) \
+        == list(cold.results["wc"].counters)
+    assert store.derived.stats()["hits"] == n  # one lookup per visit
+
+
+def test_encoded_view_carries_the_record_count(monkeypatch):
+    monkeypatch.setattr(tokens, "ENCODER", TokenEncoder())
+    views = DerivedViews()
+    corpus = (b"", b"\n", b"a", b"a\n", b"a\nb", b"a\nb\n", b"\n\n",
+              b"x\n\ny\n")  # tests/localrt/test_api.py's line-count corpus
+    for index, raw in enumerate(corpus):
+        records = len(split_records(raw.decode()))
+        assert BlockData(raw).bind(views, index).encoded().lines == records
+        warm = BlockData(raw).bind(views, index)
+        with monkeypatch.context() as uncountable:
+            uncountable.setattr(BlockData, "count", None)
+            assert warm.encoded().lines == warm.line_count() == records
+    assert views.stats()["hits"] == len(corpus)
+
+
+def test_empty_block_creates_no_counter_cell_cold_or_warm(monkeypatch):
+    monkeypatch.setattr(tokens, "ENCODER", TokenEncoder())
+    views = DerivedViews()
+    kernel = PatternWordCountBlock(".*")
+    for _visit in range(2):
+        count, outputs, counters = kernel.map_block(
+            BlockData(b"").bind(views, 0), 0)
+        assert (count, outputs, list(counters)) == (0, [], [])
+        # Blank records are records: the per-record path touches both
+        # cells once per record, creating them at zero.
+        count, outputs, counters = kernel.map_block(
+            BlockData(b"\n\n").bind(views, 1), 0)
+        assert (count, outputs) == (2, [])
+        assert counters.value("wordcount", "words_scanned") == 0
+        assert len(list(counters)) == 2
+    assert views.stats()["hits"] == 2
+
+
 # ------------------------------------------------------------- store handles
 
 def test_view_published_from_the_primary_is_served_after_shard_loss(tmp_path):
@@ -414,13 +479,19 @@ def test_invalid_utf8_block_raises_the_same_error_on_every_lap(tmp_path,
 
 # -------------------------------------------------------------- other kernels
 
+def _lineitem_rows(total_bytes=12_000):
+    return list(LineitemGenerator(seed=3).rows_for_bytes(total_bytes))
+
+
+LINEITEM_READER = DelimitedReader("|", len(LINEITEM_COLUMNS))
+FLAG_SUMS_VIEW = ("flag_sums", b"|", len(LINEITEM_COLUMNS))
+
+
 def test_selection_kernel_shares_its_structural_pass_across_laps(tmp_path):
-    rows = list(LineitemGenerator(seed=3).rows_for_bytes(12_000))
-    store = BlockStore.create(tmp_path / "lineitem", rows, 3_000)
-    reader = DelimitedReader("|", len(LINEITEM_COLUMNS))
+    store = BlockStore.create(tmp_path / "lineitem", _lineitem_rows(), 3_000)
     outputs = []
     for _lap in range(2):
-        report = SharedScanRunner(store, reader=reader).run(
+        report = SharedScanRunner(store, reader=LINEITEM_READER).run(
             [selection_job("lo", 10.0), selection_job("hi", 30.0)])
         outputs.append({job_id: result.output
                         for job_id, result in report.results.items()})
@@ -428,6 +499,98 @@ def test_selection_kernel_shares_its_structural_pass_across_laps(tmp_path):
     stats = store.derived.stats()
     assert stats["misses"] == stats["admitted"] == store.num_blocks
     assert stats["hits"] == store.num_blocks
+
+
+def test_aggregation_riders_share_one_per_line_pass(tmp_path, monkeypatch):
+    """Two ``agg`` riders in a wave, two laps: the per-line loop runs
+    once per block per store handle, and what each rider gets is a list
+    of its own."""
+    passes = []
+    original = AggregationBlockMapper._flag_sums
+    monkeypatch.setattr(
+        AggregationBlockMapper, "_flag_sums",
+        lambda self, block, offset: passes.append(offset)
+        or original(self, block, offset))
+    store = BlockStore.create(tmp_path / "lineitem", _lineitem_rows(), 3_000)
+    reference = FifoLocalRunner(
+        BlockStore(store.directory), reader=LINEITEM_READER).run(
+            [aggregation_job("ref", batched=False)]).results["ref"]
+    for lap in range(2):
+        report = SharedScanRunner(store, reader=LINEITEM_READER).run(
+            [aggregation_job("a"), aggregation_job("b"),
+             selection_job("lo", 10.0)])
+        assert len(passes) == store.num_blocks, lap
+        for job_id in "ab":
+            result = report.results[job_id]
+            assert repr(result.output) == repr(reference.output)
+            assert result.map_input_records == reference.map_input_records
+            assert result.map_output_records == reference.map_output_records
+            assert list(result.counters) == list(reference.counters)
+    assert passes == [store.block_offset(i) for i in range(store.num_blocks)]
+    stats = store.derived.stats()  # two views a block: quantities, flag sums
+    assert stats["misses"] == stats["admitted"] == 2 * store.num_blocks
+    assert stats["hits"] == 2 * store.num_blocks
+    kernel = AggregationBlockMapper()
+    block = BlockData(store.read_block_bytes(0)).bind(store.derived, 0)
+    first, second = (kernel.map_block(block, 0)[1] for _ in range(2))
+    assert first == second and first is not second
+    assert len(passes) == store.num_blocks  # served from the table
+
+
+def test_aggregation_view_is_served_after_shard_loss(tmp_path):
+    jobs = [aggregation_job("agg"), selection_job("lo", 10.0)]
+
+    def lap(store):
+        return SharedScanRunner(
+            store, ExecutionConfig(blocks_per_segment=3),
+            reader=LINEITEM_READER).run(jobs)
+
+    store = ShardedBlockStore.create(tmp_path / "sharded", _lineitem_rows(),
+                                     2_000, num_shards=3, replication=2)
+    n = store.num_blocks
+    first = lap(store)
+    assert store.derived.stats()["misses"] == 2 * n
+    store.fail_shard(0)
+    second = lap(store)
+    on_shard_0 = len(range(0, n, 3))
+    assert second.io.replica_fallback_reads == on_shard_0  # still counted
+    assert second.io.blocks_read == n
+    store.restore_shard(0)
+    third = lap(store)
+    assert third.io.replica_fallback_reads == 0
+    for job in jobs:
+        assert repr(first.results[job.job_id].output) \
+            == repr(second.results[job.job_id].output) \
+            == repr(third.results[job.job_id].output)
+    stats = store.derived.stats()
+    assert (stats["misses"], stats["hits"]) == (2 * n, 4 * n)
+    assert store.derived.lookup(0, FLAG_SUMS_VIEW) is not MISSING
+
+
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
+def test_malformed_block_raises_the_same_error_on_every_lap(tmp_path,
+                                                            backend):
+    directory = tmp_path / "lineitem"
+    BlockStore.create(directory, _lineitem_rows(), 3_000)
+    bad = directory / BlockStore.BLOCK_PATTERN.format(1)
+    good_row = bad.read_bytes().split(b"\n")[0]
+    bad.write_bytes(good_row + b"\n1|2|3\n")
+    store = BlockStore(directory)
+    config = ExecutionConfig(map_backend=backend, map_workers=2)
+    messages = []
+    for _lap in range(2):
+        with pytest.raises(ValueError) as raised:
+            with FifoLocalRunner(store, config,
+                                 reader=LINEITEM_READER) as runner:
+                runner.run([aggregation_job("a"), aggregation_job("b")])
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1] == (
+        f"malformed record at offset "
+        f"{store.block_offset(1) + len(good_row) + 1}: "
+        f"3 fields, expected {len(LINEITEM_COLUMNS)}")
+    assert store.derived.lookup(1, FLAG_SUMS_VIEW) is MISSING
+    if backend != "processes":  # a pool worker's table is its own
+        assert store.derived.lookup(0, FLAG_SUMS_VIEW) is not MISSING
 
 
 # ------------------------------------------------------------- observability

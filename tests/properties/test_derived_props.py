@@ -6,7 +6,9 @@ roll-over, non-admission and re-admission all happen mid-scan — a plan
 run on blocks bound to their store handle's table produces byte-identical
 part files, identical job counters and identical ``ReadStats`` (logical
 *and* physical) to the same plan on unbound blocks under the shipped
-caps, and to the per-record mappers, on every map backend.
+caps, and to the per-record mappers, on every map backend.  Two legs:
+wordcount riders on text (the encoded view, with its record count) and
+selection + aggregation riders on lineitem (the kernels' ``memo`` views).
 """
 
 import dataclasses
@@ -19,12 +21,14 @@ from hypothesis import strategies as st
 import repro.localrt.tokens as tokens
 from repro.common.config import ExecutionConfig
 from repro.localrt.api import BlockData
-from repro.localrt.jobs import wordcount_job
+from repro.localrt.jobs import aggregation_job, selection_job, wordcount_job
 from repro.localrt.output import write_output
 from repro.localrt.parallel import BACKEND_NAMES
+from repro.localrt.records import DelimitedReader
 from repro.localrt.runners import SharedScanRunner
 from repro.localrt.storage import BlockStore
 from repro.localrt.tokens import TokenEncoder
+from repro.workloads.tpch import LINEITEM_COLUMNS, LineitemGenerator
 
 WORDS = [stem + suffix for stem in ("th", "run", "eat", "app", "mot", "sad")
          for suffix in ("e", "ing", "ed", "le", "ion", "s", "")]
@@ -38,18 +42,21 @@ riders = st.lists(
     min_size=1, max_size=4)
 
 
-def _plan(store, backend, seg, laps, rider_set, batched, out_root):
-    """``laps`` back-to-back runs of one rider set on one store handle;
-    what each run let a caller observe."""
-    jobs = [wordcount_job(f"j{i}", pattern, use_combiner=combiner,
+def _wordcount_riders(rider_set, batched):
+    return [wordcount_job(f"j{i}", pattern, use_combiner=combiner,
                           batched=batched)
             for i, (pattern, combiner, _) in enumerate(rider_set)]
-    arrivals = {f"j{i}": arrival
-                for i, (_, _, arrival) in enumerate(rider_set)}
+
+
+def _plan(store, backend, seg, laps, jobs, rider_set, out_root, reader=None):
+    """``laps`` back-to-back runs of one rider set on one store handle;
+    what each run let a caller observe (floats as the part files spell
+    them, i.e. by ``repr``)."""
+    arrivals = {job.job_id: rider[-1] for job, rider in zip(jobs, rider_set)}
     config = ExecutionConfig(blocks_per_segment=seg, map_backend=backend,
                              map_workers=2)
     outputs, reads = [], []
-    with SharedScanRunner(store, config) as runner:
+    with SharedScanRunner(store, config, reader=reader) as runner:
         for lap in range(laps):
             report = runner.run(jobs, arrivals)
             parts = {}
@@ -58,7 +65,8 @@ def _plan(store, backend, seg, laps, rider_set, batched, out_root):
                                          out_root / f"lap{lap}" / job_id):
                     parts[job_id, path.name] = hashlib.sha256(
                         path.read_bytes()).hexdigest()
-            outputs.append((parts, {job_id: list(result.counters)
+            outputs.append((parts, {job_id: (repr(result.output),
+                                             list(result.counters))
                                     for job_id, result
                                     in report.results.items()}))
             reads.append(dataclasses.asdict(store.stats_snapshot()))
@@ -75,6 +83,21 @@ def test_table_changes_nothing_observable(tmp_path_factory, corpus,
                                           dictionary_cap, table_blocks):
     directory = tmp_path_factory.mktemp("derived-corpus")
     BlockStore.create(directory, corpus, block_size_bytes=block_size)
+    _assert_table_changes_nothing(
+        tmp_path_factory, directory, table_blocks * block_size,
+        {"TOKEN_DICTIONARY_CAP": dictionary_cap},
+        lambda store, backend, batched, out_root: _plan(
+            store, backend, seg, laps, _wordcount_riders(rider_set, batched),
+            rider_set, out_root))
+
+
+def _assert_table_changes_nothing(tmp_path_factory, directory, table_cap,
+                                  bound_caps, run_plan):
+    """``run_plan(store, backend, batched, out_root)`` on every backend,
+    three ways — unbound blocks under the shipped caps, blocks bound to
+    a table of ``table_cap`` bytes (and a fresh encoder, under
+    ``bound_caps``), per-record mappers — each on a store handle, hence
+    a table, of its own: outputs and reads must not differ."""
     outcomes = {}
     for backend in BACKEND_NAMES:
         for variant in ("unbound", "bound", "per-record"):
@@ -84,23 +107,61 @@ def test_table_changes_nothing_observable(tmp_path_factory, corpus,
                     patch.setattr(BlockData, "bind",
                                   lambda self, views, block: self)
                 elif variant == "bound":
-                    patch.setattr(tokens, "TOKEN_DICTIONARY_CAP",
-                                  dictionary_cap)
-                    patch.setattr(tokens, "DERIVED_VIEWS_CAP_BYTES",
-                                  table_blocks * block_size)
+                    for name, value in bound_caps.items():
+                        patch.setattr(tokens, name, value)
+                    patch.setattr(tokens, "DERIVED_VIEWS_CAP_BYTES", table_cap)
                     patch.setattr(tokens, "ENCODER", TokenEncoder())
-                store = BlockStore(directory)  # a handle, a table, of its own
-                outcomes[backend, variant] = _plan(
-                    store, backend, seg, laps, rider_set,
-                    variant != "per-record", out_root)
+                store = BlockStore(directory)
+                outcomes[backend, variant] = run_plan(
+                    store, backend, variant != "per-record", out_root)
                 if variant == "bound" and backend != "processes":
                     stats = store.derived.stats()
                     assert stats["hits"] + stats["misses"] > 0
-                    assert stats["charged_bytes"] <= table_blocks * block_size
-
+                    assert stats["charged_bytes"] <= table_cap
     reference_outputs, _ = outcomes["serial", "unbound"]
     for (backend, variant), (outputs, reads) in outcomes.items():
         assert outputs == reference_outputs, (backend, variant)
         # A pool worker's reads are never mmap-observed by the parent,
         # so ReadStats compare within a backend, field for field.
         assert reads == outcomes[backend, "unbound"][1], (backend, variant)
+
+
+LINEITEM_READER = DelimitedReader("|", len(LINEITEM_COLUMNS))
+
+#: ("sel", threshold, arrival) | ("agg", arrival): ``l_quantity`` is
+#: uniform on 1..50, so 51 selects every row and 2 almost none.
+lineitem_riders = st.lists(
+    st.one_of(st.tuples(st.just("sel"), st.sampled_from([2, 10, 25, 51]),
+                        st.integers(0, 6)),
+              st.tuples(st.just("agg"), st.integers(0, 6))),
+    min_size=1, max_size=4)
+
+
+def _lineitem_riders(rider_set, batched):
+    return [selection_job(f"j{i}", float(rider[1]), batched=batched)
+            if rider[0] == "sel" else aggregation_job(f"j{i}", batched=batched)
+            for i, rider in enumerate(rider_set)]
+
+
+@given(rows_seed=st.integers(0, 2**16), rows=st.integers(6, 36),
+       block_size=st.integers(300, 1500), seg=st.integers(1, 3),
+       laps=st.integers(1, 3), rider_set=lineitem_riders,
+       table_blocks=st.integers(1, 4))
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_table_changes_nothing_observable_on_lineitem(
+        tmp_path_factory, rows_seed, rows, block_size, seg, laps, rider_set,
+        table_blocks):
+    """Selection and aggregation riders: the structural pass and the
+    per-flag partial sums come from the table on a warm block, the rest
+    of the table's room goes to whichever view asked first, and a rider
+    that joins mid-file folds its float partials in the same rotated
+    order bound, unbound and per-record."""
+    directory = tmp_path_factory.mktemp("derived-lineitem")
+    BlockStore.create(directory, LineitemGenerator(seed=rows_seed).rows(rows),
+                      block_size_bytes=block_size)
+    _assert_table_changes_nothing(
+        tmp_path_factory, directory, table_blocks * block_size, {},
+        lambda store, backend, batched, out_root: _plan(
+            store, backend, seg, laps, _lineitem_riders(rider_set, batched),
+            rider_set, out_root, LINEITEM_READER))
