@@ -116,7 +116,8 @@ class BlockData(bytes):
     derivations — UTF-8 decode, line split, whitespace tokenization —
     happen at most once per block regardless of how many jobs share the
     scan.  Memoization is write-once per attribute and the derived
-    values are never mutated, so sharing across jobs is safe.
+    values are observably immutable (see :meth:`memo`), so sharing
+    across jobs is safe.
 
     The object itself lives for one wave.  The task body
     (:mod:`repro.localrt.parallel`) binds it (:meth:`bind`) to its store
@@ -236,10 +237,17 @@ class BlockData(bytes):
         kernel to meet the block computes, the rest reuse — in this
         wave and, on a bound block, on every later lap for as long as
         the table has room.  ``compute`` must be a pure function of the
-        block bytes and the key; the value must never be mutated (the
-        same object is handed to every job) and, because it outlives
-        the wave, must be compact and own what it holds: no view into
-        the block's bytes or into a larger intermediate.
+        block bytes and the key, and the value must be *observably
+        immutable* — the same object is handed to every job, on any
+        thread.  Either it is never mutated, or it is a table of
+        write-once slots, each filled with a value that is itself a
+        pure function of the bytes and the key
+        (:class:`~repro.localrt.tokens.RowTable`): readers can then
+        tell an empty slot from a full one, but never two different
+        answers.  Because it outlives the wave it must also be compact
+        (O(the block's bytes), whatever fills it) and own what it
+        holds: no view into the block's bytes or into a larger
+        intermediate.
         """
         cache = self._derived
         if cache is None:

@@ -299,17 +299,24 @@ class SelectionBlockMapper(SelectionMapper, DelimitedBlockMapper):
     the field-count contract for all lines at once, parses the
     ``l_quantity`` column as integers, and applies ``< threshold`` as an
     array mask.  Decode + split + tuple construction — the dominant
-    per-record cost — is paid only for *qualifying* rows, so low
-    selectivities scan at near-memory speed.  Blocks the vectorized
-    shape check rejects (malformed lines, non-integer quantities, no
-    numpy, trailing partial line) take a per-line scalar path that
-    reproduces the per-record reader's exact errors and results.
+    per-record cost — is paid only for *qualifying* rows, and only once
+    per row: the parsed record goes into the block's row table
+    (:class:`~repro.localrt.tokens.RowTable`, a ``memo`` view keyed by
+    the reader contract, never by the threshold), where every other
+    selection rider — in this wave or, through the store handle's
+    derived-view table, on a later lap — finds it.  A warm visit is a
+    mask, a ``flatnonzero`` and a gather.  Blocks the vectorized shape
+    check rejects (malformed lines, non-integer quantities, no numpy,
+    trailing partial line) take a per-line scalar path that reproduces
+    the per-record reader's exact errors and results, and shares rows
+    through the same table.
     """
 
     def __init__(self, threshold: float, *, delimiter: str = "|",
                  expected_fields: int | None = len(LINEITEM_COLUMNS)) -> None:
         SelectionMapper.__init__(self, threshold)
         DelimitedBlockMapper.__init__(self, delimiter, expected_fields)
+        self._rows_view = ("rows", self._delimiter_bytes, expected_fields)
 
     def map_block(self, data: bytes, base_offset: int,
                   ) -> tuple[int, list[Record], Counters | None]:
@@ -318,36 +325,77 @@ class SelectionBlockMapper(SelectionMapper, DelimitedBlockMapper):
         if columnar is None:
             return self._map_block_lines(block, base_offset)
         values, starts, ends = columnar
-        delimiter = self.delimiter
-        outputs: list[Record] = []
-        hits = values < self.threshold
-        for start, end in zip(starts[hits].tolist(), ends[hits].tolist()):
-            fields = tuple(block[start:end].decode("utf-8").split(delimiter))
-            row_key = (int(fields[_ORDERKEY_INDEX]),
-                       int(fields[_LINENUMBER_INDEX]))
-            outputs.append((row_key, fields))
-        return int(ends.size), outputs, None
+        count = int(ends.size)
+        table: tokens.RowTable = block.memo(
+            self._rows_view, lambda: tokens.RowTable(count, len(block)))
+        hits = _np.flatnonzero(values < self.threshold)
+        outputs: list[Record] = list(map(table.slots.__getitem__,
+                                         hits.tolist()))
+        if None in outputs:
+            missing = [position for position, record in enumerate(outputs)
+                       if record is None]
+            rows = hits[missing]
+            lines = [block[start:end] for start, end
+                     in zip(starts[rows].tolist(), ends[rows].tolist())]
+            parsed = list(map(self._row_record, lines))
+            table.keep(rows.tolist(), map(len, lines), parsed)
+            for position, record in zip(missing, parsed):
+                outputs[position] = record
+        return count, outputs, None
+
+    def _row_record(self, line: bytes) -> Record:
+        """The record every selection emits for the row ``line``: the
+        one place a row is decoded and split, reached only for a row
+        whose slot in the block's row table is empty."""
+        fields = tuple(line.decode("utf-8").split(self.delimiter))
+        return ((int(fields[_ORDERKEY_INDEX]),
+                 int(fields[_LINENUMBER_INDEX])), fields)
 
     def _map_block_lines(self, block: BlockData, base_offset: int,
                          ) -> tuple[int, list[Record], Counters | None]:
-        """Scalar per-line path (and error-reporting authority)."""
+        """Scalar per-line path (and error-reporting authority).
+
+        A row table is published only by a pass that raised nothing:
+        the block's first visitor fills a fresh one as it selects, so a
+        malformed block raises before there is anything to publish — on
+        every lap, in exactly the per-record reader's order."""
+        first_pass = None
+
+        def vouched() -> "tokens.RowTable":
+            nonlocal first_pass
+            table = tokens.RowTable(len(block.lines()), len(block))
+            first_pass = self._select_lines(block, base_offset, table)
+            return table
+
+        table = block.memo(self._rows_view, vouched)
+        if first_pass is not None:
+            return first_pass
+        return self._select_lines(block, base_offset, table)
+
+    def _select_lines(self, block: BlockData, base_offset: int,
+                      table: "tokens.RowTable",
+                      ) -> tuple[int, list[Record], Counters | None]:
         threshold = self.threshold
-        delimiter = self.delimiter
+        slots = table.slots
         outputs: list[Record] = []
+        parsed: list[tuple[int, int, Record]] = []
         offset = base_offset
         count = 0
-        for line in block.lines():
+        for row, line in enumerate(block.lines()):
             count += 1
             self._check_fields(line, offset)
             quantity = self._raw_field(line, _QUANTITY_INDEX)
             # Decode the tiny slice so numeric parsing is exactly the
             # per-record path's float(str), unicode digits and all.
             if float(quantity.decode("utf-8")) < threshold:
-                fields = tuple(line.decode("utf-8").split(delimiter))
-                row_key = (int(fields[_ORDERKEY_INDEX]),
-                           int(fields[_LINENUMBER_INDEX]))
-                outputs.append((row_key, fields))
+                record = slots[row]
+                if record is None:
+                    record = self._row_record(line)
+                    parsed.append((row, len(line), record))
+                outputs.append(record)
             offset += len(line) + 1
+        if parsed:
+            table.keep(*zip(*parsed))
         return count, outputs, None
 
 

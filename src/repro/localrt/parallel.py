@@ -25,8 +25,9 @@ Three backends implement the :class:`MapBackend` strategy:
   process boundary, so worker reads always hit disk and are charged to
   the logical *and* physical counters.  Nor is the parent's table of
   derived views (``store.derived``): each worker keeps one of its own
-  (:data:`_WORKER_VIEWS`), so a block is tokenised once per worker that
-  meets it, not once per lap.
+  (:data:`_WORKER_VIEWS`), so a block is tokenised — and a delimited
+  block's qualifying rows parsed — once per worker that meets it, not
+  once per lap.
 
 Backends are context managers; ``close()`` releases any pool.  Pools are
 created lazily on first use, so a closed backend can be reused.
@@ -255,9 +256,10 @@ def _collect_in_parent(store: BlockStoreProtocol, reader: RecordReader,
 
 
 #: A pool worker's derived views, keyed by block file: the parent's
-#: table cannot cross the pipe, so each worker keeps what it derived
-#: for as long as it lives — which is as long as its pool does.  Empty
-#: in every other process.
+#: table cannot cross the pipe, so each worker keeps what it derived —
+#: encoded blocks, structural passes, row tables (whose records travel
+#: back pickled, as copies) — for as long as it lives, which is as long
+#: as its pool does.  Empty in every other process.
 _WORKER_VIEWS = DerivedViews()
 
 

@@ -46,17 +46,25 @@ table one block too small for the file would evict every view just
 before its next use and hit never, while one that keeps what it first
 admitted hits on cap ÷ file size of its lookups.  Blocks are immutable
 once a store is created, so nothing else ever invalidates a view.
-Never kept: a block's decoded text, its ``Counter`` or its line list —
-each as large as the block or larger.
+One sizing rule: every view is O(its block's bytes) and is charged its
+block's raw length.  Never kept: a block's decoded text, its
+``Counter`` or its line list — each as large as the block or larger —
+nor all of a block's parsed rows, which weigh ten times their text: a
+:class:`RowTable` (the delimited kernels' shared parse, one write-once
+slot per record) keeps at most a fixed share of its block's row text
+(one part in :data:`ROW_TABLE_TEXT_DIVISOR`), and a row past it is
+parsed for the rider that asked, every time.
 
 Concurrency: the ``threads`` map backend encodes different blocks from
 several tasks at once.  Every mutation — id assignment, roll-over,
 verdict extension — happens under ``TokenEncoder._lock``, every table
-operation under that table's ``DerivedViews._lock``, and neither lock
-is ever taken while the other is held.  What leaves
+operation under that table's ``DerivedViews._lock``, every write to a
+row table under its ``RowTable._lock``, and none of the three is ever
+taken while another is held.  What leaves
 the lock is safe to read without it by construction: an id is never
-reassigned, and words and verdict vectors are append-only, so a gather
-at ids a block was handed stays valid while another task appends.  A
+reassigned, words and verdict vectors are append-only, so a gather
+at ids a block was handed stays valid while another task appends, and
+a row-table slot goes from ``None`` to a finished record once.  A
 forked child (a ``processes`` pool worker) starts with an encoder of
 its own: the parent's lock may be held by another thread at the fork.
 """
@@ -65,7 +73,7 @@ from __future__ import annotations
 
 import os
 from operator import itemgetter
-from typing import Any, Callable, Hashable, Mapping, Sequence
+from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 from ..analysis.lockgraph import OrderedLock
 from ..analysis.racecheck import register_instance
@@ -89,6 +97,16 @@ VERDICT_IDLE_BLOCKS = 64
 #: per cent of them — so each admitted view is charged its block's raw
 #: length and the sum is capped.
 DERIVED_VIEWS_CAP_BYTES = 1 << 26
+
+#: A :class:`RowTable` keeps parsed at most one part in this many of its
+#: block's bytes.  A parsed lineitem row — sixteen ``str``, the tuple
+#: holding them, the key pair — measures 1 228 bytes (``sys.getsizeof``,
+#: summed) for 124 bytes of text, ×9.9, so a full table weighs about
+#: 1.25 × its block plus one pointer per record, and the sizing rule
+#: above still describes it.  Measured, not configured: a selection up
+#: to 12 % wide shares every row it emits, a wider one parses the rest
+#: for itself.
+ROW_TABLE_TEXT_DIVISOR = 8
 
 #: What :meth:`DerivedViews.lookup` answers for a view it does not hold
 #: (``None`` is a value: a kernel memoises its rejection of a block).
@@ -275,6 +293,8 @@ class DerivedViews:
         #: (block, view) -> (value, bytes charged).
         self._views: dict[tuple[Hashable, Hashable],
                           tuple[Any, int]] = {}  # guarded-by: _lock
+        #: block -> views kept of it (what ``resident_blocks`` counts).
+        self._per_block: dict[Hashable, int] = {}  # guarded-by: _lock
         self._charged = 0  # guarded-by: _lock
         self._hits = 0  # guarded-by: _lock
         self._misses = 0  # guarded-by: _lock
@@ -288,10 +308,12 @@ class DerivedViews:
 
     def lookup(self, block: Hashable, view: Hashable,
                still_valid: Callable[[Any], bool] | None = None) -> Any:
-        """The kept ``view`` of ``block``, or :data:`MISSING`.
+        """The kept ``view`` of ``block``, or :data:`MISSING` — one lock
+        acquisition, unless there is a ``still_valid`` to ask.
 
-        ``still_valid(value)`` (called with no table lock held) can
-        retire what was found: a ``False`` drops *every* kept ``view``,
+        ``still_valid(value)`` (called with no table lock held, so the
+        answer is booked under a second acquisition) can retire what
+        was found: a ``False`` drops *every* kept ``view``,
         whichever block's — what made this one stale made them all —
         and the lookup counts as a miss.  (A fresh view another task
         published in between goes with them; its block's next visit
@@ -299,18 +321,25 @@ class DerivedViews:
         """
         with self._lock:
             held = self._views.get((block, view))
-        stale = (held is not None and still_valid is not None
-                 and not still_valid(held[0]))
-        with self._lock:
-            if held is None or stale:
+            if held is None:
                 self._misses += 1
-                if stale:
-                    for key in [key for key in self._views if key[1] == view]:
-                        self._charged -= self._views.pop(key)[1]
-                        self._invalidated += 1
                 return MISSING
-            self._hits += 1
-            return held[0]
+            if still_valid is None:
+                self._hits += 1
+                return held[0]
+        stale = not still_valid(held[0])
+        with self._lock:
+            if not stale:
+                self._hits += 1
+                return held[0]
+            self._misses += 1
+            for key in [key for key in self._views if key[1] == view]:
+                self._charged -= self._views.pop(key)[1]
+                self._invalidated += 1
+                self._per_block[key[0]] -= 1
+                if not self._per_block[key[0]]:
+                    del self._per_block[key[0]]
+            return MISSING
 
     def publish(self, block: Hashable, view: Hashable, value: Any,
                 nbytes: int) -> bool:
@@ -325,6 +354,7 @@ class DerivedViews:
                 self._refused_at_cap += 1
                 return False
             self._views[block, view] = (value, nbytes)
+            self._per_block[block] = self._per_block.get(block, 0) + 1
             self._charged += nbytes
             self._admitted += 1
             return True
@@ -339,9 +369,50 @@ class DerivedViews:
                 "admitted": self._admitted,
                 "refused_at_cap": self._refused_at_cap,
                 "invalidated": self._invalidated,
-                "resident_blocks": len({key[0] for key in self._views}),
+                "resident_blocks": len(self._per_block),
                 "charged_bytes": self._charged,
             }
+
+
+class RowTable:
+    """A delimited block's parsed records: one write-once slot each.
+
+    The derived view that is *filled by its readers*: ``slots[i]`` is
+    ``None`` until the first rider that emits record ``i`` parses it
+    and offers it (:meth:`keep`); from then on every rider — of any
+    parameters, in this wave or a later lap — takes that one immutable
+    record.  What a slot holds is a pure function of the block's bytes
+    and the view's key, so the table is observably immutable although
+    it fills over time, and reading ``slots`` needs no lock: a slot is
+    ``None`` or a finished record.  Writes and the budget sit under
+    ``_lock`` (a leaf: nothing is acquired while it is held), because
+    two runners sharing a store handle may fill one block's table at
+    once.  The budget is row *text*: at most
+    ``block_bytes // ROW_TABLE_TEXT_DIVISOR`` bytes of the block are
+    kept parsed, and a record past it is not kept — its next reader
+    parses it again, for itself.
+    """
+
+    def __init__(self, records: int, block_bytes: int) -> None:
+        self.slots: list[Any] = [None] * records
+        self._lock = OrderedLock("RowTable._lock")
+        self._room = block_bytes // ROW_TABLE_TEXT_DIVISOR  # guarded-by: _lock
+        register_instance(self, fields=("_room",), guard="RowTable._lock")
+
+    def keep(self, rows: Iterable[int], text_bytes: Iterable[int],
+             records: Iterable[Any]) -> None:
+        """Offer ``records``, each parsed from that many bytes of the
+        block, for the slots ``rows``: an empty slot takes its record
+        while the budget lasts (a slot another rider filled meanwhile
+        keeps what it has — an equal record, by construction)."""
+        slots = self.slots
+        with self._lock:
+            room = self._room
+            for row, size, record in zip(rows, text_bytes, records):
+                if size <= room and slots[row] is None:
+                    slots[row] = record
+                    room -= size
+            self._room = room
 
 
 #: The process's encoder: one per parent, one per pool worker, alive

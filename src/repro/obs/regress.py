@@ -261,6 +261,12 @@ DEFAULT_SPECS: dict[str, tuple[MetricSpec, ...]] = {
         MetricSpec("selection.blocks_read"),
         MetricSpec("selection.wave_jobs"),
         MetricSpec("selection.threshold"),
+        # The selection wave's second lap is served from the store
+        # handle's derived-view table (two views a block: the quantity
+        # column and the row table): lookups, not wall clock.
+        MetricSpec("selection.derived_hits"),
+        MetricSpec("selection.derived_misses"),
+        MetricSpec("selection.derived_admitted"),
     ),
     "bench_shard": (
         MetricSpec("checks.outputs_identical_fifo_s3"),

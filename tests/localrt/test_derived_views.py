@@ -2,6 +2,7 @@
 store handle, not once per lap — and nothing observable changes."""
 
 import dataclasses
+import functools
 import gc
 import hashlib
 import sys
@@ -10,14 +11,16 @@ import weakref
 
 import pytest
 
+import repro.localrt.jobs as jobs_module
 import repro.localrt.tokens as tokens
 from repro.analysis.lockgraph import lock_order_graph
 from repro.common.config import ExecutionConfig, TraceConfig
 from repro.common.errors import ExecutionError
-from repro.localrt.api import BlockData
+from repro.localrt.api import BlockData, Reducer
 from repro.localrt.jobs import (
     AggregationBlockMapper,
     PatternWordCountBlock,
+    SelectionBlockMapper,
     aggregation_job,
     selection_job,
     wordcount_job,
@@ -32,16 +35,37 @@ from repro.localrt.tokens import (
     ENCODED_VIEW,
     MISSING,
     DerivedViews,
+    RowTable,
     TokenEncoder,
 )
 from repro.workloads.text import TextCorpusGenerator
-from repro.workloads.tpch import LINEITEM_COLUMNS, LineitemGenerator
+from repro.workloads.tpch import (
+    LINEITEM_COLUMNS,
+    LineitemGenerator,
+    quantity_threshold_for_selectivity,
+)
 
 ZERO = {"hits": 0, "misses": 0, "admitted": 0, "refused_at_cap": 0,
         "invalidated": 0, "resident_blocks": 0, "charged_bytes": 0}
 
 
 # ------------------------------------------------------------------ the table
+
+def _run_interleaved(*targets):
+    """Run ``targets`` on a thread each under a switch interval short
+    enough to interleave them inside a critical section; all must end."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=target) for target in targets]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+
 
 def test_lookup_publish_and_the_books():
     views = DerivedViews()
@@ -97,6 +121,84 @@ def test_a_stale_view_takes_its_kind_with_it():
     assert views.lookup(1, "ids", lambda kept: True) == "fresh"
 
 
+def test_resident_blocks_is_kept_not_recounted():
+    """``stats()`` answers from a per-block count kept by ``publish``
+    and the stale sweep; it must equal what a walk over the views says."""
+    views = DerivedViews()
+
+    def recounted():
+        return len({block for block, _view in views._views})
+
+    for block in range(4):
+        views.publish(block, "ids", block, 10)
+        if block % 2:
+            views.publish(block, "shape", block, 10)
+        views.publish(block, "ids", "again", 10)  # a duplicate counts once
+        assert views.stats()["resident_blocks"] == recounted() == block + 1
+    views.lookup(0, "ids", lambda kept: False)  # blocks 0 and 2 held only ids
+    assert views.stats()["resident_blocks"] == recounted() == 2
+    views.lookup(1, "shape", lambda kept: False)
+    assert views.stats()["resident_blocks"] == recounted() == 0
+    views.publish(3, "ids", 3, 10)
+    assert views.stats()["resident_blocks"] == recounted() == 1
+
+
+class _CountingLock:
+    """Stands in for the table's lock and counts its acquisitions."""
+
+    def __init__(self):
+        self.acquisitions = 0
+        self.held = False
+
+    def __enter__(self):
+        self.acquisitions += 1
+        self.held = True
+
+    def __exit__(self, *exc_info):
+        self.held = False
+
+
+def test_lookup_takes_the_lock_once_unless_there_is_a_validity_to_ask():
+    views = DerivedViews()
+    views.publish(0, "v", "value", 10)
+    lock = views._lock = _CountingLock()
+    assert views.lookup(0, "v") == "value"
+    assert lock.acquisitions == 1  # a hit
+    assert views.lookup(1, "v") is MISSING
+    assert views.lookup(1, "v", lambda kept: True) is MISSING
+    assert lock.acquisitions == 3  # a miss, with or without a callback
+    asked = []
+    assert views.lookup(0, "v", lambda kept: asked.append(lock.held)
+                        or True) == "value"
+    assert asked == [False]  # the callback runs with no table lock held
+    assert lock.acquisitions == 5
+    assert (views.stats()["hits"], views.stats()["misses"]) == (2, 2)
+
+
+def test_row_table_slots_are_write_once_and_the_budget_is_exact():
+    """Four threads (more than cores, interleaved inside ``keep``) offer
+    overlapping rows of one block: a slot keeps the first record it
+    took, and the text kept lands exactly on the budget — a lost update
+    to the room, or a slot filled twice, would miss it."""
+    rows, text = 64, 10
+    table = RowTable(rows, 40 * text * tokens.ROW_TABLE_TEXT_DIVISOR)
+    start = threading.Barrier(4)
+    seen = [[] for _ in range(4)]
+
+    def work(k):
+        start.wait(timeout=10)
+        for round_ in range(200):
+            batch = [(k * 17 + round_ * 5 + step) % rows for step in range(3)]
+            table.keep(batch, [text] * 3, [(row, k, round_) for row in batch])
+            seen[k].extend((row, table.slots[row]) for row in batch)
+
+    _run_interleaved(*(functools.partial(work, k) for k in range(4)))
+    kept = [slot for slot in table.slots if slot is not None]
+    assert len(kept) == 40 and table._room == 0
+    for row, slot in (entry for log in seen for entry in log):
+        assert slot is None or (slot is table.slots[row] and slot[0] == row)
+
+
 def test_concurrent_tasks_keep_the_books_straight(monkeypatch):
     """Four threads (more than cores, a switch interval that interleaves
     them inside the table) look up and publish overlapping blocks at
@@ -119,17 +221,7 @@ def test_concurrent_tasks_keep_the_books_straight(monkeypatch):
             if views.stats()["charged_bytes"] > cap:
                 over_cap.append(block)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
+    _run_interleaved(*(functools.partial(work, k) for k in range(4)))
     stats = views.stats()
     assert not over_cap
     assert stats["hits"] + stats["misses"] == sum(lookups)
@@ -485,6 +577,7 @@ def _lineitem_rows(total_bytes=12_000):
 
 LINEITEM_READER = DelimitedReader("|", len(LINEITEM_COLUMNS))
 FLAG_SUMS_VIEW = ("flag_sums", b"|", len(LINEITEM_COLUMNS))
+ROWS_VIEW = ("rows", b"|", len(LINEITEM_COLUMNS))
 
 
 def test_selection_kernel_shares_its_structural_pass_across_laps(tmp_path):
@@ -496,9 +589,10 @@ def test_selection_kernel_shares_its_structural_pass_across_laps(tmp_path):
         outputs.append({job_id: result.output
                         for job_id, result in report.results.items()})
     assert outputs[0] == outputs[1]
-    stats = store.derived.stats()
-    assert stats["misses"] == stats["admitted"] == store.num_blocks
-    assert stats["hits"] == store.num_blocks
+    stats = store.derived.stats()  # two views a block: quantities, rows
+    assert stats["misses"] == stats["admitted"] == 2 * store.num_blocks
+    assert stats["hits"] == 2 * store.num_blocks
+    assert stats["resident_blocks"] == store.num_blocks
 
 
 def test_aggregation_riders_share_one_per_line_pass(tmp_path, monkeypatch):
@@ -527,9 +621,9 @@ def test_aggregation_riders_share_one_per_line_pass(tmp_path, monkeypatch):
             assert result.map_output_records == reference.map_output_records
             assert list(result.counters) == list(reference.counters)
     assert passes == [store.block_offset(i) for i in range(store.num_blocks)]
-    stats = store.derived.stats()  # two views a block: quantities, flag sums
-    assert stats["misses"] == stats["admitted"] == 2 * store.num_blocks
-    assert stats["hits"] == 2 * store.num_blocks
+    stats = store.derived.stats()  # three views a block: quantities,
+    assert stats["misses"] == stats["admitted"] == 3 * store.num_blocks
+    assert stats["hits"] == 3 * store.num_blocks  # rows, flag sums
     kernel = AggregationBlockMapper()
     block = BlockData(store.read_block_bytes(0)).bind(store.derived, 0)
     first, second = (kernel.map_block(block, 0)[1] for _ in range(2))
@@ -549,7 +643,7 @@ def test_aggregation_view_is_served_after_shard_loss(tmp_path):
                                      2_000, num_shards=3, replication=2)
     n = store.num_blocks
     first = lap(store)
-    assert store.derived.stats()["misses"] == 2 * n
+    assert store.derived.stats()["misses"] == 3 * n
     store.fail_shard(0)
     second = lap(store)
     on_shard_0 = len(range(0, n, 3))
@@ -563,13 +657,15 @@ def test_aggregation_view_is_served_after_shard_loss(tmp_path):
             == repr(second.results[job.job_id].output) \
             == repr(third.results[job.job_id].output)
     stats = store.derived.stats()
-    assert (stats["misses"], stats["hits"]) == (2 * n, 4 * n)
+    assert (stats["misses"], stats["hits"]) == (3 * n, 6 * n)
     assert store.derived.lookup(0, FLAG_SUMS_VIEW) is not MISSING
+    assert store.derived.lookup(0, ROWS_VIEW) is not MISSING
 
 
-@pytest.mark.parametrize("backend", BACKEND_NAMES)
-def test_malformed_block_raises_the_same_error_on_every_lap(tmp_path,
-                                                            backend):
+def _malformed_block_laps(tmp_path, backend, make_job, laps):
+    """A store whose block 1 has a good row, then one of three fields;
+    the message each of ``laps`` runs of two riders died with, and the
+    message the per-record reader words for that record."""
     directory = tmp_path / "lineitem"
     BlockStore.create(directory, _lineitem_rows(), 3_000)
     bad = directory / BlockStore.BLOCK_PATTERN.format(1)
@@ -578,19 +674,231 @@ def test_malformed_block_raises_the_same_error_on_every_lap(tmp_path,
     store = BlockStore(directory)
     config = ExecutionConfig(map_backend=backend, map_workers=2)
     messages = []
-    for _lap in range(2):
+    for _lap in range(laps):
         with pytest.raises(ValueError) as raised:
             with FifoLocalRunner(store, config,
                                  reader=LINEITEM_READER) as runner:
-                runner.run([aggregation_job("a"), aggregation_job("b")])
+                runner.run([make_job("a"), make_job("b")])
         messages.append(str(raised.value))
-    assert messages[0] == messages[1] == (
+    return store, messages, (
         f"malformed record at offset "
         f"{store.block_offset(1) + len(good_row) + 1}: "
         f"3 fields, expected {len(LINEITEM_COLUMNS)}")
+
+
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
+def test_malformed_block_raises_the_same_error_on_every_lap(tmp_path,
+                                                            backend):
+    store, messages, expected = _malformed_block_laps(
+        tmp_path, backend, aggregation_job, laps=2)
+    assert messages == [expected] * 2
     assert store.derived.lookup(1, FLAG_SUMS_VIEW) is MISSING
     if backend != "processes":  # a pool worker's table is its own
         assert store.derived.lookup(0, FLAG_SUMS_VIEW) is not MISSING
+
+
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
+def test_malformed_block_publishes_no_row_table(tmp_path, backend):
+    """The malformed block's first row parses fine and every rider
+    wants it — but a row table is published only by a pass that raised
+    nothing, so every lap dies on the reader's own words."""
+    store, messages, expected = _malformed_block_laps(
+        tmp_path, backend, lambda job_id: selection_job(job_id, 51.0),
+        laps=3)
+    assert messages == [expected] * 3
+    assert store.derived.lookup(1, ROWS_VIEW) is MISSING
+    if backend != "processes":
+        assert store.derived.lookup(0, ROWS_VIEW) is not MISSING
+
+
+# ------------------------------------------------------------- the row table
+
+_QUANTITY = LINEITEM_COLUMNS.index("l_quantity")
+BATCH_THRESHOLDS = [quantity_threshold_for_selectivity(share)
+                    for share in (0.02, 0.05, 0.10)] * 2
+
+
+def _spy_on_row_records(monkeypatch):
+    parsed = []
+    original = SelectionBlockMapper._row_record
+    monkeypatch.setattr(
+        SelectionBlockMapper, "_row_record",
+        lambda self, line: parsed.append(bytes(line))
+        or original(self, line))
+    return parsed
+
+
+def _qualifying(rows, threshold):
+    return [row for row in rows
+            if float(row.split("|")[_QUANTITY]) < threshold]
+
+
+@pytest.mark.parametrize("numpy", [True, False], ids=["columnar", "scalar"])
+@pytest.mark.parametrize("backend", ["serial", "threads"])
+def test_a_qualifying_row_is_parsed_once_per_store_handle(
+        tmp_path, monkeypatch, backend, numpy):
+    """``sel_batch``'s rider set — six selections (2/5/10 % twice) and
+    two aggregations, job *i* admitted at iteration *i* — for three
+    laps: the rows the widest threshold selects are parsed once each,
+    whichever rider met them first, and never again on that handle.
+    The scalar path (no numpy) shares through the same helper."""
+    if not numpy:
+        monkeypatch.setattr(jobs_module, "_np", None)
+    parsed = _spy_on_row_records(monkeypatch)
+    rows = _lineitem_rows(120_000)
+    store = BlockStore.create(tmp_path / "lineitem", rows, 40_000)
+    widest = _qualifying(rows, max(BATCH_THRESHOLDS))
+    for index in range(store.num_blocks):  # no block is past its budget
+        in_block = set(store.read_block(index).split("\n"))
+        assert sum(len(row) for row in widest if row in in_block) \
+            <= store.block_size_bytes(index) // tokens.ROW_TABLE_TEXT_DIVISOR
+    jobs = [selection_job(f"sel{i}", threshold)
+            for i, threshold in enumerate(BATCH_THRESHOLDS)]
+    jobs += [aggregation_job("agg0"), aggregation_job("agg1")]
+    arrivals = {job.job_id: i for i, job in enumerate(jobs)}
+    config = ExecutionConfig(blocks_per_segment=1, map_backend=backend,
+                             map_workers=2)
+
+    def three_laps(handle):
+        outputs = []
+        with SharedScanRunner(handle, config,
+                              reader=LINEITEM_READER) as runner:
+            for _lap in range(3):
+                report = runner.run(jobs, arrivals)
+                outputs.append({job_id: repr(result.output) for job_id, result
+                                in report.results.items()})
+        assert outputs[0] == outputs[1] == outputs[2]
+        return outputs[0]
+
+    first = three_laps(store)
+    assert sorted(parsed) == sorted(row.encode() for row in widest)
+    for threshold, job in zip(BATCH_THRESHOLDS, jobs):
+        assert first[job.job_id].count("((") == len(
+            _qualifying(rows, threshold))
+    second = three_laps(BlockStore(store.directory))
+    assert second == first
+    assert len(parsed) == 2 * len(widest)  # two handles share nothing
+
+
+def _deep_size(record):
+    key, fields = record
+    return sum(map(sys.getsizeof, (record, key, *key, fields, *fields)))
+
+
+def test_row_table_stops_keeping_at_its_budget(tmp_path):
+    """A rider that selects every row: each block's table keeps rows
+    while they fit in one eighth of the block's bytes, the kept
+    records weigh at most 1.5 x the block, what did not fit is parsed
+    for the asking rider alone — and the part files do not care."""
+    rows = _lineitem_rows(24_000)
+    store = BlockStore.create(tmp_path / "lineitem", rows, 6_000)
+    report = SharedScanRunner(store, reader=LINEITEM_READER).run(
+        [selection_job("all", 51.0), selection_job("again", 51.0)])
+    reference = FifoLocalRunner(
+        BlockStore(store.directory), reader=LINEITEM_READER).run(
+            [selection_job("all", 51.0, batched=False)])
+    expected = [path.read_bytes() for path in write_output(
+        reference.results["all"], tmp_path / "reference")]
+    for job_id in ("all", "again"):
+        result = report.results[job_id]
+        assert result.map_output_records == len(rows)
+        assert [path.read_bytes() for path in write_output(
+            result, tmp_path / job_id)] == expected
+    kept_rows = 0
+    for index in range(store.num_blocks):
+        block = store.read_block_bytes(index)
+        table = store.derived.lookup(index, ROWS_VIEW)
+        lines = block.split(b"\n")[:-1]
+        assert len(table.slots) == len(lines)
+        kept = [row for row, slot in enumerate(table.slots)
+                if slot is not None]
+        room = (len(block) // tokens.ROW_TABLE_TEXT_DIVISOR
+                - sum(len(lines[row]) for row in kept))
+        assert 0 < len(kept) < len(lines) and room >= 0
+        # First asked, first kept; like the table of views, what still
+        # fits is admitted, so no row left out would have fitted.
+        assert all(len(line) > room for row, line in enumerate(lines)
+                   if row not in kept)
+        assert sum(_deep_size(table.slots[row]) for row in kept) \
+            <= 1.5 * len(block)
+        kept_rows += len(kept)
+    # The two riders emit the *same* record for a kept row and a parse
+    # of their own for the rest.
+    shared = sum(mine[1] is theirs[1] for mine, theirs in zip(
+        report.results["all"].output, report.results["again"].output))
+    assert shared == kept_rows
+
+
+class _DrainingReducer(Reducer):
+    """Consumes ``values`` destructively, as a careless reducer might."""
+
+    def reduce(self, key, values):
+        while values:
+            yield (key, values.pop())
+
+
+def test_nobody_can_mutate_what_the_row_table_hands_out(tmp_path):
+    """The records are shared; the lists that carry them are not.  A
+    reducer that empties its ``values`` in place and a caller that
+    scribbles over ``JobResult.output`` leave the next job's answer —
+    served from the same table — what a fresh handle computes."""
+    store = BlockStore.create(tmp_path / "lineitem", _lineitem_rows(), 3_000)
+    reference = FifoLocalRunner(
+        BlockStore(store.directory), reader=LINEITEM_READER).run(
+            [selection_job("ref", 10.0, batched=False)]).results["ref"]
+    careless = selection_job("careless", 10.0)
+    careless.reducer = _DrainingReducer()
+    first = SharedScanRunner(store, reader=LINEITEM_READER).run(
+        [careless, selection_job("bystander", 10.0)])
+    assert first.results["bystander"].output == reference.output
+    scribbled = first.results["careless"].output
+    assert sorted(scribbled) == sorted(reference.output)
+    scribbled.reverse()
+    scribbled[0] = ("not", "a row")
+    del scribbled[1:]
+    with pytest.raises(TypeError):  # the records themselves are tuples
+        first.results["bystander"].output[0][1][0] = "0"
+    misses = store.derived.stats()["misses"]
+    later = SharedScanRunner(store, reader=LINEITEM_READER).run(
+        [selection_job("later", 10.0)]).results["later"]
+    assert store.derived.stats()["misses"] == misses  # all from the table
+    assert later.output == reference.output
+    assert later.map_output_records == reference.map_output_records
+
+
+def test_two_runners_on_one_handle_fill_one_table(tmp_path):
+    """Two runners sharing a store handle may map the same block at the
+    same moment (one wave never does): both get the per-record answer,
+    and the table's slots and budget stay whole — under
+    ``REPRO_RACECHECK=1`` a write to the room outside the table's lock
+    fails this test."""
+    rows = _lineitem_rows()
+    store = BlockStore.create(tmp_path / "lineitem", rows, 3_000)
+    reference = FifoLocalRunner(
+        BlockStore(store.directory), reader=LINEITEM_READER).run(
+            [selection_job("ref", 51.0, batched=False)]).results["ref"]
+    outputs = {}
+    start = threading.Barrier(2)
+
+    def scan(name):
+        start.wait(timeout=10)
+        config = ExecutionConfig(map_backend="threads", map_workers=2)
+        with SharedScanRunner(store, config,
+                              reader=LINEITEM_READER) as runner:
+            outputs[name] = runner.run(
+                [selection_job(name, 51.0)]).results[name].output
+
+    _run_interleaved(*(functools.partial(scan, name)
+                       for name in ("left", "right")))
+    assert outputs["left"] == outputs["right"] == reference.output
+    for index in range(store.num_blocks):
+        block = store.read_block_bytes(index)
+        lines = block.split(b"\n")[:-1]
+        table = store.derived.lookup(index, ROWS_VIEW)
+        kept_text = sum(len(line) for line, slot in zip(lines, table.slots)
+                        if slot is not None)
+        budget = len(block) // tokens.ROW_TABLE_TEXT_DIVISOR
+        assert kept_text == budget - table._room <= budget
 
 
 # ------------------------------------------------------------- observability

@@ -248,7 +248,8 @@ def test_memoised_columnar_value_owns_only_what_it_needs():
                    for order in range(1, 40))
     block = BlockData(rows.encode()).bind(views, 0)
     SelectionBlockMapper(5.0).map_block(block, 0)
-    (key, value), = block._derived.items()
+    (key, value), = ((key, value) for key, value in block._derived.items()
+                     if key[0] == "uint_column")  # the other: the row table
     assert views.lookup(0, key) is value
     assert len(value) == 3
     for array in value:

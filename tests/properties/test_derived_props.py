@@ -66,7 +66,9 @@ def _plan(store, backend, seg, laps, jobs, rider_set, out_root, reader=None):
                     parts[job_id, path.name] = hashlib.sha256(
                         path.read_bytes()).hexdigest()
             outputs.append((parts, {job_id: (repr(result.output),
-                                             list(result.counters))
+                                             list(result.counters),
+                                             result.map_input_records,
+                                             result.map_output_records)
                                     for job_id, result
                                     in report.results.items()}))
             reads.append(dataclasses.asdict(store.stats_snapshot()))
@@ -129,12 +131,16 @@ def _assert_table_changes_nothing(tmp_path_factory, directory, table_cap,
 LINEITEM_READER = DelimitedReader("|", len(LINEITEM_COLUMNS))
 
 #: ("sel", threshold, arrival) | ("agg", arrival): ``l_quantity`` is
-#: uniform on 1..50, so 51 selects every row and 2 almost none.
+#: uniform on 1..50, so 51 selects every row, 2 almost none and 0.5
+#: none.  The predicate is ``<``, so any two riders' row sets nest —
+#: drawn equal (six values, up to five riders), a quantity apart (10 /
+#: 10.5) or as unrelated as 0.5 and 51 look.
 lineitem_riders = st.lists(
-    st.one_of(st.tuples(st.just("sel"), st.sampled_from([2, 10, 25, 51]),
+    st.one_of(st.tuples(st.just("sel"),
+                        st.sampled_from([0.5, 2, 10, 10.5, 25, 51]),
                         st.integers(0, 6)),
               st.tuples(st.just("agg"), st.integers(0, 6))),
-    min_size=1, max_size=4)
+    min_size=1, max_size=5)
 
 
 def _lineitem_riders(rider_set, batched):
@@ -146,22 +152,27 @@ def _lineitem_riders(rider_set, batched):
 @given(rows_seed=st.integers(0, 2**16), rows=st.integers(6, 36),
        block_size=st.integers(300, 1500), seg=st.integers(1, 3),
        laps=st.integers(1, 3), rider_set=lineitem_riders,
-       table_blocks=st.integers(1, 4))
+       table_blocks=st.integers(1, 6),
+       row_divisor=st.sampled_from([1, 3, 8, 10_000]))
 @settings(max_examples=10, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_table_changes_nothing_observable_on_lineitem(
         tmp_path_factory, rows_seed, rows, block_size, seg, laps, rider_set,
-        table_blocks):
-    """Selection and aggregation riders: the structural pass and the
-    per-flag partial sums come from the table on a warm block, the rest
-    of the table's room goes to whichever view asked first, and a rider
-    that joins mid-file folds its float partials in the same rotated
-    order bound, unbound and per-record."""
+        table_blocks, row_divisor):
+    """Selection and aggregation riders: the structural pass, the
+    parsed rows and the per-flag partial sums come from the table on a
+    warm block, the rest of the table's room goes to whichever view
+    asked first, and a rider that joins mid-file folds its float
+    partials in the same rotated order bound, unbound and per-record.
+    A block holds two to a dozen rows, so ``row_divisor`` — the row
+    table's budget, as a divisor of the block — runs from every row
+    kept through a few and one to none."""
     directory = tmp_path_factory.mktemp("derived-lineitem")
     BlockStore.create(directory, LineitemGenerator(seed=rows_seed).rows(rows),
                       block_size_bytes=block_size)
     _assert_table_changes_nothing(
-        tmp_path_factory, directory, table_blocks * block_size, {},
+        tmp_path_factory, directory, table_blocks * block_size,
+        {"ROW_TABLE_TEXT_DIVISOR": row_divisor},
         lambda store, backend, batched, out_root: _plan(
             store, backend, seg, laps, _lineitem_riders(rider_set, batched),
             rider_set, out_root, LINEITEM_READER))
