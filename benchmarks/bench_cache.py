@@ -8,8 +8,8 @@ perf trajectory of the shared-scan I/O path is tracked across PRs:
   fits in cache.  Job 1 misses every block; jobs 2..n hit memory, so the
   demand hit ratio converges to ``(n-1)/n``.  The run asserts >= 90 %
   (12 jobs -> 91.7 % even before prefetching helps).
-* **shared_scan_prefetch** — one shared-scan batch under the serial map
-  backend, prefetch off vs on.  With read-ahead the next segment's
+* **shared_scan_prefetch** — one shared-scan batch, prefetch off vs
+  on.  With read-ahead the next segment's
   blocks load while the current segment's mappers run; the run asserts
   that outputs and logical read counters do not change and records the
   physical reads, prefetched blocks and hit ratio.  No wall clock is
@@ -90,7 +90,7 @@ def bench_fifo_rescan(corpus_bytes: int, block_size: int,
 
 def bench_shared_prefetch(corpus_bytes: int, block_size: int,
                           segment: int) -> dict:
-    """One shared-scan batch: prefetch off vs on (serial map backend)."""
+    """One shared-scan batch: prefetch off vs on."""
     arrivals = {"wc0": 0, "wc1": 1, "wc2": 2, "wc3": 4}
     with tempfile.TemporaryDirectory() as tmp:
         store = build_store(tmp, corpus_bytes, block_size)

@@ -141,7 +141,7 @@ def map_phase_mb_s(store: BlockStore, reader, make_jobs, *,
 
     ``make_jobs(batched)`` builds the wave; one pass reads every block's
     bytes and maps them (per-record jobs pay their one decode inside
-    ``collect_map_outputs``), exactly what the execution backends do.
+    ``collect_map_outputs``), exactly what the map wave does.
     Per-record and batched passes alternate within one process and the
     best of ``repetitions`` passes is kept per side, so machine-state
     swings (CPU frequency, cache pressure) hit both sides alike: raw

@@ -11,9 +11,7 @@ pattern-restricted wordcount jobs two ways:
    different iterations (staggered arrivals) and share each block read.
 
 Both runs produce byte-identical outputs; the S3 run reads a fraction of
-the bytes.  The shared-scan run is then repeated under each map execution
-backend (serial / threads / processes) to show the backend knob changes
-wall-clock only, never results, and finally with the block cache +
+the bytes.  The shared-scan run is then repeated with the block cache +
 read-ahead prefetcher enabled to show the logical/physical counter split
 (logical reads never change; physical disk reads shrink to the misses).
 The final (cached) run is traced: it writes ``wordcount.trace.json`` next
@@ -26,7 +24,6 @@ python examples/wordcount_shared_scan.py
 import tempfile
 from pathlib import Path
 
-from repro.common.clock import Stopwatch
 from repro.common.config import ExecutionConfig, TraceConfig
 from repro.localrt import (
     BlockStore,
@@ -34,7 +31,6 @@ from repro.localrt import (
     SharedScanRunner,
     wordcount_job,
 )
-from repro.localrt.parallel import BACKEND_NAMES
 from repro.workloads.text import TextCorpusGenerator
 
 #: The paper's modified-wordcount job family: one match pattern per job.
@@ -86,20 +82,6 @@ def main() -> None:
             print(f"{job_id:<10} (done @ iter {done:>2}) top words: {rendered}")
         print("\noutputs identical between FIFO and shared-scan runs ✓")
 
-        print("\nmap backend comparison (same shared scan, same outputs):")
-        reference = {j: shared.results[j].output for j in PATTERNS}
-        for backend in BACKEND_NAMES:
-            runner = SharedScanRunner(store, ExecutionConfig(
-                map_backend=backend, map_workers=4, blocks_per_segment=3))
-            watch = Stopwatch()
-            report = runner.run(make_jobs(), arrival_iterations=ARRIVALS)
-            elapsed = watch.elapsed()
-            assert all(report.results[j].output == reference[j]
-                       for j in PATTERNS), f"{backend} output mismatch"
-            print(f"  {backend:<10} {elapsed:6.2f}s "
-                  f"({report.bytes_read} bytes read)")
-        print("all backends bit-identical ✓ (speedups need multiple cores)")
-
         print("\nblock cache + read-ahead (logical vs physical reads):")
         trace_path = Path(__file__).with_name("wordcount.trace.json")
         cached_config = ExecutionConfig(
@@ -109,7 +91,7 @@ def main() -> None:
             trace=TraceConfig(enabled=True, path=str(trace_path)))
         cached = SharedScanRunner(store, cached_config).run(
             make_jobs(), arrival_iterations=ARRIVALS)
-        assert all(cached.results[j].output == reference[j]
+        assert all(cached.results[j].output == shared.results[j].output
                    for j in PATTERNS), "cache changed outputs"
         assert cached.blocks_read == shared.blocks_read, \
             "cache changed the logical counters"

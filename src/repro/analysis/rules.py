@@ -212,7 +212,7 @@ def check_rep003(tree: ast.Module,
                        f"write to ReadStats.{target.attr} outside "
                        "localrt/storage.py|counters.py breaks the "
                        "logical-vs-physical I/O accounting; use the "
-                       "BlockStore APIs (delegate_read, snapshot/delta)")
+                       "BlockStore APIs (read_block_bytes, snapshot/delta)")
 
 
 # ------------------------------------------------- REP004: blocking in lock

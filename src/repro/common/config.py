@@ -91,8 +91,8 @@ class DfsConfig:
             raise ConfigError("replication must be >= 1")
 
 
-#: Map-wave execution strategies of the local runtime
-#: (:mod:`repro.localrt.parallel`).
+#: Names ``ExecutionConfig.map_backend`` accepts; every one runs the
+#: in-process map wave (:mod:`repro.localrt.parallel`).
 MAP_BACKENDS = ("serial", "threads", "processes")
 
 #: On-disk trace encodings understood by :mod:`repro.obs.export`.
@@ -141,21 +141,18 @@ class ExecutionConfig:
     Attributes
     ----------
     map_backend:
-        ``"serial"`` (reference, single-threaded), ``"threads"`` (thread
-        pool: overlaps block I/O, but CPython's GIL serialises pure-Python
-        mapper CPU) or ``"processes"`` (process pool: true parallelism;
-        jobs and readers must be picklable).  All three are bit-identical
-        in output.
+        ``"serial"`` (the default), ``"threads"`` or ``"processes"``:
+        ``threads`` and ``processes`` are accepted for the fixed
+        benchmark definitions and run the in-process wave, and
+        ``map_workers`` is validated and ignored.
     map_workers:
-        Pool size for the ``threads``/``processes`` backends.  ``None``
-        means one worker per CPU core; ``serial`` always runs one.
+        ``None`` or >= 1 (see ``map_backend``).
     cache_capacity_bytes:
         When set, the runners attach a byte-bounded LRU
         :class:`~repro.localrt.cache.BlockCache` of this capacity to the
         block store, so repeat block visits are served from memory.
         ``None`` (the default) disables caching.  Logical read counters
-        are unaffected either way.  Note that the ``processes`` backend's
-        workers read in their own processes and bypass the parent cache.
+        are unaffected either way.
     prefetch_depth:
         When > 0, a read-ahead prefetcher warms upcoming blocks into the
         cache while the current map wave runs, never running more than

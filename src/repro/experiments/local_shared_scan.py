@@ -46,8 +46,8 @@ def run(num_jobs: int = 4, *, corpus_bytes: int = 400_000,
         execution: ExecutionConfig | None = None) -> ExperimentResult:
     """Run the real-data comparison; returns per-scheme I/O metrics.
 
-    ``execution`` optionally selects the map backend and the block-cache/
-    read-ahead knobs; neither changes the logical I/O metrics (the cache
+    ``execution`` optionally selects the block-cache / read-ahead
+    knobs; neither changes the logical I/O metrics (the cache
     changes only *physical* reads, reported separately when enabled).
     """
     if num_jobs <= 0:

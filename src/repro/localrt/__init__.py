@@ -38,12 +38,8 @@ from .jobs import (
 from .live import SharedScanCore
 from .output import SUCCESS_MARKER, read_output, write_output
 from .parallel import (
-    MapBackend,
     MapTaskSpec,
-    ProcessMapBackend,
     SerialMapBackend,
-    ThreadMapBackend,
-    backend_from_config,
     execute_map_wave,
     make_backend,
 )
@@ -61,9 +57,7 @@ __all__ = [
     "FRAMEWORK_GROUP", "Counters", "CounterUser",
     "JobRunState", "collect_map_outputs", "count_pending_values",
     "run_map_on_block", "run_reduce",
-    "MapBackend", "MapTaskSpec", "ProcessMapBackend", "SerialMapBackend",
-    "ThreadMapBackend", "backend_from_config", "execute_map_wave",
-    "make_backend",
+    "MapTaskSpec", "SerialMapBackend", "execute_map_wave", "make_backend",
     "AggregationBlockMapper", "AggregationMapper", "DelimitedBlockMapper",
     "PatternWordCount", "PatternWordCountBlock", "SelectionBlockMapper",
     "SelectionMapper", "aggregation_job", "selection_job", "wordcount_job",

@@ -30,8 +30,6 @@ from .counters import Counters
 from .records import RecordReader, TextLineReader
 
 if TYPE_CHECKING:  # pragma: no cover
-    import pathlib
-
     from ..obs.tracer import Tracer
     from .storage import ReadStats
 
@@ -45,7 +43,7 @@ class BlockStoreProtocol(Protocol):
 
     Both the single-directory :class:`~repro.localrt.storage.BlockStore`
     and the replicated :class:`~repro.localrt.sharded.ShardedBlockStore`
-    satisfy this protocol; runners, the prefetcher, the map backends and
+    satisfy this protocol; runners, the prefetcher, the map wave and
     the scheduler service are typed against it, so execution code never
     branches on the concrete store class.  The contract splits in four:
 
@@ -53,10 +51,8 @@ class BlockStoreProtocol(Protocol):
       offsets and replica locations, all fixed once the store is open;
     * **reads** — ``read_block_bytes`` (zero-copy; what every map wave
       reads) / ``read_block`` (its decoding shim) / ``iter_blocks``,
-      each charging one *logical* read; ``delegate_read``, which routes
-      and charges the same read but returns the block *file* for a pool
-      worker to open — a read is counted once, by the store that routed
-      it; plus advisory ``prefetch_block`` warming (physical only);
+      each charging one *logical* read, by the store that routed it;
+      plus advisory ``prefetch_block`` warming (physical only);
     * **accounting** — ``stats_snapshot`` / ``logical_blocks_read`` /
       ``reset_stats`` over one cumulative
       :class:`~repro.localrt.storage.ReadStats`;
@@ -88,8 +84,6 @@ class BlockStoreProtocol(Protocol):
     def read_block(self, index: int) -> str: ...
 
     def read_block_bytes(self, index: int) -> bytes: ...
-
-    def delegate_read(self, index: int) -> "pathlib.Path": ...
 
     def iter_blocks(self) -> Iterator[tuple[int, str]]: ...
 
@@ -144,7 +138,7 @@ class BlockData(bytes):
              block: Hashable) -> "BlockData":
         """Share this block's compact views through ``views``, where it
         is known as ``block`` (its index in the store the table belongs
-        to, or its file in a pool worker).  Returns ``self``."""
+        to).  Returns ``self``."""
         self._views = views
         self._block = block
         return self

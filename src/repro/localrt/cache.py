@@ -10,8 +10,8 @@ LRU bounded **by bytes**, because blocks are the unit of I/O and their
 sizes differ (the last block of a file is short).
 
 Thread safety: one lock guards the eviction list and the byte budget.
-``read_block`` may run concurrently from the thread map backend and from
-the read-ahead prefetcher (:mod:`repro.localrt.prefetch`), so every
+``read_block`` may run concurrently from two runners sharing a store and
+from the read-ahead prefetcher (:mod:`repro.localrt.prefetch`), so every
 public method takes the lock; racing loaders may both read the same
 block from disk, and the second insert simply refreshes the entry —
 accounting stays truthful (two physical reads happened).

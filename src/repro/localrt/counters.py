@@ -30,7 +30,8 @@ class Counters:
 
     def __getstate__(self) -> dict[str, dict[str, int]]:
         """Pickle as plain dicts: the defaultdict factories are lambdas,
-        and counters must cross the process-backend boundary."""
+        and a pickled :class:`~repro.localrt.api.JobResult` carries its
+        counters."""
         return {group: dict(names) for group, names in self._groups.items()}
 
     def __setstate__(self, state: dict[str, dict[str, int]]) -> None:

@@ -13,7 +13,7 @@ original *per-record* path: parse the block once with the
 :class:`~repro.localrt.records.RecordReader` and dispatch each record to
 each remaining mapper.  The two paths are observably identical —
 same record counts, post-combiner outputs, counters — which the
-property suite pins across all map backends.
+property suite pins.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ The paper has one Job Queue Manager — one circular pointer, one merged
 sub-job per iteration (Algorithm 1) — and so does the local runtime:
 :class:`SharedScanCore` owns the one
 :class:`~repro.schedulers.s3.scanloop.ScanLoop` over a store's blocks
-(the scheduler the simulator validates), the riders' run states, the
-map backend and the read-ahead prefetcher.  Two front-ends drive it:
+(the scheduler the simulator validates), the riders' run states and the
+read-ahead prefetcher.  Two front-ends drive it:
 
 * :class:`~repro.localrt.runners.SharedScanRunner` — a fixed job list
   with arrival iterations, a fresh core per ``run()``, no lock;
@@ -48,7 +48,7 @@ from ..schedulers.s3.scanloop import ScanLoop
 from ..schedulers.s3.state import S3JobState
 from .api import BlockStoreProtocol, JobResult, LocalJob
 from .engine import JobRunState, count_pending_values, run_reduce
-from .parallel import MapTaskSpec, backend_from_config, execute_map_wave
+from .parallel import MapTaskSpec, execute_map_wave
 from .prefetch import ReadAheadPrefetcher
 from .records import RecordReader, TextLineReader
 from .storage import ReadStats
@@ -104,8 +104,8 @@ class _LocalRunnerBase:
 
     # -------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Release owned resources (idempotent; subclasses that own a
-        map backend or a prefetcher release them here)."""
+        """Release owned resources (idempotent; a subclass that owns a
+        prefetcher releases it here)."""
 
     def __enter__(self) -> "_LocalRunnerBase":
         return self
@@ -188,8 +188,8 @@ class SharedScanCore(_LocalRunnerBase):
     """The S3 shared-scan loop over real data, one iteration at a time.
 
     Owns no lock (see the module docstring for which half of the surface
-    the caller must serialise).  The backend and the prefetcher live
-    until :meth:`close`; the core is a context manager.
+    the caller must serialise).  The prefetcher lives until
+    :meth:`close`; the core is a context manager.
     """
 
     _tracer_name = "shared-scan"
@@ -203,7 +203,6 @@ class SharedScanCore(_LocalRunnerBase):
                  reader: RecordReader | None = None,
                  tracer: Tracer | None = None) -> None:
         super().__init__(store, config, reader=reader, tracer=tracer)
-        self.backend = backend_from_config(self.config)
         self._loop = ScanLoop(_scan_file(store),
                               self.config.blocks_per_segment)
         #: Run state of every job waiting for or riding the scan.
@@ -302,7 +301,7 @@ class SharedScanCore(_LocalRunnerBase):
             if self._prefetcher is not None and wave.next_chunk is not None:
                 self._prefetcher.schedule(wave.next_chunk)
             execute_map_wave(self.store, self.reader, wave.tasks,
-                             backend=self.backend, tracer=self.tracer)
+                             tracer=self.tracer)
         if wave_before is not None:
             self._absorb_wave(label, wave_before)
 
@@ -324,9 +323,7 @@ class SharedScanCore(_LocalRunnerBase):
         )
 
     def close(self) -> None:
-        """Stop the prefetcher and release the backend (idempotent;
-        pools re-create lazily)."""
+        """Stop the prefetcher (idempotent)."""
         if self._prefetcher is not None:
             self._prefetcher.close()
             self._prefetcher = None
-        self.backend.close()

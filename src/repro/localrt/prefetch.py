@@ -4,8 +4,8 @@ The paper's partial-job initialization pipelines "prepare the next
 sub-job while the current one runs" (Section IV); the local-runtime
 analogue is warming segment *i+1*'s blocks into the block cache while
 segment *i*'s map tasks execute.  A single background thread performs
-the warming, so mapper CPU and block I/O overlap even under the serial
-map backend.
+the warming, so mapper CPU and block I/O overlap although the map
+wave itself runs in the calling thread.
 
 Pacing: the prefetcher never runs more than ``depth`` blocks ahead of
 the demand reads (measured against the store's logical ``blocks_read``

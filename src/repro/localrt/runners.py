@@ -20,11 +20,11 @@ shared-scan saving directly.
 
 Construction
 ------------
-Every knob — map backend, workers, cache, prefetch depth, segment size,
-tracing — lives on one :class:`~repro.common.config.ExecutionConfig`::
+Every knob — cache, prefetch depth, segment size, tracing — lives on
+one :class:`~repro.common.config.ExecutionConfig`::
 
     runner = SharedScanRunner(store, ExecutionConfig(
-        map_backend="threads", cache_capacity_bytes=1 << 20,
+        cache_capacity_bytes=1 << 20,
         prefetch_depth=2, blocks_per_segment=8,
         trace=TraceConfig(enabled=True, path="run.trace.json")))
 
@@ -50,18 +50,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import Callable, Mapping, Sequence
 
-from ..common.config import ExecutionConfig
 from ..common.errors import ExecutionError
 from ..obs.export import export_chrome, export_jsonl
 from ..obs.metrics import MetricsRegistry
-from ..obs.tracer import Tracer
-from .api import BlockStoreProtocol, JobResult, LocalJob
+from .api import JobResult, LocalJob
 from .counters import Counters
 from .engine import JobRunState, count_pending_values, run_reduce
 from .live import SharedScanCore, _LocalRunnerBase, _start_prefetcher
-from .parallel import MapTaskSpec, backend_from_config, execute_map_wave
+from .parallel import MapTaskSpec, execute_map_wave
 from .prefetch import ReadAheadPrefetcher
-from .records import RecordReader
 from .storage import ReadStats
 
 #: Hook invoked after each shared-scan iteration's map phase:
@@ -155,18 +152,6 @@ class FifoLocalRunner(_LocalRunnerBase):
 
     _tracer_name = "fifo"
 
-    def __init__(self, store: BlockStoreProtocol,
-                 config: ExecutionConfig | None = None, *,
-                 reader: RecordReader | None = None,
-                 tracer: Tracer | None = None) -> None:
-        super().__init__(store, config, reader=reader, tracer=tracer)
-        self.backend = backend_from_config(self.config)
-
-    def close(self) -> None:
-        """Release the map backend (idempotent; ``run()``'s ``finally``
-        does the same, so batch callers need not call it)."""
-        self.backend.close()
-
     def run(self, jobs: Sequence[LocalJob]) -> RunReport:
         _check_job_ids(jobs)
         before = self.store.stats_snapshot()
@@ -179,8 +164,6 @@ class FifoLocalRunner(_LocalRunnerBase):
         finally:
             if prefetcher is not None:
                 prefetcher.close()
-            # Pools re-create lazily, so closing keeps the runner reusable.
-            self.backend.close()
         io = self.store.stats_snapshot().delta(before)
         return _finish_trace(self, RunReport(
             results=results,
@@ -208,7 +191,7 @@ class FifoLocalRunner(_LocalRunnerBase):
             with self.tracer.span("fifo.job", subject=job.job_id,
                                   blocks=len(tasks)):
                 execute_map_wave(self.store, self.reader, tasks,
-                                 backend=self.backend, tracer=self.tracer)
+                                 tracer=self.tracer)
                 reduce_input = count_pending_values(state)
                 output = run_reduce(state, self.tracer)
             if job_before is not None:

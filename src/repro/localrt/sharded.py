@@ -15,10 +15,9 @@ Each shard directory is a plain :class:`~repro.localrt.storage.BlockStore`
 directory listing is its sorted global holdings).  Every read routes to
 the first *live* replica — primary first — and failure injection is just
 state: :meth:`ShardedBlockStore.fail_shard` marks a shard down in this
-handle's memory (nothing is written to disk; every read, a pool
-worker's included, is routed by the handle the runner holds — see
-:meth:`ShardedBlockStore.delegate_read`) and subsequent reads of its
-primaries fail over to replica shards, charging
+handle's memory (nothing is written to disk; every read is routed by
+the handle the runner holds) and subsequent reads of its primaries
+fail over to replica shards, charging
 ``replica_fallback_reads`` and emitting ``shard.failover`` events.
 Block files are never deleted — a "failed" shard is unavailable, not
 erased — and replicas are byte-identical, so job outputs are unchanged
@@ -66,7 +65,7 @@ class ShardedBlockStore:
     """A file stored as line-aligned blocks across N replica shards.
 
     Satisfies :class:`~repro.localrt.api.BlockStoreProtocol`: runners,
-    prefetcher, map backends and the scheduler service drive it exactly
+    prefetcher, map wave and the scheduler service drive it exactly
     like a single :class:`~repro.localrt.storage.BlockStore`, with two
     additions — placement (``block_locations`` returns real shard names,
     live replicas first) and failure injection (:meth:`fail_shard` /
@@ -351,17 +350,6 @@ class ShardedBlockStore:
         store, local, _shard, _fallback = self._serve(index)
         return store.prefetch_block(local)
 
-    def delegate_read(self, index: int) -> pathlib.Path:
-        """Route and count one read of block ``index`` exactly as
-        :meth:`read_block_bytes` would, returning the serving replica's
-        file for a pool worker to open — routing happens here, in the
-        process that holds the down set, so a worker needs no store and
-        a shard lost mid-scan re-routes on every backend alike."""
-        store, local, shard, fallback = self._serve(index)
-        path = store.delegate_read(local)
-        self._note_read(index, shard, fallback)
-        return path
-
     # ------------------------------------------------------------- accounting
     def stats_snapshot(self) -> ReadStats:
         """Field-wise sum of every shard's counters plus the facade's
@@ -386,8 +374,8 @@ class ShardedBlockStore:
             self._extra_stats.reset()
 
     def shard_blocks_read(self) -> tuple[int, ...]:
-        """Logical blocks served by each shard so far (delegated worker
-        reads included) — the read-balance table's raw data."""
+        """Logical blocks served by each shard so far — the
+        read-balance table's raw data."""
         return tuple(
             0 if store is None else store.stats_snapshot().blocks_read
             for store in self._shard_stores)

@@ -19,9 +19,8 @@ The counter model distinguishes two layers:
   logical ones; the gap (plus ``cache_hits``/``cache_misses``/
   ``cache_evictions``) quantifies what the cache saved.
 
-Every read is counted by the store that routed it: ``read_block_bytes``
-reads and counts; ``delegate_read`` counts and hands back the block file
-for a pool worker to open with :func:`read_block_file`.
+Every read is counted by the store that serves it, in
+``read_block_bytes``.
 """
 
 from __future__ import annotations
@@ -82,7 +81,7 @@ def read_block_file(path: pathlib.Path) -> tuple[bytes, bool]:
     copy; the bytes are materialized once so the mapping can be closed
     immediately) and falls back to a plain buffered read for anything
     unmappable — empty files, exotic filesystems.  Counts nothing: the
-    store that routed the read charges it.
+    caller charges it.
     """
     try:
         with open(path, "rb") as handle:
@@ -167,8 +166,8 @@ class BlockStore:
         self._blocks = sorted(self.directory.glob("block_*.dat"))
         if not self._blocks:
             raise ExecutionError(f"block store {self.directory} is empty")
-        #: Guards the read counters (read_block may be called from a
-        #: thread pool; see repro.localrt.parallel).  OrderedLock: with
+        #: Guards the read counters (the prefetcher's thread and two
+        #: runners sharing this handle read concurrently).  OrderedLock: with
         #: REPRO_LOCKCHECK=1 the acquisition order against the cache and
         #: prefetcher locks is recorded and cycles fail fast.
         self._stats_lock = OrderedLock("BlockStore._stats_lock")
@@ -331,24 +330,6 @@ class BlockStore:
             self.stats.blocks_read += 1
             self.stats.bytes_read += self._sizes[index]
         return data
-
-    def delegate_read(self, index: int) -> pathlib.Path:
-        """Count one read of block ``index``; return its file for a
-        pool worker to open with :func:`read_block_file`.
-
-        A worker cannot reach this store's counters (or its cache), so
-        the read is charged here — one logical and one physical at the
-        block's on-disk size, what a cache-less :meth:`read_block_bytes`
-        charges.
-        """
-        self._check(index)
-        size = self._sizes[index]
-        with self._stats_lock:
-            self.stats.blocks_read += 1
-            self.stats.bytes_read += size
-            self.stats.physical_blocks_read += 1
-            self.stats.physical_bytes_read += size
-        return self._blocks[index]
 
     def prefetch_block(self, index: int) -> bool:
         """Warm block ``index`` into the cache without logical accounting.

@@ -12,7 +12,7 @@ dense integer ids, so a block's token counts become an
 (dictionary, pattern) indexed by id.  A rider's map over a block is
 then a gather of that vector at the block's ids — no per-word Python
 loop, no per-job memo — and each vocabulary word is matched once per
-pattern per process, whichever job, wave or pool task meets it first.
+pattern per process, whichever job or wave meets it first.
 
 *Across time*, to jobs that never overlap: a :class:`DerivedViews` table
 — one per store handle, in memory, gone with the handle — keeps each
@@ -55,23 +55,21 @@ slot per record) keeps at most a fixed share of its block's row text
 (one part in :data:`ROW_TABLE_TEXT_DIVISOR`), and a row past it is
 parsed for the rider that asked, every time.
 
-Concurrency: the ``threads`` map backend encodes different blocks from
-several tasks at once.  Every mutation — id assignment, roll-over,
-verdict extension — happens under ``TokenEncoder._lock``, every table
-operation under that table's ``DerivedViews._lock``, every write to a
-row table under its ``RowTable._lock``, and none of the three is ever
-taken while another is held.  What leaves
-the lock is safe to read without it by construction: an id is never
-reassigned, words and verdict vectors are append-only, so a gather
-at ids a block was handed stays valid while another task appends, and
-a row-table slot goes from ``None`` to a finished record once.  A
-forked child (a ``processes`` pool worker) starts with an encoder of
-its own: the parent's lock may be held by another thread at the fork.
+Concurrency: a wave maps its blocks one by one, but two runners sharing
+a store handle (or two handles in one process) encode, look up and fill
+views at once.  Every mutation — id assignment, roll-over, verdict
+extension — happens under ``TokenEncoder._lock``, every table operation
+under that table's ``DerivedViews._lock``, every write to a row table
+under its ``RowTable._lock``, and none of the three is ever taken while
+another is held.  What leaves the lock is safe to read without it by
+construction: an id is never reassigned, words and verdict vectors are
+append-only, so a gather at ids a block was handed stays valid while
+another runner appends, and a row-table slot goes from ``None`` to a
+finished record once.
 """
 
 from __future__ import annotations
 
-import os
 from operator import itemgetter
 from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
@@ -89,7 +87,7 @@ VERDICT_PATTERNS_CAP = 256
 #: Blocks mapped since a verdict vector's last use before a full table
 #: may drop it for a new pattern.  A job riding a scan uses its vector on
 #: every block, so one that sat this many out belongs to no rider (a few
-#: blocks can be in flight at once on the ``threads`` backend).
+#: blocks can be in flight at once when runners share the encoder).
 VERDICT_IDLE_BLOCKS = 64
 
 #: Most block bytes one :class:`DerivedViews` table answers for.  Every
@@ -279,8 +277,7 @@ class TokenEncoder:
 class DerivedViews:
     """Compact derived views of a store's blocks, keyed ``(block, view)``.
 
-    One per store handle (``store.derived``; a ``processes`` pool worker
-    keeps one of its own, keyed by block file).  The task body binds
+    One per store handle (``store.derived``).  The task body binds
     each wave's :class:`~repro.localrt.api.BlockData` to it, and
     ``encoded()`` / ``memo()`` then :meth:`lookup` before they compute
     and :meth:`publish` after, so a view is derived once per block per
@@ -415,17 +412,6 @@ class RowTable:
             self._room = room
 
 
-#: The process's encoder: one per parent, one per pool worker, alive
-#: between tasks so a worker matches each word once, not once per task.
+#: The process's encoder, shared by every store handle and alive between
+#: waves, so each word is matched once per pattern, not once per wave.
 ENCODER = TokenEncoder()
-
-
-def _fresh_encoder_after_fork() -> None:
-    """A child must not inherit ``ENCODER``: another thread of the
-    parent may hold its lock, or be half-way through a mutation, at the
-    moment of the fork."""
-    global ENCODER
-    ENCODER = TokenEncoder()
-
-
-os.register_at_fork(after_in_child=_fresh_encoder_after_fork)

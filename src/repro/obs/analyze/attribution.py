@@ -5,8 +5,8 @@ The paper's core claim is that sharing one physical scan across n jobs
 removes redundant I/O.  The runtime records everything needed to verify
 that per job, per run:
 
-* each ``map.task`` span / ``map.task.remote`` instant carries the
-  ``job_ids`` that shared the block read;
+* each ``map.task`` span carries the ``job_ids`` that shared the block
+  read;
 * each ``io.wave`` instant carries the wave's
   :class:`~repro.localrt.storage.ReadStats` delta — logical blocks
   (scan work the schedule required) and *physical* blocks (actual trips
@@ -101,20 +101,11 @@ def _task_job_ids(span: SpanNode, wave: SpanNode) -> tuple[str, ...]:
     return ()
 
 
-def _wave_tasks(wave: SpanNode,
-                remote_tasks: Mapping[str, list[tuple[float, tuple[str, ...]]]],
-                ) -> list[tuple[str, ...]]:
-    """Participant tuples for every block-read task of ``wave``.
-
-    In-process backends record ``map.task`` spans (children of the
-    wave); the process backend records ``map.task.remote`` instants
-    instead, matched here by timestamp containment.
-    """
+def _wave_tasks(wave: SpanNode) -> list[tuple[str, ...]]:
+    """Participant tuples for every block-read task of ``wave`` (its
+    ``map.task`` spans)."""
     tasks = [_task_job_ids(span, wave) for span in wave.walk()
              if span.name == "map.task"]
-    for ts, job_ids in remote_tasks.get(wave.tracer, []):
-        if wave.contains(ts):
-            tasks.append(job_ids if job_ids else _task_job_ids(wave, wave))
     return [t for t in tasks if t]
 
 
@@ -128,13 +119,6 @@ def attribute_sharing(events: Sequence[Mapping[str, Any]],
     attributable tasks (no ``job_ids`` anywhere — e.g. a pre-PR-5 trace)
     yield a report with an empty job table rather than guessed numbers.
     """
-    remote_tasks: dict[str, list[tuple[float, tuple[str, ...]]]] = {}
-    for instant in instants_in(events, name="map.task.remote"):
-        raw = instant.get("args", {}).get("job_ids", [])
-        ids = tuple(str(j) for j in raw) if isinstance(raw, list) else ()
-        remote_tasks.setdefault(str(instant.get("tracer", "")), []) \
-                    .append((float(instant["ts"]), ids))
-
     reports = []
     for tracer in sorted(forest):
         roots = forest[tracer]
@@ -159,7 +143,7 @@ def attribute_sharing(events: Sequence[Mapping[str, Any]],
             wave = wave_spans.get(str(instant.get("subject", "")))
             if wave is None:
                 continue
-            tasks = _wave_tasks(wave, remote_tasks)
+            tasks = _wave_tasks(wave)
             if not tasks:
                 continue
             weights: dict[str, Fraction] = {}

@@ -85,10 +85,6 @@ class SpanNode:
             return tuple(str(j) for j in raw)
         return ()
 
-    def contains(self, ts: float) -> bool:
-        """Whether ``ts`` falls inside this span (inclusive, with slack)."""
-        return self.start - _EPS <= ts <= self.end + _EPS
-
 
 def _encloses(outer: SpanNode, inner: SpanNode) -> bool:
     return (outer.start - _EPS <= inner.start

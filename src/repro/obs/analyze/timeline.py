@@ -2,8 +2,8 @@
 
 The paper's S3 runs one merged sub-job per iteration and sizes segments
 to the map slots actually available, checked periodically (Section
-IV-D).  Locally the analogue of a "slot" is a map-backend lane (a worker
-thread, or the main thread under the serial backend); these functions
+IV-D).  Locally the analogue of a "slot" is a lane — the thread that
+recorded the ``map.task`` spans; these functions
 derive from the recorded ``map.task`` spans
 
 * a **slot-utilization time series** — what fraction of the observed

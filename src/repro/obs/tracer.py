@@ -15,8 +15,9 @@ Spans nest::
             ...
 
 Each thread keeps its own nesting depth, and a span's *lane* defaults to
-the recording thread's name, so concurrent map backends produce one
-well-formed stack per worker rather than an interleaved mess.
+the recording thread's name, so threads recording at once (two runners
+on one tracer, the prefetcher) produce one well-formed stack per thread
+rather than an interleaved mess.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ class ServiceConfig:
     Attributes
     ----------
     execution:
-        How iterations execute (map backend, cache, prefetch depth,
+        How iterations execute (cache, prefetch depth,
         ``blocks_per_segment`` — the scan-segment size of the live loop).
     max_pending:
         Bound on jobs accepted but not yet admitted into the scan

@@ -12,8 +12,8 @@ the one shared-scan core, :class:`~repro.localrt.live.SharedScanCore`
 SharedScanRunner`).  The core owns the scan — the
 :class:`~repro.schedulers.s3.scanloop.ScanLoop` the simulator
 validates, so admission, alignment and the per-iteration admission cap
-are literally that scheduler — plus the riders' run states, the map
-backend and the prefetcher.  This module keeps the thread, the
+are literally that scheduler — plus the riders' run states and the
+prefetcher.  This module keeps the thread, the
 condition variable, the bounded pending queue's overload policy
 (``ServiceConfig.max_pending`` / ``overload_policy``) and the read-only
 reports; every job-state move and every book it touches goes through

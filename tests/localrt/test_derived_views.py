@@ -14,7 +14,7 @@ import pytest
 import repro.localrt.jobs as jobs_module
 import repro.localrt.tokens as tokens
 from repro.analysis.lockgraph import lock_order_graph
-from repro.common.config import ExecutionConfig, TraceConfig
+from repro.common.config import MAP_BACKENDS, ExecutionConfig, TraceConfig
 from repro.common.errors import ExecutionError
 from repro.localrt.api import BlockData, Reducer
 from repro.localrt.jobs import (
@@ -26,7 +26,6 @@ from repro.localrt.jobs import (
     wordcount_job,
 )
 from repro.localrt.output import write_output
-from repro.localrt.parallel import BACKEND_NAMES
 from repro.localrt.records import DelimitedReader, split_records
 from repro.localrt.runners import FifoLocalRunner, SharedScanRunner
 from repro.localrt.sharded import ShardedBlockStore
@@ -380,7 +379,7 @@ def test_capped_table_keeps_the_first_k_blocks_it_met(tmp_path, monkeypatch):
         assert (kept is not MISSING) == (index < k)
 
 
-@pytest.mark.parametrize("backend", BACKEND_NAMES)
+@pytest.mark.parametrize("backend", MAP_BACKENDS)
 def test_roll_over_mid_scan_with_a_warm_table_changes_nothing_observable(
         tmp_path, monkeypatch, backend):
     """PR 17's roll-over test with the table in play: under three laps
@@ -415,9 +414,6 @@ def test_roll_over_mid_scan_with_a_warm_table_changes_nothing_observable(
 
     assert _three_laps(store, backend, tmp_path / "out",
                        roll_over) == reference
-    if backend == "processes":  # a pool worker's table is its own
-        assert store.derived.stats() == ZERO
-        return
     stats = store.derived.stats()
     assert stats["refused_at_cap"] > 0 and stats["invalidated"] > 0
     assert stats["hits"] > 4  # before the roll-over and after it
@@ -430,7 +426,7 @@ def test_table_and_encoder_locks_are_never_nested(tmp_path, monkeypatch):
     monkeypatch.setattr(tokens, "TOKEN_DICTIONARY_CAP", 100)  # rolls often
     monkeypatch.setattr(tokens, "ENCODER", TokenEncoder())
     store = BlockStore.create(tmp_path / "corpus", _lines(), 2_000)
-    _three_laps(store, "threads", tmp_path / "out")
+    _three_laps(store, "serial", tmp_path / "out")
     assert store.derived.stats()["invalidated"] > 0
     graph = lock_order_graph()
     table, encoder = "DerivedViews._lock", "TokenEncoder._lock"
@@ -549,7 +545,7 @@ def test_dropped_handle_takes_its_table_with_it(tmp_path):
     assert table() is None
 
 
-@pytest.mark.parametrize("backend", BACKEND_NAMES)
+@pytest.mark.parametrize("backend", MAP_BACKENDS)
 def test_invalid_utf8_block_raises_the_same_error_on_every_lap(tmp_path,
                                                                backend):
     directory = tmp_path / "corpus"
@@ -686,18 +682,17 @@ def _malformed_block_laps(tmp_path, backend, make_job, laps):
         f"3 fields, expected {len(LINEITEM_COLUMNS)}")
 
 
-@pytest.mark.parametrize("backend", BACKEND_NAMES)
+@pytest.mark.parametrize("backend", MAP_BACKENDS)
 def test_malformed_block_raises_the_same_error_on_every_lap(tmp_path,
                                                             backend):
     store, messages, expected = _malformed_block_laps(
         tmp_path, backend, aggregation_job, laps=2)
     assert messages == [expected] * 2
     assert store.derived.lookup(1, FLAG_SUMS_VIEW) is MISSING
-    if backend != "processes":  # a pool worker's table is its own
-        assert store.derived.lookup(0, FLAG_SUMS_VIEW) is not MISSING
+    assert store.derived.lookup(0, FLAG_SUMS_VIEW) is not MISSING
 
 
-@pytest.mark.parametrize("backend", BACKEND_NAMES)
+@pytest.mark.parametrize("backend", MAP_BACKENDS)
 def test_malformed_block_publishes_no_row_table(tmp_path, backend):
     """The malformed block's first row parses fine and every rider
     wants it — but a row table is published only by a pass that raised
@@ -707,8 +702,7 @@ def test_malformed_block_publishes_no_row_table(tmp_path, backend):
         laps=3)
     assert messages == [expected] * 3
     assert store.derived.lookup(1, ROWS_VIEW) is MISSING
-    if backend != "processes":
-        assert store.derived.lookup(0, ROWS_VIEW) is not MISSING
+    assert store.derived.lookup(0, ROWS_VIEW) is not MISSING
 
 
 # ------------------------------------------------------------- the row table
@@ -882,9 +876,7 @@ def test_two_runners_on_one_handle_fill_one_table(tmp_path):
 
     def scan(name):
         start.wait(timeout=10)
-        config = ExecutionConfig(map_backend="threads", map_workers=2)
-        with SharedScanRunner(store, config,
-                              reader=LINEITEM_READER) as runner:
+        with SharedScanRunner(store, reader=LINEITEM_READER) as runner:
             outputs[name] = runner.run(
                 [selection_job(name, 51.0)]).results[name].output
 

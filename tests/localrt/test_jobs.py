@@ -293,8 +293,8 @@ def test_second_job_with_same_pattern_matches_nothing_again():
 
 
 def test_wordcount_mapper_pickle_size_independent_of_blocks_mapped():
-    """The kernel keeps no per-job state that grows with the scan, so
-    shipping a job to a pool worker costs the same before and after."""
+    """The kernel keeps no per-job state that grows with the scan: a job
+    pickles to the same size before and after riding it."""
     mapper = PatternWordCountBlock("^w1.*")
     before = len(pickle.dumps(mapper))
     for block in range(20):

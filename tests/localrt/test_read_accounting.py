@@ -1,22 +1,19 @@
 """Every read is counted once, by the store that routed it.
 
-The in-process backends read through the store; the process backend has
-the store route and count the read (``delegate_read``) and a store-less
-worker open the file.  Either way ``RunReport.io`` must come out the
-same, field for field — and the same as the literals below, captured at
-the commit before ``delegate_read`` existed, when the process backend's
-workers read through private stores and the parent mirrored their reads
-back: the new path reproduces the old totals, it is not merely
-self-consistent.
+Every ``map_backend`` name reads through the runner's store handle, so
+``RunReport.io`` must come out the same under each, field for field —
+and the same as the literals below, captured before the map wave had
+one path, when pool workers read through private stores and the parent
+mirrored their reads back: the one path reproduces the old totals, it
+is not merely self-consistent.
 """
 
 import dataclasses
 
 import pytest
 
-from repro.common.config import ExecutionConfig
+from repro.common.config import MAP_BACKENDS, ExecutionConfig
 from repro.localrt.jobs import wordcount_job
-from repro.localrt.parallel import BACKEND_NAMES
 from repro.localrt.runners import SharedScanRunner
 from repro.localrt.sharded import ShardedBlockStore
 from repro.localrt.storage import BlockStore
@@ -25,10 +22,10 @@ from repro.workloads.text import TextCorpusGenerator
 PATTERNS = ["^th.*", ".*ing$", "^[aeiou].*"]
 ARRIVALS = {"wc1": 1, "wc2": 2}
 
-#: ``RunReport.io`` of the run below at the parent commit, identical on
-#: all three backends there — except ``mmap_blocks_read``, which only an
-#: in-process read can observe (16 in-process, 0 on ``processes``, then
-#: as now) and is therefore left out of the comparison.
+#: ``RunReport.io`` of the run below when it was captured, identical
+#: on all three names then — except ``mmap_blocks_read``, which a pool
+#: worker's read could not report, so it is checked on its own: every
+#: read is a mapped read.
 PARENT_IO = {
     "single": dict(
         blocks_read=16, bytes_read=64193, physical_blocks_read=16,
@@ -63,7 +60,7 @@ def test_io_identical_across_backends_and_to_parent(tmp_path, lines, kind,
     """serial / threads / processes × {single; 4-shard R=2 with shard 0
     lost after iteration 1}, no cache."""
     balances = {}
-    for backend in BACKEND_NAMES:
+    for backend in MAP_BACKENDS:
         store = _make_store(kind, tmp_path / backend, lines)
 
         def lose_shard(iteration, run_states, store=store):
@@ -80,7 +77,7 @@ def test_io_identical_across_backends_and_to_parent(tmp_path, lines, kind,
         io = dataclasses.asdict(report.io)
         mapped = io.pop("mmap_blocks_read")
         assert io == PARENT_IO[kind], backend
-        assert mapped == (0 if backend == "processes" else io["blocks_read"])
+        assert mapped == io["blocks_read"], backend
         if kind == "sharded":
             balances[backend] = store.shard_blocks_read()
     if kind == "sharded":

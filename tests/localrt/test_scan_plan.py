@@ -6,7 +6,7 @@ as literals so the one core that replaced it is checked against what the
 deleted code did, not against itself.  Each schedule runs through the
 batch front-end (``SharedScanRunner.run`` with ``on_iteration_end``) and
 the live one (a step-mode ``SchedulerService`` fed by
-``submit_at_iteration``) on every map backend.
+``submit_at_iteration``) under every ``map_backend`` name.
 
 The store has 10 blocks of 128 bytes.  With a fixed segment grid every
 admission happens at a segment boundary, so a job can never end inside a
@@ -17,9 +17,8 @@ last, while a later joiner rides on — is the closest reachable case.
 
 import pytest
 
-from repro.common.config import ExecutionConfig
+from repro.common.config import MAP_BACKENDS, ExecutionConfig
 from repro.localrt.jobs import wordcount_job
-from repro.localrt.parallel import BACKEND_NAMES
 from repro.localrt.runners import SharedScanRunner
 from repro.localrt.storage import BlockStore
 from repro.obs import Tracer
@@ -102,13 +101,12 @@ def store(tmp_path):
 def traced_steps(tracer):
     """(iteration, pointer, blocks, riders) of every ``s3.iteration`` span,
     checking on the way that each block of the wave had every rider (a
-    span is recorded when it closes, so a wave's per-block events —
-    ``map.task`` spans, ``map.task.remote`` instants under processes —
+    span is recorded when it closes, so a wave's ``map.task`` spans
     precede its ``s3.iteration`` record)."""
     steps = []
     per_block = []
     for event in tracer.events():
-        if event.name in ("map.task", "map.task.remote"):
+        if event.name == "map.task":
             per_block.append(tuple(event.args["job_ids"]))
         elif event.name == "s3.iteration":
             riders = tuple(event.args["job_ids"])
@@ -162,7 +160,7 @@ def run_live(store, config, arrivals, tracer):
     return traced_steps(tracer), jobs, iterations
 
 
-@pytest.mark.parametrize("backend", BACKEND_NAMES)
+@pytest.mark.parametrize("backend", MAP_BACKENDS)
 @pytest.mark.parametrize("front_end", [run_batch, run_live],
                          ids=["batch", "live"])
 @pytest.mark.parametrize("schedule", sorted(PLAN))

@@ -10,7 +10,7 @@ from repro.localrt.api import BlockStoreProtocol
 from repro.localrt.jobs import wordcount_job
 from repro.localrt.runners import FifoLocalRunner, SharedScanRunner
 from repro.localrt.sharded import MANIFEST_NAME, ShardedBlockStore, shard_id
-from repro.localrt.storage import BlockStore, ReadStats
+from repro.localrt.storage import BlockStore
 from repro.workloads.text import TextCorpusGenerator
 
 NUM_SHARDS = 4
@@ -189,27 +189,6 @@ def test_stats_aggregate_and_reset(sharded):
     assert sharded.shard_blocks_read() == (0,) * NUM_SHARDS
 
 
-def test_delegate_read_routes_and_counts_like_a_read(sharded, single):
-    """The facade routes a delegated read exactly as its own: first live
-    replica, serving shard charged, fallback counted — and hands back
-    that replica's file."""
-    sharded.fail_shard(0)
-    path = sharded.delegate_read(4)           # primary on the dead shard 0
-    assert path == (sharded.directory / shard_id(1)
-                    / BlockStore.BLOCK_PATTERN.format(4))
-    assert path.read_bytes() == single.read_block_bytes(4)
-    assert sharded.shard_blocks_read() == (0, 1, 0, 0)
-    size = sharded.block_size_bytes(4)
-    assert sharded.stats_snapshot() == ReadStats(
-        blocks_read=1, bytes_read=size, physical_blocks_read=1,
-        physical_bytes_read=size, replica_fallback_reads=1)
-    sharded.fail_shard(1)
-    with pytest.raises(ExecutionError, match="all 2 replicas"):
-        sharded.delegate_read(4)
-    with pytest.raises(ExecutionError, match="out of range"):
-        sharded.delegate_read(sharded.num_blocks)
-
-
 def test_cache_split_across_shards(sharded):
     assert not sharded.has_cache
     assert sharded.cache_stats() is None
@@ -241,7 +220,7 @@ def make_jobs():
 @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
 def test_mid_scan_shard_loss_is_invisible(tmp_path, lines, backend):
     """Outputs and logical I/O must not change when a shard dies
-    mid-scan, on every map backend."""
+    mid-scan, whichever ``map_backend`` name the config carries."""
     config = ExecutionConfig(blocks_per_segment=3, map_backend=backend,
                             map_workers=2)
     arrivals = {"wc1": 1, "wc2": 2}

@@ -1,13 +1,12 @@
 """Block store tests."""
 
-import dataclasses
 import threading
 
 import pytest
 
 from repro.common.errors import ExecutionError
 from repro.localrt.cache import BlockCache
-from repro.localrt.storage import BlockStore, ReadStats, read_block_file
+from repro.localrt.storage import BlockStore, ReadStats
 
 
 def lines(n, width=20):
@@ -264,25 +263,3 @@ def test_cache_stores_raw_bytes_with_exact_sizes(tmp_path):
     assert cache.current_bytes == store.block_size_bytes(0)
     # A cached block is returned as the resident object (zero-copy).
     assert store.read_block_bytes(0) is raw
-
-
-# ------------------------------------------------------ delegated reads
-
-def test_delegate_read_counts_and_returns_the_block_file(tmp_path):
-    """The store counts the read; whoever opens the file counts nothing."""
-    cache = BlockCache(10_000_000)
-    store = BlockStore.create(tmp_path / "s", lines(30), block_size_bytes=120,
-                              cache=cache)
-    path = store.delegate_read(1)
-    assert path == tmp_path / "s" / BlockStore.BLOCK_PATTERN.format(1)
-    size = store.block_size_bytes(1)
-    # One logical and one physical read at the known size; the cache is
-    # the parent's and a delegated read never consults it.
-    assert dataclasses.asdict(store.stats) == dataclasses.asdict(
-        ReadStats(blocks_read=1, bytes_read=size, physical_blocks_read=1,
-                  physical_bytes_read=size))
-    data, _mapped = read_block_file(path)
-    assert store.stats.blocks_read == 1
-    assert data == store.read_block_bytes(1)
-    with pytest.raises(ExecutionError, match="out of range"):
-        store.delegate_read(store.num_blocks)

@@ -3,9 +3,7 @@ and the threads that share it."""
 
 import gc
 import hashlib
-import os
 import re
-import signal
 import sys
 import threading
 import weakref
@@ -14,11 +12,10 @@ from collections import Counter
 import pytest
 
 import repro.localrt.tokens as tokens
-from repro.common.config import ExecutionConfig
+from repro.common.config import MAP_BACKENDS, ExecutionConfig
 from repro.localrt.api import BlockData
 from repro.localrt.jobs import wordcount_job
 from repro.localrt.output import write_output
-from repro.localrt.parallel import BACKEND_NAMES
 from repro.localrt.runners import SharedScanRunner
 from repro.localrt.storage import BlockStore
 from repro.localrt.tokens import TokenEncoder
@@ -261,8 +258,9 @@ def _scan(store, backend, out_root):
 def test_roll_over_mid_scan_changes_nothing_observable(tmp_path, monkeypatch):
     """With room for only a handful of words the dictionary rolls over
     again and again while three jobs ride one circular scan; outputs,
-    counters and logical reads equal the uncapped run's on every
-    backend, and the shared dictionary never passes its cap."""
+    counters and logical reads equal the uncapped run's under every
+    ``map_backend`` name, and the shared dictionary never passes its
+    cap."""
     store = _corpus_store(tmp_path)
     reference = _scan(store, "serial", tmp_path / "reference")
 
@@ -281,10 +279,8 @@ def test_roll_over_mid_scan_changes_nothing_observable(tmp_path, monkeypatch):
         return encoded
 
     monkeypatch.setattr(TokenEncoder, "encode", spying)
-    for backend in BACKEND_NAMES:
+    for backend in MAP_BACKENDS:
         assert _scan(store, backend, tmp_path / "capped") == reference, backend
-    # In-process backends ran through the spy (pool workers roll over in
-    # their own processes, forked with the same cap).
     assert len(generations) > 2
     assert max(sizes) <= cap
     assert all(len(dictionary.words) <= cap for dictionary in generations)
@@ -333,40 +329,6 @@ def test_concurrent_encoders_assign_each_word_exactly_one_id():
             words = list(encoded.words)
             assert list(_decoded(encoded)) == words
             assert list(hits) == [word.endswith("5") for word in words]
-
-
-def test_forked_child_starts_with_an_encoder_of_its_own():
-    """A pool worker can be forked while another thread of the parent is
-    inside the encoder; the lock it would inherit held is not the one it
-    uses."""
-    parent = tokens.ENCODER
-    holding, done = threading.Event(), threading.Event()
-
-    def hold():
-        with parent._lock:
-            holding.set()
-            done.wait(timeout=30)
-
-    holder = threading.Thread(target=hold)
-    holder.start()
-    try:
-        assert holding.wait(timeout=10)
-        pid = os.fork()
-        if pid == 0:  # the child: report through the exit status
-            status = 1
-            try:
-                signal.alarm(10)  # a deadlock kills it instead of hanging
-                encoded = BlockData(b"fork me\n").encoded()
-                if (tokens.ENCODER is not parent and _ids(encoded) == (0, 1)
-                        and tokens.ENCODER.current_size() == 2):
-                    status = 0
-            finally:
-                os._exit(status)
-    finally:
-        done.set()
-        holder.join(timeout=10)
-    assert os.waitpid(pid, 0)[1] == 0
-    assert tokens.ENCODER is parent
 
 
 def test_process_encoder_is_shared_by_every_block():

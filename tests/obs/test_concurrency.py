@@ -1,12 +1,14 @@
-"""Tracing under parallel map backends: per-lane span trees stay sane.
+"""Tracing from several threads at once: per-lane span trees stay sane.
 
-Each worker thread records into its own lane (the thread name), so even
-with concurrent recording the exported structure must be well-nested
-per lane: spans at the same depth never partially overlap, and deeper
-spans lie inside an enclosing shallower span.
+Each thread records into its own lane (the thread name), so even with
+concurrent recording — two runners sharing one tracer — the exported
+structure must be well-nested per lane: spans at the same depth never
+partially overlap, and deeper spans lie inside an enclosing shallower
+span.
 """
 
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -54,25 +56,36 @@ def _assert_well_nested_per_lane(spans):
                 "enclosing span")
 
 
-def test_threads_backend_produces_well_nested_span_tree(corpus):
+def test_two_runners_on_one_tracer_produce_well_nested_span_trees(corpus):
     tracer = Tracer(name="test")
-    runner = SharedScanRunner(
-        corpus, ExecutionConfig(map_backend="threads", map_workers=4,
-                                blocks_per_segment=4), tracer=tracer)
-    report = runner.run([wordcount_job("wc0", "^th.*"),
-                         wordcount_job("wc1", ".*ing$")])
-    assert report.results  # the run actually did work
+    reports = []
+
+    def scan(pattern):
+        runner = SharedScanRunner(
+            corpus, ExecutionConfig(blocks_per_segment=4), tracer=tracer)
+        reports.append(runner.run([wordcount_job("wc0", pattern),
+                                   wordcount_job("wc1", ".*ing$")]))
+
+    threads = [threading.Thread(target=scan, args=(pattern,),
+                                name=f"runner-{k}")
+               for k, pattern in enumerate(("^th.*", "^qu.*"))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(reports) == 2 and all(r.results for r in reports)
 
     spans = list(tracer.spans())
     tasks = [s for s in spans if s.name == "map.task"]
-    # Every block of every wave produced exactly one task span.
-    assert len(tasks) == corpus.num_blocks
+    # Every block of every wave of each runner produced one task span.
+    assert len(tasks) == 2 * corpus.num_blocks
     _assert_well_nested_per_lane(spans)
 
-    # Worker lanes exist and are distinct from the coordinating lane.
-    wave_lanes = {s.lane for s in spans if s.name == "map.wave"}
+    # One lane per runner thread, and each lane holds its own waves.
     task_lanes = {s.lane for s in tasks}
-    assert wave_lanes and task_lanes
+    assert task_lanes == {"runner-0", "runner-1"}
+    assert {s.lane for s in spans if s.name == "map.wave"} == task_lanes
 
 
 def test_serial_backend_tasks_nest_inside_wave(corpus):

@@ -14,11 +14,10 @@ import pathlib
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.common.config import ExecutionConfig
+from repro.common.config import MAP_BACKENDS, ExecutionConfig
 from repro.localrt.cache import BlockCache
 from repro.localrt.jobs import wordcount_job
 from repro.localrt.output import write_output
-from repro.localrt.parallel import BACKEND_NAMES
 from repro.localrt.runners import SharedScanRunner
 from repro.localrt.storage import BlockStore
 
@@ -56,7 +55,7 @@ def test_batched_matrix_byte_identical(tmp_path_factory, corpus, seg,
 
     outcomes = {}
     for batched in (False, True):
-        for backend in BACKEND_NAMES:
+        for backend in MAP_BACKENDS:
             for with_cache in (False, True):
                 store.attach_cache(
                     BlockCache(10_000_000) if with_cache else None)

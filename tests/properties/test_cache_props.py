@@ -15,10 +15,9 @@ import pathlib
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.common.config import ExecutionConfig
+from repro.common.config import MAP_BACKENDS, ExecutionConfig
 from repro.localrt.jobs import wordcount_job
 from repro.localrt.output import write_output
-from repro.localrt.parallel import BACKEND_NAMES
 from repro.localrt.runners import FifoLocalRunner, SharedScanRunner
 from repro.localrt.storage import BlockStore
 
@@ -93,7 +92,7 @@ def test_cache_and_prefetch_bit_identical(tmp_path_factory, corpus, seg,
     n_jobs = len(arrivals)
 
     for runner_kind in ("fifo", "shared"):
-        for backend in BACKEND_NAMES:
+        for backend in MAP_BACKENDS:
             baseline = _run_variant(
                 tmp_path_factory, directory, backend, runner_kind, seg,
                 arrival_map, n_jobs, cache_bytes=0, prefetch_depth=0)

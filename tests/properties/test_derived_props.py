@@ -6,9 +6,10 @@ roll-over, non-admission and re-admission all happen mid-scan — a plan
 run on blocks bound to their store handle's table produces byte-identical
 part files, identical job counters and identical ``ReadStats`` (logical
 *and* physical) to the same plan on unbound blocks under the shipped
-caps, and to the per-record mappers, on every map backend.  Two legs:
-wordcount riders on text (the encoded view, with its record count) and
-selection + aggregation riders on lineitem (the kernels' ``memo`` views).
+caps, and to the per-record mappers, under every ``map_backend`` name.
+Two legs: wordcount riders on text (the encoded view, with its record
+count) and selection + aggregation riders on lineitem (the kernels'
+``memo`` views).
 """
 
 import dataclasses
@@ -19,11 +20,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.localrt.tokens as tokens
-from repro.common.config import ExecutionConfig
+from repro.common.config import MAP_BACKENDS, ExecutionConfig
 from repro.localrt.api import BlockData
 from repro.localrt.jobs import aggregation_job, selection_job, wordcount_job
 from repro.localrt.output import write_output
-from repro.localrt.parallel import BACKEND_NAMES
 from repro.localrt.records import DelimitedReader
 from repro.localrt.runners import SharedScanRunner
 from repro.localrt.storage import BlockStore
@@ -95,13 +95,13 @@ def test_table_changes_nothing_observable(tmp_path_factory, corpus,
 
 def _assert_table_changes_nothing(tmp_path_factory, directory, table_cap,
                                   bound_caps, run_plan):
-    """``run_plan(store, backend, batched, out_root)`` on every backend,
+    """``run_plan(store, backend, batched, out_root)`` under every name,
     three ways — unbound blocks under the shipped caps, blocks bound to
     a table of ``table_cap`` bytes (and a fresh encoder, under
     ``bound_caps``), per-record mappers — each on a store handle, hence
     a table, of its own: outputs and reads must not differ."""
     outcomes = {}
-    for backend in BACKEND_NAMES:
+    for backend in MAP_BACKENDS:
         for variant in ("unbound", "bound", "per-record"):
             out_root = tmp_path_factory.mktemp(f"out-{backend}-{variant}")
             with pytest.MonkeyPatch.context() as patch:
@@ -116,16 +116,13 @@ def _assert_table_changes_nothing(tmp_path_factory, directory, table_cap,
                 store = BlockStore(directory)
                 outcomes[backend, variant] = run_plan(
                     store, backend, variant != "per-record", out_root)
-                if variant == "bound" and backend != "processes":
+                if variant == "bound":
                     stats = store.derived.stats()
                     assert stats["hits"] + stats["misses"] > 0
                     assert stats["charged_bytes"] <= table_cap
-    reference_outputs, _ = outcomes["serial", "unbound"]
-    for (backend, variant), (outputs, reads) in outcomes.items():
-        assert outputs == reference_outputs, (backend, variant)
-        # A pool worker's reads are never mmap-observed by the parent,
-        # so ReadStats compare within a backend, field for field.
-        assert reads == outcomes[backend, "unbound"][1], (backend, variant)
+    reference = outcomes["serial", "unbound"]
+    for (backend, variant), outcome in outcomes.items():
+        assert outcome == reference, (backend, variant)
 
 
 LINEITEM_READER = DelimitedReader("|", len(LINEITEM_COLUMNS))
