@@ -48,13 +48,13 @@ def fold_partial_aggregates(states: Sequence[JobRunState]) -> None:
         if combiner is None:
             continue
         folded: defaultdict[Hashable, list[Any]] = defaultdict(list)
-        for key, values in state.groups.items():
+        for key, values in state.shuffle().items():
             if len(values) <= 1:
                 folded[key].extend(values)
                 continue
             for out_key, out_value in combiner.reduce(key, values):
                 folded[out_key].append(out_value)
-        state.groups = folded
+        state.replace_shuffle(folded)
 
 
 @dataclass(frozen=True)

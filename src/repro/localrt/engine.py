@@ -22,36 +22,104 @@ import copy
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Hashable
+from typing import Any, Hashable, Mapping
+
+import numpy as np
 
 from ..common.errors import ExecutionError
 from ..obs.tracer import Tracer
-from .api import BlockData, BlockMapper, LocalJob, Record, default_partitioner
+from . import tokens
+from .api import (
+    BlockData,
+    BlockMapper,
+    LocalJob,
+    Record,
+    SumReducer,
+    default_partitioner,
+)
 from .counters import FRAMEWORK_GROUP, Counters, CounterUser
 from .records import RecordReader
 
 
 @dataclass
 class JobRunState:
-    """Mutable per-job accumulation across map tasks."""
+    """Mutable per-job accumulation across map tasks.
+
+    The shuffle has two homes.  Records land in ``groups``, one table per
+    job (key -> values in arrival order).  A summing wordcount rider's
+    block output (a :class:`~repro.localrt.tokens.BlockPartial`) stays
+    in token-dictionary id space instead, when the job's reducer and
+    combiner are both :class:`SumReducer`: ``sums`` holds one dense
+    int64 accumulator per dictionary generation the job has met (more
+    than one only across a roll-over or an over-wide block), and absorbing
+    a partial is one scatter-add.  ``summed_records`` counts the records
+    those partials stand for, so record counts read exactly as if every
+    one had been appended to ``groups``.  Readers see both homes through
+    :meth:`shuffle` (key -> values) and :func:`count_pending_values`.
+    """
 
     job: LocalJob
-    #: The shuffle, one table per job: key -> values in arrival order.
-    #: The partition is a function of the key alone, so the reduce
-    #: resolves it once per distinct key, not once per absorbed record.
+    #: key -> values in arrival order.  The partition is a function of
+    #: the key alone, so the reduce resolves it once per distinct key,
+    #: not once per absorbed record.
     groups: "defaultdict[Hashable, list[Any]]" = field(
         default_factory=lambda: defaultdict(list))
+    #: dictionary -> per-id totals of the partials absorbed in id space.
+    sums: "dict[tokens.TokenDictionary, np.ndarray]" = field(
+        default_factory=dict)
+    summed_records: int = 0
     map_input_records: int = 0
     map_output_records: int = 0
     #: Job-level counters (framework built-ins + user counters).
     counters: Counters = field(default_factory=Counters)
 
-    def absorb(self, records: list[Record]) -> None:
-        """Append one map task's (possibly combined) output to the shuffle."""
+    def __post_init__(self) -> None:
+        # Exact types: a subclass may reduce differently.
+        self._sums_by_id = (type(self.job.reducer) is SumReducer
+                            and type(self.job.combiner) is SumReducer)
+
+    def absorb(self, records: "list[Record] | tokens.BlockPartial") -> None:
+        """Add one map task's (possibly combined) output to the shuffle."""
         self.map_output_records += len(records)
+        if isinstance(records, tokens.BlockPartial) and self._sums_by_id:
+            dictionary = records.dictionary
+            acc = self.sums.get(dictionary)
+            if acc is None or len(acc) < len(dictionary.words):
+                # The partial's ids were assigned before this read, so
+                # the dictionary's present size covers them.
+                grown = np.zeros(len(dictionary.words), np.int64)
+                if acc is not None:
+                    grown[:len(acc)] = acc
+                acc = self.sums[dictionary] = grown
+            acc[records.ids] += records.counts
+            self.summed_records += len(records)
+            return
         groups = self.groups
         for key, value in records:
             groups[key].append(value)
+
+    def shuffle(self) -> "Mapping[Hashable, list[Any]]":
+        """The shuffle as key -> values: ``groups``, plus each id
+        accumulated in ``sums`` decoded once, as ``[its total]``."""
+        if not self.sums:
+            return self.groups
+        merged: dict[Hashable, list[Any]] = dict(self.groups)
+        for dictionary, acc in self.sums.items():
+            hit = np.flatnonzero(acc)
+            for key, total in zip(
+                    map(dictionary.words.__getitem__, hit.tolist()),
+                    acc[hit].tolist()):
+                values = merged.get(key)
+                merged[key] = [total] if values is None else values + [total]
+        return merged
+
+    def replace_shuffle(self, groups: "defaultdict[Hashable, list[Any]]",
+                        ) -> None:
+        """Make ``groups`` the whole shuffle (what a fold of
+        :meth:`shuffle` leaves)."""
+        self.groups = groups
+        self.sums = {}
+        self.summed_records = 0
 
 
 def batch_mapper_for(job: LocalJob, reader: RecordReader,
@@ -217,7 +285,7 @@ def _combine(job: LocalJob, records: list[Record]) -> list[Record]:
 
 
 def absorb_map_result(state: JobRunState, record_count: int,
-                      buffer: list[Record],
+                      buffer: "list[Record] | tokens.BlockPartial",
                       task_counters: "Counters | None") -> None:
     """Fold one map task's result (records + counters) into a job state."""
     state.map_input_records += record_count
@@ -232,7 +300,7 @@ def absorb_map_result(state: JobRunState, record_count: int,
 
 def count_pending_values(state: JobRunState) -> int:
     """Total values currently buffered in the shuffle (reduce input size)."""
-    return sum(map(len, state.groups.values()))
+    return sum(map(len, state.groups.values())) + state.summed_records
 
 
 def run_reduce(state: JobRunState,
@@ -255,7 +323,7 @@ def _run_reduce(state: JobRunState) -> list[Record]:
     if isinstance(reducer, CounterUser):
         reducer = copy.copy(reducer)
         reducer.attach_counters(state.counters)
-    groups = state.groups
+    groups = state.shuffle()
     num_partitions = state.job.num_partitions
     buckets: list[list[Hashable]] = [[] for _ in range(num_partitions)]
     for key in groups:

@@ -21,7 +21,6 @@ benchmarks use as their baseline).
 from __future__ import annotations
 
 import re
-from itertools import compress
 from typing import Any, Hashable, Iterator
 
 try:  # numpy powers the columnar fast path; everything works without it.
@@ -77,21 +76,24 @@ class PatternWordCountBlock(PatternWordCount, BlockMapper):
     (:meth:`~repro.localrt.api.BlockData.encoded`, built once per block
     per store handle and shared with every other wordcount job that
     maps it, in this wave or a later lap) and from the pattern's
-    verdict vector in the process's token dictionary
+    verdict array in the process's token dictionary
     (:mod:`repro.localrt.tokens`, shared with every job that has this
-    pattern): it gathers the vector at the block's ids and pairs up the
-    words and counts that hit.  The regex itself runs once per
-    vocabulary word per pattern per process; the mapper holds no state
-    that grows with the blocks it has mapped.
+    pattern): it gathers the array at the block's ids and masks the
+    block's ids and counts with the result.  The regex itself runs once
+    per vocabulary word per pattern per process; the mapper holds no
+    state that grows with the blocks it has mapped.
 
     ``counted`` controls the emission shape: ``True`` (for jobs with the
-    standard ``SumReducer`` combiner) emits one ``(word, count)`` record
-    per matching word in first-occurrence order — exactly the per-record
-    path's post-combine output, so ``combined_output`` is set and the
-    engine skips the redundant combine pass; ``False`` (no combiner)
-    expands to ``count`` copies of ``(word, 1)`` so job-level record
-    counters stay identical.  Construct with ``counted`` matching the
-    job's combiner or the framework counters will diverge.
+    standard ``SumReducer`` combiner) emits the matching words' ids and
+    counts as a :class:`~repro.localrt.tokens.BlockPartial` — one
+    ``(word, count)`` record per matching word in first-occurrence
+    order, exactly the per-record path's post-combine output, so
+    ``combined_output`` is set and the engine skips the redundant
+    combine pass; a job whose reducer sums too keeps it in id space
+    until its reduce.  ``False`` (no combiner) expands the same arrays
+    to ``count`` copies of ``(word, 1)`` so job-level record counters
+    stay identical.  Construct with ``counted`` matching the job's
+    combiner or the framework counters will diverge.
     """
 
     def __init__(self, pattern: str, *, counted: bool = True) -> None:
@@ -100,23 +102,22 @@ class PatternWordCountBlock(PatternWordCount, BlockMapper):
         self.combined_output = counted
 
     def map_block(self, data: bytes, base_offset: int,
-                  ) -> tuple[int, list[Record], Counters | None]:
+                  ) -> tuple[int, "list[Record] | tokens.BlockPartial",
+                             Counters | None]:
         block = data if isinstance(data, BlockData) else BlockData(data)
         encoded = block.encoded()
-        selectors = tokens.ENCODER.selectors(
-            encoded, self.pattern, self._regex.match)
-        hit_counts = tuple(compress(encoded.counts, selectors))
-        hits: list[Record] = list(zip(
-            compress(encoded.words, selectors), hit_counts))
-        outputs: list[Record] = hits if self.counted else [
-            (word, 1) for word, count in hits for _ in range(count)]
+        hit = tokens.ENCODER.matches(encoded, self.pattern, self._regex.match)
+        hits = tokens.BlockPartial(encoded.dictionary, encoded.ids[hit],
+                                   encoded.counts[hit])
+        outputs = hits if self.counted else hits.expand()
         counters = Counters()
         if block.line_count():
             # The per-record path increments once per record, creating
             # the counter entries even when every count is zero; an
             # empty block creates none.  Mirror that exactly.
             counters.increment("wordcount", "words_scanned", encoded.total)
-            counters.increment("wordcount", "words_matched", sum(hit_counts))
+            counters.increment("wordcount", "words_matched",
+                               sum(hits.counts.tolist()))
         return block.line_count(), outputs, counters
 
 

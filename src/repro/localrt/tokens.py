@@ -8,11 +8,15 @@ tokenisation.  This module extends it twice more.
 *Across a process*, to everything the riders would otherwise each
 recompute *per distinct word*: a :class:`TokenEncoder` maps words to
 dense integer ids, so a block's token counts become an
-:class:`EncodedBlock` and a pattern's match verdicts are one vector per
-(dictionary, pattern) indexed by id.  A rider's map over a block is
-then a gather of that vector at the block's ids — no per-word Python
+:class:`EncodedBlock` (two int arrays, ids and counts) and a pattern's
+match verdicts are one boolean array per (dictionary, pattern) indexed
+by id.  A rider's map over a block is then a gather of that array at
+the block's ids and a mask of its ids and counts — no per-word Python
 loop, no per-job memo — and each vocabulary word is matched once per
-pattern per process, whichever job or wave meets it first.
+pattern per process, whichever job or wave meets it first.  The rider's
+output stays in id space (a :class:`BlockPartial`) until its job's
+reduce decodes each key once (see
+:class:`~repro.localrt.engine.JobRunState`).
 
 *Across time*, to jobs that never overlap: a :class:`DerivedViews` table
 — one per store handle, in memory, gone with the handle — keeps each
@@ -62,23 +66,29 @@ extension — happens under ``TokenEncoder._lock``, every table operation
 under that table's ``DerivedViews._lock``, every write to a row table
 under its ``RowTable._lock``, and none of the three is ever taken while
 another is held.  What leaves the lock is safe to read without it by
-construction: an id is never reassigned, words and verdict vectors are
-append-only, so a gather at ids a block was handed stays valid while
-another runner appends, and a row-table slot goes from ``None`` to a
-finished record once.
+construction: an id is never reassigned and words are append-only; a
+verdict array is never written once published — extending it builds a
+longer array under the lock and replaces it in the table (an array
+cannot grow in place, nor can a ``bytearray`` while a numpy view of it
+is alive) — so a gather at ids a block was handed reads an array no one
+writes while another runner extends; and a row-table slot goes from
+``None`` to a finished record once.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from ..analysis.lockgraph import OrderedLock
 from ..analysis.racecheck import register_instance
 
 #: Most words one dictionary holds before a fresh one replaces it.  A
 #: word costs one ``dict`` slot and one list slot, plus a byte per
-#: pattern that has been matched against the dictionary.
+#: pattern that has been matched against the dictionary and eight per
+#: summing job that has absorbed a block encoded against it.
 TOKEN_DICTIONARY_CAP = 1 << 17
 
 #: Most patterns one dictionary keeps verdict vectors for.
@@ -124,22 +134,31 @@ def _gatherer(keys: Sequence[Hashable]) -> Callable[[Any], tuple[Any, ...]]:
     return lambda container: tuple(container[key] for key in keys)
 
 
+def _verdicts(words: Sequence[str],
+              match: Callable[[str], object]) -> np.ndarray:
+    """``match(word) is not None`` for each of ``words``, as a boolean
+    array."""
+    return np.fromiter((match(word) is not None for word in words), bool,
+                       len(words))
+
+
 class TokenDictionary:
     """One word -> dense id assignment and the verdicts indexed by it.
 
     A plain record: only :class:`TokenEncoder` mutates it, under its
     lock.  ``words[i]`` is the word with id ``i``; ``verdicts[pattern]``
-    holds one byte per id assigned when it was last extended (1 = the
-    pattern matches the word) and ``used[pattern]`` the value of
-    ``blocks`` — blocks mapped against this dictionary, freshly encoded
-    or served from a :class:`DerivedViews` table — at its last use.
+    is a boolean array with one entry per id assigned when it was last
+    extended (``True`` = the pattern matches the word) and
+    ``used[pattern]`` the value of ``blocks`` — blocks mapped against
+    this dictionary, freshly encoded or served from a
+    :class:`DerivedViews` table — at its last use.
     """
 
     def __init__(self) -> None:
         self.ids: dict[str, int] = {}
         self.words: list[str] = []
         self.blocks = 0
-        self.verdicts: dict[str, bytearray] = {}
+        self.verdicts: dict[str, np.ndarray] = {}
         self.used: dict[str, int] = {}
 
 
@@ -147,30 +166,76 @@ class EncodedBlock:
     """One block's token counts, dictionary-encoded; shared by every job
     that maps the block while ``dictionary`` is the encoder's current one.
 
-    ``words`` are the block's distinct words in first-occurrence order
-    and ``counts`` their occurrence counts, two flat tuples; ``total``
-    is the block's token count and ``lines`` its record count, filled
-    in by :meth:`~repro.localrt.api.BlockData.encoded` — which knows the
-    bytes — before the view is shared, so a kept view answers for it too.
-    ``gather(vector)`` is
-    ``tuple(vector[i] for i in ids)`` over the words' ids in
-    ``dictionary``, built once per block (and the ids' one home: they
-    are ``gather(range(len(dictionary.words)))``).  The view
-    outlives its wave (see :class:`DerivedViews`), so it owns nothing
-    per word: ``words`` holds the dictionary's own ``str`` objects, not
-    the block's, and there is no ``(word, count)`` tuple per word.
+    ``ids`` are the dictionary ids of the block's distinct words in
+    first-occurrence order and ``counts`` their occurrence counts, two
+    int arrays of one length; ``total`` is the block's token count and
+    ``lines`` its record count, filled in by
+    :meth:`~repro.localrt.api.BlockData.encoded` — which knows the
+    bytes — before the view is shared, so a kept view answers for it
+    too.  The view outlives its wave (see :class:`DerivedViews`), so it
+    owns nothing per word but two machine integers: the words
+    themselves live in ``dictionary``.
     """
 
-    __slots__ = ("dictionary", "words", "counts", "total", "lines", "gather")
+    __slots__ = ("dictionary", "ids", "counts", "total", "lines")
 
-    def __init__(self, dictionary: TokenDictionary, ids: tuple[int, ...],
-                 counts: tuple[int, ...], total: int) -> None:
+    def __init__(self, dictionary: TokenDictionary, ids: np.ndarray,
+                 counts: np.ndarray, total: int) -> None:
         self.dictionary = dictionary
-        self.gather = _gatherer(ids)
-        self.words: tuple[str, ...] = self.gather(dictionary.words)
+        self.ids = ids
         self.counts = counts
         self.total = total
         self.lines = 0
+
+    @property
+    def words(self) -> tuple[str, ...]:
+        """The block's distinct words in first-occurrence order, decoded."""
+        return tuple(map(self.dictionary.words.__getitem__, self.ids.tolist()))
+
+
+class BlockPartial:
+    """One rider's combined map output for one block, still in id space:
+    the ``(word, count)`` records of the words it matched, as the ids
+    and counts those words have in ``dictionary``.
+
+    What a summing wordcount kernel hands the shuffle instead of a
+    record list.  ``len()`` is its record count, and iterating it
+    decodes the records in first-occurrence order (equality compares
+    them), so any consumer of a record list reads it as one; a job
+    whose reducer sums absorbs it without
+    decoding (:meth:`~repro.localrt.engine.JobRunState.absorb`).  Ids
+    are unique within a partial.
+    """
+
+    __slots__ = ("dictionary", "ids", "counts")
+
+    def __init__(self, dictionary: TokenDictionary, ids: np.ndarray,
+                 counts: np.ndarray) -> None:
+        self.dictionary = dictionary
+        self.ids = ids
+        self.counts = counts
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[tuple[str, int]]:
+        return zip(map(self.dictionary.words.__getitem__, self.ids.tolist()),
+                   self.counts.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (list, BlockPartial)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"BlockPartial({list(self)!r})"
+
+    def expand(self) -> list[tuple[str, int]]:
+        """The uncombined records: ``count`` copies of ``(word, 1)`` per
+        word, grouped by word in first-occurrence order."""
+        words = self.dictionary.words
+        return [(words[i], 1)
+                for i in np.repeat(self.ids, self.counts).tolist()]
 
 
 class TokenEncoder:
@@ -212,8 +277,9 @@ class TokenEncoder:
                 dictionary.words.extend(fresh)
                 ids = lookup(dictionary.ids)
             dictionary.blocks += 1
-        values = tuple(counts.values())
-        return EncodedBlock(dictionary, ids, values, sum(values))
+        values = np.fromiter(counts.values(), np.int64, len(words))
+        return EncodedBlock(dictionary, np.array(ids, np.intp), values,
+                            sum(counts.values()))
 
     def is_current(self, block: EncodedBlock, *, tick: bool) -> bool:
         """Whether ``block`` was encoded against the current dictionary,
@@ -230,32 +296,32 @@ class TokenEncoder:
                 self._current.blocks += 1
         return current
 
-    def selectors(self, block: EncodedBlock, pattern: str,
-                  match: Callable[[str], object]) -> Sequence[object]:
-        """One truth value per word of ``block``: ``pattern`` matches it.
+    def matches(self, block: EncodedBlock, pattern: str,
+                match: Callable[[str], object]) -> np.ndarray:
+        """One boolean per word of ``block``: ``pattern`` matches it.
 
         ``match(word)`` (``None`` = no match) runs once per word the
-        pattern's verdict vector does not cover yet — never again for
-        that word while the vector lives, whichever job asks — and the
-        answer is a gather of that vector at the block's ids.  A
-        pattern the full table has no room for matches the block's own
-        words and keeps nothing.
+        pattern's verdict array does not cover yet — never again for
+        that word while the array lives, whichever job asks — and the
+        answer is a gather of that array at the block's ids.  A pattern
+        the full table has no room for matches the block's own words
+        and keeps nothing.
         """
         dictionary = block.dictionary
         with self._lock:
             vector = self._vector(dictionary, pattern)
             if vector is not None and len(vector) < len(dictionary.words):
-                vector.extend(match(word) is not None
-                              for word in dictionary.words[len(vector):])
+                vector = dictionary.verdicts[pattern] = np.concatenate(
+                    (vector, _verdicts(dictionary.words[len(vector):], match)))
         if vector is None:
-            return [match(word) is not None for word in block.words]
-        return block.gather(vector)
+            return _verdicts(block.words, match)
+        return vector[block.ids]
 
     def _vector(self, dictionary: TokenDictionary, pattern: str,
-                ) -> bytearray | None:
-        """``pattern``'s verdict vector in ``dictionary``, marked used
+                ) -> np.ndarray | None:
+        """``pattern``'s verdict array in ``dictionary``, marked used
         (caller holds the lock); ``None`` if it has none and every
-        vector in the full table is still in use."""
+        array in the full table is still in use."""
         table, used = dictionary.verdicts, dictionary.used
         vector = table.get(pattern)
         if vector is None:
@@ -264,7 +330,7 @@ class TokenEncoder:
                 if dictionary.blocks - used[idlest] < VERDICT_IDLE_BLOCKS:
                     return None
                 del table[idlest], used[idlest]
-            vector = table[pattern] = bytearray()
+            vector = table[pattern] = np.zeros(0, bool)
         used[pattern] = dictionary.blocks
         return vector
 

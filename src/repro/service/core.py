@@ -68,6 +68,11 @@ SNAPSHOT_SCHEMA_VERSION = 4
 _JOIN_TIMEOUT_S = 30.0
 
 
+def _relative_clock(clock: Clock, t0: float) -> Callable[[], float]:
+    """Seconds on ``clock`` since ``t0``."""
+    return lambda: clock() - t0
+
+
 @dataclass
 class _Scheduled:
     """An iteration-paced arrival (deterministic open-loop driving)."""
@@ -103,6 +108,10 @@ class SchedulerService:
         self.store = store
         self._clock = clock if clock is not None else monotonic_clock()
         self._t0 = self._clock()
+        # A closure, not a bound method: the telemetry holds it, and a
+        # reference back to the service would keep a shut-down service
+        # (and its store) alive until the cyclic collector runs.
+        self._now = _relative_clock(self._clock, self._t0)
         self.tracer = resolve_tracer(
             tracer, self.config.execution.trace.enabled, "service")
         self.metrics = MetricsRegistry()
@@ -426,9 +435,6 @@ class SchedulerService:
         return True
 
     # ------------------------------------------------------ internal helpers
-    def _now(self) -> float:
-        return self._clock() - self._t0
-
     def _ensure_accepting(self) -> None:
         # Submissions before start() are legal: they queue until the
         # core thread starts (or until step() drives the scan inline).

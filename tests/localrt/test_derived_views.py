@@ -244,8 +244,8 @@ def test_bound_block_derives_once_per_table(monkeypatch):
     first = BlockData(raw).bind(views, 7).encoded()
     again = BlockData(raw).bind(views, 7).encoded()  # a later lap's object
     assert again is first and derives == [raw]
-    assert (first.words, first.counts) == (("to", "be", "or", "not"),
-                                           (2, 2, 1, 1))
+    assert (first.words, first.counts.tolist()) == (
+        ("to", "be", "or", "not"), [2, 2, 1, 1])
     assert BlockData(raw).encoded() is not first  # unbound: today's code
     other = DerivedViews()
     assert BlockData(raw).bind(other, 7).encoded() is not first
@@ -891,6 +891,43 @@ def test_two_runners_on_one_handle_fill_one_table(tmp_path):
                         if slot is not None)
         budget = len(block) // tokens.ROW_TABLE_TEXT_DIVISOR
         assert kept_text == budget - table._room <= budget
+
+
+def test_two_wordcount_runners_on_one_handle_share_the_encoder(
+        tmp_path, monkeypatch):
+    """Two runners sharing a store handle map wordcount riders from two
+    threads: they extend the same patterns' verdict arrays, roll the
+    dictionary over (a cap of half the vocabulary) and absorb ids from
+    each other's dictionaries at once, and every job still reads as its
+    per-record run — under ``REPRO_RACECHECK=1`` a write to the
+    encoder's state outside its lock fails this test."""
+    store = BlockStore.create(tmp_path / "corpus", _lines(), 2_000)
+    patterns = ("^t.*", ".*a$", ".*e.*")
+
+    def observed(result):
+        return (result.output, list(result.counters),
+                result.map_output_records, result.reduce_input_values)
+
+    reference = FifoLocalRunner(BlockStore(store.directory)).run(
+        [wordcount_job(p, p, batched=False) for p in patterns]).results
+    monkeypatch.setattr(tokens, "TOKEN_DICTIONARY_CAP", 60)
+    monkeypatch.setattr(tokens, "ENCODER", TokenEncoder())
+    seen = {}
+    start = threading.Barrier(2)
+
+    def scan(name):
+        start.wait(timeout=10)
+        with SharedScanRunner(store) as runner:
+            for lap in range(2):
+                results = runner.run(
+                    [wordcount_job(p, p) for p in patterns]).results
+                seen[name, lap] = {p: observed(results[p]) for p in patterns}
+
+    _run_interleaved(*(functools.partial(scan, name)
+                       for name in ("left", "right")))
+    expected = {p: observed(reference[p]) for p in patterns}
+    assert len(seen) == 4
+    assert all(per_job == expected for per_job in seen.values())
 
 
 # ------------------------------------------------------------- observability

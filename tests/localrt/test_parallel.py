@@ -188,7 +188,7 @@ def test_unroutable_block_fails_the_wave_before_any_absorb(tmp_path):
                          [MapTaskSpec(1, (state,)), MapTaskSpec(0, (state,))])
     assert store.stats_snapshot().blocks_read == 1
     assert (state.map_input_records, state.map_output_records) == (0, 0)
-    assert not state.groups
+    assert not state.shuffle()
 
 
 @pytest.mark.parametrize("backend", MAP_BACKENDS)

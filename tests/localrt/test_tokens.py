@@ -23,8 +23,8 @@ from repro.workloads.text import TextCorpusGenerator
 
 
 def _ids(encoded):
-    """An encoded block's ids: what its ``gather`` reads a vector at."""
-    return encoded.gather(range(len(encoded.dictionary.words)))
+    """An encoded block's ids, as a tuple."""
+    return tuple(encoded.ids.tolist())
 
 
 def _decoded(encoded):
@@ -38,7 +38,7 @@ def test_encode_assigns_each_word_one_dense_id():
     encoder = TokenEncoder()
     first = encoder.encode(Counter("b a b c".split()))
     second = encoder.encode(Counter("c d a".split()))
-    assert (first.words, first.counts) == (("b", "a", "c"), (2, 1, 1))
+    assert (first.words, first.counts.tolist()) == (("b", "a", "c"), [2, 1, 1])
     assert first.total == 4
     assert _ids(first) == (0, 1, 2)
     assert _ids(second) == (2, 3, 1)  # known words keep their ids
@@ -48,15 +48,17 @@ def test_encode_assigns_each_word_one_dense_id():
 
 
 @pytest.mark.parametrize("text", ["", "one", "one two", "a b c d e"])
-def test_gather_has_one_shape_for_any_number_of_ids(text):
-    """``itemgetter`` answers a bare item for one index and refuses
-    none; the encoded view hides both."""
+def test_ids_and_verdicts_have_one_shape_for_any_number_of_words(text):
+    """``itemgetter`` answers a bare item for one key and refuses none;
+    the encoded view's arrays and a rider's verdicts hide both."""
     encoder = TokenEncoder()
     encoder.encode(Counter("pad the ids so they are not 0..n".split()))
     encoded = encoder.encode(Counter(text.split()))
-    vector = list(range(100, 100 + encoder.current_size()))
-    assert encoded.gather(vector) == tuple(100 + i for i in _ids(encoded))
-    assert len(encoded.gather(vector)) == len(text.split())
+    words = text.split()
+    assert encoded.ids.shape == encoded.counts.shape == (len(words),)
+    assert _decoded(encoded) == encoded.words == tuple(words)
+    hits = encoder.matches(encoded, "^o", re.compile("^o").match)
+    assert hits.tolist() == [word.startswith("o") for word in words]
 
 
 def test_verdicts_match_each_word_once_per_pattern():
@@ -68,15 +70,20 @@ def test_verdicts_match_each_word_once_per_pattern():
         return re.match("^t", word)
 
     first = encoder.encode(Counter("the cat".split()))
-    assert encoder.selectors(first, "^t", match) == (1, 0)
+    assert encoder.matches(first, "^t", match).tolist() == [True, False]
     assert asked == ["the", "cat"]
     vector = first.dictionary.verdicts["^t"]
     second = encoder.encode(Counter("cat tom the".split()))
-    assert encoder.selectors(second, "^t", match) == (0, 1, 1)
-    # One vector per (dictionary, pattern), extended and never redone.
-    assert second.dictionary.verdicts["^t"] is vector
+    assert encoder.matches(second, "^t", match).tolist() == [
+        False, True, True]
+    # One array per (dictionary, pattern), extended and never redone:
+    # a longer array replaces it, and the one a reader holds is as it was.
+    extended = second.dictionary.verdicts["^t"]
+    assert extended is not vector and vector.tolist() == [True, False]
+    assert extended.tolist() == [True, False, True]
     assert asked == ["the", "cat", "tom"]
-    assert encoder.selectors(first, "^t", match) == (1, 0)  # ids still valid
+    assert encoder.matches(first, "^t", match).tolist() == [
+        True, False]  # ids still valid
     assert asked == ["the", "cat", "tom"]
 
 
@@ -111,9 +118,9 @@ def test_more_patterns_than_the_table_holds_never_thrash_it(monkeypatch):
             encoded = encoder.encode(Counter(words))
             for pattern, match in matchers.items():
                 before = match.calls
-                selected = encoder.selectors(encoded, pattern, match)
-                assert list(selected) == [w.startswith(pattern[1])
-                                          for w in words]
+                selected = encoder.matches(encoded, pattern, match)
+                assert selected.tolist() == [w.startswith(pattern[1])
+                                             for w in words]
                 if (lap, words) != (0, blocks[0]):  # vectors built there
                     assert match.calls - before <= len(words)
             assert list(encoded.dictionary.verdicts) == ["^a", "^b", "^c"]
@@ -131,9 +138,9 @@ def test_full_verdict_table_drops_only_an_idle_vector(monkeypatch):
     def ride(*patterns):
         encoded = encoder.encode(counts)
         for pattern in patterns:
-            assert list(encoder.selectors(
+            assert encoder.matches(
                 encoded, pattern, re.compile(pattern).match,
-            )) == [pattern == "^a", pattern == "^b"]
+            ).tolist() == [pattern == "^a", pattern == "^b"]
         table = encoded.dictionary.verdicts
         assert len(table) <= 2 and set(table) == set(encoded.dictionary.used)
         return sorted(table)
@@ -161,8 +168,8 @@ def test_idle_clock_runs_on_blocks_served_from_a_warm_table(monkeypatch):
         for index, raw in enumerate(blocks):
             encoded = BlockData(raw).bind(views, index).encoded()
             for pattern in patterns:
-                assert list(tokens.ENCODER.selectors(
-                    encoded, pattern, matchers[pattern])) == [
+                assert tokens.ENCODER.matches(
+                    encoded, pattern, matchers[pattern]).tolist() == [
                         word.startswith(pattern[1]) for word in encoded.words]
         return sorted(encoded.dictionary.verdicts)
 
@@ -217,7 +224,7 @@ def test_rolled_over_dictionary_is_collectable(monkeypatch):
     monkeypatch.setattr(tokens, "TOKEN_DICTIONARY_CAP", 2)
     encoder = TokenEncoder()
     in_flight = encoder.encode(Counter("a b".split()))
-    encoder.selectors(in_flight, "^a", re.compile("^a").match)
+    encoder.matches(in_flight, "^a", re.compile("^a").match)
     old = weakref.ref(in_flight.dictionary)
     encoder.encode(Counter(["c"]))  # rolls over
     gc.collect()
@@ -303,8 +310,8 @@ def test_concurrent_encoders_assign_each_word_exactly_one_id():
         for round_ in range(60):
             lo = (k * 50 + round_ * 7) % 300
             encoded = encoder.encode(Counter(vocabulary[lo:lo + 100]))
-            seen[k].append((encoded, encoder.selectors(
-                encoded, "5$", re.compile(".*5$").match)))
+            seen[k].append((encoded, encoder.matches(
+                encoded, "5$", re.compile(".*5$").match).tolist()))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -1,0 +1,142 @@
+"""Property: a summing wordcount job's id-space shuffle changes nothing
+observable.
+
+A batched wordcount rider whose reducer and combiner both sum keeps its
+block outputs as token-dictionary ids and counts until its reduce
+(``JobRunState.sums``).  For any rider set and arrival iterations, in
+each of the cases where that is easiest to get wrong — a dictionary
+roll-over in the middle of a job, an over-wide block with a dictionary
+of its own, a verdict table too full to keep a rider's pattern, and the
+progressive fold of ``fold_partial_aggregates`` — the run must produce
+the outputs, counters, record counts, ``reduce_input_values`` and
+``ReadStats`` of the same plan with per-record mappers.  Each case also
+checks that it really happened.
+"""
+
+import dataclasses
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import repro.localrt.tokens as tokens
+from repro.common.config import ExecutionConfig
+from repro.ext.aggregation import fold_partial_aggregates
+from repro.localrt.engine import JobRunState
+from repro.localrt.jobs import wordcount_job
+from repro.localrt.runners import SharedScanRunner
+from repro.localrt.storage import BlockStore
+from repro.localrt.tokens import TokenEncoder
+
+WORDS = [stem + suffix for stem in ("th", "run", "eat", "app", "mot", "sad")
+         for suffix in ("e", "ing", "ed", "le", "ion", "s", "")]
+PATTERNS = ["^th.*", ".*ing$", ".*e.*", "^[aeiou].*"]
+#: Lines of three distinct words, twelve words in all: with them a
+#: corpus holds more words than a dictionary capped at eight, and every
+#: block holding one is wider than a dictionary capped at two.
+SEED_LINES = [" ".join(WORDS[i:i + 3]) for i in range(0, 12, 3)]
+
+#: case -> (patched ``tokens`` caps, block size range in bytes).  Blocks
+#: of at most 24 bytes hold at most eight words, so under a cap of eight
+#: every block fits and the dictionary rolls over instead.
+CASES = {
+    "roll-over": ({"TOKEN_DICTIONARY_CAP": 8}, (8, 24)),
+    "over-wide": ({"TOKEN_DICTIONARY_CAP": 2}, (8, 60)),
+    "full-verdict-table": ({"VERDICT_PATTERNS_CAP": 1}, (8, 60)),
+    "fold": ({}, (8, 60)),
+}
+
+corpora = st.lists(
+    st.lists(st.sampled_from(WORDS), min_size=1, max_size=3).map(" ".join),
+    min_size=2, max_size=16)
+#: (pattern, combiner, arrival); the first rider always sums, so every
+#: example has a job that keeps its shuffle in id space.
+riders = st.lists(
+    st.tuples(st.sampled_from(PATTERNS), st.booleans(), st.integers(0, 6)),
+    min_size=0, max_size=3)
+
+
+def _run(directory, rider_set, seg, laps, batched, fold):
+    """``laps`` runs of the rider set on one store handle: what each
+    exposes to a caller."""
+    store = BlockStore(directory)
+    jobs_arrivals = [
+        (wordcount_job(f"j{i}", pattern, use_combiner=combiner,
+                       batched=batched), arrival)
+        for i, (pattern, combiner, arrival) in enumerate(rider_set)]
+    hook = ((lambda _i, states: fold_partial_aggregates(states))
+            if fold else None)
+    seen = []
+    with SharedScanRunner(store, ExecutionConfig(
+            blocks_per_segment=seg)) as runner:
+        for _ in range(laps):
+            store.reset_stats()
+            report = runner.run(
+                [job for job, _ in jobs_arrivals],
+                {job.job_id: arrival for job, arrival in jobs_arrivals},
+                on_iteration_end=hook)
+            seen.append((
+                {job_id: (repr(result.output), list(result.counters),
+                          result.map_input_records, result.map_output_records,
+                          result.reduce_output_records,
+                          result.reduce_input_values)
+                 for job_id, result in sorted(report.results.items())},
+                dataclasses.asdict(store.stats_snapshot())))
+    return seen
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@given(data=st.data(), corpus=corpora, seg=st.integers(1, 3),
+       laps=st.integers(1, 2),
+       first=st.tuples(st.sampled_from(PATTERNS), st.integers(0, 6)),
+       others=riders)
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_id_space_shuffle_matches_per_record(tmp_path_factory, case, data,
+                                             corpus, seg, laps, first,
+                                             others):
+    caps, (smallest, largest) = CASES[case]
+    block_size = data.draw(st.integers(smallest, largest), label="block")
+    rider_set = [(first[0], True, first[1]), *others]
+    if case == "full-verdict-table":
+        # A second pattern riding while the first's array is in use.
+        second = next(p for p in PATTERNS if p != first[0])
+        rider_set.append((second, True, data.draw(st.integers(0, 6))))
+    directory = tmp_path_factory.mktemp("idspace-corpus")
+    BlockStore.create(directory, SEED_LINES + corpus,
+                      block_size_bytes=block_size)
+
+    absorbed = []  # (dictionary, accumulators held) per id-space absorb
+    refused = []  # patterns the verdict table had no room for
+    absorb, vector = JobRunState.absorb, TokenEncoder._vector
+
+    def recording_absorb(self, records):
+        absorb(self, records)
+        if isinstance(records, tokens.BlockPartial) and self.sums:
+            absorbed.append((records.dictionary, len(self.sums)))
+
+    def recording_vector(self, dictionary, pattern):
+        kept = vector(self, dictionary, pattern)
+        if kept is None:
+            refused.append(pattern)
+        return kept
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in caps.items():
+            patch.setattr(tokens, name, value)
+        patch.setattr(tokens, "ENCODER", TokenEncoder())
+        patch.setattr(JobRunState, "absorb", recording_absorb)
+        patch.setattr(TokenEncoder, "_vector", recording_vector)
+        fold = case == "fold"
+        batched = _run(directory, rider_set, seg, laps, True, fold)
+        per_record = _run(directory, rider_set, seg, laps, False, fold)
+
+    assert batched == per_record
+    assert absorbed
+    cap = caps.get("TOKEN_DICTIONARY_CAP", tokens.TOKEN_DICTIONARY_CAP)
+    if case == "roll-over":  # one job's shuffle spans two dictionaries
+        assert max(held for _, held in absorbed) >= 2
+    if case == "over-wide":
+        assert any(len(d.words) > cap for d, _ in absorbed)
+    if case == "full-verdict-table":
+        assert refused

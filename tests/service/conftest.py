@@ -24,7 +24,9 @@ def assert_books_balance(service):
 @pytest.fixture(autouse=True)
 def balanced_books(monkeypatch):
     """Teardown of every scenario: each service the test built is shut
-    down and its books must balance."""
+    down and its books must balance.  Yields the list of services built,
+    from which a test that checks a service's books itself may take it
+    (the list holds a strong reference)."""
     built = []
     init = SchedulerService.__init__
 
@@ -33,7 +35,7 @@ def balanced_books(monkeypatch):
         built.append(self)
 
     monkeypatch.setattr(SchedulerService, "__init__", recording_init)
-    yield
+    yield built
     for service in built:
         service.shutdown()
         assert_books_balance(service)

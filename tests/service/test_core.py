@@ -5,6 +5,9 @@ threaded tests use the real core loop with generous timeouts and assert
 only order-independent facts.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.common.config import ExecutionConfig, TraceConfig
@@ -321,6 +324,34 @@ def test_step_refused_while_threaded_core_runs(store):
     with make_service(store) as service:
         with pytest.raises(ServiceError, match="core thread"):
             service.step()
+
+
+def test_shut_down_service_is_freed_by_refcount(tmp_path, balanced_books):
+    """Nothing the service hands its components points back at it, so
+    once it is shut down and dropped its store — derived-view table,
+    encoded blocks and all — goes at once, not at the next cyclic
+    collection."""
+    store = BlockStore.create(
+        tmp_path / "corpus",
+        [f"alpha beta gamma line {i:04d}" for i in range(160)],
+        block_size_bytes=512)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        service = SchedulerService(store, ServiceConfig()).start()
+        service.submit(wordcount_job("wc", "^a.*"))
+        service.drain()
+        assert store.derived.stats()["resident_blocks"] == store.num_blocks
+        service.shutdown()
+        assert_books_balance(service)
+        balanced_books.remove(service)
+        dead_store, dead_service = weakref.ref(store), weakref.ref(service)
+        del service, store
+        assert dead_service() is None
+        assert dead_store() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_restart_after_shutdown_refused(store):
