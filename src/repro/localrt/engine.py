@@ -32,6 +32,7 @@ from . import tokens
 from .api import (
     BlockData,
     BlockMapper,
+    IdentityReducer,
     LocalJob,
     Record,
     SumReducer,
@@ -39,6 +40,11 @@ from .api import (
 )
 from .counters import FRAMEWORK_GROUP, Counters, CounterUser
 from .records import RecordReader
+
+#: One rider's map output for one block, as the shuffle receives it: a
+#: record list, or a kernel's partial still in id or row space (each
+#: reads as its record list).
+MapOutput = list[Record] | tokens.BlockPartial | tokens.RowPartial
 
 
 @dataclass
@@ -54,8 +60,18 @@ class JobRunState:
     than one only across a roll-over or an over-wide block), and absorbing
     a partial is one scatter-add.  ``summed_records`` counts the records
     those partials stand for, so record counts read exactly as if every
-    one had been appended to ``groups``.  Readers see both homes through
-    :meth:`shuffle` (key -> values) and :func:`count_pending_values`.
+    one had been appended to ``groups``.
+
+    A selection rider's block output (a
+    :class:`~repro.localrt.tokens.RowPartial`) stays in row space when
+    the job's reduce is the identity (an :class:`IdentityReducer` and no
+    combiner): absorbing it is one append to ``rows``, and a reduce
+    whose whole shuffle is rows orders them with one stable sort over
+    their key codes.  A record list that arrives after some first spills
+    them into ``groups``, in arrival order, so ``groups`` always holds
+    the older records and value order within a key is arrival order.
+    Readers see every home through :meth:`shuffle` (key -> values) and
+    :func:`count_pending_values`.
     """
 
     job: LocalJob
@@ -68,6 +84,9 @@ class JobRunState:
     sums: "dict[tokens.TokenDictionary, np.ndarray]" = field(
         default_factory=dict)
     summed_records: int = 0
+    #: The row-space partials absorbed since ``groups`` last grew, in
+    #: arrival order.
+    rows: "list[tokens.RowPartial]" = field(default_factory=list)
     map_input_records: int = 0
     map_output_records: int = 0
     #: Job-level counters (framework built-ins + user counters).
@@ -77,8 +96,10 @@ class JobRunState:
         # Exact types: a subclass may reduce differently.
         self._sums_by_id = (type(self.job.reducer) is SumReducer
                             and type(self.job.combiner) is SumReducer)
+        self._rows_in_order = (type(self.job.reducer) is IdentityReducer
+                               and self.job.combiner is None)
 
-    def absorb(self, records: "list[Record] | tokens.BlockPartial") -> None:
+    def absorb(self, records: MapOutput) -> None:
         """Add one map task's (possibly combined) output to the shuffle."""
         self.map_output_records += len(records)
         if isinstance(records, tokens.BlockPartial) and self._sums_by_id:
@@ -94,13 +115,29 @@ class JobRunState:
             acc[records.ids] += records.counts
             self.summed_records += len(records)
             return
+        if isinstance(records, tokens.RowPartial) and self._rows_in_order:
+            self.rows.append(records)
+            return
+        if self.rows:
+            self._spill_rows()
         groups = self.groups
         for key, value in records:
             groups[key].append(value)
 
+    def _spill_rows(self) -> None:
+        """Move the row-space partials into ``groups``, oldest first."""
+        groups = self.groups
+        for partial in self.rows:
+            for key, value in partial.records:
+                groups[key].append(value)
+        self.rows = []
+
     def shuffle(self) -> "Mapping[Hashable, list[Any]]":
-        """The shuffle as key -> values: ``groups``, plus each id
-        accumulated in ``sums`` decoded once, as ``[its total]``."""
+        """The shuffle as key -> values: ``groups`` (into which any
+        row-space partials are spilled first), plus each id accumulated
+        in ``sums`` decoded once, as ``[its total]``."""
+        if self.rows:
+            self._spill_rows()
         if not self.sums:
             return self.groups
         merged: dict[Hashable, list[Any]] = dict(self.groups)
@@ -120,6 +157,7 @@ class JobRunState:
         self.groups = groups
         self.sums = {}
         self.summed_records = 0
+        self.rows = []
 
 
 def batch_mapper_for(job: LocalJob, reader: RecordReader,
@@ -155,8 +193,9 @@ def _collect_per_record(jobs: list[LocalJob], reader: RecordReader,
     """The original record-at-a-time loop (shared parse, per-job dispatch).
 
     Mappers that mix in :class:`CounterUser` are shallow-copied per task
-    (as Hadoop instantiates a fresh Mapper per task), so user counters
-    are race-free under the thread pool.
+    (as Hadoop instantiates a fresh Mapper per task), so each task's
+    user counters start from zero and reach the job only through the
+    returned :class:`Counters`.
     """
     mappers = []
     task_counters: list[Counters | None] = []
@@ -186,7 +225,7 @@ def _collect_per_record(jobs: list[LocalJob], reader: RecordReader,
 
 def collect_map_outputs(jobs: list[LocalJob], reader: RecordReader,
                         block_data: "str | bytes", base_offset: int = 0,
-                        ) -> tuple[int, list[list[Record]],
+                        ) -> tuple[int, list[MapOutput],
                                    "list[Counters | None]"]:
     """The pure (side-effect-free) half of a shared map task.
 
@@ -196,9 +235,11 @@ def collect_map_outputs(jobs: list[LocalJob], reader: RecordReader,
     tokenization are amortized across every job in the wave; per-record
     jobs share one reader parse of the decoded text.  Per-job combiners
     apply identically on both paths.  Returns ``(record_count,
-    outputs_per_job, counters_per_job)`` without touching any shared
-    state — which is what makes map tasks safely parallelisable (see
-    :mod:`repro.localrt.parallel`).  Every path must agree on the
+    outputs_per_job, counters_per_job)`` without touching any job's
+    shuffle state, so a wave can collect every block before it absorbs
+    any (see :mod:`repro.localrt.parallel`).  A kernel's output may be
+    a partial still in id or row space (:data:`MapOutput`).  Every
+    path must agree on the
     block's record count; a batch kernel that disagrees with the reader
     (or another kernel) raises :class:`ExecutionError` rather than
     silently corrupting ``map_input_records``.
@@ -230,7 +271,7 @@ def collect_map_outputs(jobs: list[LocalJob], reader: RecordReader,
         record_count, fallback_outputs, fallback_counters = \
             _collect_per_record(fallback_jobs, reader, data.text(),
                                 base_offset)
-    outputs: list[list[Record]] = []
+    outputs: list[MapOutput] = []
     task_counters: list[Counters | None] = []
     fallback_at = 0
     for job, kernel in zip(jobs, kernels):
@@ -285,7 +326,7 @@ def _combine(job: LocalJob, records: list[Record]) -> list[Record]:
 
 
 def absorb_map_result(state: JobRunState, record_count: int,
-                      buffer: "list[Record] | tokens.BlockPartial",
+                      buffer: MapOutput,
                       task_counters: "Counters | None") -> None:
     """Fold one map task's result (records + counters) into a job state."""
     state.map_input_records += record_count
@@ -300,7 +341,8 @@ def absorb_map_result(state: JobRunState, record_count: int,
 
 def count_pending_values(state: JobRunState) -> int:
     """Total values currently buffered in the shuffle (reduce input size)."""
-    return sum(map(len, state.groups.values())) + state.summed_records
+    return (sum(map(len, state.groups.values())) + state.summed_records
+            + sum(map(len, state.rows)))
 
 
 def run_reduce(state: JobRunState,
@@ -309,7 +351,9 @@ def run_reduce(state: JobRunState,
 
     The distinct keys are partitioned (:func:`default_partitioner`, once
     per key) and processed in sorted order within each partition
-    (Hadoop's sort phase), partitions in index order.  An enabled
+    (Hadoop's sort phase), partitions in index order.  A job whose whole
+    shuffle is row-space partials gets the same order from one stable
+    sort of its rows (:func:`_rows_in_reduce_order`).  An enabled
     ``tracer`` records the whole phase as one ``reduce.job`` span.
     """
     if tracer is not None and tracer.enabled:
@@ -319,6 +363,11 @@ def run_reduce(state: JobRunState,
 
 
 def _run_reduce(state: JobRunState) -> list[Record]:
+    if state.rows and not state.groups and not state.sums:
+        output = _rows_in_reduce_order(state.rows, state.job.num_partitions)
+        state.counters.increment(FRAMEWORK_GROUP, "reduce_output_records",
+                                 len(output))
+        return output
     reducer = state.job.reducer
     if isinstance(reducer, CounterUser):
         reducer = copy.copy(reducer)
@@ -335,6 +384,24 @@ def _run_reduce(state: JobRunState) -> list[Record]:
     state.counters.increment(FRAMEWORK_GROUP, "reduce_output_records",
                              len(output))
     return output
+
+
+def _rows_in_reduce_order(partials: list[tokens.RowPartial],
+                          num_partitions: int) -> list[Record]:
+    """An identity reduce over row-space partials: their records in
+    partition index order, then :func:`_sort_key` order, then arrival.
+
+    ``hashes % P`` is :func:`default_partitioner`'s partition and the
+    order code sorts as the key's ``repr`` (equal exactly when the
+    ``(int, int)`` keys are), so a stable ``lexsort`` on the two puts
+    equal keys' records in arrival order — the bucket, sort and
+    :class:`IdentityReducer` order of the ``groups`` path.
+    """
+    hashes = np.concatenate([partial.hashes for partial in partials])
+    order = np.concatenate([partial.order for partial in partials])
+    records = [record for partial in partials for record in partial.records]
+    permutation = np.lexsort((order, hashes % num_partitions))
+    return list(map(records.__getitem__, permutation.tolist()))
 
 
 def _sort_key(key: Hashable) -> tuple[str, str]:

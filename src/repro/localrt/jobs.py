@@ -21,6 +21,7 @@ benchmarks use as their baseline).
 from __future__ import annotations
 
 import re
+from itertools import chain
 from typing import Any, Hashable, Iterator
 
 try:  # numpy powers the columnar fast path; everything works without it.
@@ -209,87 +210,40 @@ class DelimitedBlockMapper(BlockMapper):
         end = line.find(delim, start)
         return line[start:end if end >= 0 else len(line)]
 
-    def _columnar_uint_column(self, block: bytes, index: int,
-                              ) -> "tuple[Any, Any, Any] | None":
-        """Vectorized parse of one non-negative-integer column.
 
-        Returns ``(values, line_starts, line_ends)`` — a float64 array of
-        the column parsed per line plus each line's byte span — or
-        ``None`` whenever the block falls outside the fast path's strict
-        shape: numpy missing, multi-byte delimiter, unknown field count,
-        a block not ending in ``\\n``, any line whose delimiter count
-        differs from the expected-fields contract, or a column value
-        that is not a plain 1-9 digit ASCII integer.  Callers must treat
-        ``None`` as "use the per-line path", which reproduces the
-        reader-identical errors for genuinely malformed input.
+#: The order code of a key part of ``w + 1`` decimal digits ``d_0 ..
+#: d_w`` is ``sum((d_p + 1) * 11 ** (8 - p))``: its digits, each one up,
+#: read in base 11 left-aligned to nine places.  A place past the end
+#: weighs nothing, so decimal strings compare by code as they compare as
+#: strings, a prefix first (``12 < 120 < 1200 < 13``), and two codes
+#: below ``11 ** 9`` pair into one int64.
+_KEY_PART_LIMIT = 10 ** 9
+_ORDER_RADIX = 11 ** 9
+if _np is not None:
+    _TENS = 10 ** _np.arange(1, 9, dtype=_np.int64)
+    _DIGIT_PLACES = 10 ** _np.arange(8, -1, -1, dtype=_np.int64)
+    _BASE_11_PLACES = 11 ** _np.arange(8, -1, -1, dtype=_np.int64)
+    _ORDER_PAD = _np.cumsum(_BASE_11_PLACES)
 
-        On a :class:`BlockData` the result (including a rejection) is
-        memoized per ``(delimiter, field count, column)``, so every
-        kernel reading the same column — in this wave or, through the
-        store handle's derived-view table, on a later lap — shares one
-        structural pass: the delimited analogue of the shared
-        tokenization.
-        """
-        if (_np is None or self.expected_fields is None
-                or len(self._delimiter_bytes) != 1):
-            return None
-        if isinstance(block, BlockData):
-            key = ("uint_column", self._delimiter_bytes,
-                   self.expected_fields, index)
-            return block.memo(
-                key, lambda: self._columnar_uint_uncached(block, index))
-        return self._columnar_uint_uncached(block, index)
 
-    def _columnar_uint_uncached(self, block: bytes, index: int,
-                                ) -> "tuple[Any, Any, Any] | None":
-        expected = self.expected_fields
-        if expected is None:
-            return None
-        per_line = expected - 1
-        if per_line <= 0 or not 0 <= index < expected:
-            return None
-        delimiter = self._delimiter_bytes[0]
-        if delimiter == 10:
-            return None
-        arr = _np.frombuffer(block, dtype=_np.uint8)
-        if arr.size == 0:
-            return None
-        # One structural pass: newlines and delimiters together.  A
-        # well-formed block has exactly ``per_line`` delimiters then one
-        # newline per record, so the sorted mark positions tile into
-        # rows of ``expected_fields`` — and the per-cell byte checks
-        # below reject every misalignment (a line with a missing or
-        # extra delimiter shifts some newline out of the last column).
-        marks = _np.flatnonzero((arr == 10) | (arr == delimiter))
-        if (marks.size == 0 or marks.size % expected
-                or marks[-1] != arr.size - 1):
-            return None
-        mark_bytes = arr[marks].reshape(-1, expected)
-        if not bool((mark_bytes[:, -1] == 10).all()
-                    and (mark_bytes[:, :-1] == delimiter).all()):
-            return None
-        table = marks.reshape(-1, expected)
-        # A copy: the result outlives the wave (``memo``), and a strided
-        # view would keep the whole mark table alive behind one column.
-        newlines = table[:, -1].copy()
-        grid = table[:, :-1]
-        starts = _np.concatenate(
-            (_np.zeros(1, dtype=newlines.dtype), newlines[:-1] + 1))
-        field_starts = starts if index == 0 else grid[:, index - 1] + 1
-        field_ends = newlines if index == per_line else grid[:, index]
-        widths = field_ends - field_starts
-        max_width = int(widths.max())
-        if int(widths.min()) < 1 or max_width > 9:
-            return None
-        values = _np.zeros(newlines.size, dtype=_np.float64)
-        for position in range(max_width):
-            active = widths > position
-            probe = _np.minimum(field_starts + position, arr.size - 1)
-            digits = arr[probe].astype(_np.int64) - 48
-            if bool(((digits < 0) | (digits > 9))[active].any()):
-                return None
-            values = _np.where(active, values * 10.0 + digits, values)
-        return values, starts, newlines
+def _key_codes(records: "list[Record]") -> "tuple[Any, Any] | None":
+    """The ``(hashes, order)`` codes of selection records' ``(int, int)``
+    keys, as int64 arrays (see :class:`~repro.localrt.tokens.RowPartial`),
+    or ``None`` unless every key part is in ``[0, 10**9)``.  ``hashes``
+    is Python's own ``hash`` of each key."""
+    keys = [key for key, _ in records]
+    try:
+        values = _np.fromiter(chain.from_iterable(keys), _np.int64,
+                              2 * len(keys))
+    except OverflowError:
+        return None
+    if values.min() < 0 or values.max() >= _KEY_PART_LIMIT:
+        return None
+    width = _np.searchsorted(_TENS, values, side="right")  # digits - 1
+    right_aligned = (values[:, None] // _DIGIT_PLACES % 10) @ _BASE_11_PLACES
+    codes = right_aligned * _BASE_11_PLACES[width] + _ORDER_PAD[width]
+    return (_np.fromiter(map(hash, keys), _np.int64, len(keys)),
+            codes[0::2] * _ORDER_RADIX + codes[1::2])
 
 
 class SelectionBlockMapper(SelectionMapper, DelimitedBlockMapper):
@@ -311,6 +265,13 @@ class SelectionBlockMapper(SelectionMapper, DelimitedBlockMapper):
     trailing partial line) take a per-line scalar path that reproduces
     the per-record reader's exact errors and results, and shares rows
     through the same table.
+
+    A rider's output is a :class:`~repro.localrt.tokens.RowPartial` —
+    its records plus their keys' codes, gathered from the row table,
+    which keeps them beside each record, or computed with the records a
+    rider parses — which an identity-reduce job keeps in row space until
+    its reduce orders every row with one sort.  Where a key part falls
+    outside the codes' range, the output is the plain record list.
     """
 
     def __init__(self, threshold: float, *, delimiter: str = "|",
@@ -320,29 +281,113 @@ class SelectionBlockMapper(SelectionMapper, DelimitedBlockMapper):
         self._rows_view = ("rows", self._delimiter_bytes, expected_fields)
 
     def map_block(self, data: bytes, base_offset: int,
-                  ) -> tuple[int, list[Record], Counters | None]:
+                  ) -> tuple[int, "list[Record] | tokens.RowPartial",
+                             Counters | None]:
         block = data if isinstance(data, BlockData) else BlockData(data)
-        columnar = self._columnar_uint_column(block, _QUANTITY_INDEX)
+        columnar = self._columnar_quantities(block)
         if columnar is None:
             return self._map_block_lines(block, base_offset)
-        values, starts, ends = columnar
+        quantities, ends = columnar
         count = int(ends.size)
         table: tokens.RowTable = block.memo(
             self._rows_view, lambda: tokens.RowTable(count, len(block)))
-        hits = _np.flatnonzero(values < self.threshold)
+        hits = _np.flatnonzero(quantities < self.threshold)
         outputs: list[Record] = list(map(table.slots.__getitem__,
                                          hits.tolist()))
         if None in outputs:
             missing = [position for position, record in enumerate(outputs)
                        if record is None]
             rows = hits[missing]
+            starts = _np.where(rows > 0, ends[rows - 1] + 1, 0)
             lines = [block[start:end] for start, end
-                     in zip(starts[rows].tolist(), ends[rows].tolist())]
+                     in zip(starts.tolist(), ends[rows].tolist())]
             parsed = list(map(self._row_record, lines))
-            table.keep(rows.tolist(), map(len, lines), parsed)
+            table.keep(rows.tolist(), map(len, lines), parsed,
+                       _key_codes(parsed))
             for position, record in zip(missing, parsed):
                 outputs[position] = record
-        return count, outputs, None
+        # Read after the slots: a record kept without codes clears
+        # ``ordered`` before its slot fills, and every row this rider
+        # parsed has its codes written, kept or past the budget.
+        if not table.ordered:
+            return count, outputs, None
+        return count, tokens.RowPartial(outputs, table.hashes[hits],
+                                        table.order[hits]), None
+
+    def _columnar_quantities(self, block: bytes) -> "tuple[Any, Any] | None":
+        """Vectorized parse of the ``l_quantity`` column.
+
+        Returns ``(quantities, line_ends)`` — a float64 array of the
+        column parsed per line and each line's end offset (its newline;
+        a line starts one byte past the one before it) — or ``None``
+        whenever the block falls outside the fast path's strict shape:
+        numpy missing, multi-byte delimiter, unknown field count, a
+        block not ending in ``\\n``, any line whose delimiter count
+        differs from the expected-fields contract, or a quantity that is
+        not a plain 1-9 digit ASCII integer.  Callers must treat
+        ``None`` as "use the per-line path", which reproduces the
+        reader-identical errors for genuinely malformed input.
+
+        On a :class:`BlockData` the result (including a rejection) is
+        memoized per ``(delimiter, field count)``, so every selection
+        rider — in this wave or, through the store handle's derived-view
+        table, on a later lap — shares one structural pass: the
+        delimited analogue of the shared tokenization.  Both arrays in
+        it are read-only.
+        """
+        if (_np is None or self.expected_fields is None
+                or len(self._delimiter_bytes) != 1):
+            return None
+        if isinstance(block, BlockData):
+            key = ("quantities", self._delimiter_bytes, self.expected_fields)
+            return block.memo(
+                key, lambda: self._columnar_quantities_uncached(block))
+        return self._columnar_quantities_uncached(block)
+
+    def _columnar_quantities_uncached(self, block: bytes,
+                                      ) -> "tuple[Any, Any] | None":
+        expected = self.expected_fields
+        if expected is None or expected <= _QUANTITY_INDEX:
+            return None
+        delimiter = self._delimiter_bytes[0]
+        if delimiter == 10:
+            return None
+        arr = _np.frombuffer(block, dtype=_np.uint8)
+        if arr.size == 0:
+            return None
+        # One structural pass: newlines and delimiters together.  A
+        # well-formed block has exactly ``expected - 1`` delimiters then
+        # one newline per record, so the sorted mark positions tile into
+        # rows of ``expected_fields`` — and the per-cell byte checks
+        # below reject every misalignment (a line with a missing or
+        # extra delimiter shifts some newline out of the last column).
+        marks = _np.flatnonzero((arr == 10) | (arr == delimiter))
+        if (marks.size == 0 or marks.size % expected
+                or marks[-1] != arr.size - 1):
+            return None
+        mark_bytes = arr[marks].reshape(-1, expected)
+        if not bool((mark_bytes[:, -1] == 10).all()
+                    and (mark_bytes[:, :-1] == delimiter).all()):
+            return None
+        table = marks.reshape(-1, expected)
+        # A copy: the result outlives the wave (``memo``), and a strided
+        # view would keep the whole mark table alive behind one column.
+        newlines = table[:, -1].copy()
+        field_starts = table[:, _QUANTITY_INDEX - 1] + 1
+        widths = table[:, _QUANTITY_INDEX] - field_starts
+        max_width = int(widths.max())
+        if int(widths.min()) < 1 or max_width > 9:
+            return None
+        values = _np.zeros(newlines.size, dtype=_np.int64)
+        for position in range(max_width):
+            active = widths > position
+            probe = _np.minimum(field_starts + position, arr.size - 1)
+            digits = arr[probe] - _np.uint8(48)  # a non-digit wraps past 9
+            if bool(((digits > 9) & active).any()):
+                return None
+            values = _np.where(active, values * 10 + digits, values)
+        return (tokens.frozen(values.astype(_np.float64)),
+                tokens.frozen(newlines))
 
     def _row_record(self, line: bytes) -> Record:
         """The record every selection emits for the row ``line``: the

@@ -21,14 +21,19 @@ from typing import Sequence
 from ..common.config import MAP_BACKENDS
 from ..common.errors import ExecutionError
 from ..obs.tracer import NULL_TRACER, Tracer
-from .api import BlockData, BlockStoreProtocol, Record
+from .api import BlockData, BlockStoreProtocol
 from .counters import Counters
-from .engine import JobRunState, absorb_map_result, collect_map_outputs
+from .engine import (
+    JobRunState,
+    MapOutput,
+    absorb_map_result,
+    collect_map_outputs,
+)
 from .records import RecordReader
 
 #: One map task's collected result: ``(record_count, outputs_per_job,
 #: counters_per_job)`` — the return shape of ``collect_map_outputs``.
-TaskResult = tuple[int, "list[list[Record]]", "list[Counters | None]"]
+TaskResult = tuple[int, "list[MapOutput]", "list[Counters | None]"]
 
 
 @dataclass(frozen=True)

@@ -67,12 +67,14 @@ under that table's ``DerivedViews._lock``, every write to a row table
 under its ``RowTable._lock``, and none of the three is ever taken while
 another is held.  What leaves the lock is safe to read without it by
 construction: an id is never reassigned and words are append-only; a
-verdict array is never written once published — extending it builds a
+verdict array is never written once published (it is published
+read-only, like every array a shared view holds) — extending it builds a
 longer array under the lock and replaces it in the table (an array
 cannot grow in place, nor can a ``bytearray`` while a numpy view of it
 is alive) — so a gather at ids a block was handed reads an array no one
 writes while another runner extends; and a row-table slot goes from
-``None`` to a finished record once.
+``None`` to a finished record once, after its row's key codes are
+written (a rewrite of them writes the values already there).
 """
 
 from __future__ import annotations
@@ -110,7 +112,8 @@ DERIVED_VIEWS_CAP_BYTES = 1 << 26
 #: block's bytes.  A parsed lineitem row — sixteen ``str``, the tuple
 #: holding them, the key pair — measures 1 228 bytes (``sys.getsizeof``,
 #: summed) for 124 bytes of text, ×9.9, so a full table weighs about
-#: 1.25 × its block plus one pointer per record, and the sizing rule
+#: 1.25 × its block plus 24 bytes per record (a pointer and two key
+#: codes), and the sizing rule
 #: above still describes it.  Measured, not configured: a selection up
 #: to 12 % wide shares every row it emits, a wider one parses the rest
 #: for itself.
@@ -238,6 +241,54 @@ class BlockPartial:
                 for i in np.repeat(self.ids, self.counts).tolist()]
 
 
+class RowPartial:
+    """One selection rider's map output for one block, still in row
+    space: its ``records`` and, one entry per record, their keys' codes
+    — ``hashes[i]`` is ``hash(key)``, so ``hashes % P`` is
+    :func:`~repro.localrt.api.default_partitioner`'s partition, and
+    ``order[i]`` sorts as the key's ``repr`` does (what
+    :func:`~repro.localrt.engine._sort_key` compares), equal exactly
+    when the keys are.
+
+    What the columnar selection kernel hands the shuffle instead of a
+    bare record list.  ``len()``, iteration and ``==`` read as
+    ``records``, so any consumer of a record list reads it as one; a job
+    whose reduce is the identity keeps it whole until its reduce, which
+    orders every row it absorbed with one sort over the codes
+    (:meth:`~repro.localrt.engine.JobRunState.absorb`).
+    """
+
+    __slots__ = ("records", "hashes", "order")
+
+    def __init__(self, records: list[Any], hashes: np.ndarray,
+                 order: np.ndarray) -> None:
+        self.records = records
+        self.hashes = hashes
+        self.order = order
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self.records)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (list, RowPartial)):
+            return self.records == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"RowPartial({self.records!r})"
+
+
+def frozen(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only: what a shared view publishes, so a
+    kernel that writes into one raises instead of changing the answer
+    every other rider reads."""
+    array.setflags(write=False)
+    return array
+
+
 class TokenEncoder:
     """Encodes blocks against the current :class:`TokenDictionary`."""
 
@@ -278,8 +329,8 @@ class TokenEncoder:
                 ids = lookup(dictionary.ids)
             dictionary.blocks += 1
         values = np.fromiter(counts.values(), np.int64, len(words))
-        return EncodedBlock(dictionary, np.array(ids, np.intp), values,
-                            sum(counts.values()))
+        return EncodedBlock(dictionary, frozen(np.array(ids, np.intp)),
+                            frozen(values), sum(counts.values()))
 
     def is_current(self, block: EncodedBlock, *, tick: bool) -> bool:
         """Whether ``block`` was encoded against the current dictionary,
@@ -311,8 +362,8 @@ class TokenEncoder:
         with self._lock:
             vector = self._vector(dictionary, pattern)
             if vector is not None and len(vector) < len(dictionary.words):
-                vector = dictionary.verdicts[pattern] = np.concatenate(
-                    (vector, _verdicts(dictionary.words[len(vector):], match)))
+                vector = dictionary.verdicts[pattern] = frozen(np.concatenate(
+                    (vector, _verdicts(dictionary.words[len(vector):], match))))
         if vector is None:
             return _verdicts(block.words, match)
         return vector[block.ids]
@@ -330,7 +381,7 @@ class TokenEncoder:
                 if dictionary.blocks - used[idlest] < VERDICT_IDLE_BLOCKS:
                     return None
                 del table[idlest], used[idlest]
-            vector = table[pattern] = np.zeros(0, bool)
+            vector = table[pattern] = frozen(np.zeros(0, bool))
         used[pattern] = dictionary.blocks
         return vector
 
@@ -454,22 +505,40 @@ class RowTable:
     ``block_bytes // ROW_TABLE_TEXT_DIVISOR`` bytes of the block are
     kept parsed, and a record past it is not kept — its next reader
     parses it again, for itself.
+
+    Beside each record the table keeps its key's codes (``hashes`` and
+    ``order``, as in :class:`RowPartial`), so a rider gathers a kept
+    row's codes as it gathers its record.  :meth:`keep` writes the codes
+    of every row it is offered, kept or past the budget, before any slot
+    fills; ``ordered`` turns ``False`` for good once records are offered
+    without codes, and only while it is ``True`` does a filled slot
+    vouch for its row's codes.
     """
 
     def __init__(self, records: int, block_bytes: int) -> None:
         self.slots: list[Any] = [None] * records
+        self.hashes = np.zeros(records, np.int64)
+        self.order = np.zeros(records, np.int64)
+        self.ordered = True
         self._lock = OrderedLock("RowTable._lock")
         self._room = block_bytes // ROW_TABLE_TEXT_DIVISOR  # guarded-by: _lock
         register_instance(self, fields=("_room",), guard="RowTable._lock")
 
-    def keep(self, rows: Iterable[int], text_bytes: Iterable[int],
-             records: Iterable[Any]) -> None:
+    def keep(self, rows: Sequence[int], text_bytes: Iterable[int],
+             records: Iterable[Any],
+             codes: "tuple[np.ndarray, np.ndarray] | None" = None) -> None:
         """Offer ``records``, each parsed from that many bytes of the
-        block, for the slots ``rows``: an empty slot takes its record
-        while the budget lasts (a slot another rider filled meanwhile
-        keeps what it has — an equal record, by construction)."""
+        block, for the slots ``rows``, with their keys' ``(hashes,
+        order)`` codes if the caller has them: an empty slot takes its
+        record while the budget lasts (a slot another rider filled
+        meanwhile keeps what it has — an equal record, by construction,
+        and the codes written for it again are the ones it has)."""
         slots = self.slots
         with self._lock:
+            if codes is None:
+                self.ordered = False
+            else:
+                self.hashes[rows], self.order[rows] = codes
             room = self._room
             for row, size, record in zip(rows, text_bytes, records):
                 if size <= room and slots[row] is None:

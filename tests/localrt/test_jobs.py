@@ -214,24 +214,24 @@ def test_selection_columnar_requires_trailing_newline():
 
 def test_columnar_structural_pass_shared_across_wave(monkeypatch):
     """Two selection kernels on one BlockData must run the structural
-    numpy pass once (memoized by delimiter/field-count/column)."""
+    numpy pass once (memoized by delimiter and field count)."""
     if jobs_module._np is None:
         pytest.skip("numpy not available")
     calls = []
-    original = SelectionBlockMapper._columnar_uint_uncached
+    original = SelectionBlockMapper._columnar_quantities_uncached
 
-    def spying(self, block, index):
-        calls.append(index)
-        return original(self, block, index)
+    def spying(self, block):
+        calls.append(block)
+        return original(self, block)
 
-    monkeypatch.setattr(SelectionBlockMapper, "_columnar_uint_uncached",
+    monkeypatch.setattr(SelectionBlockMapper, "_columnar_quantities_uncached",
                         spying)
     block = BlockData((_row(1, 1, 2) + "\n" + _row(2, 1, 5) + "\n").encode())
     first = SelectionBlockMapper(5.0)
     second = SelectionBlockMapper(6.0)
     count_a, out_a, _ = first.map_block(block, 0)
     count_b, out_b, _ = second.map_block(block, 0)
-    assert calls == [_QUANTITY]  # one structural pass for the wave
+    assert calls == [block]  # one structural pass for the wave
     assert count_a == count_b == 2
     assert len(out_a) == 1 and len(out_b) == 2
 
@@ -240,7 +240,9 @@ def test_memoised_columnar_value_owns_only_what_it_needs():
     """The structural pass's result outlives its wave (the store
     handle's derived-view table keeps it), so no array in it may be a
     view that pins a larger intermediate — the mark table is 16 fields
-    wide, the value needs one column of it."""
+    wide, the value needs one column of it.  Nor may the key codes the
+    row table keeps beside its records: one int64 each per row, not the
+    digit columns they were built from."""
     if jobs_module._np is None:
         pytest.skip("numpy not available")
     views = tokens.DerivedViews()
@@ -249,11 +251,13 @@ def test_memoised_columnar_value_owns_only_what_it_needs():
     block = BlockData(rows.encode()).bind(views, 0)
     SelectionBlockMapper(5.0).map_block(block, 0)
     (key, value), = ((key, value) for key, value in block._derived.items()
-                     if key[0] == "uint_column")  # the other: the row table
+                     if key[0] == "quantities")
     assert views.lookup(0, key) is value
-    assert len(value) == 3
-    for array in value:
-        assert len(array) == 39
+    (_, table), = ((key, value) for key, value in block._derived.items()
+                   if key[0] == "rows")
+    quantities, ends = value
+    for array in (quantities, ends, table.hashes, table.order):
+        assert len(array) == 39 and array.dtype.itemsize == 8
         assert array.base is None or array.base.nbytes == array.nbytes
 
 

@@ -9,12 +9,20 @@ import threading
 import weakref
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import repro.localrt.tokens as tokens
 from repro.common.config import MAP_BACKENDS, ExecutionConfig
 from repro.localrt.api import BlockData
-from repro.localrt.jobs import wordcount_job
+from repro.localrt.engine import JobRunState, absorb_map_result, run_reduce
+from repro.localrt.jobs import (
+    PatternWordCountBlock,
+    SelectionBlockMapper,
+    _key_codes,
+    selection_job,
+    wordcount_job,
+)
 from repro.localrt.output import write_output
 from repro.localrt.runners import SharedScanRunner
 from repro.localrt.storage import BlockStore
@@ -346,3 +354,107 @@ def test_process_encoder_is_shared_by_every_block():
     assert first.dictionary is second.dictionary
     assert _ids(second)[0] == _ids(first)[0]
     assert tokens.ENCODER.current_size() >= 2
+
+
+# ------------------------------------------------------------- read-only views
+
+def _raises_on_write(array):
+    with pytest.raises(ValueError, match="read-only"):
+        array[0] = array[0]
+
+
+def test_shared_arrays_are_read_only_and_the_kernels_still_work(monkeypatch):
+    """What a kept view hands every rider cannot be written through; the
+    riders' gathers and masks make arrays of their own, and a job's own
+    accumulators stay writable."""
+    monkeypatch.setattr(tokens, "ENCODER", TokenEncoder())
+    views = tokens.DerivedViews()
+    text = BlockData(b"apple ant bee\nant cow\n").bind(views, 0)
+    encoded = text.encoded()
+    _raises_on_write(encoded.ids)
+    _raises_on_write(encoded.counts)
+    state = JobRunState(wordcount_job("wc", "^a"))
+    for _visit in range(2):  # the second is served from the table
+        block = BlockData(bytes(text)).bind(views, 0)
+        count, partial, _ = PatternWordCountBlock("^a").map_block(block, 0)
+        assert (count, list(partial)) == (2, [("apple", 1), ("ant", 2)])
+        partial.ids[0] = partial.ids[0]  # a gather: the rider's own
+        absorb_map_result(state, count, partial, None)
+    _raises_on_write(encoded.dictionary.verdicts["^a"])
+    accumulator, = state.sums.values()
+    assert accumulator.flags.writeable
+    assert sorted(run_reduce(state)) == [("ant", 4), ("apple", 2)]
+
+    rows = BlockData(b"".join(
+        b"|".join([b"%d" % order, b"1", b"1", b"1", b"%d" % quantity]
+                  + [b"x"] * 11) + b"\n"
+        for order, quantity in ((3, 1), (1, 9), (2, 2)))).bind(views, 1)
+    count, selected, _ = SelectionBlockMapper(5.0).map_block(rows, 0)
+    assert [key for key, _ in selected] == [(3, 1), (2, 1)]
+    (quantities, ends), = (value for key, value in rows._derived.items()
+                           if key[0] == "quantities")
+    for array in (quantities, ends):
+        _raises_on_write(array)
+    selected.order[0] = selected.order[0]  # a gather: the rider's own
+    state = JobRunState(selection_job("sel", 5.0, num_partitions=1))
+    absorb_map_result(state, count, selected, None)
+    assert run_reduce(state) == [selected.records[1], selected.records[0]]
+
+
+def test_riders_racing_on_one_row_table_get_their_own_rows_codes():
+    """Four selection riders (more threads than cores, a switch interval
+    that interleaves them inside ``keep``) map one block at once, round
+    after round on a fresh table, two by two at thresholds wider than
+    the table's budget: every rider's codes are its own records' —
+    whether it gathered a row another rider kept, or parsed it itself."""
+    data = b"".join(
+        b"|".join([b"%d" % (row * 37 % 101), b"1", b"1", b"%d" % (row % 7),
+                   b"%d" % (row % 50 + 1)] + [b"x"] * 11) + b"\n"
+        for row in range(200))
+    rounds = [tokens.DerivedViews() for _ in range(50)]
+    outputs = [[] for _ in range(4)]
+    start = threading.Barrier(4)
+
+    def work(k):
+        mapper = SelectionBlockMapper(20.0 * (k // 2 + 1))
+        start.wait(timeout=10)
+        for views in rounds:
+            _count, partial, _ = mapper.map_block(
+                BlockData(data).bind(views, 0), 0)
+            outputs[k].append(partial)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+
+    for partials in outputs:
+        assert len(partials) == len(rounds)
+        for partial in partials:
+            hashes, order = _key_codes(partial.records)
+            assert partial.hashes.tolist() == hashes.tolist()
+            assert partial.order.tolist() == order.tolist()
+
+
+def test_a_row_table_writes_a_rows_codes_before_its_slot_fills():
+    """What lets a rider that finds a slot filled gather the row's codes
+    without the lock: by the time ``keep`` takes a record for its slot,
+    the codes it was offered with are in place."""
+    table = tokens.RowTable(2, 10 ** 6)
+
+    def records():
+        for row in (0, 1):
+            assert (table.hashes[row], table.order[row]) == (row + 5, row + 9)
+            yield ("record", row)
+
+    table.keep([0, 1], [1, 1], records(), (np.array([5, 6]), np.array([9, 10])))
+    assert table.slots == [("record", 0), ("record", 1)] and table.ordered
+    table.keep([0], [1], [("record", 0)])  # offered without codes
+    assert not table.ordered
