@@ -353,18 +353,11 @@ class SumReducer(Reducer):
 DIGEST_TABLE_CAP = 1 << 16
 
 
-@functools.lru_cache(maxsize=DIGEST_TABLE_CAP)
-def _str_digest(key: str) -> int:
-    """Java's ``String.hashCode`` folded to 31 bits.
-
-    Memoized: the reduce partitions each job's distinct keys, and a
-    scan's keys repeat in every job, so the per-character loop runs once
-    per distinct key per process instead of once per key per job.
-    """
-    digest = 0
-    for ch in key:
-        digest = (digest * 31 + ord(ch)) & 0x7FFFFFFF
-    return digest
+#: :func:`~repro.localrt.tokens.str_digest`, memoized: the reduce
+#: partitions each job's distinct keys, and a scan's keys repeat in
+#: every job, so the per-character loop runs once per distinct key per
+#: process instead of once per key per job.
+_str_digest = functools.lru_cache(maxsize=DIGEST_TABLE_CAP)(tokens.str_digest)
 
 
 def default_partitioner(key: Hashable, num_partitions: int) -> int:

@@ -12,9 +12,9 @@ sizes differ (the last block of a file is short).
 Thread safety: one lock guards the eviction list and the byte budget.
 ``read_block`` may run concurrently from two runners sharing a store and
 from the read-ahead prefetcher (:mod:`repro.localrt.prefetch`), so every
-public method takes the lock; racing loaders may both read the same
-block from disk, and the second insert simply refreshes the entry —
-accounting stays truthful (two physical reads happened).
+public method takes the lock.  The cache does not know who is loading
+what: the store keeps one fill per block in flight, so racing loaders
+of one block read it from disk once (``BlockStore._claim``).
 """
 
 from __future__ import annotations

@@ -60,7 +60,9 @@ class JobRunState:
     than one only across a roll-over or an over-wide block), and absorbing
     a partial is one scatter-add.  ``summed_records`` counts the records
     those partials stand for, so record counts read exactly as if every
-    one had been appended to ``groups``.
+    one had been appended to ``groups``.  A reduce whose whole shuffle
+    is one accumulator orders its ids with one sort over the codes the
+    dictionary keeps per word, and decodes only the words it emits.
 
     A selection rider's block output (a
     :class:`~repro.localrt.tokens.RowPartial`) stays in row space when
@@ -87,6 +89,8 @@ class JobRunState:
     #: The row-space partials absorbed since ``groups`` last grew, in
     #: arrival order.
     rows: "list[tokens.RowPartial]" = field(default_factory=list)
+    #: Map tasks absorbed (:func:`absorb_map_result`).
+    map_tasks: int = 0
     map_input_records: int = 0
     map_output_records: int = 0
     #: Job-level counters (framework built-ins + user counters).
@@ -328,12 +332,12 @@ def _combine(job: LocalJob, records: list[Record]) -> list[Record]:
 def absorb_map_result(state: JobRunState, record_count: int,
                       buffer: MapOutput,
                       task_counters: "Counters | None") -> None:
-    """Fold one map task's result (records + counters) into a job state."""
+    """Fold one map task's result (records + counters) into a job state.
+
+    The record counts reach the job's ``framework`` counters once, at
+    its reduce (:func:`run_reduce`)."""
+    state.map_tasks += 1
     state.map_input_records += record_count
-    state.counters.increment(FRAMEWORK_GROUP, "map_input_records",
-                             record_count)
-    state.counters.increment(FRAMEWORK_GROUP, "map_output_records",
-                             len(buffer))
     if task_counters is not None:
         state.counters.merge(task_counters)
     state.absorb(buffer)
@@ -353,7 +357,9 @@ def run_reduce(state: JobRunState,
     per key) and processed in sorted order within each partition
     (Hadoop's sort phase), partitions in index order.  A job whose whole
     shuffle is row-space partials gets the same order from one stable
-    sort of its rows (:func:`_rows_in_reduce_order`).  An enabled
+    sort of its rows (:func:`_rows_in_reduce_order`), and one whose
+    whole shuffle is one id-space accumulator from one sort of its ids
+    (:func:`_sums_in_reduce_order`).  An enabled
     ``tracer`` records the whole phase as one ``reduce.job`` span.
     """
     if tracer is not None and tracer.enabled:
@@ -363,11 +369,30 @@ def run_reduce(state: JobRunState,
 
 
 def _run_reduce(state: JobRunState) -> list[Record]:
+    if state.map_tasks:
+        # Booked once here rather than on every absorbed task; a job
+        # that absorbed one task has both cells, even at zero.
+        state.counters.increment(FRAMEWORK_GROUP, "map_input_records",
+                                 state.map_input_records)
+        state.counters.increment(FRAMEWORK_GROUP, "map_output_records",
+                                 state.map_output_records)
+    output: list[Record]
     if state.rows and not state.groups and not state.sums:
         output = _rows_in_reduce_order(state.rows, state.job.num_partitions)
-        state.counters.increment(FRAMEWORK_GROUP, "reduce_output_records",
-                                 len(output))
-        return output
+    elif len(state.sums) == 1 and not state.groups and not state.rows:
+        [(dictionary, acc)] = state.sums.items()
+        output = _sums_in_reduce_order(dictionary, acc,
+                                       state.job.num_partitions)
+    else:
+        output = _reduce_groups(state)
+    state.counters.increment(FRAMEWORK_GROUP, "reduce_output_records",
+                             len(output))
+    return output
+
+
+def _reduce_groups(state: JobRunState) -> list[Record]:
+    """The general reduce: the shuffle's distinct keys bucketed by
+    partition and sorted by :func:`_sort_key`, one reducer call each."""
     reducer = state.job.reducer
     if isinstance(reducer, CounterUser):
         reducer = copy.copy(reducer)
@@ -381,9 +406,30 @@ def _run_reduce(state: JobRunState) -> list[Record]:
     for bucket in buckets:
         for key in sorted(bucket, key=_sort_key):
             output.extend(reducer.reduce(key, groups[key]))
-    state.counters.increment(FRAMEWORK_GROUP, "reduce_output_records",
-                             len(output))
     return output
+
+
+def _sums_in_reduce_order(dictionary: tokens.TokenDictionary,
+                          acc: np.ndarray,
+                          num_partitions: int) -> list[Record]:
+    """A summing reduce over one id-space accumulator: ``(word, total)``
+    for each word with a nonzero total, in partition index order, then
+    :func:`_sort_key` order.
+
+    The dictionary's codes give each word its
+    :func:`default_partitioner` partition (``digests % P``) and its
+    ``repr`` position (``rank``; distinct words never tie), so one
+    ``lexsort`` on the two is the bucket and sort order of the
+    ``groups`` path, and each word's total is what
+    :class:`SumReducer` makes of ``[total]``.
+    """
+    hit = np.flatnonzero(acc)
+    if not len(hit):
+        return []
+    digests, rank = tokens.ENCODER.codes(dictionary, int(hit[-1]))
+    hit = hit[np.lexsort((rank[hit], digests[hit] % num_partitions))]
+    return list(zip(map(dictionary.words.__getitem__, hit.tolist()),
+                    acc[hit].tolist()))
 
 
 def _rows_in_reduce_order(partials: list[tokens.RowPartial],

@@ -118,7 +118,7 @@ class PatternWordCountBlock(PatternWordCount, BlockMapper):
             # empty block creates none.  Mirror that exactly.
             counters.increment("wordcount", "words_scanned", encoded.total)
             counters.increment("wordcount", "words_matched",
-                               sum(hits.counts.tolist()))
+                               int(hits.counts.sum()))
         return block.line_count(), outputs, counters
 
 

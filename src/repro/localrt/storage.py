@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import mmap
 import pathlib
+import threading
 from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -187,6 +188,15 @@ class BlockStore:
             offset += size
         self._total_bytes = offset
         self.cache = cache
+        #: Block index -> the event its one in-flight cache fill sets
+        #: when done, so a prefetch and a demand read of one block (or
+        #: two demand reads) go to disk once between them.  A leaf:
+        #: nothing is acquired while it is held.  Replaced, never
+        #: mutated, so the lockset checker sees every change.
+        self._inflight_lock = OrderedLock("BlockStore._inflight_lock")
+        self._inflight: dict[int, threading.Event] = {}  # guarded-by: _inflight_lock
+        register_instance(self, fields=("_inflight",),
+                          guard="BlockStore._inflight_lock")
         #: Compact derived views of this handle's blocks, kept from one
         #: lap of a scan to the next (the bytes are still read and
         #: counted every time).  Per handle, in memory, gone with it.
@@ -335,16 +345,23 @@ class BlockStore:
         """Warm block ``index`` into the cache without logical accounting.
 
         Returns True when the block was actually loaded from disk; False
-        when there is no cache or the block is already resident.  Used by
+        when there is no cache, the block is already resident, or another
+        reader was filling it (this waits for that fill).  Used by
         the read-ahead prefetcher: the physical read is charged, but no
         logical read and no cache hit/miss — the demand read that follows
         will record the hit.
         """
         self._check(index)
-        if self.cache is None or self.cache.contains(index):
+        cache = self.cache
+        if cache is None or cache.contains(index) or not self._claim(index):
             return False
-        data = self._physical_read_bytes(index)
-        evicted = self.cache.put(index, data, self._sizes[index])
+        try:
+            if cache.contains(index):  # filled before the claim
+                return False
+            data = self._physical_read_bytes(index)
+            evicted = cache.put(index, data, self._sizes[index])
+        finally:
+            self._release(index)
         with self._stats_lock:
             self.stats.prefetched_blocks += 1
             if evicted:
@@ -358,22 +375,56 @@ class BlockStore:
 
     def _load_bytes(self, index: int) -> bytes:
         """Fetch block bytes via the cache (charging hit/miss/eviction
-        and, on the miss path, physical counters) — no logical charge."""
-        if self.cache is None:
+        and, on the miss path, physical counters) — no logical charge.
+
+        A miss on a block another reader is already filling waits for
+        that fill and takes its bytes as a hit; if they were evicted
+        meanwhile, it fills the cache itself."""
+        cache = self.cache
+        if cache is None:
             return self._physical_read_bytes(index)
-        data = self.cache.get(index)
-        if data is None:
+        while True:
+            data = cache.get(index)
+            if data is not None:
+                with self._stats_lock:
+                    self.stats.cache_hits += 1
+                return data
+            if self._claim(index):
+                if not cache.contains(index):  # not filled before the claim
+                    break
+                self._release(index)
+        try:
             with self._stats_lock:
                 self.stats.cache_misses += 1
             data = self._physical_read_bytes(index)
-            evicted = self.cache.put(index, data, self._sizes[index])
-            if evicted:
-                with self._stats_lock:
-                    self.stats.cache_evictions += evicted
-        else:
+            evicted = cache.put(index, data, self._sizes[index])
+        finally:
+            self._release(index)
+        if evicted:
             with self._stats_lock:
-                self.stats.cache_hits += 1
+                self.stats.cache_evictions += evicted
         return data
+
+    def _claim(self, index: int) -> bool:
+        """Make this caller the one filling the cache with block
+        ``index``; ``False`` after waiting out a fill already in flight
+        (the caller looks in the cache again)."""
+        with self._inflight_lock:
+            pending = self._inflight.get(index)
+            if pending is None:
+                self._inflight = {**self._inflight, index: threading.Event()}
+                return True
+        pending.wait()
+        return False
+
+    def _release(self, index: int) -> None:
+        """End this caller's fill of block ``index`` and wake its
+        waiters."""
+        with self._inflight_lock:
+            inflight = dict(self._inflight)
+            done = inflight.pop(index)
+            self._inflight = inflight
+        done.set()
 
     def _physical_read_bytes(self, index: int) -> bytes:
         """One actual disk read (always charged to the physical counters)."""

@@ -14,9 +14,10 @@ by id.  A rider's map over a block is then a gather of that array at
 the block's ids and a mask of its ids and counts — no per-word Python
 loop, no per-job memo — and each vocabulary word is matched once per
 pattern per process, whichever job or wave meets it first.  The rider's
-output stays in id space (a :class:`BlockPartial`) until its job's
-reduce decodes each key once (see
-:class:`~repro.localrt.engine.JobRunState`).
+output stays in id space (a :class:`BlockPartial`) through its job's
+reduce, which orders the ids by two per-word codes the dictionary keeps
+— the partition digest and the ``repr`` rank — and decodes each
+emitted key once (see :class:`~repro.localrt.engine.JobRunState`).
 
 *Across time*, to jobs that never overlap: a :class:`DerivedViews` table
 — one per store handle, in memory, gone with the handle — keeps each
@@ -62,17 +63,19 @@ parsed for the rider that asked, every time.
 Concurrency: a wave maps its blocks one by one, but two runners sharing
 a store handle (or two handles in one process) encode, look up and fill
 views at once.  Every mutation — id assignment, roll-over, verdict
-extension — happens under ``TokenEncoder._lock``, every table operation
-under that table's ``DerivedViews._lock``, every write to a row table
-under its ``RowTable._lock``, and none of the three is ever taken while
-another is held.  What leaves the lock is safe to read without it by
+extension, the words' reduce codes — happens under
+``TokenEncoder._lock``, every table operation under that table's
+``DerivedViews._lock``, every write to a row table under its
+``RowTable._lock``, and none of the three is ever taken while another
+is held.  What leaves the lock is safe to read without it by
 construction: an id is never reassigned and words are append-only; a
-verdict array is never written once published (it is published
-read-only, like every array a shared view holds) — extending it builds a
-longer array under the lock and replaces it in the table (an array
-cannot grow in place, nor can a ``bytearray`` while a numpy view of it
-is alive) — so a gather at ids a block was handed reads an array no one
-writes while another runner extends; and a row-table slot goes from
+verdict array, like a dictionary's ``digests`` and ``rank``, is never
+written once published (it is published read-only, like every array a
+shared view holds) — extending it builds a longer array under the lock
+and replaces it (an array cannot grow in place, nor can a ``bytearray``
+while a numpy view of it is alive) — so a gather at ids a block was
+handed reads an array no one writes while another runner extends; and
+a row-table slot goes from
 ``None`` to a finished record once, after its row's key codes are
 written (a rewrite of them writes the values already there).
 """
@@ -89,8 +92,9 @@ from ..analysis.racecheck import register_instance
 
 #: Most words one dictionary holds before a fresh one replaces it.  A
 #: word costs one ``dict`` slot and one list slot, plus a byte per
-#: pattern that has been matched against the dictionary and eight per
-#: summing job that has absorbed a block encoded against it.
+#: pattern that has been matched against the dictionary, eight per
+#: summing job that has absorbed a block encoded against it, and sixteen
+#: for its reduce codes once a summing job has reduced against it.
 TOKEN_DICTIONARY_CAP = 1 << 17
 
 #: Most patterns one dictionary keeps verdict vectors for.
@@ -137,6 +141,16 @@ def _gatherer(keys: Sequence[Hashable]) -> Callable[[Any], tuple[Any, ...]]:
     return lambda container: tuple(container[key] for key in keys)
 
 
+def str_digest(key: str) -> int:
+    """Java's ``String.hashCode`` folded to 31 bits: the partition digest
+    of a ``str`` key (:func:`~repro.localrt.api.default_partitioner`
+    memoizes it; a :class:`TokenDictionary` keeps it per word)."""
+    digest = 0
+    for ch in key:
+        digest = (digest * 31 + ord(ch)) & 0x7FFFFFFF
+    return digest
+
+
 def _verdicts(words: Sequence[str],
               match: Callable[[str], object]) -> np.ndarray:
     """``match(word) is not None`` for each of ``words``, as a boolean
@@ -154,7 +168,8 @@ class TokenDictionary:
     extended (``True`` = the pattern matches the word) and
     ``used[pattern]`` the value of ``blocks`` — blocks mapped against
     this dictionary, freshly encoded or served from a
-    :class:`DerivedViews` table — at its last use.
+    :class:`DerivedViews` table — at its last use.  ``digests`` and
+    ``rank`` are the words' reduce codes (:meth:`TokenEncoder.codes`).
     """
 
     def __init__(self) -> None:
@@ -163,6 +178,10 @@ class TokenDictionary:
         self.blocks = 0
         self.verdicts: dict[str, np.ndarray] = {}
         self.used: dict[str, int] = {}
+        self.digests = frozen(np.zeros(0, np.int64))
+        self.rank = frozen(np.zeros(0, np.int64))
+        register_instance(self, fields=("digests", "rank"),
+                          guard="TokenEncoder._lock")
 
 
 class EncodedBlock:
@@ -384,6 +403,36 @@ class TokenEncoder:
             vector = table[pattern] = frozen(np.zeros(0, bool))
         used[pattern] = dictionary.blocks
         return vector
+
+    def codes(self, dictionary: TokenDictionary, last: int,
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """``(digests, rank)`` of ``dictionary``, covering every id up to
+        ``last``: ``digests[i]`` is :func:`str_digest` of word ``i``, so
+        ``digests % P`` is the partition
+        :func:`~repro.localrt.api.default_partitioner` gives the word,
+        and ordering ranked ids by ``rank`` orders their words by
+        ``repr`` (what :func:`~repro.localrt.engine._sort_key` compares
+        for a ``str``; distinct words never tie).
+
+        While the dictionary does not grow, this is a read of the arrays
+        it has.  A call whose ``last`` is not ranked yet digests the
+        words added since the last call and ranks every word again.
+        """
+        with self._lock:
+            rank = dictionary.rank
+            if last >= len(rank):
+                words = dictionary.words
+                known = len(dictionary.digests)
+                dictionary.digests = frozen(np.concatenate((
+                    dictionary.digests,
+                    np.fromiter(map(str_digest, words[known:]), np.int64,
+                                len(words) - known))))
+                reprs = list(map(repr, words))
+                rank = np.empty(len(words), np.int64)
+                rank[sorted(range(len(words)), key=reprs.__getitem__)] = \
+                    np.arange(len(words))
+                dictionary.rank = rank = frozen(rank)
+            return dictionary.digests, rank
 
     def current_size(self) -> int:
         """Words in the current dictionary (never above the cap)."""

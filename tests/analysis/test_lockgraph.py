@@ -144,7 +144,8 @@ def test_condition_wait_keeps_bookkeeping_exact():
 def test_runtime_locks_record_expected_graph(tmp_path):
     """The retrofitted BlockStore/BlockCache/prefetcher hold no two
     project locks at once: a full cached+prefetched run records no
-    edges between the runtime lock roles."""
+    edges between the runtime lock roles, and none at all out of the
+    store's in-flight table lock (a leaf)."""
     from repro.localrt.cache import BlockCache
     from repro.localrt.prefetch import ReadAheadPrefetcher
     from repro.localrt.storage import BlockStore
@@ -157,11 +158,12 @@ def test_runtime_locks_record_expected_graph(tmp_path):
         for index in range(store.num_blocks):
             store.read_block(index)
     runtime_roles = {"BlockStore._stats_lock", "BlockCache._lock",
-                     "ReadAheadPrefetcher._cond"}
+                     "ReadAheadPrefetcher._cond", "BlockStore._inflight_lock"}
     for source, targets in lock_order_graph().items():
         if source in runtime_roles:
             assert not (targets & runtime_roles), (
                 f"unexpected lock nesting {source} -> {targets}")
+    assert not lock_order_graph().get("BlockStore._inflight_lock")
 
 
 # ------------------------------------------------- held-set bookkeeping

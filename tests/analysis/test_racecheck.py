@@ -238,3 +238,47 @@ def test_detector_covers_the_token_dictionary(monkeypatch):
         in_thread(unguarded, name="rogue")
     assert "TokenEncoder._current" in str(excinfo.value)
     assert "expected guard: TokenEncoder._lock" in str(excinfo.value)
+
+
+def test_detector_covers_the_store_in_flight_table(store):
+    """A store's table of blocks being filled into its cache is
+    registered: fills from two threads pass, while a rebind of the table
+    outside its lock trips the detector."""
+    from repro.localrt.cache import BlockCache
+
+    store.attach_cache(BlockCache(1 << 20))
+    store.read_block_bytes(0)
+    in_thread(lambda: store.read_block_bytes(1))
+    in_thread(lambda: store.prefetch_block(2))
+
+    with pytest.raises(RaceError) as excinfo:
+        def unguarded():
+            store._inflight = {}
+        in_thread(unguarded, name="rogue")
+    assert "BlockStore._inflight" in str(excinfo.value)
+    assert "expected guard: BlockStore._inflight_lock" in str(excinfo.value)
+
+
+def test_detector_covers_the_token_dictionary_codes():
+    """A dictionary's reduce codes are replaced, never written, and only
+    under the encoder's lock: deriving them from two threads passes,
+    while a rebind outside the lock trips the detector."""
+    from collections import Counter
+
+    import numpy as np
+
+    import repro.localrt.tokens as tokens
+
+    encoder = tokens.TokenEncoder()
+    dictionary = encoder.encode(Counter(["b", "a"])).dictionary
+    encoder.codes(dictionary, 1)
+    encoder.encode(Counter(["c"]))
+    in_thread(lambda: encoder.codes(dictionary, 2))
+    assert dictionary.rank.tolist() == [1, 0, 2]
+
+    with pytest.raises(RaceError) as excinfo:
+        def unguarded():
+            dictionary.rank = np.zeros(3, np.int64)
+        in_thread(unguarded, name="rogue")
+    assert "TokenDictionary.rank" in str(excinfo.value)
+    assert "expected guard: TokenEncoder._lock" in str(excinfo.value)

@@ -5,7 +5,8 @@ import pytest
 from repro.common.config import ExecutionConfig
 from repro.common.errors import ExecutionError
 from repro.localrt.counters import FRAMEWORK_GROUP, Counters, CounterUser
-from repro.localrt.jobs import wordcount_job
+from repro.localrt.engine import JobRunState, absorb_map_result, run_reduce
+from repro.localrt.jobs import PatternWordCount, wordcount_job
 from repro.localrt.runners import FifoLocalRunner, SharedScanRunner
 
 
@@ -70,6 +71,43 @@ def test_framework_counters_populated(corpus_store):
         == result.map_input_records
     assert counters.value(FRAMEWORK_GROUP, "reduce_output_records") \
         == result.reduce_output_records
+
+
+def test_framework_map_cells_exist_once_a_task_is_absorbed():
+    """The ``framework`` map cells of a job are the sums over the tasks it
+    absorbed — one task is enough to create both, even at zero (an
+    empty block) — and a job that absorbed none has neither."""
+    def reduced(tasks):
+        state = JobRunState(wordcount_job("wc", ".*", batched=False))
+        for record_count, outputs in tasks:
+            absorb_map_result(state, record_count, outputs, None)
+        run_reduce(state)
+        return state.counters.group(FRAMEWORK_GROUP)
+
+    assert reduced([]) == {"reduce_output_records": 0}
+    assert reduced([(0, [])]) == {"map_input_records": 0,
+                                  "map_output_records": 0,
+                                  "reduce_output_records": 0}
+    assert reduced([(2, [("a", 1), ("b", 1), ("a", 1)]), (0, []),
+                    (1, [("c", 1)])]) == {"map_input_records": 3,
+                                          "map_output_records": 4,
+                                          "reduce_output_records": 3}
+
+
+def test_framework_map_cells_count_every_block(corpus_store):
+    """On a real run the map cells equal the record counts summed block
+    by block, as the per-record mapper sees them."""
+    mapper = PatternWordCount("^b.*")
+    lines = outputs = 0
+    for _, text in corpus_store.iter_blocks():
+        for line in text.splitlines():
+            lines += 1
+            outputs += len(list(mapper.map(None, line)))
+    for batched in (True, False):
+        job = wordcount_job("wc", "^b.*", use_combiner=False, batched=batched)
+        counters = FifoLocalRunner(corpus_store).run([job]).results["wc"].counters
+        assert counters.value(FRAMEWORK_GROUP, "map_input_records") == lines
+        assert counters.value(FRAMEWORK_GROUP, "map_output_records") == outputs
 
 
 def test_user_counters_aggregate_across_blocks(corpus_store):

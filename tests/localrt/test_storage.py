@@ -1,6 +1,8 @@
 """Block store tests."""
 
+import sys
 import threading
+import time
 
 import pytest
 
@@ -263,3 +265,139 @@ def test_cache_stores_raw_bytes_with_exact_sizes(tmp_path):
     assert cache.current_bytes == store.block_size_bytes(0)
     # A cached block is returned as the resident object (zero-copy).
     assert store.read_block_bytes(0) is raw
+
+
+def _gate_disk_reads(monkeypatch):
+    """Hold every physical read until the returned ``release`` is set;
+    ``started`` is set when the first one begins."""
+    import repro.localrt.storage as storage_module
+
+    started, release = threading.Event(), threading.Event()
+    real = storage_module.read_block_file
+
+    def gated(path):
+        started.set()
+        assert release.wait(timeout=10)
+        return real(path)
+
+    monkeypatch.setattr(storage_module, "read_block_file", gated)
+    return started, release
+
+
+def _run_while_one_fill_is_held(opener, others, started, release):
+    """Start ``opener``, wait until its disk read is in flight, start
+    ``others``, give them time to reach it, then let the read finish."""
+    first = threading.Thread(target=opener)
+    first.start()
+    assert started.wait(timeout=10)
+    rest = [threading.Thread(target=target) for target in others]
+    for thread in rest:
+        thread.start()
+    time.sleep(0.05)  # a reader arriving later finds the block cached
+    release.set()
+    for thread in [first, *rest]:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in [first, *rest])
+
+
+@pytest.mark.parametrize("first", ["prefetch", "demand"])
+def test_a_prefetch_and_demand_readers_of_one_block_read_it_once(
+        tmp_path, monkeypatch, first):
+    """Whoever starts filling the cache with a block, everyone else
+    reading it at the same time waits for that fill: one physical read
+    between them, each demand read a hit but the filler's own, and the
+    logical counters of one read per demand reader."""
+    store = BlockStore.create(tmp_path / "s", lines(20), block_size_bytes=10_000,
+                              cache=BlockCache(1 << 20))
+    expected = (tmp_path / "s" / "block_00000.dat").read_bytes()
+    started, release = _gate_disk_reads(monkeypatch)
+    readers = 6
+    got, prefetched = [], []
+
+    def demand():
+        got.append(store.read_block_bytes(0))
+
+    def prefetch():
+        prefetched.append(store.prefetch_block(0))
+
+    if first == "prefetch":
+        opener, others = prefetch, [demand] * readers
+    else:
+        opener, others = demand, [prefetch] + [demand] * (readers - 1)
+    _run_while_one_fill_is_held(opener, others, started, release)
+
+    assert got == [expected] * readers
+    stats = store.stats_snapshot()
+    assert stats.physical_blocks_read == 1
+    assert (stats.blocks_read, stats.bytes_read) == (
+        readers, readers * len(expected))
+    assert stats.cache_hits + stats.cache_misses == readers
+    assert stats.cache_misses == (first == "demand")
+    assert prefetched == [first == "prefetch"]
+    assert stats.prefetched_blocks == (first == "prefetch")
+
+
+def test_a_reader_that_waited_for_nothing_cached_reads_for_itself(
+        tmp_path, monkeypatch):
+    """A block the cache will not hold (larger than its capacity): a
+    demand reader that waited out another's fill finds nothing cached,
+    so it goes to disk itself — a miss, like the first."""
+    store = BlockStore.create(tmp_path / "s", lines(20), block_size_bytes=10_000,
+                              cache=BlockCache(16))
+    expected = (tmp_path / "s" / "block_00000.dat").read_bytes()
+    started, release = _gate_disk_reads(monkeypatch)
+    got = []
+
+    def demand():
+        got.append(store.read_block_bytes(0))
+
+    _run_while_one_fill_is_held(demand, [demand], started, release)
+
+    assert got == [expected] * 2
+    stats = store.stats_snapshot()
+    assert (stats.physical_blocks_read, stats.cache_misses,
+            stats.cache_hits) == (2, 2, 0)
+
+
+def test_racing_prefetches_and_demand_reads_read_each_block_once(tmp_path):
+    """Eight threads (more than the cores), a switch interval that
+    interleaves them inside a fill, each prefetching and reading every
+    block of a store whose cache holds it all, in an order of its own:
+    every block goes to disk exactly once, and the demand counters are
+    one per read."""
+    store = BlockStore.create(tmp_path / "s", lines(120), block_size_bytes=200,
+                              cache=BlockCache(1 << 20))
+    blocks = store.num_blocks
+    threads_n, errors = 8, []
+    start = threading.Barrier(threads_n)
+
+    def work(seed):
+        try:
+            start.wait(timeout=10)
+            for step in range(blocks):
+                index = (seed * 5 + step) % blocks
+                store.prefetch_block((index + 1) % blocks)
+                store.read_block_bytes(index)
+        except BaseException as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+            raise
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,))
+                   for seed in range(threads_n)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    stats = store.stats_snapshot()
+    assert stats.physical_blocks_read == blocks
+    assert stats.cache_misses + stats.prefetched_blocks == blocks
+    assert stats.blocks_read == stats.cache_hits + stats.cache_misses \
+        == threads_n * blocks
+    assert stats.bytes_read == threads_n * store.total_bytes

@@ -11,34 +11,48 @@ progressive fold of ``fold_partial_aggregates`` — the run must produce
 the outputs, counters, record counts, ``reduce_input_values`` and
 ``ReadStats`` of the same plan with per-record mappers.  Each case also
 checks that it really happened.
+
+A job whose whole shuffle is one accumulator reduces by sorting its ids
+on the dictionary's per-word codes (``TokenEncoder.codes``), so the
+corpus holds words whose ``repr`` order is not their ``str`` order, and
+the jobs draw their partition count.
 """
 
 import dataclasses
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.localrt.engine as engine
 import repro.localrt.tokens as tokens
 from repro.common.config import ExecutionConfig
 from repro.ext.aggregation import fold_partial_aggregates
-from repro.localrt.engine import JobRunState
-from repro.localrt.jobs import wordcount_job
+from repro.localrt.api import BlockData, default_partitioner
+from repro.localrt.engine import JobRunState, absorb_map_result, run_reduce
+from repro.localrt.jobs import PatternWordCountBlock, wordcount_job
 from repro.localrt.runners import SharedScanRunner
 from repro.localrt.storage import BlockStore
 from repro.localrt.tokens import TokenEncoder
 
+#: Words whose ``repr`` sorts them otherwise than ``str`` does: ``'a'``
+#: follows ``'a!'``, ``"don't"`` is double-quoted, a backslash doubles.
+ODD_WORDS = ["a", "a!", "a#", "a&", "don't", 'say"', "back\\slash", "é",
+             "naïve"]
 WORDS = [stem + suffix for stem in ("th", "run", "eat", "app", "mot", "sad")
-         for suffix in ("e", "ing", "ed", "le", "ion", "s", "")]
-PATTERNS = ["^th.*", ".*ing$", ".*e.*", "^[aeiou].*"]
+         for suffix in ("e", "ing", "ed", "le", "ion", "s", "")] + ODD_WORDS
+PATTERNS = ["^th.*", ".*ing$", ".*e.*", "^[aeiou].*", ".*[^a-z].*"]
 #: Lines of three distinct words, twelve words in all: with them a
 #: corpus holds more words than a dictionary capped at eight, and every
 #: block holding one is wider than a dictionary capped at two.
 SEED_LINES = [" ".join(WORDS[i:i + 3]) for i in range(0, 12, 3)]
 
 #: case -> (patched ``tokens`` caps, block size range in bytes).  Blocks
-#: of at most 24 bytes hold at most eight words, so under a cap of eight
-#: every block fits and the dictionary rolls over instead.
+#: of at most 24 bytes hold at most eight of the stemmed words, so under
+#: a cap of eight they fit and the dictionary rolls over instead (a
+#: block of the short odd words may be over-wide: either way a job's
+#: shuffle spans two dictionaries).
 CASES = {
     "roll-over": ({"TOKEN_DICTIONARY_CAP": 8}, (8, 24)),
     "over-wide": ({"TOKEN_DICTIONARY_CAP": 2}, (8, 60)),
@@ -56,13 +70,13 @@ riders = st.lists(
     min_size=0, max_size=3)
 
 
-def _run(directory, rider_set, seg, laps, batched, fold):
+def _run(directory, rider_set, seg, laps, parts, batched, fold):
     """``laps`` runs of the rider set on one store handle: what each
     exposes to a caller."""
     store = BlockStore(directory)
     jobs_arrivals = [
-        (wordcount_job(f"j{i}", pattern, use_combiner=combiner,
-                       batched=batched), arrival)
+        (wordcount_job(f"j{i}", pattern, num_partitions=parts,
+                       use_combiner=combiner, batched=batched), arrival)
         for i, (pattern, combiner, arrival) in enumerate(rider_set)]
     hook = ((lambda _i, states: fold_partial_aggregates(states))
             if fold else None)
@@ -87,13 +101,13 @@ def _run(directory, rider_set, seg, laps, batched, fold):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 @given(data=st.data(), corpus=corpora, seg=st.integers(1, 3),
-       laps=st.integers(1, 2),
+       laps=st.integers(1, 2), parts=st.integers(1, 8),
        first=st.tuples(st.sampled_from(PATTERNS), st.integers(0, 6)),
        others=riders)
 @settings(max_examples=12, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_id_space_shuffle_matches_per_record(tmp_path_factory, case, data,
-                                             corpus, seg, laps, first,
+                                             corpus, seg, laps, parts, first,
                                              others):
     caps, (smallest, largest) = CASES[case]
     block_size = data.draw(st.integers(smallest, largest), label="block")
@@ -108,7 +122,9 @@ def test_id_space_shuffle_matches_per_record(tmp_path_factory, case, data,
 
     absorbed = []  # (dictionary, accumulators held) per id-space absorb
     refused = []  # patterns the verdict table had no room for
+    sorted_ids = []  # reduces that sorted one accumulator's ids
     absorb, vector = JobRunState.absorb, TokenEncoder._vector
+    in_order = engine._sums_in_reduce_order
 
     def recording_absorb(self, records):
         absorb(self, records)
@@ -121,15 +137,21 @@ def test_id_space_shuffle_matches_per_record(tmp_path_factory, case, data,
             refused.append(pattern)
         return kept
 
+    def recording_in_order(dictionary, acc, num_partitions):
+        sorted_ids.append(dictionary)
+        return in_order(dictionary, acc, num_partitions)
+
     with pytest.MonkeyPatch.context() as patch:
         for name, value in caps.items():
             patch.setattr(tokens, name, value)
         patch.setattr(tokens, "ENCODER", TokenEncoder())
         patch.setattr(JobRunState, "absorb", recording_absorb)
         patch.setattr(TokenEncoder, "_vector", recording_vector)
+        patch.setattr(engine, "_sums_in_reduce_order", recording_in_order)
         fold = case == "fold"
-        batched = _run(directory, rider_set, seg, laps, True, fold)
-        per_record = _run(directory, rider_set, seg, laps, False, fold)
+        batched = _run(directory, rider_set, seg, laps, parts, True, fold)
+        per_record = _run(directory, rider_set, seg, laps, parts, False,
+                          fold)
 
     assert batched == per_record
     assert absorbed
@@ -140,3 +162,55 @@ def test_id_space_shuffle_matches_per_record(tmp_path_factory, case, data,
         assert any(len(d.words) > cap for d, _ in absorbed)
     if case == "full-verdict-table":
         assert refused
+        assert sorted_ids  # nothing rolls over: every summing job sorts ids
+
+
+@given(words=st.lists(st.text(min_size=1, max_size=6) | st.sampled_from(WORDS),
+                      min_size=1, max_size=40, unique=True),
+       data=st.data(), parts=st.integers(1, 8))
+@settings(max_examples=100, deadline=None)
+def test_codes_partition_like_the_partitioner_and_rank_like_sort_key(
+        words, data, parts):
+    """For any words, met over two blocks: ``digests % P`` is each word's
+    ``default_partitioner`` partition, and ordering the ids by ``rank``
+    orders their words by ``_sort_key``."""
+    cut = data.draw(st.integers(0, len(words)), label="first block")
+    encoder = TokenEncoder()
+    dictionary = encoder.encode(Counter(words[:cut] or words)).dictionary
+    if cut:
+        encoder.codes(dictionary, cut - 1)  # digests the first block's words
+        encoder.encode(Counter(words[cut:]))
+    digests, rank = encoder.codes(dictionary, len(words) - 1)
+    assert [digest % parts for digest in digests.tolist()] == [
+        default_partitioner(word, parts) for word in dictionary.words]
+    ordered = sorted(range(len(words)), key=rank.__getitem__)
+    assert [dictionary.words[i] for i in ordered] == sorted(
+        words, key=engine._sort_key)
+
+
+def test_a_dictionary_that_does_not_grow_is_ranked_once(monkeypatch):
+    """Reduces against a dictionary that has stopped growing read the
+    rank they find; one whose ids reach past it ranks the dictionary
+    again, and one whose ids do not leaves it as it is."""
+    monkeypatch.setattr(tokens, "ENCODER", TokenEncoder())
+
+    def reduce_one(text):
+        state = JobRunState(wordcount_job("wc", "^a", num_partitions=3))
+        count, partial, _ = PatternWordCountBlock("^a").map_block(
+            BlockData(text), 0)
+        absorb_map_result(state, count, partial, None)
+        return run_reduce(state), partial.dictionary
+
+    output, dictionary = reduce_one(b"ant apple\nbee a!\n")
+    ranked = dictionary.rank
+    assert len(ranked) == 4
+    for _ in range(5):
+        assert reduce_one(b"apple bee\na! ant\n") == (output, dictionary)
+    assert dictionary.rank is ranked
+
+    reduce_one(b"cow ant\n")  # grows the dictionary; hits only ranked ids
+    assert dictionary.rank is ranked
+    grown, _ = reduce_one(b"ant aardvark\n")  # hits the new id 5
+    assert dictionary.rank is not ranked and len(dictionary.rank) == 6
+    assert grown == sorted(grown, key=lambda record: (
+        default_partitioner(record[0], 3), engine._sort_key(record[0])))
