@@ -52,7 +52,7 @@ def test_full_scale_s3_simulation(benchmark):
 def _scanloop_cycle(num_blocks: int, seg: int) -> int:
     namenode = NameNode(DfsConfig(block_size_mb=64.0),
                         RoundRobinPlacement([f"n{i}" for i in range(40)]))
-    loop = ScanLoop(namenode.create_file("f", 64.0 * num_blocks), seg)
+    loop = ScanLoop(namenode.create_file("f", 64.0 * num_blocks))
     profile = normal_wordcount()
     for i in range(8):
         loop.add_job(JobSpec(job_id=f"j{i}", file_name="f", profile=profile),

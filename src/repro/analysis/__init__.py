@@ -38,7 +38,6 @@ from .lockgraph import (
     set_lockcheck,
 )
 from .racecheck import (
-    RaceCheckedMixin,
     RaceError,
     race_checked,
     racecheck_enabled,
@@ -52,7 +51,7 @@ __all__ = [
     "LockOrderError", "OrderedLock", "lock_order_graph",
     "lockcheck_enabled", "reset_lock_graph", "set_lockcheck",
     "held_locks", "held_tracking_enabled", "set_held_tracking",
-    "RaceCheckedMixin", "RaceError", "race_checked", "racecheck_enabled",
+    "RaceError", "race_checked", "racecheck_enabled",
     "register_instance", "set_racecheck",
     "READSTATS_FIELDS", "RULES", "RULES_BY_CODE",
 ]

@@ -46,7 +46,7 @@ from typing import Any, Callable, TypeVar
 from .lockgraph import held_locks, set_held_tracking
 
 __all__ = [
-    "RaceError", "RaceCheckedMixin", "race_checked", "racecheck_enabled",
+    "RaceError", "race_checked", "racecheck_enabled",
     "register_instance", "reset_racecheck_state", "set_racecheck",
 ]
 
@@ -278,29 +278,3 @@ def race_checked(*, fields: tuple[str, ...], guard: str | None = None
         return cls
 
     return decorate
-
-
-class RaceCheckedMixin:
-    """Opt-in base class form of :func:`race_checked`.
-
-    Subclasses declare ``RACE_FIELDS`` (and optionally ``RACE_GUARD``)
-    and call :meth:`_register_racecheck` once their fields are
-    initialised — typically at the end of ``__init__`` (or
-    ``__post_init__`` for dataclasses)::
-
-        class Worker(RaceCheckedMixin):
-            RACE_FIELDS = ("state", "progress")
-            RACE_GUARD = "Worker._lock"
-
-            def __init__(self) -> None:
-                ...
-                self._register_racecheck()
-    """
-
-    RACE_FIELDS: tuple[str, ...] = ()
-    RACE_GUARD: str | None = None
-
-    def _register_racecheck(self) -> None:
-        register_instance(self, fields=self.RACE_FIELDS,
-                          guard=self.RACE_GUARD,
-                          label=type(self).__name__)

@@ -1,11 +1,9 @@
-"""Cluster model: nodes, racks, topology, slots, heartbeats."""
+"""Cluster model: nodes, racks, topology, slots."""
 
 from .cluster import Cluster
-from .heartbeat import HeartbeatReport, TaskProgress
 from .node import Node
-from .topology import DIST_NODE_LOCAL, DIST_OFF_RACK, DIST_RACK_LOCAL, Topology
+from .topology import Topology
 
 __all__ = [
-    "Cluster", "HeartbeatReport", "TaskProgress", "Node", "Topology",
-    "DIST_NODE_LOCAL", "DIST_OFF_RACK", "DIST_RACK_LOCAL",
+    "Cluster", "Node", "Topology",
 ]

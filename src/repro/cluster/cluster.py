@@ -6,7 +6,7 @@ exclusions, ...).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from ..common import ids
 from ..common.config import ClusterConfig
@@ -101,14 +101,6 @@ class Cluster:
     def nodes_with_free_reduce_slot(self) -> list[Node]:
         return [n for n in self
                 if n.free_reduce_slots > 0 and not n.offline and n.accepting]
-
-    def available_nodes(self) -> list[Node]:
-        """Nodes not excluded by the slot checker (Section IV-D.1)."""
-        return [n for n in self if not n.excluded]
-
-    def set_excluded(self, node_ids: Iterable[str], excluded: bool = True) -> None:
-        for nid in node_ids:
-            self.node(nid).excluded = excluded
 
     def idle(self) -> bool:
         """True when no task runs anywhere."""

@@ -1,13 +1,7 @@
-"""Rack-aware network topology.
+"""Rack-aware network topology: which rack each node sits in.
 
-Follows Hadoop's conventional distance metric:
-
-* same node: 0
-* same rack, different node: 2
-* different rack: 4
-
-The map-task assignment policy uses these distances to prefer data-local
-tasks, mirroring the JobTracker's locality levels (node-local, rack-local,
+The map-task assignment policy uses it to prefer data-local tasks,
+mirroring the JobTracker's locality levels (node-local, rack-local,
 off-rack).
 """
 
@@ -16,11 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..common.errors import ConfigError
-
-#: Hadoop-style locality distances.
-DIST_NODE_LOCAL = 0
-DIST_RACK_LOCAL = 2
-DIST_OFF_RACK = 4
 
 
 @dataclass(frozen=True)
@@ -39,17 +28,3 @@ class Topology:
         except KeyError:
             raise ConfigError(f"unknown node {node_id!r}") from None
 
-    def distance(self, node_a: str, node_b: str) -> int:
-        """Hadoop-style distance between two nodes."""
-        if node_a == node_b:
-            return DIST_NODE_LOCAL
-        if self.rack_of(node_a) == self.rack_of(node_b):
-            return DIST_RACK_LOCAL
-        return DIST_OFF_RACK
-
-    def nodes_in_rack(self, rack: str) -> list[str]:
-        return sorted(n for n, r in self.node_to_rack.items() if r == rack)
-
-    @property
-    def racks(self) -> list[str]:
-        return sorted(set(self.node_to_rack.values()))

@@ -5,8 +5,6 @@ from .config import (
     DfsConfig,
     ExecutionConfig,
     TraceConfig,
-    paper_cluster,
-    paper_dfs,
 )
 from .errors import (
     AdmissionRejected,
@@ -20,16 +18,14 @@ from .errors import (
     SimulationError,
     WorkloadError,
 )
-from .ids import IdAllocator
 from .rng import DEFAULT_SEED, make_rng
-from .units import bytes_to_mb, fmt_duration, fmt_size_mb, gb, mb, mb_to_bytes, minutes
+from .units import fmt_duration, fmt_size_mb, gb
 
 __all__ = [
     "ClusterConfig", "DfsConfig", "ExecutionConfig", "TraceConfig",
-    "paper_cluster", "paper_dfs",
     "AdmissionRejected", "ConfigError", "DfsError", "ExecutionError",
     "ExperimentError", "ReproError", "SchedulingError", "ServiceError",
     "SimulationError", "WorkloadError",
-    "IdAllocator", "DEFAULT_SEED", "make_rng",
-    "bytes_to_mb", "fmt_duration", "fmt_size_mb", "gb", "mb", "mb_to_bytes", "minutes",
+    "DEFAULT_SEED", "make_rng",
+    "fmt_duration", "fmt_size_mb", "gb",
 ]

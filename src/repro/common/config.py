@@ -180,8 +180,8 @@ class ExecutionConfig:
                 f"got {self.map_backend!r}")
         if self.map_workers is not None and self.map_workers < 1:
             raise ConfigError(
-                f"map_workers must be >= 1 (or None for one per core), "
-                f"got {self.map_workers}")
+                f"map_workers must be >= 1 or None (the value is ignored: "
+                f"every map wave runs in-process), got {self.map_workers}")
         if (self.cache_capacity_bytes is not None
                 and self.cache_capacity_bytes <= 0):
             raise ConfigError(
@@ -201,13 +201,3 @@ class ExecutionConfig:
         if not isinstance(self.trace, TraceConfig):
             raise ConfigError(
                 f"trace must be a TraceConfig, got {type(self.trace).__name__}")
-
-
-def paper_cluster() -> ClusterConfig:
-    """The 40-slave cluster of Section V.A."""
-    return ClusterConfig()
-
-
-def paper_dfs(block_size_mb: float = 64.0) -> DfsConfig:
-    """The paper's HDFS configuration (64 MB blocks unless swept)."""
-    return DfsConfig(block_size_mb=block_size_mb, replication=1)

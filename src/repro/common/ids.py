@@ -8,18 +8,14 @@ formats consistent across the code base.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-
 
 def job_id(index: int) -> str:
-    """Identifier for the ``index``-th submitted job."""
+    """Identifier for the ``index``-th submitted job.
+
+    >>> job_id(3)
+    'job_0003'
+    """
     return f"job_{index:04d}"
-
-
-def subjob_id(job: str, segment_index: int) -> str:
-    """Identifier for the sub-job of ``job`` covering segment ``segment_index``."""
-    return f"{job}.sub_{segment_index:04d}"
 
 
 def map_task_id(owner: str, block_index: int) -> str:
@@ -50,24 +46,3 @@ def rack_id(index: int) -> str:
 def block_id(file_name: str, index: int) -> str:
     """Identifier for the ``index``-th block of ``file_name``."""
     return f"{file_name}#blk_{index:05d}"
-
-
-@dataclass
-class IdAllocator:
-    """Monotonic integer allocator used for jobs and batches.
-
-    >>> alloc = IdAllocator()
-    >>> alloc.next_job()
-    'job_0000'
-    >>> alloc.next_job()
-    'job_0001'
-    """
-
-    _job_counter: "itertools.count[int]" = field(default_factory=itertools.count)
-    _batch_counter: "itertools.count[int]" = field(default_factory=itertools.count)
-
-    def next_job(self) -> str:
-        return job_id(next(self._job_counter))
-
-    def next_batch(self) -> str:
-        return f"batch_{next(self._batch_counter):04d}"

@@ -32,11 +32,6 @@ def make_rng(seed_or_rng: RngLike = None) -> np.random.Generator:
     return np.random.default_rng(seed_or_rng)
 
 
-def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Split ``rng`` into ``n`` statistically independent child generators."""
-    return [np.random.default_rng(s) for s in rng.bit_generator.seed_seq.spawn(n)]
-
-
 def jittered(rng: np.random.Generator, base: float, rel_sigma: float,
              floor: Optional[float] = None) -> float:
     """Sample ``base`` perturbed by Gaussian noise with relative std ``rel_sigma``.

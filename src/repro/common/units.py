@@ -10,9 +10,6 @@ from __future__ import annotations
 #: Number of megabytes per gigabyte.
 MB_PER_GB: int = 1024
 
-#: Number of bytes per megabyte.
-BYTES_PER_MB: int = 1024 * 1024
-
 
 def gb(value: float) -> float:
     """Convert gigabytes to megabytes.
@@ -21,31 +18,6 @@ def gb(value: float) -> float:
     163840.0
     """
     return float(value) * MB_PER_GB
-
-
-def mb(value: float) -> float:
-    """Identity helper so call sites can write ``mb(64)`` for clarity."""
-    return float(value)
-
-
-def mb_to_bytes(value_mb: float) -> int:
-    """Convert megabytes to bytes, rounded to the nearest byte."""
-    return int(round(float(value_mb) * BYTES_PER_MB))
-
-
-def bytes_to_mb(value_bytes: int) -> float:
-    """Convert bytes to megabytes."""
-    return float(value_bytes) / BYTES_PER_MB
-
-
-def minutes(value: float) -> float:
-    """Convert minutes to seconds."""
-    return float(value) * 60.0
-
-
-def hours(value: float) -> float:
-    """Convert hours to seconds."""
-    return float(value) * 3600.0
 
 
 def fmt_duration(seconds: float) -> str:

@@ -1,4 +1,4 @@
-"""Simulated distributed file system: blocks, files, placement, segments."""
+"""Simulated distributed file system: blocks, files, placement."""
 
 from .block import Block, DfsFile
 from .namenode import NameNode
@@ -8,11 +8,9 @@ from .placement import (
     RoundRobinPlacement,
     replica_shards,
 )
-from .segments import Segment, SegmentPlan
 
 __all__ = [
     "Block", "DfsFile", "NameNode",
     "PlacementPolicy", "RackAwarePlacement", "RoundRobinPlacement",
     "replica_shards",
-    "Segment", "SegmentPlan",
 ]

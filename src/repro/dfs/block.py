@@ -47,11 +47,6 @@ class Block:
         if not self.locations:
             raise DfsError(f"{self.block_id}: block has no replica")
 
-    @property
-    def primary_location(self) -> str:
-        """The first replica holder (used when all replicas are equivalent)."""
-        return self.locations[0]
-
 
 @dataclass(frozen=True)
 class DfsFile:

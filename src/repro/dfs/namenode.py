@@ -59,14 +59,6 @@ class NameNode:
     def exists(self, name: str) -> bool:
         return name in self._files
 
-    def delete(self, name: str) -> None:
-        if name not in self._files:
-            raise DfsError(f"no such file {name!r}")
-        del self._files[name]
-
-    def list_files(self) -> list[str]:
-        return sorted(self._files)
-
     def block_locations(self, name: str, index: int) -> tuple[str, ...]:
         """Replica holders of block ``index`` of file ``name``."""
         return self.get_file(name).block(index).locations

@@ -1,15 +1,13 @@
 """Extensions beyond the core S3 scheduler: the Section V.G output
-collection schemes and the Section VI priority-policy hook."""
+collection schemes."""
 
 from .aggregation import (
     CollectionComparison,
     compare_collection_schemes,
     fold_partial_aggregates,
 )
-from .priority import PriorityOutcome, run_priority_demo
 
 __all__ = [
     "CollectionComparison", "compare_collection_schemes",
     "fold_partial_aggregates",
-    "PriorityOutcome", "run_priority_demo",
 ]

@@ -20,7 +20,6 @@ from .engine import (
     JobRunState,
     collect_map_outputs,
     count_pending_values,
-    run_map_on_block,
     run_reduce,
 )
 from .jobs import (
@@ -36,7 +35,7 @@ from .jobs import (
     wordcount_job,
 )
 from .live import SharedScanCore
-from .output import SUCCESS_MARKER, read_output, write_output
+from .output import SUCCESS_MARKER, write_output
 from .parallel import (
     MapTaskSpec,
     SerialMapBackend,
@@ -56,12 +55,12 @@ __all__ = [
     "BlockCache", "CacheStats", "ReadAheadPrefetcher",
     "FRAMEWORK_GROUP", "Counters", "CounterUser",
     "JobRunState", "collect_map_outputs", "count_pending_values",
-    "run_map_on_block", "run_reduce",
+    "run_reduce",
     "MapTaskSpec", "SerialMapBackend", "execute_map_wave", "make_backend",
     "AggregationBlockMapper", "AggregationMapper", "DelimitedBlockMapper",
     "PatternWordCount", "PatternWordCountBlock", "SelectionBlockMapper",
     "SelectionMapper", "aggregation_job", "selection_job", "wordcount_job",
-    "SUCCESS_MARKER", "read_output", "write_output",
+    "SUCCESS_MARKER", "write_output",
     "DelimitedReader", "RecordReader", "TextLineReader",
     "FifoLocalRunner", "RunReport", "SharedScanCore", "SharedScanRunner",
     "BlockStore", "ReadStats", "ShardedBlockStore",

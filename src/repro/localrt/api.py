@@ -50,12 +50,10 @@ class BlockStoreProtocol(Protocol):
     * **geometry** — ``num_blocks`` / ``total_bytes`` / per-block sizes,
       offsets and replica locations, all fixed once the store is open;
     * **reads** — ``read_block_bytes`` (zero-copy; what every map wave
-      reads) / ``read_block`` (its decoding shim) / ``iter_blocks``,
-      each charging one *logical* read, by the store that routed it;
+      reads), charging one *logical* read, by the store that routed it;
       plus advisory ``prefetch_block`` warming (physical only);
-    * **accounting** — ``stats_snapshot`` / ``logical_blocks_read`` /
-      ``reset_stats`` over one cumulative
-      :class:`~repro.localrt.storage.ReadStats`;
+    * **accounting** — ``stats_snapshot`` / ``logical_blocks_read`` over
+      one cumulative :class:`~repro.localrt.storage.ReadStats`;
     * **attachments** — idempotent ``ensure_cache`` plus ``has_cache`` /
       ``cache_stats`` introspection, ``attach_tracer`` for stores
       with placement events to emit, and ``derived``, the handle's
@@ -81,11 +79,7 @@ class BlockStoreProtocol(Protocol):
 
     def block_locations(self, index: int) -> tuple[str, ...]: ...
 
-    def read_block(self, index: int) -> str: ...
-
     def read_block_bytes(self, index: int) -> bytes: ...
-
-    def iter_blocks(self) -> Iterator[tuple[int, str]]: ...
 
     def prefetch_block(self, index: int) -> bool: ...
 
@@ -98,8 +92,6 @@ class BlockStoreProtocol(Protocol):
     def stats_snapshot(self) -> "ReadStats": ...
 
     def logical_blocks_read(self) -> int: ...
-
-    def reset_stats(self) -> None: ...
 
 
 class BlockData(bytes):

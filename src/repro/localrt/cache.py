@@ -1,20 +1,21 @@
 """Bounded in-memory block cache for the shared-scan I/O path.
 
 S3's thesis is that the scan is the scarce resource; the local runtime
-makes the same point in bytes by charging every ``read_block`` to the
-store's counters.  A :class:`BlockCache` splits that accounting in two:
-*logical* reads (what scan-sharing measures — one per ``read_block``
-call, cache or no cache) stay exactly as before, while *physical* reads
-(actual trips to disk) shrink to the miss path.  The cache is a plain
-LRU bounded **by bytes**, because blocks are the unit of I/O and their
-sizes differ (the last block of a file is short).
+makes the same point in bytes by charging every ``read_block_bytes`` to
+the store's counters.  A :class:`BlockCache` splits that accounting in
+two: *logical* reads (what scan-sharing measures — one per
+``read_block_bytes`` call, cache or no cache) stay exactly as before,
+while *physical* reads (actual trips to disk) shrink to the miss path.
+The cache is a plain LRU bounded **by bytes**, because blocks are the
+unit of I/O and their sizes differ (the last block of a file is short).
 
 Thread safety: one lock guards the eviction list and the byte budget.
-``read_block`` may run concurrently from two runners sharing a store and
-from the read-ahead prefetcher (:mod:`repro.localrt.prefetch`), so every
-public method takes the lock.  The cache does not know who is loading
-what: the store keeps one fill per block in flight, so racing loaders
-of one block read it from disk once (``BlockStore._claim``).
+``read_block_bytes`` may run concurrently from two runners sharing a
+store and from the read-ahead prefetcher
+(:mod:`repro.localrt.prefetch`), so every public method takes the
+lock.  The cache does not know who is loading what: the store keeps
+one fill per block in flight, so racing loaders of one block read it
+from disk once (``BlockStore._claim``).
 """
 
 from __future__ import annotations
@@ -38,13 +39,6 @@ class CacheStats:
     #: Blocks skipped because a single block exceeded the whole capacity.
     oversized_skips: int = 0
 
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.insertions = 0
-        self.evictions = 0
-        self.oversized_skips = 0
-
     @property
     def hit_ratio(self) -> float:
         """Hits over lookups (0.0 before the first lookup)."""
@@ -66,11 +60,10 @@ class BlockCache:
     """A thread-safe LRU cache of raw block bytes, bounded by total bytes.
 
     Keys are block indices; values are the blocks' undecoded on-disk
-    bytes (decoding happens in the store's ``read_block`` shim, so the
-    batched bytes path shares residency with the per-record text path).
-    The byte charge of an entry is the block's *on-disk* size — for raw
-    bytes that is exactly ``len(data)``, so the budget matches the file
-    sizes users reason about, with no Python object overhead counted.
+    bytes, exactly what ``read_block_bytes`` returns.  The byte charge
+    of an entry is the block's *on-disk* size — for raw bytes that is
+    exactly ``len(data)``, so the budget matches the file sizes users
+    reason about, with no Python object overhead counted.
     """
 
     def __init__(self, capacity_bytes: int) -> None:
@@ -149,15 +142,3 @@ class BlockCache:
             self.stats.insertions += 1
             self.stats.evictions += evicted
             return evicted
-
-    def clear(self) -> None:
-        """Drop every entry (counters are kept; see :meth:`reset_stats`)."""
-        with self._lock:
-            self._entries.clear()
-            self._current_bytes = 0
-
-    def reset_stats(self) -> None:
-        """Zero the counters, under the cache lock (an unlocked
-        ``stats.reset()`` races concurrent readers)."""
-        with self._lock:
-            self.stats.reset()

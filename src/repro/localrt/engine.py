@@ -1,12 +1,14 @@
 """Execution engine of the local runtime: map, combine, shuffle, sort, reduce.
 
-The shared-scan primitive lives here: :func:`run_map_on_block` reads a block
-**once** and feeds it to all jobs of the batch — the real, byte-level
-realisation of the merged sub-jobs that the simulator models in time.
+The one map path is :func:`repro.localrt.parallel.execute_map_wave`: it
+reads each block **once** and hands it to :func:`collect_map_outputs`,
+which maps it for every job of the batch — the real, byte-level
+realisation of the merged sub-jobs that the simulator models in time —
+and :func:`absorb_map_result` folds each job's share into its run state.
 
-Two execution paths share that entry point.  The *batched* path hands
-the whole block (as a :class:`~repro.localrt.api.BlockData`) to any
-mapper implementing :class:`~repro.localrt.api.BlockMapper` whose
+Two execution paths share :func:`collect_map_outputs`.  The *batched*
+path hands the whole block (as a :class:`~repro.localrt.api.BlockData`)
+to any mapper implementing :class:`~repro.localrt.api.BlockMapper` whose
 ``supports_reader`` accepts the wave's reader — CPU cost then scales
 with bytes scanned, not records × jobs.  Everything else takes the
 original *per-record* path: parse the block once with the
@@ -300,21 +302,6 @@ def collect_map_outputs(jobs: list[LocalJob], reader: RecordReader,
         task_counters.append(counters)
     assert record_count is not None
     return record_count, outputs, task_counters
-
-
-def run_map_on_block(states: list[JobRunState], reader: RecordReader,
-                     block_data: "str | bytes", base_offset: int = 0) -> None:
-    """One map task over one block, shared by every job in ``states``.
-
-    The block is read once; batch-capable mappers consume it whole,
-    every other job's mapper is offered each parsed record.  Per-job
-    combiners run over the block's local output before it enters the
-    shuffle (Hadoop's map-side combine).
-    """
-    record_count, outputs, task_counters = collect_map_outputs(
-        [state.job for state in states], reader, block_data, base_offset)
-    for state, buffer, counters in zip(states, outputs, task_counters):
-        absorb_map_result(state, record_count, buffer, counters)
 
 
 def _combine(job: LocalJob, records: list[Record]) -> list[Record]:

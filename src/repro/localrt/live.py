@@ -203,8 +203,7 @@ class SharedScanCore(_LocalRunnerBase):
                  reader: RecordReader | None = None,
                  tracer: Tracer | None = None) -> None:
         super().__init__(store, config, reader=reader, tracer=tracer)
-        self._loop = ScanLoop(_scan_file(store),
-                              self.config.blocks_per_segment)
+        self._loop = ScanLoop(_scan_file(store))
         #: Run state of every job waiting for or riding the scan.
         self._run_states: dict[str, JobRunState] = {}
         self._prefetcher = _start_prefetcher(store, self.prefetch_depth,

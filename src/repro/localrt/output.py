@@ -47,22 +47,3 @@ def write_output(result: JobResult, directory: pathlib.Path | str, *,
         paths.append(path)
     (directory / SUCCESS_MARKER).touch()
     return paths
-
-
-def read_output(directory: pathlib.Path | str, *,
-                separator: str = "\t") -> list[tuple[str, str]]:
-    """Read back a part-file directory (keys/values as strings).
-
-    Refuses directories without a ``_SUCCESS`` marker — partial output of
-    a failed job must not be consumed silently.
-    """
-    directory = pathlib.Path(directory)
-    if not (directory / SUCCESS_MARKER).exists():
-        raise ExecutionError(f"{directory}: no {SUCCESS_MARKER}; "
-                             "job did not complete")
-    records: list[tuple[str, str]] = []
-    for path in sorted(directory.glob("part-*")):
-        for line in path.read_text(encoding="utf-8").splitlines():
-            key, _, value = line.partition(separator)
-            records.append((key, value))
-    return records

@@ -47,6 +47,7 @@ check per instrumentation point.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import Callable, Mapping, Sequence
 
@@ -247,6 +248,8 @@ class SharedScanRunner(_LocalRunnerBase):
         unknown = set(arrivals) - set(ids)
         if unknown:
             raise ExecutionError(f"arrival for unknown jobs: {sorted(unknown)}")
+        if not all(isinstance(v, numbers.Integral) for v in arrivals.values()):
+            raise ExecutionError("arrival iterations must be integers")
         if any(v < 0 for v in arrivals.values()):
             raise ExecutionError("arrival iterations must be non-negative")
 

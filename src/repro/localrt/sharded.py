@@ -37,7 +37,7 @@ from __future__ import annotations
 import json
 import pathlib
 from dataclasses import fields
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 from ..analysis.lockgraph import OrderedLock
 from ..analysis.racecheck import register_instance
@@ -238,7 +238,7 @@ class ShardedBlockStore:
 
         Live replicas come first (primary leading, ring order
         preserved), then any currently-down replica holders — the same
-        preference order :meth:`read_block` routes by, which is what
+        preference order :meth:`read_block_bytes` routes by, which is what
         makes assignment decisions based on ``locations[0]`` agree with
         where the bytes will actually be served from.
         """
@@ -325,24 +325,12 @@ class ShardedBlockStore:
             return tuple(sorted(self._down))
 
     # ------------------------------------------------------------------ reads
-    def read_block(self, index: int) -> str:
-        """Read one block's text from its first live replica."""
-        store, local, shard, fallback = self._serve(index)
-        text = store.read_block(local)
-        self._note_read(index, shard, fallback)
-        return text
-
     def read_block_bytes(self, index: int) -> bytes:
         """Read one block's raw bytes from its first live replica."""
         store, local, shard, fallback = self._serve(index)
         data = store.read_block_bytes(local)
         self._note_read(index, shard, fallback)
         return data
-
-    def iter_blocks(self) -> Iterator[tuple[int, str]]:
-        """Sequentially read every block (counts toward the I/O stats)."""
-        for index in range(self._num_blocks):
-            yield index, self.read_block(index)
 
     def prefetch_block(self, index: int) -> bool:
         """Warm block ``index`` in its serving shard's cache (physical
@@ -365,13 +353,6 @@ class ShardedBlockStore:
     def logical_blocks_read(self) -> int:
         return sum(store.logical_blocks_read()
                    for store in self._shard_stores if store is not None)
-
-    def reset_stats(self) -> None:
-        for store in self._shard_stores:
-            if store is not None:
-                store.reset_stats()
-        with self._lock:
-            self._extra_stats.reset()
 
     def shard_blocks_read(self) -> tuple[int, ...]:
         """Logical blocks served by each shard so far — the

@@ -11,7 +11,7 @@ each block once per batch instead of once per job.
 The counter model distinguishes two layers:
 
 * **logical** reads (``blocks_read`` / ``bytes_read``) — one per
-  ``read_block`` call, regardless of caching.  This is what scan-sharing
+  ``read_block_bytes`` call, regardless of caching.  This is what scan-sharing
   accounting measures: how many block *visits* the schedule required.
 * **physical** reads (``physical_blocks_read`` / ``physical_bytes_read``)
   — actual trips to disk.  With a :class:`~repro.localrt.cache.BlockCache`
@@ -97,7 +97,7 @@ def read_block_file(path: pathlib.Path) -> tuple[bytes, bool]:
 class ReadStats:
     """Cumulative I/O counters of one :class:`BlockStore`.
 
-    ``blocks_read``/``bytes_read`` are *logical* (per ``read_block`` call;
+    ``blocks_read``/``bytes_read`` are *logical* (per ``read_block_bytes`` call;
     byte-identical with or without a cache).  The remaining fields
     describe the *physical* path: disk reads, cache hit/miss/eviction
     traffic and prefetcher activity.
@@ -120,10 +120,6 @@ class ReadStats:
     #: :mod:`repro.localrt.sharded`).  A subset of ``blocks_read``;
     #: always 0 for a single :class:`BlockStore`.
     replica_fallback_reads: int = 0
-
-    def reset(self) -> None:
-        for spec in fields(self):
-            setattr(self, spec.name, 0)
 
     def snapshot(self) -> "ReadStats":
         """An independent copy (for before/after deltas)."""
@@ -301,30 +297,6 @@ class BlockStore:
         with self._stats_lock:
             return self.stats.blocks_read
 
-    def reset_stats(self) -> None:
-        """Zero every counter, under the stats lock.  Prefer this over
-        ``store.stats.reset()`` between measurement phases: an unlocked
-        reset races any still-running reader thread (and trips the
-        ``REPRO_RACECHECK=1`` lockset checker)."""
-        with self._stats_lock:
-            self.stats.reset()
-
-    def read_block(self, index: int) -> str:
-        """Read one block's text, updating the I/O counters (thread-safe).
-
-        A decoding shim over :meth:`read_block_bytes` — blocks are
-        stored and cached as raw bytes, and this method pays one UTF-8
-        decode per call.  Map waves read bytes; this is for
-        :meth:`iter_blocks` and callers that want text.
-        """
-        data = self.read_block_bytes(index)
-        try:
-            return data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ExecutionError(
-                f"block {index} of {self.directory} is not valid UTF-8 "
-                f"({exc})") from exc
-
     def read_block_bytes(self, index: int) -> bytes:
         """Read one block's raw bytes, updating the I/O counters.
 
@@ -367,11 +339,6 @@ class BlockStore:
             if evicted:
                 self.stats.cache_evictions += evicted
         return True
-
-    def iter_blocks(self) -> Iterator[tuple[int, str]]:
-        """Sequentially read every block (counts toward the I/O stats)."""
-        for index in range(self.num_blocks):
-            yield index, self.read_block(index)
 
     def _load_bytes(self, index: int) -> bytes:
         """Fetch block bytes via the cache (charging hit/miss/eviction

@@ -106,13 +106,6 @@ class CostModel:
         waves = -(-num_blocks // map_slots)  # ceil division
         return waves * self.map_task_duration(profile, block_mb, 1)
 
-    def single_job_makespan_s(self, profile: JobProfile, num_blocks: int,
-                              block_mb: float, map_slots: int) -> float:
-        """Analytic single-job completion time: submit + maps + reduce."""
-        return (self.job_submit_overhead_s
-                + self.single_job_map_phase_s(profile, num_blocks, block_mb, map_slots)
-                + self.reduce_task_duration(profile, 1))
-
     def combined_job_makespan_s(self, profile: JobProfile, batch_size: int,
                                 num_blocks: int, block_mb: float,
                                 map_slots: int) -> float:

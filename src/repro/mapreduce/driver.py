@@ -186,10 +186,6 @@ class SimulationResult:
         except KeyError:
             raise SchedulingError(f"unknown job {job_id!r}") from None
 
-    @property
-    def all_complete(self) -> bool:
-        return all(t.is_complete for t in self.timelines.values())
-
 
 def _task_key(attempt_id: str) -> str:
     """The task identity of an attempt id (strips the attempt suffix)."""

@@ -74,10 +74,6 @@ class FaultModel:
             return float(self._rng.uniform(0.05, 0.95))
         return None
 
-    @property
-    def has_faults(self) -> bool:
-        return self.task_failure_prob > 0.0 or bool(self.outages)
-
 
 @dataclass(frozen=True)
 class SpeculationConfig:

@@ -106,11 +106,6 @@ class JobProfile:
         """Return a modified copy (convenience wrapper over ``replace``)."""
         return replace(self, **changes)
 
-    def single_map_task_s(self, block_mb: float) -> float:
-        """Nominal single-job map-task duration on a ``block_mb`` block."""
-        return (self.task_startup_s + block_mb / self.scan_rate_mb_s
-                + block_mb * self.map_cpu_s_per_mb)
-
 
 def normal_wordcount() -> JobProfile:
     """The paper's normal wordcount workload (Table I / Figure 3)."""

@@ -87,8 +87,3 @@ class LocalityStats:
     @property
     def total(self) -> int:
         return self.local + self.remote
-
-    @property
-    def locality_rate(self) -> float:
-        """Fraction of map tasks that read their block locally."""
-        return self.local / self.total if self.total else 1.0

@@ -6,7 +6,7 @@ from .jobstats import (
     job_phase_stats,
     mean_sharing_fraction,
 )
-from .measures import NormalizedMetrics, ScheduleMetrics, compute_metrics
+from .measures import ScheduleMetrics, compute_metrics
 from .report import format_io_table, format_series, format_table, normalize_all
 from .utilization import (
     busy_slots_series,
@@ -18,7 +18,7 @@ from .utilization import (
 
 __all__ = ["JobPhaseStats", "format_phase_table", "job_phase_stats",
            "mean_sharing_fraction",
-           "NormalizedMetrics", "ScheduleMetrics", "compute_metrics",
+           "ScheduleMetrics", "compute_metrics",
            "format_io_table", "format_series", "format_table", "normalize_all",
            "busy_slots_series", "render_gantt",
            "render_utilization_strip", "slot_utilization", "task_spans"]

@@ -27,25 +27,6 @@ class ScheduleMetrics:
     mean_waiting: float
     num_jobs: int
 
-    def normalized_to(self, baseline: "ScheduleMetrics") -> "NormalizedMetrics":
-        """Express this run relative to ``baseline`` (paper: S3 = 1.0)."""
-        if baseline.tet <= 0 or baseline.art <= 0:
-            raise ExperimentError("baseline metrics must be positive")
-        return NormalizedMetrics(
-            scheduler=self.scheduler,
-            tet_ratio=self.tet / baseline.tet,
-            art_ratio=self.art / baseline.art,
-        )
-
-
-@dataclass(frozen=True)
-class NormalizedMetrics:
-    """TET/ART ratios relative to a baseline run."""
-
-    scheduler: str
-    tet_ratio: float
-    art_ratio: float
-
 
 def compute_metrics(scheduler: str,
                     timelines: Mapping[str, JobTimeline] | Iterable[JobTimeline],

@@ -32,7 +32,7 @@ from typing import Any, Iterable, Mapping
 
 from ...common.errors import ExecutionError
 from ..metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .telemetry import ServiceTelemetry, TenantTelemetry
+from .telemetry import ServiceTelemetry
 from .window import RollingCounter, SlidingQuantiles, WindowStats
 
 #: Default prefix for every exported metric family.
@@ -254,22 +254,6 @@ def telemetry_families(telemetry: ServiceTelemetry, *,
             name=name, kind="gauge", help=help_text,
             samples=tuple(Sample(name, (("tenant", s.tenant),), pick(s))
                           for s in statuses)))
-    return families
-
-
-def tenant_families(record: TenantTelemetry, *,
-                    prefix: str = DEFAULT_PREFIX) -> list[MetricFamily]:
-    """Families for a single tenant's windows (used by ``/tenants``)."""
-    families: list[MetricFamily] = []
-    labels: Labels = (("tenant", record.tenant),)
-    for edge, counter in sorted(record.edges.items()):
-        families.append(_counter_family(
-            prefix + f"service_{edge}", counter.total(), labels=labels))
-    families.append(MetricFamily(
-        name=prefix + "service_response_seconds", kind="summary",
-        help="Windowed submit-to-finish response (exact quantiles).",
-        samples=tuple(_summary_samples(prefix + "service_response_seconds",
-                                       labels, record.response_s.snapshot()))))
     return families
 
 

@@ -121,24 +121,6 @@ def optimal_grouping(arrivals: Sequence[float], *,
                         predicted_cost=best.cost)
 
 
-def predicted_tet(plan_groups: Sequence[Sequence[int]],
-                  arrivals: Sequence[float], *,
-                  profile: JobProfile, cost: CostModel, num_blocks: int,
-                  block_mb: float, map_slots: int) -> float:
-    """Analytic finish time of an arbitrary consecutive grouping.
-
-    Used by tests to check the optimiser against the paper's MRS1/2/3
-    groupings under the same model.
-    """
-    finish = 0.0
-    for group in plan_groups:
-        ready = max(arrivals[j] for j in group)
-        makespan = cost.combined_job_makespan_s(
-            profile, len(group), num_blocks, block_mb, map_slots)
-        finish = max(finish, ready) + makespan
-    return finish
-
-
 def optimal_mrshare(arrivals: Sequence[float], *,
                     profile: JobProfile,
                     cost: CostModel,

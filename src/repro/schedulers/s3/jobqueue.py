@@ -54,13 +54,10 @@ class JobQueueManager:
         loop = self._loops.get(file_name)
         if loop is None:
             dfs_file = self._namenode.get_file(file_name)
-            loop = ScanLoop(dfs_file, self._blocks_per_segment)
+            loop = ScanLoop(dfs_file)
             self._loops[file_name] = loop
             self._rotation.append(file_name)
         return loop
-
-    def loops(self) -> list[ScanLoop]:
-        return [self._loops[name] for name in self._rotation]
 
     def admit(self, job: JobSpec, now: float) -> S3JobState:
         """Route an arriving job to its file's scan loop."""

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from ...analysis.racecheck import race_checked
 from ...common.errors import SchedulingError
 from ...dfs.block import DfsFile
-from ...dfs.segments import SegmentPlan
 from ...mapreduce.job import JobSpec
 from ...mapreduce.profile import JobProfile
 from ..assignment import BlockAssigner
@@ -96,9 +95,8 @@ class ScanLoop:
     instrumentation verifies at runtime (``REPRO_RACECHECK=1``).
     """
 
-    def __init__(self, dfs_file: DfsFile, blocks_per_segment: int) -> None:
+    def __init__(self, dfs_file: DfsFile) -> None:
         self.dfs_file = dfs_file
-        self.plan = SegmentPlan(dfs_file, blocks_per_segment)
         self.pointer = 0
         self.active: list[S3JobState] = []
         #: Jobs waiting for admission (only when max_jobs_per_iteration caps).

@@ -52,9 +52,6 @@ class SlotChecker:
                                    + (1.0 - self.ewma_alpha) * previous)
         self._samples[node_id] = self._samples.get(node_id, 0) + 1
 
-    def smoothed(self, node_id: str) -> float | None:
-        return self._ewma.get(node_id)
-
     def slow_nodes(self) -> set[str]:
         """Node ids whose smoothed duration exceeds threshold x median."""
         judged = {n: d for n, d in self._ewma.items()

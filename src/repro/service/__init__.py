@@ -8,7 +8,6 @@ Layers
 * :mod:`repro.service.lifecycle` — the job lifecycle as one transition
   table; the ledger that books every move (entries, per-tenant
   accounts, pending depth, telemetry, trace) and the books check.
-* :mod:`repro.service.asyncapi` — asyncio front-end over the core.
 * :mod:`repro.service.driver` — open-loop arrival driving (wall-clock
   and deterministic iteration replay).
 * ``python -m repro.service`` — demo daemon: generates a corpus, drives
@@ -17,7 +16,6 @@ Layers
 """
 
 from ..localrt.live import STORE_FILE_NAME
-from .asyncapi import AsyncSchedulerService
 from .config import OVERLOAD_POLICIES, ServiceConfig
 from .core import SchedulerService
 from .driver import DriverReport, JobFactory, OpenLoopDriver, replay_iterations
@@ -31,7 +29,6 @@ from .records import (
 )
 
 __all__ = [
-    "AsyncSchedulerService",
     "DriverReport",
     "FairnessReport",
     "JobFactory",

@@ -95,8 +95,7 @@ class SchedulerService:
             print(svc.status(job_id).result.output)
 
     ``start`` / ``shutdown`` are explicit for non-context-manager use.
-    Thread-safe: every public method may be called from any thread (and
-    from the asyncio front-end in :mod:`repro.service.asyncapi`).
+    Thread-safe: every public method may be called from any thread.
     """
 
     def __init__(self, store: BlockStoreProtocol,

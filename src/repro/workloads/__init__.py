@@ -9,7 +9,6 @@ from .selection import (
     SelectionWorkload,
     selection_workload,
 )
-from .suite import SuiteRegistry, WorkloadSuite, build_default_registry, suites
 from .wordcount import (
     CORPUS_FILE,
     CORPUS_SIZE_MB,
@@ -21,7 +20,6 @@ from .wordcount import (
 )
 
 __all__ = [
-    "SuiteRegistry", "WorkloadSuite", "build_default_registry", "suites",
     "dense", "poisson", "sparse_groups", "uniform", "validate_arrivals",
     "DEFAULT_SELECTIVITY", "LINEITEM_FILE", "LINEITEM_SIZE_MB",
     "SelectionWorkload", "selection_workload",

@@ -16,14 +16,13 @@ experiments.
 *streams*: sequences of :class:`ArrivalEvent` carrying a tenant id and a
 per-stream index, merged across tenants in time order.  Build one with
 :func:`poisson_streams` (independent Poisson processes per tenant, split
-deterministically from one seed), :func:`trace_stream` (replay explicit
-``(time, tenant)`` pairs), and :func:`merge_streams`.
+deterministically from one seed) and :func:`merge_streams`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ..common.errors import WorkloadError
 from ..common.rng import RngLike, make_rng
@@ -142,22 +141,6 @@ def poisson_streams(tenants: Mapping[str, float], num_jobs: int, *,
         gaps = rng.exponential(mean_s, size=num_jobs)
         streams[tenant] = [start + float(t) for t in gaps.cumsum()]
     return merge_streams(streams)
-
-
-def trace_stream(
-        trace: Iterable[tuple[float, str]]) -> list[ArrivalEvent]:
-    """Replay an explicit ``(time, tenant)`` trace as an arrival stream.
-
-    The trace-driven schedule for open-loop experiments: pairs need not
-    be sorted; per-tenant indices follow each tenant's own time order.
-    """
-    per_tenant: dict[str, list[float]] = {}
-    for t, tenant in trace:
-        per_tenant.setdefault(tenant, []).append(t)
-    if not per_tenant:
-        raise WorkloadError("empty arrival trace")
-    return merge_streams(
-        {tenant: sorted(times) for tenant, times in per_tenant.items()})
 
 
 def validate_arrivals(arrivals: Sequence[float]) -> list[float]:

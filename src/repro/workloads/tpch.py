@@ -115,13 +115,3 @@ class LineitemGenerator:
                 handle.write("\n")
                 written += len(row) + 1
         return written
-
-
-def parse_row(line: str) -> dict[str, str]:
-    """Parse one lineitem row into a column-name -> string mapping."""
-    parts = line.rstrip("\n").split("|")
-    if len(parts) != len(LINEITEM_COLUMNS):
-        raise WorkloadError(
-            f"malformed lineitem row: {len(parts)} columns, "
-            f"expected {len(LINEITEM_COLUMNS)}")
-    return dict(zip(LINEITEM_COLUMNS, parts))

@@ -156,7 +156,7 @@ def test_runtime_locks_record_expected_graph(tmp_path):
     with ReadAheadPrefetcher(store, depth=4) as prefetcher:
         prefetcher.schedule(range(store.num_blocks))
         for index in range(store.num_blocks):
-            store.read_block(index)
+            store.read_block_bytes(index)
     runtime_roles = {"BlockStore._stats_lock", "BlockCache._lock",
                      "ReadAheadPrefetcher._cond", "BlockStore._inflight_lock"}
     for source, targets in lock_order_graph().items():

@@ -9,7 +9,6 @@ import pytest
 
 from repro.analysis.lockgraph import OrderedLock
 from repro.analysis.racecheck import (
-    RaceCheckedMixin,
     RaceError,
     race_checked,
     register_instance,
@@ -136,24 +135,6 @@ def test_race_checked_decorator_registers_instances():
         d.n = 1
     with pytest.raises(RaceError):
         in_thread(lambda: setattr(d, "n", 2))
-
-
-def test_mixin_registers_instances():
-    class M(RaceCheckedMixin):
-        RACE_FIELDS = ("state",)
-        RACE_GUARD = "M._lock"
-
-        def __init__(self) -> None:
-            self._lock = OrderedLock("M._lock")
-            self.state = "new"
-            self._register_racecheck()
-
-    m = M()
-    with m._lock:
-        m.state = "running"
-    with pytest.raises(RaceError) as excinfo:
-        in_thread(lambda: setattr(m, "state", "done"))
-    assert "M.state" in str(excinfo.value)
 
 
 # -------------------------------------------------------- service fault

@@ -21,7 +21,8 @@ def test_from_config_builds_all_nodes(cluster):
 def test_rack_assignment_follows_config(cluster):
     racks = {cluster.node(nid).rack for nid in cluster.node_ids}
     assert racks == {"rack_0", "rack_1"}
-    assert len(cluster.topology.nodes_in_rack("rack_0")) == 4
+    assert sum(cluster.topology.rack_of(nid) == "rack_0"
+               for nid in cluster.node_ids) == 4
 
 
 def test_node_speeds_applied():
@@ -46,12 +47,12 @@ def test_free_slot_tracking(cluster):
 
 
 def test_exclusions(cluster):
-    cluster.set_excluded(["node_001", "node_002"])
-    assert len(cluster.available_nodes()) == 6
+    for node_id in ("node_001", "node_002"):
+        cluster.node(node_id).excluded = True
     assert cluster.free_map_slots(include_excluded=False) == 6
     assert cluster.total_map_slots(include_excluded=False) == 6
-    cluster.set_excluded(["node_001"], excluded=False)
-    assert len(cluster.available_nodes()) == 7
+    cluster.node("node_001").excluded = False
+    assert cluster.total_map_slots(include_excluded=False) == 7
 
 
 def test_idle_reflects_running_tasks(cluster):

@@ -1,13 +1,8 @@
-"""Rack topology and distance metric tests."""
+"""Rack topology tests."""
 
 import pytest
 
-from repro.cluster.topology import (
-    DIST_NODE_LOCAL,
-    DIST_OFF_RACK,
-    DIST_RACK_LOCAL,
-    Topology,
-)
+from repro.cluster.topology import Topology
 from repro.common.errors import ConfigError
 
 
@@ -16,35 +11,9 @@ def topo() -> Topology:
     return Topology({"n0": "r0", "n1": "r0", "n2": "r1"})
 
 
-def test_same_node_distance(topo):
-    assert topo.distance("n0", "n0") == DIST_NODE_LOCAL
-
-
-def test_same_rack_distance(topo):
-    assert topo.distance("n0", "n1") == DIST_RACK_LOCAL
-
-
-def test_off_rack_distance(topo):
-    assert topo.distance("n0", "n2") == DIST_OFF_RACK
-
-
-def test_distance_symmetric(topo):
-    assert topo.distance("n1", "n2") == topo.distance("n2", "n1")
-
-
 def test_rack_of_unknown_node(topo):
     with pytest.raises(ConfigError, match="unknown node"):
         topo.rack_of("ghost")
-
-
-def test_nodes_in_rack_sorted(topo):
-    assert topo.nodes_in_rack("r0") == ["n0", "n1"]
-    assert topo.nodes_in_rack("r1") == ["n2"]
-    assert topo.nodes_in_rack("r9") == []
-
-
-def test_racks_listing(topo):
-    assert topo.racks == ["r0", "r1"]
 
 
 def test_empty_topology_rejected():

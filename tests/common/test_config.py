@@ -2,18 +2,13 @@
 
 import pytest
 
-from repro.common.config import (
-    ClusterConfig,
-    DfsConfig,
-    ExecutionConfig,
-    paper_cluster,
-    paper_dfs,
-)
+from repro.common.config import ClusterConfig, DfsConfig, ExecutionConfig
 from repro.common.errors import ConfigError
+from repro.experiments.paperconfig import paper_dfs_config
 
 
 def test_paper_cluster_defaults():
-    config = paper_cluster()
+    config = ClusterConfig()
     assert config.num_nodes == 40
     assert config.total_map_slots == 40
     assert sum(config.rack_sizes) == 40
@@ -21,7 +16,7 @@ def test_paper_cluster_defaults():
 
 
 def test_paper_dfs_defaults():
-    config = paper_dfs()
+    config = paper_dfs_config()
     assert config.block_size_mb == 64.0
     assert config.replication == 1
 

@@ -7,10 +7,6 @@ def test_job_id_format():
     assert ids.job_id(3) == "job_0003"
 
 
-def test_subjob_id_includes_segment():
-    assert ids.subjob_id("job_0001", 12) == "job_0001.sub_0012"
-
-
 def test_map_task_id_format():
     assert ids.map_task_id("job_0001", 120) == "job_0001.map_00120"
 
@@ -28,17 +24,3 @@ def test_node_rack_block_ids():
     assert ids.node_id(7) == "node_007"
     assert ids.rack_id(2) == "rack_2"
     assert ids.block_id("corpus.txt", 42) == "corpus.txt#blk_00042"
-
-
-def test_allocator_monotonic():
-    alloc = ids.IdAllocator()
-    assert alloc.next_job() == "job_0000"
-    assert alloc.next_job() == "job_0001"
-    assert alloc.next_batch() == "batch_0000"
-    assert alloc.next_batch() == "batch_0001"
-
-
-def test_allocators_independent():
-    a, b = ids.IdAllocator(), ids.IdAllocator()
-    a.next_job()
-    assert b.next_job() == "job_0000"

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.common.rng import DEFAULT_SEED, jittered, make_rng, spawn
+from repro.common.rng import DEFAULT_SEED, jittered, make_rng
 
 
 def test_none_uses_default_seed():
@@ -21,12 +21,6 @@ def test_different_seeds_differ():
 def test_generator_passthrough():
     gen = np.random.default_rng(3)
     assert make_rng(gen) is gen
-
-
-def test_spawn_independent_children():
-    children = spawn(make_rng(1), 3)
-    values = {c.integers(0, 10**9) for c in children}
-    assert len(values) == 3
 
 
 def test_jittered_zero_sigma_is_identity():

@@ -1,27 +1,11 @@
 """Unit-helper tests."""
 
-import pytest
-
 from repro.common import units
 
 
 def test_gb_to_mb():
     assert units.gb(160) == 163840.0
     assert units.gb(0.5) == 512.0
-
-
-def test_mb_identity():
-    assert units.mb(64) == 64.0
-
-
-def test_mb_bytes_round_trip():
-    assert units.mb_to_bytes(1) == 1024 * 1024
-    assert units.bytes_to_mb(units.mb_to_bytes(37.5)) == pytest.approx(37.5)
-
-
-def test_minutes_and_hours():
-    assert units.minutes(2) == 120.0
-    assert units.hours(1.5) == 5400.0
 
 
 def test_fmt_duration_seconds():

@@ -26,11 +26,6 @@ def test_block_negative_index():
         make_block(index=-1)
 
 
-def test_primary_location():
-    block = make_block(locations=("n3", "n5"))
-    assert block.primary_location == "n3"
-
-
 def test_file_aggregates():
     blocks = tuple(make_block(i) for i in range(3))
     f = DfsFile(name="f", blocks=blocks)

@@ -57,19 +57,10 @@ def test_get_missing_file(namenode):
         namenode.get_file("ghost")
 
 
-def test_exists_and_delete(namenode):
+def test_exists(namenode):
+    assert not namenode.exists("f")
     namenode.create_file("f", 64.0)
     assert namenode.exists("f")
-    namenode.delete("f")
-    assert not namenode.exists("f")
-    with pytest.raises(DfsError):
-        namenode.delete("f")
-
-
-def test_list_files_sorted(namenode):
-    for name in ("b", "a", "c"):
-        namenode.create_file(name, 64.0)
-    assert namenode.list_files() == ["a", "b", "c"]
 
 
 def test_block_locations_round_robin(namenode):

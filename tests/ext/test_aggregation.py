@@ -8,7 +8,6 @@ from repro.localrt.api import LocalJob, Reducer, default_partitioner
 from repro.localrt.engine import (
     JobRunState,
     count_pending_values,
-    run_map_on_block,
     run_reduce,
 )
 from repro.localrt.jobs import aggregation_job, wordcount_job
@@ -17,6 +16,7 @@ from repro.localrt.runners import SharedScanRunner
 from repro.localrt.storage import BlockStore
 from repro.workloads.text import TextCorpusGenerator
 from repro.workloads.tpch import LINEITEM_COLUMNS, LineitemGenerator
+from tests.localrt.helpers import run_map_on_block
 
 
 @pytest.fixture(scope="module")

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.common.config import ClusterConfig, DfsConfig, paper_cluster
+from repro.common.config import ClusterConfig, DfsConfig
 from repro.mapreduce.costmodel import CostModel
 from repro.mapreduce.driver import SimulationDriver, SimulationResult
 from repro.mapreduce.faults import FaultModel
@@ -54,7 +54,7 @@ def small_run(scheduler) -> SimulationResult:
 def faulty_run() -> SimulationResult:
     """ISSUE 20's run: S3 on the paper cluster, jittered, 5 % failures."""
     driver = SimulationDriver(
-        S3Scheduler(), cluster_config=paper_cluster(),
+        S3Scheduler(), cluster_config=ClusterConfig(),
         dfs_config=DfsConfig(block_size_mb=64),
         cost_model=CostModel(duration_jitter=0.3), jitter_seed=3,
         fault_model=FaultModel(task_failure_prob=0.05, seed=7))

@@ -88,18 +88,6 @@ def test_negative_size_rejected():
         cache.put(0, "x", -1)
 
 
-def test_clear_drops_entries_keeps_counters():
-    cache = BlockCache(100)
-    cache.put(0, "abc", 3)
-    cache.get(0)
-    cache.clear()
-    assert len(cache) == 0
-    assert cache.current_bytes == 0
-    assert cache.stats.hits == 1
-    cache.reset_stats()
-    assert cache.stats.hits == 0
-
-
 def test_concurrent_put_get_respects_budget():
     cache = BlockCache(64)
     errors = []
@@ -129,7 +117,7 @@ def test_store_with_cache_reduces_physical_reads(tmp_path):
                               cache=BlockCache(1_000_000))
     for _ in range(3):
         for i in range(store.num_blocks):
-            store.read_block(i)
+            store.read_block_bytes(i)
     n = store.num_blocks
     assert store.stats.blocks_read == 3 * n            # logical: every visit
     assert store.stats.physical_blocks_read == n       # physical: first pass
@@ -143,7 +131,7 @@ def test_store_cache_eviction_accounted(tmp_path):
     # Capacity for roughly two blocks -> a full scan keeps evicting.
     store.attach_cache(BlockCache(2 * store.block_size_bytes(0)))
     for i in range(store.num_blocks):
-        store.read_block(i)
+        store.read_block_bytes(i)
     assert store.stats.cache_evictions > 0
     assert store.stats.physical_blocks_read == store.num_blocks
 
@@ -151,8 +139,8 @@ def test_store_cache_eviction_accounted(tmp_path):
 def test_detach_cache_restores_direct_reads(tmp_path):
     store = BlockStore.create(tmp_path / "s", lines(30), block_size_bytes=100,
                               cache=BlockCache(1_000_000))
-    store.read_block(0)
+    store.read_block_bytes(0)
     store.attach_cache(None)
-    store.read_block(0)
+    store.read_block_bytes(0)
     assert store.stats.physical_blocks_read == 2
     assert store.stats.cache_misses == 1

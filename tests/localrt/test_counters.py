@@ -99,8 +99,8 @@ def test_framework_map_cells_count_every_block(corpus_store):
     by block, as the per-record mapper sees them."""
     mapper = PatternWordCount("^b.*")
     lines = outputs = 0
-    for _, text in corpus_store.iter_blocks():
-        for line in text.splitlines():
+    for index in range(corpus_store.num_blocks):
+        for line in corpus_store.read_block_bytes(index).decode().splitlines():
             lines += 1
             outputs += len(list(mapper.map(None, line)))
     for batched in (True, False):

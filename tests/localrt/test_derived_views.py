@@ -743,7 +743,7 @@ def test_a_qualifying_row_is_parsed_once_per_store_handle(
     store = BlockStore.create(tmp_path / "lineitem", rows, 40_000)
     widest = _qualifying(rows, max(BATCH_THRESHOLDS))
     for index in range(store.num_blocks):  # no block is past its budget
-        in_block = set(store.read_block(index).split("\n"))
+        in_block = set(store.read_block_bytes(index).decode().split("\n"))
         assert sum(len(row) for row in widest if row in in_block) \
             <= store.block_size_bytes(index) // tokens.ROW_TABLE_TEXT_DIVISOR
     jobs = [selection_job(f"sel{i}", threshold)

@@ -9,12 +9,12 @@ from repro.localrt.engine import (
     JobRunState,
     collect_map_outputs,
     count_pending_values,
-    run_map_on_block,
     run_reduce,
 )
 from repro.localrt.jobs import PatternWordCount, PatternWordCountBlock
 from repro.localrt.records import DelimitedReader, TextLineReader
 from repro.localrt.tokens import TokenEncoder
+from tests.localrt.helpers import run_map_on_block
 
 
 def make_state(pattern=".*", combiner=False):

@@ -88,7 +88,7 @@ def test_aggregation_sums_by_returnflag(lineitem_store):
     qty_index = LINEITEM_COLUMNS.index("l_returnflag")
     price_index = LINEITEM_COLUMNS.index("l_extendedprice")
     for i in range(lineitem_store.num_blocks):
-        for line in lineitem_store.read_block(i).splitlines():
+        for line in lineitem_store.read_block_bytes(i).decode().splitlines():
             fields = line.split("|")
             expected[fields[qty_index]] = (expected.get(fields[qty_index], 0.0)
                                            + float(fields[price_index]))

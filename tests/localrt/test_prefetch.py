@@ -75,7 +75,7 @@ def test_warms_scheduled_blocks(tmp_path):
     # Prefetching is not a logical read and not a demand miss.
     assert store.stats.blocks_read == 0
     assert store.stats.cache_misses == 0
-    store.read_block(0)
+    store.read_block_bytes(0)
     assert store.stats.cache_hits == 1
 
 
@@ -88,7 +88,7 @@ def test_pacing_never_runs_more_than_depth_ahead(tmp_path):
         assert store.stats.prefetched_blocks <= 3
         # As demand reads progress, the window opens.
         for i in range(6):
-            store.read_block(i)
+            store.read_block_bytes(i)
         assert wait_until(lambda: store.stats.prefetched_blocks >= 6)
 
 
@@ -121,7 +121,7 @@ def test_prefetch_error_recorded_not_raised(tmp_path):
         with pytest.raises(ExecutionError):
             # Out-of-range indices surface on the demand path, never from
             # the background thread...
-            store.read_block(10_000)
+            store.read_block_bytes(10_000)
         prefetcher.schedule([10_000])
         assert wait_until(lambda: prefetcher.error is not None)
         assert isinstance(prefetcher.error, ExecutionError)
@@ -147,8 +147,7 @@ def test_mapper_fault_mid_wave_shuts_prefetcher_down(tmp_path, runner_cls):
     """Fault injection: a mapper raising mid-wave must not leak the
     prefetch thread (runner ``finally`` closes it)."""
     store = make_store(tmp_path)
-    poisoned = store.read_block(store.num_blocks // 2).split()[0]
-    store.reset_stats()
+    poisoned = store.read_block_bytes(store.num_blocks // 2).split()[0].decode()
     job = LocalJob(job_id="boom", mapper=ExplodingMapper(poisoned),
                    reducer=SumReducer())
     config = ExecutionConfig(cache_capacity_bytes=10_000_000,

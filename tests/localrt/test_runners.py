@@ -73,9 +73,10 @@ def test_unknown_arrival_rejected(corpus_store):
 
 
 def test_negative_arrival_rejected(corpus_store):
-    with pytest.raises(ExecutionError):
-        SharedScanRunner(corpus_store).run(
-            [wordcount_job("a", ".*")], arrival_iterations={"a": -1})
+    for arrival in (-1, 1.5):  # a fractional iteration is no iteration
+        with pytest.raises(ExecutionError):
+            SharedScanRunner(corpus_store).run(
+                [wordcount_job("a", ".*")], arrival_iterations={"a": arrival})
 
 
 def test_no_jobs_rejected(corpus_store):

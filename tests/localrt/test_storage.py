@@ -26,24 +26,22 @@ def test_create_and_reload(tmp_path):
 def test_blocks_are_line_aligned(tmp_path):
     store = BlockStore.create(tmp_path / "s", lines(50), block_size_bytes=97)
     for index in range(store.num_blocks):
-        assert store.read_block(index).endswith("\n")
+        assert store.read_block_bytes(index).decode().endswith("\n")
 
 
 def test_content_round_trip(tmp_path):
     data = lines(37)
     store = BlockStore.create(tmp_path / "s", data, block_size_bytes=100)
-    joined = "".join(store.read_block(i) for i in range(store.num_blocks))
+    joined = "".join(store.read_block_bytes(i).decode() for i in range(store.num_blocks))
     assert joined.splitlines() == data
 
 
 def test_read_stats_accumulate(tmp_path):
     store = BlockStore.create(tmp_path / "s", lines(20), block_size_bytes=100)
-    store.read_block(0)
-    store.read_block(0)
+    store.read_block_bytes(0)
+    store.read_block_bytes(0)
     assert store.stats.blocks_read == 2
     assert store.stats.bytes_read == 2 * store.block_size_bytes(0)
-    store.reset_stats()
-    assert store.stats.blocks_read == 0
 
 
 def test_block_offsets_monotonic(tmp_path):
@@ -55,16 +53,10 @@ def test_block_offsets_monotonic(tmp_path):
             == store.total_bytes)
 
 
-def test_iter_blocks(tmp_path):
-    store = BlockStore.create(tmp_path / "s", lines(10), block_size_bytes=80)
-    seen = list(store.iter_blocks())
-    assert [i for i, _ in seen] == list(range(store.num_blocks))
-
-
 def test_out_of_range_rejected(tmp_path):
     store = BlockStore.create(tmp_path / "s", lines(5), block_size_bytes=500)
     with pytest.raises(ExecutionError):
-        store.read_block(99)
+        store.read_block_bytes(99)
 
 
 def test_create_on_existing_rejected(tmp_path):
@@ -96,15 +88,15 @@ def test_invalid_block_size(tmp_path):
 def test_non_ascii_lines_round_trip_as_utf8(tmp_path):
     data = ["héllo wörld", "naïve café", "日本語のテキスト", "plain ascii"]
     store = BlockStore.create(tmp_path / "s", data, block_size_bytes=40)
-    joined = "".join(store.read_block(i) for i in range(store.num_blocks))
-    assert joined.splitlines() == data
+    joined = b"".join(store.read_block_bytes(i) for i in range(store.num_blocks))
+    assert joined.decode().splitlines() == data
     # Counters measure on-disk bytes (UTF-8), not characters.
     encoded = sum(len((line + "\n").encode("utf-8")) for line in data)
     assert store.total_bytes == encoded
-    store.reset_stats()
+    before = store.stats_snapshot()
     for i in range(store.num_blocks):
-        store.read_block(i)
-    assert store.stats.bytes_read == encoded
+        store.read_block_bytes(i)
+    assert store.stats_snapshot().delta(before).bytes_read == encoded
 
 
 def test_unencodable_line_raises_by_name(tmp_path):
@@ -125,16 +117,16 @@ def test_block_sizes_are_cached_at_open(tmp_path):
     assert sum(sizes) == store.total_bytes
 
 
-def test_iter_blocks_counter_accounting(tmp_path):
+def test_full_pass_counter_accounting(tmp_path):
     store = BlockStore.create(tmp_path / "s", lines(50), block_size_bytes=150)
-    consumed = list(store.iter_blocks())
+    consumed = [store.read_block_bytes(i) for i in range(store.num_blocks)]
     assert store.stats.blocks_read == store.num_blocks
     assert store.stats.bytes_read == store.total_bytes
     assert store.stats.physical_blocks_read == store.num_blocks
-    assert store.stats.bytes_read == sum(len(text.encode("utf-8"))
-                                         for _, text in consumed)
+    assert store.stats.bytes_read == sum(len(data) for data in consumed)
     # A second pass doubles the logical counters (no cache attached).
-    list(store.iter_blocks())
+    for i in range(store.num_blocks):
+        store.read_block_bytes(i)
     assert store.stats.blocks_read == 2 * store.num_blocks
     assert store.stats.bytes_read == 2 * store.total_bytes
 
@@ -154,7 +146,7 @@ def test_read_block_concurrent_threads_accounting(tmp_path, with_cache):
         try:
             for i in range(reads_per_thread):
                 index = (seed + i) % store.num_blocks
-                text = store.read_block(index)
+                text = store.read_block_bytes(index).decode()
                 assert len(text.encode("utf-8")) == store.block_size_bytes(index)
         except BaseException as exc:  # pragma: no cover - failure path
             errors.append(exc)
@@ -189,8 +181,6 @@ def test_read_stats_snapshot_and_delta():
     assert delta.cache_hits == 2
     assert delta.bytes_read == 0
     assert before.blocks_read == 10    # snapshot is independent
-    stats.reset()
-    assert stats.blocks_read == 0 and stats.cache_hits == 0
 
 
 def test_cache_hit_ratio_zero_without_lookups():
@@ -199,12 +189,13 @@ def test_cache_hit_ratio_zero_without_lookups():
 
 # ------------------------------------------------- zero-copy bytes path
 
-def test_read_block_bytes_matches_text_path(tmp_path):
+def test_read_block_bytes_matches_block_file(tmp_path):
     store = BlockStore.create(tmp_path / "s", lines(40), block_size_bytes=150)
     for index in range(store.num_blocks):
         raw = store.read_block_bytes(index)
         assert isinstance(raw, bytes)
-        assert raw == store.read_block(index).encode("utf-8")
+        path = tmp_path / "s" / BlockStore.BLOCK_PATTERN.format(index)
+        assert raw == path.read_bytes()
         assert len(raw) == store.block_size_bytes(index)
 
 
@@ -212,8 +203,7 @@ def test_read_block_bytes_counter_accounting(tmp_path):
     store = BlockStore.create(tmp_path / "s", lines(30), block_size_bytes=120)
     store.read_block_bytes(0)
     store.read_block_bytes(1)
-    store.read_block(0)
-    # Logical counters are charged identically on both paths.
+    store.read_block_bytes(0)
     assert store.stats.blocks_read == 3
     assert store.stats.bytes_read == (2 * store.block_size_bytes(0)
                                       + store.block_size_bytes(1))
@@ -231,8 +221,7 @@ def test_mmap_fallback_returns_identical_bytes(tmp_path, monkeypatch):
     same bytes, same logical/physical counters, mmap counter stays 0."""
     store = BlockStore.create(tmp_path / "s", lines(40), block_size_bytes=150)
     mapped = [store.read_block_bytes(i) for i in range(store.num_blocks)]
-    mapped_stats = store.stats.snapshot()
-    store.reset_stats()
+    mapped_stats = store.stats_snapshot()
 
     import repro.localrt.storage as storage_module
 
@@ -241,12 +230,13 @@ def test_mmap_fallback_returns_identical_bytes(tmp_path, monkeypatch):
 
     monkeypatch.setattr(storage_module.mmap, "mmap", broken_mmap)
     fallback = [store.read_block_bytes(i) for i in range(store.num_blocks)]
+    fallback_stats = store.stats_snapshot().delta(mapped_stats)
     assert fallback == mapped
-    assert store.stats.mmap_blocks_read == 0
+    assert fallback_stats.mmap_blocks_read == 0
     assert mapped_stats.mmap_blocks_read == store.num_blocks
-    assert store.stats.blocks_read == mapped_stats.blocks_read
-    assert store.stats.bytes_read == mapped_stats.bytes_read
-    assert (store.stats.physical_blocks_read
+    assert fallback_stats.blocks_read == mapped_stats.blocks_read
+    assert fallback_stats.bytes_read == mapped_stats.bytes_read
+    assert (fallback_stats.physical_blocks_read
             == mapped_stats.physical_blocks_read)
 
 
@@ -254,11 +244,10 @@ def test_cache_stores_raw_bytes_with_exact_sizes(tmp_path):
     cache = BlockCache(10_000_000)
     store = BlockStore.create(tmp_path / "s", lines(30), block_size_bytes=120,
                               cache=cache)
-    # The text path populates the cache with *bytes* (decoding happens in
-    # the read_block shim), so both paths share residency.
-    text = store.read_block(0)
+    # The cache holds the block's undecoded bytes: a miss, then a hit.
+    first = store.read_block_bytes(0)
     raw = store.read_block_bytes(0)
-    assert raw == text.encode("utf-8")
+    assert raw == first
     assert store.stats.cache_hits == 1
     assert store.stats.cache_misses == 1
     # Byte accounting is the exact on-disk size, no object overhead.

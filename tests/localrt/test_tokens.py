@@ -253,7 +253,7 @@ def _scan(store, backend, out_root):
     jobs = [wordcount_job("early", ".*a$"),
             wordcount_job("late", "^[bcd].*"),
             wordcount_job("loose", ".*e.*", use_combiner=False)]
-    store.reset_stats()
+    before = store.stats_snapshot()
     config = ExecutionConfig(blocks_per_segment=2, map_backend=backend,
                              map_workers=2)
     with SharedScanRunner(store, config) as runner:
@@ -263,7 +263,7 @@ def _scan(store, backend, out_root):
         for path in write_output(result, out_root / backend / job_id):
             parts[(job_id, path.name)] = hashlib.sha256(
                 path.read_bytes()).hexdigest()
-    stats = store.stats_snapshot()
+    stats = store.stats_snapshot().delta(before)
     return (parts,
             {job_id: list(result.counters)
              for job_id, result in report.results.items()},

@@ -80,16 +80,23 @@ def test_reduce_duration_validation(cost, profile):
         cost.reduce_task_duration(profile, 1, file_fraction=1.5)
 
 
+def single_job_makespan(cost, profile):
+    """Submit + map phase + one reduce, 2560 blocks on 40 slots."""
+    return (cost.job_submit_overhead_s
+            + cost.single_job_map_phase_s(profile, 2560, 64.0, 40)
+            + cost.reduce_task_duration(profile, 1))
+
+
 def test_single_job_makespan_matches_table1(cost, profile):
     """2560 blocks on 40 slots: ~4m45s per job + 12s submission."""
-    makespan = cost.single_job_makespan_s(profile, 2560, 64.0, 40)
+    makespan = single_job_makespan(cost, profile)
     assert makespan == pytest.approx(12.0 + 64 * 4.2 + 16.0)
     # The paper reports ~240s of pure processing; we land within 25%.
     assert 240.0 * 0.8 <= makespan - 12.0 <= 240.0 * 1.4
 
 
 def test_combined_makespan_ratio(cost, profile):
-    single = cost.single_job_makespan_s(profile, 2560, 64.0, 40)
+    single = single_job_makespan(cost, profile)
     combined = cost.combined_job_makespan_s(profile, 10, 2560, 64.0, 40)
     # Figure 3's headline: ~+25.5% TET for 10 combined jobs.
     assert combined / single == pytest.approx(1.255, abs=0.03)

@@ -41,7 +41,7 @@ def test_jobs_complete_under_heartbeat_dispatch(scheduler_factory,
                                                 fast_profile, job_factory):
     result = run(scheduler_factory(), small_cluster_config, small_dfs_config,
                  job_factory(fast_profile, 2), [0.0, 5.0])
-    assert result.all_complete
+    assert all(t.is_complete for t in result.timelines.values())
 
 
 def test_heartbeat_dispatch_is_slower(small_cluster_config, small_dfs_config,
@@ -97,5 +97,5 @@ def test_restart_after_idle_gap(small_cluster_config, small_dfs_config,
     """Heartbeats stop when all jobs finish and restart on a late arrival."""
     result = run(FifoScheduler(), small_cluster_config, small_dfs_config,
                  job_factory(fast_profile, 2), [0.0, 200.0], blocks=8)
-    assert result.all_complete
+    assert all(t.is_complete for t in result.timelines.values())
     assert result.timeline("j1").first_launch >= 200.0

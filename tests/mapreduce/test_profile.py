@@ -10,16 +10,22 @@ from repro.mapreduce.profile import (
 )
 
 
+def map_task_s(profile, block_mb=64.0):
+    """Nominal single-job map-task duration on a ``block_mb`` block."""
+    return (profile.task_startup_s + block_mb / profile.scan_rate_mb_s
+            + block_mb * profile.map_cpu_s_per_mb)
+
+
 def test_normal_single_map_task_duration():
     # Table I geometry: 64 waves x 4.2s ~ 269s map phase on 40 slots.
     profile = normal_wordcount()
-    assert profile.single_map_task_s(64.0) == pytest.approx(4.2)
+    assert map_task_s(profile) == pytest.approx(4.2)
 
 
 def test_normal_profile_matches_fig3_map_ratio():
     """A 10-job combined map task must cost 1.288x a single-job task."""
     profile = normal_wordcount()
-    single = profile.single_map_task_s(64.0)
+    single = map_task_s(profile)
     combined = (profile.task_startup_s + 64.0 / profile.scan_rate_mb_s
                 + 64.0 * profile.map_cpu_s_per_mb
                 * (1 + profile.map_share_beta * 9))
@@ -50,8 +56,8 @@ def test_heavy_profile_scales_outputs():
 def test_heavy_profile_is_about_1_5x_slower():
     """Section V.E: heavy jobs take ~1.5x the normal processing time."""
     normal, heavy = normal_wordcount(), heavy_wordcount()
-    normal_job = 64 * normal.single_map_task_s(64.0) + normal.reduce_total_s
-    heavy_job = 64 * heavy.single_map_task_s(64.0) + heavy.reduce_total_s
+    normal_job = 64 * map_task_s(normal) + normal.reduce_total_s
+    heavy_job = 64 * map_task_s(heavy) + heavy.reduce_total_s
     assert heavy_job / normal_job == pytest.approx(1.5, rel=0.1)
 
 

@@ -46,7 +46,7 @@ def test_speculation_launches_backups(spec_on, small_dfs_config, fast_profile,
     result = run(FifoScheduler(), speculation=spec_on,
                  small_dfs_config=small_dfs_config, fast_profile=fast_profile,
                  job_factory=job_factory)
-    assert result.all_complete
+    assert all(t.is_complete for t in result.timelines.values())
     assert result.speculative_launched > 0
     assert result.speculative_won > 0
     # The losers were killed, not completed.
@@ -69,7 +69,7 @@ def test_speculation_with_s3(spec_on, small_dfs_config, fast_profile,
     result = run(S3Scheduler(), speculation=spec_on,
                  small_dfs_config=small_dfs_config, fast_profile=fast_profile,
                  job_factory=job_factory)
-    assert result.all_complete
+    assert all(t.is_complete for t in result.timelines.values())
     assert result.speculative_launched > 0
 
 

@@ -34,8 +34,3 @@ def test_locality_stats_counts_maps_only():
     assert stats.local == 1
     assert stats.remote == 1
     assert stats.total == 2
-    assert stats.locality_rate == 0.5
-
-
-def test_locality_rate_empty_is_one():
-    assert LocalityStats().locality_rate == 1.0

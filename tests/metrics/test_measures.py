@@ -49,15 +49,6 @@ def test_empty_rejected():
         compute_metrics("x", [])
 
 
-def test_normalized_to_baseline():
-    a = compute_metrics("A", [timeline("j", 0, 0, 200)])
-    b = compute_metrics("B", [timeline("j", 0, 0, 100)])
-    norm = a.normalized_to(b)
-    assert norm.tet_ratio == 2.0
-    assert norm.art_ratio == 2.0
-    assert norm.scheduler == "A"
-
-
 def test_tet_uses_first_submission():
     timelines = [timeline("a", 50, 50, 100), timeline("b", 60, 70, 130)]
     assert compute_metrics("x", timelines).tet == 80

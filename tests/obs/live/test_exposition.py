@@ -17,7 +17,6 @@ from repro.obs.live.exposition import (
     samples_by_name,
     sanitize_metric_name,
     telemetry_families,
-    tenant_families,
 )
 from repro.obs.live.slo import SLOConfig
 from repro.obs.live.telemetry import ServiceTelemetry
@@ -137,16 +136,6 @@ def test_telemetry_families_global_and_tenant_scoping():
     assert kinds["repro_service_submitted_total"] == "counter"
     assert kinds["repro_service_window_submitted"] == "gauge"
     assert kinds["repro_service_response_seconds"] == "summary"
-
-
-def test_tenant_families_single_tenant_view():
-    clock = FakeClock()
-    telemetry = ServiceTelemetry(horizon_s=60.0, clock=clock)
-    telemetry.record_submit("tenant_a")
-    telemetry.record_complete("tenant_a", 0.5)
-    body = render_families(tenant_families(telemetry.tenant("tenant_a")))
-    assert 'repro_service_submitted_total{tenant="tenant_a"} 1' in body
-    assert parse_exposition(body)
 
 
 # ---------------------------------------------------------------------------

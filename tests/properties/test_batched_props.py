@@ -59,7 +59,7 @@ def test_batched_matrix_byte_identical(tmp_path_factory, corpus, seg,
             for with_cache in (False, True):
                 store.attach_cache(
                     BlockCache(10_000_000) if with_cache else None)
-                store.reset_stats()
+                before = store.stats_snapshot()
                 runner = SharedScanRunner(
                     store, ExecutionConfig(blocks_per_segment=seg,
                                            map_backend=backend,
@@ -77,8 +77,8 @@ def test_batched_matrix_byte_identical(tmp_path_factory, corpus, seg,
                     "counters": [list(report.results[j].counters)
                                  for j in sorted(report.results)],
                     # Logical ReadStats only: blocks/bytes visited.
-                    "logical": (store.stats.blocks_read,
-                                store.stats.bytes_read),
+                    "logical": (lambda d: (d.blocks_read, d.bytes_read))(
+                        store.stats_snapshot().delta(before)),
                 }
 
     reference = outcomes[(False, "serial", False)]

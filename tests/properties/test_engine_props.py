@@ -6,7 +6,7 @@ from unittest import mock
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.common.units import bytes_to_mb, fmt_duration, mb_to_bytes
+from repro.common.units import fmt_duration
 from repro.localrt import api
 from repro.localrt.api import IdentityReducer, LocalJob, default_partitioner
 from repro.localrt.engine import (
@@ -42,12 +42,6 @@ def test_simulator_clock_monotone(times):
     sim.run()
     assert observed == sorted(observed)
     assert sim.events_processed == len(times)
-
-
-@given(st.floats(min_value=0.001, max_value=1e7, allow_nan=False))
-@settings(max_examples=80)
-def test_mb_bytes_round_trip(mb):
-    assert abs(bytes_to_mb(mb_to_bytes(mb)) - mb) < 1e-5
 
 
 @given(st.floats(min_value=0.0, max_value=1e6, allow_nan=False))

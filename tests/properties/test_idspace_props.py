@@ -84,7 +84,7 @@ def _run(directory, rider_set, seg, laps, parts, batched, fold):
     with SharedScanRunner(store, ExecutionConfig(
             blocks_per_segment=seg)) as runner:
         for _ in range(laps):
-            store.reset_stats()
+            before = store.stats_snapshot()
             report = runner.run(
                 [job for job, _ in jobs_arrivals],
                 {job.job_id: arrival for job, arrival in jobs_arrivals},
@@ -95,7 +95,7 @@ def _run(directory, rider_set, seg, laps, parts, batched, fold):
                           result.reduce_output_records,
                           result.reduce_input_values)
                  for job_id, result in sorted(report.results.items())},
-                dataclasses.asdict(store.stats_snapshot())))
+                dataclasses.asdict(store.stats_snapshot().delta(before))))
     return seen
 
 

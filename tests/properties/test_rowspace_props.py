@@ -126,7 +126,7 @@ def _run(directory, rider_set, seg, laps, batched, fold):
     with SharedScanRunner(store, ExecutionConfig(blocks_per_segment=seg),
                           reader=READER) as runner:
         for _ in range(laps):
-            store.reset_stats()
+            before = store.stats_snapshot()
             report = runner.run(
                 [job for job, _ in jobs_arrivals],
                 {job.job_id: arrival for job, arrival in jobs_arrivals},
@@ -137,7 +137,7 @@ def _run(directory, rider_set, seg, laps, batched, fold):
                           result.reduce_output_records,
                           result.reduce_input_values)
                  for job_id, result in sorted(report.results.items())},
-                dataclasses.asdict(store.stats_snapshot())))
+                dataclasses.asdict(store.stats_snapshot().delta(before))))
     return seen
 
 

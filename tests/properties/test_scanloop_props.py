@@ -27,7 +27,7 @@ def drive(num_blocks, seg, arrival_builds):
     """Run a full scan loop; returns per-job covered block lists."""
     nn = NameNode(DfsConfig(block_size_mb=64.0),
                   RoundRobinPlacement(["n0", "n1"]))
-    loop = ScanLoop(nn.create_file("f", 64.0 * num_blocks), seg)
+    loop = ScanLoop(nn.create_file("f", 64.0 * num_blocks))
     profile = normal_wordcount()
     covered: dict[str, list[int]] = {}
     pending = sorted(enumerate(arrival_builds), key=lambda p: p[1])

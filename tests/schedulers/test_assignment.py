@@ -69,7 +69,7 @@ def test_exhausts_then_none(cluster, dfs_file):
 
 
 def test_respects_exclusions(cluster, dfs_file):
-    cluster.set_excluded(["node_000"])
+    cluster.node("node_000").excluded = True
     assigner = BlockAssigner(dfs_file, [0])
     node, block, local = assigner.next_assignment(cluster,
                                                   include_excluded=False)

@@ -5,11 +5,7 @@ import pytest
 from repro.common.errors import SchedulingError
 from repro.experiments.paperconfig import paper_cost_model, sparse_pattern
 from repro.mapreduce.profile import normal_wordcount
-from repro.schedulers.mrshare_opt import (
-    optimal_grouping,
-    optimal_mrshare,
-    predicted_tet,
-)
+from repro.schedulers.mrshare_opt import optimal_grouping, optimal_mrshare
 
 GEOMETRY = dict(num_blocks=2560, block_mb=64.0, map_slots=40)
 
@@ -18,6 +14,17 @@ GEOMETRY = dict(num_blocks=2560, block_mb=64.0, map_slots=40)
 def model():
     return dict(profile=normal_wordcount(), cost=paper_cost_model(),
                 **GEOMETRY)
+
+
+def predicted_tet(plan_groups, arrivals, *, profile, cost, num_blocks,
+                  block_mb, map_slots):
+    """Analytic finish time of an arbitrary consecutive grouping."""
+    finish = 0.0
+    for group in plan_groups:
+        ready = max(arrivals[j] for j in group)
+        finish = max(finish, ready) + cost.combined_job_makespan_s(
+            profile, len(group), num_blocks, block_mb, map_slots)
+    return finish
 
 
 def test_dense_arrivals_single_batch_optimal(model):

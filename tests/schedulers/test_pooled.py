@@ -161,4 +161,4 @@ def test_jobs_complete_under_faults(small_cluster_config, small_dfs_config,
     driver.register_file("f", 64.0 * 24)
     driver.submit_all(pooled_jobs(fast_profile, ["a", "b"]), [0.0, 1.0])
     result = driver.run()
-    assert result.all_complete
+    assert all(t.is_complete for t in result.timelines.values())

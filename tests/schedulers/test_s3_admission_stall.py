@@ -54,7 +54,7 @@ def test_cap_freed_by_job_completion_readmits_waiting_job(
     _strict_cap(scheduler, monkeypatch)
     driver.submit_all(job_factory(fast_profile, 2), [0.0, 0.0])
     result = driver.run()  # pre-fix: SimulationError (j1 stranded forever)
-    assert result.all_complete
+    assert all(t.is_complete for t in result.timelines.values())
     # Strictly sequential under the cap: j1 launches only after j0 is done.
     assert (result.timeline("j1").first_launch
             >= result.timeline("j0").completed)
@@ -69,7 +69,7 @@ def test_cap_stall_recovery_chains_across_many_jobs(
     driver.submit_all(job_factory(fast_profile, 4),
                       [0.0, 0.0, 0.0, 0.0])
     result = driver.run()
-    assert result.all_complete
+    assert all(t.is_complete for t in result.timelines.values())
     completions = sorted(result.timelines[f"j{i}"].completed
                          for i in range(4))
     assert completions == sorted(set(completions)), \
@@ -84,6 +84,6 @@ def test_without_injected_cap_semantics_no_stall_and_no_overlap(
                                        blocks=16)
     driver.submit_all(job_factory(fast_profile, 2), [0.0, 0.0])
     result = driver.run()
-    assert result.all_complete
+    assert all(t.is_complete for t in result.timelines.values())
     launches = result.tracer.instants(name="s3.subjob.launch")
     assert all(r.args["jobs"] == 1 for r in launches)

@@ -23,10 +23,10 @@ def make_namenode():
                     RoundRobinPlacement(["n0", "n1", "n2", "n3"]))
 
 
-def make_loop(num_blocks=12, seg=4):
+def make_loop(num_blocks=12):
     namenode = make_namenode()
     dfs_file = namenode.create_file("f", 64.0 * num_blocks)
-    return ScanLoop(dfs_file, seg)
+    return ScanLoop(dfs_file)
 
 
 def spec(job_id, priority=0):
@@ -45,7 +45,7 @@ def test_cancel_waiting_job_leaves_no_state():
 
 
 def test_cancel_active_job_mid_scan():
-    loop = make_loop(num_blocks=12, seg=4)
+    loop = make_loop(num_blocks=12)
     loop.add_job(spec("a"), 0.0)
     loop.add_job(spec("b"), 0.0)
     loop.build_iteration(4)  # both admitted, 4 blocks covered
@@ -63,7 +63,7 @@ def test_cancel_active_job_mid_scan():
 
 
 def test_cancel_unknown_or_finished_returns_none():
-    loop = make_loop(num_blocks=4, seg=4)
+    loop = make_loop(num_blocks=4)
     loop.add_job(spec("a"), 0.0)
     assert loop.cancel("ghost") is None
     iteration = loop.build_iteration(4)
@@ -108,7 +108,7 @@ def test_duplicate_live_job_id_rejected():
 
 def test_capped_waiting_job_cancelled_before_admission():
     """Admission-cap interaction: reject-at-drain leaves nothing behind."""
-    loop = make_loop(num_blocks=8, seg=4)
+    loop = make_loop(num_blocks=8)
     loop.add_job(spec("a"), 0.0)
     loop.add_job(spec("b"), 1.0)
     loop.build_iteration(4, max_jobs=1)

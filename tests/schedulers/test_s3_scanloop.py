@@ -11,11 +11,11 @@ from repro.mapreduce.profile import heavy_wordcount, normal_wordcount
 from repro.schedulers.s3.scanloop import ScanLoop
 
 
-def make_loop(num_blocks=12, seg=4):
+def make_loop(num_blocks=12):
     namenode = NameNode(DfsConfig(block_size_mb=64.0),
                         RoundRobinPlacement(["n0", "n1", "n2", "n3"]))
     dfs_file = namenode.create_file("f", 64.0 * num_blocks)
-    return ScanLoop(dfs_file, seg)
+    return ScanLoop(dfs_file)
 
 
 def spec(job_id, priority=0, profile=None):
@@ -30,7 +30,7 @@ def test_empty_loop_builds_nothing():
 
 
 def test_single_job_full_cycle():
-    loop = make_loop(num_blocks=12, seg=4)
+    loop = make_loop(num_blocks=12)
     loop.add_job(spec("a"), 0.0)
     chunks = []
     finishing = []
@@ -46,7 +46,7 @@ def test_single_job_full_cycle():
 
 
 def test_job_admitted_mid_cycle_wraps():
-    loop = make_loop(num_blocks=8, seg=4)
+    loop = make_loop(num_blocks=8)
     loop.add_job(spec("a"), 0.0)
     loop.build_iteration(4)                 # a covers 0-3
     loop.add_job(spec("b"), 1.0)
@@ -61,7 +61,7 @@ def test_job_admitted_mid_cycle_wraps():
 
 
 def test_per_block_batches_in_final_partial_chunk():
-    loop = make_loop(num_blocks=8, seg=4)
+    loop = make_loop(num_blocks=8)
     loop.add_job(spec("a"), 0.0)
     loop.build_iteration(2)                 # a: 0-1
     loop.add_job(spec("b"), 1.0)
@@ -75,7 +75,7 @@ def test_per_block_batches_in_final_partial_chunk():
 
 def test_mixed_remaining_prefix_rule():
     """A nearly-done job participates only in the chunk's prefix."""
-    loop = make_loop(num_blocks=8, seg=4)
+    loop = make_loop(num_blocks=8)
     loop.add_job(spec("a"), 0.0)
     loop.build_iteration(3)                 # a: 0-2, pointer=3
     loop.add_job(spec("b"), 1.0)
@@ -88,7 +88,7 @@ def test_mixed_remaining_prefix_rule():
 
 
 def test_chunk_never_wraps_file_end():
-    loop = make_loop(num_blocks=10, seg=4)
+    loop = make_loop(num_blocks=10)
     loop.add_job(spec("a"), 0.0)
     loop.build_iteration(4)                 # 0-3
     loop.build_iteration(4)                 # 4-7
@@ -97,7 +97,7 @@ def test_chunk_never_wraps_file_end():
 
 
 def test_admission_cap_defers_new_jobs():
-    loop = make_loop(num_blocks=8, seg=4)
+    loop = make_loop(num_blocks=8)
     for name in ("a", "b", "c"):
         loop.add_job(spec(name), 0.0)
     it = loop.build_iteration(4, max_jobs=2)
@@ -106,7 +106,7 @@ def test_admission_cap_defers_new_jobs():
 
 
 def test_admission_cap_prefers_priority():
-    loop = make_loop(num_blocks=8, seg=4)
+    loop = make_loop(num_blocks=8)
     loop.add_job(spec("low", priority=0), 0.0)
     loop.add_job(spec("high", priority=5), 1.0)
     it = loop.build_iteration(4, max_jobs=1)
@@ -115,14 +115,14 @@ def test_admission_cap_prefers_priority():
 
 
 def test_file_fraction():
-    loop = make_loop(num_blocks=8, seg=4)
+    loop = make_loop(num_blocks=8)
     loop.add_job(spec("a"), 0.0)
     it = loop.build_iteration(4)
     assert it.file_fraction == pytest.approx(0.5)
 
 
 def test_iteration_profile_takes_most_expensive():
-    loop = make_loop(num_blocks=4, seg=4)
+    loop = make_loop(num_blocks=4)
     loop.add_job(spec("a"), 0.0)
     loop.add_job(spec("h", profile=heavy_wordcount()), 0.0)
     it = loop.build_iteration(4)

@@ -28,7 +28,7 @@ def test_single_job_completes(small_cluster_config, small_dfs_config,
                               fast_profile, job_factory):
     result = run_s3(small_cluster_config, small_dfs_config,
                     job_factory(fast_profile, 1), [0.0])
-    assert result.all_complete
+    assert all(t.is_complete for t in result.timelines.values())
     # 16 blocks / 8 slots = 2 iterations of 8 maps each.
     launches = result.tracer.instants(name="s3.subjob.launch")
     assert len(launches) == 2
@@ -56,7 +56,7 @@ def test_late_job_joins_next_iteration(small_cluster_config, small_dfs_config,
     assert launches[0].args["jobs"] == 1
     assert launches[1].args["jobs"] == 2
     # j1 covered the whole file despite starting mid-scan.
-    assert result.all_complete
+    assert all(t.is_complete for t in result.timelines.values())
 
 
 def test_circular_coverage_is_complete(small_cluster_config, small_dfs_config,
@@ -66,7 +66,7 @@ def test_circular_coverage_is_complete(small_cluster_config, small_dfs_config,
     result = run_s3(small_cluster_config, small_dfs_config, jobs,
                     [0.0, 2.0, 5.0], blocks=24)
     # Block coverage is asserted via job completion + no deadlock.
-    assert result.all_complete
+    assert all(t.is_complete for t in result.timelines.values())
 
 
 def test_waiting_time_short_vs_fifo(small_cluster_config, small_dfs_config,
@@ -133,7 +133,7 @@ def test_idle_then_new_arrival(small_cluster_config, small_dfs_config,
     jobs = job_factory(fast_profile, 2)
     result = run_s3(small_cluster_config, small_dfs_config, jobs,
                     [0.0, 500.0], blocks=16)
-    assert result.all_complete
+    assert all(t.is_complete for t in result.timelines.values())
     assert result.timeline("j1").first_launch >= 500.0
 
 
@@ -149,7 +149,7 @@ def test_multiple_files_round_robin(small_cluster_config, small_dfs_config,
             JobSpec(job_id="b", file_name="f2", profile=fast_profile)]
     driver.submit_all(jobs, [0.0, 0.0])
     result = driver.run()
-    assert result.all_complete
+    assert all(t.is_complete for t in result.timelines.values())
     files = {r.subject.split(":")[0] for r in result.tracer.instants(
         name="s3.subjob.launch")}
     assert files == {"f1", "f2"}
@@ -165,7 +165,7 @@ def test_heterogeneous_cluster_with_slot_check(small_dfs_config, fast_profile,
     result = run_s3(None, small_dfs_config, job_factory(fast_profile, 2),
                     [0.0, 1.0], blocks=64, config=config,
                     cluster_config=cluster_config)
-    assert result.all_complete
+    assert all(t.is_complete for t in result.timelines.values())
     # The checker eventually excluded the slow node at least once.
     checks = result.tracer.instants(name="s3.slotcheck")
     assert any(r.args["excluded"] > 0 for r in checks)
@@ -188,7 +188,7 @@ def test_max_jobs_per_iteration_defers(small_cluster_config, small_dfs_config,
     result = run_s3(small_cluster_config, small_dfs_config,
                     job_factory(fast_profile, 2), [0.0, 0.0], blocks=16,
                     config=config)
-    assert result.all_complete
+    assert all(t.is_complete for t in result.timelines.values())
     launches = result.tracer.instants(name="s3.subjob.launch")
     assert all(r.args["jobs"] == 1 for r in launches)
     # Strictly sequential: j1 starts only after j0's scan ends.

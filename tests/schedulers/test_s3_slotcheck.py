@@ -61,14 +61,6 @@ def test_apply_updates_cluster_exclusions():
     assert not cluster.node("node_003").excluded
 
 
-def test_smoothed_value():
-    checker = SlotChecker(ewma_alpha=0.5)
-    checker.observe("n0", 2.0)
-    checker.observe("n0", 4.0)
-    assert checker.smoothed("n0") == pytest.approx(3.0)
-    assert checker.smoothed("ghost") is None
-
-
 def test_validation():
     with pytest.raises(ConfigError):
         SlotChecker(threshold=1.0)

@@ -8,7 +8,6 @@ from repro.workloads.arrivals import (
     ArrivalEvent,
     merge_streams,
     poisson_streams,
-    trace_stream,
 )
 
 
@@ -35,12 +34,6 @@ def test_poisson_streams_deterministic_and_decorrelated():
     assert [e.time for e in three if e.tenant == "a"] == times_a
 
 
-def test_trace_stream_sorts_per_tenant():
-    events = trace_stream([(3.0, "a"), (1.0, "b"), (2.0, "a")])
-    assert [(e.time, e.tenant, e.index) for e in events] == [
-        (1.0, "b", 0), (2.0, "a", 0), (3.0, "a", 1)]
-
-
 def test_stream_validation():
     with pytest.raises(WorkloadError):
         merge_streams({})
@@ -48,8 +41,6 @@ def test_stream_validation():
         merge_streams({"a": [2.0, 1.0]})  # not monotone
     with pytest.raises(WorkloadError):
         ArrivalEvent(time=-1.0, tenant="a", index=0)
-    with pytest.raises(WorkloadError):
-        trace_stream([])
 
 
 def test_driver_paces_with_injected_clock(store):
