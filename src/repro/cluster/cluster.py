@@ -83,9 +83,6 @@ class Cluster:
         return sum(n.map_slots for n in self
                    if include_excluded or not n.excluded)
 
-    def total_reduce_slots(self) -> int:
-        return sum(n.reduce_slots for n in self)
-
     def free_map_slots(self, *, include_excluded: bool = True) -> int:
         return sum(n.free_map_slots for n in self
                    if include_excluded or not n.excluded)

@@ -71,11 +71,6 @@ class ClusterConfig:
         """Cluster-wide concurrent map capacity."""
         return self.num_nodes * self.map_slots_per_node
 
-    @property
-    def total_reduce_slots(self) -> int:
-        """Cluster-wide concurrent reduce capacity."""
-        return self.num_nodes * self.reduce_slots_per_node
-
 
 @dataclass(frozen=True)
 class DfsConfig:

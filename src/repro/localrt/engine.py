@@ -5,6 +5,10 @@ reads each block **once** and hands it to :func:`collect_map_outputs`,
 which maps it for every job of the batch — the real, byte-level
 realisation of the merged sub-jobs that the simulator models in time —
 and :func:`absorb_map_result` folds each job's share into its run state.
+A summing wordcount job skips both: the wave sums its blocks' counts
+once for all such riders and adds the sums to each rider's
+:class:`WaveShuffle`, which applies the job's pattern when the shuffle
+is next read (:meth:`JobRunState.settle`).
 
 Two execution paths share :func:`collect_map_outputs`.  The *batched*
 path hands the whole block (as a :class:`~repro.localrt.api.BlockData`)
@@ -24,7 +28,7 @@ import copy
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Mapping
+from typing import Any, Hashable, Mapping, Protocol
 
 import numpy as np
 
@@ -49,6 +53,15 @@ from .records import RecordReader
 MapOutput = list[Record] | tokens.BlockPartial | tokens.RowPartial
 
 
+class WaveShuffle(Protocol):
+    """What map waves added to a job's shuffle in bulk, before the job's
+    map filter applied (:class:`~repro.localrt.jobs.WaveWordSums`)."""
+
+    def settle(self, state: "JobRunState") -> None:
+        """Filter what was added and fold it into ``state``'s ``sums``,
+        record counts and counters."""
+
+
 @dataclass
 class JobRunState:
     """Mutable per-job accumulation across map tasks.
@@ -65,6 +78,14 @@ class JobRunState:
     one had been appended to ``groups``.  A reduce whose whole shuffle
     is one accumulator orders its ids with one sort over the codes the
     dictionary keeps per word, and decodes only the words it emits.
+
+    A map wave gives such a rider no partials: it adds its blocks'
+    unfiltered per-word sums to the rider's ``pending`` shuffle once
+    per wave, and :meth:`settle` — run by every reader of the shuffle,
+    and by the reduce — applies the job's pattern once and folds the
+    result into ``sums``, the record counts and the counters.  A job's
+    shuffle goes one way or the other (its wave path is fixed by its
+    job and the wave's reader), never both.
 
     A selection rider's block output (a
     :class:`~repro.localrt.tokens.RowPartial`) stays in row space when
@@ -88,6 +109,8 @@ class JobRunState:
     sums: "dict[tokens.TokenDictionary, np.ndarray]" = field(
         default_factory=dict)
     summed_records: int = 0
+    #: What map waves added and the job's pattern has not filtered yet.
+    pending: "WaveShuffle | None" = None
     #: The row-space partials absorbed since ``groups`` last grew, in
     #: arrival order.
     rows: "list[tokens.RowPartial]" = field(default_factory=list)
@@ -109,17 +132,8 @@ class JobRunState:
         """Add one map task's (possibly combined) output to the shuffle."""
         self.map_output_records += len(records)
         if isinstance(records, tokens.BlockPartial) and self._sums_by_id:
-            dictionary = records.dictionary
-            acc = self.sums.get(dictionary)
-            if acc is None or len(acc) < len(dictionary.words):
-                # The partial's ids were assigned before this read, so
-                # the dictionary's present size covers them.
-                grown = np.zeros(len(dictionary.words), np.int64)
-                if acc is not None:
-                    grown[:len(acc)] = acc
-                acc = self.sums[dictionary] = grown
-            acc[records.ids] += records.counts
-            self.summed_records += len(records)
+            self.add_sums(records.dictionary, records.ids, records.counts,
+                          len(records))
             return
         if isinstance(records, tokens.RowPartial) and self._rows_in_order:
             self.rows.append(records)
@@ -129,6 +143,41 @@ class JobRunState:
         groups = self.groups
         for key, value in records:
             groups[key].append(value)
+
+    def add_sums(self, dictionary: tokens.TokenDictionary, ids: np.ndarray,
+                 totals: np.ndarray, records: int) -> None:
+        """Add ``totals`` at ``ids`` (distinct ids of ``dictionary``) to
+        the id-space shuffle, as the sums of ``records`` records."""
+        acc = self.sums.get(dictionary)
+        if acc is None or len(acc) < len(dictionary.words):
+            # The ids were assigned before this read, so the
+            # dictionary's present size covers them.
+            grown = np.zeros(len(dictionary.words), np.int64)
+            if acc is not None:
+                grown[:len(acc)] = acc
+            acc = self.sums[dictionary] = grown
+        acc[ids] += totals
+        self.summed_records += records
+
+    def adopt_sums(self, dictionary: tokens.TokenDictionary,
+                   totals: np.ndarray, records: int) -> None:
+        """Add ``totals``, indexed by id of ``dictionary`` and no longer
+        the caller's, to the id-space shuffle, as the sums of
+        ``records`` records: it becomes the job's accumulator for the
+        dictionary when the job has none."""
+        if dictionary in self.sums:
+            hit = np.flatnonzero(totals)
+            self.add_sums(dictionary, hit, totals[hit], records)
+        else:
+            self.sums[dictionary] = totals
+            self.summed_records += records
+
+    def settle(self) -> None:
+        """Fold what map waves added in bulk into the shuffle (a no-op
+        when they added nothing since the last call)."""
+        pending, self.pending = self.pending, None
+        if pending is not None:
+            pending.settle(self)
 
     def _spill_rows(self) -> None:
         """Move the row-space partials into ``groups``, oldest first."""
@@ -141,7 +190,9 @@ class JobRunState:
     def shuffle(self) -> "Mapping[Hashable, list[Any]]":
         """The shuffle as key -> values: ``groups`` (into which any
         row-space partials are spilled first), plus each id accumulated
-        in ``sums`` decoded once, as ``[its total]``."""
+        in ``sums`` (after :meth:`settle`) decoded once, as
+        ``[its total]``."""
+        self.settle()
         if self.rows:
             self._spill_rows()
         if not self.sums:
@@ -163,6 +214,7 @@ class JobRunState:
         self.groups = groups
         self.sums = {}
         self.summed_records = 0
+        self.pending = None
         self.rows = []
 
 
@@ -332,6 +384,7 @@ def absorb_map_result(state: JobRunState, record_count: int,
 
 def count_pending_values(state: JobRunState) -> int:
     """Total values currently buffered in the shuffle (reduce input size)."""
+    state.settle()
     return (sum(map(len, state.groups.values())) + state.summed_records
             + sum(map(len, state.rows)))
 
@@ -356,6 +409,7 @@ def run_reduce(state: JobRunState,
 
 
 def _run_reduce(state: JobRunState) -> list[Record]:
+    state.settle()
     if state.map_tasks:
         # Booked once here rather than on every absorbed task; a job
         # that absorbed one task has both cells, even at zero.

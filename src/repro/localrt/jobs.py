@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from itertools import chain
-from typing import Any, Hashable, Iterator
+from typing import Any, Hashable, Iterator, Sequence, cast
 
 try:  # numpy powers the columnar fast path; everything works without it.
     import numpy as _np
@@ -42,6 +42,7 @@ from .api import (
     SumReducer,
 )
 from .counters import Counters, CounterUser
+from .engine import JobRunState
 from .records import DelimitedReader, RecordReader
 
 
@@ -84,6 +85,15 @@ class PatternWordCountBlock(PatternWordCount, BlockMapper):
     per vocabulary word per pattern per process; the mapper holds no
     state that grows with the blocks it has mapped.
 
+    A map wave does not call ``map_block`` for a rider that
+    :meth:`rides_wave`: the pattern commutes with the job's per-word
+    sum, so :meth:`absorb_wave` adds the wave's unfiltered block sums
+    (:class:`~repro.localrt.tokens.WaveSums`, built once for every rider
+    that rode the same blocks) to the rider's :class:`WaveWordSums`, and
+    the pattern is applied once, when the job's shuffle is read.
+    ``map_block`` stays the path of every other caller, and the
+    reference the wave path is tested against.
+
     ``counted`` controls the emission shape: ``True`` (for jobs with the
     standard ``SumReducer`` combiner) emits the matching words' ids and
     counts as a :class:`~repro.localrt.tokens.BlockPartial` — one
@@ -107,7 +117,8 @@ class PatternWordCountBlock(PatternWordCount, BlockMapper):
                              Counters | None]:
         block = data if isinstance(data, BlockData) else BlockData(data)
         encoded = block.encoded()
-        hit = tokens.ENCODER.matches(encoded, self.pattern, self._regex.match)
+        hit = tokens.ENCODER.matches(encoded.dictionary, encoded.ids,
+                                     self.pattern, self._regex.match)
         hits = tokens.BlockPartial(encoded.dictionary, encoded.ids[hit],
                                    encoded.counts[hit])
         outputs = hits if self.counted else hits.expand()
@@ -120,6 +131,93 @@ class PatternWordCountBlock(PatternWordCount, BlockMapper):
             counters.increment("wordcount", "words_matched",
                                int(hits.counts.sum()))
         return block.line_count(), outputs, counters
+
+    @staticmethod
+    def rides_wave(job: LocalJob, reader: RecordReader) -> bool:
+        """Whether a map wave over ``reader``'s records sums ``job``'s
+        blocks for it (:meth:`absorb_wave`) instead of mapping them: its
+        mapper is exactly this kernel, emitting counts, and its reducer
+        and combiner are exactly :class:`SumReducer` (a subclass may map
+        or reduce otherwise)."""
+        mapper = job.mapper
+        return (type(mapper) is PatternWordCountBlock and mapper.counted
+                and type(job.reducer) is SumReducer
+                and type(job.combiner) is SumReducer
+                and mapper.supports_reader(reader))
+
+    @staticmethod
+    def absorb_wave(groups: "Sequence[tuple[Sequence[tokens.EncodedBlock], "
+                            "Sequence[JobRunState]]]") -> None:
+        """Fold one wave into its riders that :meth:`rides_wave`, given
+        as ``(blocks, riders)`` groups: the encoded blocks the group's
+        riders each rode in this wave, in scan order.
+
+        Per group, the blocks are summed once (per dictionary) and every
+        rider adds the sums to its :class:`WaveWordSums` — nothing is
+        gathered, masked or allocated per (block, rider).  The map task
+        and record counts, and the ``words_scanned`` counter, do not
+        depend on the pattern and are booked now; the riding patterns'
+        verdict arrays are marked used, all under one encoder lock.
+        """
+        # Insertion-ordered sets: the order patterns claim free room in
+        # a verdict table must not depend on string hashing.
+        dictionaries: dict[tokens.TokenDictionary, None] = {}
+        patterns: dict[str, None] = {}
+        for blocks, riders in groups:
+            shared = tokens.WaveSums.of(blocks)
+            dictionaries.update(dict.fromkeys(
+                sums.dictionary for sums in shared))
+            lines = sum(block.lines for block in blocks)
+            scanned = [block.total for block in blocks if block.lines]
+            for state in riders:
+                state.map_tasks += len(blocks)
+                state.map_input_records += lines
+                if scanned:
+                    # As per-block counters would: both cells exist once
+                    # a non-empty block is mapped, even at zero.
+                    state.counters.increment("wordcount", "words_scanned",
+                                             sum(scanned))
+                    state.counters.increment("wordcount", "words_matched", 0)
+                pending = state.pending
+                if not isinstance(pending, WaveWordSums):
+                    pending = state.pending = WaveWordSums(
+                        cast(PatternWordCountBlock, state.job.mapper))
+                for sums in shared:
+                    pending.add(sums)
+                patterns[pending.kernel.pattern] = None
+        tokens.ENCODER.keep_verdicts(dictionaries, patterns)
+
+
+class WaveWordSums(tokens.RiderSums):
+    """A wave-summed wordcount rider's shuffle before its pattern
+    applies (see :class:`~repro.localrt.tokens.RiderSums`), and how it
+    settles into the job's run state.
+
+    :meth:`settle` gathers the pattern's verdicts at the ids with a
+    nonzero total — the only place the pattern is applied — so the
+    job's ``sums`` hold what mapping every block would have absorbed,
+    and its record counts are the block presence of the matching ids:
+    one combined record per (block, matching word).
+    """
+
+    __slots__ = ("kernel",)
+
+    def __init__(self, kernel: PatternWordCountBlock) -> None:
+        super().__init__()
+        self.kernel = kernel
+
+    def settle(self, state: JobRunState) -> None:
+        """Apply the pattern: the matching ids' totals go to ``state``'s
+        ``sums``, their presence to its record counts and their total to
+        ``words_matched``."""
+        matched = 0
+        for dictionary, totals, total, records in self.filtered(
+                self.kernel.pattern, self.kernel._regex.match):
+            state.adopt_sums(dictionary, totals, records)
+            state.map_output_records += records
+            matched += total
+        if matched:
+            state.counters.increment("wordcount", "words_matched", matched)
 
 
 def wordcount_job(job_id: str, pattern: str, *,

@@ -9,6 +9,16 @@ results into each job's shuffle state **in task order**.  This is the
 only map path: every ``ExecutionConfig.map_backend`` name runs it, so a
 rider's output never leaves the process that absorbs it.
 
+A summing wordcount rider
+(:meth:`~repro.localrt.jobs.PatternWordCountBlock.rides_wave`) is not
+mapped block by block.  The collect phase keeps each block's encoded
+view for it, and the absorb phase groups such riders by the blocks they
+rode in the wave (a task list may give riders of one wave different
+blocks, such as a prefix of the chunk for a finishing rider), sums each
+group's blocks once and adds the sums to every rider of the group
+(:meth:`~repro.localrt.jobs.PatternWordCountBlock.absorb_wave`): its
+pattern is applied once, at reduce, not per (block, rider).
+
 :func:`make_backend` keeps the wave's collect phase reachable as an
 object (``run_wave`` + ``close``) for callers that time it on its own.
 """
@@ -21,6 +31,7 @@ from typing import Sequence
 from ..common.config import MAP_BACKENDS
 from ..common.errors import ExecutionError
 from ..obs.tracer import NULL_TRACER, Tracer
+from . import tokens
 from .api import BlockData, BlockStoreProtocol
 from .counters import Counters
 from .engine import (
@@ -29,11 +40,18 @@ from .engine import (
     absorb_map_result,
     collect_map_outputs,
 )
+from .jobs import PatternWordCountBlock
 from .records import RecordReader
 
 #: One map task's collected result: ``(record_count, outputs_per_job,
-#: counters_per_job)`` — the return shape of ``collect_map_outputs``.
-TaskResult = tuple[int, "list[MapOutput]", "list[Counters | None]"]
+#: counters_per_job)`` — the return shape of ``collect_map_outputs`` —
+#: where a wave-summed rider's output and counters are ``None``.
+TaskResult = tuple[int, "Sequence[MapOutput | None]",
+                   "Sequence[Counters | None]"]
+#: A task's result and the block's encoded view, which the wave-summed
+#: riders among its jobs share (``None`` when there are none).
+_Collected = tuple[int, "Sequence[MapOutput | None]",
+                   "Sequence[Counters | None]", "tokens.EncodedBlock | None"]
 
 
 @dataclass(frozen=True)
@@ -59,7 +77,7 @@ class SerialMapBackend:
                  tracer: Tracer | None = None) -> list[TaskResult]:
         """Collect every task's map output, in task order, without
         touching any job's shuffle state."""
-        return [_collect_in_parent(store, reader, task, tracer)
+        return [_collect_in_parent(store, reader, task, tracer)[:3]
                 for task in tasks]
 
     def close(self) -> None:
@@ -78,8 +96,9 @@ def make_backend(name: str, *, workers: int | None = None,
 
 def _collect_in_parent(store: BlockStoreProtocol, reader: RecordReader,
                        task: MapTaskSpec,
-                       tracer: Tracer | None = None) -> TaskResult:
-    """Read + map + combine one block.
+                       tracer: Tracer | None = None) -> _Collected:
+    """Read + map + combine one block for its mapped riders, and encode
+    it for its wave-summed ones.
 
     The block is bound to the store handle's derived-view table, so its
     compact views are derived once per handle, not once per lap of the
@@ -96,12 +115,27 @@ def _collect_in_parent(store: BlockStoreProtocol, reader: RecordReader,
             return _collect_in_parent(store, reader, task)
     index = task.block_index
     data = BlockData(store.read_block_bytes(index)).bind(store.derived, index)
+    summed = [PatternWordCountBlock.rides_wave(state.job, reader)
+              for state in task.states]
+    mapped = [state.job for state, wave in zip(task.states, summed)
+              if not wave]
     try:
-        return collect_map_outputs([s.job for s in task.states], reader,
-                                   data, store.block_offset(index))
+        encoded = data.encoded() if any(summed) else None
+        if mapped:
+            count, outputs, counters = collect_map_outputs(
+                mapped, reader, data, store.block_offset(index))
+        else:  # the encoded view carries the record count
+            count, outputs, counters = data.line_count(), [], []
     except UnicodeDecodeError as exc:
         raise ExecutionError(
             f"block {index} is not valid UTF-8 ({exc})") from exc
+    if encoded is None:
+        return count, outputs, counters, None
+    mapped_outputs, mapped_counters = iter(outputs), iter(counters)
+    return (count,
+            [None if wave else next(mapped_outputs) for wave in summed],
+            [None if wave else next(mapped_counters) for wave in summed],
+            encoded)
 
 
 def execute_map_wave(store: BlockStoreProtocol, reader: RecordReader,
@@ -111,7 +145,9 @@ def execute_map_wave(store: BlockStoreProtocol, reader: RecordReader,
 
     Collect (read + map + combine) runs task by task, then shuffle
     absorption folds the results in ``tasks`` order, so a block that
-    fails leaves every job's shuffle state as it was.
+    fails leaves every job's shuffle state as it was.  The wave-summed
+    riders are folded last, one group per list of blocks ridden (see
+    the module docstring).
 
     An enabled ``tracer`` records a ``map.wave`` span around the collect
     phase (with one ``map.task`` child per block) and a
@@ -127,8 +163,20 @@ def execute_map_wave(store: BlockStoreProtocol, reader: RecordReader,
         results = [_collect_in_parent(store, reader, task, tracer)
                    for task in tasks]
     with trace.span("shuffle.absorb", blocks=len(tasks)):
-        for task, (record_count, outputs, task_counters) in zip(tasks, results,
-                                                                strict=True):
+        # id(state) -> (state, the encoded blocks it rode, in task order)
+        rode: dict[int, tuple[JobRunState, list[tokens.EncodedBlock]]] = {}
+        for task, (record_count, outputs, task_counters, encoded) in zip(
+                tasks, results, strict=True):
             for state, buffer, counters in zip(task.states, outputs,
                                                task_counters, strict=True):
-                absorb_map_result(state, record_count, buffer, counters)
+                if buffer is not None:
+                    absorb_map_result(state, record_count, buffer, counters)
+                elif encoded is not None:
+                    rode.setdefault(id(state), (state, []))[1].append(encoded)
+        groups: dict[tuple[int, ...], tuple[list[tokens.EncodedBlock],
+                                            list[JobRunState]]] = {}
+        for state, blocks in rode.values():
+            groups.setdefault(tuple(map(id, blocks)),
+                              (blocks, []))[1].append(state)
+        if groups:
+            PatternWordCountBlock.absorb_wave(list(groups.values()))

@@ -48,14 +48,13 @@ check per instrumentation point.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from ..common.errors import ExecutionError
 from ..obs.export import export_chrome, export_jsonl
 from ..obs.metrics import MetricsRegistry
 from .api import JobResult, LocalJob
-from .counters import Counters
 from .engine import JobRunState, count_pending_values, run_reduce
 from .live import SharedScanCore, _LocalRunnerBase, _start_prefetcher
 from .parallel import MapTaskSpec, execute_map_wave
@@ -65,10 +64,6 @@ from .storage import ReadStats
 #: Hook invoked after each shared-scan iteration's map phase:
 #: ``hook(iteration_index, participating_run_states)``.
 IterationHook = Callable[[int, list[JobRunState]], None]
-
-#: Counter group used by :meth:`RunReport.io_counters`.
-IO_COUNTER_GROUP = "io"
-
 
 @dataclass
 class RunReport:
@@ -100,14 +95,6 @@ class RunReport:
     def cache_hit_ratio(self) -> float:
         """Demand cache hits over demand lookups during this run."""
         return self.io.cache_hit_ratio
-
-    def io_counters(self) -> Counters:
-        """The run's I/O delta as Hadoop-style counters (group ``"io"``)."""
-        counters = Counters()
-        for spec in dataclass_fields(self.io):
-            counters.increment(IO_COUNTER_GROUP, spec.name,
-                               getattr(self.io, spec.name))
-        return counters
 
 
 def _check_job_ids(jobs: Sequence[LocalJob]) -> list[str]:

@@ -10,14 +10,21 @@ recompute *per distinct word*: a :class:`TokenEncoder` maps words to
 dense integer ids, so a block's token counts become an
 :class:`EncodedBlock` (two int arrays, ids and counts) and a pattern's
 match verdicts are one boolean array per (dictionary, pattern) indexed
-by id.  A rider's map over a block is then a gather of that array at
-the block's ids and a mask of its ids and counts — no per-word Python
-loop, no per-job memo — and each vocabulary word is matched once per
-pattern per process, whichever job or wave meets it first.  The rider's
-output stays in id space (a :class:`BlockPartial`) through its job's
-reduce, which orders the ids by two per-word codes the dictionary keeps
-— the partition digest and the ``repr`` rank — and decodes each
-emitted key once (see :class:`~repro.localrt.engine.JobRunState`).
+by id, so each vocabulary word is matched once per pattern per process,
+whichever job or wave meets it first.  A filter commutes with a per-word
+sum, so a summing wordcount rider does not filter block by block at
+all: a map wave sums its blocks' counts once (a :class:`WaveSums`, with
+how many blocks hold each word) for every rider that rode those blocks,
+each rider adds that to its own raw totals once per wave, and its
+pattern is applied once, at reduce — a gather of the verdict array at
+the ids its totals reach (see
+:class:`~repro.localrt.jobs.PatternWordCountBlock`).  A rider mapped
+block by block (a direct ``map_block`` call) gathers the verdicts at
+the block's ids instead and masks its ids and counts.  Either way the
+output stays in id space through the job's reduce, which orders the ids
+by two per-word codes the dictionary keeps — the partition digest and
+the ``repr`` rank — and decodes each emitted key once (see
+:class:`~repro.localrt.engine.JobRunState`).
 
 *Across time*, to jobs that never overlap: a :class:`DerivedViews` table
 — one per store handle, in memory, gone with the handle — keeps each
@@ -93,18 +100,32 @@ from ..analysis.racecheck import register_instance
 #: Most words one dictionary holds before a fresh one replaces it.  A
 #: word costs one ``dict`` slot and one list slot, plus a byte per
 #: pattern that has been matched against the dictionary, eight per
-#: summing job that has absorbed a block encoded against it, and sixteen
-#: for its reduce codes once a summing job has reduced against it.
+#: summing job that has absorbed a block encoded against it (sixteen
+#: while a map wave's sums wait for the job's pattern), and sixteen for
+#: its reduce codes once a summing job has reduced against it.
 TOKEN_DICTIONARY_CAP = 1 << 17
 
 #: Most patterns one dictionary keeps verdict vectors for.
 VERDICT_PATTERNS_CAP = 256
 
 #: Blocks mapped since a verdict vector's last use before a full table
-#: may drop it for a new pattern.  A job riding a scan uses its vector on
-#: every block, so one that sat this many out belongs to no rider (a few
-#: blocks can be in flight at once when runners share the encoder).
+#: may drop it for a new pattern.  A wave marks the vector of every
+#: pattern riding it used (:meth:`TokenEncoder.keep_verdicts`), so one
+#: that sat this many blocks out belongs to no rider (a wave is a few
+#: blocks, and a few more can be in flight when runners share the
+#: encoder).
 VERDICT_IDLE_BLOCKS = 64
+
+#: A :class:`WaveSums` is dense — indexed by id up to the highest id its
+#: blocks hold — when its blocks hold at least one id per this many
+#: slots of that span, and otherwise lists its distinct ids.  A rider
+#: adds a dense one with two slice adds, a sparse one with two scatters
+#: at its ids; on one core of a 2-CPU x86 host a scatter costs about
+#: eight slot adds per id (numpy 2.4, int64: at 4 435 slots the two
+#: break even at one id in eight to sixteen, at 2**17 slots at one in
+#: eight).  Either way a rider's add costs O(its wave's ids), never
+#: O(the dictionary).
+WAVE_DENSE_SHARE = 8
 
 #: Most block bytes one :class:`DerivedViews` table answers for.  Every
 #: view is O(its block's bytes) — an encoded natural-text block is a few
@@ -260,6 +281,120 @@ class BlockPartial:
                 for i in np.repeat(self.ids, self.counts).tolist()]
 
 
+class WaveSums:
+    """What one wave's blocks encoded against ``dictionary`` add to each
+    summing wordcount rider that rode exactly those blocks: every word's
+    summed count (``totals``) and the number of blocks holding it
+    (``presence``), unfiltered, built once for all of those riders.
+
+    ``ids`` lists the words (sorted, distinct) the two arrays are
+    aligned with, or is ``None`` when they are dense: indexed by id, up
+    to the highest id the blocks hold (see :data:`WAVE_DENSE_SHARE`).
+    """
+
+    __slots__ = ("dictionary", "ids", "totals", "presence")
+
+    def __init__(self, dictionary: TokenDictionary, ids: np.ndarray | None,
+                 totals: np.ndarray, presence: np.ndarray) -> None:
+        self.dictionary = dictionary
+        self.ids = ids
+        self.totals = totals
+        self.presence = presence
+
+    @classmethod
+    def of(cls, blocks: Sequence[EncodedBlock]) -> list["WaveSums"]:
+        """The sums of ``blocks``, one per dictionary they were encoded
+        against (more than one only across a roll-over or an over-wide
+        block)."""
+        by_dictionary: dict[TokenDictionary, list[EncodedBlock]] = {}
+        for block in blocks:
+            by_dictionary.setdefault(block.dictionary, []).append(block)
+        return [cls._summed(dictionary, held)
+                for dictionary, held in by_dictionary.items()]
+
+    @classmethod
+    def _summed(cls, dictionary: TokenDictionary,
+                blocks: list[EncodedBlock]) -> "WaveSums":
+        ids = np.concatenate([block.ids for block in blocks])
+        counts = np.concatenate([block.counts for block in blocks])
+        span = int(ids.max()) + 1 if len(ids) else 0
+        # ``len(ids)`` bounds the distinct ids, so a dense add costs at
+        # most WAVE_DENSE_SHARE slot adds per id the blocks hold.
+        if len(ids) * WAVE_DENSE_SHARE >= span:
+            return cls(dictionary, None,
+                       np.bincount(ids, counts, span).astype(np.int64),
+                       np.bincount(ids, minlength=span))
+        distinct, slots = np.unique(ids, return_inverse=True)
+        return cls(dictionary, distinct,
+                   np.bincount(slots, counts).astype(np.int64),
+                   np.bincount(slots))
+
+    @property
+    def span(self) -> int:
+        """One past the highest id the sums cover."""
+        if self.ids is None:
+            return len(self.totals)
+        return int(self.ids[-1]) + 1 if len(self.ids) else 0
+
+
+class RiderSums:
+    """One summing wordcount rider's shuffle before its map filter
+    applies: per dictionary, every word's summed count and the number of
+    blocks holding it, over the :class:`WaveSums` added to it.
+
+    Each pair of arrays is as long as its dictionary was when the rider
+    first met it, and grows — to the dictionary's size, at least
+    doubling, up to :data:`TOKEN_DICTIONARY_CAP` — only when a wave's
+    sums reach past it, so a rider's adds cost O(its waves' ids).
+    """
+
+    __slots__ = ("arrays",)
+
+    def __init__(self) -> None:
+        #: dictionary -> (totals, presence), two int64 arrays by id.
+        self.arrays: dict[TokenDictionary,
+                          tuple[np.ndarray, np.ndarray]] = {}
+
+    def add(self, sums: WaveSums) -> None:
+        """Add one wave's sums: two slice adds, or two scatters at their
+        ids."""
+        dictionary = sums.dictionary
+        held = self.arrays.get(dictionary)
+        span = sums.span
+        if held is None or len(held[0]) < span:
+            size = len(dictionary.words)
+            if held is not None:
+                size = max(size, min(2 * len(held[0]), TOKEN_DICTIONARY_CAP))
+            grown = (np.zeros(size, np.int64), np.zeros(size, np.int64))
+            if held is not None:
+                for old, new in zip(held, grown):
+                    new[:len(old)] = old
+            held = self.arrays[dictionary] = grown
+        totals, presence = held
+        if sums.ids is None:
+            totals[:span] += sums.totals
+            presence[:span] += sums.presence
+        else:
+            totals[sums.ids] += sums.totals
+            presence[sums.ids] += sums.presence
+
+    def filtered(self, pattern: str, match: Callable[[str], object],
+                 ) -> Iterator[tuple[TokenDictionary, np.ndarray, int, int]]:
+        """Apply ``pattern``, consuming the sums: per dictionary, the
+        totals by id with every word ``pattern`` does not match
+        (:meth:`TokenEncoder.matches`, asked about the ids with a
+        nonzero total) zeroed, their sum, and how many blocks held the
+        matching words, summed."""
+        arrays, self.arrays = self.arrays, {}
+        for dictionary, (totals, presence) in arrays.items():
+            hit = np.flatnonzero(totals)
+            kept = ENCODER.matches(dictionary, hit, pattern, match)
+            totals[hit[~kept]] = 0
+            hit = hit[kept]
+            yield (dictionary, totals, int(totals[hit].sum()),
+                   int(presence[hit].sum()))
+
+
 class RowPartial:
     """One selection rider's map output for one block, still in row
     space: its ``records`` and, one entry per record, their keys' codes
@@ -366,26 +501,40 @@ class TokenEncoder:
                 self._current.blocks += 1
         return current
 
-    def matches(self, block: EncodedBlock, pattern: str,
-                match: Callable[[str], object]) -> np.ndarray:
-        """One boolean per word of ``block``: ``pattern`` matches it.
+    def matches(self, dictionary: TokenDictionary, ids: np.ndarray,
+                pattern: str, match: Callable[[str], object]) -> np.ndarray:
+        """One boolean per id of ``ids`` (ids of ``dictionary``):
+        ``pattern`` matches its word.
 
         ``match(word)`` (``None`` = no match) runs once per word the
         pattern's verdict array does not cover yet — never again for
         that word while the array lives, whichever job asks — and the
-        answer is a gather of that array at the block's ids.  A pattern
-        the full table has no room for matches the block's own words
-        and keeps nothing.
+        answer is a gather of that array at ``ids``.  A pattern the full
+        table has no room for matches the words of ``ids`` only and
+        keeps nothing.
         """
-        dictionary = block.dictionary
         with self._lock:
             vector = self._vector(dictionary, pattern)
             if vector is not None and len(vector) < len(dictionary.words):
                 vector = dictionary.verdicts[pattern] = frozen(np.concatenate(
                     (vector, _verdicts(dictionary.words[len(vector):], match))))
         if vector is None:
-            return _verdicts(block.words, match)
-        return vector[block.ids]
+            return _verdicts(
+                list(map(dictionary.words.__getitem__, ids.tolist())), match)
+        return vector[ids]
+
+    def keep_verdicts(self, dictionaries: Iterable[TokenDictionary],
+                      patterns: Iterable[str]) -> None:
+        """Mark each pattern's verdict array in each dictionary used now
+        — making an empty one, to be extended when the pattern is
+        matched, where the table has room — under one acquisition of the
+        lock: what a wave does for the patterns riding it, whose
+        matching waits until their jobs' reduces."""
+        patterns = tuple(patterns)
+        with self._lock:
+            for dictionary in dictionaries:
+                for pattern in patterns:
+                    self._vector(dictionary, pattern)
 
     def _vector(self, dictionary: TokenDictionary, pattern: str,
                 ) -> np.ndarray | None:

@@ -132,9 +132,6 @@ class Scheduler(abc.ABC):
         """
         return None
 
-    def on_tick(self, now: float) -> None:
-        """Optional periodic hook (S3 slot checking)."""
-
 
 @dataclass
 class _Attempt:

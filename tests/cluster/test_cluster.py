@@ -15,7 +15,6 @@ def cluster(small_cluster_config) -> Cluster:
 def test_from_config_builds_all_nodes(cluster):
     assert len(cluster) == 8
     assert cluster.total_map_slots() == 8
-    assert cluster.total_reduce_slots() == 8
 
 
 def test_rack_assignment_follows_config(cluster):

@@ -55,7 +55,6 @@ def test_total_slots_scale_with_slots_per_node():
     config = ClusterConfig(num_nodes=4, rack_sizes=(4,),
                            map_slots_per_node=2, reduce_slots_per_node=3)
     assert config.total_map_slots == 8
-    assert config.total_reduce_slots == 12
 
 
 def test_dfs_block_size_positive():

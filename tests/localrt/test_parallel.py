@@ -9,7 +9,14 @@ import pytest
 
 from repro.common.config import MAP_BACKENDS, ExecutionConfig
 from repro.common.errors import ConfigError, ExecutionError
-from repro.localrt.engine import JobRunState
+from repro.localrt.api import BlockData
+from repro.localrt.engine import (
+    JobRunState,
+    absorb_map_result,
+    collect_map_outputs,
+    count_pending_values,
+    run_reduce,
+)
 from repro.localrt.jobs import wordcount_job
 from repro.localrt.parallel import (
     MapTaskSpec,
@@ -209,3 +216,63 @@ def test_undecodable_block_fails_naming_the_block(tmp_path, backend, batched):
     with pytest.raises(ExecutionError,
                        match=rf"^block {bad} is not valid UTF-8 \(.*0xff"):
         runner.run([wordcount_job("wc", "^l.*", batched=batched)])
+
+
+def test_wave_sums_equal_the_per_rider_path_over_one_plan(tmp_path):
+    """One plan through the per-rider path (``collect_map_outputs`` and
+    ``absorb_map_result`` per block, as the benchmark's layered replay
+    runs it) and through ``execute_map_wave``, which sums the summing
+    riders' blocks per wave: every ``JobResult`` field is equal.  The
+    plan's waves hand riders different prefixes of a chunk, and mix the
+    summing riders with a no-combiner and a per-record wordcount."""
+    lines = [f"the thing {i} is running to the {i % 7} motion {i % 3}ing"
+             for i in range(90)]
+    store = BlockStore.create(tmp_path / "s", lines, 300)
+    assert store.num_blocks >= 9
+    reader = TextLineReader()
+
+    def jobs():
+        return [wordcount_job("sum0", "^th.*"),
+                wordcount_job("sum1", ".*ing$", num_partitions=3),
+                wordcount_job("sum2", "^[0-9]+$"),
+                wordcount_job("plain", ".*ing$", use_combiner=False),
+                wordcount_job("records", "^th.*", batched=False)]
+
+    # wave -> block -> riders (job indexes): sum1 rides a prefix of its
+    # first and last chunk, sum2 only a block here and there.
+    plan = [{0: (0, 1, 2, 3, 4), 1: (0, 1, 2, 3, 4), 2: (0, 2, 3, 4)},
+            {3: (0, 1, 2, 3), 4: (0, 1, 3), 5: (0, 1, 3)},
+            {6: (0, 1, 4), 7: (0, 4), 8: (0, 2, 4)}]
+
+    def results(per_rider):
+        states = [JobRunState(job) for job in jobs()]
+        for wave in plan:
+            tasks = [MapTaskSpec(block, tuple(states[i] for i in riders))
+                     for block, riders in wave.items()]
+            if not per_rider:
+                execute_map_wave(store, reader, tasks)
+                continue
+            for task in tasks:
+                count, outputs, counters = collect_map_outputs(
+                    [state.job for state in task.states], reader,
+                    BlockData(store.read_block_bytes(task.block_index)),
+                    store.block_offset(task.block_index))
+                for state, output, task_counters in zip(task.states, outputs,
+                                                        counters):
+                    absorb_map_result(state, count, output, task_counters)
+        summing = [state.pending is not None for state in states]
+        finished = {}
+        for state in states:
+            reduce_input = count_pending_values(state)
+            output = run_reduce(state)
+            finished[state.job.job_id] = (
+                output, state.map_input_records, state.map_output_records,
+                len(output), reduce_input, list(state.counters))
+        return finished, summing
+
+    per_rider, none_summed = results(per_rider=True)
+    wave, summed = results(per_rider=False)
+    assert wave == per_rider
+    assert none_summed == [False] * 5
+    assert summed == [True, True, True, False, False]
+    assert all(output for output, *_ in per_rider.values())

@@ -65,7 +65,8 @@ def test_ids_and_verdicts_have_one_shape_for_any_number_of_words(text):
     words = text.split()
     assert encoded.ids.shape == encoded.counts.shape == (len(words),)
     assert _decoded(encoded) == encoded.words == tuple(words)
-    hits = encoder.matches(encoded, "^o", re.compile("^o").match)
+    hits = encoder.matches(encoded.dictionary, encoded.ids, "^o",
+                           re.compile("^o").match)
     assert hits.tolist() == [word.startswith("o") for word in words]
 
 
@@ -78,11 +79,13 @@ def test_verdicts_match_each_word_once_per_pattern():
         return re.match("^t", word)
 
     first = encoder.encode(Counter("the cat".split()))
-    assert encoder.matches(first, "^t", match).tolist() == [True, False]
+    assert encoder.matches(first.dictionary, first.ids, "^t",
+                           match).tolist() == [True, False]
     assert asked == ["the", "cat"]
     vector = first.dictionary.verdicts["^t"]
     second = encoder.encode(Counter("cat tom the".split()))
-    assert encoder.matches(second, "^t", match).tolist() == [
+    assert encoder.matches(second.dictionary, second.ids, "^t",
+                           match).tolist() == [
         False, True, True]
     # One array per (dictionary, pattern), extended and never redone:
     # a longer array replaces it, and the one a reader holds is as it was.
@@ -90,7 +93,8 @@ def test_verdicts_match_each_word_once_per_pattern():
     assert extended is not vector and vector.tolist() == [True, False]
     assert extended.tolist() == [True, False, True]
     assert asked == ["the", "cat", "tom"]
-    assert encoder.matches(first, "^t", match).tolist() == [
+    assert encoder.matches(first.dictionary, first.ids, "^t",
+                           match).tolist() == [
         True, False]  # ids still valid
     assert asked == ["the", "cat", "tom"]
 
@@ -126,7 +130,8 @@ def test_more_patterns_than_the_table_holds_never_thrash_it(monkeypatch):
             encoded = encoder.encode(Counter(words))
             for pattern, match in matchers.items():
                 before = match.calls
-                selected = encoder.matches(encoded, pattern, match)
+                selected = encoder.matches(encoded.dictionary, encoded.ids,
+                                           pattern, match)
                 assert selected.tolist() == [w.startswith(pattern[1])
                                              for w in words]
                 if (lap, words) != (0, blocks[0]):  # vectors built there
@@ -147,7 +152,8 @@ def test_full_verdict_table_drops_only_an_idle_vector(monkeypatch):
         encoded = encoder.encode(counts)
         for pattern in patterns:
             assert encoder.matches(
-                encoded, pattern, re.compile(pattern).match,
+                encoded.dictionary, encoded.ids, pattern,
+                re.compile(pattern).match,
             ).tolist() == [pattern == "^a", pattern == "^b"]
         table = encoded.dictionary.verdicts
         assert len(table) <= 2 and set(table) == set(encoded.dictionary.used)
@@ -177,7 +183,8 @@ def test_idle_clock_runs_on_blocks_served_from_a_warm_table(monkeypatch):
             encoded = BlockData(raw).bind(views, index).encoded()
             for pattern in patterns:
                 assert tokens.ENCODER.matches(
-                    encoded, pattern, matchers[pattern]).tolist() == [
+                    encoded.dictionary, encoded.ids, pattern,
+                    matchers[pattern]).tolist() == [
                         word.startswith(pattern[1]) for word in encoded.words]
         return sorted(encoded.dictionary.verdicts)
 
@@ -197,6 +204,96 @@ def test_idle_clock_runs_on_blocks_served_from_a_warm_table(monkeypatch):
     assert lap("^b", "^c") == ["^b", "^c"]
     assert matchers["^c"].calls == vectored  # match is not called again
     assert not encodes and views.stats()["hits"] == 6
+
+
+class _CountingRegex:
+    """A compiled pattern whose ``match`` counts its calls."""
+
+    def __init__(self, pattern):
+        self.match = _CountingMatch(pattern)
+
+
+def test_a_riding_patterns_vector_outlives_a_long_scan_at_a_full_table(
+        tmp_path, monkeypatch):
+    """A wave marks the vector of every pattern riding it used, once per
+    wave, although nothing is matched before the reduce.  With the table
+    capped at two and three patterns riding, ``^a``'s vector — made by
+    an earlier job — survives the scan of a job that rides with it for
+    longer than ``VERDICT_IDLE_BLOCKS``: the reduces of ``^b`` and
+    ``^c``, which finish during that scan, find it in use, and ``^a``'s
+    own reduce matches no word again."""
+    monkeypatch.setattr(tokens, "VERDICT_PATTERNS_CAP", 2)
+    monkeypatch.setattr(tokens, "ENCODER", TokenEncoder())
+    blocks = tokens.VERDICT_IDLE_BLOCKS + 16
+    store = BlockStore.create(
+        tmp_path / "s", [f"a{i} b{i} c{i}" for i in range(blocks)], 8)
+    assert store.num_blocks == blocks
+    config = ExecutionConfig(blocks_per_segment=4)
+    SharedScanRunner(store, config).run([wordcount_job("warm", "^a")])
+    dictionary = store.derived.lookup(0, tokens.ENCODED_VIEW).dictionary
+    vector = dictionary.verdicts["^a"]
+    assert len(vector) == len(dictionary.words)
+    jobs = [wordcount_job(job_id, f"^{job_id}") for job_id in "bca"]
+    for job in jobs:
+        job.mapper._regex = _CountingRegex(job.mapper.pattern)
+    # ^a joins four waves in, long before its vector could look idle,
+    # and is still scanning when ^b and ^c reduce.
+    report = SharedScanRunner(store, config).run(jobs, {"a": 4})
+    assert dictionary.verdicts["^a"] is vector
+    assert jobs[2].mapper._regex.match.calls == 0
+    assert len(report.result("a").output) == blocks
+
+
+def test_wave_sums_are_the_blocks_summed_and_riders_add_them(monkeypatch):
+    """A wave's sums are dense when its blocks hold one id per
+    ``WAVE_DENSE_SHARE`` slots of their span and list their ids
+    otherwise; either way they are the blocks' counts summed, with how
+    many blocks hold each word, and a rider's arrays grow (at least
+    doubling) to take them."""
+    encoder = TokenEncoder()
+    monkeypatch.setattr(tokens, "ENCODER", encoder)
+    encoder.encode(Counter(f"pad{i}" for i in range(64)))
+    rider = tokens.RiderSums()
+    expected, presence = Counter(), Counter()
+
+    def add(*blocks):
+        sums, = tokens.WaveSums.of(blocks)
+        ids = [block.ids.tolist() for block in blocks]
+        span = max(map(max, ids)) + 1
+        assert sums.span == span
+        assert (sums.ids is None) == (
+            sum(map(len, ids)) * tokens.WAVE_DENSE_SHARE >= span)
+        summed = Counter()
+        for block in blocks:
+            summed.update(dict(zip(block.ids.tolist(),
+                                   block.counts.tolist())))
+            presence.update(block.ids.tolist())
+        at = range(span) if sums.ids is None else sums.ids.tolist()
+        assert {i: t for i, t in zip(at, sums.totals.tolist()) if t} \
+            == dict(summed)
+        expected.update(summed)
+        rider.add(sums)
+
+    first = encoder.encode(Counter("x y y z".split()))
+    add(first, encoder.encode(Counter("y z z z".split())))  # sparse
+    add(encoder.encode(Counter(f"pad{i}" for i in range(0, 64, 2))))
+    dictionary = first.dictionary
+    sized = len(rider.arrays[dictionary][0])
+    assert sized == len(dictionary.words)
+    add(encoder.encode(Counter("x y y z late".split())))  # one id past
+    totals, held = rider.arrays[dictionary]
+    assert len(totals) == 2 * sized
+    assert {i: t for i, t in enumerate(totals.tolist()) if t} \
+        == dict(expected)
+    assert {i: n for i, n in enumerate(held.tolist()) if n} \
+        == dict(presence)
+    (_, kept, total, records), = rider.filtered(
+        "^[yz]$", re.compile("^[yz]$").match)
+    assert kept is totals and not rider.arrays
+    assert {dictionary.words[i]: t for i, t in enumerate(kept.tolist())
+            if t} == {"y": 5, "z": 5}
+    assert total == 10
+    assert records == 6  # each in three blocks
 
 
 # ----------------------------------------------------------------- roll-over
@@ -232,7 +329,8 @@ def test_rolled_over_dictionary_is_collectable(monkeypatch):
     monkeypatch.setattr(tokens, "TOKEN_DICTIONARY_CAP", 2)
     encoder = TokenEncoder()
     in_flight = encoder.encode(Counter("a b".split()))
-    encoder.matches(in_flight, "^a", re.compile("^a").match)
+    encoder.matches(in_flight.dictionary, in_flight.ids, "^a",
+                    re.compile("^a").match)
     old = weakref.ref(in_flight.dictionary)
     encoder.encode(Counter(["c"]))  # rolls over
     gc.collect()
@@ -319,7 +417,8 @@ def test_concurrent_encoders_assign_each_word_exactly_one_id():
             lo = (k * 50 + round_ * 7) % 300
             encoded = encoder.encode(Counter(vocabulary[lo:lo + 100]))
             seen[k].append((encoded, encoder.matches(
-                encoded, "5$", re.compile(".*5$").match).tolist()))
+                encoded.dictionary, encoded.ids, "5$",
+                re.compile(".*5$").match).tolist()))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

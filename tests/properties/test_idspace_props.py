@@ -1,16 +1,24 @@
 """Property: a summing wordcount job's id-space shuffle changes nothing
 observable.
 
-A batched wordcount rider whose reducer and combiner both sum keeps its
-block outputs as token-dictionary ids and counts until its reduce
-(``JobRunState.sums``).  For any rider set and arrival iterations, in
-each of the cases where that is easiest to get wrong — a dictionary
-roll-over in the middle of a job, an over-wide block with a dictionary
-of its own, a verdict table too full to keep a rider's pattern, and the
-progressive fold of ``fold_partial_aggregates`` — the run must produce
-the outputs, counters, record counts, ``reduce_input_values`` and
-``ReadStats`` of the same plan with per-record mappers.  Each case also
-checks that it really happened.
+A batched wordcount rider whose reducer and combiner both sum is not
+mapped block by block on a map wave: the wave sums the raw counts of the
+blocks its summing riders rode once per group of riders that rode the
+same blocks, adds the sums to each rider's ``WaveWordSums``, and the
+rider's pattern is applied once, when its shuffle is read
+(``JobRunState.settle``).  For any rider set, arrival iterations and
+cancellation, in each of the cases where that is easiest to get wrong —
+a dictionary roll-over inside one wave, an over-wide block with a
+dictionary of its own, a verdict table too full to keep a rider's
+pattern, and the progressive fold of ``fold_partial_aggregates`` — the
+run must produce the outputs, counters, record counts,
+``reduce_input_values`` and ``ReadStats`` of the same plan with
+per-record mappers.  Each case also checks that it really happened.
+
+The scheduler keeps every chunk on one grid, so riders that share a
+wave ride the same blocks; the test also hands a wave's finishing riders
+a prefix of its chunk (as any caller of ``execute_map_wave`` may), so a
+wave's summing riders fall into groups that rode different blocks.
 
 A job whose whole shuffle is one accumulator reduces by sorting its ids
 on the dictionary's per-word codes (``TokenEncoder.codes``), so the
@@ -32,7 +40,9 @@ from repro.ext.aggregation import fold_partial_aggregates
 from repro.localrt.api import BlockData, default_partitioner
 from repro.localrt.engine import JobRunState, absorb_map_result, run_reduce
 from repro.localrt.jobs import PatternWordCountBlock, wordcount_job
-from repro.localrt.runners import SharedScanRunner
+from repro.localrt.live import SharedScanCore
+from repro.localrt.parallel import MapTaskSpec, execute_map_wave
+from repro.localrt.records import TextLineReader
 from repro.localrt.storage import BlockStore
 from repro.localrt.tokens import TokenEncoder
 
@@ -48,69 +58,110 @@ PATTERNS = ["^th.*", ".*ing$", ".*e.*", "^[aeiou].*", ".*[^a-z].*"]
 #: block holding one is wider than a dictionary capped at two.
 SEED_LINES = [" ".join(WORDS[i:i + 3]) for i in range(0, 12, 3)]
 
-#: case -> (patched ``tokens`` caps, block size range in bytes).  Blocks
-#: of at most 24 bytes hold at most eight of the stemmed words, so under
-#: a cap of eight they fit and the dictionary rolls over instead (a
-#: block of the short odd words may be over-wide: either way a job's
-#: shuffle spans two dictionaries).
+#: case -> (patched ``tokens`` caps, block size range in bytes, blocks
+#: per segment range).  Blocks of at most 24 bytes hold one or two seed
+#: lines, so under a cap of eight the dictionary rolls over at block 1
+#: or 2 — inside the first wave, which covers blocks 0-2 (the first job
+#: is admitted at block 0, and riders admitted together finish together,
+#: so the first wave is never cut).  A block of the short odd words may
+#: be over-wide: either way a job's shuffle spans two dictionaries.
 CASES = {
-    "roll-over": ({"TOKEN_DICTIONARY_CAP": 8}, (8, 24)),
-    "over-wide": ({"TOKEN_DICTIONARY_CAP": 2}, (8, 60)),
-    "full-verdict-table": ({"VERDICT_PATTERNS_CAP": 1}, (8, 60)),
-    "fold": ({}, (8, 60)),
+    "roll-over": ({"TOKEN_DICTIONARY_CAP": 8}, (8, 24), (3, 3)),
+    "over-wide": ({"TOKEN_DICTIONARY_CAP": 2}, (8, 60), (1, 3)),
+    "full-verdict-table": ({"VERDICT_PATTERNS_CAP": 1}, (8, 60), (1, 3)),
+    "fold": ({}, (8, 60), (1, 3)),
 }
 
 corpora = st.lists(
     st.lists(st.sampled_from(WORDS), min_size=1, max_size=3).map(" ".join),
     min_size=2, max_size=16)
 #: (pattern, combiner, arrival); the first rider always sums, so every
-#: example has a job that keeps its shuffle in id space.
+#: example has a job that keeps its shuffle in id space, and two in
+#: three of the others sum too, so a wave often holds summing riders
+#: that finish beside summing riders that do not.
 riders = st.lists(
-    st.tuples(st.sampled_from(PATTERNS), st.booleans(), st.integers(0, 6)),
+    st.tuples(st.sampled_from(PATTERNS), st.sampled_from((True, True, False)),
+              st.integers(0, 6)),
     min_size=0, max_size=3)
 
 
-def _run(directory, rider_set, seg, laps, parts, batched, fold):
-    """``laps`` runs of the rider set on one store handle: what each
-    exposes to a caller."""
+def _wave_tasks(wave, cut):
+    """The wave's tasks, its finishing riders cut from the last ``cut``
+    blocks of the chunk when a rider that is not finishing keeps them."""
+    finishing = {id(state) for state in wave.finishing}
+    if len(wave.finishing) == len(wave.riders):
+        return wave.tasks
+    cut = min(cut, len(wave.tasks) - 1)
+    return [MapTaskSpec(task.block_index, tuple(
+        state for state in task.states
+        if position < len(wave.tasks) - cut or id(state) not in finishing))
+        for position, task in enumerate(wave.tasks)]
+
+
+def _run(directory, rider_set, seg, laps, parts, batched, fold, cancel,
+         cut):
+    """``laps`` scans of the rider set on one store handle, with the job
+    ``j{cancel[0]}`` cancelled before iteration ``cancel[1]`` plans:
+    what each exposes to a caller."""
     store = BlockStore(directory)
     jobs_arrivals = [
         (wordcount_job(f"j{i}", pattern, num_partitions=parts,
                        use_combiner=combiner, batched=batched), arrival)
         for i, (pattern, combiner, arrival) in enumerate(rider_set)]
-    hook = ((lambda _i, states: fold_partial_aggregates(states))
-            if fold else None)
     seen = []
-    with SharedScanRunner(store, ExecutionConfig(
-            blocks_per_segment=seg)) as runner:
-        for _ in range(laps):
-            before = store.stats_snapshot()
-            report = runner.run(
-                [job for job, _ in jobs_arrivals],
-                {job.job_id: arrival for job, arrival in jobs_arrivals},
-                on_iteration_end=hook)
-            seen.append((
-                {job_id: (repr(result.output), list(result.counters),
-                          result.map_input_records, result.map_output_records,
-                          result.reduce_output_records,
-                          result.reduce_input_values)
-                 for job_id, result in sorted(report.results.items())},
-                dataclasses.asdict(store.stats_snapshot().delta(before))))
+    for _ in range(laps):
+        before = store.stats_snapshot()
+        results = {}
+        pending = {}
+        for job, arrival in jobs_arrivals:
+            pending.setdefault(arrival, []).append(job)
+        with SharedScanCore(store, ExecutionConfig(
+                blocks_per_segment=seg)) as core:
+            iteration = 0
+            while pending or core.has_work():
+                if not core.has_work() and iteration not in pending:
+                    iteration = min(pending)
+                for job in pending.pop(iteration, ()):
+                    core.add_job(job, arrival=iteration)
+                if cancel is not None and cancel[1] == iteration:
+                    core.cancel(f"j{cancel[0]}")
+                wave = core.plan(iteration, more_arrivals=bool(pending))
+                if wave is not None:
+                    execute_map_wave(store, TextLineReader(),
+                                     _wave_tasks(wave, cut))
+                    if fold:
+                        fold_partial_aggregates(list(wave.riders))
+                    for state in wave.finishing:
+                        results[state.job.job_id] = core.finish(state,
+                                                                iteration)
+                iteration += 1
+        seen.append((
+            {job_id: (repr(result.output), list(result.counters),
+                      result.map_input_records, result.map_output_records,
+                      result.reduce_output_records,
+                      result.reduce_input_values)
+             for job_id, result in sorted(results.items())},
+            dataclasses.asdict(store.stats_snapshot().delta(before))))
     return seen
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-@given(data=st.data(), corpus=corpora, seg=st.integers(1, 3),
-       laps=st.integers(1, 2), parts=st.integers(1, 8),
+@given(data=st.data(), corpus=corpora, laps=st.integers(1, 2),
+       parts=st.integers(1, 8),
        first=st.tuples(st.sampled_from(PATTERNS), st.integers(0, 6)),
-       others=riders)
+       others=riders, cut=st.integers(1, 2))
 @settings(max_examples=12, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_id_space_shuffle_matches_per_record(tmp_path_factory, case, data,
-                                             corpus, seg, laps, parts, first,
-                                             others):
-    caps, (smallest, largest) = CASES[case]
+                                             corpus, laps, parts, first,
+                                             others, cut):
+    caps, (smallest, largest), (fewest, most) = CASES[case]
     block_size = data.draw(st.integers(smallest, largest), label="block")
+    seg = data.draw(st.integers(fewest, most), label="seg")
+    # One of ``others`` may be cancelled before some iteration plans.
+    cancel = data.draw(st.none() | st.tuples(
+        st.integers(1, len(others)), st.integers(0, 8)), label="cancel") \
+        if others else None
     rider_set = [(first[0], True, first[1]), *others]
     if case == "full-verdict-table":
         # A second pattern riding while the first's array is in use.
@@ -120,16 +171,17 @@ def test_id_space_shuffle_matches_per_record(tmp_path_factory, case, data,
     BlockStore.create(directory, SEED_LINES + corpus,
                       block_size_bytes=block_size)
 
-    absorbed = []  # (dictionary, accumulators held) per id-space absorb
+    waves = []  # per wave: the dictionaries of each group's blocks
     refused = []  # patterns the verdict table had no room for
     sorted_ids = []  # reduces that sorted one accumulator's ids
-    absorb, vector = JobRunState.absorb, TokenEncoder._vector
+    absorb_wave = PatternWordCountBlock.absorb_wave
+    vector = TokenEncoder._vector
     in_order = engine._sums_in_reduce_order
 
-    def recording_absorb(self, records):
-        absorb(self, records)
-        if isinstance(records, tokens.BlockPartial) and self.sums:
-            absorbed.append((records.dictionary, len(self.sums)))
+    def recording_absorb_wave(groups):
+        absorb_wave(groups)
+        waves.append([{block.dictionary for block in blocks}
+                      for blocks, _ in groups])
 
     def recording_vector(self, dictionary, pattern):
         kept = vector(self, dictionary, pattern)
@@ -145,21 +197,23 @@ def test_id_space_shuffle_matches_per_record(tmp_path_factory, case, data,
         for name, value in caps.items():
             patch.setattr(tokens, name, value)
         patch.setattr(tokens, "ENCODER", TokenEncoder())
-        patch.setattr(JobRunState, "absorb", recording_absorb)
+        patch.setattr(PatternWordCountBlock, "absorb_wave",
+                      staticmethod(recording_absorb_wave))
         patch.setattr(TokenEncoder, "_vector", recording_vector)
         patch.setattr(engine, "_sums_in_reduce_order", recording_in_order)
         fold = case == "fold"
-        batched = _run(directory, rider_set, seg, laps, parts, True, fold)
-        per_record = _run(directory, rider_set, seg, laps, parts, False,
-                          fold)
+        run = (directory, rider_set, seg, laps, parts)
+        batched = _run(*run, True, fold, cancel, cut)
+        per_record = _run(*run, False, fold, cancel, cut)
 
     assert batched == per_record
-    assert absorbed
+    assert waves
+    groups = [group for wave in waves for group in wave]
     cap = caps.get("TOKEN_DICTIONARY_CAP", tokens.TOKEN_DICTIONARY_CAP)
-    if case == "roll-over":  # one job's shuffle spans two dictionaries
-        assert max(held for _, held in absorbed) >= 2
+    if case == "roll-over":  # one wave's blocks span two dictionaries
+        assert max(map(len, groups)) >= 2
     if case == "over-wide":
-        assert any(len(d.words) > cap for d, _ in absorbed)
+        assert any(len(d.words) > cap for summed in groups for d in summed)
     if case == "full-verdict-table":
         assert refused
         assert sorted_ids  # nothing rolls over: every summing job sorts ids
