@@ -41,16 +41,15 @@ from .api import (
     IdentityReducer,
     LocalJob,
     Record,
-    SumReducer,
     default_partitioner,
 )
 from .counters import FRAMEWORK_GROUP, Counters, CounterUser
 from .records import RecordReader
 
 #: One rider's map output for one block, as the shuffle receives it: a
-#: record list, or a kernel's partial still in id or row space (each
+#: record list, or a selection kernel's partial still in row space (it
 #: reads as its record list).
-MapOutput = list[Record] | tokens.BlockPartial | tokens.RowPartial
+MapOutput = list[Record] | tokens.RowPartial
 
 
 class WaveShuffle(Protocol):
@@ -66,26 +65,20 @@ class WaveShuffle(Protocol):
 class JobRunState:
     """Mutable per-job accumulation across map tasks.
 
-    The shuffle has two homes.  Records land in ``groups``, one table per
-    job (key -> values in arrival order).  A summing wordcount rider's
-    block output (a :class:`~repro.localrt.tokens.BlockPartial`) stays
-    in token-dictionary id space instead, when the job's reducer and
-    combiner are both :class:`SumReducer`: ``sums`` holds one dense
-    int64 accumulator per dictionary generation the job has met (more
-    than one only across a roll-over or an over-wide block), and absorbing
-    a partial is one scatter-add.  ``summed_records`` counts the records
-    those partials stand for, so record counts read exactly as if every
+    The shuffle has three homes.  Records land in ``groups``, one table
+    per job (key -> values in arrival order).  A summing wordcount
+    rider's counts stay in token-dictionary id space instead: a map wave
+    adds its blocks' unfiltered per-word sums to the rider's ``pending``
+    shuffle once per wave, and :meth:`settle` — run by every reader of
+    the shuffle, and by the reduce — applies the job's pattern once and
+    folds the result into ``sums``, the record counts and the counters.
+    ``sums`` holds one dense int64 accumulator per dictionary generation
+    the job has met (more than one only across a roll-over or an
+    over-wide block); ``summed_records`` counts the combined records
+    those totals stand for, so record counts read exactly as if every
     one had been appended to ``groups``.  A reduce whose whole shuffle
     is one accumulator orders its ids with one sort over the codes the
     dictionary keeps per word, and decodes only the words it emits.
-
-    A map wave gives such a rider no partials: it adds its blocks'
-    unfiltered per-word sums to the rider's ``pending`` shuffle once
-    per wave, and :meth:`settle` — run by every reader of the shuffle,
-    and by the reduce — applies the job's pattern once and folds the
-    result into ``sums``, the record counts and the counters.  A job's
-    shuffle goes one way or the other (its wave path is fixed by its
-    job and the wave's reader), never both.
 
     A selection rider's block output (a
     :class:`~repro.localrt.tokens.RowPartial`) stays in row space when
@@ -105,7 +98,7 @@ class JobRunState:
     #: not once per absorbed record.
     groups: "defaultdict[Hashable, list[Any]]" = field(
         default_factory=lambda: defaultdict(list))
-    #: dictionary -> per-id totals of the partials absorbed in id space.
+    #: dictionary -> per-id totals settled in id space.
     sums: "dict[tokens.TokenDictionary, np.ndarray]" = field(
         default_factory=dict)
     summed_records: int = 0
@@ -123,18 +116,12 @@ class JobRunState:
 
     def __post_init__(self) -> None:
         # Exact types: a subclass may reduce differently.
-        self._sums_by_id = (type(self.job.reducer) is SumReducer
-                            and type(self.job.combiner) is SumReducer)
         self._rows_in_order = (type(self.job.reducer) is IdentityReducer
                                and self.job.combiner is None)
 
     def absorb(self, records: MapOutput) -> None:
         """Add one map task's (possibly combined) output to the shuffle."""
         self.map_output_records += len(records)
-        if isinstance(records, tokens.BlockPartial) and self._sums_by_id:
-            self.add_sums(records.dictionary, records.ids, records.counts,
-                          len(records))
-            return
         if isinstance(records, tokens.RowPartial) and self._rows_in_order:
             self.rows.append(records)
             return
@@ -144,33 +131,20 @@ class JobRunState:
         for key, value in records:
             groups[key].append(value)
 
-    def add_sums(self, dictionary: tokens.TokenDictionary, ids: np.ndarray,
-                 totals: np.ndarray, records: int) -> None:
-        """Add ``totals`` at ``ids`` (distinct ids of ``dictionary``) to
-        the id-space shuffle, as the sums of ``records`` records."""
-        acc = self.sums.get(dictionary)
-        if acc is None or len(acc) < len(dictionary.words):
-            # The ids were assigned before this read, so the
-            # dictionary's present size covers them.
-            grown = np.zeros(len(dictionary.words), np.int64)
-            if acc is not None:
-                grown[:len(acc)] = acc
-            acc = self.sums[dictionary] = grown
-        acc[ids] += totals
-        self.summed_records += records
-
     def adopt_sums(self, dictionary: tokens.TokenDictionary,
                    totals: np.ndarray, records: int) -> None:
         """Add ``totals``, indexed by id of ``dictionary`` and no longer
         the caller's, to the id-space shuffle, as the sums of
-        ``records`` records: it becomes the job's accumulator for the
-        dictionary when the job has none."""
-        if dictionary in self.sums:
-            hit = np.flatnonzero(totals)
-            self.add_sums(dictionary, hit, totals[hit], records)
-        else:
-            self.sums[dictionary] = totals
-            self.summed_records += records
+        ``records`` records: the longer of it and the job's accumulator
+        for the dictionary takes the other's totals and becomes the
+        accumulator."""
+        acc = self.sums.get(dictionary)
+        if acc is not None:
+            if len(acc) > len(totals):
+                acc, totals = totals, acc
+            totals[:len(acc)] += acc
+        self.sums[dictionary] = totals
+        self.summed_records += records
 
     def settle(self) -> None:
         """Fold what map waves added in bulk into the shuffle (a no-op
@@ -282,7 +256,7 @@ def _collect_per_record(jobs: list[LocalJob], reader: RecordReader,
 
 
 def collect_map_outputs(jobs: list[LocalJob], reader: RecordReader,
-                        block_data: "str | bytes", base_offset: int = 0,
+                        block_data: bytes, base_offset: int = 0,
                         ) -> tuple[int, list[MapOutput],
                                    "list[Counters | None]"]:
     """The pure (side-effect-free) half of a shared map task.
@@ -295,31 +269,24 @@ def collect_map_outputs(jobs: list[LocalJob], reader: RecordReader,
     apply identically on both paths.  Returns ``(record_count,
     outputs_per_job, counters_per_job)`` without touching any job's
     shuffle state, so a wave can collect every block before it absorbs
-    any (see :mod:`repro.localrt.parallel`).  A kernel's output may be
-    a partial still in id or row space (:data:`MapOutput`).  Every
-    path must agree on the
-    block's record count; a batch kernel that disagrees with the reader
-    (or another kernel) raises :class:`ExecutionError` rather than
-    silently corrupting ``map_input_records``.
+    any (see :mod:`repro.localrt.parallel`).  A selection kernel's
+    output may be a partial still in row space (:data:`MapOutput`).
+    Every path must agree on the block's record count; a batch kernel
+    that disagrees with the reader (or another kernel) raises
+    :class:`ExecutionError` rather than silently corrupting
+    ``map_input_records``.
 
-    ``block_data`` is ``bytes`` on every map wave (the zero-copy path
-    from ``read_block_bytes``), decoded here once when only per-record
-    mappers ride; a ``str`` (direct callers) is encoded back to UTF-8
-    only when a batch kernel needs it.
+    ``block_data`` is the block's bytes (a :class:`BlockData` is used
+    as it is), decoded here once when only per-record mappers ride.
     """
     if not jobs:
         raise ExecutionError("map task with no participating job")
     kernels = [batch_mapper_for(job, reader) for job in jobs]
     if not any(kernel is not None for kernel in kernels):
-        text = (block_data.decode("utf-8")
-                if isinstance(block_data, bytes) else block_data)
-        return _collect_per_record(jobs, reader, text, base_offset)
-    if isinstance(block_data, BlockData):
-        data = block_data
-    elif isinstance(block_data, bytes):
-        data = BlockData(block_data)
-    else:
-        data = BlockData(block_data.encode("utf-8"))
+        return _collect_per_record(jobs, reader, block_data.decode("utf-8"),
+                                   base_offset)
+    data = (block_data if isinstance(block_data, BlockData)
+            else BlockData(block_data))
     fallback_jobs = [job for job, kernel in zip(jobs, kernels)
                      if kernel is None]
     record_count: int | None = None

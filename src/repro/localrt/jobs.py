@@ -24,10 +24,7 @@ import re
 from itertools import chain
 from typing import Any, Hashable, Iterator, Sequence, cast
 
-try:  # numpy powers the columnar fast path; everything works without it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via _np=None monkeypatch
-    _np = None  # type: ignore[assignment]
+import numpy as np
 
 from ..common.errors import ExecutionError
 from ..workloads.tpch import LINEITEM_COLUMNS
@@ -90,21 +87,19 @@ class PatternWordCountBlock(PatternWordCount, BlockMapper):
     sum, so :meth:`absorb_wave` adds the wave's unfiltered block sums
     (:class:`~repro.localrt.tokens.WaveSums`, built once for every rider
     that rode the same blocks) to the rider's :class:`WaveWordSums`, and
-    the pattern is applied once, when the job's shuffle is read.
-    ``map_block`` stays the path of every other caller, and the
-    reference the wave path is tested against.
+    the pattern is applied once, when the job's shuffle is read.  That
+    is a summing job's one way into id space; ``map_block`` serves
+    every other rider and direct caller with a plain record list, which
+    the job's shuffle keeps in ``groups``.
 
     ``counted`` controls the emission shape: ``True`` (for jobs with the
-    standard ``SumReducer`` combiner) emits the matching words' ids and
-    counts as a :class:`~repro.localrt.tokens.BlockPartial` — one
-    ``(word, count)`` record per matching word in first-occurrence
-    order, exactly the per-record path's post-combine output, so
-    ``combined_output`` is set and the engine skips the redundant
-    combine pass; a job whose reducer sums too keeps it in id space
-    until its reduce.  ``False`` (no combiner) expands the same arrays
-    to ``count`` copies of ``(word, 1)`` so job-level record counters
-    stay identical.  Construct with ``counted`` matching the job's
-    combiner or the framework counters will diverge.
+    standard ``SumReducer`` combiner) emits one ``(word, count)`` record
+    per matching word in first-occurrence order — exactly the
+    per-record path's post-combine output, so ``combined_output`` is
+    set and the engine skips the redundant combine pass.  ``False`` (no
+    combiner) emits ``count`` copies of ``(word, 1)`` so job-level
+    record counters stay identical.  Construct with ``counted`` matching
+    the job's combiner or the framework counters will diverge.
     """
 
     def __init__(self, pattern: str, *, counted: bool = True) -> None:
@@ -113,15 +108,18 @@ class PatternWordCountBlock(PatternWordCount, BlockMapper):
         self.combined_output = counted
 
     def map_block(self, data: bytes, base_offset: int,
-                  ) -> tuple[int, "list[Record] | tokens.BlockPartial",
-                             Counters | None]:
+                  ) -> tuple[int, list[Record], Counters | None]:
         block = data if isinstance(data, BlockData) else BlockData(data)
         encoded = block.encoded()
         hit = tokens.ENCODER.matches(encoded.dictionary, encoded.ids,
                                      self.pattern, self._regex.match)
-        hits = tokens.BlockPartial(encoded.dictionary, encoded.ids[hit],
-                                   encoded.counts[hit])
-        outputs = hits if self.counted else hits.expand()
+        ids, counts = encoded.ids[hit], encoded.counts[hit]
+        word = encoded.dictionary.words.__getitem__
+        outputs: list[Record]
+        if self.counted:
+            outputs = list(zip(map(word, ids.tolist()), counts.tolist()))
+        else:
+            outputs = [(word(i), 1) for i in np.repeat(ids, counts).tolist()]
         counters = Counters()
         if block.line_count():
             # The per-record path increments once per record, creating
@@ -129,7 +127,7 @@ class PatternWordCountBlock(PatternWordCount, BlockMapper):
             # empty block creates none.  Mirror that exactly.
             counters.increment("wordcount", "words_scanned", encoded.total)
             counters.increment("wordcount", "words_matched",
-                               int(hits.counts.sum()))
+                               int(counts.sum()))
         return block.line_count(), outputs, counters
 
     @staticmethod
@@ -188,10 +186,18 @@ class PatternWordCountBlock(PatternWordCount, BlockMapper):
         tokens.ENCODER.keep_verdicts(dictionaries, patterns)
 
 
-class WaveWordSums(tokens.RiderSums):
+class WaveWordSums:
     """A wave-summed wordcount rider's shuffle before its pattern
-    applies (see :class:`~repro.localrt.tokens.RiderSums`), and how it
-    settles into the job's run state.
+    applies, and how it settles into the job's run state: per
+    dictionary, every word's summed count and the number of blocks
+    holding it, over the :class:`~repro.localrt.tokens.WaveSums` added
+    to it.
+
+    Each pair of arrays is as long as its dictionary was when the rider
+    first met it, and grows — to the dictionary's size, at least
+    doubling, up to :data:`~repro.localrt.tokens.TOKEN_DICTIONARY_CAP`
+    — only when a wave's sums reach past it, so a rider's adds cost
+    O(its waves' ids).
 
     :meth:`settle` gathers the pattern's verdicts at the ids with a
     nonzero total — the only place the pattern is applied — so the
@@ -200,22 +206,55 @@ class WaveWordSums(tokens.RiderSums):
     one combined record per (block, matching word).
     """
 
-    __slots__ = ("kernel",)
+    __slots__ = ("kernel", "arrays")
 
     def __init__(self, kernel: PatternWordCountBlock) -> None:
-        super().__init__()
         self.kernel = kernel
+        #: dictionary -> (totals, presence), two int64 arrays by id.
+        self.arrays: dict[tokens.TokenDictionary,
+                          tuple[np.ndarray, np.ndarray]] = {}
+
+    def add(self, sums: tokens.WaveSums) -> None:
+        """Add one wave's sums: two slice adds, or two scatters at their
+        ids."""
+        dictionary = sums.dictionary
+        held = self.arrays.get(dictionary)
+        span = sums.span
+        if held is None or len(held[0]) < span:
+            size = len(dictionary.words)
+            if held is not None:
+                size = max(size, min(2 * len(held[0]),
+                                     tokens.TOKEN_DICTIONARY_CAP))
+            grown = (np.zeros(size, np.int64), np.zeros(size, np.int64))
+            if held is not None:
+                for old, new in zip(held, grown):
+                    new[:len(old)] = old
+            held = self.arrays[dictionary] = grown
+        totals, presence = held
+        if sums.ids is None:
+            totals[:span] += sums.totals
+            presence[:span] += sums.presence
+        else:
+            totals[sums.ids] += sums.totals
+            presence[sums.ids] += sums.presence
 
     def settle(self, state: JobRunState) -> None:
-        """Apply the pattern: the matching ids' totals go to ``state``'s
-        ``sums``, their presence to its record counts and their total to
-        ``words_matched``."""
+        """Apply the pattern, consuming the sums: per dictionary, the
+        totals with every word the pattern does not match zeroed go to
+        ``state``'s ``sums``, the matching words' presence to its record
+        counts and their total to ``words_matched``."""
+        arrays, self.arrays = self.arrays, {}
         matched = 0
-        for dictionary, totals, total, records in self.filtered(
-                self.kernel.pattern, self.kernel._regex.match):
+        for dictionary, (totals, presence) in arrays.items():
+            hit = np.flatnonzero(totals)
+            kept = tokens.ENCODER.matches(dictionary, hit, self.kernel.pattern,
+                                          self.kernel._regex.match)
+            totals[hit[~kept]] = 0
+            hit = hit[kept]
+            matched += int(totals[hit].sum())
+            records = int(presence[hit].sum())
             state.adopt_sums(dictionary, totals, records)
             state.map_output_records += records
-            matched += total
         if matched:
             state.counters.increment("wordcount", "words_matched", matched)
 
@@ -317,11 +356,10 @@ class DelimitedBlockMapper(BlockMapper):
 #: below ``11 ** 9`` pair into one int64.
 _KEY_PART_LIMIT = 10 ** 9
 _ORDER_RADIX = 11 ** 9
-if _np is not None:
-    _TENS = 10 ** _np.arange(1, 9, dtype=_np.int64)
-    _DIGIT_PLACES = 10 ** _np.arange(8, -1, -1, dtype=_np.int64)
-    _BASE_11_PLACES = 11 ** _np.arange(8, -1, -1, dtype=_np.int64)
-    _ORDER_PAD = _np.cumsum(_BASE_11_PLACES)
+_TENS = 10 ** np.arange(1, 9, dtype=np.int64)
+_DIGIT_PLACES = 10 ** np.arange(8, -1, -1, dtype=np.int64)
+_BASE_11_PLACES = 11 ** np.arange(8, -1, -1, dtype=np.int64)
+_ORDER_PAD = np.cumsum(_BASE_11_PLACES)
 
 
 def _key_codes(records: "list[Record]") -> "tuple[Any, Any] | None":
@@ -331,16 +369,16 @@ def _key_codes(records: "list[Record]") -> "tuple[Any, Any] | None":
     is Python's own ``hash`` of each key."""
     keys = [key for key, _ in records]
     try:
-        values = _np.fromiter(chain.from_iterable(keys), _np.int64,
-                              2 * len(keys))
+        values = np.fromiter(chain.from_iterable(keys), np.int64,
+                             2 * len(keys))
     except OverflowError:
         return None
     if values.min() < 0 or values.max() >= _KEY_PART_LIMIT:
         return None
-    width = _np.searchsorted(_TENS, values, side="right")  # digits - 1
+    width = np.searchsorted(_TENS, values, side="right")  # digits - 1
     right_aligned = (values[:, None] // _DIGIT_PLACES % 10) @ _BASE_11_PLACES
     codes = right_aligned * _BASE_11_PLACES[width] + _ORDER_PAD[width]
-    return (_np.fromiter(map(hash, keys), _np.int64, len(keys)),
+    return (np.fromiter(map(hash, keys), np.int64, len(keys)),
             codes[0::2] * _ORDER_RADIX + codes[1::2])
 
 
@@ -359,10 +397,10 @@ class SelectionBlockMapper(SelectionMapper, DelimitedBlockMapper):
     selection rider — in this wave or, through the store handle's
     derived-view table, on a later lap — finds it.  A warm visit is a
     mask, a ``flatnonzero`` and a gather.  Blocks the vectorized shape
-    check rejects (malformed lines, non-integer quantities, no numpy,
-    trailing partial line) take a per-line scalar path that reproduces
-    the per-record reader's exact errors and results, and shares rows
-    through the same table.
+    check rejects (malformed lines, non-integer quantities, a multi-byte
+    delimiter, a trailing partial line) take a per-line scalar path that
+    reproduces the per-record reader's exact errors and results, and
+    shares rows through the same table.
 
     A rider's output is a :class:`~repro.localrt.tokens.RowPartial` —
     its records plus their keys' codes, gathered from the row table,
@@ -389,14 +427,14 @@ class SelectionBlockMapper(SelectionMapper, DelimitedBlockMapper):
         count = int(ends.size)
         table: tokens.RowTable = block.memo(
             self._rows_view, lambda: tokens.RowTable(count, len(block)))
-        hits = _np.flatnonzero(quantities < self.threshold)
+        hits = np.flatnonzero(quantities < self.threshold)
         outputs: list[Record] = list(map(table.slots.__getitem__,
                                          hits.tolist()))
         if None in outputs:
             missing = [position for position, record in enumerate(outputs)
                        if record is None]
             rows = hits[missing]
-            starts = _np.where(rows > 0, ends[rows - 1] + 1, 0)
+            starts = np.where(rows > 0, ends[rows - 1] + 1, 0)
             lines = [block[start:end] for start, end
                      in zip(starts.tolist(), ends[rows].tolist())]
             parsed = list(map(self._row_record, lines))
@@ -419,10 +457,10 @@ class SelectionBlockMapper(SelectionMapper, DelimitedBlockMapper):
         column parsed per line and each line's end offset (its newline;
         a line starts one byte past the one before it) — or ``None``
         whenever the block falls outside the fast path's strict shape:
-        numpy missing, multi-byte delimiter, unknown field count, a
-        block not ending in ``\\n``, any line whose delimiter count
-        differs from the expected-fields contract, or a quantity that is
-        not a plain 1-9 digit ASCII integer.  Callers must treat
+        multi-byte delimiter, unknown field count, a block not ending in
+        ``\\n``, any line whose delimiter count differs from the
+        expected-fields contract, or a quantity that is not a plain 1-9
+        digit ASCII integer.  Callers must treat
         ``None`` as "use the per-line path", which reproduces the
         reader-identical errors for genuinely malformed input.
 
@@ -433,8 +471,7 @@ class SelectionBlockMapper(SelectionMapper, DelimitedBlockMapper):
         delimited analogue of the shared tokenization.  Both arrays in
         it are read-only.
         """
-        if (_np is None or self.expected_fields is None
-                or len(self._delimiter_bytes) != 1):
+        if self.expected_fields is None or len(self._delimiter_bytes) != 1:
             return None
         if isinstance(block, BlockData):
             key = ("quantities", self._delimiter_bytes, self.expected_fields)
@@ -450,7 +487,7 @@ class SelectionBlockMapper(SelectionMapper, DelimitedBlockMapper):
         delimiter = self._delimiter_bytes[0]
         if delimiter == 10:
             return None
-        arr = _np.frombuffer(block, dtype=_np.uint8)
+        arr = np.frombuffer(block, dtype=np.uint8)
         if arr.size == 0:
             return None
         # One structural pass: newlines and delimiters together.  A
@@ -459,7 +496,7 @@ class SelectionBlockMapper(SelectionMapper, DelimitedBlockMapper):
         # rows of ``expected_fields`` — and the per-cell byte checks
         # below reject every misalignment (a line with a missing or
         # extra delimiter shifts some newline out of the last column).
-        marks = _np.flatnonzero((arr == 10) | (arr == delimiter))
+        marks = np.flatnonzero((arr == 10) | (arr == delimiter))
         if (marks.size == 0 or marks.size % expected
                 or marks[-1] != arr.size - 1):
             return None
@@ -476,15 +513,15 @@ class SelectionBlockMapper(SelectionMapper, DelimitedBlockMapper):
         max_width = int(widths.max())
         if int(widths.min()) < 1 or max_width > 9:
             return None
-        values = _np.zeros(newlines.size, dtype=_np.int64)
+        values = np.zeros(newlines.size, dtype=np.int64)
         for position in range(max_width):
             active = widths > position
-            probe = _np.minimum(field_starts + position, arr.size - 1)
-            digits = arr[probe] - _np.uint8(48)  # a non-digit wraps past 9
+            probe = np.minimum(field_starts + position, arr.size - 1)
+            digits = arr[probe] - np.uint8(48)  # a non-digit wraps past 9
             if bool(((digits > 9) & active).any()):
                 return None
-            values = _np.where(active, values * 10 + digits, values)
-        return (tokens.frozen(values.astype(_np.float64)),
+            values = np.where(active, values * 10 + digits, values)
+        return (tokens.frozen(values.astype(np.float64)),
                 tokens.frozen(newlines))
 
     def _row_record(self, line: bytes) -> Record:

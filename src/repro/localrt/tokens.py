@@ -18,13 +18,13 @@ how many blocks hold each word) for every rider that rode those blocks,
 each rider adds that to its own raw totals once per wave, and its
 pattern is applied once, at reduce — a gather of the verdict array at
 the ids its totals reach (see
-:class:`~repro.localrt.jobs.PatternWordCountBlock`).  A rider mapped
-block by block (a direct ``map_block`` call) gathers the verdicts at
-the block's ids instead and masks its ids and counts.  Either way the
-output stays in id space through the job's reduce, which orders the ids
-by two per-word codes the dictionary keeps — the partition digest and
-the ``repr`` rank — and decodes each emitted key once (see
-:class:`~repro.localrt.engine.JobRunState`).
+:class:`~repro.localrt.jobs.PatternWordCountBlock`).  Its shuffle stays
+in id space through the job's reduce, which orders the ids by two
+per-word codes the dictionary keeps — the partition digest and the
+``repr`` rank — and decodes each emitted key once (see
+:class:`~repro.localrt.engine.JobRunState`).  A direct ``map_block``
+call gathers the verdicts at the block's ids instead and emits plain
+records.
 
 *Across time*, to jobs that never overlap: a :class:`DerivedViews` table
 — one per store handle, in memory, gone with the handle — keeps each
@@ -99,10 +99,10 @@ from ..analysis.racecheck import register_instance
 
 #: Most words one dictionary holds before a fresh one replaces it.  A
 #: word costs one ``dict`` slot and one list slot, plus a byte per
-#: pattern that has been matched against the dictionary, eight per
-#: summing job that has absorbed a block encoded against it (sixteen
-#: while a map wave's sums wait for the job's pattern), and sixteen for
-#: its reduce codes once a summing job has reduced against it.
+#: pattern that has been matched against the dictionary, sixteen per
+#: summing job whose map waves met it while the sums wait for the job's
+#: pattern (eight once it applies), and sixteen for its reduce codes
+#: once a summing job has reduced against it.
 TOKEN_DICTIONARY_CAP = 1 << 17
 
 #: Most patterns one dictionary keeps verdict vectors for.
@@ -119,7 +119,8 @@ VERDICT_IDLE_BLOCKS = 64
 #: A :class:`WaveSums` is dense — indexed by id up to the highest id its
 #: blocks hold — when its blocks hold at least one id per this many
 #: slots of that span, and otherwise lists its distinct ids.  A rider
-#: adds a dense one with two slice adds, a sparse one with two scatters
+#: (:class:`~repro.localrt.jobs.WaveWordSums`) adds a dense one with two
+#: slice adds, a sparse one with two scatters
 #: at its ids; on one core of a 2-CPU x86 host a scatter costs about
 #: eight slot adds per id (numpy 2.4, int64: at 4 435 slots the two
 #: break even at one id in eight to sixteen, at 2**17 slots at one in
@@ -230,56 +231,6 @@ class EncodedBlock:
         self.total = total
         self.lines = 0
 
-    @property
-    def words(self) -> tuple[str, ...]:
-        """The block's distinct words in first-occurrence order, decoded."""
-        return tuple(map(self.dictionary.words.__getitem__, self.ids.tolist()))
-
-
-class BlockPartial:
-    """One rider's combined map output for one block, still in id space:
-    the ``(word, count)`` records of the words it matched, as the ids
-    and counts those words have in ``dictionary``.
-
-    What a summing wordcount kernel hands the shuffle instead of a
-    record list.  ``len()`` is its record count, and iterating it
-    decodes the records in first-occurrence order (equality compares
-    them), so any consumer of a record list reads it as one; a job
-    whose reducer sums absorbs it without
-    decoding (:meth:`~repro.localrt.engine.JobRunState.absorb`).  Ids
-    are unique within a partial.
-    """
-
-    __slots__ = ("dictionary", "ids", "counts")
-
-    def __init__(self, dictionary: TokenDictionary, ids: np.ndarray,
-                 counts: np.ndarray) -> None:
-        self.dictionary = dictionary
-        self.ids = ids
-        self.counts = counts
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __iter__(self) -> Iterator[tuple[str, int]]:
-        return zip(map(self.dictionary.words.__getitem__, self.ids.tolist()),
-                   self.counts.tolist())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (list, BlockPartial)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"BlockPartial({list(self)!r})"
-
-    def expand(self) -> list[tuple[str, int]]:
-        """The uncombined records: ``count`` copies of ``(word, 1)`` per
-        word, grouped by word in first-occurrence order."""
-        words = self.dictionary.words
-        return [(words[i], 1)
-                for i in np.repeat(self.ids, self.counts).tolist()]
-
 
 class WaveSums:
     """What one wave's blocks encoded against ``dictionary`` add to each
@@ -335,64 +286,6 @@ class WaveSums:
         if self.ids is None:
             return len(self.totals)
         return int(self.ids[-1]) + 1 if len(self.ids) else 0
-
-
-class RiderSums:
-    """One summing wordcount rider's shuffle before its map filter
-    applies: per dictionary, every word's summed count and the number of
-    blocks holding it, over the :class:`WaveSums` added to it.
-
-    Each pair of arrays is as long as its dictionary was when the rider
-    first met it, and grows — to the dictionary's size, at least
-    doubling, up to :data:`TOKEN_DICTIONARY_CAP` — only when a wave's
-    sums reach past it, so a rider's adds cost O(its waves' ids).
-    """
-
-    __slots__ = ("arrays",)
-
-    def __init__(self) -> None:
-        #: dictionary -> (totals, presence), two int64 arrays by id.
-        self.arrays: dict[TokenDictionary,
-                          tuple[np.ndarray, np.ndarray]] = {}
-
-    def add(self, sums: WaveSums) -> None:
-        """Add one wave's sums: two slice adds, or two scatters at their
-        ids."""
-        dictionary = sums.dictionary
-        held = self.arrays.get(dictionary)
-        span = sums.span
-        if held is None or len(held[0]) < span:
-            size = len(dictionary.words)
-            if held is not None:
-                size = max(size, min(2 * len(held[0]), TOKEN_DICTIONARY_CAP))
-            grown = (np.zeros(size, np.int64), np.zeros(size, np.int64))
-            if held is not None:
-                for old, new in zip(held, grown):
-                    new[:len(old)] = old
-            held = self.arrays[dictionary] = grown
-        totals, presence = held
-        if sums.ids is None:
-            totals[:span] += sums.totals
-            presence[:span] += sums.presence
-        else:
-            totals[sums.ids] += sums.totals
-            presence[sums.ids] += sums.presence
-
-    def filtered(self, pattern: str, match: Callable[[str], object],
-                 ) -> Iterator[tuple[TokenDictionary, np.ndarray, int, int]]:
-        """Apply ``pattern``, consuming the sums: per dictionary, the
-        totals by id with every word ``pattern`` does not match
-        (:meth:`TokenEncoder.matches`, asked about the ids with a
-        nonzero total) zeroed, their sum, and how many blocks held the
-        matching words, summed."""
-        arrays, self.arrays = self.arrays, {}
-        for dictionary, (totals, presence) in arrays.items():
-            hit = np.flatnonzero(totals)
-            kept = ENCODER.matches(dictionary, hit, pattern, match)
-            totals[hit[~kept]] = 0
-            hit = hit[kept]
-            yield (dictionary, totals, int(totals[hit].sum()),
-                   int(presence[hit].sum()))
 
 
 class RowPartial:

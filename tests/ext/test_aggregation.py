@@ -34,9 +34,9 @@ def reader():
 
 def test_fold_collapses_to_one_value_per_key():
     state = JobRunState(wordcount_job("w", ".*"))
-    run_map_on_block([state], TextLineReader(), "x x y\nx y z\n")
+    run_map_on_block([state], TextLineReader(), b"x x y\nx y z\n")
     # The combiner already collapsed within the block; add a second block.
-    run_map_on_block([state], TextLineReader(), "x z z\n")
+    run_map_on_block([state], TextLineReader(), b"x z z\n")
     assert count_pending_values(state) > 3
     fold_partial_aggregates([state])
     assert count_pending_values(state) == 3  # one partial per distinct key
@@ -44,7 +44,7 @@ def test_fold_collapses_to_one_value_per_key():
 
 def test_fold_skips_jobs_without_combiner():
     state = JobRunState(wordcount_job("w", ".*", use_combiner=False))
-    run_map_on_block([state], TextLineReader(), "x x y\n")
+    run_map_on_block([state], TextLineReader(), b"x x y\n")
     before = count_pending_values(state)
     fold_partial_aggregates([state])
     assert count_pending_values(state) == before

@@ -7,7 +7,7 @@ from repro.localrt.records import RecordReader
 
 
 def run_map_on_block(states: list[JobRunState], reader: RecordReader,
-                     block_data: "str | bytes", base_offset: int = 0) -> None:
+                     block_data: bytes, base_offset: int = 0) -> None:
     """One map task over one block, shared by every job in ``states``:
     collect each job's output, then fold it into its run state."""
     record_count, outputs, task_counters = collect_map_outputs(

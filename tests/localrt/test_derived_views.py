@@ -11,7 +11,6 @@ import weakref
 
 import pytest
 
-import repro.localrt.jobs as jobs_module
 import repro.localrt.tokens as tokens
 from repro.analysis.lockgraph import lock_order_graph
 from repro.common.config import MAP_BACKENDS, ExecutionConfig, TraceConfig
@@ -244,7 +243,8 @@ def test_bound_block_derives_once_per_table(monkeypatch):
     first = BlockData(raw).bind(views, 7).encoded()
     again = BlockData(raw).bind(views, 7).encoded()  # a later lap's object
     assert again is first and derives == [raw]
-    assert (first.words, first.counts.tolist()) == (
+    words = tuple(map(first.dictionary.words.__getitem__, first.ids.tolist()))
+    assert (words, first.counts.tolist()) == (
         ("to", "be", "or", "not"), [2, 2, 1, 1])
     assert BlockData(raw).encoded() is not first  # unbound: today's code
     other = DerivedViews()
@@ -727,17 +727,20 @@ def _qualifying(rows, threshold):
             if float(row.split("|")[_QUANTITY]) < threshold]
 
 
-@pytest.mark.parametrize("numpy", [True, False], ids=["columnar", "scalar"])
+@pytest.mark.parametrize("columnar", [True, False],
+                         ids=["columnar", "scalar"])
 @pytest.mark.parametrize("backend", ["serial", "threads"])
 def test_a_qualifying_row_is_parsed_once_per_store_handle(
-        tmp_path, monkeypatch, backend, numpy):
+        tmp_path, monkeypatch, backend, columnar):
     """``sel_batch``'s rider set — six selections (2/5/10 % twice) and
     two aggregations, job *i* admitted at iteration *i* — for three
     laps: the rows the widest threshold selects are parsed once each,
     whichever rider met them first, and never again on that handle.
-    The scalar path (no numpy) shares through the same helper."""
-    if not numpy:
-        monkeypatch.setattr(jobs_module, "_np", None)
+    The scalar path (every block refused by the columnar parse) shares
+    through the same helper."""
+    if not columnar:
+        monkeypatch.setattr(SelectionBlockMapper, "_columnar_quantities",
+                            lambda self, block: None)
     parsed = _spy_on_row_records(monkeypatch)
     rows = _lineitem_rows(120_000)
     store = BlockStore.create(tmp_path / "lineitem", rows, 40_000)

@@ -4,7 +4,6 @@ import pickle
 
 import pytest
 
-import repro.localrt.jobs as jobs_module
 import repro.localrt.tokens as tokens
 from repro.common.errors import ExecutionError
 from repro.localrt.api import BlockData
@@ -149,15 +148,15 @@ def test_batched_aggregation_observably_identical(lineitem_store):
 
 def test_selection_scalar_path_identical_without_numpy(
         lineitem_store, monkeypatch):
-    """With numpy gated off the kernel takes the per-line scalar path and
-    must stay observably identical."""
+    """With the columnar parse refusing every block the kernel takes the
+    per-line scalar path, and must stay observably identical."""
     reader = DelimitedReader("|", len(LINEITEM_COLUMNS))
     threshold = quantity_threshold_for_selectivity(0.10)
-    with_numpy = _run(lineitem_store, reader,
-                      [selection_job("s", threshold)])
-    monkeypatch.setattr(jobs_module, "_np", None)
-    without = _run(lineitem_store, reader, [selection_job("s", threshold)])
-    assert with_numpy == without
+    columnar = _run(lineitem_store, reader, [selection_job("s", threshold)])
+    monkeypatch.setattr(SelectionBlockMapper, "_columnar_quantities",
+                        lambda self, block: None)
+    scalar = _run(lineitem_store, reader, [selection_job("s", threshold)])
+    assert columnar == scalar
 
 
 _ORDERKEY = LINEITEM_COLUMNS.index("l_orderkey")
@@ -215,8 +214,6 @@ def test_selection_columnar_requires_trailing_newline():
 def test_columnar_structural_pass_shared_across_wave(monkeypatch):
     """Two selection kernels on one BlockData must run the structural
     numpy pass once (memoized by delimiter and field count)."""
-    if jobs_module._np is None:
-        pytest.skip("numpy not available")
     calls = []
     original = SelectionBlockMapper._columnar_quantities_uncached
 
@@ -243,8 +240,6 @@ def test_memoised_columnar_value_owns_only_what_it_needs():
     wide, the value needs one column of it.  Nor may the key codes the
     row table keeps beside its records: one int64 each per row, not the
     digit columns they were built from."""
-    if jobs_module._np is None:
-        pytest.skip("numpy not available")
     views = tokens.DerivedViews()
     rows = "".join(_row(order, 1, order % 9 + 1) + "\n"
                    for order in range(1, 40))

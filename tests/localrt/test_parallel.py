@@ -219,12 +219,13 @@ def test_undecodable_block_fails_naming_the_block(tmp_path, backend, batched):
 
 
 def test_wave_sums_equal_the_per_rider_path_over_one_plan(tmp_path):
-    """One plan through the per-rider path (``collect_map_outputs`` and
-    ``absorb_map_result`` per block, as the benchmark's layered replay
-    runs it) and through ``execute_map_wave``, which sums the summing
-    riders' blocks per wave: every ``JobResult`` field is equal.  The
-    plan's waves hand riders different prefixes of a chunk, and mix the
-    summing riders with a no-combiner and a per-record wordcount."""
+    """One plan through the record-list path (``collect_map_outputs``
+    and ``absorb_map_result`` per block, as the benchmark's layered
+    replay runs it, so every rider's records land in ``groups``) and
+    through ``execute_map_wave``, which sums the summing riders' blocks
+    per wave: every ``JobResult`` field is equal.  The plan's waves hand
+    riders different prefixes of a chunk, and mix the summing riders
+    with a no-combiner and a per-record wordcount."""
     lines = [f"the thing {i} is running to the {i % 7} motion {i % 3}ing"
              for i in range(90)]
     store = BlockStore.create(tmp_path / "s", lines, 300)
@@ -260,7 +261,9 @@ def test_wave_sums_equal_the_per_rider_path_over_one_plan(tmp_path):
                 for state, output, task_counters in zip(task.states, outputs,
                                                         counters):
                     absorb_map_result(state, count, output, task_counters)
-        summing = [state.pending is not None for state in states]
+        # (waiting for its pattern, holding records in ``groups``)
+        summing = [(state.pending is not None, bool(state.groups))
+                   for state in states]
         finished = {}
         for state in states:
             reduce_input = count_pending_values(state)
@@ -273,6 +276,6 @@ def test_wave_sums_equal_the_per_rider_path_over_one_plan(tmp_path):
     per_rider, none_summed = results(per_rider=True)
     wave, summed = results(per_rider=False)
     assert wave == per_rider
-    assert none_summed == [False] * 5
-    assert summed == [True, True, True, False, False]
+    assert none_summed == [(False, True)] * 5
+    assert summed == [(True, False)] * 3 + [(False, True)] * 2
     assert all(output for output, *_ in per_rider.values())

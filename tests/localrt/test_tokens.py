@@ -19,6 +19,7 @@ from repro.localrt.engine import JobRunState, absorb_map_result, run_reduce
 from repro.localrt.jobs import (
     PatternWordCountBlock,
     SelectionBlockMapper,
+    WaveWordSums,
     _key_codes,
     selection_job,
     wordcount_job,
@@ -46,7 +47,8 @@ def test_encode_assigns_each_word_one_dense_id():
     encoder = TokenEncoder()
     first = encoder.encode(Counter("b a b c".split()))
     second = encoder.encode(Counter("c d a".split()))
-    assert (first.words, first.counts.tolist()) == (("b", "a", "c"), [2, 1, 1])
+    assert (_decoded(first), first.counts.tolist()) == (
+        ("b", "a", "c"), [2, 1, 1])
     assert first.total == 4
     assert _ids(first) == (0, 1, 2)
     assert _ids(second) == (2, 3, 1)  # known words keep their ids
@@ -64,7 +66,7 @@ def test_ids_and_verdicts_have_one_shape_for_any_number_of_words(text):
     encoded = encoder.encode(Counter(text.split()))
     words = text.split()
     assert encoded.ids.shape == encoded.counts.shape == (len(words),)
-    assert _decoded(encoded) == encoded.words == tuple(words)
+    assert _decoded(encoded) == tuple(words)
     hits = encoder.matches(encoded.dictionary, encoded.ids, "^o",
                            re.compile("^o").match)
     assert hits.tolist() == [word.startswith("o") for word in words]
@@ -185,7 +187,8 @@ def test_idle_clock_runs_on_blocks_served_from_a_warm_table(monkeypatch):
                 assert tokens.ENCODER.matches(
                     encoded.dictionary, encoded.ids, pattern,
                     matchers[pattern]).tolist() == [
-                        word.startswith(pattern[1]) for word in encoded.words]
+                        word.startswith(pattern[1])
+                        for word in _decoded(encoded)]
         return sorted(encoded.dictionary.verdicts)
 
     assert lap("^a", "^b") == ["^a", "^b"]  # cold: both blocks encoded
@@ -248,12 +251,14 @@ def test_wave_sums_are_the_blocks_summed_and_riders_add_them(monkeypatch):
     """A wave's sums are dense when its blocks hold one id per
     ``WAVE_DENSE_SHARE`` slots of their span and list their ids
     otherwise; either way they are the blocks' counts summed, with how
-    many blocks hold each word, and a rider's arrays grow (at least
-    doubling) to take them."""
+    many blocks hold each word, a rider's arrays grow (at least
+    doubling) to take them, and settling them into the job's run state
+    keeps the matching words' totals, block presence and sum."""
     encoder = TokenEncoder()
     monkeypatch.setattr(tokens, "ENCODER", encoder)
     encoder.encode(Counter(f"pad{i}" for i in range(64)))
-    rider = tokens.RiderSums()
+    state = JobRunState(wordcount_job("wc", "^[yz]$"))
+    rider = WaveWordSums(state.job.mapper)
     expected, presence = Counter(), Counter()
 
     def add(*blocks):
@@ -287,13 +292,15 @@ def test_wave_sums_are_the_blocks_summed_and_riders_add_them(monkeypatch):
         == dict(expected)
     assert {i: n for i, n in enumerate(held.tolist()) if n} \
         == dict(presence)
-    (_, kept, total, records), = rider.filtered(
-        "^[yz]$", re.compile("^[yz]$").match)
-    assert kept is totals and not rider.arrays
-    assert {dictionary.words[i]: t for i, t in enumerate(kept.tolist())
+    rider.settle(state)
+    assert not rider.arrays
+    assert list(state.sums) == [dictionary]
+    assert state.sums[dictionary] is totals
+    assert {dictionary.words[i]: t for i, t in enumerate(totals.tolist())
             if t} == {"y": 5, "z": 5}
-    assert total == 10
-    assert records == 6  # each in three blocks
+    assert state.counters.value("wordcount", "words_matched") == 10
+    # each in three blocks
+    assert state.map_output_records == state.summed_records == 6
 
 
 # ----------------------------------------------------------------- roll-over
@@ -440,8 +447,7 @@ def test_concurrent_encoders_assign_each_word_exactly_one_id():
         assert len(per_thread) == 60
         for encoded, hits in per_thread:
             assert encoded.dictionary is dictionary
-            words = list(encoded.words)
-            assert list(_decoded(encoded)) == words
+            words = _decoded(encoded)
             assert list(hits) == [word.endswith("5") for word in words]
 
 
@@ -464,8 +470,8 @@ def _raises_on_write(array):
 
 def test_shared_arrays_are_read_only_and_the_kernels_still_work(monkeypatch):
     """What a kept view hands every rider cannot be written through; the
-    riders' gathers and masks make arrays of their own, and a job's own
-    accumulators stay writable."""
+    kernel's gathers and masks and the wave's sums make arrays of their
+    own, and a job's own accumulators stay writable."""
     monkeypatch.setattr(tokens, "ENCODER", TokenEncoder())
     views = tokens.DerivedViews()
     text = BlockData(b"apple ant bee\nant cow\n").bind(views, 0)
@@ -475,10 +481,11 @@ def test_shared_arrays_are_read_only_and_the_kernels_still_work(monkeypatch):
     state = JobRunState(wordcount_job("wc", "^a"))
     for _visit in range(2):  # the second is served from the table
         block = BlockData(bytes(text)).bind(views, 0)
-        count, partial, _ = PatternWordCountBlock("^a").map_block(block, 0)
-        assert (count, list(partial)) == (2, [("apple", 1), ("ant", 2)])
-        partial.ids[0] = partial.ids[0]  # a gather: the rider's own
-        absorb_map_result(state, count, partial, None)
+        count, records, _ = PatternWordCountBlock("^a").map_block(block, 0)
+        assert (count, records) == (2, [("apple", 1), ("ant", 2)])
+        assert block.encoded() is encoded
+        PatternWordCountBlock.absorb_wave([([encoded], [state])])
+        state.settle()  # the second adds to the first's accumulator
     _raises_on_write(encoded.dictionary.verdicts["^a"])
     accumulator, = state.sums.values()
     assert accumulator.flags.writeable

@@ -38,7 +38,7 @@ import repro.localrt.tokens as tokens
 from repro.common.config import ExecutionConfig
 from repro.ext.aggregation import fold_partial_aggregates
 from repro.localrt.api import BlockData, default_partitioner
-from repro.localrt.engine import JobRunState, absorb_map_result, run_reduce
+from repro.localrt.engine import JobRunState, run_reduce
 from repro.localrt.jobs import PatternWordCountBlock, wordcount_job
 from repro.localrt.live import SharedScanCore
 from repro.localrt.parallel import MapTaskSpec, execute_map_wave
@@ -250,10 +250,9 @@ def test_a_dictionary_that_does_not_grow_is_ranked_once(monkeypatch):
 
     def reduce_one(text):
         state = JobRunState(wordcount_job("wc", "^a", num_partitions=3))
-        count, partial, _ = PatternWordCountBlock("^a").map_block(
-            BlockData(text), 0)
-        absorb_map_result(state, count, partial, None)
-        return run_reduce(state), partial.dictionary
+        encoded = BlockData(text).encoded()
+        PatternWordCountBlock.absorb_wave([([encoded], [state])])
+        return run_reduce(state), encoded.dictionary
 
     output, dictionary = reduce_one(b"ant apple\nbee a!\n")
     ranked = dictionary.rank
