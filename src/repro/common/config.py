@@ -90,9 +90,6 @@ class DfsConfig:
 #: in-process map wave (:mod:`repro.localrt.parallel`).
 MAP_BACKENDS = ("serial", "threads", "processes")
 
-#: On-disk trace encodings understood by :mod:`repro.obs.export`.
-TRACE_FORMATS = ("chrome", "jsonl")
-
 
 @dataclass(frozen=True)
 class TraceConfig:
@@ -105,24 +102,18 @@ class TraceConfig:
         code runs through the no-op tracer fast path.
     path:
         When set, the runner exports its trace here at the end of each
-        ``run()`` (and reports the location in ``RunReport.trace_path``).
-        Requires ``enabled=True``.  When ``None`` the trace is only
-        kept in memory (or adopted by an active
+        ``run()`` as Chrome trace-event JSON (loadable in Perfetto /
+        ``chrome://tracing``, and by ``python -m repro.obs``) and
+        reports the location in ``RunReport.trace_path``.  Requires
+        ``enabled=True``.  When ``None`` the trace is only kept in
+        memory (or adopted by an active
         :class:`~repro.obs.runtime.TraceSession`).
-    format:
-        Export encoding for ``path``: ``"chrome"`` (trace-event JSON,
-        loadable in Perfetto / ``chrome://tracing``) or ``"jsonl"``.
     """
 
     enabled: bool = False
     path: str | None = None
-    format: str = "chrome"
 
     def __post_init__(self) -> None:
-        if self.format not in TRACE_FORMATS:
-            raise ConfigError(
-                f"trace format must be one of {TRACE_FORMATS}, "
-                f"got {self.format!r}")
         if self.path is not None and not self.enabled:
             raise ConfigError(
                 "trace.path is set but trace.enabled is False; "

@@ -14,7 +14,7 @@ from .api import (
     SumReducer,
     default_partitioner,
 )
-from .cache import BlockCache, CacheStats
+from .cache import BlockCache
 from .counters import FRAMEWORK_GROUP, Counters, CounterUser
 from .engine import (
     JobRunState,
@@ -52,7 +52,7 @@ __all__ = [
     "BlockData", "BlockMapper", "BlockStoreProtocol", "IdentityReducer",
     "JobResult", "LocalJob",
     "Mapper", "Record", "Reducer", "SumReducer", "default_partitioner",
-    "BlockCache", "CacheStats", "ReadAheadPrefetcher",
+    "BlockCache", "ReadAheadPrefetcher",
     "FRAMEWORK_GROUP", "Counters", "CounterUser",
     "JobRunState", "collect_map_outputs", "count_pending_values",
     "run_reduce",

@@ -54,8 +54,9 @@ class BlockStoreProtocol(Protocol):
       plus advisory ``prefetch_block`` warming (physical only);
     * **accounting** — ``stats_snapshot`` / ``logical_blocks_read`` over
       one cumulative :class:`~repro.localrt.storage.ReadStats`;
-    * **attachments** — idempotent ``ensure_cache`` plus ``has_cache`` /
-      ``cache_stats`` introspection, ``attach_tracer`` for stores
+    * **attachments** — idempotent ``ensure_cache`` plus the
+      ``has_cache`` flag (the cache's hits, misses and evictions are
+      booked in the same ``ReadStats``), ``attach_tracer`` for stores
       with placement events to emit, and ``derived``, the handle's
       :class:`~repro.localrt.tokens.DerivedViews` table (what was
       derived from a block's bytes, kept between laps of a scan).
@@ -84,8 +85,6 @@ class BlockStoreProtocol(Protocol):
     def prefetch_block(self, index: int) -> bool: ...
 
     def ensure_cache(self, capacity_bytes: int) -> None: ...
-
-    def cache_stats(self) -> dict[str, int] | None: ...
 
     def attach_tracer(self, tracer: "Tracer | None") -> None: ...
 
@@ -274,10 +273,11 @@ class BlockMapper(Mapper):
 
     The batched protocol moves the unit of work from the record to the
     block so CPU cost scales with bytes scanned instead of
-    records × jobs.  The engine prefers :meth:`map_block` whenever
-    :meth:`supports_reader` accepts the wave's record reader, and falls
-    back to the inherited per-record :meth:`~Mapper.map` loop otherwise
-    — both paths must produce *observably identical* results: the same
+    records × jobs.  The engine calls :meth:`map_block` when
+    :meth:`supports_reader` accepts the wave's record reader, and raises
+    :class:`~repro.common.errors.ExecutionError` otherwise.  The
+    inherited per-record :meth:`~Mapper.map` must stay *observably
+    identical* to :meth:`map_block` (it is the reference): the same
     record count the reader would report, an output list whose
     post-combiner content is identical, and the same counter totals.
 

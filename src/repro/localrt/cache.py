@@ -8,6 +8,9 @@ two: *logical* reads (what scan-sharing measures — one per
 while *physical* reads (actual trips to disk) shrink to the miss path.
 The cache is a plain LRU bounded **by bytes**, because blocks are the
 unit of I/O and their sizes differ (the last block of a file is short).
+It keeps no counters: the store books every hit, miss and eviction in
+its one :class:`~repro.localrt.storage.ReadStats`, next to the read
+it describes.
 
 Thread safety: one lock guards the eviction list and the byte budget.
 ``read_block_bytes`` may run concurrently from two runners sharing a
@@ -21,39 +24,9 @@ from disk once (``BlockStore._claim``).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 
 from ..analysis.lockgraph import OrderedLock
-from ..analysis.racecheck import register_instance
 from ..common.errors import ExecutionError
-
-
-@dataclass
-class CacheStats:
-    """Cumulative counters of one :class:`BlockCache`."""
-
-    hits: int = 0
-    misses: int = 0
-    insertions: int = 0
-    evictions: int = 0
-    #: Blocks skipped because a single block exceeded the whole capacity.
-    oversized_skips: int = 0
-
-    @property
-    def hit_ratio(self) -> float:
-        """Hits over lookups (0.0 before the first lookup)."""
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
-
-    def snapshot(self) -> dict[str, int]:
-        """Plain-dict view of the counters (trace-event / metrics payload)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "insertions": self.insertions,
-            "evictions": self.evictions,
-            "oversized_skips": self.oversized_skips,
-        }
 
 
 class BlockCache:
@@ -72,32 +45,24 @@ class BlockCache:
                 f"cache capacity must be positive, got {capacity_bytes}")
         self.capacity_bytes = capacity_bytes
         self._lock = OrderedLock("BlockCache._lock")
-        self.stats = CacheStats()  # guarded-by: _lock
         #: index -> (data, nbytes), in LRU order (oldest first).
         self._entries: "OrderedDict[int, tuple[bytes, int]]" = \
             OrderedDict()  # guarded-by: _lock
         self._current_bytes = 0  # guarded-by: _lock
-        register_instance(
-            self.stats,
-            fields=("hits", "misses", "insertions", "evictions",
-                    "oversized_skips"),
-            guard="BlockCache._lock", label="BlockCache.stats")
 
     # ---------------------------------------------------------------- lookup
     def get(self, index: int) -> bytes | None:
         """Return the cached bytes for ``index`` (refreshing its recency),
-        or ``None`` on a miss.  Counts a hit or a miss."""
+        or ``None`` on a miss."""
         with self._lock:
             entry = self._entries.get(index)
             if entry is None:
-                self.stats.misses += 1
                 return None
             self._entries.move_to_end(index)
-            self.stats.hits += 1
             return entry[0]
 
     def contains(self, index: int) -> bool:
-        """Membership test without touching recency or hit/miss counters."""
+        """Membership test without touching recency."""
         with self._lock:
             return index in self._entries
 
@@ -120,14 +85,12 @@ class BlockCache:
         evicted to make room.
 
         A block larger than the whole capacity is not cached (evicting
-        everything for one uncacheable block would thrash); it is counted
-        in ``stats.oversized_skips``.
+        everything for one uncacheable block would thrash).
         """
         if nbytes < 0:
             raise ExecutionError(f"block byte size must be >= 0, got {nbytes}")
         with self._lock:
             if nbytes > self.capacity_bytes:
-                self.stats.oversized_skips += 1
                 return 0
             old = self._entries.pop(index, None)
             if old is not None:
@@ -139,6 +102,4 @@ class BlockCache:
                 evicted += 1
             self._entries[index] = (data, nbytes)
             self._current_bytes += nbytes
-            self.stats.insertions += 1
-            self.stats.evictions += evicted
             return evicted

@@ -14,8 +14,10 @@ Two execution paths share :func:`collect_map_outputs`.  The *batched*
 path hands the whole block (as a :class:`~repro.localrt.api.BlockData`)
 to any mapper implementing :class:`~repro.localrt.api.BlockMapper` whose
 ``supports_reader`` accepts the wave's reader — CPU cost then scales
-with bytes scanned, not records × jobs.  Everything else takes the
-original *per-record* path: parse the block once with the
+with bytes scanned, not records × jobs; a kernel that declines the
+reader is an :class:`~repro.common.errors.ExecutionError`.  A plain
+:class:`~repro.localrt.api.Mapper` takes the original *per-record*
+path: parse the block once with the
 :class:`~repro.localrt.records.RecordReader` and dispatch each record to
 each remaining mapper.  The two paths are observably identical —
 same record counts, post-combiner outputs, counters — which the
@@ -25,7 +27,6 @@ property suite pins.
 from __future__ import annotations
 
 import copy
-import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Mapping, Protocol
@@ -197,25 +198,20 @@ def batch_mapper_for(job: LocalJob, reader: RecordReader,
     """The job's mapper as a batch kernel, or ``None`` for per-record.
 
     A job takes the batched path when its mapper implements
-    :class:`BlockMapper` *and* vouches for the wave's reader.  A
-    :class:`BlockMapper` that declines the reader is a wiring regression
-    for the paper workloads (the batch kernel silently degrades to
-    per-record dispatch), so that fallback emits a
-    :class:`DeprecationWarning` — which the test suite escalates to an
-    error via the ``filterwarnings`` config.
+    :class:`BlockMapper`, and a :class:`BlockMapper` must vouch for the
+    wave's reader: one that declines it is a wiring error, so this
+    raises :class:`ExecutionError` naming the job, the mapper and the
+    reader rather than dispatching the kernel's job per record.
     """
     mapper = job.mapper
     if not isinstance(mapper, BlockMapper):
         return None
-    if mapper.supports_reader(reader):
-        return mapper
-    warnings.warn(
-        f"per-record fallback for {type(mapper).__name__} in job "
-        f"{job.job_id!r} is deprecated; {type(reader).__name__} is not "
-        f"supported by its map_block kernel — pass a supported reader "
-        f"or construct the job with batched=False",
-        DeprecationWarning, stacklevel=3)
-    return None
+    if not mapper.supports_reader(reader):
+        raise ExecutionError(
+            f"job {job.job_id!r}: {type(mapper).__name__} does not support "
+            f"{type(reader).__name__}; pass a reader its map_block kernel "
+            f"supports, or construct the job with batched=False")
+    return mapper
 
 
 def _collect_per_record(jobs: list[LocalJob], reader: RecordReader,

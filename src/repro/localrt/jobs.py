@@ -15,7 +15,10 @@ bytes per call and is observably identical to running the per-record
 mapper over every record — same outputs after the combiner, same record
 counts, same counters.  The job factories build the batched kernels by
 default (``batched=False`` restores the per-record classes, which the
-benchmarks use as their baseline).
+benchmarks use as their baseline).  A batched kernel only runs under a
+reader it supports: a wave with any other reader raises
+:class:`~repro.common.errors.ExecutionError` instead of falling back to
+per-record dispatch.
 """
 
 from __future__ import annotations
@@ -585,8 +588,8 @@ def selection_job(job_id: str, threshold: float, *,
     """A lineitem selection job (identity reduce: output = selected rows).
 
     The batched kernel (default) expects the runner to use a
-    ``DelimitedReader("|", len(LINEITEM_COLUMNS))``; other readers fall
-    back to the per-record mapper with a :class:`DeprecationWarning`.
+    ``DelimitedReader("|", len(LINEITEM_COLUMNS))``; a wave with any
+    other reader raises :class:`ExecutionError`.
     """
     mapper: Mapper = (SelectionBlockMapper(threshold)
                       if batched else SelectionMapper(threshold))

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from ..common.errors import ExecutionError
-from ..obs.export import export_chrome, export_jsonl
+from ..obs.export import export_chrome
 from ..obs.metrics import MetricsRegistry
 from .api import JobResult, LocalJob
 from .engine import JobRunState, count_pending_values, run_reduce
@@ -107,23 +107,17 @@ def _check_job_ids(jobs: Sequence[LocalJob]) -> list[str]:
 
 
 def _finish_trace(runner: _LocalRunnerBase, report: RunReport) -> RunReport:
-    """End-of-run bookkeeping: cache and derived-view events, metrics +
+    """End-of-run bookkeeping: the derived-view event, metrics +
     export paths.
     ``runner`` is whoever ran the waves and so holds the run's registry
     (the FIFO runner itself; the shared-scan runner's per-run core)."""
     if not runner.tracer.enabled:
         return report
-    cache_stats = runner.store.cache_stats()
-    if cache_stats is not None:
-        runner.tracer.event("cache.stats", args=cache_stats)
     runner.tracer.event("derived.stats", args=runner.store.derived.stats())
     report.metrics = runner.metrics
     trace = runner.config.trace
     if trace.path is not None:
-        if trace.format == "jsonl":
-            export_jsonl(trace.path, [runner.tracer])
-        else:
-            export_chrome(trace.path, [runner.tracer])
+        export_chrome(trace.path, [runner.tracer])
         report.trace_path = trace.path
     return report
 

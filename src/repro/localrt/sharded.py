@@ -270,22 +270,6 @@ class ShardedBlockStore:
         for store in stores:
             store.ensure_cache(per_shard)
 
-    def cache_stats(self) -> dict[str, int] | None:
-        """Key-wise sum of every shard cache's counters (``None`` when
-        no shard has a cache attached)."""
-        totals: dict[str, int] = {}
-        seen = False
-        for store in self._shard_stores:
-            if store is None:
-                continue
-            snap = store.cache_stats()
-            if snap is None:
-                continue
-            seen = True
-            for key, value in snap.items():
-                totals[key] = totals.get(key, 0) + value
-        return totals if seen else None
-
     def attach_tracer(self, tracer: "Tracer | None") -> None:
         """Set the sink for ``shard.read`` / ``shard.failover`` /
         ``shard.down`` / ``shard.up`` events (``None`` detaches)."""

@@ -20,7 +20,9 @@ The counter model distinguishes two layers:
   ``cache_evictions``) quantifies what the cache saved.
 
 Every read is counted by the store that serves it, in
-``read_block_bytes``.
+``read_block_bytes``.  :class:`ReadStats` is the one book of these
+numbers: the cache keeps no counters of its own, so a hit, a miss or an
+eviction is booked once, here, beside the read it belongs to.
 """
 
 from __future__ import annotations
@@ -271,13 +273,6 @@ class BlockStore:
         if self.cache is None:
             from .cache import BlockCache
             self.cache = BlockCache(capacity_bytes)
-
-    def cache_stats(self) -> "dict[str, int] | None":
-        """Plain-dict snapshot of the attached cache's counters
-        (``None`` without a cache)."""
-        if self.cache is None:
-            return None
-        return self.cache.stats.snapshot()
 
     def attach_tracer(self, tracer: "Tracer | None") -> None:
         """Accept an event sink (placement-aware stores emit

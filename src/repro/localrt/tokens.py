@@ -565,8 +565,8 @@ class DerivedViews:
             return True
 
     def stats(self) -> dict[str, int]:
-        """Plain-dict snapshot of the counters (trace-event / metrics
-        payload, like ``cache_stats()``)."""
+        """Plain-dict snapshot of the counters (the ``derived.stats``
+        trace-event payload)."""
         with self._lock:
             return {
                 "hits": self._hits,

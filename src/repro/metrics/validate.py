@@ -1,8 +1,8 @@
 """Trace validation: structural invariants every legal run satisfies.
 
-A simulation trace, wherever it came from (a live run, a JSONL archive
-reloaded through :mod:`repro.obs.export`, a third-party scheduler plugged
-into the driver), must satisfy the engine's contracts.
+A simulation trace, whichever scheduler produced it (a built-in one or
+a third-party scheduler plugged into the driver), must satisfy the
+engine's contracts.
 :func:`validate_trace` checks them over the tracer's instants, in record
 order, and returns the violations — the harness's equivalent of ``fsck``:
 

@@ -18,8 +18,9 @@ Pieces:
   fast path when disabled (:data:`NULL_TRACER`);
 * :class:`MetricsRegistry` — counters / gauges / fixed-bucket
   histograms; absorbs per-wave ``ReadStats`` deltas;
-* :mod:`~repro.obs.export` — Chrome trace-event JSON, JSONL stream,
-  text summary; ``python -m repro.obs`` converts and summarises;
+* :mod:`~repro.obs.export` — Chrome trace-event JSON (the one
+  on-disk encoding) and a text summary; ``python -m repro.obs``
+  summarises and analyzes;
 * :class:`TraceSession` — the ambient recording context simulators and
   runners adopt their tracers into;
 * :class:`~repro.common.config.TraceConfig` — the ``ExecutionConfig``
@@ -41,7 +42,6 @@ from .export import (
     chrome_document,
     chrome_events,
     export_chrome,
-    export_jsonl,
     format_summary,
     load_events,
     summarize,
@@ -108,7 +108,6 @@ __all__ = [
     "compare",
     "exact_percentile",
     "export_chrome",
-    "export_jsonl",
     "format_regression",
     "format_report",
     "format_summary",

@@ -4,7 +4,7 @@ PR 4's observability layer records *what happened* (spans, instants,
 metrics); this package turns a recorded trace back into *answers*:
 
 * :mod:`~repro.obs.analyze.spans` — rebuild the span forest from the
-  flat event stream (Chrome JSON or JSONL, via
+  flat event stream (a Chrome JSON trace, via
   :func:`repro.obs.export.load_events`);
 * :mod:`~repro.obs.analyze.critical` — per-run critical path with
   self-time vs child-time, plus a per-name time breakdown ("where did

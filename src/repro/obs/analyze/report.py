@@ -183,7 +183,7 @@ def analyze_events(events: Sequence[Mapping[str, Any]], *,
 
 def analyze_file(path: pathlib.Path | str, *, bins: int = 40,
                  straggler_k: float = 2.0) -> dict[str, Any]:
-    """Load a Chrome-JSON or JSONL trace and analyze it."""
+    """Load a Chrome-JSON trace and analyze it."""
     return analyze_events(load_events(path), bins=bins,
                           straggler_k=straggler_k)
 

@@ -1,15 +1,14 @@
-"""``python -m repro.obs`` — inspect, analyze and convert recorded traces.
+"""``python -m repro.obs`` — inspect and analyze recorded traces.
 
 Subcommands::
 
     summary TRACE            aggregate per-event-name statistics
     analyze TRACE            critical path, utilization, scan sharing
-    convert TRACE -o OUT     re-encode between Chrome JSON and JSONL
     regress BASELINE CURRENT gate a benchmark payload against a baseline
     top [--url U] [--once]   live dashboard over a service's /metrics
 
-``summary``/``analyze``/``convert`` accept either on-disk trace format
-(auto-detected); ``--json`` / ``--format json`` emit machine-readable
+``summary``/``analyze`` read a Chrome trace-event JSON file (what every
+traced run exports); ``--json`` / ``--format json`` emit machine-readable
 output for CI assertions.  ``regress`` compares two ``BENCH_*.json``
 payloads with the default metric specs for that benchmark and exits
 non-zero on regression (see :mod:`repro.obs.regress`).  ``top`` scrapes
@@ -29,27 +28,20 @@ from typing import Sequence
 from ..common.errors import ExperimentError
 from .analyze import analyze_events, format_report
 from .live.top import DEFAULT_URL, run_top
-from .export import (
-    export_chrome,
-    export_jsonl,
-    format_summary,
-    load_events,
-    summarize,
-    tracers_from_records,
-)
+from .export import format_summary, load_events, summarize
 from .regress import compare, format_regression, load_payload, specs_for
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description="Inspect, analyze or convert a recorded trace.")
+        description="Inspect or analyze a recorded trace.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     summary = sub.add_parser(
         "summary", help="print per-event-name statistics for a trace")
     summary.add_argument("trace", type=pathlib.Path,
-                         help="Chrome .trace.json or JSONL trace file")
+                         help="Chrome .trace.json trace file")
     summary.add_argument("--json", action="store_true",
                          help="emit the summary as JSON instead of a table")
 
@@ -58,22 +50,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="critical path, utilization timeline and scan-sharing "
              "attribution for a trace")
     analyze.add_argument("trace", type=pathlib.Path,
-                         help="Chrome .trace.json or JSONL trace file")
+                         help="Chrome .trace.json trace file")
     analyze.add_argument("--format", choices=("text", "json"),
                          default="text", help="output format")
     analyze.add_argument("--bins", type=int, default=40,
                          help="utilization timeline resolution")
     analyze.add_argument("--straggler-k", type=float, default=2.0,
                          help="straggler threshold (k x wave median)")
-
-    convert = sub.add_parser(
-        "convert", help="re-encode a trace (chrome <-> jsonl)")
-    convert.add_argument("trace", type=pathlib.Path,
-                         help="input trace file (format auto-detected)")
-    convert.add_argument("-o", "--output", type=pathlib.Path, required=True,
-                         help="output path")
-    convert.add_argument("--format", choices=("chrome", "jsonl"),
-                         default="chrome", help="output format")
 
     regress = sub.add_parser(
         "regress",
@@ -135,24 +118,15 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(format_summary(summary))
         return 0
 
-    if args.command == "analyze":
-        try:
-            document = analyze_events(events, bins=args.bins,
-                                      straggler_k=args.straggler_k)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if args.format == "json":
-            print(json.dumps(document, indent=2, sort_keys=True))
-        else:
-            print(format_report(document))
-        return 0
-
-    # convert
-    tracers = tracers_from_records(events)
-    if args.format == "chrome":
-        count = export_chrome(args.output, tracers)
+    # analyze
+    try:
+        document = analyze_events(events, bins=args.bins,
+                                  straggler_k=args.straggler_k)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if args.format == "json":
+        print(json.dumps(document, indent=2, sort_keys=True))
     else:
-        count = export_jsonl(args.output, tracers)
-    print(f"wrote {count} events to {args.output}")
+        print(format_report(document))
     return 0

@@ -1,4 +1,4 @@
-"""Trace exporters: Chrome trace-event JSON, JSONL stream, text summary.
+"""Trace export: Chrome trace-event JSON and a text summary.
 
 The Chrome format is the JSON array / ``traceEvents`` object understood
 by ``chrome://tracing`` and https://ui.perfetto.dev — drop the exported
@@ -11,6 +11,8 @@ keep separate tracks, so mixing clock domains in one file renders fine
 Output ordering is deterministic: events sort by (process, lane, time,
 depth, name, record index) and JSON keys are sorted, so identical runs
 produce byte-identical files — which is what the golden-file tests pin.
+Chrome JSON is the one on-disk encoding: :func:`load_events` reads it
+back for ``repro.obs summary`` / ``analyze``, and reads nothing else.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import IO, Any, Iterable, Iterator, Sequence
 
 from ..common.errors import ExperimentError
 from .live.window import exact_percentile
-from .tracer import PHASE_INSTANT, PHASE_SPAN, TraceEvent, Tracer
+from .tracer import PHASE_INSTANT, PHASE_SPAN, Tracer
 
 _MICRO = 1e6
 
@@ -114,8 +116,8 @@ def event_records(tracers: Iterable[Tracer]) -> Iterator[dict[str, Any]]:
     """Every event of ``tracers`` as a normalised plain dict.
 
     The one :class:`TraceEvent` → record conversion: the shape
-    :func:`export_jsonl` writes a line of, :func:`load_events` returns
-    and :func:`summarize` / the analyzer read.
+    :func:`load_events` returns and :func:`summarize` / the analyzer
+    read.
     """
     for tracer in tracers:
         for event in tracer.events():
@@ -127,81 +129,30 @@ def event_records(tracers: Iterable[Tracer]) -> Iterator[dict[str, Any]]:
                 "dur": event.dur,
                 "lane": event.lane,
                 "subject": event.subject,
-                "depth": event.depth,
                 "args": event.args,
             }
 
 
-def tracers_from_records(events: Iterable[dict[str, Any]]) -> list[Tracer]:
-    """Rebuild one tracer per source from normalised records (the inverse
-    of :func:`event_records`; the clocks are gone, the events are not)."""
-    tracers: dict[str, Tracer] = {}
-    for event in events:
-        name = event["tracer"] or "trace"
-        tracer = tracers.get(name)
-        if tracer is None:
-            tracer = tracers[name] = Tracer(name=name, clock=lambda: 0.0)
-        if event["ph"] not in (PHASE_SPAN, PHASE_INSTANT):
-            continue
-        tracer._append(TraceEvent(
-            phase=event["ph"], name=event["name"], ts=event["ts"],
-            dur=event["dur"], lane=event["lane"], subject=event["subject"],
-            depth=event.get("depth", 0), args=dict(event["args"])))
-    return list(tracers.values())
-
-
-def export_jsonl(target: pathlib.Path | str | IO[str],
-                 tracers: Sequence[Tracer]) -> int:
-    """Write one JSON object per event; returns the number of events.
-
-    The stream keeps the tracer's native units (seconds) and record
-    order — it is the raw feed for ad-hoc post-processing, where the
-    Chrome export is the rendering format.
-    """
-    own = isinstance(target, (str, pathlib.Path))
-    handle: IO[str] = open(target, "w", encoding="utf-8") if own else target
-    count = 0
-    try:
-        for record in event_records(tracers):
-            handle.write(json.dumps(record, separators=(",", ":"),
-                                    sort_keys=True))
-            handle.write("\n")
-            count += 1
-    finally:
-        if own:
-            handle.close()
-    return count
-
-
 def load_events(path: pathlib.Path | str) -> list[dict[str, Any]]:
-    """Load a Chrome (``.trace.json``) or JSONL trace into plain dicts.
+    """Load a Chrome trace (an event array or a ``{"traceEvents": …}``
+    document) into plain dicts.
 
     Returns records with keys ``ph``/``name``/``ts``/``dur``/``lane``/
-    ``tracer``/``subject``/``args`` (JSONL also keeps ``depth``, which
-    the Chrome format does not carry), timestamps in **seconds**
-    regardless of the on-disk format.  Metadata records are consumed to
-    resolve lane and tracer names, not returned.
+    ``tracer``/``subject``/``args``, timestamps in **seconds**.
+    Metadata records are consumed to resolve lane and tracer names, not
+    returned.  Any other content raises :class:`ExperimentError`.
     """
     text = pathlib.Path(path).read_text(encoding="utf-8")
-    stripped = text.lstrip()
-    if not stripped:
+    if not text.strip():
         return []
     try:
-        if stripped.startswith("["):
-            return _from_chrome(json.loads(text))
-        if stripped.startswith("{"):
-            # Both formats can open with "{": a Chrome document is one
-            # JSON object spanning the file, a JSONL stream is one object
-            # per line (so whole-file parsing fails beyond line one).
-            try:
-                payload = json.loads(text)
-            except json.JSONDecodeError:
-                return _from_jsonl(text.splitlines())
-            if isinstance(payload, dict) and "traceEvents" in payload:
-                return _from_chrome(payload["traceEvents"])
-            return _from_jsonl(text.splitlines())
-        raise ValueError("neither Chrome trace JSON nor JSONL")
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        payload = json.loads(text)
+        if isinstance(payload, dict) and "traceEvents" in payload:
+            payload = payload["traceEvents"]
+        if not isinstance(payload, list):
+            raise ValueError("not a Chrome trace")
+        return _from_chrome(payload)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ExperimentError(f"unreadable trace file {path}: {exc}") from exc
 
 
@@ -231,27 +182,6 @@ def _from_chrome(raw: Iterable[dict[str, Any]]) -> list[dict[str, Any]]:
             "tracer": process_names.get(pid, str(pid)),
             "subject": args.pop("subject", ""),
             "args": args,
-        })
-    return events
-
-
-def _from_jsonl(lines: Iterable[str]) -> list[dict[str, Any]]:
-    events = []
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        record = json.loads(line)
-        events.append({
-            "ph": record["ph"],
-            "name": record["name"],
-            "ts": float(record["ts"]),
-            "dur": float(record.get("dur", 0.0)),
-            "lane": record.get("lane", ""),
-            "tracer": record.get("tracer", ""),
-            "subject": record.get("subject", ""),
-            "depth": int(record.get("depth", 0)),
-            "args": record.get("args", {}),
         })
     return events
 

@@ -72,7 +72,9 @@ class Histogram:
     """Fixed-bucket histogram: counts of observations per upper bound.
 
     ``buckets`` are inclusive upper bounds in increasing order; an
-    implicit overflow bucket catches everything larger.
+    implicit overflow bucket catches everything larger.  It estimates no
+    quantiles: the one percentile definition is
+    :func:`~repro.obs.live.window.exact_percentile`, over raw samples.
     """
 
     __slots__ = ("name", "_lock", "buckets", "counts", "total", "count")
@@ -108,38 +110,6 @@ class Histogram:
     def mean(self) -> float:
         """Mean of all observations (0.0 when empty)."""
         return self.total / self.count if self.count else 0.0
-
-    def percentile(self, q: float) -> float:
-        """Estimated ``q``-th percentile (0..100) from the bucket counts.
-
-        Linear interpolation inside the bucket that holds the rank,
-        taking 0 as the lower edge of the first bucket (observations are
-        non-negative in practice).  Ranks landing in the overflow bucket
-        clamp to the last bound — the histogram does not know how far
-        past it the outliers went.  0.0 when empty.
-        """
-        if not 0.0 <= q <= 100.0:
-            raise ExecutionError(
-                f"percentile must be in [0, 100], got {q}")
-        with self._lock:
-            counts = list(self.counts)
-            count = self.count
-        if count == 0:
-            return 0.0
-        rank = q / 100.0 * count
-        cumulative = 0
-        for index, bucket_count in enumerate(counts):
-            if bucket_count == 0:
-                continue
-            if index >= len(self.buckets):
-                return self.buckets[-1]
-            lower = 0.0 if index == 0 else self.buckets[index - 1]
-            upper = self.buckets[index]
-            if cumulative + bucket_count >= rank:
-                fraction = (rank - cumulative) / bucket_count
-                return lower + (upper - lower) * min(1.0, max(0.0, fraction))
-            cumulative += bucket_count
-        return self.buckets[-1]
 
 
 class MetricsRegistry:
@@ -230,9 +200,6 @@ class MetricsRegistry:
                     "counts": list(instrument.counts),
                     "total": instrument.total,
                     "count": instrument.count,
-                    "p50": instrument.percentile(50),
-                    "p95": instrument.percentile(95),
-                    "p99": instrument.percentile(99),
                 }
         return out
 
@@ -248,8 +215,7 @@ class MetricsRegistry:
                 mean = (value['total'] / value['count']) if value['count'] \
                     else 0.0
                 rendered = (f"count={value['count']} total={value['total']:g} "
-                            f"mean={mean:g} p50={value['p50']:g} "
-                            f"p95={value['p95']:g} p99={value['p99']:g}")
+                            f"mean={mean:g}")
             elif isinstance(value, float):
                 rendered = f"{value:g}"
             else:

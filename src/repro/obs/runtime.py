@@ -22,7 +22,6 @@ from typing import Any, Callable
 from .export import (
     event_records,
     export_chrome,
-    export_jsonl,
     format_summary,
     summarize,
 )
@@ -93,17 +92,11 @@ class TraceSession:
 
     # -- output ---------------------------------------------------------
 
-    def export(self, path: pathlib.Path | str, *,
-               format: str = "chrome") -> pathlib.Path:
-        """Write every adopted tracer to ``path``; returns the path."""
+    def export(self, path: pathlib.Path | str) -> pathlib.Path:
+        """Write every adopted tracer to ``path`` as Chrome trace JSON;
+        returns the path."""
         path = pathlib.Path(path)
-        if format == "chrome":
-            export_chrome(path, self.tracers())
-        elif format == "jsonl":
-            export_jsonl(path, self.tracers())
-        else:
-            raise ValueError(f"unknown trace format {format!r} "
-                             "(expected 'chrome' or 'jsonl')")
+        export_chrome(path, self.tracers())
         return path
 
     def summary(self) -> str:

@@ -3,7 +3,7 @@
 One API serves both halves of the repo: the simulator hands in a clock
 that reads simulation time, the local runtime uses the sanctioned wall
 clock from :mod:`repro.common.clock`, and everything downstream (Chrome
-trace export, JSONL streams, summaries) is clock-agnostic.  A disabled
+trace export, summaries, analytics) is clock-agnostic.  A disabled
 tracer — and the module-level :data:`NULL_TRACER` — short-circuits every
 call before any allocation, so instrumented hot paths pay a single
 attribute check when observability is off.

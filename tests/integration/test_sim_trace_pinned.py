@@ -19,7 +19,7 @@ from repro.mapreduce.faults import FaultModel
 from repro.mapreduce.job import JobSpec
 from repro.mapreduce.profile import normal_wordcount
 from repro.metrics.utilization import slot_utilization
-from repro.obs import Tracer, analyze_events, export_jsonl, load_events
+from repro.obs import Tracer, analyze_events, export_chrome, load_events
 from repro.schedulers.fifo import FifoScheduler
 from repro.schedulers.mrshare import MRShareScheduler
 from repro.schedulers.s3 import S3Scheduler
@@ -108,7 +108,7 @@ def test_utilization_from_spans_equals_parent(faulty, tmp_path):
     # Parent value: slot_utilization over paired start/end instants.
     assert slot_utilization(faulty.tracer, 40, kind="map") == pytest.approx(
         0.43146258118776665, abs=1e-12)
-    path = tmp_path / "faulty.jsonl"
-    export_jsonl(path, [faulty.tracer])
+    path = tmp_path / "faulty.trace.json"
+    export_chrome(path, [faulty.tracer])
     report = analyze_events(load_events(path))
     assert report["breakdown"]["sim"]["task.map"]["count"] == 598

@@ -1,4 +1,8 @@
-"""BlockCache unit tests: LRU-by-bytes semantics, stats, thread safety."""
+"""BlockCache unit tests: LRU-by-bytes semantics, thread safety.
+
+The cache counts nothing itself; its hits, misses and evictions are
+booked in the store's ReadStats (the store tests below and the in-flight
+fill tests in test_storage pin that book)."""
 
 import threading
 
@@ -21,24 +25,31 @@ def test_capacity_must_be_positive():
 
 
 def test_get_miss_then_hit():
-    cache = BlockCache(100)
+    cache = BlockCache(10)
     assert cache.get(0) is None
-    cache.put(0, "abc", 3)
-    assert cache.get(0) == "abc"
-    assert cache.stats.misses == 1
-    assert cache.stats.hits == 1
-    assert cache.stats.hit_ratio == 0.5
+    cache.put(0, "aaaaa", 5)
+    cache.put(1, "bbbbb", 5)
+    assert cache.get(0) == "aaaaa"
+    # The hit refreshed 0, so 1 is now the LRU entry -> evicted.
+    assert cache.put(2, "ccccc", 5) == 1
+    assert 0 in cache and 1 not in cache and 2 in cache
 
 
-def test_contains_does_not_touch_stats_or_recency():
+def test_contains_does_not_touch_stats_or_recency(tmp_path):
     cache = BlockCache(10)
     cache.put(0, "aaaaa", 5)
     cache.put(1, "bbbbb", 5)
-    assert 0 in cache and 1 in cache
-    assert cache.stats.hits == 0 and cache.stats.misses == 0
+    assert 0 in cache and 1 in cache and cache.contains(0)
     # 0 is still the LRU entry (contains didn't refresh it) -> evicted.
     cache.put(2, "ccccc", 5)
     assert 0 not in cache and 1 in cache and 2 in cache
+    # A membership test on a store's cache books nothing in ReadStats.
+    store = BlockStore.create(tmp_path / "s", lines(10), block_size_bytes=100,
+                              cache=BlockCache(1_000_000))
+    store.read_block_bytes(0)
+    before = store.stats_snapshot()
+    assert 0 in store.cache and 1 not in store.cache
+    assert store.stats_snapshot() == before
 
 
 def test_eviction_is_lru_by_bytes():
@@ -55,12 +66,15 @@ def test_eviction_is_lru_by_bytes():
 
 def test_eviction_count_and_current_bytes():
     cache = BlockCache(12)
-    for i in range(4):
-        cache.put(i, "x" * 4, 4)   # 4 entries of 4 bytes into a 12-byte cache
+    # 4 entries of 4 bytes into a 12-byte cache: only the 4th evicts.
+    evicted = [cache.put(i, "x" * 4, 4) for i in range(4)]
+    assert evicted == [0, 0, 0, 1]
     assert len(cache) == 3
     assert cache.current_bytes == 12
-    assert cache.stats.evictions == 1
-    assert cache.stats.insertions == 4
+    assert 0 not in cache
+    # Making room for 12 bytes evicts all three residents.
+    assert cache.put(9, "y" * 12, 12) == 3
+    assert len(cache) == 1 and cache.current_bytes == 12
 
 
 def test_refresh_existing_entry_updates_bytes():
@@ -79,7 +93,7 @@ def test_oversized_block_is_skipped_not_thrashed():
     assert evicted == 0
     assert 1 not in cache
     assert 0 in cache              # resident entries survive
-    assert cache.stats.oversized_skips == 1
+    assert cache.current_bytes == 4 and len(cache) == 1
 
 
 def test_negative_size_rejected():
@@ -109,7 +123,8 @@ def test_concurrent_put_get_respects_budget():
     assert not errors
     assert cache.current_bytes <= 64
     assert len(cache) <= 8
-    assert cache.stats.hits + cache.stats.misses == 6 * 500
+    # The byte book matches the entries left resident.
+    assert cache.current_bytes == 8 * len(cache)
 
 
 def test_store_with_cache_reduces_physical_reads(tmp_path):

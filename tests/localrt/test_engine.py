@@ -123,16 +123,13 @@ def test_batched_and_per_record_jobs_share_one_wave():
     assert dict(run_reduce(per_record)) == {"x": 2, "y": 1}
 
 
-def test_unsupported_reader_falls_back_with_deprecation_warning():
+def test_unsupported_reader_is_an_error():
     state = upper_state(UpperBlock())
     # The default BlockMapper kernel only vouches for TextLineReader.
     reader = DelimitedReader("|")
-    with pytest.warns(DeprecationWarning, match="per-record fallback"):
-        count, outputs, _ = collect_map_outputs(
-            [state.job], reader, b"a|b\n", 0)
-    assert count == 1
-    # The per-record path fed the mapper DelimitedReader's field tuples.
-    assert outputs[0] == [("('A', 'B')", 1)]
+    with pytest.raises(ExecutionError,
+                       match="'u'.*UpperBlock.*DelimitedReader"):
+        collect_map_outputs([state.job], reader, b"a|b\n", 0)
 
 
 def test_record_count_mismatch_raises():

@@ -103,13 +103,3 @@ def test_active_session_supplies_tracer(store):
         assert runner.tracer in session.tracers()
         runner.run(jobs())
         assert session.event_count() > 0
-
-
-def test_jsonl_trace_format(tmp_path, store):
-    trace_path = tmp_path / "run.jsonl"
-    config = ExecutionConfig(trace=TraceConfig(
-        enabled=True, path=str(trace_path), format="jsonl"))
-    report = FifoLocalRunner(store, config).run(jobs())
-    assert report.trace_path == str(trace_path)
-    first = trace_path.read_text(encoding="utf-8").splitlines()[0]
-    assert json.loads(first)["name"]

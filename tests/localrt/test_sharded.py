@@ -188,13 +188,16 @@ def test_stats_aggregate(sharded):
 
 def test_cache_split_across_shards(sharded):
     assert not sharded.has_cache
-    assert sharded.cache_stats() is None
-    sharded.ensure_cache(sharded.total_bytes * 2)
+    capacity = sharded.total_bytes * 2
+    sharded.ensure_cache(capacity)
     assert sharded.has_cache
+    assert [store.cache.capacity_bytes for store in sharded._shard_stores] \
+        == [capacity // NUM_SHARDS] * NUM_SHARDS
     sharded.read_block_bytes(0)
     sharded.read_block_bytes(0)
-    stats = sharded.cache_stats()
-    assert stats is not None and stats["hits"] >= 1
+    stats = sharded.stats_snapshot()
+    assert (stats.cache_misses, stats.cache_hits) == (1, 1)
+    assert stats.physical_blocks_read == 1
     with pytest.raises(ExecutionError, match="positive"):
         sharded.ensure_cache(0)
 

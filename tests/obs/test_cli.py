@@ -1,11 +1,11 @@
-"""``python -m repro.obs`` CLI: summary, analyze, convert subcommands."""
+"""``python -m repro.obs`` CLI: summary and analyze subcommands."""
 
 import json
 import pathlib
 
 import pytest
 
-from repro.obs import Tracer, export_chrome, export_jsonl, load_events
+from repro.obs import Tracer, export_chrome
 from repro.obs.cli import main
 
 
@@ -74,32 +74,6 @@ def test_analyze_honors_bins_and_straggler_k(capsys):
 def test_analyze_missing_file_exits_2(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "nope.json")]) == 2
     assert "error:" in capsys.readouterr().err
-
-
-def test_convert_chrome_to_jsonl_and_back(trace_file, tmp_path, capsys):
-    jsonl = tmp_path / "run.jsonl"
-    assert main(["convert", str(trace_file), "-o", str(jsonl),
-                 "--format", "jsonl"]) == 0
-    assert "wrote 2 events" in capsys.readouterr().out
-    assert len(load_events(jsonl)) == 2
-
-    back = tmp_path / "back.trace.json"
-    assert main(["convert", str(jsonl), "-o", str(back)]) == 0
-    events = load_events(back)
-    assert {e["name"] for e in events} == {"map.wave", "io.wave"}
-    wave = next(e for e in events if e["name"] == "map.wave")
-    assert wave["dur"] == pytest.approx(2.0)
-
-
-def test_convert_from_jsonl_input(tmp_path, capsys):
-    tracer = Tracer(name="t", clock=lambda: 0.0)
-    tracer.event_at(0.5, "e", lane="l")
-    src = tmp_path / "in.jsonl"
-    export_jsonl(src, [tracer])
-    out = tmp_path / "out.trace.json"
-    assert main(["convert", str(src), "-o", str(out)]) == 0
-    document = json.loads(out.read_text(encoding="utf-8"))
-    assert any(e.get("name") == "e" for e in document["traceEvents"])
 
 
 def test_module_entry_point(trace_file):

@@ -1,4 +1,4 @@
-"""Exporters: golden Chrome trace, JSONL roundtrip, summaries, bad input."""
+"""Exporter: golden Chrome trace, roundtrip, summaries, bad input."""
 
 import io
 import json
@@ -11,7 +11,6 @@ from repro.obs import (
     Tracer,
     chrome_events,
     export_chrome,
-    export_jsonl,
     format_summary,
     load_events,
     summarize,
@@ -92,24 +91,6 @@ def test_chrome_roundtrip_via_load_events(tmp_path):
     assert by_name["job.submit"]["args"] == {"file": "f"}
 
 
-def test_jsonl_roundtrip(tmp_path):
-    path = tmp_path / "t.jsonl"
-    count = export_jsonl(path, sample_tracers())
-    assert count == 7
-    events = load_events(path)
-    assert len(events) == 7
-    # JSONL preserves record order and native seconds.
-    assert events[0]["name"] == "job.submit"
-    assert events[0]["tracer"] == "sim"
-    wave = next(e for e in events if e["name"] == "map.wave")
-    assert wave["ts"] == pytest.approx(0.0)
-    assert wave["dur"] == pytest.approx(0.75)
-    # An open stream takes the same lines as a path.
-    stream = io.StringIO()
-    assert export_jsonl(stream, sample_tracers()) == 7
-    assert stream.getvalue() == path.read_text(encoding="utf-8")
-
-
 def test_exported_chrome_is_valid_json(tmp_path):
     path = tmp_path / "t.trace.json"
     export_chrome(path, sample_tracers())
@@ -146,9 +127,18 @@ def test_summarize_empty():
 
 def test_load_events_rejects_garbage(tmp_path):
     bad = tmp_path / "bad.trace.json"
-    bad.write_text("{not json", encoding="utf-8")
-    with pytest.raises(ExperimentError, match="unreadable trace file"):
-        load_events(bad)
+    for text in (
+        "{not json",
+        # A JSONL stream: Chrome JSON is the only trace encoding.
+        '{"name": "a", "ph": "i", "ts": 0.0}\n'
+        '{"name": "b", "ph": "i", "ts": 1.0}\n',
+        '{"name": "a", "ph": "i", "ts": 0.0}\n',
+        "42",
+    ):
+        bad.write_text(text, encoding="utf-8")
+        with pytest.raises(ExperimentError,
+                           match=f"unreadable trace file {bad}"):
+            load_events(bad)
 
 
 def test_load_events_empty_file(tmp_path):

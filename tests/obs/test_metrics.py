@@ -75,6 +75,8 @@ def test_snapshot_and_format_table():
     snap = registry.snapshot()
     assert snap["a"] == 2 and snap["b"] == 1.5
     assert snap["c"]["count"] == 1
+    # Buckets only: the one quantile definition is exact_percentile.
+    assert set(snap["c"]) == {"buckets", "counts", "total", "count"}
     table = registry.format_table()
     assert "a" in table and "count=1" in table
     assert len(registry) == 3
@@ -82,43 +84,6 @@ def test_snapshot_and_format_table():
 
 def test_empty_registry_table():
     assert MetricsRegistry().format_table() == "(no metrics recorded)"
-
-
-# ---------------------------------------------------------------------------
-# Histogram.percentile edge cases
-
-
-def test_percentile_empty_histogram_is_zero():
-    hist = MetricsRegistry().histogram("latency", buckets=(1.0, 4.0))
-    assert hist.percentile(50) == 0.0
-    assert hist.percentile(99) == 0.0
-
-
-def test_percentile_rejects_out_of_range_rank():
-    hist = MetricsRegistry().histogram("latency", buckets=(1.0,))
-    with pytest.raises(ExecutionError, match=r"\[0, 100\]"):
-        hist.percentile(-1)
-    with pytest.raises(ExecutionError, match=r"\[0, 100\]"):
-        hist.percentile(100.5)
-
-
-def test_percentile_single_observation_interpolates_its_bucket():
-    hist = MetricsRegistry().histogram("latency", buckets=(1.0, 4.0))
-    hist.observe(2.0)  # lands in the (1, 4] bucket
-    # Every rank interpolates across that one bucket's edges.
-    assert hist.percentile(0) == pytest.approx(1.0)
-    assert hist.percentile(50) == pytest.approx(2.5)
-    assert hist.percentile(100) == pytest.approx(4.0)
-
-
-def test_percentile_one_bucket_histogram_and_overflow_clamp():
-    hist = MetricsRegistry().histogram("latency", buckets=(1.0,))
-    hist.observe(0.5)
-    # Single bucket: first edge is 0, so rank interpolates [0, 1].
-    assert hist.percentile(50) == pytest.approx(0.5)
-    hist.observe(5.0)  # overflow bucket
-    # Ranks landing past the last bound clamp to it.
-    assert hist.percentile(99) == 1.0
 
 
 def test_instruments_preserves_kinds_sorted():

@@ -70,25 +70,6 @@ def test_export_writes_every_adopted_tracer(tmp_path):
     assert {"s", "sim"} <= processes
 
 
-def test_export_jsonl_format(tmp_path):
-    session = TraceSession("s")
-    session.tracer.event("e")
-    path = session.export(tmp_path / "out.jsonl", format="jsonl")
-    lines = path.read_text(encoding="utf-8").strip().splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0])["name"] == "e"
-
-
-def test_export_unknown_format(tmp_path):
-    session = TraceSession("s")
-    try:
-        session.export(tmp_path / "x", format="xml")
-    except ValueError as exc:
-        assert "unknown trace format" in str(exc)
-    else:  # pragma: no cover
-        raise AssertionError("expected ValueError")
-
-
 def test_summary_renders_counts():
     session = TraceSession("s")
     session.tracer.event("io.wave")
