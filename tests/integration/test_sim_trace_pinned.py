@@ -4,7 +4,9 @@ PR 20 made the sim-clock ``Tracer`` the simulator's only record (it sat
 behind an adapter log before).  The digests below were computed at the
 parent commit (``584e634``) from the adapter's underlying tracer with
 :func:`instant_digest`; the same runs must still record the same
-``(ts, name, subject, args)`` sequence of instants.
+``(ts, name, subject, args)`` sequence of instants.  The dispatch-path digests (pools, retries,
+backups) were computed at ``cf9e154``, before every policy shared one
+dispatch base.
 """
 
 import hashlib
@@ -15,13 +17,14 @@ import pytest
 from repro.common.config import ClusterConfig, DfsConfig
 from repro.mapreduce.costmodel import CostModel
 from repro.mapreduce.driver import SimulationDriver, SimulationResult
-from repro.mapreduce.faults import FaultModel
+from repro.mapreduce.faults import FaultModel, SpeculationConfig
 from repro.mapreduce.job import JobSpec
 from repro.mapreduce.profile import normal_wordcount
 from repro.metrics.utilization import slot_utilization
 from repro.obs import Tracer, analyze_events, export_chrome, load_events
 from repro.schedulers.fifo import FifoScheduler
 from repro.schedulers.mrshare import MRShareScheduler
+from repro.schedulers.pooled import CapacityScheduler, FairScheduler, tag_pool
 from repro.schedulers.s3 import S3Scheduler
 
 
@@ -78,6 +81,62 @@ def faulty() -> SimulationResult:
 ], ids=["fifo", "mrshare", "s3"])
 def test_instants_identical_to_parent(make_scheduler, expected):
     assert instant_digest(small_run(make_scheduler()).tracer) == expected
+
+
+def dispatch_run(scheduler, *, pools: str = "", faults: bool = False,
+                 speculate: bool = False) -> SimulationResult:
+    """``small_run``'s workload through the retry, backup and pool paths.
+
+    ``pools`` names the pool of each job in turn (``"ab"`` alternates two
+    pools); faults and speculation each switch on a jittered cost model.
+    """
+    jobs = [JobSpec(job_id=f"j{i}", file_name="f", profile=normal_wordcount(),
+                    tag=tag_pool(pools[i % len(pools)]) if pools else "")
+            for i in range(4)]
+    driver = SimulationDriver(
+        scheduler,
+        cluster_config=ClusterConfig(
+            num_nodes=8, rack_sizes=(4, 4),
+            node_speeds=((0.25, 1, 1, 1, 0.25, 1, 1, 1) if speculate
+                         else None)),
+        dfs_config=DfsConfig(block_size_mb=64.0),
+        cost_model=(CostModel(duration_jitter=0.2) if faults or speculate
+                    else None),
+        fault_model=(FaultModel(task_failure_prob=0.05, seed=7) if faults
+                     else None),
+        speculation=(SpeculationConfig(enabled=True, check_interval_s=5,
+                                       slowness_factor=1.4, min_completed=5)
+                     if speculate else None),
+        jitter_seed=5)
+    driver.register_file("f", 48 * 64.0)
+    driver.submit_all(jobs, [0.0, 10.0, 20.0, 30.0])
+    return driver.run()
+
+
+@pytest.mark.parametrize("make_scheduler, options, failures, backups, expected", [
+    (lambda: CapacityScheduler({"a": 0.5, "b": 0.5}), dict(pools="ab"), 0, 0,
+     "6ef1643de5c50861dcfec087e2b90af339910350611f7732e6bf3f36527d18fc"),
+    (FairScheduler, dict(pools="abc"), 0, 0,
+     "21c7bf20f6a8a8e770ce348a17e7f372b11840579798698d61c910e601477d6f"),
+    (FairScheduler, dict(pools="ab", faults=True), 17, 0,
+     "abbafb3583b80daef8d3f24dde38a1827c78baadb9fc3be9f9097bf7b5df7ede"),
+    (FifoScheduler, dict(faults=True), 17, 0,
+     "2ee5f75314230bd13e0ebf4b30f340413e9792ce6c9ccd5bb4a53ca220963ea5"),
+    (lambda: MRShareScheduler.single_batch(4), dict(faults=True), 4, 0,
+     "b83f5e86a2e94efa262884051a7c3116e20710f0d437f8d7820413283cab7fd0"),
+    (FifoScheduler, dict(speculate=True), 0, 1,
+     "403efa0318afb6f1f95df6cdf97a21e75737ebb80a32170a2407d9586c8f0a0a"),
+    (S3Scheduler, dict(speculate=True), 0, 16,
+     "1e0ed1934b356401c6c8759370b0b1e66c53fe8aab19a90d746e60c13ef1fcce"),
+], ids=["capacity", "fair", "fair-faults", "fifo-faults", "mrs1-faults",
+        "fifo-speculation", "s3-speculation"])
+def test_dispatch_paths_identical_to_parent(make_scheduler, options, failures,
+                                            backups, expected):
+    """Pools, retries and backups: the paths the runs above never take."""
+    result = dispatch_run(make_scheduler(), **options)
+    assert (result.task_failures, result.speculative_launched) == (
+        failures, backups)
+    assert instant_digest(result.tracer) == expected
 
 
 def test_faulty_instants_identical_to_parent(faulty):
