@@ -3,8 +3,8 @@
 A scheduler answers ``next_launch()`` with a :class:`TaskLaunch`; the driver
 occupies the slot, simulates the duration, then hands the same object back
 via ``on_task_complete``.  The ``payload`` field carries scheduler-private
-state (e.g. which S3 iteration a map task belongs to) without the driver
-having to know about it.
+state (the scheduler's record of the work the task belongs to) without
+the driver having to know about it.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ class FifoScheduler(UnitQueueScheduler):
         ctx = self.ctx
         dfs_file = ctx.namenode.get_file(job.file_name)
         unit = ExecUnit(
-            unit_id=f"fifo:{job.job_id}",
+            work_id=f"fifo:{job.job_id}",
             jobs=(job,),
             profile=job.profile,
             dfs_file=dfs_file,
@@ -51,10 +51,4 @@ class FifoScheduler(UnitQueueScheduler):
         # Default path (equal priorities) appends, preserving FIFO order.
         if insert_at < 0 or insert_at > len(self._units):
             raise SchedulingError("FIFO queue corrupted")
-        self._units.insert(insert_at, unit)
-        ctx = self.ctx
-        ctx.tracer.event("unit.enqueue", subject=unit.unit_id,
-                         jobs=1, ready=round(unit.ready_time, 3))
-        if unit.ready_time > now:
-            ctx.sim.at(unit.ready_time, lambda _t: ctx.request_dispatch(),
-                       label=f"ready:{unit.unit_id}")
+        self.enqueue_unit(unit, now, insert_at)

@@ -108,7 +108,7 @@ class MRShareScheduler(UnitQueueScheduler):
             batch.launched = True
             combined = make_batch(f"mrs:batch_{group}", batch.members)
             unit = ExecUnit(
-                unit_id=combined.batch_id,
+                work_id=combined.batch_id,
                 jobs=combined.jobs,
                 profile=combined.profile,
                 dfs_file=self.ctx.namenode.get_file(combined.file_name),

@@ -23,13 +23,12 @@ pool rides in the free-form tag); untagged jobs land in ``"default"``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
-from ..cluster.node import Node
-from ..common import ids
 from ..common.errors import SchedulingError
 from ..mapreduce.job import JobSpec
 from ..mapreduce.task import TaskKind, TaskLaunch
-from .unitqueue import ExecUnit, UnitQueueScheduler
+from .unitqueue import ExecUnit, UnitQueueScheduler, map_head, reducible
 
 
 def pool_of(job: JobSpec) -> str:
@@ -56,16 +55,16 @@ class _PoolState:
     name: str
     guaranteed_share: float | None
     units: list[ExecUnit] = field(default_factory=list)
-    running_maps: int = 0
-    running_reduces: int = 0
+    #: Running tasks of each kind.
+    running: dict[TaskKind, int] = field(
+        default_factory=lambda: dict.fromkeys(TaskKind, 0))
 
-    def has_pending_maps(self, now: float) -> bool:
-        return any(not u.done and not u.maps_all_assigned
-                   and u.ready_time <= now for u in self.units)
-
-    def has_pending_reduces(self) -> bool:
-        return any(not u.done and u.maps_all_complete
-                   and u.reduces_to_launch > 0 for u in self.units)
+    def has_pending(self, kind: TaskKind, now: float) -> bool:
+        """Whether dispatch would find a ``kind`` task to launch here."""
+        if kind is TaskKind.MAP:
+            return map_head(self.units, now) is not None
+        return any(unit.reduces_to_launch > 0
+                   for unit in reducible(self.units))
 
 
 class PooledScheduler(UnitQueueScheduler):
@@ -97,6 +96,8 @@ class PooledScheduler(UnitQueueScheduler):
             for pool_name in shares:
                 self._pools[pool_name] = _PoolState(
                     name=pool_name, guaranteed_share=shares[pool_name])
+        #: The pool of each unit, by unit id.
+        self._pool_of: dict[str, _PoolState] = {}
 
     # --------------------------------------------------------------- intake
     def on_job_submitted(self, job: JobSpec, now: float) -> None:
@@ -110,20 +111,15 @@ class PooledScheduler(UnitQueueScheduler):
             pool = _PoolState(name=pool_name, guaranteed_share=None)
             self._pools[pool_name] = pool
         unit = ExecUnit(
-            unit_id=f"{self.name.lower()}:{pool_name}:{job.job_id}",
+            work_id=f"{self.name.lower()}:{pool_name}:{job.job_id}",
             jobs=(job,),
             profile=job.profile,
             dfs_file=self.ctx.namenode.get_file(job.file_name),
             ready_time=now + self.ctx.cost.job_submit_overhead_s,
         )
         pool.units.append(unit)
-        self._units.append(unit)  # keeps base-class completion accounting
-        ctx = self.ctx
-        ctx.tracer.event("unit.enqueue", subject=unit.unit_id,
-                         jobs=1, ready=round(unit.ready_time, 3))
-        if unit.ready_time > now:
-            ctx.sim.at(unit.ready_time, lambda _t: ctx.request_dispatch(),
-                       label=f"ready:{unit.unit_id}")
+        self._pool_of[unit.work_id] = pool
+        self.enqueue_unit(unit, now)
 
     # ---------------------------------------------------------- share logic
     def _share_of(self, pool: _PoolState, demanding: int) -> float:
@@ -133,118 +129,51 @@ class PooledScheduler(UnitQueueScheduler):
 
     def _pools_by_deficit(self, *, kind: TaskKind, now: float) -> list[_PoolState]:
         """Pools with pending work of ``kind``, most underserved first."""
-        if kind is TaskKind.MAP:
-            demanding = [p for p in self._pools.values()
-                         if p.has_pending_maps(now)]
-        else:
-            demanding = [p for p in self._pools.values()
-                         if p.has_pending_reduces()]
+        demanding = [p for p in self._pools.values()
+                     if p.has_pending(kind, now)]
         count = len(demanding)
 
         def deficit_key(pool: _PoolState) -> tuple[float, str]:
-            share = self._share_of(pool, count)
-            running = (pool.running_maps if kind is TaskKind.MAP
-                       else pool.running_reduces)
-            return (running / share, pool.name)
+            return (pool.running[kind] / self._share_of(pool, count),
+                    pool.name)
 
         return sorted(demanding, key=deficit_key)
 
     # -------------------------------------------------------------- dispatch
+    def next_launch(self, now: float) -> TaskLaunch | None:
+        launch = super().next_launch(now)
+        if launch is not None:
+            self._pool_of[launch.payload.work_id].running[launch.kind] += 1
+        return launch
+
     def _next_map(self, now: float) -> TaskLaunch | None:
-        ctx = self.ctx
         for pool in self._pools_by_deficit(kind=TaskKind.MAP, now=now):
-            for unit in pool.units:
-                if unit.done or unit.maps_all_assigned:
-                    continue
-                if unit.ready_time > now:
-                    break  # FIFO within the pool: a not-ready head blocks
-                assignment = unit.assigner.next_assignment(ctx.cluster)
-                if assignment is None:
-                    return None  # no free map slots anywhere
-                node, block_index, local = assignment
-                block = unit.dfs_file.block(block_index)
-                duration = ctx.cost.map_task_duration(
-                    unit.profile, block.size_mb, unit.batch_size,
-                    node_speed=node.speed, local=local)
-                pool.running_maps += 1
-                return TaskLaunch(
-                    attempt_id=self._next_attempt_id(
-                        ids.map_task_id(unit.unit_id, block_index)),
-                    kind=TaskKind.MAP,
-                    node_id=node.node_id,
-                    duration=duration,
-                    job_ids=unit.job_ids,
-                    block_index=block_index,
-                    local=local,
-                    payload=(pool, unit),
-                )
+            unit = map_head(pool.units, now)
+            if unit is not None:
+                return self._assign_map(unit)
         return None
 
-    def _next_reduce(self, now: float) -> TaskLaunch | None:
-        from .assignment import pick_reduce_node
-        ctx = self.ctx
+    def _reducible(self, now: float) -> Iterable[ExecUnit]:
         for pool in self._pools_by_deficit(kind=TaskKind.REDUCE, now=now):
-            for unit in pool.units:
-                if unit.done or not unit.maps_all_complete:
-                    continue
-                if unit.reduces_to_launch <= 0:
-                    continue
-                node = pick_reduce_node(ctx.cluster)
-                if node is None:
-                    return None
-                unit.reduces_to_launch -= 1
-                unit.reduces_started = True
-                self._reduce_counter += 1
-                duration = ctx.cost.reduce_task_duration(
-                    unit.profile, unit.batch_size, node_speed=node.speed)
-                pool.running_reduces += 1
-                return TaskLaunch(
-                    attempt_id=self._next_attempt_id(
-                        ids.reduce_task_id(unit.unit_id, self._reduce_counter)),
-                    kind=TaskKind.REDUCE,
-                    node_id=node.node_id,
-                    duration=duration,
-                    job_ids=unit.job_ids,
-                    payload=(pool, unit),
-                )
-        return None
+            yield from reducible(pool.units)
 
-    # ------------------------------------------------------------ completion
-    def on_task_complete(self, launch: TaskLaunch, now: float) -> None:
-        pool, unit = self._unpack(launch)
-        if launch.kind is TaskKind.MAP:
-            pool.running_maps -= 1
-        else:
-            pool.running_reduces -= 1
-        launch.payload = unit  # delegate to the base-class unit accounting
-        try:
-            super().on_task_complete(launch, now)
-        finally:
-            launch.payload = (pool, unit)
-
-    def on_task_failed(self, launch: TaskLaunch, now: float) -> None:
-        pool, unit = self._unpack(launch)
-        if launch.kind is TaskKind.MAP:
-            pool.running_maps -= 1
-            if launch.block_index is None:
-                raise SchedulingError(f"{launch.attempt_id}: map without block")
-            unit.assigner.add(launch.block_index)
-        else:
-            pool.running_reduces -= 1
-            unit.reduces_to_launch += 1
-
-    def backup_launch(self, launch: TaskLaunch, node: Node,
-                      now: float) -> TaskLaunch | None:
+    def _speculatable(self, work: ExecUnit) -> bool:
         """Speculation is unsupported for pooled policies (the per-pool
         running-task accounting assumes one attempt per task)."""
-        return None
+        return False
 
-    def _unpack(self, launch: TaskLaunch) -> tuple[_PoolState, ExecUnit]:
-        payload = launch.payload
-        if (not isinstance(payload, tuple) or len(payload) != 2
-                or not isinstance(payload[1], ExecUnit)):
-            raise SchedulingError(f"{self.name}: foreign task {launch.attempt_id}")
-        return payload
+    # ------------------------------------------------------------ completion
+    def _release(self, launch: TaskLaunch) -> None:
+        unit = self._work_of(launch)
+        self._pool_of[unit.work_id].running[launch.kind] -= 1
+
+    def on_task_complete(self, launch: TaskLaunch, now: float) -> None:
+        self._release(launch)
+        super().on_task_complete(launch, now)
+
+    def on_task_failed(self, launch: TaskLaunch, now: float) -> None:
+        self._release(launch)
+        super().on_task_failed(launch, now)
 
 
 class CapacityScheduler(PooledScheduler):

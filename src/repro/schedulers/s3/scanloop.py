@@ -10,26 +10,26 @@ to be processed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ...analysis.racecheck import race_checked
 from ...common.errors import SchedulingError
 from ...dfs.block import DfsFile
 from ...mapreduce.job import JobSpec
 from ...mapreduce.profile import JobProfile
-from ..assignment import BlockAssigner
 from .state import S3JobState
 
 
 @dataclass
 class Iteration:
-    """One merged sub-job: a chunk of blocks plus the jobs sharing it.
+    """One merged sub-job's plan: a chunk of blocks plus the jobs sharing it.
 
     ``block_jobs`` maps each block index to the ids of the jobs whose scan
     needs that block — the per-block batch whose size drives the shared-scan
     cost model.  Jobs finishing their scan inside this iteration are listed
     in ``finishing_jobs``; they complete when this iteration's merged reduce
-    phase ends.
+    phase ends.  The plan carries no slot state: the simulator's S3
+    scheduler tracks its tasks in a dispatch record of its own.
     """
 
     iteration_id: str
@@ -40,18 +40,8 @@ class Iteration:
     participants: tuple[str, ...]
     finishing_jobs: tuple[str, ...]
     file_fraction: float
-    assigner: BlockAssigner
-    maps_outstanding: int = field(init=False)
-    reduces_to_launch: int = 0
-    reduces_outstanding: int = 0
-    reduce_started: bool = False
-    #: Simulation time the scheduler launched this iteration (set by
-    #: ``S3Scheduler._launch_iteration``; anchors the map-wave and
-    #: segment spans in the trace).
-    launched_at: float = 0.0
 
     def __post_init__(self) -> None:
-        self.maps_outstanding = len(self.chunk)
         if not self.chunk:
             raise SchedulingError(f"{self.iteration_id}: empty chunk")
         if set(self.block_jobs) != set(self.chunk):
@@ -61,9 +51,6 @@ class Iteration:
     def batch_size(self) -> int:
         """Number of distinct jobs sharing this iteration."""
         return len(self.participants)
-
-    def batch_size_for(self, block_index: int) -> int:
-        return len(self.block_jobs[block_index])
 
     def profile_for(self, block_index: int) -> JobProfile:
         """Cost profile for one block: the priciest participant's profile."""
@@ -77,16 +64,16 @@ class Iteration:
         return max(self.profiles.values(),
                    key=lambda p: (p.reduce_total_s, p.map_cpu_s_per_mb))
 
-    @property
-    def maps_all_complete(self) -> bool:
-        return self.maps_outstanding == 0
-
 
 @race_checked(fields=("pointer", "active", "waiting", "last_admitted",
                       "_iteration_counter"),
               guard="SchedulerService._cond")
 class ScanLoop:
     """Circular scan state for one file (pointer + active jobs).
+
+    Its iterations are scan plans that both clocks share — the
+    simulator's S3 scheduler and the local runtime's scan core — so they
+    carry no slot state; each executor keeps its own.
 
     Owns no lock: the simulator drives it single-threaded, the batch
     runner's per-run scan core likewise, and the scheduler service
@@ -162,7 +149,7 @@ class ScanLoop:
         """Construct (and commit) the next merged sub-job.
 
         Advances the pointer and each participant's coverage immediately —
-        the iteration object is a self-contained execution plan.  Returns
+        the iteration object is a self-contained scan plan.  Returns
         ``None`` when no job needs scanning.
         """
         if chunk_size <= 0:
@@ -197,7 +184,7 @@ class ScanLoop:
         self.active = [job for job in self.active if not job.done_scanning]
         self.pointer = (self.pointer + chunk_len) % n
         self._iteration_counter += 1
-        iteration = Iteration(
+        return Iteration(
             iteration_id=f"{self.dfs_file.name}:iter_{self._iteration_counter:05d}",
             file_name=self.dfs_file.name,
             chunk=chunk,
@@ -206,9 +193,7 @@ class ScanLoop:
             participants=tuple(participants),
             finishing_jobs=tuple(finishing),
             file_fraction=chunk_len / n,
-            assigner=BlockAssigner(self.dfs_file, chunk),
         )
-        return iteration
 
     def _admit_waiting(self, max_jobs: int | None) -> None:
         """Admit waiting jobs at the current pointer, respecting the cap.

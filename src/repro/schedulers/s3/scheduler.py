@@ -21,43 +21,61 @@ Control flow
 
 from __future__ import annotations
 
-from ...cluster.node import Node
-from ...common import ids
+from typing import Iterable
+
 from ...common.errors import SchedulingError
-from ...mapreduce.driver import Scheduler
+from ...dfs.block import DfsFile
 from ...mapreduce.job import JobSpec
+from ...mapreduce.profile import JobProfile
 from ...mapreduce.task import TaskKind, TaskLaunch
-from ..assignment import pick_reduce_node
+from ..dispatch import Work, WorkScheduler
 from .config import S3Config
 from .jobqueue import JobQueueManager
 from .scanloop import Iteration
 from .slotcheck import SlotChecker
 
 
-class S3Scheduler(Scheduler):
+class _SubJob(Work):
+    """The dispatch state of one launched iteration (merged sub-job)."""
+
+    def __init__(self, iteration: Iteration, dfs_file: DfsFile,
+                 launched_at: float) -> None:
+        super().__init__(iteration.iteration_id, dfs_file, iteration.chunk,
+                         max(p.num_reduce_tasks
+                             for p in iteration.profiles.values()))
+        self.iteration = iteration
+        #: Simulation time of the launch; anchors the map-wave and segment
+        #: spans in the trace.
+        self.launched_at = launched_at
+
+    def map_inputs(self, block_index: int) -> tuple[tuple[str, ...], JobProfile]:
+        return (self.iteration.block_jobs[block_index],
+                self.iteration.profile_for(block_index))
+
+    def reduce_inputs(self) -> tuple[tuple[str, ...], JobProfile, float]:
+        iteration = self.iteration
+        return (iteration.participants, iteration.profile,
+                iteration.file_fraction)
+
+
+class S3Scheduler(WorkScheduler[_SubJob]):
     """Shared Scan Scheduler: segments, sub-job alignment, partial init."""
 
     name = "S3"
+    work_type = _SubJob
 
     def __init__(self, config: S3Config | None = None) -> None:
         super().__init__()
         self.config = config or S3Config()
         self.jqm: JobQueueManager | None = None
         self.slot_checker = SlotChecker(threshold=self.config.slowness_threshold)
-        self._current: Iteration | None = None
+        #: The one iteration whose maps are in flight.
+        self._current: _SubJob | None = None
         self._armed = False
         #: Iterations whose merged reduce phase is launching / running.
-        self._reducing: list[Iteration] = []
-        self._reduce_counter = 0
+        self._reducing: list[_SubJob] = []
         #: Whether the periodic slot-check timer is currently scheduled.
         self._ticker_running = False
-        self._attempt_counts: dict[str, int] = {}
-
-    def _next_attempt_id(self, task_id: str) -> str:
-        """Unique attempt id per task (retries and backups increment)."""
-        count = self._attempt_counts.get(task_id, 0)
-        self._attempt_counts[task_id] = count + 1
-        return ids.attempt_id(task_id, count)
 
     # ---------------------------------------------------------------- setup
     def on_bind(self) -> None:
@@ -121,8 +139,7 @@ class S3Scheduler(Scheduler):
             # branch of on_task_complete re-arms when a job completion
             # frees the cap (see the liveness note there).
             return
-        iteration.launched_at = now
-        self._current = iteration
+        self._current = _SubJob(iteration, loop.dfs_file, now)
         tracer = self.ctx.tracer
         tracer.event(
             "s3.subjob.launch", subject=iteration.iteration_id,
@@ -146,68 +163,19 @@ class S3Scheduler(Scheduler):
         self.ctx.request_dispatch()
 
     # -------------------------------------------------------------- dispatch
-    def next_launch(self, now: float) -> TaskLaunch | None:
-        launch = self._next_reduce(now)
-        if launch is not None:
-            return launch
-        return self._next_map(now)
-
     def _next_map(self, now: float) -> TaskLaunch | None:
-        iteration = self._current
-        if iteration is None or len(iteration.assigner) == 0:
+        if self._current is None:
             return None
-        ctx = self.ctx
-        respect_exclusions = self.config.slot_check_enabled
-        assignment = iteration.assigner.next_assignment(
-            ctx.cluster, include_excluded=not respect_exclusions)
-        if assignment is None:
-            return None
-        node, block_index, local = assignment
-        dfs_file = ctx.namenode.get_file(iteration.file_name)
-        block = dfs_file.block(block_index)
-        profile = iteration.profile_for(block_index)
-        duration = ctx.cost.map_task_duration(
-            profile, block.size_mb, iteration.batch_size_for(block_index),
-            node_speed=node.speed, local=local)
-        return TaskLaunch(
-            attempt_id=self._next_attempt_id(
-                ids.map_task_id(iteration.iteration_id, block_index)),
-            kind=TaskKind.MAP,
-            node_id=node.node_id,
-            duration=duration,
-            job_ids=iteration.block_jobs[block_index],
-            block_index=block_index,
-            local=local,
-            payload=iteration,
-        )
+        return self._assign_map(
+            self._current,
+            include_excluded=not self.config.slot_check_enabled)
 
-    def _next_reduce(self, now: float) -> TaskLaunch | None:
-        ctx = self.ctx
-        for iteration in self._reducing:
-            if iteration.reduces_to_launch <= 0:
-                continue
-            node = pick_reduce_node(ctx.cluster)
-            if node is None:
-                return None
-            iteration.reduces_to_launch -= 1
-            self._reduce_counter += 1
-            duration = ctx.cost.reduce_task_duration(
-                iteration.profile, iteration.batch_size,
-                file_fraction=iteration.file_fraction,
-                node_speed=node.speed)
-            return TaskLaunch(
-                attempt_id=self._next_attempt_id(
-                    ids.reduce_task_id(iteration.iteration_id,
-                                       self._reduce_counter)),
-                kind=TaskKind.REDUCE,
-                node_id=node.node_id,
-                duration=duration,
-                job_ids=iteration.participants,
-                payload=iteration,
-            )
-        return None
+    def _reducible(self, now: float) -> Iterable[_SubJob]:
+        return self._reducing
 
-    # ------------------------------------------------------ faults/speculation
+    def _speculatable(self, work: _SubJob) -> bool:
+        return work is self._current
+
     def on_task_failed(self, launch: TaskLaunch, now: float) -> None:
         """Re-enqueue failed work within its merged sub-job.
 
@@ -215,107 +183,58 @@ class S3Scheduler(Scheduler):
         nowhere else), and a failed reduce to an iteration still in the
         reducing list, so re-adding to the same structures is always valid.
         """
-        iteration = launch.payload
-        if not isinstance(iteration, Iteration):
-            raise SchedulingError(f"S3: foreign task {launch.attempt_id}")
-        if launch.kind is TaskKind.MAP:
-            if iteration is not self._current:
-                raise SchedulingError(
-                    f"{launch.attempt_id}: map failure outside the current "
-                    "iteration")
-            if launch.block_index is None:
-                raise SchedulingError(f"{launch.attempt_id}: map without block")
-            iteration.assigner.add(launch.block_index)
-        else:
-            iteration.reduces_to_launch += 1
-
-    def backup_launch(self, launch: TaskLaunch, node: Node,
-                      now: float) -> TaskLaunch | None:
-        """Speculative copy of a running merged-sub-job map task."""
-        iteration = launch.payload
-        if not isinstance(iteration, Iteration):
-            return None
-        if launch.kind is not TaskKind.MAP or launch.block_index is None:
-            return None
-        if iteration is not self._current:
-            return None
-        ctx = self.ctx
-        block = ctx.namenode.get_file(iteration.file_name).block(
-            launch.block_index)
-        local = node.node_id in block.locations
-        duration = ctx.cost.map_task_duration(
-            iteration.profile_for(launch.block_index), block.size_mb,
-            iteration.batch_size_for(launch.block_index),
-            node_speed=node.speed, local=local)
-        return TaskLaunch(
-            attempt_id=self._next_attempt_id(
-                ids.map_task_id(iteration.iteration_id, launch.block_index)),
-            kind=TaskKind.MAP,
-            node_id=node.node_id,
-            duration=duration,
-            job_ids=iteration.block_jobs[launch.block_index],
-            block_index=launch.block_index,
-            local=local,
-            payload=iteration,
-        )
+        work = self._work_of(launch)
+        if launch.kind is TaskKind.MAP and work is not self._current:
+            raise SchedulingError(
+                f"{launch.attempt_id}: map failure outside the current "
+                "iteration")
+        work.requeue(launch)
 
     # ------------------------------------------------------------ completion
     def on_task_complete(self, launch: TaskLaunch, now: float) -> None:
-        iteration = launch.payload
-        if not isinstance(iteration, Iteration):
-            raise SchedulingError(f"S3: foreign task {launch.attempt_id}")
+        work = self._work_of(launch)
         if launch.kind is TaskKind.MAP:
             self.slot_checker.observe(launch.node_id, launch.duration)
-            iteration.maps_outstanding -= 1
-            if iteration.maps_outstanding < 0:
-                raise SchedulingError(
-                    f"{iteration.iteration_id}: map over-completion")
-            if iteration.maps_all_complete:
-                self._finish_iteration_maps(iteration, now)
-        else:
-            iteration.reduces_outstanding -= 1
-            if iteration.reduces_outstanding < 0:
-                raise SchedulingError(
-                    f"{iteration.iteration_id}: reduce over-completion")
-            if iteration.reduces_outstanding == 0:
-                self._reducing.remove(iteration)
-                self.ctx.tracer.event("s3.subjob.complete",
-                                      subject=iteration.iteration_id)
-                # Whole-segment span: launch through merged-reduce end.
-                self.ctx.tracer.span_at(
-                    "s3.segment", iteration.launched_at, now,
-                    lane="s3", subject=iteration.iteration_id,
-                    blocks=len(iteration.chunk), jobs=iteration.batch_size,
-                    job_ids=list(iteration.participants))
-                for job_id in iteration.finishing_jobs:
-                    self.ctx.job_completed(job_id)
-                # Liveness: when the admission cap deferred every waiting
-                # job, _launch_iteration returned with nothing armed; a job
-                # completion is what frees the cap, so it must re-arm or
-                # the waiting jobs are stranded forever (no map completion
-                # or arrival may ever come).
-                if (self._current is None and not self._armed
-                        and self.queue.has_work()):
-                    self._arm(now)
+        if not work.complete(launch):
+            return
+        if launch.kind is TaskKind.MAP:
+            self._finish_iteration_maps(work, now)
+            return
+        iteration = work.iteration
+        self._reducing.remove(work)
+        self.ctx.tracer.event("s3.subjob.complete",
+                              subject=iteration.iteration_id)
+        # Whole-segment span: launch through merged-reduce end.
+        self.ctx.tracer.span_at(
+            "s3.segment", work.launched_at, now,
+            lane="s3", subject=iteration.iteration_id,
+            blocks=len(iteration.chunk), jobs=iteration.batch_size,
+            job_ids=list(iteration.participants))
+        for job_id in iteration.finishing_jobs:
+            self.ctx.job_completed(job_id)
+        # Liveness: when the admission cap deferred every waiting job,
+        # _launch_iteration returned with nothing armed; a job completion
+        # is what frees the cap, so it must re-arm or the waiting jobs are
+        # stranded forever (no map completion or arrival may ever come).
+        if (self._current is None and not self._armed
+                and self.queue.has_work()):
+            self._arm(now)
 
-    def _finish_iteration_maps(self, iteration: Iteration, now: float) -> None:
+    def _finish_iteration_maps(self, work: _SubJob, now: float) -> None:
         """Maps of the current iteration done: queue its merged reduce and
         arm the next iteration (reduces overlap the next maps)."""
-        if iteration is not self._current:
+        if work is not self._current:
             raise SchedulingError("S3: completed maps of a non-current iteration")
         self._current = None
-        num_reduces = max(iteration.profiles[j].num_reduce_tasks
-                          for j in iteration.participants)
-        iteration.reduces_to_launch = num_reduces
-        iteration.reduces_outstanding = num_reduces
-        self._reducing.append(iteration)
+        self._reducing.append(work)
+        iteration = work.iteration
         self.ctx.tracer.event("s3.subjob.maps_done",
                               subject=iteration.iteration_id,
-                              reduces=num_reduces)
+                              reduces=work.reduces_to_launch)
         # Map-wave span: iteration launch through its last map completion;
         # nested one level under the enclosing s3.segment span.
         self.ctx.tracer.span_at(
-            "s3.map_wave", iteration.launched_at, now,
+            "s3.map_wave", work.launched_at, now,
             lane="s3", subject=iteration.iteration_id, depth=1,
             blocks=len(iteration.chunk), jobs=iteration.batch_size,
             job_ids=list(iteration.participants))

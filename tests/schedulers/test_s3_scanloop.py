@@ -82,8 +82,8 @@ def test_mixed_remaining_prefix_rule():
     # a remaining 5, b remaining 8 -> chunk capped at file end (5 blocks left)
     it = loop.build_iteration(8)
     assert it.chunk == (3, 4, 5, 6, 7)
-    assert it.batch_size_for(3) == 2
-    assert it.batch_size_for(7) == 2
+    assert len(it.block_jobs[3]) == 2
+    assert len(it.block_jobs[7]) == 2
     assert it.finishing_jobs == ("a",)
 
 

@@ -15,7 +15,7 @@ def make_unit(num_blocks=8, num_jobs=2, reduce_tasks=4):
     profile = normal_wordcount().with_(num_reduce_tasks=reduce_tasks)
     jobs = tuple(JobSpec(job_id=f"j{i}", file_name="f", profile=profile)
                  for i in range(num_jobs))
-    return ExecUnit(unit_id="u0", jobs=jobs, profile=profile,
+    return ExecUnit(work_id="u0", jobs=jobs, profile=profile,
                     dfs_file=dfs_file, ready_time=0.0)
 
 
@@ -24,7 +24,7 @@ def test_initial_accounting():
     assert unit.maps_outstanding == 8
     assert unit.reduces_to_launch == 5
     assert unit.reduces_outstanding == 5
-    assert unit.batch_size == 3
+    assert len(unit.jobs) == 3
     assert unit.job_ids == ("j0", "j1", "j2")
     assert not unit.maps_all_assigned
     assert not unit.maps_all_complete
@@ -46,7 +46,7 @@ def test_reduce_task_count_uses_max_member():
     dfs_file = namenode.create_file("f", 64.0)
     small = normal_wordcount().with_(num_reduce_tasks=2)
     big = normal_wordcount().with_(num_reduce_tasks=9)
-    unit = ExecUnit(unit_id="u", jobs=(
+    unit = ExecUnit(work_id="u", jobs=(
         JobSpec(job_id="a", file_name="f", profile=small),
         JobSpec(job_id="b", file_name="f", profile=big)),
         profile=big, dfs_file=dfs_file, ready_time=0.0)
