@@ -12,13 +12,14 @@ lexical analogue of Clang's ``GUARDED_BY`` attribute:
   ``__init__``) declares that every access of ``self.<attr>`` outside
   ``__init__`` must happen while ``self.<lock-attr>`` is held::
 
-      self._lock = OrderedLock("Thing._lock")
+      self._lock = ordered_lock("Thing._lock")
       self._pending = 0       # guarded-by: _lock
 
   The lock attribute must be a lock-like object constructed in the same
-  class (``threading.Lock``/``RLock``/``Condition``/``Semaphore`` or the
-  project's :class:`~repro.analysis.lockgraph.OrderedLock`, possibly
-  wrapped — ``Condition(OrderedLock(...))`` counts as a lock).
+  class (``threading.Lock``/``RLock``/``Condition``/``Semaphore``, the
+  project's :class:`~repro.analysis.lockgraph.OrderedLock` or its
+  :func:`~repro.analysis.lockgraph.ordered_lock` factory, possibly
+  wrapped — ``Condition(ordered_lock(...))`` counts as a lock).
 
 * **Held-region inference.**  Within each method the analysis tracks
   which of the class's locks are lexically held: ``with self._lock:``
@@ -70,12 +71,12 @@ GUARDED_BY_RE = re.compile(
     r"#\s*guarded-by:\s*(?P<lock>[A-Za-z_][A-Za-z0-9_]*)")
 
 #: Constructor names whose result is lock-like (terminal name of the
-#: call chain, so ``threading.Lock``, ``OrderedLock`` and bare ``Lock``
-#: all match).  ``Condition`` counts: holding a condition *is* holding
-#: its underlying lock.
+#: call chain, so ``threading.Lock``, ``OrderedLock``, ``ordered_lock``
+#: and bare ``Lock`` all match).  ``Condition`` counts: holding a
+#: condition *is* holding its underlying lock.
 _LOCK_FACTORIES = frozenset({
-    "Lock", "RLock", "Condition", "OrderedLock", "Semaphore",
-    "BoundedSemaphore",
+    "Lock", "RLock", "Condition", "OrderedLock", "ordered_lock",
+    "Semaphore", "BoundedSemaphore",
 })
 
 #: Methods whose accesses are construction/teardown, not sharing.
@@ -104,7 +105,7 @@ def _self_attr(node: ast.expr) -> str | None:
 
 def _is_lock_factory(expr: ast.expr) -> bool:
     """Whether ``expr`` constructs a lock-like object (possibly wrapped,
-    e.g. ``Condition(OrderedLock(...))``)."""
+    e.g. ``Condition(ordered_lock(...))``)."""
     if not isinstance(expr, ast.Call):
         return False
     return _terminal_name(expr.func) in _LOCK_FACTORIES

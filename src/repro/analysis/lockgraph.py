@@ -15,8 +15,9 @@ though no actual deadlock occurred on this run.
 
 Checking costs a global lock per acquire, so it is **off by default**
 and enabled by ``REPRO_LOCKCHECK=1`` (the test suite turns it on in
-``tests/conftest.py``).  When disabled, :class:`OrderedLock` is a thin
-delegate around :class:`threading.Lock`.
+``tests/conftest.py``, before any ``repro`` import).  The runtime
+builds its locks with :func:`ordered_lock`: a bare, free
+:class:`threading.Lock` unless a switch is on when the lock is built.
 
 :class:`OrderedLock` also works as the backing lock of a
 :class:`threading.Condition`: ``wait()`` releases and re-acquires
@@ -30,7 +31,7 @@ import threading
 from typing import Iterator
 
 __all__ = [
-    "LockOrderError", "OrderedLock", "lockcheck_enabled",
+    "LockOrderError", "OrderedLock", "ordered_lock", "lockcheck_enabled",
     "set_lockcheck", "lock_order_graph", "reset_lock_graph",
     "set_held_tracking", "held_tracking_enabled", "held_locks",
 ]
@@ -235,6 +236,16 @@ class OrderedLock:
     def __repr__(self) -> str:
         state = "locked" if self._lock.locked() else "unlocked"
         return f"<OrderedLock {self.name!r} {state}>"
+
+
+def ordered_lock(name: str) -> "OrderedLock | threading.Lock":
+    """The lock for the role ``name``: an :class:`OrderedLock` if order
+    checking or held-set tracking (which the race checker's switch turns
+    on) is on now, else a bare :class:`threading.Lock`."""
+    from .racecheck import racecheck_enabled  # it imports this module
+    if racecheck_enabled() or held_tracking_enabled():
+        return OrderedLock(name)
+    return threading.Lock()
 
 
 def held_locks() -> Iterator[str]:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from ..analysis.lockgraph import OrderedLock
+from ..analysis.lockgraph import ordered_lock
 from ..common.errors import ExecutionError
 
 
@@ -44,7 +44,7 @@ class BlockCache:
             raise ExecutionError(
                 f"cache capacity must be positive, got {capacity_bytes}")
         self.capacity_bytes = capacity_bytes
-        self._lock = OrderedLock("BlockCache._lock")
+        self._lock = ordered_lock("BlockCache._lock")
         #: index -> (data, nbytes), in LRU order (oldest first).
         self._entries: "OrderedDict[int, tuple[bytes, int]]" = \
             OrderedDict()  # guarded-by: _lock

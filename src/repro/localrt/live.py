@@ -260,13 +260,13 @@ class SharedScanCore(_LocalRunnerBase):
                                          max_jobs=max_jobs)
         if iteration is None:
             return None
-        states = self._run_states
-        tasks = tuple(
-            MapTaskSpec(block_index=block,
-                        states=tuple(states[job_id] for job_id
-                                     in iteration.block_jobs[block]))
-            for block in iteration.chunk)
-        riders = tuple(states[job_id] for job_id in iteration.participants)
+        states, block_jobs = self._run_states, iteration.block_jobs
+        # One run-state tuple per distinct rider set, shared by its blocks.
+        rider_sets = {job_ids: tuple(map(states.__getitem__, job_ids))
+                      for job_ids in set(block_jobs.values())}
+        tasks = tuple(MapTaskSpec(block, rider_sets[block_jobs[block]])
+                      for block in iteration.chunk)
+        riders = rider_sets[iteration.participants]
         next_chunk: range | None = None
         if more_arrivals or loop.has_work():
             # Double-buffer: the circular pointer says exactly where the

@@ -45,13 +45,9 @@ from .records import RecordReader
 
 #: One map task's collected result: ``(record_count, outputs_per_job,
 #: counters_per_job)`` — the return shape of ``collect_map_outputs`` —
-#: where a wave-summed rider's output and counters are ``None``.
-TaskResult = tuple[int, "Sequence[MapOutput | None]",
-                   "Sequence[Counters | None]"]
-#: A task's result and the block's encoded view, which the wave-summed
-#: riders among its jobs share (``None`` when there are none).
-_Collected = tuple[int, "Sequence[MapOutput | None]",
-                   "Sequence[Counters | None]", "tokens.EncodedBlock | None"]
+#: for the riders mapped block by block (a wave-summed one has none).
+TaskResult = tuple[int, "Sequence[MapOutput]", "Sequence[Counters]"]
+_Split = tuple[list[JobRunState], list[JobRunState]]  #: mapped, summed riders
 
 
 @dataclass(frozen=True)
@@ -77,8 +73,8 @@ class SerialMapBackend:
                  tracer: Tracer | None = None) -> list[TaskResult]:
         """Collect every task's map output, in task order, without
         touching any job's shuffle state."""
-        return [_collect_in_parent(store, reader, task, tracer)[:3]
-                for task in tasks]
+        return [_collect_in_parent(store, reader, task, split, tracer)[0]
+                for task, split in zip(tasks, _split_riders(tasks, reader))]
 
     def close(self) -> None:
         """Nothing to release."""
@@ -94,11 +90,26 @@ def make_backend(name: str, *, workers: int | None = None,
     return SerialMapBackend()
 
 
+def _split_riders(tasks: Sequence[MapTaskSpec],
+                  reader: RecordReader) -> list[_Split]:
+    """Each task's :data:`_Split`, decided once per rider-set tuple."""
+    splits: dict[int, _Split] = {}
+    for task in tasks:
+        if id(task.states) not in splits:
+            mapped, summed = splits[id(task.states)] = ([], [])
+            for state in task.states:
+                (summed if PatternWordCountBlock.rides_wave(state.job, reader)
+                 else mapped).append(state)
+    return [splits[id(task.states)] for task in tasks]
+
+
 def _collect_in_parent(store: BlockStoreProtocol, reader: RecordReader,
-                       task: MapTaskSpec,
-                       tracer: Tracer | None = None) -> _Collected:
-    """Read + map + combine one block for its mapped riders, and encode
-    it for its wave-summed ones.
+                       task: MapTaskSpec, split: _Split,
+                       tracer: Tracer | None = None,
+                       ) -> tuple[TaskResult, "tokens.EncodedBlock | None"]:
+    """Read + map + combine one block for its mapped riders (``split``),
+    and return its encoded view beside the result for its wave-summed
+    ones; a block with no mapped rider collects that view alone.
 
     The block is bound to the store handle's derived-view table, so its
     compact views are derived once per handle, not once per lap of the
@@ -112,30 +123,22 @@ def _collect_in_parent(store: BlockStoreProtocol, reader: RecordReader,
         with tracer.span("map.task", subject=f"block_{task.block_index}",
                          jobs=len(task.states),
                          job_ids=[s.job.job_id for s in task.states]):
-            return _collect_in_parent(store, reader, task)
+            return _collect_in_parent(store, reader, task, split)
     index = task.block_index
     data = BlockData(store.read_block_bytes(index)).bind(store.derived, index)
-    summed = [PatternWordCountBlock.rides_wave(state.job, reader)
-              for state in task.states]
-    mapped = [state.job for state, wave in zip(task.states, summed)
-              if not wave]
+    mapped, summed = split
     try:
-        encoded = data.encoded() if any(summed) else None
+        encoded = data.encoded() if summed else None
         if mapped:
             count, outputs, counters = collect_map_outputs(
-                mapped, reader, data, store.block_offset(index))
+                [state.job for state in mapped], reader, data,
+                store.block_offset(index))
         else:  # the encoded view carries the record count
             count, outputs, counters = data.line_count(), [], []
     except UnicodeDecodeError as exc:
         raise ExecutionError(
             f"block {index} is not valid UTF-8 ({exc})") from exc
-    if encoded is None:
-        return count, outputs, counters, None
-    mapped_outputs, mapped_counters = iter(outputs), iter(counters)
-    return (count,
-            [None if wave else next(mapped_outputs) for wave in summed],
-            [None if wave else next(mapped_counters) for wave in summed],
-            encoded)
+    return (count, outputs, counters), encoded
 
 
 def execute_map_wave(store: BlockStoreProtocol, reader: RecordReader,
@@ -159,19 +162,20 @@ def execute_map_wave(store: BlockStoreProtocol, reader: RecordReader,
     if len(set(seen_blocks)) != len(seen_blocks):
         raise ExecutionError(f"duplicate blocks in wave: {seen_blocks}")
     trace = tracer if tracer is not None else NULL_TRACER
+    splits = _split_riders(tasks, reader)
     with trace.span("map.wave", blocks=len(tasks)):
-        results = [_collect_in_parent(store, reader, task, tracer)
-                   for task in tasks]
+        results = [_collect_in_parent(store, reader, task, split, tracer)
+                   for task, split in zip(tasks, splits)]
     with trace.span("shuffle.absorb", blocks=len(tasks)):
         # id(state) -> (state, the encoded blocks it rode, in task order)
         rode: dict[int, tuple[JobRunState, list[tokens.EncodedBlock]]] = {}
-        for task, (record_count, outputs, task_counters, encoded) in zip(
-                tasks, results, strict=True):
-            for state, buffer, counters in zip(task.states, outputs,
+        for (mapped, summed), ((record_count, outputs, task_counters),
+                               encoded) in zip(splits, results, strict=True):
+            for state, buffer, counters in zip(mapped, outputs,
                                                task_counters, strict=True):
-                if buffer is not None:
-                    absorb_map_result(state, record_count, buffer, counters)
-                elif encoded is not None:
+                absorb_map_result(state, record_count, buffer, counters)
+            if encoded is not None:
+                for state in summed:
                     rode.setdefault(id(state), (state, []))[1].append(encoded)
         groups: dict[tuple[int, ...], tuple[list[tokens.EncodedBlock],
                                             list[JobRunState]]] = {}

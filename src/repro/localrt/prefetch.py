@@ -26,7 +26,7 @@ import threading
 from collections import deque
 from typing import Iterable
 
-from ..analysis.lockgraph import OrderedLock
+from ..analysis.lockgraph import ordered_lock
 from ..analysis.racecheck import register_instance
 from ..common.errors import ExecutionError
 from ..obs.tracer import NULL_TRACER, Tracer
@@ -66,10 +66,10 @@ class ReadAheadPrefetcher:
         self._store = store
         self.depth = depth
         self._tracer = tracer if tracer is not None else NULL_TRACER
-        #: Condition over an OrderedLock so waits/notifies participate in
-        #: lock-order checking (REPRO_LOCKCHECK=1).
+        #: Condition over an ordered lock, so waits/notifies participate
+        #: in lock-order checking when it is on (REPRO_LOCKCHECK=1).
         self._cond = threading.Condition(
-            OrderedLock("ReadAheadPrefetcher._cond"))  # type: ignore[arg-type]
+            ordered_lock("ReadAheadPrefetcher._cond"))  # type: ignore[arg-type]
         self._pending: "deque[int]" = deque()  # guarded-by: _cond
         self._stop = threading.Event()
         self._closed = False  # guarded-by: _cond

@@ -39,7 +39,7 @@ import pathlib
 from dataclasses import fields
 from typing import TYPE_CHECKING, Iterable
 
-from ..analysis.lockgraph import OrderedLock
+from ..analysis.lockgraph import ordered_lock
 from ..analysis.racecheck import register_instance
 from ..common.errors import ExecutionError
 from ..dfs.placement import replica_shards
@@ -147,7 +147,7 @@ class ShardedBlockStore:
 
         #: Guards the facade's own counters and the down set (shard
         #: stores guard their stats themselves).
-        self._lock = OrderedLock("ShardedBlockStore._lock")
+        self._lock = ordered_lock("ShardedBlockStore._lock")
         self._extra_stats = ReadStats()  # guarded-by: _lock
         register_instance(
             self._extra_stats,

@@ -33,7 +33,7 @@ import threading
 from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from ..analysis.lockgraph import OrderedLock
+from ..analysis.lockgraph import ordered_lock
 from ..analysis.racecheck import register_instance
 from ..common.errors import ExecutionError
 from .tokens import DerivedViews
@@ -166,10 +166,10 @@ class BlockStore:
         if not self._blocks:
             raise ExecutionError(f"block store {self.directory} is empty")
         #: Guards the read counters (the prefetcher's thread and two
-        #: runners sharing this handle read concurrently).  OrderedLock: with
-        #: REPRO_LOCKCHECK=1 the acquisition order against the cache and
-        #: prefetcher locks is recorded and cycles fail fast.
-        self._stats_lock = OrderedLock("BlockStore._stats_lock")
+        #: runners sharing this handle read concurrently).  Built under
+        #: REPRO_LOCKCHECK=1, it records its order against the cache and
+        #: prefetcher locks and cycles fail fast.
+        self._stats_lock = ordered_lock("BlockStore._stats_lock")
         self.stats = ReadStats()  # guarded-by: _stats_lock
         register_instance(
             self.stats, fields=tuple(f.name for f in fields(ReadStats)),
@@ -191,7 +191,7 @@ class BlockStore:
         #: two demand reads) go to disk once between them.  A leaf:
         #: nothing is acquired while it is held.  Replaced, never
         #: mutated, so the lockset checker sees every change.
-        self._inflight_lock = OrderedLock("BlockStore._inflight_lock")
+        self._inflight_lock = ordered_lock("BlockStore._inflight_lock")
         self._inflight: dict[int, threading.Event] = {}  # guarded-by: _inflight_lock
         register_instance(self, fields=("_inflight",),
                           guard="BlockStore._inflight_lock")

@@ -84,17 +84,18 @@ while a numpy view of it is alive) — so a gather at ids a block was
 handed reads an array no one writes while another runner extends; and
 a row-table slot goes from
 ``None`` to a finished record once, after its row's key codes are
-written (a rewrite of them writes the values already there).
+written (a rewrite of them writes the values already there); racing
+runners replace an :class:`EncodedBlock`'s memo slot with equal sums.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+from operator import is_, itemgetter
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ..analysis.lockgraph import OrderedLock
+from ..analysis.lockgraph import ordered_lock
 from ..analysis.racecheck import register_instance
 
 #: Most words one dictionary holds before a fresh one replaces it.  A
@@ -219,9 +220,13 @@ class EncodedBlock:
     too.  The view outlives its wave (see :class:`DerivedViews`), so it
     owns nothing per word but two machine integers: the words
     themselves live in ``dictionary``.
+
+    ``sums`` memoises :meth:`WaveSums.of` for the groups this block
+    leads, one slot per group length naming the group's other blocks: a
+    re-derived block is a new object no slot names, so none goes stale.
     """
 
-    __slots__ = ("dictionary", "ids", "counts", "total", "lines")
+    __slots__ = ("dictionary", "ids", "counts", "total", "lines", "sums")
 
     def __init__(self, dictionary: TokenDictionary, ids: np.ndarray,
                  counts: np.ndarray, total: int) -> None:
@@ -230,6 +235,8 @@ class EncodedBlock:
         self.counts = counts
         self.total = total
         self.lines = 0
+        self.sums: dict[int, tuple[tuple[EncodedBlock, ...],
+                                   list[WaveSums]]] = {}
 
 
 class WaveSums:
@@ -241,6 +248,7 @@ class WaveSums:
     ``ids`` lists the words (sorted, distinct) the two arrays are
     aligned with, or is ``None`` when they are dense: indexed by id, up
     to the highest id the blocks hold (see :data:`WAVE_DENSE_SHARE`).
+    The arrays are read-only: :meth:`of` memoises them for later laps.
     """
 
     __slots__ = ("dictionary", "ids", "totals", "presence")
@@ -256,12 +264,19 @@ class WaveSums:
     def of(cls, blocks: Sequence[EncodedBlock]) -> list["WaveSums"]:
         """The sums of ``blocks``, one per dictionary they were encoded
         against (more than one only across a roll-over or an over-wide
-        block)."""
+        block): the list memoised on the first block when it has met
+        the same other blocks before (see :class:`EncodedBlock`)."""
+        first, rest = blocks[0], tuple(blocks[1:])
+        kept = first.sums.get(len(rest))
+        if kept is not None and all(map(is_, kept[0], rest)):
+            return kept[1]
         by_dictionary: dict[TokenDictionary, list[EncodedBlock]] = {}
         for block in blocks:
             by_dictionary.setdefault(block.dictionary, []).append(block)
-        return [cls._summed(dictionary, held)
-                for dictionary, held in by_dictionary.items()]
+        shared = [cls._summed(dictionary, held)
+                  for dictionary, held in by_dictionary.items()]
+        first.sums[len(rest)] = (rest, shared)
+        return shared
 
     @classmethod
     def _summed(cls, dictionary: TokenDictionary,
@@ -273,12 +288,12 @@ class WaveSums:
         # most WAVE_DENSE_SHARE slot adds per id the blocks hold.
         if len(ids) * WAVE_DENSE_SHARE >= span:
             return cls(dictionary, None,
-                       np.bincount(ids, counts, span).astype(np.int64),
-                       np.bincount(ids, minlength=span))
+                       frozen(np.bincount(ids, counts, span).astype(np.int64)),
+                       frozen(np.bincount(ids, minlength=span)))
         distinct, slots = np.unique(ids, return_inverse=True)
-        return cls(dictionary, distinct,
-                   np.bincount(slots, counts).astype(np.int64),
-                   np.bincount(slots))
+        return cls(dictionary, frozen(distinct),
+                   frozen(np.bincount(slots, counts).astype(np.int64)),
+                   frozen(np.bincount(slots)))
 
     @property
     def span(self) -> int:
@@ -340,7 +355,7 @@ class TokenEncoder:
     """Encodes blocks against the current :class:`TokenDictionary`."""
 
     def __init__(self) -> None:
-        self._lock = OrderedLock("TokenEncoder._lock")
+        self._lock = ordered_lock("TokenEncoder._lock")
         self._current = TokenDictionary()  # guarded-by: _lock
         register_instance(self, fields=("_current",),
                           guard="TokenEncoder._lock")
@@ -494,7 +509,7 @@ class DerivedViews:
     """
 
     def __init__(self) -> None:
-        self._lock = OrderedLock("DerivedViews._lock")
+        self._lock = ordered_lock("DerivedViews._lock")
         #: (block, view) -> (value, bytes charged).
         self._views: dict[tuple[Hashable, Hashable],
                           tuple[Any, int]] = {}  # guarded-by: _lock
@@ -611,7 +626,7 @@ class RowTable:
         self.hashes = np.zeros(records, np.int64)
         self.order = np.zeros(records, np.int64)
         self.ordered = True
-        self._lock = OrderedLock("RowTable._lock")
+        self._lock = ordered_lock("RowTable._lock")
         self._room = block_bytes // ROW_TABLE_TEXT_DIVISOR  # guarded-by: _lock
         register_instance(self, fields=("_room",), guard="RowTable._lock")
 

@@ -15,7 +15,7 @@ the same response times the service books into
   from "burning budget right now".
 
 Thread-safety mirrors :mod:`repro.obs.live.window`: each tracker owns an
-:class:`~repro.analysis.lockgraph.OrderedLock` with ``# guarded-by``
+:func:`~repro.analysis.lockgraph.ordered_lock` with ``# guarded-by``
 annotations, so the static guarded-by checks and the runtime race
 detector cover the counters.
 """
@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from ...analysis.lockgraph import OrderedLock
+from ...analysis.lockgraph import ordered_lock
 from ...common.clock import Clock, monotonic_clock
 from ...common.errors import ConfigError
 from .window import DEFAULT_MAX_SAMPLES, RollingCounter
@@ -106,7 +106,7 @@ class SLOTracker:
         self.tenant = tenant
         self.config = config
         clock = clock if clock is not None else monotonic_clock()
-        self._lock = OrderedLock("SLOTracker._lock")
+        self._lock = ordered_lock("SLOTracker._lock")
         self._completed = 0  # guarded-by: _lock
         self._within = 0  # guarded-by: _lock
         # Windowed counterparts live in their own ring buffers; the

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-from ...analysis.lockgraph import OrderedLock
+from ...analysis.lockgraph import ordered_lock
 from ...common.clock import Clock, monotonic_clock
 from .slo import SLOConfig, SLOStatus, SLOTracker
 from .window import DEFAULT_MAX_SAMPLES, RollingCounter, SlidingQuantiles
@@ -70,7 +70,7 @@ class ServiceTelemetry:
         self.slo_config = slo if slo is not None else SLOConfig()
         self._clock = clock if clock is not None else monotonic_clock()
         self._max_samples = max_samples
-        self._lock = OrderedLock("ServiceTelemetry._lock")
+        self._lock = ordered_lock("ServiceTelemetry._lock")
         self._tenants: dict[str, TenantTelemetry] = {}  # guarded-by: _lock
         self.edges = {name: self._edge_counter("service", name)
                       for name in EDGE_NAMES}

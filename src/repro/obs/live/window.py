@@ -22,10 +22,10 @@ Two instruments:
 
 Both take an injectable zero-argument clock (sim- or wall-time; the
 scheduler service passes its own relative clock) and guard their ring
-buffers with an :class:`~repro.analysis.lockgraph.OrderedLock`, so
+buffers with an :func:`~repro.analysis.lockgraph.ordered_lock`, so
 updates from the service core thread and reads from HTTP scrape threads
-are safe, participate in lock-order checking, and are covered by the
-``# guarded-by`` static analysis (REP007/REP008).
+are safe, participate in lock-order checking when it is on, and are
+covered by the ``# guarded-by`` static analysis (REP007/REP008).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from ...analysis.lockgraph import OrderedLock
+from ...analysis.lockgraph import ordered_lock
 from ...common.clock import Clock, monotonic_clock
 from ...common.errors import ExecutionError
 
@@ -137,7 +137,7 @@ class RollingCounter:
         self.horizon_s = _check_horizon(name, horizon_s)
         self._clock = clock if clock is not None else monotonic_clock()
         self._born = self._clock()
-        self._lock = OrderedLock("RollingCounter._lock")
+        self._lock = ordered_lock("RollingCounter._lock")
         self._max_samples = max_samples
         self._samples: deque[tuple[float, float]] = deque()  # guarded-by: _lock
         self._window_sum = 0.0  # guarded-by: _lock
@@ -229,7 +229,7 @@ class SlidingQuantiles:
         self.horizon_s = _check_horizon(name, horizon_s)
         self.quantiles = qs
         self._clock = clock if clock is not None else monotonic_clock()
-        self._lock = OrderedLock("SlidingQuantiles._lock")
+        self._lock = ordered_lock("SlidingQuantiles._lock")
         self._samples: deque[tuple[float, float]] = deque(  # guarded-by: _lock
             maxlen=max_samples)
 

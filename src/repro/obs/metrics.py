@@ -4,9 +4,9 @@ Where the tracer answers *when did it happen*, the registry answers *how
 much of it happened*: blocks read per wave, cache hit counts, prefetch
 depth utilisation.  Instruments are created on first use
 (``registry.counter("io.blocks_read").inc(4)``) and share one
-:class:`~repro.analysis.lockgraph.OrderedLock`, so updates from
-concurrent map workers are safe and participate in the project's
-lock-order checking.
+:func:`~repro.analysis.lockgraph.ordered_lock`, so updates from
+concurrent map workers are safe and, with checking on, participate in
+the project's lock-order checking.
 
 :meth:`MetricsRegistry.absorb_read_stats` folds a
 :meth:`ReadStats.delta <repro.localrt.storage.ReadStats.delta>` snapshot
@@ -18,9 +18,10 @@ object (REP003 reserves writes for the storage layer).
 from __future__ import annotations
 
 import dataclasses
+import threading
 from typing import Any, Mapping, Sequence
 
-from ..analysis.lockgraph import OrderedLock
+from ..analysis.lockgraph import OrderedLock, ordered_lock
 from ..common.errors import ExecutionError
 
 #: Default histogram bucket upper bounds (seconds-oriented, powers of ~4).
@@ -33,7 +34,7 @@ class Counter:
 
     __slots__ = ("name", "_lock", "value")
 
-    def __init__(self, name: str, lock: OrderedLock) -> None:
+    def __init__(self, name: str, lock: "OrderedLock | threading.Lock") -> None:
         self.name = name
         self._lock = lock
         self.value: float = 0
@@ -52,7 +53,7 @@ class Gauge:
 
     __slots__ = ("name", "_lock", "value")
 
-    def __init__(self, name: str, lock: OrderedLock) -> None:
+    def __init__(self, name: str, lock: "OrderedLock | threading.Lock") -> None:
         self.name = name
         self._lock = lock
         self.value: float = 0.0
@@ -79,7 +80,7 @@ class Histogram:
 
     __slots__ = ("name", "_lock", "buckets", "counts", "total", "count")
 
-    def __init__(self, name: str, lock: OrderedLock,
+    def __init__(self, name: str, lock: "OrderedLock | threading.Lock",
                  buckets: Sequence[float] = DEFAULT_BUCKETS) -> None:
         bounds = tuple(float(b) for b in buckets)
         if not bounds:
@@ -122,7 +123,7 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        self._lock = OrderedLock("MetricsRegistry._lock")
+        self._lock = ordered_lock("MetricsRegistry._lock")
         self._instruments: dict[str, Counter | Gauge | Histogram] = {}
 
     def _get_or_create(self, name: str, kind: type,

@@ -26,8 +26,9 @@ class Iteration:
 
     ``block_jobs`` maps each block index to the ids of the jobs whose scan
     needs that block — the per-block batch whose size drives the shared-scan
-    cost model.  Jobs finishing their scan inside this iteration are listed
-    in ``finishing_jobs``; they complete when this iteration's merged reduce
+    cost model; blocks needed by the same jobs share one tuple.  Jobs
+    finishing their scan inside this iteration are listed in
+    ``finishing_jobs``; they complete when this iteration's merged reduce
     phase ends.  The plan carries no slot state: the simulator's S3
     scheduler tracks its tasks in a dispatch record of its own.
     """
@@ -165,22 +166,29 @@ class ScanLoop:
         chunk_len = min(chunk_len, max(job.remaining for job in self.active))
         chunk = tuple(range(self.pointer, self.pointer + chunk_len))
 
-        block_jobs: dict[int, list[str]] = {b: [] for b in chunk}
         profiles: dict[str, JobProfile] = {}
         finishing: list[str] = []
         participants: list[str] = []
+        takes: list[int] = []
         for job in self.active:
             take = min(chunk_len, job.remaining)
             if take <= 0:
                 raise SchedulingError(
                     f"{job.job_id}: active job with nothing remaining")
-            for offset in range(take):
-                block_jobs[self.pointer + offset].append(job.job_id)
             participants.append(job.job_id)
+            takes.append(take)
             profiles[job.job_id] = job.spec.profile
             job.advance(take)
             if job.done_scanning:
                 finishing.append(job.job_id)
+        # Takes are prefixes of the chunk: one riders tuple per distinct take.
+        riders = everyone = tuple(participants)
+        block_jobs: dict[int, tuple[str, ...]] = {}
+        for offset, block in enumerate(chunk):
+            if offset in takes:
+                riders = tuple(job_id for job_id, take
+                               in zip(participants, takes) if take > offset)
+            block_jobs[block] = riders
         self.active = [job for job in self.active if not job.done_scanning]
         self.pointer = (self.pointer + chunk_len) % n
         self._iteration_counter += 1
@@ -188,9 +196,9 @@ class ScanLoop:
             iteration_id=f"{self.dfs_file.name}:iter_{self._iteration_counter:05d}",
             file_name=self.dfs_file.name,
             chunk=chunk,
-            block_jobs={b: tuple(jobs) for b, jobs in block_jobs.items()},
+            block_jobs=block_jobs,
             profiles=profiles,
-            participants=tuple(participants),
+            participants=everyone,
             finishing_jobs=tuple(finishing),
             file_fraction=chunk_len / n,
         )

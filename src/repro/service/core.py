@@ -37,7 +37,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from ..analysis.lockgraph import OrderedLock
+from ..analysis.lockgraph import ordered_lock
 from ..analysis.racecheck import register_instance
 from ..common.clock import Clock, monotonic_clock
 from ..common.errors import AdmissionRejected, ServiceError
@@ -114,6 +114,9 @@ class SchedulerService:
         self.tracer = resolve_tracer(
             tracer, self.config.execution.trace.enabled, "service")
         self.metrics = MetricsRegistry()
+        #: Slot occupancy: jobs riding the current scan iteration (bounded
+        #: by the S3 admission cap when one is configured).
+        self._slots_active = self.metrics.gauge("service.slots_active")
         # Live windows run on the service's relative clock, so step-mode
         # replays under a FakeClock produce bit-stable window stats.
         self.telemetry = ServiceTelemetry(
@@ -122,7 +125,7 @@ class SchedulerService:
             clock=self._now,
             max_samples=self.config.window_max_samples)
         self._cond = threading.Condition(
-            OrderedLock("SchedulerService._cond"))  # type: ignore[arg-type]
+            ordered_lock("SchedulerService._cond"))  # type: ignore[arg-type]
         # The shared-scan core.  add_job / cancel / has_work / plan touch
         # scheduling state and are only called under _cond; run / finish
         # touch none and are called outside it.  ``reader`` is the record
@@ -563,10 +566,7 @@ class SchedulerService:
         wave = self._scan.plan(
             self._iteration, max_jobs=self.config.max_jobs_per_iteration,
             more_arrivals=bool(self._scheduled))
-        # Slot occupancy: jobs concurrently riding this scan iteration
-        # (bounded by the S3 admission cap when one is configured).
-        self.metrics.gauge("service.slots_active").set(
-            len(wave.riders) if wave is not None else 0)
+        self._slots_active.set(len(wave.riders) if wave is not None else 0)
         if wave is None:
             return None
         now = self._now()

@@ -99,6 +99,38 @@ class TestRep007Annotated:
             """)
         assert violations == []
 
+    def test_ordered_lock_factory_counts_as_lock(self):
+        """The runtime builds its locks with ``ordered_lock``: bare or
+        under a condition, its result guards what names it."""
+        source = """\
+            import threading
+            from repro.analysis.lockgraph import ordered_lock
+
+            class Thing:
+                def __init__(self):
+                    self._lock = ordered_lock("X._lock")
+                    self._cond = threading.Condition(ordered_lock("X._cond"))
+                    self._n = 0  # guarded-by: _lock
+                    self._closed = False  # guarded-by: _cond
+
+                def bump(self):
+                    with self._lock:
+                        self._n += 1
+
+                def close(self):
+                    with self._cond:
+                        self._closed = True
+                        self._cond.notify_all()
+            """
+        assert run_rule("REP007", source) == []
+        violations = run_rule("REP007", source + """\
+
+                def racy(self):
+                    self._n += 1
+                    return self._closed
+            """)
+        assert [v.line for v in violations] == [21, 22]
+
     def test_helper_called_only_under_lock_is_clean(self):
         violations = run_rule("REP007", """\
             import threading

@@ -9,9 +9,12 @@ import pytest
 from repro.analysis.lockgraph import (
     LockOrderError,
     OrderedLock,
+    held_locks,
     lock_order_graph,
     lockcheck_enabled,
+    ordered_lock,
     reset_lock_graph,
+    set_held_tracking,
     set_lockcheck,
 )
 
@@ -256,3 +259,28 @@ def test_tracking_only_mode_records_no_edges_and_never_raises():
         from repro.analysis.racecheck import racecheck_enabled
         set_held_tracking(racecheck_enabled())
         set_lockcheck(True)
+
+
+def test_ordered_lock_decides_when_built():
+    """Checked while order checking or held tracking is on at build
+    time; a bare lock otherwise, which stays bare once checking is on."""
+    from repro.analysis.racecheck import racecheck_enabled
+
+    checked = ordered_lock("t13.A")
+    assert isinstance(checked, OrderedLock) and checked.name == "t13.A"
+    set_lockcheck(False)
+    set_held_tracking(True)
+    try:
+        assert isinstance(ordered_lock("t13.B"), OrderedLock)
+        set_held_tracking(False)
+        if not racecheck_enabled():
+            bare = ordered_lock("t13.C")
+            assert type(bare) is type(threading.Lock())
+            set_lockcheck(True)
+            with bare:  # checking on now, but this lock was built bare
+                assert "t13.C" not in tuple(held_locks())
+    finally:
+        set_held_tracking(racecheck_enabled())
+        set_lockcheck(True)
+    with checked, threading.Condition(ordered_lock("t13.D")):
+        assert tuple(held_locks()) == ("t13.A", "t13.D")

@@ -12,26 +12,28 @@ import os
 
 import pytest
 
-from repro.common.config import ClusterConfig, DfsConfig
-from repro.localrt.storage import BlockStore
-from repro.mapreduce.costmodel import CostModel
-from repro.mapreduce.job import JobSpec
-from repro.mapreduce.profile import JobProfile
-from repro.workloads.text import TextCorpusGenerator
-
 # Lock-order checking (repro.analysis.lockgraph) is on for the whole
 # suite: any test that nests the runtime locks inconsistently fails with
-# a LockOrderError naming the cycle.  The switch is read lazily at the
-# first lock acquisition, so setting it here covers every test.
+# a LockOrderError naming the cycle.  A runtime lock is checked only if
+# checking was on when it was built (``ordered_lock``), and importing
+# ``repro`` builds some (the process's token encoder), so the switch is
+# set before the first ``repro`` import.
 os.environ.setdefault("REPRO_LOCKCHECK", "1")
 
-# Resolve the lockset race detector's switch up front: when the run was
-# launched with REPRO_RACECHECK=1 (the CI racecheck job), this turns on
-# held-set tracking before any test acquires a lock, so early
+# Resolve the lockset race detector's switch up front too: when the run
+# was launched with REPRO_RACECHECK=1 (the CI racecheck job), this turns
+# on held-set tracking before any lock is built or acquired, so early
 # acquisitions are not invisible to later registrations.
 from repro.analysis.racecheck import racecheck_enabled  # noqa: E402
 
 racecheck_enabled()
+
+from repro.common.config import ClusterConfig, DfsConfig  # noqa: E402
+from repro.localrt.storage import BlockStore  # noqa: E402
+from repro.mapreduce.costmodel import CostModel  # noqa: E402
+from repro.mapreduce.job import JobSpec  # noqa: E402
+from repro.mapreduce.profile import JobProfile  # noqa: E402
+from repro.workloads.text import TextCorpusGenerator  # noqa: E402
 
 
 @pytest.fixture

@@ -303,6 +303,72 @@ def test_wave_sums_are_the_blocks_summed_and_riders_add_them(monkeypatch):
     assert state.map_output_records == state.summed_records == 6
 
 
+# ------------------------------------------------------------ wave-sums memo
+
+def _lap(views, texts):
+    """One lap over ``texts``: each block bound to ``views``, encoded."""
+    return [BlockData(text).bind(views, index).encoded()
+            for index, text in enumerate(texts)]
+
+
+def test_a_warm_chunk_is_summed_once(monkeypatch):
+    """A second lap meets the same kept views, and the first block's
+    memo hands back the same sums; each group length has a slot of its
+    own, and a block derived again is a new object the memo misses."""
+    monkeypatch.setattr(tokens, "ENCODER", TokenEncoder())
+    views = tokens.DerivedViews()
+    texts = [b"apple ant\n", b"bee ant cow\n"]
+    first = _lap(views, texts)
+    sums = tokens.WaveSums.of(first)
+    second = _lap(views, texts)
+    assert all(map(lambda a, b: a is b, first, second))
+    assert tokens.WaveSums.of(second) is sums
+    head = tokens.WaveSums.of(second[:1])
+    assert head is not sums and tokens.WaveSums.of(first[:1]) is head
+    assert tokens.WaveSums.of(second) is sums
+    fresh = BlockData(texts[1]).encoded()  # unbound: derived again
+    again = tokens.WaveSums.of([first[0], fresh])
+    assert again is not sums
+    (kept,), (summed,) = sums, again
+    assert kept.ids is None and summed.ids is None
+    assert kept.totals.tolist() == summed.totals.tolist() == [1, 2, 1, 1]
+    assert kept.presence.tolist() == summed.presence.tolist() == [1, 2, 1, 1]
+
+
+def test_wave_sums_memo_misses_after_a_roll_over(monkeypatch):
+    """A roll-over retires every kept view, so the next lap's blocks are
+    new objects, encoded against the new dictionary: the memo misses."""
+    monkeypatch.setattr(tokens, "TOKEN_DICTIONARY_CAP", 6)
+    monkeypatch.setattr(tokens, "ENCODER", TokenEncoder())
+    tokens.ENCODER.encode(Counter("x y z".split()))
+    views = tokens.DerivedViews()
+    texts = [b"a b\n", b"b c\n"]
+    first = _lap(views, texts)  # the dictionary is full
+    sums = tokens.WaveSums.of(first)
+    tokens.ENCODER.encode(Counter(["d"]))  # a 7th word: roll
+    second = _lap(views, texts)
+    assert second[0] is not first[0]
+    again = tokens.WaveSums.of(second)
+    assert again is not sums
+    assert again[0].dictionary is not sums[0].dictionary
+    assert tokens.WaveSums.of(_lap(views, texts)) is again
+
+
+def test_memoised_sums_are_read_only(monkeypatch):
+    """Dense or sparse, the arrays every later lap's riders share cannot
+    be written through."""
+    encoder = TokenEncoder()
+    monkeypatch.setattr(tokens, "ENCODER", encoder)
+    dense = tokens.WaveSums.of([encoder.encode(Counter("a b a".split()))])
+    encoder.encode(Counter(f"pad{i}" for i in range(64)))
+    sparse = tokens.WaveSums.of([encoder.encode(Counter(["z"]))])
+    assert dense[0].ids is None and sparse[0].ids is not None
+    for sums in (dense[0], sparse[0]):
+        for array in (sums.totals, sums.presence):
+            _raises_on_write(array)
+    _raises_on_write(sparse[0].ids)
+
+
 # ----------------------------------------------------------------- roll-over
 
 def test_roll_over_replaces_the_dictionary_and_never_passes_the_cap(

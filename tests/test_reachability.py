@@ -47,12 +47,10 @@ KEPT = {
          "repro.metrics.validate:validate_trace"),
         "trace validator: the oracle of the pinned simulator-trace test"),
     **dict.fromkeys(
-        ("repro.analysis.lockgraph:held_tracking_enabled",
-         "repro.analysis.lockgraph:lock_order_graph",
+        ("repro.analysis.lockgraph:lock_order_graph",
          "repro.analysis.lockgraph:lockcheck_enabled",
          "repro.analysis.lockgraph:reset_lock_graph",
          "repro.analysis.lockgraph:set_lockcheck",
-         "repro.analysis.racecheck:racecheck_enabled",
          "repro.analysis.racecheck:reset_racecheck_state",
          "repro.analysis.racecheck:set_racecheck"),
         "lock-order and race-check switches: safety tooling the suite drives"),
