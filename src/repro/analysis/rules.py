@@ -173,6 +173,8 @@ READSTATS_FIELDS = frozenset({
     "mmap_blocks_read",
     # Sharded-store failover accounting (PR 9).
     "replica_fallback_reads",
+    # Visits the derived-view table answered with no bytes loaded.
+    "view_blocks_read",
 })
 
 #: Receiver names that identify a ReadStats holder (``store.stats``,

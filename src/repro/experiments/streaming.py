@@ -11,15 +11,20 @@ Compared schemes:
 
 * **FIFO (closed loop)** — the no-sharing baseline: the same job set,
   run back-to-back by :class:`~repro.localrt.runners.FifoLocalRunner`.
-  Its scan-sharing attribution is the 1.00x floor by construction.
+  Its *scan* shares nothing, so its TET is the sum of the jobs' scans.
 * **S3 service (open loop)** — jobs submitted over time to a
   :class:`~repro.service.core.SchedulerService`; sharing emerges from
   whatever overlap the arrival schedule leaves.
 
 Both runs are traced and the scan-sharing attribution table (PR 5's
 ``io.wave`` x ``job_ids`` join) splits physical reads per job, so the
-headline is a *measured* sharing ratio, not an inferred one.  Outputs
-are verified byte-identical between schemes.
+sharing column is a *measured* ratio of demand to disk reads, not an
+inferred one.  Each scheme's store handle keeps derived views, and the
+jobs all sum, so a block is read from disk once per handle whichever
+job visits it first, and a job whose every visit the table answered is
+charged nothing (0.00x: unattributable).  Both ratios therefore reach
+the jobs per block; TET and ART are what tell the schemes apart.
+Outputs are verified byte-identical between schemes.
 """
 
 from __future__ import annotations

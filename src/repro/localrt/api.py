@@ -49,8 +49,10 @@ class BlockStoreProtocol(Protocol):
 
     * **geometry** — ``num_blocks`` / ``total_bytes`` / per-block sizes,
       offsets and replica locations, all fixed once the store is open;
-    * **reads** — ``read_block_bytes`` (zero-copy; what every map wave
-      reads), charging one *logical* read, by the store that routed it;
+    * **reads** — ``read_block_bytes`` (zero-copy; what a map wave
+      reads unless the derived-view table answers the visit) and
+      ``visit_block`` (the visit the table answered: no bytes loaded),
+      each charging one *logical* read, by the store that routed it;
       plus advisory ``prefetch_block`` warming (physical only);
     * **accounting** — ``stats_snapshot`` / ``logical_blocks_read`` over
       one cumulative :class:`~repro.localrt.storage.ReadStats`;
@@ -81,6 +83,8 @@ class BlockStoreProtocol(Protocol):
     def block_locations(self, index: int) -> tuple[str, ...]: ...
 
     def read_block_bytes(self, index: int) -> bytes: ...
+
+    def visit_block(self, index: int) -> None: ...
 
     def prefetch_block(self, index: int) -> bool: ...
 
@@ -190,27 +194,29 @@ class BlockData(bytes):
         (:mod:`repro.localrt.tokens`) and shared by every rider: each
         one's map is then a gather at the block's ids instead of a loop
         over its words.  A bound block takes the view its table kept on
-        an earlier lap — no decode, no split, no ``Counter`` — as long
-        as that view's dictionary is still the encoder's current one,
-        and otherwise builds it and offers it to the table (which keeps
-        it unless it is full, or the block is so wide that the encoder
-        gave it a dictionary of its own).  The view carries the block's
-        record count, so after a table hit :meth:`line_count` is
-        answered without reading a byte of the block.
+        an earlier lap — no decode, no split, no ``Counter`` — under the
+        one currency rule of :func:`~repro.localrt.tokens.kept_encoding`,
+        and otherwise builds it and offers it to the table
+        (:func:`~repro.localrt.tokens.offer_encoding`).  The view
+        carries the block's record count, so after a table hit
+        :meth:`line_count` is answered without reading a byte of the
+        block.  A map wave whose riders need nothing else asks the table
+        itself before it loads the block, and wraps the bytes only on a
+        miss (:mod:`repro.localrt.parallel`): a warm visit then loads no
+        bytes at all.
         """
         if self._encoded is None:
-            encoder = tokens.ENCODER
-
-            def build() -> "tokens.EncodedBlock":
-                fresh = encoder.encode(self.token_counts())
-                fresh.lines = self.line_count()
-                return fresh
-
-            self._encoded = self._through_table(
-                tokens.ENCODED_VIEW, build,
-                still_valid=lambda kept: encoder.is_current(kept, tick=True),
-                admit=lambda fresh: encoder.is_current(fresh, tick=False))
-            self._line_count = self._encoded.lines
+            views = self._views
+            encoded = (tokens.MISSING if views is None
+                       else tokens.kept_encoding(views, self._block))
+            if encoded is tokens.MISSING:
+                encoded = tokens.ENCODER.encode(self.token_counts())
+                encoded.lines = self.line_count()
+                if views is not None:
+                    tokens.offer_encoding(views, self._block, encoded,
+                                          len(self))
+            self._encoded = encoded
+            self._line_count = encoded.lines
         return self._encoded
 
     def memo(self, key: Hashable, compute: "Callable[[], Any]") -> Any:
@@ -242,21 +248,18 @@ class BlockData(bytes):
             cache[key] = self._through_table(key, compute)
         return cache[key]
 
-    def _through_table(self, view: Hashable, compute: "Callable[[], Any]",
-                       still_valid: "Callable[[Any], bool] | None" = None,
-                       admit: "Callable[[Any], bool] | None" = None) -> Any:
+    def _through_table(self, view: Hashable,
+                       compute: "Callable[[], Any]") -> Any:
         """``compute()``, unless the bound table kept this block's
-        ``view`` (and ``still_valid`` agrees); what was computed is
-        offered to the table if ``admit`` agrees.  Unbound: just
-        ``compute()``."""
+        ``view``; what was computed is offered to the table.  Unbound:
+        just ``compute()``."""
         views = self._views
         if views is None:
             return compute()
-        value = views.lookup(self._block, view, still_valid)
+        value = views.lookup(self._block, view)
         if value is tokens.MISSING:
             value = compute()
-            if admit is None or admit(value):
-                views.publish(self._block, view, value, len(self))
+            views.publish(self._block, view, value, len(self))
         return value
 
 

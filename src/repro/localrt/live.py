@@ -145,6 +145,7 @@ class _LocalRunnerBase:
                           physical_blocks=delta.physical_blocks_read,
                           cache_hits=delta.cache_hits,
                           cache_misses=delta.cache_misses,
+                          view_blocks=delta.view_blocks_read,
                           prefetched=delta.prefetched_blocks)
 
 

@@ -4,8 +4,10 @@ Map tasks over distinct blocks are independent.  :func:`execute_map_wave`
 collects them one by one in the calling thread — each block read through
 the store handle (which routes and counts the read), bound to the
 handle's derived-view table and mapped by every rider at once
-(:func:`repro.localrt.engine.collect_map_outputs`) — and then folds the
-results into each job's shuffle state **in task order**.  This is the
+(:func:`repro.localrt.engine.collect_map_outputs`), or, when every rider
+is wave-summed and the table kept the block's encoding, only visited —
+and then folds the results into each job's shuffle state **in task
+order**.  This is the
 only map path: every ``ExecutionConfig.map_backend`` name runs it, so a
 rider's output never leaves the process that absorbs it.
 
@@ -111,11 +113,16 @@ def _collect_in_parent(store: BlockStoreProtocol, reader: RecordReader,
     and return its encoded view beside the result for its wave-summed
     ones; a block with no mapped rider collects that view alone.
 
-    The block is bound to the store handle's derived-view table, so its
-    compact views are derived once per handle, not once per lap of the
-    scan.  Every decode happens below this call (``collect_map_outputs``
-    for per-record mappers, ``BlockData`` for kernels), so a block that
-    is not UTF-8 surfaces here: one :class:`ExecutionError` naming the
+    The block's compact views are derived once per store handle, not
+    once per lap of the scan, through the handle's derived-view table.
+    A block with no mapped rider asks the table first: a kept encoding
+    is all its riders use, so the visit is booked as a logical read
+    (``visit_block``) and no byte of the block is loaded.  Otherwise the
+    block is read; with mapped riders it is bound to the table, and
+    without, the encoding the table lacked is built and offered to it.
+    Every decode happens below this call (``collect_map_outputs`` for
+    per-record mappers, ``BlockData`` for kernels), so a block that is
+    not UTF-8 surfaces here: one :class:`ExecutionError` naming the
     block, for every mapper kind — on every visit, since a derive that
     raises publishes nothing.
     """
@@ -125,16 +132,25 @@ def _collect_in_parent(store: BlockStoreProtocol, reader: RecordReader,
                          job_ids=[s.job.job_id for s in task.states]):
             return _collect_in_parent(store, reader, task, split)
     index = task.block_index
-    data = BlockData(store.read_block_bytes(index)).bind(store.derived, index)
+    views = store.derived
     mapped, summed = split
+    if not mapped:
+        encoded = tokens.kept_encoding(views, index)
+        if encoded is not tokens.MISSING:
+            store.visit_block(index)
+            return (encoded.lines, [], []), encoded
+    data = BlockData(store.read_block_bytes(index))
     try:
-        encoded = data.encoded() if summed else None
         if mapped:
+            data.bind(views, index)
+            encoded = data.encoded() if summed else None
             count, outputs, counters = collect_map_outputs(
                 [state.job for state in mapped], reader, data,
                 store.block_offset(index))
-        else:  # the encoded view carries the record count
-            count, outputs, counters = data.line_count(), [], []
+        else:  # the table was asked above: build, offer, take its count
+            encoded = data.encoded()
+            tokens.offer_encoding(views, index, encoded, len(data))
+            count, outputs, counters = encoded.lines, [], []
     except UnicodeDecodeError as exc:
         raise ExecutionError(
             f"block {index} is not valid UTF-8 ({exc})") from exc

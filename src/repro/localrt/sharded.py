@@ -12,7 +12,8 @@ code can reason about locality identically in both worlds.
 
 Each shard directory is a plain :class:`~repro.localrt.storage.BlockStore`
 (block files keep their *global* index in the name, so a shard's sorted
-directory listing is its sorted global holdings).  Every read routes to
+directory listing is its sorted global holdings).  Every read — a
+view-served visit (``visit_block``) included — routes to
 the first *live* replica — primary first — and failure injection is just
 state: :meth:`ShardedBlockStore.fail_shard` marks a shard down in this
 handle's memory (nothing is written to disk; every read is routed by
@@ -315,6 +316,14 @@ class ShardedBlockStore:
         data = store.read_block_bytes(local)
         self._note_read(index, shard, fallback)
         return data
+
+    def visit_block(self, index: int) -> None:
+        """Charge one view-served logical read of block ``index`` to its
+        first live replica — routed, booked and traced exactly as
+        :meth:`read_block_bytes`, with no bytes loaded."""
+        store, local, shard, fallback = self._serve(index)
+        store.visit_block(local)
+        self._note_read(index, shard, fallback)
 
     def prefetch_block(self, index: int) -> bool:
         """Warm block ``index`` in its serving shard's cache (physical

@@ -10,19 +10,29 @@ each block once per batch instead of once per job.
 
 The counter model distinguishes two layers:
 
-* **logical** reads (``blocks_read`` / ``bytes_read``) — one per
-  ``read_block_bytes`` call, regardless of caching.  This is what scan-sharing
-  accounting measures: how many block *visits* the schedule required.
+* **logical** reads (``blocks_read`` / ``bytes_read``) — one per block
+  *visit* (``read_block_bytes`` or ``visit_block``), however it was
+  served.  This is what scan-sharing accounting measures: how many
+  block visits the schedule required.
 * **physical** reads (``physical_blocks_read`` / ``physical_bytes_read``)
-  — actual trips to disk.  With a :class:`~repro.localrt.cache.BlockCache`
-  attached, repeat visits hit memory and the physical counters lag the
-  logical ones; the gap (plus ``cache_hits``/``cache_misses``/
-  ``cache_evictions``) quantifies what the cache saved.
+  — actual trips to disk.
 
-Every read is counted by the store that serves it, in
-``read_block_bytes``.  :class:`ReadStats` is the one book of these
-numbers: the cache keeps no counters of its own, so a hit, a miss or an
-eviction is booked once, here, beside the read it belongs to.
+A visit is served by the first of three tiers that can answer it:
+
+1. **view-served** (``view_blocks_read``) — the handle's
+   :class:`~repro.localrt.tokens.DerivedViews` table kept everything the
+   visit's riders use, so the visit loads no bytes at all
+   (``visit_block``: no cache lookup, no disk read);
+2. **cache** (``cache_hits``) — a
+   :class:`~repro.localrt.cache.BlockCache` holds the block's bytes;
+3. **disk** (``cache_misses`` when a cache is attached, and always a
+   physical read).
+
+So on a store without a cache, ``blocks_read == physical_blocks_read +
+view_blocks_read``.  Every read is counted by the store that serves it.
+:class:`ReadStats` is the one book of these numbers: the cache keeps no
+counters of its own, so a hit, a miss or an eviction is booked once,
+here, beside the read it belongs to.
 """
 
 from __future__ import annotations
@@ -99,10 +109,14 @@ def read_block_file(path: pathlib.Path) -> tuple[bytes, bool]:
 class ReadStats:
     """Cumulative I/O counters of one :class:`BlockStore`.
 
-    ``blocks_read``/``bytes_read`` are *logical* (per ``read_block_bytes`` call;
-    byte-identical with or without a cache).  The remaining fields
-    describe the *physical* path: disk reads, cache hit/miss/eviction
-    traffic and prefetcher activity.
+    ``blocks_read``/``bytes_read`` are *logical* (one per block visit;
+    byte-identical with or without a cache or a derived-view table).
+    ``view_blocks_read`` counts the visits the derived-view table
+    answered with no bytes loaded.  The remaining fields describe the
+    *physical* path below it: disk reads, cache hit/miss/eviction
+    traffic (``cache_hits``/``cache_misses`` count
+    :class:`~repro.localrt.cache.BlockCache` lookups only) and
+    prefetcher activity.
     """
 
     blocks_read: int = 0
@@ -122,6 +136,10 @@ class ReadStats:
     #: :mod:`repro.localrt.sharded`).  A subset of ``blocks_read``;
     #: always 0 for a single :class:`BlockStore`.
     replica_fallback_reads: int = 0
+    #: Logical reads the handle's derived-view table answered: no cache
+    #: lookup, no bytes loaded (``visit_block``).  A subset of
+    #: ``blocks_read``.
+    view_blocks_read: int = 0
 
     def snapshot(self) -> "ReadStats":
         """An independent copy (for before/after deltas)."""
@@ -136,13 +154,18 @@ class ReadStats:
 
     @property
     def cache_hit_ratio(self) -> float:
-        """Demand hits over demand lookups (0.0 before the first lookup).
+        """Demand hits served from memory over demand visits that asked
+        memory (0.0 before the first).
 
-        Prefetcher loads are not lookups; a prefetched block's first
-        demand read counts as a hit, which is exactly the point.
+        A view-served read (``view_blocks_read``) counts as a hit: the
+        derived-view table is a tier above the cache, and it answered
+        without the cache being asked.  Prefetcher loads are not
+        lookups; a prefetched block's first demand read counts as a
+        hit, which is exactly the point.
         """
-        lookups = self.cache_hits + self.cache_misses
-        return self.cache_hits / lookups if lookups else 0.0
+        hits = self.cache_hits + self.view_blocks_read
+        lookups = hits + self.cache_misses
+        return hits / lookups if lookups else 0.0
 
 
 class BlockStore:
@@ -196,8 +219,9 @@ class BlockStore:
         register_instance(self, fields=("_inflight",),
                           guard="BlockStore._inflight_lock")
         #: Compact derived views of this handle's blocks, kept from one
-        #: lap of a scan to the next (the bytes are still read and
-        #: counted every time).  Per handle, in memory, gone with it.
+        #: lap of a scan to the next; a visit they fully answer loads no
+        #: bytes (:meth:`visit_block`).  Per handle, in memory, gone
+        #: with it.
         self.derived = DerivedViews()
 
     # -------------------------------------------------------------- creation
@@ -307,6 +331,16 @@ class BlockStore:
             self.stats.blocks_read += 1
             self.stats.bytes_read += self._sizes[index]
         return data
+
+    def visit_block(self, index: int) -> None:
+        """Charge one logical read of block ``index`` that the derived-view
+        table answered (``view_blocks_read``): no cache lookup and no
+        disk read, so no physical or cache counter moves."""
+        self._check(index)
+        with self._stats_lock:
+            self.stats.blocks_read += 1
+            self.stats.bytes_read += self._sizes[index]
+            self.stats.view_blocks_read += 1
 
     def prefetch_block(self, index: int) -> bool:
         """Warm block ``index`` into the cache without logical accounting.

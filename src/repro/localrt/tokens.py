@@ -31,8 +31,10 @@ records.
 block's compact derived views (its :class:`EncodedBlock`, a kernel's
 ``memo`` value) from one lap of the circular scan to the next, so a
 block is tokenised and encoded once per store handle, not once per
-wave.  The bytes are still read and counted on every visit; only the
-work done on them is remembered.
+wave.  A visit whose riders use nothing but a kept view loads no bytes
+at all: the store books it as a logical read the table served
+(``visit_block``), and only a miss, or a rider that still maps the
+block's bytes, reads the block.
 
 State is bounded.  A :class:`TokenDictionary` only grows up to
 :data:`TOKEN_DICTIONARY_CAP` words; the block that would pass the cap
@@ -504,8 +506,10 @@ class DerivedViews:
     each wave's :class:`~repro.localrt.api.BlockData` to it, and
     ``encoded()`` / ``memo()`` then :meth:`lookup` before they compute
     and :meth:`publish` after, so a view is derived once per block per
-    table for as long as there is room.  A view that could not be
-    admitted is simply derived again on the block's next visit.
+    table for as long as there is room; a task whose riders need only
+    the encoding asks the table itself, before it loads the block
+    (:func:`kept_encoding` / :func:`offer_encoding`).  A view that could
+    not be admitted is simply derived again on the block's next visit.
     """
 
     def __init__(self) -> None:
@@ -529,13 +533,13 @@ class DerivedViews:
     def lookup(self, block: Hashable, view: Hashable,
                still_valid: Callable[[Any], bool] | None = None) -> Any:
         """The kept ``view`` of ``block``, or :data:`MISSING` — one lock
-        acquisition, unless there is a ``still_valid`` to ask.
+        acquisition, unless ``still_valid`` retires what was found.
 
-        ``still_valid(value)`` (called with no table lock held, so the
-        answer is booked under a second acquisition) can retire what
-        was found: a ``False`` drops *every* kept ``view``,
-        whichever block's — what made this one stale made them all —
-        and the lookup counts as a miss.  (A fresh view another task
+        A found view is booked as a hit under that one acquisition.
+        ``still_valid(value)`` is then called with no table lock held;
+        a ``False`` moves the hit to a miss under a second acquisition
+        and drops *every* kept ``view``, whichever block's — what made
+        this one stale made them all.  (A fresh view another task
         published in between goes with them; its block's next visit
         re-admits it.)
         """
@@ -544,14 +548,11 @@ class DerivedViews:
             if held is None:
                 self._misses += 1
                 return MISSING
-            if still_valid is None:
-                self._hits += 1
-                return held[0]
-        stale = not still_valid(held[0])
+            self._hits += 1
+        if still_valid is None or still_valid(held[0]):
+            return held[0]
         with self._lock:
-            if not stale:
-                self._hits += 1
-                return held[0]
+            self._hits -= 1
             self._misses += 1
             for key in [key for key in self._views if key[1] == view]:
                 self._charged -= self._views.pop(key)[1]
@@ -592,6 +593,31 @@ class DerivedViews:
                 "resident_blocks": len(self._per_block),
                 "charged_bytes": self._charged,
             }
+
+
+def kept_encoding(views: DerivedViews, block: Hashable) -> Any:
+    """``block``'s :class:`EncodedBlock` as ``views`` kept it, or
+    :data:`MISSING`.
+
+    The one currency rule for a kept encoding, whoever asks (a
+    :class:`~repro.localrt.api.BlockData` or a map wave that has not
+    loaded the block): it is served only while its dictionary is the
+    encoder's current one, and serving it counts the block as mapped on
+    the verdict table's idle clock, as encoding it would.  A stale one
+    retires every kept encoding (see :meth:`DerivedViews.lookup`).
+    """
+    return views.lookup(
+        block, ENCODED_VIEW, lambda kept: ENCODER.is_current(kept, tick=True))
+
+
+def offer_encoding(views: DerivedViews, block: Hashable,
+                   fresh: EncodedBlock, nbytes: int) -> None:
+    """Offer a freshly built encoding of ``block`` (``nbytes`` long) to
+    ``views``, unless its dictionary is not the encoder's current one —
+    the block was so wide that it got a dictionary of its own, or the
+    dictionary rolled over since — so it could never be served."""
+    if ENCODER.is_current(fresh, tick=False):
+        views.publish(block, ENCODED_VIEW, fresh, nbytes)
 
 
 class RowTable:

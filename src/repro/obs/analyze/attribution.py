@@ -10,7 +10,7 @@ that per job, per run:
 * each ``io.wave`` instant carries the wave's
   :class:`~repro.localrt.storage.ReadStats` delta — logical blocks
   (scan work the schedule required) and *physical* blocks (actual trips
-  to disk, after the cache).
+  to disk, after the derived-view table and the cache).
 
 Attribution splits every wave's physical reads across its tasks' jobs:
 a block shared by k jobs charges each 1/k of a read (computed in exact
@@ -19,7 +19,11 @@ physical reads sum to the run's physical total *exactly*).  The
 standalone baseline is what the job would have read running alone — one
 physical read per block it participated in, cache cold.  Their quotient
 is the **sharing ratio**: 1.0 means the job paid full price (FIFO, no
-cache); n jobs sharing a full scan approach n.
+cache, a store handle that has not seen the blocks); n jobs sharing a
+full scan approach n.  Two tiers cut the bill below one read per visit
+besides the shared scan: the cache, and the handle's derived-view table,
+which answers a warm visit of wave-summed riders with no bytes loaded —
+so a warm lap's ratio can exceed its sharing.
 """
 
 from __future__ import annotations
@@ -44,7 +48,8 @@ class JobAttribution:
     #: Its exact share of the run's physical reads under sharing.
     attributed_physical: float
     #: ``standalone / attributed`` — the factor by which sharing (scan
-    #: merging + cache) cut this job's I/O bill; 0.0 when unattributable.
+    #: merging, the derived-view table and the cache) cut this job's I/O
+    #: bill; 0.0 when unattributable (no physical read was charged).
     sharing_ratio: float
 
     def as_dict(self) -> dict[str, object]:

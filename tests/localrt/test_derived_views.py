@@ -156,7 +156,7 @@ class _CountingLock:
         self.held = False
 
 
-def test_lookup_takes_the_lock_once_unless_there_is_a_validity_to_ask():
+def test_lookup_takes_the_lock_once_unless_the_view_is_stale():
     views = DerivedViews()
     views.publish(0, "v", "value", 10)
     lock = views._lock = _CountingLock()
@@ -169,8 +169,11 @@ def test_lookup_takes_the_lock_once_unless_there_is_a_validity_to_ask():
     assert views.lookup(0, "v", lambda kept: asked.append(lock.held)
                         or True) == "value"
     assert asked == [False]  # the callback runs with no table lock held
-    assert lock.acquisitions == 5
-    assert (views.stats()["hits"], views.stats()["misses"]) == (2, 2)
+    assert lock.acquisitions == 4  # a valid hit: one acquisition
+    assert views.lookup(0, "v", lambda kept: False) is MISSING
+    assert lock.acquisitions == 6  # stale: the hit becomes a miss
+    stats = views.stats()
+    assert (stats["hits"], stats["misses"], stats["invalidated"]) == (2, 3, 1)
 
 
 def test_row_table_slots_are_write_once_and_the_budget_is_exact():
@@ -328,6 +331,32 @@ def _observed(report, store, out_root):
             dataclasses.asdict(store.stats_snapshot()))
 
 
+#: The ``ReadStats`` fields that count visits, not how they were served.
+LOGICAL = ("blocks_read", "bytes_read", "replica_fallback_reads")
+
+
+def _keep_nothing(patch):
+    """Make every table keep nothing, so every visit reads its block:
+    the byte-reading reference."""
+    patch.setattr(DerivedViews, "lookup",
+                  lambda self, block, view, still_valid=None: MISSING)
+    patch.setattr(DerivedViews, "publish", lambda self, *args: False)
+
+
+def _assert_reads_no_more(observed, reference):
+    """``observed`` is what the byte-reading ``reference`` let a caller
+    see, on an uncached store, but for the tier that served each visit:
+    the same part files, counters and logical reads, every visit the
+    table did not serve read from disk, and never more disk reads."""
+    assert observed[:2] == reference[:2]
+    seen, ref = observed[2], reference[2]
+    assert ({field: seen[field] for field in LOGICAL}
+            == {field: ref[field] for field in LOGICAL})
+    assert (seen["physical_blocks_read"] + seen["view_blocks_read"]
+            == seen["blocks_read"])
+    assert seen["physical_blocks_read"] <= ref["physical_blocks_read"]
+
+
 def _three_laps(store, backend, out_root, on_iteration_end=None):
     """Three jobs, each a full lap of its own (the next is admitted when
     the one before has wrapped)."""
@@ -368,7 +397,18 @@ def test_capped_table_keeps_the_first_k_blocks_it_met(tmp_path, monkeypatch):
     assert n > k + 2
     cap = sum(store.block_size_bytes(i) for i in range(k))
     monkeypatch.setattr(tokens, "DERIVED_VIEWS_CAP_BYTES", cap)
-    assert _three_laps(store, "serial", tmp_path / "out") == reference
+    observed = _three_laps(store, "serial", tmp_path / "out")
+    assert observed[:2] == reference[:2]
+    # One physical read per block per handle while its view is kept: the
+    # last lap (summing riders) reads again the n - k blocks not kept.
+    unkept = store.total_bytes - cap
+    expected = dict(reference[2])
+    for field, more in (("physical_blocks_read", n - k),
+                        ("physical_bytes_read", unkept),
+                        ("mmap_blocks_read", n - k),
+                        ("view_blocks_read", k - n)):
+        expected[field] += more
+    assert observed[2] == expected
     stats = store.derived.stats()
     assert stats["admitted"] == stats["resident_blocks"] == k
     assert stats["hits"] == 2 * k and stats["misses"] == 3 * n - 2 * k
@@ -385,12 +425,12 @@ def test_roll_over_mid_scan_with_a_warm_table_changes_nothing_observable(
     """PR 17's roll-over test with the table in play: under three laps
     of a scan whose table holds half the file, the dictionary rolls over
     in the middle of the second, so views are admitted, refused, served,
-    retired and re-admitted mid-scan; outputs, counters and ReadStats
-    equal those of the same plan on unbound blocks under the shipped
-    caps."""
+    retired and re-admitted mid-scan; outputs, counters and logical
+    ReadStats equal those of the same plan with a table that keeps
+    nothing, under the shipped caps, with no more disk reads."""
     lines = _lines()
-    with monkeypatch.context() as unbound:
-        unbound.setattr(BlockData, "bind", lambda self, views, block: self)
+    with monkeypatch.context() as tableless:
+        _keep_nothing(tableless)
         reference_store = BlockStore.create(tmp_path / "reference", lines,
                                             2_000)
         reference = _three_laps(reference_store, backend,
@@ -412,8 +452,8 @@ def test_roll_over_mid_scan_with_a_warm_table_changes_nothing_observable(
         if iteration == _waves_per_lap(store) + 1:
             BlockData(b"two more").encoded()
 
-    assert _three_laps(store, backend, tmp_path / "out",
-                       roll_over) == reference
+    _assert_reads_no_more(
+        _three_laps(store, backend, tmp_path / "out", roll_over), reference)
     stats = store.derived.stats()
     assert stats["refused_at_cap"] > 0 and stats["invalidated"] > 0
     assert stats["hits"] > 4  # before the roll-over and after it
@@ -436,8 +476,8 @@ def test_table_and_encoder_locks_are_never_nested(tmp_path, monkeypatch):
 
 def test_warm_wordcount_lap_reads_no_byte_of_the_block(tmp_path, monkeypatch):
     """The record count rides with the encoded view: on a warm handle
-    nothing counts the block's newlines again — the store read is still
-    issued and counted."""
+    nothing counts the block's newlines again, and no block is loaded —
+    each visit is still counted as a logical read."""
     store = BlockStore.create(tmp_path / "corpus", _lines(), 2_000)
     counted = []
     monkeypatch.setattr(
@@ -452,6 +492,8 @@ def test_warm_wordcount_lap_reads_no_byte_of_the_block(tmp_path, monkeypatch):
     assert len(counted) == n
     assert warm.io.blocks_read == cold.io.blocks_read == n
     assert warm.io.bytes_read == cold.io.bytes_read == store.total_bytes
+    assert (cold.io.physical_blocks_read, cold.io.view_blocks_read) == (n, 0)
+    assert (warm.io.physical_blocks_read, warm.io.view_blocks_read) == (0, n)
     assert warm.results["wc"].output == cold.results["wc"].output
     assert warm.results["wc"].map_input_records \
         == cold.results["wc"].map_input_records == len(_lines())

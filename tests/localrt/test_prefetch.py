@@ -190,21 +190,48 @@ def test_shared_scan_prefetches_next_segment(tmp_path):
     assert report.io.cache_hits > 0
 
 
-def test_fifo_prefetch_keeps_logical_counters(tmp_path):
+def _fifo_plain_and_cached(tmp_path, **job_options):
+    """Three FIFO wordcount jobs on a plain store, and on a cached one
+    with read-ahead: ``(plain, plain report, cached report)``, after
+    checking that the cache and the prefetcher changed no output and no
+    logical counter."""
     plain = BlockStore.create(tmp_path / "plain", lines(120),
                               block_size_bytes=300)
     cached = BlockStore.create(tmp_path / "cached", lines(120),
                                block_size_bytes=300,
                                cache=BlockCache(10_000_000))
-    jobs = [wordcount_job(f"wc{i}", ".*") for i in range(3)]
-    base = FifoLocalRunner(plain).run(jobs)
+
+    def jobs():
+        return [wordcount_job(f"wc{i}", ".*", **job_options)
+                for i in range(3)]
+
+    base = FifoLocalRunner(plain).run(jobs())
     accel = FifoLocalRunner(
         cached,
         ExecutionConfig(cache_capacity_bytes=10_000_000,
-                        prefetch_depth=4)).run(
-        [wordcount_job(f"wc{i}", ".*") for i in range(3)])
+                        prefetch_depth=4)).run(jobs())
     assert accel.blocks_read == base.blocks_read
     assert accel.bytes_read == base.bytes_read
-    assert accel.io.physical_blocks_read < base.io.physical_blocks_read
     for job_id in base.results:
         assert accel.results[job_id].output == base.results[job_id].output
+    return plain, base, accel
+
+
+def test_fifo_prefetch_keeps_logical_counters(tmp_path):
+    """Summing riders: the derived-view table answers every visit after
+    a block's first, cached or not, so the cache has nothing left to
+    save — and the cached run reads no more than it did when every
+    visit loaded the block (one disk read per block)."""
+    plain, base, accel = _fifo_plain_and_cached(tmp_path)
+    n = plain.num_blocks
+    assert base.io.physical_blocks_read == n
+    assert accel.io.physical_blocks_read <= n
+    assert accel.io.view_blocks_read == base.io.view_blocks_read == 2 * n
+
+
+def test_fifo_prefetch_cuts_the_reads_of_riders_that_need_bytes(tmp_path):
+    """Riders mapped block by block load every block they visit, so the
+    cache serves the repeat visits the plain store reads again."""
+    _, base, accel = _fifo_plain_and_cached(tmp_path, use_combiner=False)
+    assert base.io.view_blocks_read == accel.io.view_blocks_read == 0
+    assert accel.io.physical_blocks_read < base.io.physical_blocks_read

@@ -7,10 +7,14 @@ import pytest
 from repro.common.config import ExecutionConfig
 from repro.common.errors import ExecutionError
 from repro.localrt.api import BlockStoreProtocol
+from repro.localrt.engine import JobRunState
 from repro.localrt.jobs import wordcount_job
+from repro.localrt.parallel import MapTaskSpec, execute_map_wave
+from repro.localrt.records import TextLineReader
 from repro.localrt.runners import FifoLocalRunner, SharedScanRunner
 from repro.localrt.sharded import MANIFEST_NAME, ShardedBlockStore, shard_id
 from repro.localrt.storage import BlockStore
+from repro.obs.tracer import Tracer
 from repro.workloads.text import TextCorpusGenerator
 
 NUM_SHARDS = 4
@@ -155,6 +159,85 @@ def test_all_replicas_down_raises(sharded):
     sharded.fail_shard(1)
     with pytest.raises(ExecutionError, match="all 2 replicas"):
         sharded.read_block_bytes(0)  # replicas of block 0 live on shards 0 and 1
+
+
+# ------------------------------------------------------- view-served visits
+
+def _wave(store, job, blocks):
+    """One map wave of ``job`` alone over ``blocks``."""
+    execute_map_wave(store, TextLineReader(),
+                     [MapTaskSpec(block, (JobRunState(job),))
+                      for block in blocks])
+
+
+def _warm_handle(sharded):
+    """A second handle on ``sharded``'s directory whose table keeps
+    every block's encoding (one wave of a summing rider)."""
+    warm = ShardedBlockStore(sharded.directory)
+    _wave(warm, wordcount_job("warm-up", ".*"), range(warm.num_blocks))
+    return warm
+
+
+def test_warm_visit_fails_over_and_books_like_a_read(sharded):
+    """With shard 0 down, a lap of summing riders on a warm handle loads
+    no bytes, yet routes, books and traces every visit exactly as a lap
+    of riders that read the bytes does on a cold one."""
+    warm = _warm_handle(sharded)
+    blocks = range(sharded.num_blocks)
+    seen = {}
+    for store, job in ((sharded, wordcount_job("reads", ".*",
+                                               use_combiner=False)),
+                       (warm, wordcount_job("summed", ".*"))):
+        store.fail_shard(0)
+        tracer = Tracer(f"{job.job_id}-trace")
+        store.attach_tracer(tracer)
+        stats, balance = store.stats_snapshot(), store.shard_blocks_read()
+        _wave(store, job, blocks)
+        delta = store.stats_snapshot().delta(stats)
+        seen[job.job_id] = (
+            delta,
+            tuple(now - then for now, then
+                  in zip(store.shard_blocks_read(), balance)),
+            [(event.name, event.args) for event in tracer.events()
+             if event.name.startswith("shard.")])
+    (reads, read_balance, read_events), (summed, summed_balance,
+                                         summed_events) = seen.values()
+    for field in ("blocks_read", "bytes_read", "replica_fallback_reads"):
+        assert getattr(summed, field) == getattr(reads, field), field
+    assert reads.replica_fallback_reads == len(blocks[::NUM_SHARDS]) > 0
+    assert summed_balance == read_balance and summed_balance[0] == 0
+    assert summed_events == read_events != []
+    assert (reads.physical_blocks_read, reads.view_blocks_read) \
+        == (len(blocks), 0)
+    assert (summed.physical_blocks_read, summed.view_blocks_read) \
+        == (0, len(blocks))
+
+
+def test_warm_visit_with_every_replica_down_raises_and_books_nothing(
+        sharded):
+    warm = _warm_handle(sharded)
+    for store in (sharded, warm):
+        store.fail_shard(0)
+        store.fail_shard(1)    # block 0 lives on shards 0 and 1 only
+    with pytest.raises(ExecutionError) as read:
+        sharded.read_block_bytes(0)
+    before, balance = warm.stats_snapshot(), warm.shard_blocks_read()
+    with pytest.raises(ExecutionError) as visit:
+        warm.visit_block(0)
+    assert str(visit.value) == str(read.value)
+    with pytest.raises(ExecutionError, match="all 2 replicas of block 0"):
+        _wave(warm, wordcount_job("summed", ".*"), [0])
+    assert warm.stats_snapshot() == before
+    assert warm.shard_blocks_read() == balance
+
+
+def test_visit_out_of_range_raises_and_books_nothing(sharded, single):
+    for store in (sharded, single):
+        before = store.stats_snapshot()
+        for index in (-1, store.num_blocks):
+            with pytest.raises(ExecutionError, match="out of range"):
+                store.visit_block(index)
+        assert store.stats_snapshot() == before
 
 
 def test_shard_state_is_per_handle_and_in_memory(sharded):

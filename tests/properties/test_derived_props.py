@@ -1,15 +1,20 @@
-"""Property: the derived-view table changes nothing observable.
+"""Property: the derived-view table changes nothing observable but the
+tier that serves a visit.
 
 For any corpus, block size, rider set and number of laps — with the
 token dictionary's cap and the table's cap forced so small that
-roll-over, non-admission and re-admission all happen mid-scan — a plan
-run on blocks bound to their store handle's table produces byte-identical
-part files, identical job counters and identical ``ReadStats`` (logical
-*and* physical) to the same plan on unbound blocks under the shipped
-caps, and to the per-record mappers, under every ``map_backend`` name.
-Two legs: wordcount riders on text (the encoded view, with its record
-count) and selection + aggregation riders on lineitem (the kernels'
-``memo`` views).
+roll-over, non-admission and re-admission all happen mid-scan, on a
+store with or without a block cache — a plan run on a store handle
+whose table is in play produces byte-identical part files, identical
+job counters and identical logical ``ReadStats`` to the per-record
+mappers on a fresh handle (the oracle, which loads every block it
+visits), under every ``map_backend`` name; it never reads the disk more
+often than the oracle, and every visit is booked in exactly one tier:
+the table (``view_blocks_read``), the cache (a hit or a miss) or, with
+no cache, the disk.  Two legs: wordcount riders on text (the encoded
+view, with its record count; summing riders are served by the table
+without a byte loaded) and selection + aggregation riders on lineitem
+(the kernels' ``memo`` views, on riders that always load the block).
 """
 
 import dataclasses
@@ -21,7 +26,7 @@ from hypothesis import strategies as st
 
 import repro.localrt.tokens as tokens
 from repro.common.config import MAP_BACKENDS, ExecutionConfig
-from repro.localrt.api import BlockData
+from repro.localrt.cache import BlockCache
 from repro.localrt.jobs import aggregation_job, selection_job, wordcount_job
 from repro.localrt.output import write_output
 from repro.localrt.records import DelimitedReader
@@ -37,9 +42,14 @@ PATTERNS = ["^th.*", ".*ing$", ".*e.*", "^[aeiou].*"]
 corpora = st.lists(
     st.lists(st.sampled_from(WORDS), min_size=1, max_size=10).map(" ".join),
     min_size=6, max_size=24)
+#: (pattern, summing, arrival): a summing rider (combiner on) is summed
+#: per wave, one without is mapped block by block, so a drawn set is
+#: summing only, mapped only or mixed.
 riders = st.lists(
     st.tuples(st.sampled_from(PATTERNS), st.booleans(), st.integers(0, 6)),
     min_size=1, max_size=4)
+#: A block cache of this many blocks' bytes, or none.
+caches = st.one_of(st.none(), st.integers(1, 4))
 
 
 def _wordcount_riders(rider_set, batched):
@@ -77,52 +87,82 @@ def _plan(store, backend, seg, laps, jobs, rider_set, out_root, reader=None):
 
 @given(corpus=corpora, block_size=st.integers(30, 150),
        seg=st.integers(1, 3), laps=st.integers(1, 3), rider_set=riders,
-       dictionary_cap=st.integers(4, 48), table_blocks=st.integers(1, 4))
+       dictionary_cap=st.integers(4, 48), table_blocks=st.integers(1, 4),
+       cache_blocks=caches)
 @settings(max_examples=15, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_table_changes_nothing_observable(tmp_path_factory, corpus,
                                           block_size, seg, laps, rider_set,
-                                          dictionary_cap, table_blocks):
+                                          dictionary_cap, table_blocks,
+                                          cache_blocks):
     directory = tmp_path_factory.mktemp("derived-corpus")
     BlockStore.create(directory, corpus, block_size_bytes=block_size)
     _assert_table_changes_nothing(
         tmp_path_factory, directory, table_blocks * block_size,
         {"TOKEN_DICTIONARY_CAP": dictionary_cap},
+        cache_blocks and cache_blocks * block_size,
         lambda store, backend, batched, out_root: _plan(
             store, backend, seg, laps, _wordcount_riders(rider_set, batched),
-            rider_set, out_root))
+            rider_set, out_root),
+        # Every visit of a batched wordcount rider asks the table for
+        # the block's encoding exactly once, hit or miss.
+        one_lookup_per_visit=True)
+
+
+#: The ``ReadStats`` fields that count visits, not how they were served.
+LOGICAL = ("blocks_read", "bytes_read", "replica_fallback_reads")
 
 
 def _assert_table_changes_nothing(tmp_path_factory, directory, table_cap,
-                                  bound_caps, run_plan):
+                                  bound_caps, cache_bytes, run_plan,
+                                  one_lookup_per_visit=False):
     """``run_plan(store, backend, batched, out_root)`` under every name,
-    three ways — unbound blocks under the shipped caps, blocks bound to
-    a table of ``table_cap`` bytes (and a fresh encoder, under
-    ``bound_caps``), per-record mappers — each on a store handle, hence
-    a table, of its own: outputs and reads must not differ."""
+    two ways — kernels with a table of ``table_cap`` bytes (and a fresh
+    encoder, under ``bound_caps``), and the per-record oracle — each on
+    a fresh store handle, hence a table, of its own, with a block cache
+    of ``cache_bytes`` if that is not ``None``: outputs and logical
+    reads must not differ, the table's run reads the disk no more often
+    than the oracle does, and every visit is booked in one tier."""
     outcomes = {}
     for backend in MAP_BACKENDS:
-        for variant in ("unbound", "bound", "per-record"):
+        for variant in ("bound", "per-record"):
             out_root = tmp_path_factory.mktemp(f"out-{backend}-{variant}")
             with pytest.MonkeyPatch.context() as patch:
-                if variant == "unbound":
-                    patch.setattr(BlockData, "bind",
-                                  lambda self, views, block: self)
-                elif variant == "bound":
+                if variant == "bound":
                     for name, value in bound_caps.items():
                         patch.setattr(tokens, name, value)
                     patch.setattr(tokens, "DERIVED_VIEWS_CAP_BYTES", table_cap)
                     patch.setattr(tokens, "ENCODER", TokenEncoder())
-                store = BlockStore(directory)
-                outcomes[backend, variant] = run_plan(
+                store = BlockStore(directory, cache=cache_bytes and BlockCache(
+                    cache_bytes))
+                outputs, reads = run_plan(
                     store, backend, variant != "per-record", out_root)
+                for read in reads:  # cumulative, after each lap
+                    served = read["view_blocks_read"]
+                    served += (read["cache_hits"] + read["cache_misses"]
+                               if cache_bytes else
+                               read["physical_blocks_read"])
+                    assert served == read["blocks_read"], (backend, variant)
+                outcomes[backend, variant] = (
+                    outputs, [{field: read[field] for field in LOGICAL}
+                              for read in reads],
+                    [read["physical_blocks_read"] for read in reads])
                 if variant == "bound":
                     stats = store.derived.stats()
                     assert stats["hits"] + stats["misses"] > 0
                     assert stats["charged_bytes"] <= table_cap
-    reference = outcomes["serial", "unbound"]
+                    if one_lookup_per_visit:
+                        assert (stats["hits"] + stats["misses"]
+                                == reads[-1]["blocks_read"])
+                else:
+                    assert store.derived.stats()["hits"] == 0
+                    assert all(read["view_blocks_read"] == 0
+                               for read in reads)
+    outputs, logical, oracle_physical = outcomes["serial", "per-record"]
     for (backend, variant), outcome in outcomes.items():
-        assert outcome == reference, (backend, variant)
+        assert outcome[:2] == (outputs, logical), (backend, variant)
+        assert all(seen <= oracle for seen, oracle
+                   in zip(outcome[2], oracle_physical)), (backend, variant)
 
 
 LINEITEM_READER = DelimitedReader("|", len(LINEITEM_COLUMNS))
@@ -150,17 +190,17 @@ def _lineitem_riders(rider_set, batched):
        block_size=st.integers(300, 1500), seg=st.integers(1, 3),
        laps=st.integers(1, 3), rider_set=lineitem_riders,
        table_blocks=st.integers(1, 6),
-       row_divisor=st.sampled_from([1, 3, 8, 10_000]))
+       row_divisor=st.sampled_from([1, 3, 8, 10_000]), cache_blocks=caches)
 @settings(max_examples=10, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_table_changes_nothing_observable_on_lineitem(
         tmp_path_factory, rows_seed, rows, block_size, seg, laps, rider_set,
-        table_blocks, row_divisor):
+        table_blocks, row_divisor, cache_blocks):
     """Selection and aggregation riders: the structural pass, the
     parsed rows and the per-flag partial sums come from the table on a
     warm block, the rest of the table's room goes to whichever view
     asked first, and a rider that joins mid-file folds its float
-    partials in the same rotated order bound, unbound and per-record.
+    partials in the same rotated order with the table and per-record.
     A block holds two to a dozen rows, so ``row_divisor`` — the row
     table's budget, as a divisor of the block — runs from every row
     kept through a few and one to none."""
@@ -170,6 +210,7 @@ def test_table_changes_nothing_observable_on_lineitem(
     _assert_table_changes_nothing(
         tmp_path_factory, directory, table_blocks * block_size,
         {"ROW_TABLE_TEXT_DIVISOR": row_divisor},
+        cache_blocks and cache_blocks * block_size,
         lambda store, backend, batched, out_root: _plan(
             store, backend, seg, laps, _lineitem_riders(rider_set, batched),
             rider_set, out_root, LINEITEM_READER))
