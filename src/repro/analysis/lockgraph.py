@@ -1,7 +1,8 @@
 """Runtime lock-order checking: helgrind-lite for the local runtime.
 
-The local runtime holds three locks (``BlockStore._stats_lock``,
-``BlockCache._lock``, the prefetcher's condition lock) that may nest in
+The local runtime and the service hold several locks
+(``BlockStore._stats_lock``, ``DerivedViews._lock``,
+``TokenEncoder._lock``, ``SchedulerService._cond``...) that may nest in
 future refactors.  A deadlock needs two threads taking two locks in
 opposite orders — a bug that tests rarely trigger but production always
 finds.  :class:`OrderedLock` makes the *potential* visible: every

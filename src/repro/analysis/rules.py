@@ -166,8 +166,7 @@ def check_rep002(tree: ast.Module,
 #: dataclass (see tests/analysis/test_rules.py).
 READSTATS_FIELDS = frozenset({
     "blocks_read", "bytes_read", "physical_blocks_read",
-    "physical_bytes_read", "cache_hits", "cache_misses",
-    "cache_evictions", "prefetched_blocks",
+    "physical_bytes_read",
     # Bytes-path counter (zero-copy scan, PR 7): writable only from the
     # same allowlist so path attribution stays trustworthy.
     "mmap_blocks_read",

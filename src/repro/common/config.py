@@ -134,16 +134,14 @@ class ExecutionConfig:
     map_workers:
         ``None`` or >= 1 (see ``map_backend``).
     cache_capacity_bytes:
-        When set, the runners attach a byte-bounded LRU
-        :class:`~repro.localrt.cache.BlockCache` of this capacity to the
-        block store, so repeat block visits are served from memory.
-        ``None`` (the default) disables caching.  Logical read counters
-        are unaffected either way.
+        ``None`` or > 0, validated and ignored: there is no block cache
+        (a warm visit is answered by the store handle's derived-view
+        table; any other visit is one disk read).  Kept for the fixed
+        benchmark definitions, which pass it.
     prefetch_depth:
-        When > 0, a read-ahead prefetcher warms upcoming blocks into the
-        cache while the current map wave runs, never running more than
-        this many blocks ahead of the demand reads.  Requires
-        ``cache_capacity_bytes``.  0 (the default) disables prefetching.
+        >= 0, validated and ignored: nothing reads ahead of the scan
+        (see ``cache_capacity_bytes``).  A value > 0 still requires
+        ``cache_capacity_bytes``, as it always has.
     blocks_per_segment:
         Scan-segment size for the shared-scan runner (the S³ paper's
         segment length, in blocks); the FIFO runner ignores it.
@@ -171,15 +169,16 @@ class ExecutionConfig:
         if (self.cache_capacity_bytes is not None
                 and self.cache_capacity_bytes <= 0):
             raise ConfigError(
-                f"cache_capacity_bytes must be positive (or None to disable "
-                f"caching), got {self.cache_capacity_bytes}")
+                f"cache_capacity_bytes must be positive or None (the value "
+                f"is ignored: there is no block cache), got "
+                f"{self.cache_capacity_bytes}")
         if self.prefetch_depth < 0:
             raise ConfigError(
                 f"prefetch_depth must be >= 0, got {self.prefetch_depth}")
         if self.prefetch_depth > 0 and self.cache_capacity_bytes is None:
             raise ConfigError(
-                "prefetch_depth > 0 requires cache_capacity_bytes: the "
-                "prefetcher warms blocks into the block cache")
+                "prefetch_depth > 0 requires cache_capacity_bytes (both "
+                "are ignored: nothing reads ahead of the scan)")
         if self.blocks_per_segment < 1:
             raise ConfigError(
                 f"blocks_per_segment must be >= 1, got "

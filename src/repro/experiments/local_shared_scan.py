@@ -26,7 +26,6 @@ from ..common.errors import ExperimentError
 from ..localrt.jobs import wordcount_job
 from ..localrt.runners import FifoLocalRunner, SharedScanRunner
 from ..localrt.storage import BlockStore
-from ..metrics.report import format_io_table
 from ..workloads.text import TextCorpusGenerator
 from ..workloads.wordcount import DEFAULT_PATTERNS
 from .base import ExperimentResult
@@ -46,9 +45,8 @@ def run(num_jobs: int = 4, *, corpus_bytes: int = 400_000,
         execution: ExecutionConfig | None = None) -> ExperimentResult:
     """Run the real-data comparison; returns per-scheme I/O metrics.
 
-    ``execution`` optionally selects the block-cache / read-ahead
-    knobs; neither changes the logical I/O metrics (the cache
-    changes only *physical* reads, reported separately when enabled).
+    ``execution`` optionally overrides the runners' config (its
+    ``blocks_per_segment`` is replaced by the argument of that name).
     """
     if num_jobs <= 0:
         raise ExperimentError("num_jobs must be positive")
@@ -100,24 +98,6 @@ def run(num_jobs: int = 4, *, corpus_bytes: int = 400_000,
         extra = {"rows": rows, "saving": saving,
                  "num_blocks": store.num_blocks,
                  "iterations": shared.iterations}
-        if execution is not None and execution.cache_capacity_bytes:
-            io_rows: dict[str, dict[str, float]] = {}
-            io_extra: dict[str, dict[str, float]] = {}
-            for scheme, report in (("FIFO", fifo), ("S3", shared)):
-                io_rows[scheme] = {
-                    "logical_blocks": report.io.blocks_read,
-                    "physical_blocks": report.io.physical_blocks_read,
-                    "cache_hits": report.io.cache_hits,
-                    "cache_misses": report.io.cache_misses,
-                }
-                io_extra[scheme] = dict(
-                    io_rows[scheme],
-                    cache_evictions=report.io.cache_evictions,
-                    prefetched_blocks=report.io.prefetched_blocks)
-            extra["io"] = io_extra
-            lines.append("")
-            lines.append(format_io_table(
-                "block cache effect (logical vs physical reads)", io_rows))
         return ExperimentResult(
             experiment_id="ext-local",
             title="Real-data shared scan (byte-level Figure 4 analogue)",

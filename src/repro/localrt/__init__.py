@@ -14,7 +14,6 @@ from .api import (
     SumReducer,
     default_partitioner,
 )
-from .cache import BlockCache
 from .counters import FRAMEWORK_GROUP, Counters, CounterUser
 from .engine import (
     JobRunState,
@@ -42,7 +41,6 @@ from .parallel import (
     execute_map_wave,
     make_backend,
 )
-from .prefetch import ReadAheadPrefetcher
 from .records import DelimitedReader, RecordReader, TextLineReader
 from .runners import FifoLocalRunner, RunReport, SharedScanRunner
 from .sharded import ShardedBlockStore
@@ -52,7 +50,6 @@ __all__ = [
     "BlockData", "BlockMapper", "BlockStoreProtocol", "IdentityReducer",
     "JobResult", "LocalJob",
     "Mapper", "Record", "Reducer", "SumReducer", "default_partitioner",
-    "BlockCache", "ReadAheadPrefetcher",
     "FRAMEWORK_GROUP", "Counters", "CounterUser",
     "JobRunState", "collect_map_outputs", "count_pending_values",
     "run_reduce",

@@ -43,23 +43,20 @@ class BlockStoreProtocol(Protocol):
 
     Both the single-directory :class:`~repro.localrt.storage.BlockStore`
     and the replicated :class:`~repro.localrt.sharded.ShardedBlockStore`
-    satisfy this protocol; runners, the prefetcher, the map wave and
-    the scheduler service are typed against it, so execution code never
-    branches on the concrete store class.  The contract splits in four:
+    satisfy this protocol; runners, the map wave and the scheduler
+    service are typed against it, so execution code never branches on
+    the concrete store class.  The contract splits in four:
 
     * **geometry** — ``num_blocks`` / ``total_bytes`` / per-block sizes,
       offsets and replica locations, all fixed once the store is open;
-    * **reads** — ``read_block_bytes`` (zero-copy; what a map wave
+    * **reads** — ``read_block_bytes`` (one disk read; what a map wave
       reads unless the derived-view table answers the visit) and
       ``visit_block`` (the visit the table answered: no bytes loaded),
       each charging one *logical* read, by the store that routed it;
-      plus advisory ``prefetch_block`` warming (physical only);
     * **accounting** — ``stats_snapshot`` / ``logical_blocks_read`` over
       one cumulative :class:`~repro.localrt.storage.ReadStats`;
-    * **attachments** — idempotent ``ensure_cache`` plus the
-      ``has_cache`` flag (the cache's hits, misses and evictions are
-      booked in the same ``ReadStats``), ``attach_tracer`` for stores
-      with placement events to emit, and ``derived``, the handle's
+    * **attachments** — ``attach_tracer`` for stores with placement
+      events to emit, and ``derived``, the handle's
       :class:`~repro.localrt.tokens.DerivedViews` table (what was
       derived from a block's bytes, kept between laps of a scan).
     """
@@ -69,9 +66,6 @@ class BlockStoreProtocol(Protocol):
 
     @property
     def total_bytes(self) -> int: ...
-
-    @property
-    def has_cache(self) -> bool: ...
 
     @property
     def derived(self) -> "tokens.DerivedViews": ...
@@ -85,10 +79,6 @@ class BlockStoreProtocol(Protocol):
     def read_block_bytes(self, index: int) -> bytes: ...
 
     def visit_block(self, index: int) -> None: ...
-
-    def prefetch_block(self, index: int) -> bool: ...
-
-    def ensure_cache(self, capacity_bytes: int) -> None: ...
 
     def attach_tracer(self, tracer: "Tracer | None") -> None: ...
 

@@ -4,8 +4,9 @@ The paper has one Job Queue Manager — one circular pointer, one merged
 sub-job per iteration (Algorithm 1) — and so does the local runtime:
 :class:`SharedScanCore` owns the one
 :class:`~repro.schedulers.s3.scanloop.ScanLoop` over a store's blocks
-(the scheduler the simulator validates), the riders' run states and the
-read-ahead prefetcher.  Two front-ends drive it:
+(the scheduler the simulator validates) and the riders' run states.  As
+in the paper, nothing reads ahead: a wave reads exactly the blocks of
+the current merged sub-job.  Two front-ends drive it:
 
 * :class:`~repro.localrt.runners.SharedScanRunner` — a fixed job list
   with arrival iterations, a fresh core per ``run()``, no lock;
@@ -49,7 +50,6 @@ from ..schedulers.s3.state import S3JobState
 from .api import BlockStoreProtocol, JobResult, LocalJob
 from .engine import JobRunState, count_pending_values, run_reduce
 from .parallel import MapTaskSpec, execute_map_wave
-from .prefetch import ReadAheadPrefetcher
 from .records import RecordReader, TextLineReader
 from .storage import ReadStats
 
@@ -58,15 +58,6 @@ STORE_FILE_NAME = "service.store"
 
 #: Wave-size histogram buckets (blocks per wave).
 _WAVE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
-
-
-def _start_prefetcher(store: BlockStoreProtocol, depth: int,
-                      tracer: Tracer | None = None,
-                      ) -> ReadAheadPrefetcher | None:
-    """One prefetcher per run (its pacing baseline is the run's start)."""
-    if depth <= 0 or not store.has_cache:
-        return None
-    return ReadAheadPrefetcher(store, depth=depth, tracer=tracer)
 
 
 class _LocalRunnerBase:
@@ -88,12 +79,6 @@ class _LocalRunnerBase:
         self.store = store
         self.config = config
         self.reader = reader or TextLineReader()
-        # Idempotent: an already-attached cache is kept, so repeat
-        # runners (and the per-run scan core) share it.
-        if config.cache_capacity_bytes is not None and not store.has_cache:
-            store.ensure_cache(config.cache_capacity_bytes)
-        # ExecutionConfig only allows prefetching together with a cache.
-        self.prefetch_depth = config.prefetch_depth
         self.tracer = resolve_tracer(tracer, config.trace.enabled,
                                      self._tracer_name)
         # Placement-aware stores emit shard.read/shard.failover through
@@ -104,8 +89,9 @@ class _LocalRunnerBase:
 
     # -------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Release owned resources (idempotent; a subclass that owns a
-        prefetcher releases it here)."""
+        """Release owned resources: a local front-end owns none, so this
+        does nothing (kept with the context-manager protocol, which
+        callers use)."""
 
     def __enter__(self) -> "_LocalRunnerBase":
         return self
@@ -143,10 +129,7 @@ class _LocalRunnerBase:
         self.tracer.event("io.wave", subject=label,
                           blocks=delta.blocks_read, bytes=delta.bytes_read,
                           physical_blocks=delta.physical_blocks_read,
-                          cache_hits=delta.cache_hits,
-                          cache_misses=delta.cache_misses,
-                          view_blocks=delta.view_blocks_read,
-                          prefetched=delta.prefetched_blocks)
+                          view_blocks=delta.view_blocks_read)
 
 
 def _scan_file(store: BlockStoreProtocol) -> DfsFile:
@@ -181,16 +164,13 @@ class Wave:
     admitted: tuple[str, ...]
     #: The riders whose scan completes with this wave (reduce next).
     finishing: tuple[JobRunState, ...]
-    #: Blocks to warm while this wave maps (``None``: nothing follows).
-    next_chunk: "range | None"
 
 
 class SharedScanCore(_LocalRunnerBase):
     """The S3 shared-scan loop over real data, one iteration at a time.
 
-    Owns no lock (see the module docstring for which half of the surface
-    the caller must serialise).  The prefetcher lives until
-    :meth:`close`; the core is a context manager.
+    Owns no lock and no thread (see the module docstring for which half
+    of the surface the caller must serialise).
     """
 
     _tracer_name = "shared-scan"
@@ -207,8 +187,6 @@ class SharedScanCore(_LocalRunnerBase):
         self._loop = ScanLoop(_scan_file(store))
         #: Run state of every job waiting for or riding the scan.
         self._run_states: dict[str, JobRunState] = {}
-        self._prefetcher = _start_prefetcher(store, self.prefetch_depth,
-                                             self.tracer)
         #: Logical blocks read when this core started (baseline for
         #: per-job virtual completion times).
         self._blocks_baseline = store.logical_blocks_read()
@@ -244,16 +222,13 @@ class SharedScanCore(_LocalRunnerBase):
     def has_work(self) -> bool:
         return self._loop.has_work()
 
-    def plan(self, index: int, *, max_jobs: int | None = None,
-             more_arrivals: bool = False) -> Wave | None:
+    def plan(self, index: int, *,
+             max_jobs: int | None = None) -> Wave | None:
         """Plan iteration ``index``: admit waiting jobs at the pointer
         (at most ``max_jobs`` riders in all) and cut the next chunk.
 
         Commits the plan — the pointer and every rider's coverage
-        advance now.  ``more_arrivals`` says the caller holds jobs it
-        has not added yet, so the chunk after this one is worth warming
-        even if every current rider finishes.  ``None`` when no job
-        needs scanning.
+        advance now.  ``None`` when no job needs scanning.
         """
         loop = self._loop
         pointer = loop.pointer
@@ -268,28 +243,15 @@ class SharedScanCore(_LocalRunnerBase):
         tasks = tuple(MapTaskSpec(block, rider_sets[block_jobs[block]])
                       for block in iteration.chunk)
         riders = rider_sets[iteration.participants]
-        next_chunk: range | None = None
-        if more_arrivals or loop.has_work():
-            # Double-buffer: the circular pointer says exactly where the
-            # next chunk starts; only warm it when some job will scan it.
-            next_len = min(self.config.blocks_per_segment,
-                           loop.num_blocks - loop.pointer)
-            next_chunk = range(loop.pointer, loop.pointer + next_len)
         return Wave(
             index=index, pointer=pointer, tasks=tasks, riders=riders,
             admitted=loop.last_admitted,
             finishing=tuple(states.pop(job_id)
-                            for job_id in iteration.finishing_jobs),
-            next_chunk=next_chunk)
+                            for job_id in iteration.finishing_jobs))
 
     # ------------------------------------------------------------- execution
     def run(self, wave: Wave) -> None:
-        """Run one planned wave's map phase (blocks read exactly once).
-
-        ``wave.next_chunk`` is warmed into the block cache while this
-        wave maps — the local analogue of the paper's partial-job
-        pipeline (prepare sub-job *i+1* during sub-job *i*).
-        """
+        """Run one planned wave's map phase (blocks read exactly once)."""
         label = f"iter_{wave.index}"
         wave_before = (self.store.stats_snapshot()
                        if self.tracer.enabled else None)
@@ -298,8 +260,6 @@ class SharedScanCore(_LocalRunnerBase):
                               pointer=wave.pointer, blocks=len(wave.tasks),
                               jobs=len(wave.riders),
                               job_ids=[s.job.job_id for s in wave.riders]):
-            if self._prefetcher is not None and wave.next_chunk is not None:
-                self._prefetcher.schedule(wave.next_chunk)
             execute_map_wave(self.store, self.reader, wave.tasks,
                              tracer=self.tracer)
         if wave_before is not None:
@@ -321,9 +281,3 @@ class SharedScanCore(_LocalRunnerBase):
             completed_blocks_read=self.blocks_read,
             counters=run_state.counters,
         )
-
-    def close(self) -> None:
-        """Stop the prefetcher (idempotent)."""
-        if self._prefetcher is not None:
-            self._prefetcher.close()
-            self._prefetcher = None

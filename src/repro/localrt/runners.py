@@ -16,16 +16,17 @@ many times the input bytes are read:
   (:mod:`repro.service.core`) is the live front-end of the same core.
 
 The runners report byte-level I/O so tests and examples can verify the
-shared-scan saving directly.
+shared-scan saving directly.  Neither starts a thread: a block visit is
+answered by the store handle's derived-view table or is one disk read,
+in the calling thread.
 
 Construction
 ------------
-Every knob — cache, prefetch depth, segment size, tracing — lives on
-one :class:`~repro.common.config.ExecutionConfig`::
+Every knob — segment size, tracing — lives on one
+:class:`~repro.common.config.ExecutionConfig`::
 
     runner = SharedScanRunner(store, ExecutionConfig(
-        cache_capacity_bytes=1 << 20,
-        prefetch_depth=2, blocks_per_segment=8,
+        blocks_per_segment=8,
         trace=TraceConfig(enabled=True, path="run.trace.json")))
 
 ``SharedScanRunner(store)`` uses the defaults; the record format of the
@@ -56,9 +57,8 @@ from ..obs.export import export_chrome
 from ..obs.metrics import MetricsRegistry
 from .api import JobResult, LocalJob
 from .engine import JobRunState, count_pending_values, run_reduce
-from .live import SharedScanCore, _LocalRunnerBase, _start_prefetcher
+from .live import SharedScanCore, _LocalRunnerBase
 from .parallel import MapTaskSpec, execute_map_wave
-from .prefetch import ReadAheadPrefetcher
 from .storage import ReadStats
 
 #: Hook invoked after each shared-scan iteration's map phase:
@@ -70,11 +70,11 @@ class RunReport:
     """Results plus I/O accounting of one runner invocation.
 
     ``blocks_read``/``bytes_read`` are the *logical* counters (the
-    scan-sharing measure; identical with or without a cache).  ``io``
-    carries the full counter delta of the run, including the physical
-    reads and cache hit/miss/eviction traffic.  When the run was traced,
-    ``metrics`` holds the per-run registry and ``trace_path`` the export
-    written per ``config.trace.path`` (``None`` otherwise).
+    scan-sharing measure).  ``io`` carries the full counter delta of the
+    run, including the physical and the view-served reads.  When the run
+    was traced, ``metrics`` holds the per-run registry and
+    ``trace_path`` the export written per ``config.trace.path``
+    (``None`` otherwise).
     """
 
     results: dict[str, JobResult]
@@ -93,7 +93,8 @@ class RunReport:
 
     @property
     def cache_hit_ratio(self) -> float:
-        """Demand cache hits over demand lookups during this run."""
+        """The share of this run's block visits served from memory
+        (:attr:`ReadStats.cache_hit_ratio`)."""
         return self.io.cache_hit_ratio
 
 
@@ -127,9 +128,7 @@ class FifoLocalRunner(_LocalRunnerBase):
 
     Built from an :class:`~repro.common.config.ExecutionConfig` (see the
     module docstring); the config's ``blocks_per_segment`` is ignored —
-    FIFO always scans sequentially.  ``prefetch_depth > 0`` (requires a
-    cache) warms each job's blocks in scan order, at most that many
-    blocks ahead of the demand reads.
+    FIFO always scans sequentially.
     """
 
     _tracer_name = "fifo"
@@ -138,14 +137,8 @@ class FifoLocalRunner(_LocalRunnerBase):
         _check_job_ids(jobs)
         before = self.store.stats_snapshot()
         results: dict[str, JobResult] = {}
-        prefetcher = _start_prefetcher(self.store, self.prefetch_depth,
-                                       self.tracer)
-        try:
-            with self.tracer.span("fifo.run", jobs=len(jobs)):
-                self._run_jobs(jobs, results, prefetcher)
-        finally:
-            if prefetcher is not None:
-                prefetcher.close()
+        with self.tracer.span("fifo.run", jobs=len(jobs)):
+            self._run_jobs(jobs, results)
         io = self.store.stats_snapshot().delta(before)
         return _finish_trace(self, RunReport(
             results=results,
@@ -155,18 +148,13 @@ class FifoLocalRunner(_LocalRunnerBase):
         ))
 
     def _run_jobs(self, jobs: Sequence[LocalJob],
-                  results: dict[str, JobResult],
-                  prefetcher: ReadAheadPrefetcher | None) -> None:
+                  results: dict[str, JobResult]) -> None:
         traced = self.tracer.enabled
         before_blocks = self.store.logical_blocks_read()
         for job in jobs:
             state = JobRunState(job)
             tasks = [MapTaskSpec(block_index=index, states=(state,))
                      for index in range(self.store.num_blocks)]
-            if prefetcher is not None:
-                # Sequential read-ahead over this job's scan; the depth
-                # cap keeps the warmer just ahead of the demand reads.
-                prefetcher.schedule(range(self.store.num_blocks))
             job_before = self.store.stats_snapshot() if traced else None
             self._wave_placement(job.job_id,
                                  [task.block_index for task in tasks])
@@ -197,10 +185,7 @@ class SharedScanRunner(_LocalRunnerBase):
     Built from an :class:`~repro.common.config.ExecutionConfig` (see the
     module docstring).  ``config.blocks_per_segment`` is the iteration
     chunk size (the simulator's segment size; default 4 so small test
-    fixtures exercise multiple iterations).  ``prefetch_depth > 0``
-    (requires a cache) warms the *next* segment's blocks while the
-    current segment's map tasks run — the local analogue of the paper's
-    partial-job pipeline (prepare sub-job *i+1* during sub-job *i*).
+    fixtures exercise multiple iterations).
     """
 
     _tracer_name = "shared-scan"
@@ -239,31 +224,26 @@ class SharedScanRunner(_LocalRunnerBase):
             pending.setdefault(arrivals.get(job.job_id, 0), []).append(job)
         before = self.store.stats_snapshot()
         results: dict[str, JobResult] = {}
-        # A fresh core per run: the pointer starts at block 0 and the
-        # prefetcher's pacing baseline is this run's start.
+        # A fresh core per run: the pointer starts at block 0.
         core = SharedScanCore(self.store, self.config, reader=self.reader,
                               tracer=self.tracer)
         iteration = 0
-        try:
-            with self.tracer.span("s3.run", jobs=len(jobs),
-                                  segment=self.blocks_per_segment):
-                while pending or core.has_work():
-                    if not core.has_work() and iteration not in pending:
-                        # Idle until the next arrival (skip empty iterations).
-                        iteration = min(pending)
-                    for job in pending.pop(iteration, ()):
-                        core.add_job(job, arrival=iteration)
-                    wave = core.plan(iteration, more_arrivals=bool(pending))
-                    assert wave is not None  # a job was waiting or scanning
-                    core.run(wave)
-                    if on_iteration_end is not None:
-                        on_iteration_end(iteration, list(wave.riders))
-                    for state in wave.finishing:
-                        results[state.job.job_id] = core.finish(state,
-                                                                iteration)
-                    iteration += 1
-        finally:
-            core.close()
+        with self.tracer.span("s3.run", jobs=len(jobs),
+                              segment=self.blocks_per_segment):
+            while pending or core.has_work():
+                if not core.has_work() and iteration not in pending:
+                    # Idle until the next arrival (skip empty iterations).
+                    iteration = min(pending)
+                for job in pending.pop(iteration, ()):
+                    core.add_job(job, arrival=iteration)
+                wave = core.plan(iteration)
+                assert wave is not None  # a job was waiting or scanning
+                core.run(wave)
+                if on_iteration_end is not None:
+                    on_iteration_end(iteration, list(wave.riders))
+                for state in wave.finishing:
+                    results[state.job.job_id] = core.finish(state, iteration)
+                iteration += 1
         io = self.store.stats_snapshot().delta(before)
         return _finish_trace(core, RunReport(
             results=results,

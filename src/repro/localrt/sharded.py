@@ -66,7 +66,7 @@ class ShardedBlockStore:
     """A file stored as line-aligned blocks across N replica shards.
 
     Satisfies :class:`~repro.localrt.api.BlockStoreProtocol`: runners,
-    prefetcher, map wave and the scheduler service drive it exactly
+    the map wave and the scheduler service drive it exactly
     like a single :class:`~repro.localrt.storage.BlockStore`, with two
     additions — placement (``block_locations`` returns real shard names,
     live replicas first) and failure injection (:meth:`fail_shard` /
@@ -253,23 +253,12 @@ class ShardedBlockStore:
         return tuple(live + down)
 
     # ----------------------------------------------------------- attachments
-    @property
-    def has_cache(self) -> bool:
-        """True once every (non-empty) shard has a block cache."""
-        stores = [s for s in self._shard_stores if s is not None]
-        return all(store.has_cache for store in stores)
-
     def ensure_cache(self, capacity_bytes: int) -> None:
-        """Attach per-shard block caches splitting ``capacity_bytes``
-        evenly (idempotent per shard — shards that already have a cache
-        keep it)."""
+        """Validate ``capacity_bytes`` and do nothing else, as the
+        single store's ``ensure_cache`` does: there is no block cache."""
         if capacity_bytes <= 0:
             raise ExecutionError(
                 f"cache capacity must be positive, got {capacity_bytes}")
-        stores = [s for s in self._shard_stores if s is not None]
-        per_shard = max(capacity_bytes // len(stores), 1)
-        for store in stores:
-            store.ensure_cache(per_shard)
 
     def attach_tracer(self, tracer: "Tracer | None") -> None:
         """Set the sink for ``shard.read`` / ``shard.failover`` /
@@ -324,12 +313,6 @@ class ShardedBlockStore:
         store, local, shard, fallback = self._serve(index)
         store.visit_block(local)
         self._note_read(index, shard, fallback)
-
-    def prefetch_block(self, index: int) -> bool:
-        """Warm block ``index`` in its serving shard's cache (physical
-        counters only — same contract as the single store)."""
-        store, local, _shard, _fallback = self._serve(index)
-        return store.prefetch_block(local)
 
     # ------------------------------------------------------------- accounting
     def stats_snapshot(self) -> ReadStats:

@@ -17,29 +17,25 @@ The counter model distinguishes two layers:
 * **physical** reads (``physical_blocks_read`` / ``physical_bytes_read``)
   — actual trips to disk.
 
-A visit is served by the first of three tiers that can answer it:
+A visit is served by one of two tiers:
 
 1. **view-served** (``view_blocks_read``) — the handle's
    :class:`~repro.localrt.tokens.DerivedViews` table kept everything the
    visit's riders use, so the visit loads no bytes at all
-   (``visit_block``: no cache lookup, no disk read);
-2. **cache** (``cache_hits``) — a
-   :class:`~repro.localrt.cache.BlockCache` holds the block's bytes;
-3. **disk** (``cache_misses`` when a cache is attached, and always a
-   physical read).
+   (``visit_block``);
+2. **disk** — one file read (``read_block_bytes``), charged as both a
+   logical and a physical read.
 
-So on a store without a cache, ``blocks_read == physical_blocks_read +
-view_blocks_read``.  Every read is counted by the store that serves it.
-:class:`ReadStats` is the one book of these numbers: the cache keeps no
-counters of its own, so a hit, a miss or an eviction is booked once,
-here, beside the read it belongs to.
+So ``blocks_read == physical_blocks_read + view_blocks_read`` on every
+store, and the physical counters are a deterministic function of the
+schedule.  Every read is counted by the store that serves it, in one
+book: :class:`ReadStats`.
 """
 
 from __future__ import annotations
 
 import mmap
 import pathlib
-import threading
 from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -50,7 +46,6 @@ from .tokens import DerivedViews
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.tracer import Tracer
-    from .cache import BlockCache
 
 
 def iter_block_payloads(lines: Iterable[str],
@@ -110,23 +105,16 @@ class ReadStats:
     """Cumulative I/O counters of one :class:`BlockStore`.
 
     ``blocks_read``/``bytes_read`` are *logical* (one per block visit;
-    byte-identical with or without a cache or a derived-view table).
+    byte-identical with or without a derived-view table).
     ``view_blocks_read`` counts the visits the derived-view table
-    answered with no bytes loaded.  The remaining fields describe the
-    *physical* path below it: disk reads, cache hit/miss/eviction
-    traffic (``cache_hits``/``cache_misses`` count
-    :class:`~repro.localrt.cache.BlockCache` lookups only) and
-    prefetcher activity.
+    answered with no bytes loaded; every other visit is one physical
+    read, so ``blocks_read == physical_blocks_read + view_blocks_read``.
     """
 
     blocks_read: int = 0
     bytes_read: int = 0
     physical_blocks_read: int = 0
     physical_bytes_read: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_evictions: int = 0
-    prefetched_blocks: int = 0
     #: Physical reads satisfied via ``mmap`` rather than a buffered
     #: ``read()``.  Diagnostic only — hosts without usable mmap fall
     #: back silently and the returned bytes are identical.
@@ -136,9 +124,8 @@ class ReadStats:
     #: :mod:`repro.localrt.sharded`).  A subset of ``blocks_read``;
     #: always 0 for a single :class:`BlockStore`.
     replica_fallback_reads: int = 0
-    #: Logical reads the handle's derived-view table answered: no cache
-    #: lookup, no bytes loaded (``visit_block``).  A subset of
-    #: ``blocks_read``.
+    #: Logical reads the handle's derived-view table answered: no bytes
+    #: loaded (``visit_block``).  A subset of ``blocks_read``.
     view_blocks_read: int = 0
 
     def snapshot(self) -> "ReadStats":
@@ -154,44 +141,38 @@ class ReadStats:
 
     @property
     def cache_hit_ratio(self) -> float:
-        """Demand hits served from memory over demand visits that asked
-        memory (0.0 before the first).
+        """The share of block visits served from memory:
+        ``view_blocks_read / blocks_read`` (0.0 before the first visit)."""
+        visits = self.blocks_read
+        return self.view_blocks_read / visits if visits else 0.0
 
-        A view-served read (``view_blocks_read``) counts as a hit: the
-        derived-view table is a tier above the cache, and it answered
-        without the cache being asked.  Prefetcher loads are not
-        lookups; a prefetched block's first demand read counts as a
-        hit, which is exactly the point.
-        """
-        hits = self.cache_hits + self.view_blocks_read
-        lookups = hits + self.cache_misses
-        return hits / lookups if lookups else 0.0
+    @property
+    def prefetched_blocks(self) -> int:
+        """Always 0: nothing reads ahead of the scan.  Kept for the
+        benchmark's ``store.prefetched_blocks`` row."""
+        return 0
 
 
 class BlockStore:
     """A file stored as line-aligned blocks in a directory.
 
-    ``cache`` optionally attaches a :class:`~repro.localrt.cache.BlockCache`
-    so repeat block visits are served from memory; logical counters are
-    unaffected (see module docstring).  Block sizes and offsets are
-    stat'ed once at open and served from memory afterwards — the store
-    assumes its directory is immutable while open (as HDFS blocks are).
+    Block sizes and offsets are stat'ed once at open and served from
+    memory afterwards — the store assumes its directory is immutable
+    while open (as HDFS blocks are).
     """
 
     BLOCK_PATTERN = "block_{:05d}.dat"
 
-    def __init__(self, directory: pathlib.Path | str, *,
-                 cache: "BlockCache | None" = None) -> None:
+    def __init__(self, directory: pathlib.Path | str) -> None:
         self.directory = pathlib.Path(directory)
         if not self.directory.is_dir():
             raise ExecutionError(f"no such block store: {self.directory}")
         self._blocks = sorted(self.directory.glob("block_*.dat"))
         if not self._blocks:
             raise ExecutionError(f"block store {self.directory} is empty")
-        #: Guards the read counters (the prefetcher's thread and two
-        #: runners sharing this handle read concurrently).  Built under
-        #: REPRO_LOCKCHECK=1, it records its order against the cache and
-        #: prefetcher locks and cycles fail fast.
+        #: Guards the read counters (two runners, or a runner and a
+        #: service, may share this handle).  A leaf: nothing is
+        #: acquired while it is held.
         self._stats_lock = ordered_lock("BlockStore._stats_lock")
         self.stats = ReadStats()  # guarded-by: _stats_lock
         register_instance(
@@ -208,16 +189,6 @@ class BlockStore:
             self._sizes.append(size)
             offset += size
         self._total_bytes = offset
-        self.cache = cache
-        #: Block index -> the event its one in-flight cache fill sets
-        #: when done, so a prefetch and a demand read of one block (or
-        #: two demand reads) go to disk once between them.  A leaf:
-        #: nothing is acquired while it is held.  Replaced, never
-        #: mutated, so the lockset checker sees every change.
-        self._inflight_lock = ordered_lock("BlockStore._inflight_lock")
-        self._inflight: dict[int, threading.Event] = {}  # guarded-by: _inflight_lock
-        register_instance(self, fields=("_inflight",),
-                          guard="BlockStore._inflight_lock")
         #: Compact derived views of this handle's blocks, kept from one
         #: lap of a scan to the next; a visit they fully answer loads no
         #: bytes (:meth:`visit_block`).  Per handle, in memory, gone
@@ -227,8 +198,7 @@ class BlockStore:
     # -------------------------------------------------------------- creation
     @classmethod
     def create(cls, directory: pathlib.Path | str, lines: Iterable[str],
-               block_size_bytes: int, *,
-               cache: "BlockCache | None" = None) -> "BlockStore":
+               block_size_bytes: int) -> "BlockStore":
         """Write ``lines`` into line-aligned blocks of ~``block_size_bytes``.
 
         Lines are stored as UTF-8; a line that cannot be encoded (e.g. a
@@ -247,7 +217,7 @@ class BlockStore:
             block_index += 1
         if block_index == 0:
             raise ExecutionError("cannot create a block store from no lines")
-        return cls(directory, cache=cache)
+        return cls(directory)
 
     # ---------------------------------------------------------------- access
     @property
@@ -281,22 +251,13 @@ class BlockStore:
         self._check(index)
         return ("local",)
 
-    def attach_cache(self, cache: "BlockCache | None") -> None:
-        """Attach (or detach, with ``None``) a block cache."""
-        self.cache = cache
-
-    @property
-    def has_cache(self) -> bool:
-        """True when a block cache is attached."""
-        return self.cache is not None
-
     def ensure_cache(self, capacity_bytes: int) -> None:
-        """Attach a :class:`~repro.localrt.cache.BlockCache` of
-        ``capacity_bytes`` unless one is already attached (idempotent —
-        repeat runners over the same store share the existing cache)."""
-        if self.cache is None:
-            from .cache import BlockCache
-            self.cache = BlockCache(capacity_bytes)
+        """Validate ``capacity_bytes`` and do nothing else: there is no
+        block cache.  Kept for the benchmark's set-up, which still asks
+        for one."""
+        if capacity_bytes <= 0:
+            raise ExecutionError(
+                f"cache capacity must be positive, got {capacity_bytes}")
 
     def attach_tracer(self, tracer: "Tracer | None") -> None:
         """Accept an event sink (placement-aware stores emit
@@ -311,126 +272,33 @@ class BlockStore:
             return self.stats.snapshot()
 
     def logical_blocks_read(self) -> int:
-        """Current logical ``blocks_read``, read under the stats lock
-        (the prefetcher's demand-progress signal)."""
+        """Current logical ``blocks_read``, read under the stats lock."""
         with self._stats_lock:
             return self.stats.blocks_read
 
     def read_block_bytes(self, index: int) -> bytes:
-        """Read one block's raw bytes, updating the I/O counters.
-
-        Always charges one *logical* block read; goes to disk (and
-        charges a *physical* read) only when no cache is attached or the
-        block is not resident.  No decode, and a cached block is
-        returned as the same immutable ``bytes`` object that is resident
-        in the cache.
-        """
+        """Read one block's raw bytes from disk: one *logical* and one
+        *physical* read.  No decode."""
         self._check(index)
-        data = self._load_bytes(index)
-        with self._stats_lock:
-            self.stats.blocks_read += 1
-            self.stats.bytes_read += self._sizes[index]
-        return data
-
-    def visit_block(self, index: int) -> None:
-        """Charge one logical read of block ``index`` that the derived-view
-        table answered (``view_blocks_read``): no cache lookup and no
-        disk read, so no physical or cache counter moves."""
-        self._check(index)
-        with self._stats_lock:
-            self.stats.blocks_read += 1
-            self.stats.bytes_read += self._sizes[index]
-            self.stats.view_blocks_read += 1
-
-    def prefetch_block(self, index: int) -> bool:
-        """Warm block ``index`` into the cache without logical accounting.
-
-        Returns True when the block was actually loaded from disk; False
-        when there is no cache, the block is already resident, or another
-        reader was filling it (this waits for that fill).  Used by
-        the read-ahead prefetcher: the physical read is charged, but no
-        logical read and no cache hit/miss — the demand read that follows
-        will record the hit.
-        """
-        self._check(index)
-        cache = self.cache
-        if cache is None or cache.contains(index) or not self._claim(index):
-            return False
-        try:
-            if cache.contains(index):  # filled before the claim
-                return False
-            data = self._physical_read_bytes(index)
-            evicted = cache.put(index, data, self._sizes[index])
-        finally:
-            self._release(index)
-        with self._stats_lock:
-            self.stats.prefetched_blocks += 1
-            if evicted:
-                self.stats.cache_evictions += evicted
-        return True
-
-    def _load_bytes(self, index: int) -> bytes:
-        """Fetch block bytes via the cache (charging hit/miss/eviction
-        and, on the miss path, physical counters) — no logical charge.
-
-        A miss on a block another reader is already filling waits for
-        that fill and takes its bytes as a hit; if they were evicted
-        meanwhile, it fills the cache itself."""
-        cache = self.cache
-        if cache is None:
-            return self._physical_read_bytes(index)
-        while True:
-            data = cache.get(index)
-            if data is not None:
-                with self._stats_lock:
-                    self.stats.cache_hits += 1
-                return data
-            if self._claim(index):
-                if not cache.contains(index):  # not filled before the claim
-                    break
-                self._release(index)
-        try:
-            with self._stats_lock:
-                self.stats.cache_misses += 1
-            data = self._physical_read_bytes(index)
-            evicted = cache.put(index, data, self._sizes[index])
-        finally:
-            self._release(index)
-        if evicted:
-            with self._stats_lock:
-                self.stats.cache_evictions += evicted
-        return data
-
-    def _claim(self, index: int) -> bool:
-        """Make this caller the one filling the cache with block
-        ``index``; ``False`` after waiting out a fill already in flight
-        (the caller looks in the cache again)."""
-        with self._inflight_lock:
-            pending = self._inflight.get(index)
-            if pending is None:
-                self._inflight = {**self._inflight, index: threading.Event()}
-                return True
-        pending.wait()
-        return False
-
-    def _release(self, index: int) -> None:
-        """End this caller's fill of block ``index`` and wake its
-        waiters."""
-        with self._inflight_lock:
-            inflight = dict(self._inflight)
-            done = inflight.pop(index)
-            self._inflight = inflight
-        done.set()
-
-    def _physical_read_bytes(self, index: int) -> bytes:
-        """One actual disk read (always charged to the physical counters)."""
         data, mapped = read_block_file(self._blocks[index])
         with self._stats_lock:
+            self.stats.blocks_read += 1
+            self.stats.bytes_read += self._sizes[index]
             self.stats.physical_blocks_read += 1
             self.stats.physical_bytes_read += len(data)
             if mapped:
                 self.stats.mmap_blocks_read += 1
         return data
+
+    def visit_block(self, index: int) -> None:
+        """Charge one logical read of block ``index`` that the derived-view
+        table answered (``view_blocks_read``): no disk read, so no
+        physical counter moves."""
+        self._check(index)
+        with self._stats_lock:
+            self.stats.blocks_read += 1
+            self.stats.bytes_read += self._sizes[index]
+            self.stats.view_blocks_read += 1
 
     def _check(self, index: int) -> None:
         if not 0 <= index < self.num_blocks:

@@ -43,46 +43,6 @@ def format_table(title: str, results: Sequence[ScheduleMetrics],
     return "\n".join(lines)
 
 
-#: Required keys of one :func:`format_io_table` row.
-IO_ROW_KEYS = ("logical_blocks", "physical_blocks", "cache_hits",
-               "cache_misses")
-
-
-def format_io_table(title: str,
-                    rows: "dict[str, dict[str, float]]") -> str:
-    """Render per-scheme I/O accounting: logical vs physical reads.
-
-    Each row maps a scheme name to at least :data:`IO_ROW_KEYS`.  The
-    derived columns show what the block cache saved: ``hit%`` is demand
-    hits over demand lookups, ``phys/log`` is the fraction of logical
-    block visits that actually went to disk (1.00 = no caching benefit).
-    Row values come from the local runtime's
-    ``RunReport.io``/``ReadStats`` split, but any mapping works — this
-    module stays simulator/runtime agnostic.
-    """
-    if not rows:
-        raise ExperimentError("format_io_table needs at least one row")
-    for scheme, row in rows.items():
-        missing = [key for key in IO_ROW_KEYS if key not in row]
-        if missing:
-            raise ExperimentError(
-                f"I/O row {scheme!r} is missing keys {missing}")
-    name_width = max(10, *(len(name) for name in rows))
-    header = (f"{'scheme':<{name_width}} {'logical':>10} {'physical':>10} "
-              f"{'hit%':>7} {'phys/log':>9}")
-    lines = [title, "=" * len(header), header, "-" * len(header)]
-    for scheme, row in rows.items():
-        lookups = row["cache_hits"] + row["cache_misses"]
-        hit_pct = 100.0 * row["cache_hits"] / lookups if lookups else 0.0
-        logical = row["logical_blocks"]
-        ratio = row["physical_blocks"] / logical if logical else 0.0
-        lines.append(
-            f"{scheme:<{name_width}} {int(logical):>10d} "
-            f"{int(row['physical_blocks']):>10d} {hit_pct:>6.1f}% "
-            f"{ratio:>9.2f}")
-    return "\n".join(lines)
-
-
 def format_series(title: str, x_label: str, xs: Sequence[float],
                   series: dict[str, Sequence[float]],
                   y_format: str = "{:>10.1f}") -> str:

@@ -1,8 +1,8 @@
 """Metrics registry: counters, gauges and fixed-bucket histograms.
 
 Where the tracer answers *when did it happen*, the registry answers *how
-much of it happened*: blocks read per wave, cache hit counts, prefetch
-depth utilisation.  Instruments are created on first use
+much of it happened*: blocks read per wave, view-served reads, queue
+depths.  Instruments are created on first use
 (``registry.counter("io.blocks_read").inc(4)``) and share one
 :func:`~repro.analysis.lockgraph.ordered_lock`, so updates from
 concurrent map workers are safe and, with checking on, participate in
@@ -167,7 +167,7 @@ class MetricsRegistry:
 
         ``delta`` is any dataclass with numeric fields — in practice the
         result of :meth:`ReadStats.delta` for one wave.  Zero fields are
-        still registered (a wave with no cache hits should read as an
+        still registered (a wave with no view-served reads should read as an
         explicit 0, not a missing metric).
         """
         for f in dataclasses.fields(delta):

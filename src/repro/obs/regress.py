@@ -208,23 +208,18 @@ def format_regression(report: RegressionReport) -> str:
 
 #: Gated metrics per benchmark payload (``payload["benchmark"]`` key).
 #: Counters that the runtime computes deterministically are pinned
-#: exactly; cache-interaction counters get slack for prefetch timing;
-#: wall-clock seconds, and every ratio of them, are deliberately absent.
+#: exactly; wall-clock seconds, and every ratio of them, are
+#: deliberately absent.
 DEFAULT_SPECS: dict[str, tuple[MetricSpec, ...]] = {
     "bench_cache": (
         MetricSpec("checks.fifo_hit_ratio_ge_90pct"),
         MetricSpec("fifo_rescan.n_jobs"),
         MetricSpec("fifo_rescan.num_blocks"),
         MetricSpec("fifo_rescan.logical_blocks_read"),
-        # Physical reads vary a little with async prefetch timing.
-        MetricSpec("fifo_rescan.physical_blocks_read", "le", rel_tol=0.25,
-                   abs_tol=4),
+        # No thread races the demand reads: the tier split is exact.
+        MetricSpec("fifo_rescan.physical_blocks_read"),
+        MetricSpec("fifo_rescan.view_blocks_read"),
         MetricSpec("fifo_rescan.hit_ratio", "ge", rel_tol=0.05),
-        MetricSpec("shared_scan_prefetch.iterations"),
-        MetricSpec("shared_scan_prefetch.num_blocks"),
-        MetricSpec("shared_scan_prefetch.logical_blocks_read"),
-        MetricSpec("shared_scan_prefetch.physical_blocks_read", "le",
-                   rel_tol=0.1, abs_tol=2),
     ),
     "bench_service": (
         MetricSpec("checks.all_accepted_jobs_terminal"),

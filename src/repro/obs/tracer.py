@@ -16,8 +16,8 @@ Spans nest::
 
 Each thread keeps its own nesting depth, and a span's *lane* defaults to
 the recording thread's name, so threads recording at once (two runners
-on one tracer, the prefetcher) produce one well-formed stack per thread
-rather than an interleaved mess.
+on one tracer, a runner and the service's core thread) produce one
+well-formed stack per thread rather than an interleaved mess.
 """
 
 from __future__ import annotations

@@ -20,8 +20,8 @@ class ServiceConfig:
     Attributes
     ----------
     execution:
-        How iterations execute (cache, prefetch depth,
-        ``blocks_per_segment`` — the scan-segment size of the live loop).
+        How iterations execute (``blocks_per_segment`` — the
+        scan-segment size of the live loop — and tracing).
     max_pending:
         Bound on jobs accepted but not yet admitted into the scan
         (the service's pending queue, across all tenants).  ``None``

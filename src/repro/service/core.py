@@ -12,9 +12,9 @@ the one shared-scan core, :class:`~repro.localrt.live.SharedScanCore`
 SharedScanRunner`).  The core owns the scan — the
 :class:`~repro.schedulers.s3.scanloop.ScanLoop` the simulator
 validates, so admission, alignment and the per-iteration admission cap
-are literally that scheduler — plus the riders' run states and the
-prefetcher.  This module keeps the thread, the
-condition variable, the bounded pending queue's overload policy
+are literally that scheduler — plus the riders' run states; it starts
+no thread.  This module keeps the thread, the condition variable, the
+bounded pending queue's overload policy
 (``ServiceConfig.max_pending`` / ``overload_policy``) and the read-only
 reports; every job-state move and every book it touches goes through
 :meth:`repro.service.lifecycle.Ledger.transition`.  A single **core
@@ -188,7 +188,6 @@ class SchedulerService:
             self._thread.join(timeout=_JOIN_TIMEOUT_S)
             if self._thread.is_alive():  # pragma: no cover - defensive
                 raise ServiceError("service core thread failed to stop")
-        self._scan.close()
 
     def __enter__(self) -> "SchedulerService":
         return self.start()
@@ -564,8 +563,7 @@ class SchedulerService:
     def _plan_locked(self) -> Wave | None:
         """Plan the next wave and book its admissions (scheduling state)."""
         wave = self._scan.plan(
-            self._iteration, max_jobs=self.config.max_jobs_per_iteration,
-            more_arrivals=bool(self._scheduled))
+            self._iteration, max_jobs=self.config.max_jobs_per_iteration)
         self._slots_active.set(len(wave.riders) if wave is not None else 0)
         if wave is None:
             return None

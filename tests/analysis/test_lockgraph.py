@@ -145,28 +145,47 @@ def test_condition_wait_keeps_bookkeeping_exact():
 
 
 def test_runtime_locks_record_expected_graph(tmp_path):
-    """The retrofitted BlockStore/BlockCache/prefetcher hold no two
-    project locks at once: a full cached+prefetched run records no
-    edges between the runtime lock roles, and none at all out of the
-    store's in-flight table lock (a leaf)."""
-    from repro.localrt.cache import BlockCache
-    from repro.localrt.prefetch import ReadAheadPrefetcher
+    """Two threads reading one store handle hold no two runtime locks at
+    once: two FIFO runs side by side (disk reads, view-served visits,
+    the derived-view table and the token encoder they fill) record no
+    edge between the runtime lock roles, and none at all out of the
+    store's counter lock (a leaf)."""
+    from repro.localrt.jobs import wordcount_job
+    from repro.localrt.runners import FifoLocalRunner
     from repro.localrt.storage import BlockStore
 
     store = BlockStore.create(
-        tmp_path / "blocks", (f"line {i}" for i in range(64)),
-        block_size_bytes=64, cache=BlockCache(1 << 16))
-    with ReadAheadPrefetcher(store, depth=4) as prefetcher:
-        prefetcher.schedule(range(store.num_blocks))
-        for index in range(store.num_blocks):
-            store.read_block_bytes(index)
-    runtime_roles = {"BlockStore._stats_lock", "BlockCache._lock",
-                     "ReadAheadPrefetcher._cond", "BlockStore._inflight_lock"}
+        tmp_path / "blocks", (f"line {i} the thing" for i in range(64)),
+        block_size_bytes=64)
+    start = threading.Barrier(2)
+    errors = []
+
+    def scan(pattern):
+        try:
+            start.wait(timeout=10)
+            FifoLocalRunner(store).run([wordcount_job(pattern, pattern),
+                                        wordcount_job(f"{pattern}!", ".*")])
+        except BaseException as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    threads = [threading.Thread(target=scan, args=(pattern,))
+               for pattern in ("^th.*", "^l.*")]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not errors
+    stats = store.stats_snapshot()
+    assert stats.blocks_read == 4 * store.num_blocks
+    assert stats.blocks_read == (stats.physical_blocks_read
+                                 + stats.view_blocks_read)
+    runtime_roles = {"BlockStore._stats_lock", "DerivedViews._lock",
+                     "TokenEncoder._lock"}
     for source, targets in lock_order_graph().items():
         if source in runtime_roles:
             assert not (targets & runtime_roles), (
                 f"unexpected lock nesting {source} -> {targets}")
-    assert not lock_order_graph().get("BlockStore._inflight_lock")
+    assert not lock_order_graph().get("BlockStore._stats_lock")
 
 
 # ------------------------------------------------- held-set bookkeeping

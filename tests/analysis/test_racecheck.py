@@ -221,23 +221,23 @@ def test_detector_covers_the_token_dictionary(monkeypatch):
     assert "expected guard: TokenEncoder._lock" in str(excinfo.value)
 
 
-def test_detector_covers_the_store_in_flight_table(store):
-    """A store's table of blocks being filled into its cache is
-    registered: fills from two threads pass, while a rebind of the table
-    outside its lock trips the detector."""
-    from repro.localrt.cache import BlockCache
-
-    store.attach_cache(BlockCache(1 << 20))
+def test_detector_covers_the_store_counters(store):
+    """A store handle's read counters are registered: two threads
+    reading one handle (a disk read and a view-served visit each) pass,
+    while a counter write outside the counter lock trips the detector."""
     store.read_block_bytes(0)
-    in_thread(lambda: store.read_block_bytes(1))
-    in_thread(lambda: store.prefetch_block(2))
+    store.visit_block(1)
+    in_thread(lambda: (store.read_block_bytes(1), store.visit_block(0)))
+    stats = store.stats_snapshot()
+    assert (stats.blocks_read, stats.physical_blocks_read,
+            stats.view_blocks_read) == (4, 2, 2)
 
     with pytest.raises(RaceError) as excinfo:
         def unguarded():
-            store._inflight = {}
+            store.stats.blocks_read += 1
         in_thread(unguarded, name="rogue")
-    assert "BlockStore._inflight" in str(excinfo.value)
-    assert "expected guard: BlockStore._inflight_lock" in str(excinfo.value)
+    assert "BlockStore.stats.blocks_read" in str(excinfo.value)
+    assert "expected guard: BlockStore._stats_lock" in str(excinfo.value)
 
 
 def test_detector_covers_the_token_dictionary_codes():

@@ -125,7 +125,7 @@ class TestRep003CounterWrites:
     def test_assignment_and_report_io_fire(self):
         violations = run_rule("REP003", """\
             def rewrite(report):
-                report.io.cache_hits = 0
+                report.io.view_blocks_read = 0
             """)
         assert len(violations) == 1
 

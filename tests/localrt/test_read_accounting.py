@@ -21,9 +21,9 @@ import pytest
 
 from repro.common.config import MAP_BACKENDS, ExecutionConfig
 from repro.localrt.jobs import wordcount_job
-from repro.localrt.runners import SharedScanRunner
+from repro.localrt.runners import FifoLocalRunner, SharedScanRunner
 from repro.localrt.sharded import ShardedBlockStore
-from repro.localrt.storage import BlockStore
+from repro.localrt.storage import BlockStore, ReadStats
 from repro.workloads.text import TextCorpusGenerator
 
 PATTERNS = ["^th.*", ".*ing$", "^[aeiou].*"]
@@ -33,15 +33,14 @@ ARRIVALS = {"wc1": 1, "wc2": 2}
 #: on all three names then — except ``mmap_blocks_read``, which a pool
 #: worker's read could not report, so it is checked on its own: every
 #: read is a mapped read.
+#: The cache and prefetch fields of the time, all 0 in it, are gone.
 PARENT_IO = {
     "single": dict(
         blocks_read=16, bytes_read=64193, physical_blocks_read=16,
-        physical_bytes_read=64193, cache_hits=0, cache_misses=0,
-        cache_evictions=0, prefetched_blocks=0, replica_fallback_reads=0),
+        physical_bytes_read=64193, replica_fallback_reads=0),
     "sharded": dict(
         blocks_read=16, bytes_read=64193, physical_blocks_read=16,
-        physical_bytes_read=64193, cache_hits=0, cache_misses=0,
-        cache_evictions=0, prefetched_blocks=0, replica_fallback_reads=3),
+        physical_bytes_read=64193, replica_fallback_reads=3),
 }
 #: ``shard_blocks_read()`` of the sharded run at the parent commit.
 PARENT_SHARD_BALANCE = (2, 8, 3, 3)
@@ -77,7 +76,7 @@ def _make_store(kind, directory, lines):
 def test_io_identical_across_backends_and_to_parent(tmp_path, lines, kind,
                                                     batched):
     """serial / threads / processes × {single; 4-shard R=2 with shard 0
-    lost after iteration 1}, no cache."""
+    lost after iteration 1}."""
     balances = {}
     for backend in MAP_BACKENDS:
         store = _make_store(kind, tmp_path / backend, lines)
@@ -105,3 +104,23 @@ def test_io_identical_across_backends_and_to_parent(tmp_path, lines, kind,
     if kind == "sharded":
         assert set(balances.values()) == {PARENT_SHARD_BALANCE}
 
+
+
+def test_hit_ratio_is_the_share_of_visits_served_from_memory(tmp_path):
+    """Two summing jobs over 16 blocks on a fresh handle: the first reads
+    every block from disk, the second is answered by the derived-view
+    table.  Half the visits were served from memory, so the ratio is
+    0.5, on the run's report and on its ``ReadStats`` alike."""
+    lines = list(TextCorpusGenerator(vocabulary_size=300,
+                                     seed=123).lines(64_000))
+    store = BlockStore.create(tmp_path / "s", lines, 4_000)
+    assert store.num_blocks == 16
+    report = FifoLocalRunner(store).run(
+        [wordcount_job("wc0", PATTERNS[0]), wordcount_job("wc1", PATTERNS[1])])
+    io = report.io
+    assert (io.blocks_read, io.physical_blocks_read,
+            io.view_blocks_read) == (32, 16, 16)
+    assert io.cache_hit_ratio == 0.5
+    assert report.cache_hit_ratio == 0.5
+    assert ReadStats().cache_hit_ratio == 0.0
+    assert io.prefetched_blocks == 0

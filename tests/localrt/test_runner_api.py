@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -9,14 +10,17 @@ import pytest
 from repro.common.config import ExecutionConfig, TraceConfig
 from repro.common.errors import ExecutionError
 from repro.localrt.jobs import wordcount_job
+from repro.localrt.output import write_output
 from repro.localrt.records import TextLineReader
 from repro.localrt.runners import FifoLocalRunner, SharedScanRunner
+from repro.localrt.sharded import ShardedBlockStore
+from repro.localrt.storage import BlockStore
 from repro.obs import NULL_TRACER, TraceSession, Tracer
+from repro.service import SchedulerService, ServiceConfig
 
 
 @pytest.fixture(scope="module")
 def store():
-    from repro.localrt.storage import BlockStore
     with tempfile.TemporaryDirectory() as tmp:
         lines = [f"the cat number {i} sat" for i in range(120)]
         yield BlockStore.create(Path(tmp) / "c", lines,
@@ -31,19 +35,90 @@ def jobs():
 def test_default_construction_uses_config_defaults(store):
     runner = SharedScanRunner(store)
     assert runner.blocks_per_segment == ExecutionConfig().blocks_per_segment
-    assert runner.prefetch_depth == 0
     assert runner.tracer is NULL_TRACER
 
 
 def test_config_drives_every_knob(store):
-    config = ExecutionConfig(map_backend="serial", blocks_per_segment=2,
-                             cache_capacity_bytes=1 << 20, prefetch_depth=2)
+    config = ExecutionConfig(map_backend="serial", blocks_per_segment=2)
     runner = SharedScanRunner(store, config)
     assert runner.blocks_per_segment == 2
-    assert runner.prefetch_depth == 2
-    assert store.cache is not None
     report = runner.run(jobs())
     assert report.result("wc").output
+
+
+# ----------------------------------------------------------- ignored knobs
+def _outputs_and_io(front_end, directory, config):
+    """Run three jobs through ``front_end`` on a fresh handle on
+    ``directory``; return each job's part-file bytes and the handle's
+    full ``ReadStats``."""
+    store = BlockStore(directory)
+    batch = [wordcount_job("wc", ".*"), wordcount_job("at", "^.at$"),
+             wordcount_job("per-record", "^s.*", batched=False)]
+    if front_end == "fifo":
+        results = FifoLocalRunner(store, config).run(batch).results
+    elif front_end == "shared":
+        results = SharedScanRunner(store, config).run(
+            batch, {"wc": 0, "at": 1, "per-record": 3}).results
+    else:
+        service = SchedulerService(store, ServiceConfig(execution=config))
+        for job in batch:
+            service.submit(job, tenant="t")
+        while service.step():
+            pass
+        results = dict(service.results())
+        service.shutdown()
+    parts = {}
+    with tempfile.TemporaryDirectory() as out:
+        for job_id, result in sorted(results.items()):
+            write_output(result, Path(out) / job_id)
+            parts[job_id] = {path.name: path.read_bytes() for path in
+                             sorted((Path(out) / job_id).iterdir())}
+    return parts, store.stats_snapshot()
+
+
+@pytest.mark.parametrize("front_end", ["fifo", "shared", "service"])
+def test_cache_and_prefetch_knobs_change_nothing(store, monkeypatch,
+                                                 front_end):
+    """``cache_capacity_bytes`` and ``prefetch_depth`` are validated and
+    ignored: the same part files, the same full ``ReadStats``, and no
+    thread started during or left after the run."""
+    baseline = _outputs_and_io(front_end, store.directory,
+                               ExecutionConfig(blocks_per_segment=2))
+    started = []
+    real_start = threading.Thread.start
+
+    def record_start(thread):
+        started.append(thread.name)
+        real_start(thread)
+
+    before = set(threading.enumerate())
+    monkeypatch.setattr(threading.Thread, "start", record_start)
+    knobbed = _outputs_and_io(front_end, store.directory, ExecutionConfig(
+        blocks_per_segment=2, cache_capacity_bytes=store.total_bytes // 2,
+        prefetch_depth=4))
+    assert started == []
+    assert set(threading.enumerate()) == before
+    assert knobbed == baseline
+    parts, io = knobbed
+    assert len(parts) == 3 and all(parts.values())
+    assert io.blocks_read == io.physical_blocks_read + io.view_blocks_read
+
+
+@pytest.mark.parametrize("kind", ["single", "sharded"])
+def test_ensure_cache_is_a_validated_no_op(tmp_path, kind):
+    lines = [f"the cat number {i} sat" for i in range(120)]
+    if kind == "single":
+        store = BlockStore.create(tmp_path / "s", lines, 256)
+    else:
+        store = ShardedBlockStore.create(tmp_path / "s", lines, 256,
+                                         num_shards=3, replication=2)
+    store.read_block_bytes(0)
+    before = store.stats_snapshot()
+    store.ensure_cache(1 << 20)
+    store.ensure_cache(1)
+    assert store.stats_snapshot() == before
+    with pytest.raises(ExecutionError, match="positive"):
+        store.ensure_cache(0)
 
 
 def test_config_type_is_checked(store):

@@ -269,28 +269,6 @@ def test_stats_aggregate(sharded):
     assert sharded.logical_blocks_read() == sharded.num_blocks
 
 
-def test_cache_split_across_shards(sharded):
-    assert not sharded.has_cache
-    capacity = sharded.total_bytes * 2
-    sharded.ensure_cache(capacity)
-    assert sharded.has_cache
-    assert [store.cache.capacity_bytes for store in sharded._shard_stores] \
-        == [capacity // NUM_SHARDS] * NUM_SHARDS
-    sharded.read_block_bytes(0)
-    sharded.read_block_bytes(0)
-    stats = sharded.stats_snapshot()
-    assert (stats.cache_misses, stats.cache_hits) == (1, 1)
-    assert stats.physical_blocks_read == 1
-    with pytest.raises(ExecutionError, match="positive"):
-        sharded.ensure_cache(0)
-
-
-def test_prefetch_routes_to_serving_shard(sharded):
-    sharded.ensure_cache(sharded.total_bytes * 2)
-    assert sharded.prefetch_block(5)
-    assert sharded.stats_snapshot().blocks_read == 0  # physical only
-
-
 # ------------------------------------------------- runner fault injection
 
 PATTERNS = ["^th.*", ".*ing$", "^[aeiou].*"]

@@ -1,13 +1,10 @@
 """Block store tests."""
 
-import sys
 import threading
-import time
 
 import pytest
 
 from repro.common.errors import ExecutionError
-from repro.localrt.cache import BlockCache
 from repro.localrt.storage import BlockStore, ReadStats
 
 
@@ -124,20 +121,20 @@ def test_full_pass_counter_accounting(tmp_path):
     assert store.stats.bytes_read == store.total_bytes
     assert store.stats.physical_blocks_read == store.num_blocks
     assert store.stats.bytes_read == sum(len(data) for data in consumed)
-    # A second pass doubles the logical counters (no cache attached).
+    # A second pass doubles the logical and the physical counters.
     for i in range(store.num_blocks):
         store.read_block_bytes(i)
     assert store.stats.blocks_read == 2 * store.num_blocks
     assert store.stats.bytes_read == 2 * store.total_bytes
+    assert store.stats.physical_blocks_read == 2 * store.num_blocks
 
 
-@pytest.mark.parametrize("with_cache", [False, True])
-def test_read_block_concurrent_threads_accounting(tmp_path, with_cache):
-    """The _stats_lock path: hammer read_block from many threads and
-    check the logical counters add up exactly."""
-    cache = BlockCache(10_000_000) if with_cache else None
-    store = BlockStore.create(tmp_path / "s", lines(80), block_size_bytes=200,
-                              cache=cache)
+@pytest.mark.parametrize("with_visits", [False, True])
+def test_read_block_concurrent_threads_accounting(tmp_path, with_visits):
+    """The _stats_lock path: hammer one handle from many threads — disk
+    reads only, or every other read a view-served visit — and check the
+    logical counters add up exactly and each visit landed in one tier."""
+    store = BlockStore.create(tmp_path / "s", lines(80), block_size_bytes=200)
     reads_per_thread = 50
     n_threads = 8
     errors = []
@@ -146,6 +143,9 @@ def test_read_block_concurrent_threads_accounting(tmp_path, with_cache):
         try:
             for i in range(reads_per_thread):
                 index = (seed + i) % store.num_blocks
+                if with_visits and i % 2:
+                    store.visit_block(index)
+                    continue
                 text = store.read_block_bytes(index).decode()
                 assert len(text.encode("utf-8")) == store.block_size_bytes(index)
         except BaseException as exc:  # pragma: no cover - failure path
@@ -159,26 +159,27 @@ def test_read_block_concurrent_threads_accounting(tmp_path, with_cache):
         t.join()
     assert not errors
     total = n_threads * reads_per_thread
-    assert store.stats.blocks_read == total
+    visits = n_threads * (reads_per_thread // 2) if with_visits else 0
+    stats = store.stats_snapshot()
+    assert stats.blocks_read == total
     expected_bytes = sum(
         store.block_size_bytes((s + i) % store.num_blocks)
         for s in range(n_threads) for i in range(reads_per_thread))
-    assert store.stats.bytes_read == expected_bytes
-    if with_cache:
-        assert store.stats.cache_hits + store.stats.cache_misses == total
-        assert store.stats.physical_blocks_read < total
-    else:
-        assert store.stats.physical_blocks_read == total
+    assert stats.bytes_read == expected_bytes
+    assert stats.view_blocks_read == visits
+    assert stats.physical_blocks_read == total - visits
+    assert stats.blocks_read == (stats.physical_blocks_read
+                                 + stats.view_blocks_read)
 
 
 def test_read_stats_snapshot_and_delta():
-    stats = ReadStats(blocks_read=10, bytes_read=100, cache_hits=4)
+    stats = ReadStats(blocks_read=10, bytes_read=100, view_blocks_read=4)
     before = stats.snapshot()
     stats.blocks_read += 5
-    stats.cache_hits += 2
+    stats.view_blocks_read += 2
     delta = stats.delta(before)
     assert delta.blocks_read == 5
-    assert delta.cache_hits == 2
+    assert delta.view_blocks_read == 2
     assert delta.bytes_read == 0
     assert before.blocks_read == 10    # snapshot is independent
 
@@ -238,155 +239,3 @@ def test_mmap_fallback_returns_identical_bytes(tmp_path, monkeypatch):
     assert fallback_stats.bytes_read == mapped_stats.bytes_read
     assert (fallback_stats.physical_blocks_read
             == mapped_stats.physical_blocks_read)
-
-
-def test_cache_stores_raw_bytes_with_exact_sizes(tmp_path):
-    cache = BlockCache(10_000_000)
-    store = BlockStore.create(tmp_path / "s", lines(30), block_size_bytes=120,
-                              cache=cache)
-    # The cache holds the block's undecoded bytes: a miss, then a hit.
-    first = store.read_block_bytes(0)
-    raw = store.read_block_bytes(0)
-    assert raw == first
-    assert store.stats.cache_hits == 1
-    assert store.stats.cache_misses == 1
-    # Byte accounting is the exact on-disk size, no object overhead.
-    assert cache.current_bytes == store.block_size_bytes(0)
-    # A cached block is returned as the resident object (zero-copy).
-    assert store.read_block_bytes(0) is raw
-
-
-def _gate_disk_reads(monkeypatch):
-    """Hold every physical read until the returned ``release`` is set;
-    ``started`` is set when the first one begins."""
-    import repro.localrt.storage as storage_module
-
-    started, release = threading.Event(), threading.Event()
-    real = storage_module.read_block_file
-
-    def gated(path):
-        started.set()
-        assert release.wait(timeout=10)
-        return real(path)
-
-    monkeypatch.setattr(storage_module, "read_block_file", gated)
-    return started, release
-
-
-def _run_while_one_fill_is_held(opener, others, started, release):
-    """Start ``opener``, wait until its disk read is in flight, start
-    ``others``, give them time to reach it, then let the read finish."""
-    first = threading.Thread(target=opener)
-    first.start()
-    assert started.wait(timeout=10)
-    rest = [threading.Thread(target=target) for target in others]
-    for thread in rest:
-        thread.start()
-    time.sleep(0.05)  # a reader arriving later finds the block cached
-    release.set()
-    for thread in [first, *rest]:
-        thread.join(timeout=10)
-    assert not any(thread.is_alive() for thread in [first, *rest])
-
-
-@pytest.mark.parametrize("first", ["prefetch", "demand"])
-def test_a_prefetch_and_demand_readers_of_one_block_read_it_once(
-        tmp_path, monkeypatch, first):
-    """Whoever starts filling the cache with a block, everyone else
-    reading it at the same time waits for that fill: one physical read
-    between them, each demand read a hit but the filler's own, and the
-    logical counters of one read per demand reader."""
-    store = BlockStore.create(tmp_path / "s", lines(20), block_size_bytes=10_000,
-                              cache=BlockCache(1 << 20))
-    expected = (tmp_path / "s" / "block_00000.dat").read_bytes()
-    started, release = _gate_disk_reads(monkeypatch)
-    readers = 6
-    got, prefetched = [], []
-
-    def demand():
-        got.append(store.read_block_bytes(0))
-
-    def prefetch():
-        prefetched.append(store.prefetch_block(0))
-
-    if first == "prefetch":
-        opener, others = prefetch, [demand] * readers
-    else:
-        opener, others = demand, [prefetch] + [demand] * (readers - 1)
-    _run_while_one_fill_is_held(opener, others, started, release)
-
-    assert got == [expected] * readers
-    stats = store.stats_snapshot()
-    assert stats.physical_blocks_read == 1
-    assert (stats.blocks_read, stats.bytes_read) == (
-        readers, readers * len(expected))
-    assert stats.cache_hits + stats.cache_misses == readers
-    assert stats.cache_misses == (first == "demand")
-    assert prefetched == [first == "prefetch"]
-    assert stats.prefetched_blocks == (first == "prefetch")
-
-
-def test_a_reader_that_waited_for_nothing_cached_reads_for_itself(
-        tmp_path, monkeypatch):
-    """A block the cache will not hold (larger than its capacity): a
-    demand reader that waited out another's fill finds nothing cached,
-    so it goes to disk itself — a miss, like the first."""
-    store = BlockStore.create(tmp_path / "s", lines(20), block_size_bytes=10_000,
-                              cache=BlockCache(16))
-    expected = (tmp_path / "s" / "block_00000.dat").read_bytes()
-    started, release = _gate_disk_reads(monkeypatch)
-    got = []
-
-    def demand():
-        got.append(store.read_block_bytes(0))
-
-    _run_while_one_fill_is_held(demand, [demand], started, release)
-
-    assert got == [expected] * 2
-    stats = store.stats_snapshot()
-    assert (stats.physical_blocks_read, stats.cache_misses,
-            stats.cache_hits) == (2, 2, 0)
-
-
-def test_racing_prefetches_and_demand_reads_read_each_block_once(tmp_path):
-    """Eight threads (more than the cores), a switch interval that
-    interleaves them inside a fill, each prefetching and reading every
-    block of a store whose cache holds it all, in an order of its own:
-    every block goes to disk exactly once, and the demand counters are
-    one per read."""
-    store = BlockStore.create(tmp_path / "s", lines(120), block_size_bytes=200,
-                              cache=BlockCache(1 << 20))
-    blocks = store.num_blocks
-    threads_n, errors = 8, []
-    start = threading.Barrier(threads_n)
-
-    def work(seed):
-        try:
-            start.wait(timeout=10)
-            for step in range(blocks):
-                index = (seed * 5 + step) % blocks
-                store.prefetch_block((index + 1) % blocks)
-                store.read_block_bytes(index)
-        except BaseException as exc:  # pragma: no cover - failure path
-            errors.append(exc)
-            raise
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(seed,))
-                   for seed in range(threads_n)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert not errors
-    stats = store.stats_snapshot()
-    assert stats.physical_blocks_read == blocks
-    assert stats.cache_misses + stats.prefetched_blocks == blocks
-    assert stats.blocks_read == stats.cache_hits + stats.cache_misses \
-        == threads_n * blocks
-    assert stats.bytes_read == threads_n * store.total_bytes

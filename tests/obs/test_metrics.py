@@ -62,7 +62,7 @@ def test_absorb_read_stats_registers_all_fields_including_zero():
     assert snap["io.blocks_read"] == 3
     assert snap["io.bytes_read"] == 120
     # A field that did not move is still present as an explicit zero.
-    assert snap["io.cache_hits"] == 0
+    assert snap["io.view_blocks_read"] == 0
     registry.absorb_read_stats(ReadStats(blocks_read=2))
     assert registry.counter("io.blocks_read").value == 5
 

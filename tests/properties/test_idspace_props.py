@@ -129,7 +129,7 @@ def _run(directory, rider_set, seg, laps, parts, batched, fold, cancel,
                     core.add_job(job, arrival=iteration)
                 if cancel is not None and cancel[1] == iteration:
                     core.cancel(f"j{cancel[0]}")
-                wave = core.plan(iteration, more_arrivals=bool(pending))
+                wave = core.plan(iteration)
                 if wave is not None:
                     execute_map_wave(store, TextLineReader(),
                                      _wave_tasks(wave, cut))
