@@ -3,9 +3,10 @@
 Every other experiment is closed-loop: the harness owns the job list and
 the runner controls arrival.  This one drives the **live scheduler
 service** open-loop — a fixed multi-tenant Poisson schedule is replayed
-against the running scan (arrivals paced in scan-iteration time, so the
-run is deterministic), and late arrivals join mid-scan through the
-paper's segment-aligned admission path.
+against the running scan (arrivals paced in scan-iteration time, the
+scan stepped one iteration per second of a virtual clock, so the run
+and its report reproduce exactly), and late arrivals join mid-scan
+through the paper's segment-aligned admission path.
 
 Compared schemes:
 
@@ -32,6 +33,7 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
+from ..common.clock import FakeClock
 from ..common.config import ExecutionConfig, TraceConfig
 from ..common.errors import ExperimentError
 from ..localrt.api import LocalJob
@@ -40,7 +42,7 @@ from ..localrt.runners import FifoLocalRunner
 from ..localrt.storage import BlockStore
 from ..obs.analyze import SharingReport, attribute_sharing, build_forest
 from ..obs.export import export_chrome, load_events
-from ..obs.live.slo import format_slo_table
+from ..obs.live.slo import SLOConfig, format_slo_table
 from ..obs.tracer import Tracer
 from ..service.config import ServiceConfig
 from ..service.core import SchedulerService
@@ -97,16 +99,25 @@ def run(jobs_per_tenant: int = 4, *, corpus_bytes: int = 400_000,
         # time against the live scan (deterministic admission pattern).
         s3_store = BlockStore.create(tmp / "s3", corpus,
                                      block_size_bytes=block_size_bytes)
-        config = ServiceConfig(execution=execution)
-        with SchedulerService(s3_store, config) as service:
-            replay_iterations(service, events, _job_for,
-                              iterations_per_second=1.0)
-            tickets = service.drain(timeout=120.0)
-            fairness = service.fairness()
-            slo_statuses = service.slo_report()
-            results = dict(service.results())
-            iterations = service.iterations
-            blocks_read = service.snapshot()["blocks_read"]
+        # Step mode on a virtual clock, one second per iteration, so
+        # every time reported is schedule time and reproduces; the
+        # latency objective is two passes of the file.
+        clock = FakeClock()
+        passes = -(-s3_store.num_blocks // blocks_per_segment)
+        service = SchedulerService(s3_store, ServiceConfig(
+            execution=execution, slo=SLOConfig(objective_s=2.0 * passes)),
+            clock=clock)
+        replay_iterations(service, events, _job_for,
+                          iterations_per_second=1.0)
+        while service.step():
+            clock.advance(1.0)
+        tickets = service.jobs()
+        fairness = service.fairness()
+        slo_statuses = service.slo_report()
+        results = dict(service.results())
+        iterations = service.iterations
+        blocks_read = service.snapshot()["blocks_read"]
+        service.shutdown()
         s3_sharing = _sharing_for(tmp, "s3", service.tracer)
 
         bad = [t.job_id for t in tickets if t.status.value != "done"]
@@ -114,8 +125,7 @@ def run(jobs_per_tenant: int = 4, *, corpus_bytes: int = 400_000,
             raise ExperimentError(f"service left non-done jobs: {bad}")
         for event in events:
             job_id = _job_for(event).job_id
-            if (sorted(results[job_id].output)
-                    != sorted(fifo.results[job_id].output)):
+            if results[job_id].output != fifo.results[job_id].output:
                 raise ExperimentError(
                     f"{job_id}: service output diverged from FIFO")
 

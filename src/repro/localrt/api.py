@@ -87,27 +87,27 @@ class BlockStoreProtocol(Protocol):
     def logical_blocks_read(self) -> int: ...
 
 
-class BlockData(bytes):
-    """One block's raw bytes plus lazily memoized derived views.
+class BlockData:
+    """One visit of a block: its bytes plus lazily memoized views.
 
-    The batched engine wraps each block in a :class:`BlockData` and hands
-    the *same* object to every batched mapper in the wave, so expensive
+    The map wave makes one :class:`BlockData` per block visit and hands
+    the *same* object to every batched mapper riding it, so expensive
     derivations — UTF-8 decode, line split, whitespace tokenization —
-    happen at most once per block regardless of how many jobs share the
+    happen at most once per visit regardless of how many jobs share the
     scan.  Memoization is write-once per attribute and the derived
     values are observably immutable (see :meth:`memo`), so sharing
     across jobs is safe.
 
-    The object itself lives for one wave.  The task body
-    (:mod:`repro.localrt.parallel`) binds it (:meth:`bind`) to its store
-    handle's :class:`~repro.localrt.tokens.DerivedViews` table, and the
-    two *compact* views — :meth:`encoded` and :meth:`memo` — are then
-    looked up there before they are computed and published there after:
-    once per block per store handle, not once per wave.  The large
-    views (:meth:`text`, :meth:`lines`, :meth:`token_counts`) are
-    deliberately never kept beyond the wave — each is at least as big
-    as the block — and an unbound :class:`BlockData` derives everything
-    itself, exactly as a table miss does.
+    The wave's handle (:meth:`from_store`) is bound (:meth:`bind`) to
+    its store handle's :class:`~repro.localrt.tokens.DerivedViews`
+    table, where the two *compact* views — :meth:`encoded` and
+    :meth:`memo` — are looked up before they are computed and published
+    after: once per block per store handle, not once per visit.  Its
+    bytes are loaded (:meth:`raw`) only when a view is computed, so a
+    visit whose riders find all their views kept reads nothing.  The
+    large views (:meth:`text`, :meth:`lines`, :meth:`token_counts`) are
+    never kept beyond the visit.  ``BlockData(raw)`` wraps bytes already
+    in hand; unbound, it derives everything itself.
     """
 
     _text: "str | None" = None
@@ -118,6 +118,20 @@ class BlockData(bytes):
     _derived: "dict[Hashable, Any] | None" = None
     _views: "tokens.DerivedViews | None" = None
     _block: Hashable = None
+    _store: "BlockStoreProtocol | None" = None
+
+    def __init__(self, raw: bytes) -> None:
+        self._raw: "bytes | None" = raw
+
+    @classmethod
+    def from_store(cls, store: BlockStoreProtocol,
+                   index: int) -> "BlockData":
+        """Block ``index`` of ``store``, bound to its table; the bytes are
+        read (``store.read_block_bytes``) the first time they are needed."""
+        data = cls.__new__(cls)
+        data._raw, data._store = None, store
+        data._views, data._block = store.derived, index
+        return data
 
     def bind(self, views: "tokens.DerivedViews",
              block: Hashable) -> "BlockData":
@@ -128,10 +142,31 @@ class BlockData(bytes):
         self._block = block
         return self
 
+    @property
+    def fetched(self) -> bool:
+        """Whether the block's bytes are in hand."""
+        return self._raw is not None
+
+    def raw(self) -> bytes:
+        """The block's bytes, read from the store on first use."""
+        if self._raw is None:
+            store, index = self._store, self._block
+            assert store is not None and isinstance(index, int)
+            self._raw = store.read_block_bytes(index)
+        return self._raw
+
+    def __len__(self) -> int:
+        """The block's length in bytes (no read: the store knows it)."""
+        if self._raw is None:
+            store, index = self._store, self._block
+            assert store is not None and isinstance(index, int)
+            return store.block_size_bytes(index)
+        return len(self._raw)
+
     def text(self) -> str:
         """The block decoded as UTF-8 (memoized; one decode per block)."""
         if self._text is None:
-            self._text = self.decode("utf-8")
+            self._text = self.raw().decode("utf-8")
         return self._text
 
     def lines(self) -> list[bytes]:
@@ -144,7 +179,7 @@ class BlockData(bytes):
         per-record readers see.
         """
         if self._lines is None:
-            parts = self.split(b"\n")
+            parts = self.raw().split(b"\n")
             if parts and parts[-1] == b"":
                 parts.pop()
             self._lines = parts
@@ -158,8 +193,9 @@ class BlockData(bytes):
         taken from the :meth:`encoded` view when that was fetched first.
         """
         if self._line_count is None:
-            count = self.count(b"\n")
-            if self and not self.endswith(b"\n"):
+            raw = self.raw()
+            count = raw.count(b"\n")
+            if raw and not raw.endswith(b"\n"):
                 count += 1
             self._line_count = count
         return self._line_count
@@ -184,27 +220,30 @@ class BlockData(bytes):
         (:mod:`repro.localrt.tokens`) and shared by every rider: each
         one's map is then a gather at the block's ids instead of a loop
         over its words.  A bound block takes the view its table kept on
-        an earlier lap — no decode, no split, no ``Counter`` — under the
-        one currency rule of :func:`~repro.localrt.tokens.kept_encoding`,
-        and otherwise builds it and offers it to the table
-        (:func:`~repro.localrt.tokens.offer_encoding`).  The view
+        an earlier lap — no load, no decode, no split, no ``Counter`` —
+        while the view's dictionary is the encoder's current one
+        (serving it ticks the verdict table's idle clock, as encoding
+        would; a stale one retires every kept encoding, see
+        :meth:`~repro.localrt.tokens.DerivedViews.lookup`).  Otherwise
+        it builds the view and offers it to the table, unless its
+        dictionary is not current — the block was so wide that it got a
+        dictionary of its own — so it could never be served.  The view
         carries the block's record count, so after a table hit
         :meth:`line_count` is answered without reading a byte of the
-        block.  A map wave whose riders need nothing else asks the table
-        itself before it loads the block, and wraps the bytes only on a
-        miss (:mod:`repro.localrt.parallel`): a warm visit then loads no
-        bytes at all.
+        block.
         """
         if self._encoded is None:
-            views = self._views
-            encoded = (tokens.MISSING if views is None
-                       else tokens.kept_encoding(views, self._block))
+            views, encoder = self._views, tokens.ENCODER
+            encoded = (tokens.MISSING if views is None else views.lookup(
+                self._block, tokens.ENCODED_VIEW,
+                lambda kept: encoder.is_current(kept, tick=True)))
             if encoded is tokens.MISSING:
-                encoded = tokens.ENCODER.encode(self.token_counts())
+                encoded = encoder.encode(self.token_counts())
                 encoded.lines = self.line_count()
-                if views is not None:
-                    tokens.offer_encoding(views, self._block, encoded,
-                                          len(self))
+                if views is not None and encoder.is_current(encoded,
+                                                            tick=False):
+                    views.publish(self._block, tokens.ENCODED_VIEW,
+                                  encoded, len(self))
             self._encoded = encoded
             self._line_count = encoded.lines
         return self._encoded
@@ -297,7 +336,7 @@ class BlockMapper(Mapper):
         return type(reader) is TextLineReader
 
     @abc.abstractmethod
-    def map_block(self, data: bytes, base_offset: int,
+    def map_block(self, data: "bytes | BlockData", base_offset: int,
                   ) -> tuple[int, list[Record], Counters | None]:
         """Process one whole block of raw bytes.
 
@@ -305,8 +344,11 @@ class BlockMapper(Mapper):
         records the block contained (exactly what the per-record reader
         would have yielded), the pre-combiner output records, and the
         task's user counters (``None`` when the mapper keeps none).
-        ``data`` may be a :class:`BlockData`, in which case derived
-        views (decode/tokenize) are shared with the wave's other jobs.
+        ``data`` may be a :class:`BlockData` (what the map wave passes),
+        in which case derived views (decode/tokenize) are shared with
+        the wave's other jobs, and the bytes are read through
+        :meth:`BlockData.raw` only when a view the kernel needs is not
+        kept.
         """
 
 

@@ -252,7 +252,8 @@ def _collect_per_record(jobs: list[LocalJob], reader: RecordReader,
 
 
 def collect_map_outputs(jobs: list[LocalJob], reader: RecordReader,
-                        block_data: bytes, base_offset: int = 0,
+                        block_data: "bytes | BlockData",
+                        base_offset: int = 0,
                         ) -> tuple[int, list[MapOutput],
                                    "list[Counters | None]"]:
     """The pure (side-effect-free) half of a shared map task.
@@ -272,17 +273,17 @@ def collect_map_outputs(jobs: list[LocalJob], reader: RecordReader,
     :class:`ExecutionError` rather than silently corrupting
     ``map_input_records``.
 
-    ``block_data`` is the block's bytes (a :class:`BlockData` is used
-    as it is), decoded here once when only per-record mappers ride.
+    ``block_data`` is the block's bytes or a :class:`BlockData`, used
+    as it is: a per-record mapper decodes the block, so it is read if
+    it was not; a kernel reads it only for a view the table lacks.
     """
     if not jobs:
         raise ExecutionError("map task with no participating job")
     kernels = [batch_mapper_for(job, reader) for job in jobs]
-    if not any(kernel is not None for kernel in kernels):
-        return _collect_per_record(jobs, reader, block_data.decode("utf-8"),
-                                   base_offset)
     data = (block_data if isinstance(block_data, BlockData)
             else BlockData(block_data))
+    if not any(kernel is not None for kernel in kernels):
+        return _collect_per_record(jobs, reader, data.text(), base_offset)
     fallback_jobs = [job for job, kernel in zip(jobs, kernels)
                      if kernel is None]
     record_count: int | None = None

@@ -110,7 +110,7 @@ class PatternWordCountBlock(PatternWordCount, BlockMapper):
         self.counted = counted
         self.combined_output = counted
 
-    def map_block(self, data: bytes, base_offset: int,
+    def map_block(self, data: "bytes | BlockData", base_offset: int,
                   ) -> tuple[int, list[Record], Counters | None]:
         block = data if isinstance(data, BlockData) else BlockData(data)
         encoded = block.encoded()
@@ -419,7 +419,7 @@ class SelectionBlockMapper(SelectionMapper, DelimitedBlockMapper):
         DelimitedBlockMapper.__init__(self, delimiter, expected_fields)
         self._rows_view = ("rows", self._delimiter_bytes, expected_fields)
 
-    def map_block(self, data: bytes, base_offset: int,
+    def map_block(self, data: "bytes | BlockData", base_offset: int,
                   ) -> tuple[int, "list[Record] | tokens.RowPartial",
                              Counters | None]:
         block = data if isinstance(data, BlockData) else BlockData(data)
@@ -438,7 +438,8 @@ class SelectionBlockMapper(SelectionMapper, DelimitedBlockMapper):
                        if record is None]
             rows = hits[missing]
             starts = np.where(rows > 0, ends[rows - 1] + 1, 0)
-            lines = [block[start:end] for start, end
+            raw = block.raw()
+            lines = [raw[start:end] for start, end
                      in zip(starts.tolist(), ends[rows].tolist())]
             parsed = list(map(self._row_record, lines))
             table.keep(rows.tolist(), map(len, lines), parsed,
@@ -453,7 +454,8 @@ class SelectionBlockMapper(SelectionMapper, DelimitedBlockMapper):
         return count, tokens.RowPartial(outputs, table.hashes[hits],
                                         table.order[hits]), None
 
-    def _columnar_quantities(self, block: bytes) -> "tuple[Any, Any] | None":
+    def _columnar_quantities(self, block: BlockData,
+                             ) -> "tuple[Any, Any] | None":
         """Vectorized parse of the ``l_quantity`` column.
 
         Returns ``(quantities, line_ends)`` — a float64 array of the
@@ -467,22 +469,19 @@ class SelectionBlockMapper(SelectionMapper, DelimitedBlockMapper):
         ``None`` as "use the per-line path", which reproduces the
         reader-identical errors for genuinely malformed input.
 
-        On a :class:`BlockData` the result (including a rejection) is
-        memoized per ``(delimiter, field count)``, so every selection
-        rider — in this wave or, through the store handle's derived-view
-        table, on a later lap — shares one structural pass: the
-        delimited analogue of the shared tokenization.  Both arrays in
-        it are read-only.
+        The result (including a rejection) is memoized per
+        ``(delimiter, field count)``, so every selection rider — in this
+        wave or, through the store handle's derived-view table, on a
+        later lap — shares one structural pass: the delimited analogue
+        of the shared tokenization.  Both arrays in it are read-only.
         """
         if self.expected_fields is None or len(self._delimiter_bytes) != 1:
             return None
-        if isinstance(block, BlockData):
-            key = ("quantities", self._delimiter_bytes, self.expected_fields)
-            return block.memo(
-                key, lambda: self._columnar_quantities_uncached(block))
-        return self._columnar_quantities_uncached(block)
+        key = ("quantities", self._delimiter_bytes, self.expected_fields)
+        return block.memo(
+            key, lambda: self._columnar_quantities_uncached(block))
 
-    def _columnar_quantities_uncached(self, block: bytes,
+    def _columnar_quantities_uncached(self, block: BlockData,
                                       ) -> "tuple[Any, Any] | None":
         expected = self.expected_fields
         if expected is None or expected <= _QUANTITY_INDEX:
@@ -490,7 +489,7 @@ class SelectionBlockMapper(SelectionMapper, DelimitedBlockMapper):
         delimiter = self._delimiter_bytes[0]
         if delimiter == 10:
             return None
-        arr = np.frombuffer(block, dtype=np.uint8)
+        arr = np.frombuffer(block.raw(), dtype=np.uint8)
         if arr.size == 0:
             return None
         # One structural pass: newlines and delimiters together.  A
@@ -628,7 +627,7 @@ class AggregationBlockMapper(AggregationMapper, DelimitedBlockMapper):
                  expected_fields: int | None = len(LINEITEM_COLUMNS)) -> None:
         DelimitedBlockMapper.__init__(self, delimiter, expected_fields)
 
-    def map_block(self, data: bytes, base_offset: int,
+    def map_block(self, data: "bytes | BlockData", base_offset: int,
                   ) -> tuple[int, list[Record], Counters | None]:
         block = data if isinstance(data, BlockData) else BlockData(data)
         count, sums = block.memo(

@@ -251,10 +251,13 @@ class SharedScanCore(_LocalRunnerBase):
 
     # ------------------------------------------------------------- execution
     def run(self, wave: Wave) -> None:
-        """Run one planned wave's map phase (blocks read exactly once)."""
+        """Run one planned wave's map phase (blocks read exactly once);
+        its trace payloads are built only while the tracer is on."""
+        if not self.tracer.enabled:
+            execute_map_wave(self.store, self.reader, wave.tasks)
+            return
         label = f"iter_{wave.index}"
-        wave_before = (self.store.stats_snapshot()
-                       if self.tracer.enabled else None)
+        wave_before = self.store.stats_snapshot()
         self._wave_placement(label, [task.block_index for task in wave.tasks])
         with self.tracer.span("s3.iteration", subject=label,
                               pointer=wave.pointer, blocks=len(wave.tasks),
@@ -262,8 +265,7 @@ class SharedScanCore(_LocalRunnerBase):
                               job_ids=[s.job.job_id for s in wave.riders]):
             execute_map_wave(self.store, self.reader, wave.tasks,
                              tracer=self.tracer)
-        if wave_before is not None:
-            self._absorb_wave(label, wave_before)
+        self._absorb_wave(label, wave_before)
 
     def finish(self, run_state: JobRunState,
                completed_iteration: int) -> JobResult:

@@ -1,13 +1,13 @@
 """The map wave of the local runtime: collect every block, then absorb.
 
 Map tasks over distinct blocks are independent.  :func:`execute_map_wave`
-collects them one by one in the calling thread — each block read through
-the store handle (which routes and counts the read), bound to the
-handle's derived-view table and mapped by every rider at once
-(:func:`repro.localrt.engine.collect_map_outputs`), or, when every rider
-is wave-summed and the table kept the block's encoding, only visited —
-and then folds the results into each job's shuffle state **in task
-order**.  This is the
+collects them one by one in the calling thread — each block visit a
+lazy :class:`~repro.localrt.api.BlockData` bound to the store handle's
+derived-view table and mapped by every rider at once
+(:func:`repro.localrt.engine.collect_map_outputs`), which reads the
+block through the store handle only on a view miss, whatever the
+riders — and then folds the results into each job's shuffle state **in
+task order**.  This is the
 only map path: every ``ExecutionConfig.map_backend`` name runs it, so a
 rider's output never leaves the process that absorbs it.
 
@@ -32,7 +32,7 @@ from typing import Sequence
 
 from ..common.config import MAP_BACKENDS
 from ..common.errors import ExecutionError
-from ..obs.tracer import NULL_TRACER, Tracer
+from ..obs.tracer import Tracer
 from . import tokens
 from .api import BlockData, BlockStoreProtocol
 from .counters import Counters
@@ -109,22 +109,18 @@ def _collect_in_parent(store: BlockStoreProtocol, reader: RecordReader,
                        task: MapTaskSpec, split: _Split,
                        tracer: Tracer | None = None,
                        ) -> tuple[TaskResult, "tokens.EncodedBlock | None"]:
-    """Read + map + combine one block for its mapped riders (``split``),
-    and return its encoded view beside the result for its wave-summed
-    ones; a block with no mapped rider collects that view alone.
+    """Map + combine one block for its mapped riders (``split``), and
+    return its encoded view beside the result for its wave-summed ones;
+    a block with no mapped rider collects that view alone.
 
-    The block's compact views are derived once per store handle, not
-    once per lap of the scan, through the handle's derived-view table.
-    A block with no mapped rider asks the table first: a kept encoding
-    is all its riders use, so the visit is booked as a logical read
-    (``visit_block``) and no byte of the block is loaded.  Otherwise the
-    block is read; with mapped riders it is bound to the table, and
-    without, the encoding the table lacked is built and offered to it.
-    Every decode happens below this call (``collect_map_outputs`` for
-    per-record mappers, ``BlockData`` for kernels), so a block that is
-    not UTF-8 surfaces here: one :class:`ExecutionError` naming the
-    block, for every mapper kind — on every visit, since a derive that
-    raises publishes nothing.
+    Every rider mix takes this one path: a lazy :class:`BlockData`
+    bound to the store handle's derived-view table reads the block only
+    when a view some rider uses is not kept, or a per-record mapper
+    rides; a visit that read nothing is booked as view-served
+    (``visit_block``).  Every decode happens below this call, so a block
+    that is not UTF-8 surfaces here: one :class:`ExecutionError` naming
+    the block, for every mapper kind — on every visit, since a derive
+    that raises publishes nothing.
     """
     if tracer is not None and tracer.enabled:
         with tracer.span("map.task", subject=f"block_{task.block_index}",
@@ -132,28 +128,21 @@ def _collect_in_parent(store: BlockStoreProtocol, reader: RecordReader,
                          job_ids=[s.job.job_id for s in task.states]):
             return _collect_in_parent(store, reader, task, split)
     index = task.block_index
-    views = store.derived
     mapped, summed = split
-    if not mapped:
-        encoded = tokens.kept_encoding(views, index)
-        if encoded is not tokens.MISSING:
-            store.visit_block(index)
-            return (encoded.lines, [], []), encoded
-    data = BlockData(store.read_block_bytes(index))
+    data = BlockData.from_store(store, index)
     try:
+        encoded = data.encoded() if summed else None
         if mapped:
-            data.bind(views, index)
-            encoded = data.encoded() if summed else None
             count, outputs, counters = collect_map_outputs(
                 [state.job for state in mapped], reader, data,
                 store.block_offset(index))
-        else:  # the table was asked above: build, offer, take its count
-            encoded = data.encoded()
-            tokens.offer_encoding(views, index, encoded, len(data))
-            count, outputs, counters = encoded.lines, [], []
+        else:
+            count, outputs, counters = data.line_count(), [], []
     except UnicodeDecodeError as exc:
         raise ExecutionError(
             f"block {index} is not valid UTF-8 ({exc})") from exc
+    if not data.fetched:
+        store.visit_block(index)
     return (count, outputs, counters), encoded
 
 
@@ -170,33 +159,43 @@ def execute_map_wave(store: BlockStoreProtocol, reader: RecordReader,
 
     An enabled ``tracer`` records a ``map.wave`` span around the collect
     phase (with one ``map.task`` child per block) and a
-    ``shuffle.absorb`` span around the fold into job shuffle state.
+    ``shuffle.absorb`` span around the fold into job shuffle state;
+    without one, no span is opened at all.
     """
     if not tasks:
         return
     seen_blocks = [t.block_index for t in tasks]
     if len(set(seen_blocks)) != len(seen_blocks):
         raise ExecutionError(f"duplicate blocks in wave: {seen_blocks}")
-    trace = tracer if tracer is not None else NULL_TRACER
     splits = _split_riders(tasks, reader)
-    with trace.span("map.wave", blocks=len(tasks)):
+    if tracer is None or not tracer.enabled:
+        _absorb_wave(splits, [_collect_in_parent(store, reader, task, split)
+                              for task, split in zip(tasks, splits)])
+        return
+    with tracer.span("map.wave", blocks=len(tasks)):
         results = [_collect_in_parent(store, reader, task, split, tracer)
                    for task, split in zip(tasks, splits)]
-    with trace.span("shuffle.absorb", blocks=len(tasks)):
-        # id(state) -> (state, the encoded blocks it rode, in task order)
-        rode: dict[int, tuple[JobRunState, list[tokens.EncodedBlock]]] = {}
-        for (mapped, summed), ((record_count, outputs, task_counters),
-                               encoded) in zip(splits, results, strict=True):
-            for state, buffer, counters in zip(mapped, outputs,
-                                               task_counters, strict=True):
-                absorb_map_result(state, record_count, buffer, counters)
-            if encoded is not None:
-                for state in summed:
-                    rode.setdefault(id(state), (state, []))[1].append(encoded)
-        groups: dict[tuple[int, ...], tuple[list[tokens.EncodedBlock],
-                                            list[JobRunState]]] = {}
-        for state, blocks in rode.values():
-            groups.setdefault(tuple(map(id, blocks)),
-                              (blocks, []))[1].append(state)
-        if groups:
-            PatternWordCountBlock.absorb_wave(list(groups.values()))
+    with tracer.span("shuffle.absorb", blocks=len(tasks)):
+        _absorb_wave(splits, results)
+
+
+def _absorb_wave(splits: Sequence[_Split], results: Sequence[
+        tuple[TaskResult, "tokens.EncodedBlock | None"]]) -> None:
+    """Fold a wave's collected results into its riders, in task order."""
+    # id(state) -> (state, the encoded blocks it rode, in task order)
+    rode: dict[int, tuple[JobRunState, list[tokens.EncodedBlock]]] = {}
+    for (mapped, summed), ((record_count, outputs, task_counters),
+                           encoded) in zip(splits, results, strict=True):
+        for state, buffer, counters in zip(mapped, outputs,
+                                           task_counters, strict=True):
+            absorb_map_result(state, record_count, buffer, counters)
+        if encoded is not None:
+            for state in summed:
+                rode.setdefault(id(state), (state, []))[1].append(encoded)
+    groups: dict[tuple[int, ...], tuple[list[tokens.EncodedBlock],
+                                        list[JobRunState]]] = {}
+    for state, blocks in rode.values():
+        groups.setdefault(tuple(map(id, blocks)),
+                          (blocks, []))[1].append(state)
+    if groups:
+        PatternWordCountBlock.absorb_wave(list(groups.values()))

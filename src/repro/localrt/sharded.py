@@ -12,9 +12,10 @@ code can reason about locality identically in both worlds.
 
 Each shard directory is a plain :class:`~repro.localrt.storage.BlockStore`
 (block files keep their *global* index in the name, so a shard's sorted
-directory listing is its sorted global holdings).  Every read — a
-view-served visit (``visit_block``) included — routes to
-the first *live* replica — primary first — and failure injection is just
+directory listing is its sorted global holdings).  Every disk read
+routes to the first *live* replica — primary first; a view-served visit
+(``visit_block``) reads no replica and is charged to the block's
+primary shard, down or not — and failure injection is just
 state: :meth:`ShardedBlockStore.fail_shard` marks a shard down in this
 handle's memory (nothing is written to disk; every read is routed by
 the handle the runner holds) and subsequent reads of its primaries
@@ -308,11 +309,13 @@ class ShardedBlockStore:
 
     def visit_block(self, index: int) -> None:
         """Charge one view-served logical read of block ``index`` to its
-        first live replica — routed, booked and traced exactly as
-        :meth:`read_block_bytes`, with no bytes loaded."""
-        store, local, shard, fallback = self._serve(index)
-        store.visit_block(local)
-        self._note_read(index, shard, fallback)
+        primary shard: no replica is read, routed or traced, so a down
+        primary is no fallback and a block with no live replica is served."""
+        self._check(index)
+        primary = index % self._num_shards
+        store = self._shard_stores[primary]
+        assert store is not None  # a primary always holds its block
+        store.visit_block(self._local_index[primary][index])
 
     # ------------------------------------------------------------- accounting
     def stats_snapshot(self) -> ReadStats:

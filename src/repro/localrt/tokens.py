@@ -31,10 +31,10 @@ records.
 block's compact derived views (its :class:`EncodedBlock`, a kernel's
 ``memo`` value) from one lap of the circular scan to the next, so a
 block is tokenised and encoded once per store handle, not once per
-wave.  A visit whose riders use nothing but a kept view loads no bytes
-at all: the store books it as a logical read the table served
-(``visit_block``), and only a miss, or a rider that still maps the
-block's bytes, reads the block.
+wave.  A visit loads the block's bytes only on a miss — a view one of
+its riders uses that the table lacks, or a per-record mapper — whatever
+the kernels; a visit the table answered whole is booked as a logical
+read it served (``visit_block``).
 
 State is bounded.  A :class:`TokenDictionary` only grows up to
 :data:`TOKEN_DICTIONARY_CAP` words; the block that would pass the cap
@@ -502,14 +502,13 @@ class TokenEncoder:
 class DerivedViews:
     """Compact derived views of a store's blocks, keyed ``(block, view)``.
 
-    One per store handle (``store.derived``).  The task body binds
-    each wave's :class:`~repro.localrt.api.BlockData` to it, and
+    One per store handle (``store.derived``).  Each block visit's
+    :class:`~repro.localrt.api.BlockData` is bound to it, and
     ``encoded()`` / ``memo()`` then :meth:`lookup` before they compute
     and :meth:`publish` after, so a view is derived once per block per
-    table for as long as there is room; a task whose riders need only
-    the encoding asks the table itself, before it loads the block
-    (:func:`kept_encoding` / :func:`offer_encoding`).  A view that could
-    not be admitted is simply derived again on the block's next visit.
+    table for as long as there is room — and the block's bytes are
+    loaded only to compute one.  A view that could not be admitted is
+    simply derived again on the block's next visit.
     """
 
     def __init__(self) -> None:
@@ -593,31 +592,6 @@ class DerivedViews:
                 "resident_blocks": len(self._per_block),
                 "charged_bytes": self._charged,
             }
-
-
-def kept_encoding(views: DerivedViews, block: Hashable) -> Any:
-    """``block``'s :class:`EncodedBlock` as ``views`` kept it, or
-    :data:`MISSING`.
-
-    The one currency rule for a kept encoding, whoever asks (a
-    :class:`~repro.localrt.api.BlockData` or a map wave that has not
-    loaded the block): it is served only while its dictionary is the
-    encoder's current one, and serving it counts the block as mapped on
-    the verdict table's idle clock, as encoding it would.  A stale one
-    retires every kept encoding (see :meth:`DerivedViews.lookup`).
-    """
-    return views.lookup(
-        block, ENCODED_VIEW, lambda kept: ENCODER.is_current(kept, tick=True))
-
-
-def offer_encoding(views: DerivedViews, block: Hashable,
-                   fresh: EncodedBlock, nbytes: int) -> None:
-    """Offer a freshly built encoding of ``block`` (``nbytes`` long) to
-    ``views``, unless its dictionary is not the encoder's current one —
-    the block was so wide that it got a dictionary of its own, or the
-    dictionary rolled over since — so it could never be served."""
-    if ENCODER.is_current(fresh, tick=False):
-        views.publish(block, ENCODED_VIEW, fresh, nbytes)
 
 
 class RowTable:

@@ -61,8 +61,10 @@ def test_job_result_as_dict_duplicate_keys():
 # -------------------------------------------------------------- BlockData
 
 def test_blockdata_is_bytes_with_memoized_views():
-    block = BlockData(b"the cat\nsat down\n")
-    assert isinstance(block, bytes)
+    raw = b"the cat\nsat down\n"
+    block = BlockData(raw)
+    # A visit handle, not a bytes subclass: the bytes it wraps, uncopied.
+    assert block.raw() is raw and len(block) == 17
     assert block.text() == "the cat\nsat down\n"
     assert block.text() is block.text()            # memoized
     assert block.lines() == [b"the cat", b"sat down"]

@@ -9,6 +9,7 @@ import sys
 import threading
 import weakref
 
+import numpy as np
 import pytest
 
 import repro.localrt.tokens as tokens
@@ -240,7 +241,7 @@ def test_bound_block_derives_once_per_table(monkeypatch):
     original = BlockData.token_counts
     monkeypatch.setattr(
         BlockData, "token_counts",
-        lambda self: derives.append(bytes(self)) or original(self))
+        lambda self: derives.append(self.raw()) or original(self))
     views = DerivedViews()
     raw = b"to be or not to be\n"
     first = BlockData(raw).bind(views, 7).encoded()
@@ -400,13 +401,14 @@ def test_capped_table_keeps_the_first_k_blocks_it_met(tmp_path, monkeypatch):
     observed = _three_laps(store, "serial", tmp_path / "out")
     assert observed[:2] == reference[:2]
     # One physical read per block per handle while its view is kept: the
-    # last lap (summing riders) reads again the n - k blocks not kept.
+    # two warm laps (the second maps, the third sums) each read again
+    # the n - k blocks not kept.
     unkept = store.total_bytes - cap
     expected = dict(reference[2])
-    for field, more in (("physical_blocks_read", n - k),
-                        ("physical_bytes_read", unkept),
-                        ("mmap_blocks_read", n - k),
-                        ("view_blocks_read", k - n)):
+    for field, more in (("physical_blocks_read", 2 * (n - k)),
+                        ("physical_bytes_read", 2 * unkept),
+                        ("mmap_blocks_read", 2 * (n - k)),
+                        ("view_blocks_read", 2 * (k - n))):
         expected[field] += more
     assert observed[2] == expected
     stats = store.derived.stats()
@@ -479,11 +481,7 @@ def test_warm_wordcount_lap_reads_no_byte_of_the_block(tmp_path, monkeypatch):
     nothing counts the block's newlines again, and no block is loaded —
     each visit is still counted as a logical read."""
     store = BlockStore.create(tmp_path / "corpus", _lines(), 2_000)
-    counted = []
-    monkeypatch.setattr(
-        BlockData, "count",
-        lambda self, *args: counted.append(len(self))
-        or bytes.count(self, *args))
+    counted = _spy_on_loads(monkeypatch)
     job = [wordcount_job("wc", ".*a$")]
     cold = SharedScanRunner(store).run(job)
     n = store.num_blocks
@@ -512,7 +510,7 @@ def test_encoded_view_carries_the_record_count(monkeypatch):
         assert BlockData(raw).bind(views, index).encoded().lines == records
         warm = BlockData(raw).bind(views, index)
         with monkeypatch.context() as uncountable:
-            uncountable.setattr(BlockData, "count", None)
+            uncountable.setattr(BlockData, "raw", None)
             assert warm.encoded().lines == warm.line_count() == records
     assert views.stats()["hits"] == len(corpus)
 
@@ -552,9 +550,9 @@ def test_view_published_from_the_primary_is_served_after_shard_loss(tmp_path):
     assert store.derived.stats()["misses"] == n
     store.fail_shard(0)
     second = lap(store)
-    on_shard_0 = len(range(0, n, 3))
-    assert second.io.replica_fallback_reads == on_shard_0  # still counted
-    assert second.io.blocks_read == n
+    # Served from the table: no replica is read, so none fails over.
+    assert second.io.replica_fallback_reads == 0
+    assert second.io.blocks_read == second.io.view_blocks_read == n
     store.restore_shard(0)
     third = lap(store)
     assert third.io.replica_fallback_reads == 0
@@ -562,7 +560,7 @@ def test_view_published_from_the_primary_is_served_after_shard_loss(tmp_path):
         == third.results["wc"].output
     stats = store.derived.stats()
     assert (stats["misses"], stats["hits"]) == (n, 2 * n)
-    assert store.stats_snapshot().replica_fallback_reads == on_shard_0
+    assert store.stats_snapshot().replica_fallback_reads == 0
 
 
 def test_two_handles_on_one_directory_share_nothing(tmp_path):
@@ -616,6 +614,7 @@ def _lineitem_rows(total_bytes=12_000):
 LINEITEM_READER = DelimitedReader("|", len(LINEITEM_COLUMNS))
 FLAG_SUMS_VIEW = ("flag_sums", b"|", len(LINEITEM_COLUMNS))
 ROWS_VIEW = ("rows", b"|", len(LINEITEM_COLUMNS))
+QUANTITIES_VIEW = ("quantities", b"|", len(LINEITEM_COLUMNS))
 
 
 def test_selection_kernel_shares_its_structural_pass_across_laps(tmp_path):
@@ -669,6 +668,15 @@ def test_aggregation_riders_share_one_per_line_pass(tmp_path, monkeypatch):
     assert len(passes) == store.num_blocks  # served from the table
 
 
+def _has_unkept_rows(views, index, threshold):
+    """Whether block ``index``'s kept row table lacks a row that a
+    selection at ``threshold`` emits."""
+    quantities, _ends = views.lookup(index, QUANTITIES_VIEW)
+    table = views.lookup(index, ROWS_VIEW)
+    return any(table.slots[row] is None
+               for row in np.flatnonzero(quantities < threshold).tolist())
+
+
 def test_aggregation_view_is_served_after_shard_loss(tmp_path):
     jobs = [aggregation_job("agg"), selection_job("lo", 10.0)]
 
@@ -684,8 +692,6 @@ def test_aggregation_view_is_served_after_shard_loss(tmp_path):
     assert store.derived.stats()["misses"] == 3 * n
     store.fail_shard(0)
     second = lap(store)
-    on_shard_0 = len(range(0, n, 3))
-    assert second.io.replica_fallback_reads == on_shard_0  # still counted
     assert second.io.blocks_read == n
     store.restore_shard(0)
     third = lap(store)
@@ -696,6 +702,16 @@ def test_aggregation_view_is_served_after_shard_loss(tmp_path):
             == repr(third.results[job.job_id].output)
     stats = store.derived.stats()
     assert (stats["misses"], stats["hits"]) == (3 * n, 6 * n)
+    # A warm visit reads its block only for selected rows past the row
+    # table's budget (the table is full after the first lap); every
+    # other visit is served from the table, so only those reads can
+    # fail over.
+    unkept = [index for index in range(n)
+              if _has_unkept_rows(store.derived, index, 10.0)]
+    assert 0 < len(unkept) < n
+    assert second.io.physical_blocks_read == len(unkept)
+    assert second.io.replica_fallback_reads \
+        == len([index for index in unkept if index % 3 == 0])
     assert store.derived.lookup(0, FLAG_SUMS_VIEW) is not MISSING
     assert store.derived.lookup(0, ROWS_VIEW) is not MISSING
 
@@ -745,6 +761,107 @@ def test_malformed_block_publishes_no_row_table(tmp_path, backend):
     assert messages == [expected] * 3
     assert store.derived.lookup(1, ROWS_VIEW) is MISSING
     assert store.derived.lookup(0, ROWS_VIEW) is not MISSING
+
+
+# ------------------------------------------------------------ lazy visits
+
+def _spy_on_loads(monkeypatch):
+    """The block index of every visit that loads its block's bytes."""
+    loaded = []
+    raw = BlockData.raw
+
+    def loading(self):
+        if not self.fetched:
+            loaded.append(self._block)
+        return raw(self)
+
+    monkeypatch.setattr(BlockData, "raw", loading)
+    return loaded
+
+
+def test_a_selection_past_the_row_budget_loads_only_what_it_lacks(
+        tmp_path, monkeypatch):
+    """A warm lap of a selection rider whose rows fit the row table and
+    one whose rows do not, beside an aggregation: only the visits of
+    blocks holding a selected row the table could not keep load the
+    block; every other visit is served from the table."""
+    loaded = _spy_on_loads(monkeypatch)
+    store = BlockStore.create(tmp_path / "lineitem", _lineitem_rows(),
+                              2_000)
+    n = store.num_blocks
+    jobs = [selection_job("narrow", 2.0), selection_job("wide", 10.0),
+            aggregation_job("agg")]
+    reports = []
+    for _lap in range(2):
+        reports.append(SharedScanRunner(store, reader=LINEITEM_READER).run(
+            jobs))
+    assert loaded[:n] == list(range(n))  # the cold lap loads every block
+    unkept = [index for index in range(n)
+              if _has_unkept_rows(store.derived, index, 10.0)]
+    assert not any(_has_unkept_rows(store.derived, index, 2.0)
+                   for index in range(n))
+    assert 0 < len(unkept) < n
+    assert loaded[n:] == unkept
+    warm = reports[1].io
+    assert (warm.blocks_read, warm.physical_blocks_read,
+            warm.view_blocks_read) == (n, len(unkept), n - len(unkept))
+    for job in jobs:
+        assert repr(reports[0].results[job.job_id].output) \
+            == repr(reports[1].results[job.job_id].output)
+
+
+def test_non_utf8_lineitem_block_raises_the_same_error_on_every_lap(
+        tmp_path):
+    """Block 1's second row has a byte that is not UTF-8 in its return
+    flag, which the selection decodes with its row and the aggregation
+    with its flag: every lap dies on the block, in the same words,
+    although the views of the rows before it could be kept."""
+    directory = tmp_path / "lineitem"
+    BlockStore.create(directory, _lineitem_rows(), 3_000)
+    bad = directory / BlockStore.BLOCK_PATTERN.format(1)
+    good, second = bad.read_bytes().split(b"\n")[:2]
+    fields = second.split(b"|")
+    fields[LINEITEM_COLUMNS.index("l_returnflag")] = b"\xff"
+    bad.write_bytes(good + b"\n" + b"|".join(fields) + b"\n")
+    store = BlockStore(directory)
+    for make_jobs in ([selection_job("sel", 51.0)],
+                      [aggregation_job("agg")],
+                      [aggregation_job("agg"), selection_job("sel", 51.0)]):
+        messages = []
+        for _lap in range(2):
+            with pytest.raises(ExecutionError) as raised:
+                SharedScanRunner(store, reader=LINEITEM_READER).run(make_jobs)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("block 1 is not valid UTF-8")
+    assert store.derived.lookup(1, FLAG_SUMS_VIEW) is MISSING
+
+
+def test_mapped_riders_are_served_while_every_replica_is_down(tmp_path):
+    """Selection and aggregation riders on a warm handle: block 0's
+    replicas are all down, yet a lap whose views are all kept serves
+    every visit from the table, with the same outputs; a rider that
+    needs the bytes still fails on the block."""
+    jobs = [selection_job("lo", 2.0), aggregation_job("agg")]
+    store = ShardedBlockStore.create(tmp_path / "sharded", _lineitem_rows(),
+                                     2_000, num_shards=3, replication=2)
+    n = store.num_blocks
+
+    def lap(riders):
+        return SharedScanRunner(store, reader=LINEITEM_READER).run(riders)
+
+    cold = lap(jobs)
+    store.fail_shard(0)
+    store.fail_shard(1)  # block 0 lives on shards 0 and 1 only
+    warm = lap(jobs)
+    assert (warm.io.blocks_read, warm.io.view_blocks_read,
+            warm.io.physical_blocks_read,
+            warm.io.replica_fallback_reads) == (n, n, 0, 0)
+    for job in jobs:
+        assert repr(warm.results[job.job_id].output) \
+            == repr(cold.results[job.job_id].output)
+    with pytest.raises(ExecutionError, match="all 2 replicas of block 0"):
+        lap([selection_job("all", 51.0)])
 
 
 # ------------------------------------------------------------- the row table

@@ -178,10 +178,12 @@ def _warm_handle(sharded):
     return warm
 
 
-def test_warm_visit_fails_over_and_books_like_a_read(sharded):
+def test_warm_visit_reads_no_replica_and_books_its_primary(sharded):
     """With shard 0 down, a lap of summing riders on a warm handle loads
-    no bytes, yet routes, books and traces every visit exactly as a lap
-    of riders that read the bytes does on a cold one."""
+    no bytes and reads no replica: each visit is one logical read,
+    booked to the block's primary shard whatever its state, with no
+    fallback and no ``shard.*`` event.  A lap that reads the bytes on a
+    cold handle routes them to live replicas."""
     warm = _warm_handle(sharded)
     blocks = range(sharded.num_blocks)
     seen = {}
@@ -202,33 +204,42 @@ def test_warm_visit_fails_over_and_books_like_a_read(sharded):
              if event.name.startswith("shard.")])
     (reads, read_balance, read_events), (summed, summed_balance,
                                          summed_events) = seen.values()
-    for field in ("blocks_read", "bytes_read", "replica_fallback_reads"):
+    for field in ("blocks_read", "bytes_read"):
         assert getattr(summed, field) == getattr(reads, field), field
-    assert reads.replica_fallback_reads == len(blocks[::NUM_SHARDS]) > 0
-    assert summed_balance == read_balance and summed_balance[0] == 0
-    assert summed_events == read_events != []
+    on_shard_0 = len(blocks[::NUM_SHARDS])
+    assert reads.replica_fallback_reads == on_shard_0 > 0
+    assert summed.replica_fallback_reads == 0
+    assert read_balance[0] == 0 and read_events != []
+    assert summed_balance == tuple(len(blocks[shard::NUM_SHARDS])
+                                   for shard in range(NUM_SHARDS))
+    assert summed_events == []
     assert (reads.physical_blocks_read, reads.view_blocks_read) \
         == (len(blocks), 0)
     assert (summed.physical_blocks_read, summed.view_blocks_read) \
         == (0, len(blocks))
 
 
-def test_warm_visit_with_every_replica_down_raises_and_books_nothing(
+def test_warm_visit_with_every_replica_down_is_served_from_the_table(
         sharded):
+    """Block 0's replicas are all down: a disk read of it raises, but a
+    visit whose views the table kept is still served, and booked."""
     warm = _warm_handle(sharded)
     for store in (sharded, warm):
         store.fail_shard(0)
         store.fail_shard(1)    # block 0 lives on shards 0 and 1 only
-    with pytest.raises(ExecutionError) as read:
+    with pytest.raises(ExecutionError, match="all 2 replicas of block 0"):
         sharded.read_block_bytes(0)
     before, balance = warm.stats_snapshot(), warm.shard_blocks_read()
-    with pytest.raises(ExecutionError) as visit:
-        warm.visit_block(0)
-    assert str(visit.value) == str(read.value)
+    warm.visit_block(0)
+    _wave(warm, wordcount_job("summed", ".*"), [0])
+    delta = warm.stats_snapshot().delta(before)
+    assert (delta.blocks_read, delta.view_blocks_read,
+            delta.physical_blocks_read, delta.replica_fallback_reads) \
+        == (2, 2, 0, 0)
+    assert warm.shard_blocks_read()[0] == balance[0] + 2
     with pytest.raises(ExecutionError, match="all 2 replicas of block 0"):
-        _wave(warm, wordcount_job("summed", ".*"), [0])
-    assert warm.stats_snapshot() == before
-    assert warm.shard_blocks_read() == balance
+        _wave(warm, wordcount_job("mapped", ".*", use_combiner=False,
+                                  batched=False), [0])
 
 
 def test_visit_out_of_range_raises_and_books_nothing(sharded, single):

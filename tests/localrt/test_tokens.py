@@ -546,7 +546,7 @@ def test_shared_arrays_are_read_only_and_the_kernels_still_work(monkeypatch):
     _raises_on_write(encoded.counts)
     state = JobRunState(wordcount_job("wc", "^a"))
     for _visit in range(2):  # the second is served from the table
-        block = BlockData(bytes(text)).bind(views, 0)
+        block = BlockData(text.raw()).bind(views, 0)
         count, records, _ = PatternWordCountBlock("^a").map_block(block, 0)
         assert (count, records) == (2, [("apple", 1), ("ant", 2)])
         assert block.encoded() is encoded

@@ -12,9 +12,9 @@ visits), under every ``map_backend`` name; it never reads the disk more
 often than the oracle, and every visit is booked in exactly one tier:
 the table (``view_blocks_read``) or the disk (``physical_blocks_read``).
 Two legs: wordcount riders on text (the encoded
-view, with its record count; summing riders are served by the table
-without a byte loaded) and selection + aggregation riders on lineitem
-(the kernels' ``memo`` views, on riders that always load the block).
+view, with its record count) and selection + aggregation riders on
+lineitem (the kernels' ``memo`` views); a visit whose riders find every
+view they use in the table is served without a byte loaded.
 """
 
 import dataclasses

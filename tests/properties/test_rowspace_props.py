@@ -13,12 +13,12 @@ whose riders hand over plain lists (it fails the columnar check, or a
 key there is too wide for the codes), so one job mixes partials and
 lists and spills, rows past the row table's budget, and the progressive
 fold of ``fold_partial_aggregates`` — the run must produce the outputs,
-counters, record counts, ``reduce_input_values`` and ``ReadStats`` of
-the same plan with per-record mappers.  Each case also checks that it
-really happened.
+counters, record counts, ``reduce_input_values`` and logical
+``ReadStats`` of the same plan with per-record mappers (a batched
+rider's warm visit may be served from the store handle's derived-view
+table, so which tier served a visit is not compared).  Each case also
+checks that it really happened.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -137,7 +137,8 @@ def _run(directory, rider_set, seg, laps, batched, fold):
                           result.reduce_output_records,
                           result.reduce_input_values)
                  for job_id, result in sorted(report.results.items())},
-                dataclasses.asdict(store.stats_snapshot().delta(before))))
+                {field: getattr(store.stats_snapshot().delta(before), field)
+                 for field in ("blocks_read", "bytes_read")}))
     return seen
 
 
