@@ -1,8 +1,9 @@
 """Runtime lock-order checking: helgrind-lite for the local runtime.
 
 The local runtime and the service hold several locks
-(``BlockStore._stats_lock``, ``DerivedViews._lock``,
-``TokenEncoder._lock``, ``SchedulerService._cond``...) that may nest in
+(``BlockStore._stats_lock``; ``DerivedViews._lock``, the one lock over
+a store handle's derived views and token dictionary;
+``RowTable._lock``; ``SchedulerService._cond``...) that may nest in
 future refactors.  A deadlock needs two threads taking two locks in
 opposite orders — a bug that tests rarely trigger but production always
 finds.  :class:`OrderedLock` makes the *potential* visible: every

@@ -216,34 +216,30 @@ class BlockData:
     def encoded(self) -> "tokens.EncodedBlock":
         """:meth:`token_counts` dictionary-encoded (memoized).
 
-        Built against the process's token dictionary
-        (:mod:`repro.localrt.tokens`) and shared by every rider: each
-        one's map is then a gather at the block's ids instead of a loop
-        over its words.  A bound block takes the view its table kept on
-        an earlier lap — no load, no decode, no split, no ``Counter`` —
-        while the view's dictionary is the encoder's current one
-        (serving it ticks the verdict table's idle clock, as encoding
-        would; a stale one retires every kept encoding, see
-        :meth:`~repro.localrt.tokens.DerivedViews.lookup`).  Otherwise
-        it builds the view and offers it to the table, unless its
-        dictionary is not current — the block was so wide that it got a
-        dictionary of its own — so it could never be served.  The view
+        Built against the bound table's token dictionary
+        (:mod:`repro.localrt.tokens`; an unbound block's is
+        :data:`~repro.localrt.tokens.UNBOUND`'s) and shared by every
+        rider: each one's map is then a gather at the block's ids
+        instead of a loop over its words.  A bound block takes the view
+        its table kept on an earlier lap — no load, no decode, no split,
+        no ``Counter`` — and otherwise builds the view, which the table
+        keeps if it can (see
+        :meth:`~repro.localrt.tokens.DerivedViews.encode`).  The view
         carries the block's record count, so after a table hit
         :meth:`line_count` is answered without reading a byte of the
         block.
         """
         if self._encoded is None:
-            views, encoder = self._views, tokens.ENCODER
-            encoded = (tokens.MISSING if views is None else views.lookup(
-                self._block, tokens.ENCODED_VIEW,
-                lambda kept: encoder.is_current(kept, tick=True)))
-            if encoded is tokens.MISSING:
-                encoded = encoder.encode(self.token_counts())
-                encoded.lines = self.line_count()
-                if views is not None and encoder.is_current(encoded,
-                                                            tick=False):
-                    views.publish(self._block, tokens.ENCODED_VIEW,
-                                  encoded, len(self))
+            views = self._views
+            if views is None:
+                encoded = tokens.UNBOUND.encode(self.token_counts(),
+                                                self.line_count())
+            else:
+                encoded = views.lookup(self._block, tokens.ENCODED_VIEW)
+                if encoded is tokens.MISSING:
+                    encoded = views.encode(self.token_counts(),
+                                           self.line_count(), self._block,
+                                           len(self))
             self._encoded = encoded
             self._line_count = encoded.lines
         return self._encoded

@@ -431,7 +431,7 @@ def _sums_in_reduce_order(dictionary: tokens.TokenDictionary,
     hit = np.flatnonzero(acc)
     if not len(hit):
         return []
-    digests, rank = tokens.ENCODER.codes(dictionary, int(hit[-1]))
+    digests, rank = dictionary.codes(int(hit[-1]))
     hit = hit[np.lexsort((rank[hit], digests[hit] % num_partitions))]
     return list(zip(map(dictionary.words.__getitem__, hit.tolist()),
                     acc[hit].tolist()))

@@ -78,12 +78,12 @@ class PatternWordCountBlock(PatternWordCount, BlockMapper):
     (:meth:`~repro.localrt.api.BlockData.encoded`, built once per block
     per store handle and shared with every other wordcount job that
     maps it, in this wave or a later lap) and from the pattern's
-    verdict array in the process's token dictionary
+    verdict array in the handle's token dictionary
     (:mod:`repro.localrt.tokens`, shared with every job that has this
     pattern): it gathers the array at the block's ids and masks the
     block's ids and counts with the result.  The regex itself runs once
-    per vocabulary word per pattern per process; the mapper holds no
-    state that grows with the blocks it has mapped.
+    per vocabulary word per pattern per store handle; the mapper holds
+    no state that grows with the blocks it has mapped.
 
     A map wave does not call ``map_block`` for a rider that
     :meth:`rides_wave`: the pattern commutes with the job's per-word
@@ -114,8 +114,8 @@ class PatternWordCountBlock(PatternWordCount, BlockMapper):
                   ) -> tuple[int, list[Record], Counters | None]:
         block = data if isinstance(data, BlockData) else BlockData(data)
         encoded = block.encoded()
-        hit = tokens.ENCODER.matches(encoded.dictionary, encoded.ids,
-                                     self.pattern, self._regex.match)
+        hit = encoded.dictionary.matches(encoded.ids, self.pattern,
+                                         self._regex.match)
         ids, counts = encoded.ids[hit], encoded.counts[hit]
         word = encoded.dictionary.words.__getitem__
         outputs: list[Record]
@@ -158,7 +158,8 @@ class PatternWordCountBlock(PatternWordCount, BlockMapper):
         gathered, masked or allocated per (block, rider).  The map task
         and record counts, and the ``words_scanned`` counter, do not
         depend on the pattern and are booked now; the riding patterns'
-        verdict arrays are marked used, all under one encoder lock.
+        verdict arrays are marked used, under one lock acquisition per
+        dictionary the wave met.
         """
         # Insertion-ordered sets: the order patterns claim free room in
         # a verdict table must not depend on string hashing.
@@ -186,7 +187,8 @@ class PatternWordCountBlock(PatternWordCount, BlockMapper):
                 for sums in shared:
                     pending.add(sums)
                 patterns[pending.kernel.pattern] = None
-        tokens.ENCODER.keep_verdicts(dictionaries, patterns)
+        for dictionary in dictionaries:
+            dictionary.keep_verdicts(patterns)
 
 
 class WaveWordSums:
@@ -250,8 +252,8 @@ class WaveWordSums:
         matched = 0
         for dictionary, (totals, presence) in arrays.items():
             hit = np.flatnonzero(totals)
-            kept = tokens.ENCODER.matches(dictionary, hit, self.kernel.pattern,
-                                          self.kernel._regex.match)
+            kept = dictionary.matches(hit, self.kernel.pattern,
+                                      self.kernel._regex.match)
             totals[hit[~kept]] = 0
             hit = hit[kept]
             matched += int(totals[hit].sum())

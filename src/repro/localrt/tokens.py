@@ -3,14 +3,17 @@ of derived views.
 
 S³ shares one read of a block between the jobs riding it, and
 :class:`~repro.localrt.api.BlockData` extends that to the decode and the
-tokenisation.  This module extends it twice more.
+tokenisation.  This module extends it twice more, both times per store
+handle: a handle's :class:`DerivedViews` table (``store.derived``, in
+memory, gone with the handle) owns everything below, and nothing
+process-wide does.
 
-*Across a process*, to everything the riders would otherwise each
-recompute *per distinct word*: a :class:`TokenEncoder` maps words to
+*Across jobs*, to everything the riders would otherwise each recompute
+*per distinct word*: the table's :class:`TokenDictionary` maps words to
 dense integer ids, so a block's token counts become an
 :class:`EncodedBlock` (two int arrays, ids and counts) and a pattern's
 match verdicts are one boolean array per (dictionary, pattern) indexed
-by id, so each vocabulary word is matched once per pattern per process,
+by id, so each vocabulary word is matched once per pattern per handle,
 whichever job or wave meets it first.  A filter commutes with a per-word
 sum, so a summing wordcount rider does not filter block by block at
 all: a map wave sums its blocks' counts once (a :class:`WaveSums`, with
@@ -24,34 +27,34 @@ per-word codes the dictionary keeps — the partition digest and the
 ``repr`` rank — and decodes each emitted key once (see
 :class:`~repro.localrt.engine.JobRunState`).  A direct ``map_block``
 call gathers the verdicts at the block's ids instead and emits plain
-records.
+records.  A block in hand rather than read from a store (an unbound
+``BlockData``) encodes against :data:`UNBOUND`, a table no handle
+reads.
 
-*Across time*, to jobs that never overlap: a :class:`DerivedViews` table
-— one per store handle, in memory, gone with the handle — keeps each
-block's compact derived views (its :class:`EncodedBlock`, a kernel's
-``memo`` value) from one lap of the circular scan to the next, so a
-block is tokenised and encoded once per store handle, not once per
-wave.  A visit loads the block's bytes only on a miss — a view one of
-its riders uses that the table lacks, or a per-record mapper — whatever
-the kernels; a visit the table answered whole is booked as a logical
-read it served (``visit_block``).
+*Across time*, to jobs that never overlap: the table keeps each block's
+compact derived views (its :class:`EncodedBlock`, a kernel's ``memo``
+value) from one lap of the circular scan to the next, so a block is
+tokenised and encoded once per store handle, not once per wave.  A
+visit loads the block's bytes only on a miss — a view one of its riders
+uses that the table lacks, or a per-record mapper — whatever the
+kernels; a visit the table answered whole is booked as a logical read
+it served (``visit_block``).
 
 State is bounded.  A :class:`TokenDictionary` only grows up to
 :data:`TOKEN_DICTIONARY_CAP` words; the block that would pass the cap
-starts a fresh dictionary that replaces it wholesale (*roll-over*).
-Blocks in flight keep a reference to the dictionary they were encoded
-against, so their ids stay valid; a :class:`DerivedViews` table drops
-every encoded view it holds at its first lookup after the roll-over, so
-the old dictionary — verdict vectors included — is garbage once the
-blocks in flight are done and each live table has been asked once.
-Roll-over
-costs one re-match per (word, pattern) as the vocabulary is met again;
-ids and verdicts are internal, so outputs cannot depend on it.  A
-dictionary keeps vectors for at most :data:`VERDICT_PATTERNS_CAP`
-patterns and only ever drops an idle one: a pattern that finds the
-table full of vectors still in use matches each block's own words
-instead, uncached, so its cost per block never exceeds the block's
-vocabulary however many patterns ride the scan.
+starts a fresh dictionary that replaces its table's wholesale
+(*roll-over*), and in the same step the table drops every encoded view
+it kept against the old one, so the old dictionary — verdict vectors
+included — is garbage once the blocks in flight, which keep a reference
+to the dictionary they were encoded against and so keep valid ids, are
+done.  A roll-over touches its own handle only.  It costs one re-match
+per (word, pattern) as the vocabulary is met again; ids and verdicts
+are internal, so outputs cannot depend on it.  A dictionary keeps
+vectors for at most :data:`VERDICT_PATTERNS_CAP` patterns and only ever
+drops an idle one: a pattern that finds the table full of vectors still
+in use matches each block's own words instead, uncached, so its cost
+per block never exceeds the block's vocabulary however many patterns
+ride the scan.
 
 A :class:`DerivedViews` table is bounded by
 :data:`DERIVED_VIEWS_CAP_BYTES` and *stops admitting* at the bound
@@ -59,7 +62,7 @@ instead of evicting: the scan is circular, so a least-recently-used
 table one block too small for the file would evict every view just
 before its next use and hit never, while one that keeps what it first
 admitted hits on cap ÷ file size of its lookups.  Blocks are immutable
-once a store is created, so nothing else ever invalidates a view.
+once a store is created, so nothing but a roll-over ever drops a view.
 One sizing rule: every view is O(its block's bytes) and is charged its
 block's raw length.  Never kept: a block's decoded text, its
 ``Counter`` or its line list — each as large as the block or larger —
@@ -70,22 +73,22 @@ slot per record) keeps at most a fixed share of its block's row text
 parsed for the rider that asked, every time.
 
 Concurrency: a wave maps its blocks one by one, but two runners sharing
-a store handle (or two handles in one process) encode, look up and fill
-views at once.  Every mutation — id assignment, roll-over, verdict
-extension, the words' reduce codes — happens under
-``TokenEncoder._lock``, every table operation under that table's
-``DerivedViews._lock``, every write to a row table under its
-``RowTable._lock``, and none of the three is ever taken while another
-is held.  What leaves the lock is safe to read without it by
-construction: an id is never reassigned and words are append-only; a
-verdict array, like a dictionary's ``digests`` and ``rank``, is never
-written once published (it is published read-only, like every array a
-shared view holds) — extending it builds a longer array under the lock
-and replaces it (an array cannot grow in place, nor can a ``bytearray``
-while a numpy view of it is alive) — so a gather at ids a block was
-handed reads an array no one writes while another runner extends; and
-a row-table slot goes from
-``None`` to a finished record once, after its row's key codes are
+a store handle encode, look up and fill views at once.  A handle's
+derived state has one lock, ``DerivedViews._lock``: every table
+operation and every mutation of a dictionary the table made — id
+assignment, roll-over, verdict extension, the idle clock, the words'
+reduce codes — happens under it.  Besides it, each row table has its own
+``RowTable._lock``, a leaf taken for writes to that table only, and
+neither lock is ever taken while the other is held.  What leaves the
+lock is safe to read without it by construction: an id is never
+reassigned and words are append-only; a verdict array, like a
+dictionary's ``digests`` and ``rank``, is never written once published
+(it is published read-only, like every array a shared view holds) —
+extending it builds a longer array under the lock and replaces it (an
+array cannot grow in place, nor can a ``bytearray`` while a numpy view
+of it is alive) — so a gather at ids a block was handed reads an array
+no one writes while another runner extends; and a row-table slot goes
+from ``None`` to a finished record once, after its row's key codes are
 written (a rewrite of them writes the values already there); racing
 runners replace an :class:`EncodedBlock`'s memo slot with equal sums.
 """
@@ -113,10 +116,10 @@ VERDICT_PATTERNS_CAP = 256
 
 #: Blocks mapped since a verdict vector's last use before a full table
 #: may drop it for a new pattern.  A wave marks the vector of every
-#: pattern riding it used (:meth:`TokenEncoder.keep_verdicts`), so one
-#: that sat this many blocks out belongs to no rider (a wave is a few
+#: pattern riding it used (:meth:`TokenDictionary.keep_verdicts`), so
+#: one that sat this many blocks out belongs to no rider (a wave is a few
 #: blocks, and a few more can be in flight when runners share the
-#: encoder).
+#: store handle).
 VERDICT_IDLE_BLOCKS = 64
 
 #: A :class:`WaveSums` is dense — indexed by id up to the highest id its
@@ -185,19 +188,23 @@ def _verdicts(words: Sequence[str],
 
 
 class TokenDictionary:
-    """One word -> dense id assignment and the verdicts indexed by it.
+    """One word -> dense id assignment, the verdicts indexed by it and
+    the words' reduce codes.
 
-    A plain record: only :class:`TokenEncoder` mutates it, under its
-    lock.  ``words[i]`` is the word with id ``i``; ``verdicts[pattern]``
-    is a boolean array with one entry per id assigned when it was last
+    Made and grown by one :class:`DerivedViews` table
+    (:meth:`DerivedViews.encode` assigns the ids), whose lock it is
+    handed: that lock guards every mutation, here and there.
+    ``words[i]`` is the word with id ``i``; ``verdicts[pattern]`` is a
+    boolean array with one entry per id assigned when it was last
     extended (``True`` = the pattern matches the word) and
-    ``used[pattern]`` the value of ``blocks`` — blocks mapped against
-    this dictionary, freshly encoded or served from a
-    :class:`DerivedViews` table — at its last use.  ``digests`` and
-    ``rank`` are the words' reduce codes (:meth:`TokenEncoder.codes`).
+    ``used[pattern]`` the value of ``blocks`` — the idle clock: blocks
+    mapped against this dictionary, freshly encoded or served from the
+    table — at its last use.  ``digests`` and ``rank`` are the words'
+    reduce codes (:meth:`codes`).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, lock: Any) -> None:
+        self._lock = lock
         self.ids: dict[str, int] = {}
         self.words: list[str] = []
         self.blocks = 0
@@ -205,23 +212,98 @@ class TokenDictionary:
         self.used: dict[str, int] = {}
         self.digests = frozen(np.zeros(0, np.int64))
         self.rank = frozen(np.zeros(0, np.int64))
-        register_instance(self, fields=("digests", "rank"),
-                          guard="TokenEncoder._lock")
+        register_instance(self, fields=("blocks", "digests", "rank"),
+                          guard="DerivedViews._lock")
+
+    def matches(self, ids: np.ndarray, pattern: str,
+                match: Callable[[str], object]) -> np.ndarray:
+        """One boolean per id of ``ids``: ``pattern`` matches its word.
+
+        ``match(word)`` (``None`` = no match) runs once per word the
+        pattern's verdict array does not cover yet — never again for
+        that word while the array lives, whichever job asks — and the
+        answer is a gather of that array at ``ids``.  A pattern the full
+        table has no room for matches the words of ``ids`` only and
+        keeps nothing.
+        """
+        with self._lock:
+            vector = self._vector(pattern)
+            if vector is not None and len(vector) < len(self.words):
+                vector = self.verdicts[pattern] = frozen(np.concatenate(
+                    (vector, _verdicts(self.words[len(vector):], match))))
+        if vector is None:
+            return _verdicts(list(map(self.words.__getitem__, ids.tolist())),
+                             match)
+        return vector[ids]
+
+    def keep_verdicts(self, patterns: Iterable[str]) -> None:
+        """Mark each pattern's verdict array used now — making an empty
+        one, to be extended when the pattern is matched, where the table
+        has room — under one acquisition of the lock: what a wave does
+        for the patterns riding it, whose matching waits until their
+        jobs' reduces."""
+        with self._lock:
+            for pattern in patterns:
+                self._vector(pattern)
+
+    def _vector(self, pattern: str) -> np.ndarray | None:
+        """``pattern``'s verdict array, marked used (caller holds the
+        lock); ``None`` if it has none and every array in the full table
+        is still in use."""
+        table, used = self.verdicts, self.used
+        vector = table.get(pattern)
+        if vector is None:
+            if len(table) >= VERDICT_PATTERNS_CAP:
+                idlest = min(used, key=used.__getitem__)
+                if self.blocks - used[idlest] < VERDICT_IDLE_BLOCKS:
+                    return None
+                del table[idlest], used[idlest]
+            vector = table[pattern] = frozen(np.zeros(0, bool))
+        used[pattern] = self.blocks
+        return vector
+
+    def codes(self, last: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(digests, rank)``, covering every id up to ``last``:
+        ``digests[i]`` is :func:`str_digest` of word ``i``, so
+        ``digests % P`` is the partition
+        :func:`~repro.localrt.api.default_partitioner` gives the word,
+        and ordering ranked ids by ``rank`` orders their words by
+        ``repr`` (what :func:`~repro.localrt.engine._sort_key` compares
+        for a ``str``; distinct words never tie).
+
+        While the dictionary does not grow, this is a read of the arrays
+        it has.  A call whose ``last`` is not ranked yet digests the
+        words added since the last call and ranks every word again.
+        """
+        with self._lock:
+            rank = self.rank
+            if last >= len(rank):
+                words = self.words
+                known = len(self.digests)
+                self.digests = frozen(np.concatenate((
+                    self.digests,
+                    np.fromiter(map(str_digest, words[known:]), np.int64,
+                                len(words) - known))))
+                reprs = list(map(repr, words))
+                rank = np.empty(len(words), np.int64)
+                rank[sorted(range(len(words)), key=reprs.__getitem__)] = \
+                    np.arange(len(words))
+                self.rank = rank = frozen(rank)
+            return self.digests, rank
 
 
 class EncodedBlock:
     """One block's token counts, dictionary-encoded; shared by every job
-    that maps the block while ``dictionary`` is the encoder's current one.
+    that maps the block while ``dictionary`` is its table's current one.
 
     ``ids`` are the dictionary ids of the block's distinct words in
     first-occurrence order and ``counts`` their occurrence counts, two
     int arrays of one length; ``total`` is the block's token count and
-    ``lines`` its record count, filled in by
-    :meth:`~repro.localrt.api.BlockData.encoded` — which knows the
-    bytes — before the view is shared, so a kept view answers for it
-    too.  The view outlives its wave (see :class:`DerivedViews`), so it
-    owns nothing per word but two machine integers: the words
-    themselves live in ``dictionary``.
+    ``lines`` its record count, both known before the view is shared,
+    so a kept view answers for the bytes it was encoded from.  The view
+    outlives its wave (see :class:`DerivedViews`), so it owns nothing
+    per word but two machine integers: the words themselves live in
+    ``dictionary``.
 
     ``sums`` memoises :meth:`WaveSums.of` for the groups this block
     leads, one slot per group length naming the group's other blocks: a
@@ -353,166 +435,23 @@ def frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-class TokenEncoder:
-    """Encodes blocks against the current :class:`TokenDictionary`."""
-
-    def __init__(self) -> None:
-        self._lock = ordered_lock("TokenEncoder._lock")
-        self._current = TokenDictionary()  # guarded-by: _lock
-        register_instance(self, fields=("_current",),
-                          guard="TokenEncoder._lock")
-
-    def encode(self, counts: Mapping[str, int]) -> EncodedBlock:
-        """The encoded view of one block's token counts.
-
-        Words the current dictionary has not met are assigned the next
-        ids.  If they would take it past :data:`TOKEN_DICTIONARY_CAP`
-        the block is encoded against a fresh dictionary, which becomes
-        the current one — unless the block alone holds more distinct
-        words than the cap, in which case that dictionary is the
-        block's own and the shared one stays as it is.
-        """
-        words = tuple(counts)
-        lookup = _gatherer(words)
-        with self._lock:
-            dictionary = self._current
-            try:
-                ids = lookup(dictionary.ids)
-            except KeyError:
-                fresh: Sequence[str] = [
-                    word for word in words if word not in dictionary.ids]
-                if len(dictionary.words) + len(fresh) > TOKEN_DICTIONARY_CAP:
-                    dictionary = TokenDictionary()
-                    if len(words) <= TOKEN_DICTIONARY_CAP:
-                        self._current = dictionary
-                    fresh = words
-                first = len(dictionary.words)
-                dictionary.ids.update(
-                    zip(fresh, range(first, first + len(fresh))))
-                dictionary.words.extend(fresh)
-                ids = lookup(dictionary.ids)
-            dictionary.blocks += 1
-        values = np.fromiter(counts.values(), np.int64, len(words))
-        return EncodedBlock(dictionary, frozen(np.array(ids, np.intp)),
-                            frozen(values), sum(counts.values()))
-
-    def is_current(self, block: EncodedBlock, *, tick: bool) -> bool:
-        """Whether ``block`` was encoded against the current dictionary,
-        the only one whose ids a kept view may be served under (a
-        rolled-over dictionary is retired, an over-wide block's is its
-        own).  ``tick`` counts the block as mapped, as :meth:`encode`
-        does: the verdict table's idle clock runs on blocks mapped, and
-        a block served from a :class:`DerivedViews` table is never
-        encoded again.
-        """
-        with self._lock:
-            current = block.dictionary is self._current
-            if current and tick:
-                self._current.blocks += 1
-        return current
-
-    def matches(self, dictionary: TokenDictionary, ids: np.ndarray,
-                pattern: str, match: Callable[[str], object]) -> np.ndarray:
-        """One boolean per id of ``ids`` (ids of ``dictionary``):
-        ``pattern`` matches its word.
-
-        ``match(word)`` (``None`` = no match) runs once per word the
-        pattern's verdict array does not cover yet — never again for
-        that word while the array lives, whichever job asks — and the
-        answer is a gather of that array at ``ids``.  A pattern the full
-        table has no room for matches the words of ``ids`` only and
-        keeps nothing.
-        """
-        with self._lock:
-            vector = self._vector(dictionary, pattern)
-            if vector is not None and len(vector) < len(dictionary.words):
-                vector = dictionary.verdicts[pattern] = frozen(np.concatenate(
-                    (vector, _verdicts(dictionary.words[len(vector):], match))))
-        if vector is None:
-            return _verdicts(
-                list(map(dictionary.words.__getitem__, ids.tolist())), match)
-        return vector[ids]
-
-    def keep_verdicts(self, dictionaries: Iterable[TokenDictionary],
-                      patterns: Iterable[str]) -> None:
-        """Mark each pattern's verdict array in each dictionary used now
-        — making an empty one, to be extended when the pattern is
-        matched, where the table has room — under one acquisition of the
-        lock: what a wave does for the patterns riding it, whose
-        matching waits until their jobs' reduces."""
-        patterns = tuple(patterns)
-        with self._lock:
-            for dictionary in dictionaries:
-                for pattern in patterns:
-                    self._vector(dictionary, pattern)
-
-    def _vector(self, dictionary: TokenDictionary, pattern: str,
-                ) -> np.ndarray | None:
-        """``pattern``'s verdict array in ``dictionary``, marked used
-        (caller holds the lock); ``None`` if it has none and every
-        array in the full table is still in use."""
-        table, used = dictionary.verdicts, dictionary.used
-        vector = table.get(pattern)
-        if vector is None:
-            if len(table) >= VERDICT_PATTERNS_CAP:
-                idlest = min(used, key=used.__getitem__)
-                if dictionary.blocks - used[idlest] < VERDICT_IDLE_BLOCKS:
-                    return None
-                del table[idlest], used[idlest]
-            vector = table[pattern] = frozen(np.zeros(0, bool))
-        used[pattern] = dictionary.blocks
-        return vector
-
-    def codes(self, dictionary: TokenDictionary, last: int,
-              ) -> tuple[np.ndarray, np.ndarray]:
-        """``(digests, rank)`` of ``dictionary``, covering every id up to
-        ``last``: ``digests[i]`` is :func:`str_digest` of word ``i``, so
-        ``digests % P`` is the partition
-        :func:`~repro.localrt.api.default_partitioner` gives the word,
-        and ordering ranked ids by ``rank`` orders their words by
-        ``repr`` (what :func:`~repro.localrt.engine._sort_key` compares
-        for a ``str``; distinct words never tie).
-
-        While the dictionary does not grow, this is a read of the arrays
-        it has.  A call whose ``last`` is not ranked yet digests the
-        words added since the last call and ranks every word again.
-        """
-        with self._lock:
-            rank = dictionary.rank
-            if last >= len(rank):
-                words = dictionary.words
-                known = len(dictionary.digests)
-                dictionary.digests = frozen(np.concatenate((
-                    dictionary.digests,
-                    np.fromiter(map(str_digest, words[known:]), np.int64,
-                                len(words) - known))))
-                reprs = list(map(repr, words))
-                rank = np.empty(len(words), np.int64)
-                rank[sorted(range(len(words)), key=reprs.__getitem__)] = \
-                    np.arange(len(words))
-                dictionary.rank = rank = frozen(rank)
-            return dictionary.digests, rank
-
-    def current_size(self) -> int:
-        """Words in the current dictionary (never above the cap)."""
-        with self._lock:
-            return len(self._current.words)
-
-
 class DerivedViews:
-    """Compact derived views of a store's blocks, keyed ``(block, view)``.
+    """Compact derived views of a store's blocks, keyed ``(block, view)``,
+    and the token dictionary its blocks are encoded against.
 
     One per store handle (``store.derived``).  Each block visit's
     :class:`~repro.localrt.api.BlockData` is bound to it, and
     ``encoded()`` / ``memo()`` then :meth:`lookup` before they compute
-    and :meth:`publish` after, so a view is derived once per block per
-    table for as long as there is room — and the block's bytes are
-    loaded only to compute one.  A view that could not be admitted is
-    simply derived again on the block's next visit.
+    and keep what they computed after (:meth:`encode`, :meth:`publish`),
+    so a view is derived once per block per table for as long as there
+    is room — and the block's bytes are loaded only to compute one.  A
+    view that could not be admitted is simply derived again on the
+    block's next visit.
     """
 
     def __init__(self) -> None:
         self._lock = ordered_lock("DerivedViews._lock")
+        self._dictionary = TokenDictionary(self._lock)  # guarded-by: _lock
         #: (block, view) -> (value, bytes charged).
         self._views: dict[tuple[Hashable, Hashable],
                           tuple[Any, int]] = {}  # guarded-by: _lock
@@ -525,41 +464,74 @@ class DerivedViews:
         self._refused_at_cap = 0  # guarded-by: _lock
         self._invalidated = 0  # guarded-by: _lock
         register_instance(
-            self, fields=("_charged", "_hits", "_misses", "_admitted",
-                          "_refused_at_cap", "_invalidated"),
+            self, fields=("_dictionary", "_charged", "_hits", "_misses",
+                          "_admitted", "_refused_at_cap", "_invalidated"),
             guard="DerivedViews._lock")
 
-    def lookup(self, block: Hashable, view: Hashable,
-               still_valid: Callable[[Any], bool] | None = None) -> Any:
-        """The kept ``view`` of ``block``, or :data:`MISSING` — one lock
-        acquisition, unless ``still_valid`` retires what was found.
+    def encode(self, counts: Mapping[str, int], lines: int = 0,
+               block: Hashable = None, nbytes: int = 0) -> EncodedBlock:
+        """The encoded view of one block's token counts (``lines`` is its
+        record count), kept as the ``block``'s, charged ``nbytes``, when
+        a block is named and the table has room.
 
-        A found view is booked as a hit under that one acquisition.
-        ``still_valid(value)`` is then called with no table lock held;
-        a ``False`` moves the hit to a miss under a second acquisition
-        and drops *every* kept ``view``, whichever block's — what made
-        this one stale made them all.  (A fresh view another task
-        published in between goes with them; its block's next visit
-        re-admits it.)
+        Words the table's dictionary has not met are assigned the next
+        ids.  If they would take it past :data:`TOKEN_DICTIONARY_CAP`
+        the block is encoded against a fresh dictionary, which becomes
+        the table's — and the encodings kept against the old one are
+        dropped, in the same acquisition of the lock — unless the block
+        alone holds more distinct words than the cap, in which case that
+        dictionary is the block's own, the table's stays as it is, and
+        the view is not kept: it could never be served.
         """
+        words = tuple(counts)
+        lookup = _gatherer(words)
+        values = frozen(np.fromiter(counts.values(), np.int64, len(words)))
+        with self._lock:
+            dictionary = self._dictionary
+            try:
+                ids = lookup(dictionary.ids)
+            except KeyError:
+                fresh: Sequence[str] = [
+                    word for word in words if word not in dictionary.ids]
+                if len(dictionary.words) + len(fresh) > TOKEN_DICTIONARY_CAP:
+                    dictionary = TokenDictionary(self._lock)
+                    if len(words) <= TOKEN_DICTIONARY_CAP:
+                        self._dictionary = dictionary
+                        self._drop_encodings()
+                    fresh = words
+                # Keep copies made side by side, not the block's own
+                # strings: those lie among the block's freed tokens, and
+                # each one kept pins that memory (a join of two parts
+                # always builds a new string).
+                fresh = ["".join((word, "")) for word in fresh]
+                first = len(dictionary.words)
+                dictionary.ids.update(
+                    zip(fresh, range(first, first + len(fresh))))
+                dictionary.words.extend(fresh)
+                ids = lookup(dictionary.ids)
+            dictionary.blocks += 1
+            encoded = EncodedBlock(dictionary, frozen(np.array(ids, np.intp)),
+                                   values, sum(counts.values()))
+            encoded.lines = lines
+            if block is not None and dictionary is self._dictionary:
+                self._admit(block, ENCODED_VIEW, encoded, nbytes)
+        return encoded
+
+    def lookup(self, block: Hashable, view: Hashable) -> Any:
+        """The kept ``view`` of ``block``, or :data:`MISSING`, booked as
+        a hit or a miss under one acquisition of the lock.  Serving an
+        encoded view ticks its dictionary's idle clock, as encoding the
+        block would (a kept encoding is against the table's dictionary:
+        a roll-over drops the others)."""
         with self._lock:
             held = self._views.get((block, view))
             if held is None:
                 self._misses += 1
                 return MISSING
             self._hits += 1
-        if still_valid is None or still_valid(held[0]):
+            if view is ENCODED_VIEW:
+                held[0].dictionary.blocks += 1
             return held[0]
-        with self._lock:
-            self._hits -= 1
-            self._misses += 1
-            for key in [key for key in self._views if key[1] == view]:
-                self._charged -= self._views.pop(key)[1]
-                self._invalidated += 1
-                self._per_block[key[0]] -= 1
-                if not self._per_block[key[0]]:
-                    del self._per_block[key[0]]
-            return MISSING
 
     def publish(self, block: Hashable, view: Hashable, value: Any,
                 nbytes: int) -> bool:
@@ -568,16 +540,31 @@ class DerivedViews:
         A view published twice (two tasks raced to derive it) keeps the
         first value."""
         with self._lock:
-            if (block, view) in self._views:
-                return True
-            if self._charged + nbytes > DERIVED_VIEWS_CAP_BYTES:
-                self._refused_at_cap += 1
-                return False
-            self._views[block, view] = (value, nbytes)
-            self._per_block[block] = self._per_block.get(block, 0) + 1
-            self._charged += nbytes
-            self._admitted += 1
+            return self._admit(block, view, value, nbytes)
+
+    def _admit(self, block: Hashable, view: Hashable, value: Any,
+               nbytes: int) -> bool:
+        """:meth:`publish`, the caller holding the lock."""
+        if (block, view) in self._views:
             return True
+        if self._charged + nbytes > DERIVED_VIEWS_CAP_BYTES:
+            self._refused_at_cap += 1
+            return False
+        self._views[block, view] = (value, nbytes)
+        self._per_block[block] = self._per_block.get(block, 0) + 1
+        self._charged += nbytes
+        self._admitted += 1
+        return True
+
+    def _drop_encodings(self) -> None:
+        """Drop every kept encoded view, whichever block's (caller holds
+        the lock)."""
+        for key in [key for key in self._views if key[1] is ENCODED_VIEW]:
+            self._charged -= self._views.pop(key)[1]
+            self._invalidated += 1
+            self._per_block[key[0]] -= 1
+            if not self._per_block[key[0]]:
+                del self._per_block[key[0]]
 
     def stats(self) -> dict[str, int]:
         """Plain-dict snapshot of the counters (the ``derived.stats``
@@ -653,6 +640,9 @@ class RowTable:
             self._room = room
 
 
-#: The process's encoder, shared by every store handle and alive between
-#: waves, so each word is matched once per pattern, not once per wave.
-ENCODER = TokenEncoder()
+#: The table a block in hand (an unbound
+#: :class:`~repro.localrt.api.BlockData`) encodes against.  No store
+#: handle reads it and nothing is kept in it but its dictionary, so such
+#: blocks — a direct ``map_block`` call's, a benchmark's map-phase
+#: pass's — share one vocabulary and its verdicts, as a handle's do.
+UNBOUND = DerivedViews()

@@ -568,15 +568,18 @@ class SchedulerService:
         if wave is None:
             return None
         now = self._now()
+        traced = self.tracer.enabled
         for job_id in wave.admitted:
             self._ledger.transition(
                 self._ledger.entries[job_id], JobStatus.SCANNING, now=now,
                 start_block=wave.pointer, iteration=self._iteration)
-            # Sub-job alignment, same event shape as the simulator: the
-            # job's scan starts at the segment boundary the pointer sat on.
-            self.tracer.event("s3.align", subject=job_id,
-                              start_block=wave.pointer,
-                              iteration=f"iter_{self._iteration}")
+            if traced:
+                # Sub-job alignment, same event shape as the simulator:
+                # the job's scan starts at the segment boundary the
+                # pointer sat on.
+                self.tracer.event("s3.align", subject=job_id,
+                                  start_block=wave.pointer,
+                                  iteration=f"iter_{self._iteration}")
         return wave
 
     def _execute_wave(self, wave: Wave) -> None:

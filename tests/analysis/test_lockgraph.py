@@ -147,7 +147,7 @@ def test_condition_wait_keeps_bookkeeping_exact():
 def test_runtime_locks_record_expected_graph(tmp_path):
     """Two threads reading one store handle hold no two runtime locks at
     once: two FIFO runs side by side (disk reads, view-served visits,
-    the derived-view table and the token encoder they fill) record no
+    the derived-view table and the token dictionary they fill) record no
     edge between the runtime lock roles, and none at all out of the
     store's counter lock (a leaf)."""
     from repro.localrt.jobs import wordcount_job
@@ -180,7 +180,7 @@ def test_runtime_locks_record_expected_graph(tmp_path):
     assert stats.blocks_read == (stats.physical_blocks_read
                                  + stats.view_blocks_read)
     runtime_roles = {"BlockStore._stats_lock", "DerivedViews._lock",
-                     "TokenEncoder._lock"}
+                     "RowTable._lock"}
     for source, targets in lock_order_graph().items():
         if source in runtime_roles:
             assert not (targets & runtime_roles), (

@@ -195,30 +195,40 @@ def test_detector_fires_on_unguarded_service_mutation(store):
 
 
 def test_detector_covers_the_token_dictionary(monkeypatch):
-    """The process-wide token encoder is shared by every ``threads``
-    map task: its roll-over (the one field it ever rebinds) is
-    registered, so swapping the dictionary outside the encoder's lock
-    trips the detector while roll-overs from any thread do not."""
+    """A store handle's token dictionary is shared by every runner on
+    the handle: the table's roll-over (the one rebind of its dictionary)
+    and the dictionary's idle clock are registered, so swapping the
+    dictionary or ticking the clock outside the table's lock trips the
+    detector while roll-overs from any thread do not."""
     from collections import Counter
 
     import repro.localrt.tokens as tokens
 
     monkeypatch.setattr(tokens, "TOKEN_DICTIONARY_CAP", 2)
-    encoder = tokens.TokenEncoder()
-    encoder.encode(Counter(["a", "b"]))
+    views = tokens.DerivedViews()
+    views.encode(Counter(["a", "b"]))
     # The first roll-over is this thread's on purpose: a finished
     # thread's ident can be reused, which the detector would read as
     # one thread writing throughout.
-    encoder.encode(Counter(["c"]))                          # rolls over
-    in_thread(lambda: encoder.encode(Counter(["d", "e"])))  # and again
-    assert encoder.current_size() == 2
+    views.encode(Counter(["c"]))                          # rolls over
+    in_thread(lambda: views.encode(Counter(["d", "e"])))  # and again
+    assert len(views._dictionary.words) == 2
+    dictionary = views._dictionary
+    views.encode(Counter(["d"]))  # ticks its clock, from this thread
 
     with pytest.raises(RaceError) as excinfo:
         def unguarded():
-            encoder._current = tokens.TokenDictionary()
+            views._dictionary = tokens.TokenDictionary(views._lock)
         in_thread(unguarded, name="rogue")
-    assert "TokenEncoder._current" in str(excinfo.value)
-    assert "expected guard: TokenEncoder._lock" in str(excinfo.value)
+    assert "DerivedViews._dictionary" in str(excinfo.value)
+    assert "expected guard: DerivedViews._lock" in str(excinfo.value)
+
+    with pytest.raises(RaceError) as excinfo:
+        def unguarded_tick():
+            dictionary.blocks += 1
+        in_thread(unguarded_tick, name="rogue")
+    assert "TokenDictionary.blocks" in str(excinfo.value)
+    assert "expected guard: DerivedViews._lock" in str(excinfo.value)
 
 
 def test_detector_covers_the_store_counters(store):
@@ -242,7 +252,7 @@ def test_detector_covers_the_store_counters(store):
 
 def test_detector_covers_the_token_dictionary_codes():
     """A dictionary's reduce codes are replaced, never written, and only
-    under the encoder's lock: deriving them from two threads passes,
+    under its table's lock: deriving them from two threads passes,
     while a rebind outside the lock trips the detector."""
     from collections import Counter
 
@@ -250,11 +260,11 @@ def test_detector_covers_the_token_dictionary_codes():
 
     import repro.localrt.tokens as tokens
 
-    encoder = tokens.TokenEncoder()
-    dictionary = encoder.encode(Counter(["b", "a"])).dictionary
-    encoder.codes(dictionary, 1)
-    encoder.encode(Counter(["c"]))
-    in_thread(lambda: encoder.codes(dictionary, 2))
+    views = tokens.DerivedViews()
+    dictionary = views.encode(Counter(["b", "a"])).dictionary
+    dictionary.codes(1)
+    views.encode(Counter(["c"]))
+    in_thread(lambda: dictionary.codes(2))
     assert dictionary.rank.tolist() == [1, 0, 2]
 
     with pytest.raises(RaceError) as excinfo:
@@ -262,4 +272,4 @@ def test_detector_covers_the_token_dictionary_codes():
             dictionary.rank = np.zeros(3, np.int64)
         in_thread(unguarded, name="rogue")
     assert "TokenDictionary.rank" in str(excinfo.value)
-    assert "expected guard: TokenEncoder._lock" in str(excinfo.value)
+    assert "expected guard: DerivedViews._lock" in str(excinfo.value)

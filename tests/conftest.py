@@ -16,8 +16,8 @@ import pytest
 # suite: any test that nests the runtime locks inconsistently fails with
 # a LockOrderError naming the cycle.  A runtime lock is checked only if
 # checking was on when it was built (``ordered_lock``), and importing
-# ``repro`` builds some (the process's token encoder), so the switch is
-# set before the first ``repro`` import.
+# ``repro`` builds some (the table unbound blocks encode against), so the
+# switch is set before the first ``repro`` import.
 os.environ.setdefault("REPRO_LOCKCHECK", "1")
 
 # Resolve the lockset race detector's switch up front too: when the run

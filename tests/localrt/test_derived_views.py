@@ -8,6 +8,7 @@ import hashlib
 import sys
 import threading
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -35,7 +36,6 @@ from repro.localrt.tokens import (
     MISSING,
     DerivedViews,
     RowTable,
-    TokenEncoder,
 )
 from repro.workloads.text import TextCorpusGenerator
 from repro.workloads.tpch import (
@@ -104,42 +104,27 @@ def test_full_table_stops_admitting_and_never_evicts(monkeypatch):
     assert stats["admitted"] == 3 and stats["refused_at_cap"] == 2
 
 
-def test_a_stale_view_takes_its_kind_with_it():
-    views = DerivedViews()
-    for block in range(3):
-        views.publish(block, "ids", f"ids{block}", 10)
-        views.publish(block, "shape", f"shape{block}", 10)
-    assert views.lookup(1, "ids", lambda kept: True) == "ids1"
-    assert views.lookup(1, "ids", lambda kept: False) is MISSING
-    stats = views.stats()
-    assert stats["invalidated"] == 3 and stats["charged_bytes"] == 30
-    assert (stats["hits"], stats["misses"]) == (1, 1)
-    assert views.lookup(0, "ids") is MISSING  # every block's, not just 1's
-    assert views.lookup(0, "shape") == "shape0"  # other views untouched
-    assert views.publish(1, "ids", "fresh", 10)  # and the room is free again
-    assert views.lookup(1, "ids", lambda kept: True) == "fresh"
-
-
-def test_resident_blocks_is_kept_not_recounted():
-    """``stats()`` answers from a per-block count kept by ``publish``
-    and the stale sweep; it must equal what a walk over the views says."""
+def test_resident_blocks_is_kept_not_recounted(monkeypatch):
+    """``stats()`` answers from a per-block count kept by ``publish``,
+    ``encode`` and the roll-over's sweep; it must equal what a walk over
+    the views says."""
+    monkeypatch.setattr(tokens, "TOKEN_DICTIONARY_CAP", 4)
     views = DerivedViews()
 
     def recounted():
         return len({block for block, _view in views._views})
 
     for block in range(4):
-        views.publish(block, "ids", block, 10)
+        views.encode(Counter([f"w{block}"]), 1, block, 10)
         if block % 2:
             views.publish(block, "shape", block, 10)
-        views.publish(block, "ids", "again", 10)  # a duplicate counts once
+        views.publish(block, ENCODED_VIEW, "again", 10)  # counts once
         assert views.stats()["resident_blocks"] == recounted() == block + 1
-    views.lookup(0, "ids", lambda kept: False)  # blocks 0 and 2 held only ids
+    views.encode(Counter(["w4"]))  # a 5th word: roll over
+    # Blocks 0 and 2 held only their encodings.
     assert views.stats()["resident_blocks"] == recounted() == 2
-    views.lookup(1, "shape", lambda kept: False)
-    assert views.stats()["resident_blocks"] == recounted() == 0
-    views.publish(3, "ids", 3, 10)
-    assert views.stats()["resident_blocks"] == recounted() == 1
+    views.encode(Counter(["w0"]), 1, 0, 10)
+    assert views.stats()["resident_blocks"] == recounted() == 3
 
 
 class _CountingLock:
@@ -147,34 +132,35 @@ class _CountingLock:
 
     def __init__(self):
         self.acquisitions = 0
-        self.held = False
 
     def __enter__(self):
         self.acquisitions += 1
-        self.held = True
 
     def __exit__(self, *exc_info):
-        self.held = False
+        pass
 
 
-def test_lookup_takes_the_lock_once_unless_the_view_is_stale():
+def test_lookup_takes_the_lock_once():
+    """A hit or a miss is one acquisition of the table's lock, and so is
+    a served encoding: its dictionary's idle clock ticks under that one
+    acquisition, so a warm summing visit takes the lock once."""
     views = DerivedViews()
     views.publish(0, "v", "value", 10)
-    lock = views._lock = _CountingLock()
+    encoded = views.encode(Counter(["a"]), 1, 1, 10)
+    dictionary = encoded.dictionary
+    ticks = dictionary.blocks
+    lock = views._lock = dictionary._lock = _CountingLock()
     assert views.lookup(0, "v") == "value"
     assert lock.acquisitions == 1  # a hit
-    assert views.lookup(1, "v") is MISSING
-    assert views.lookup(1, "v", lambda kept: True) is MISSING
-    assert lock.acquisitions == 3  # a miss, with or without a callback
-    asked = []
-    assert views.lookup(0, "v", lambda kept: asked.append(lock.held)
-                        or True) == "value"
-    assert asked == [False]  # the callback runs with no table lock held
-    assert lock.acquisitions == 4  # a valid hit: one acquisition
-    assert views.lookup(0, "v", lambda kept: False) is MISSING
-    assert lock.acquisitions == 6  # stale: the hit becomes a miss
+    assert views.lookup(2, "v") is MISSING
+    assert lock.acquisitions == 2  # a miss
+    assert views.lookup(1, ENCODED_VIEW) is encoded
+    assert lock.acquisitions == 3  # a served encoding ...
+    assert dictionary.blocks == ticks + 1  # ... ticks the clock with it
+    assert views.lookup(0, "v") == "value"
+    assert dictionary.blocks == ticks + 1  # another view does not
     stats = views.stats()
-    assert (stats["hits"], stats["misses"], stats["invalidated"]) == (2, 3, 1)
+    assert (stats["hits"], stats["misses"], stats["invalidated"]) == (3, 1, 0)
 
 
 def test_row_table_slots_are_write_once_and_the_budget_is_exact():
@@ -236,7 +222,6 @@ def test_concurrent_tasks_keep_the_books_straight(monkeypatch):
 # ------------------------------------------------------------ bound BlockData
 
 def test_bound_block_derives_once_per_table(monkeypatch):
-    monkeypatch.setattr(tokens, "ENCODER", TokenEncoder())
     derives = []
     original = BlockData.token_counts
     monkeypatch.setattr(
@@ -250,15 +235,14 @@ def test_bound_block_derives_once_per_table(monkeypatch):
     words = tuple(map(first.dictionary.words.__getitem__, first.ids.tolist()))
     assert (words, first.counts.tolist()) == (
         ("to", "be", "or", "not"), [2, 2, 1, 1])
-    assert BlockData(raw).encoded() is not first  # unbound: today's code
+    assert BlockData(raw).encoded() is not first  # unbound: derived anew
     other = DerivedViews()
     assert BlockData(raw).bind(other, 7).encoded() is not first
     assert len(derives) == 3
     assert views.stats()["hits"] == 1 and views.stats()["misses"] == 1
 
 
-def test_only_compact_views_are_kept(monkeypatch):
-    monkeypatch.setattr(tokens, "ENCODER", TokenEncoder())
+def test_only_compact_views_are_kept():
     views = DerivedViews()
     block = BlockData(b"a b\nc\n").bind(views, 0)
     block.text(), block.lines(), block.token_counts(), block.line_count()
@@ -274,7 +258,6 @@ def test_only_compact_views_are_kept(monkeypatch):
 
 def test_block_with_a_dictionary_of_its_own_is_never_admitted(monkeypatch):
     monkeypatch.setattr(tokens, "TOKEN_DICTIONARY_CAP", 3)
-    monkeypatch.setattr(tokens, "ENCODER", TokenEncoder())
     views = DerivedViews()
     narrow = BlockData(b"a b\n").bind(views, 0).encoded()
     wide = BlockData(b"a b c d e\n").bind(views, 1).encoded()
@@ -287,28 +270,37 @@ def test_block_with_a_dictionary_of_its_own_is_never_admitted(monkeypatch):
     assert views.stats()["invalidated"] == 0
 
 
-def test_roll_over_retires_every_encoded_view_at_the_next_lookup(monkeypatch):
-    """At most one retired dictionary stays reachable from a table, and
-    only until the table is next asked for an encoded view."""
-    monkeypatch.setattr(tokens, "TOKEN_DICTIONARY_CAP", 4)
-    monkeypatch.setattr(tokens, "ENCODER", TokenEncoder())
-    views = DerivedViews()
+def test_roll_over_drops_only_its_own_tables_encodings(monkeypatch):
+    """A block of the handle that rolls its table's dictionary over
+    drops that table's encoded views at once — no other view, and
+    nothing of another table — so the retired dictionary is garbage
+    once the blocks in flight are; the next lap re-admits every block."""
+    monkeypatch.setattr(tokens, "TOKEN_DICTIONARY_CAP", 6)
+    views, other = DerivedViews(), DerivedViews()
+    views.encode(Counter(["x", "y"]))  # words the next lap will not need
     blocks = [b"a b\n", b"c d\n", b"a d\n"]
     kept = [BlockData(raw).bind(views, i).encoded()
             for i, raw in enumerate(blocks)]
+    theirs = [BlockData(raw).bind(other, i).encoded()
+              for i, raw in enumerate(blocks)]
+    assert BlockData(blocks[0]).bind(views, 0).memo("shape", lambda: 1) == 1
     retired = weakref.ref(kept[0].dictionary)
-    assert views.stats()["admitted"] == 3
-    BlockData(b"e f\n").encoded()  # an unbound block rolls it over
+    assert views.stats()["admitted"] == 4
+    BlockData(b"e\n").bind(views, 3).encoded()  # a 7th word: roll
+    stats = views.stats()
+    assert stats["invalidated"] == 3 and stats["resident_blocks"] == 2
     del kept
     gc.collect()
-    assert retired() is not None  # pinned by the table, for now
-    fresh = BlockData(blocks[1]).bind(views, 1).encoded()
-    assert fresh.dictionary is not retired()
-    stats = views.stats()
-    assert stats["invalidated"] == 3 and stats["resident_blocks"] == 1
-    gc.collect()
-    assert retired() is None
-    assert BlockData(blocks[1]).bind(views, 1).encoded() is fresh
+    assert retired() is None  # nothing in the table pins it
+    assert views.lookup(0, "shape") == 1  # the memo view stays
+    lap = [BlockData(raw).bind(views, i).encoded()
+           for i, raw in enumerate(blocks)]
+    assert views.stats()["admitted"] == 4 + 1 + 3  # re-admitted
+    assert all(BlockData(raw).bind(views, i).encoded() is encoded
+               for (i, raw), encoded in zip(enumerate(blocks), lap))
+    assert other.stats()["invalidated"] == 0
+    assert all(BlockData(raw).bind(other, i).encoded() is encoded
+               for (i, raw), encoded in zip(enumerate(blocks), theirs))
 
 
 # ------------------------------------------------------------------ the scan
@@ -339,9 +331,8 @@ LOGICAL = ("blocks_read", "bytes_read", "replica_fallback_reads")
 def _keep_nothing(patch):
     """Make every table keep nothing, so every visit reads its block:
     the byte-reading reference."""
-    patch.setattr(DerivedViews, "lookup",
-                  lambda self, block, view, still_valid=None: MISSING)
-    patch.setattr(DerivedViews, "publish", lambda self, *args: False)
+    patch.setattr(DerivedViews, "lookup", lambda self, block, view: MISSING)
+    patch.setattr(DerivedViews, "_admit", lambda self, *args: False)
 
 
 def _assert_reads_no_more(observed, reference):
@@ -424,12 +415,12 @@ def test_capped_table_keeps_the_first_k_blocks_it_met(tmp_path, monkeypatch):
 @pytest.mark.parametrize("backend", MAP_BACKENDS)
 def test_roll_over_mid_scan_with_a_warm_table_changes_nothing_observable(
         tmp_path, monkeypatch, backend):
-    """PR 17's roll-over test with the table in play: under three laps
-    of a scan whose table holds half the file, the dictionary rolls over
-    in the middle of the second, so views are admitted, refused, served,
-    retired and re-admitted mid-scan; outputs, counters and logical
-    ReadStats equal those of the same plan with a table that keeps
-    nothing, under the shipped caps, with no more disk reads."""
+    """The roll-over test with the table in play: under three laps of a
+    scan whose table holds half the file, the handle's dictionary rolls
+    over in the middle of the second, so views are admitted, refused,
+    served, dropped and re-admitted mid-scan; outputs, counters and
+    logical ReadStats equal those of the same plan with a table that
+    keeps nothing, under the shipped caps, with no more disk reads."""
     lines = _lines()
     with monkeypatch.context() as tableless:
         _keep_nothing(tableless)
@@ -447,12 +438,11 @@ def test_roll_over_mid_scan_with_a_warm_table_changes_nothing_observable(
     monkeypatch.setattr(tokens, "TOKEN_DICTIONARY_CAP", cap)
     monkeypatch.setattr(tokens, "DERIVED_VIEWS_CAP_BYTES",
                         store.total_bytes // 2)
-    monkeypatch.setattr(tokens, "ENCODER", TokenEncoder())
-    BlockData(" ".join(f"ballast{i}" for i in range(20)).encode()).encoded()
+    store.derived.encode(Counter(f"ballast{i}" for i in range(20)))
 
     def roll_over(iteration, run_states):
         if iteration == _waves_per_lap(store) + 1:
-            BlockData(b"two more").encoded()
+            store.derived.encode(Counter(["two", "more"]))
 
     _assert_reads_no_more(
         _three_laps(store, backend, tmp_path / "out", roll_over), reference)
@@ -461,19 +451,26 @@ def test_roll_over_mid_scan_with_a_warm_table_changes_nothing_observable(
     assert stats["hits"] > 4  # before the roll-over and after it
     assert stats["admitted"] > stats["resident_blocks"]  # re-admitted
     assert stats["charged_bytes"] <= store.total_bytes // 2
-    assert tokens.ENCODER.current_size() <= cap
+    assert len(store.derived._dictionary.words) <= cap
 
 
-def test_table_and_encoder_locks_are_never_nested(tmp_path, monkeypatch):
+def test_derived_state_locks_are_never_nested(tmp_path, monkeypatch):
+    """A handle's table lock guards its views and its dictionaries; the
+    row tables' locks are leaves.  Across rolling wordcount laps and
+    selection laps that fill row tables, neither is taken under the
+    other."""
     monkeypatch.setattr(tokens, "TOKEN_DICTIONARY_CAP", 100)  # rolls often
-    monkeypatch.setattr(tokens, "ENCODER", TokenEncoder())
     store = BlockStore.create(tmp_path / "corpus", _lines(), 2_000)
     _three_laps(store, "serial", tmp_path / "out")
     assert store.derived.stats()["invalidated"] > 0
+    rows = BlockStore.create(tmp_path / "rows", _lineitem_rows(), 3_000)
+    for _lap in range(2):
+        SharedScanRunner(rows, reader=LINEITEM_READER).run(
+            [selection_job("sel", 10.0)])
     graph = lock_order_graph()
-    table, encoder = "DerivedViews._lock", "TokenEncoder._lock"
+    table, row_table = "DerivedViews._lock", "RowTable._lock"
     assert not graph.get(table)  # nothing is acquired under the table's
-    assert table not in graph.get(encoder, ())
+    assert not graph.get(row_table)  # nor under a row table's
 
 
 def test_warm_wordcount_lap_reads_no_byte_of_the_block(tmp_path, monkeypatch):
@@ -501,7 +498,6 @@ def test_warm_wordcount_lap_reads_no_byte_of_the_block(tmp_path, monkeypatch):
 
 
 def test_encoded_view_carries_the_record_count(monkeypatch):
-    monkeypatch.setattr(tokens, "ENCODER", TokenEncoder())
     views = DerivedViews()
     corpus = (b"", b"\n", b"a", b"a\n", b"a\nb", b"a\nb\n", b"\n\n",
               b"x\n\ny\n")  # tests/localrt/test_api.py's line-count corpus
@@ -515,8 +511,7 @@ def test_encoded_view_carries_the_record_count(monkeypatch):
     assert views.stats()["hits"] == len(corpus)
 
 
-def test_empty_block_creates_no_counter_cell_cold_or_warm(monkeypatch):
-    monkeypatch.setattr(tokens, "ENCODER", TokenEncoder())
+def test_empty_block_creates_no_counter_cell_cold_or_warm():
     views = DerivedViews()
     kernel = PatternWordCountBlock(".*")
     for _visit in range(2):
@@ -583,6 +578,43 @@ def test_dropped_handle_takes_its_table_with_it(tmp_path):
     del store
     gc.collect()
     assert table() is None
+
+
+def test_a_handles_dictionary_dies_with_it(tmp_path):
+    """State is bounded in time: what a handle derived — its dictionary
+    with its verdicts and reduce codes included — is garbage once the
+    handle and its runners are, whatever the runs' reports still hold."""
+    store = BlockStore.create(tmp_path / "corpus", _lines(), 2_000)
+    runner = SharedScanRunner(store)
+    report = runner.run([wordcount_job("wc", ".*a$")])
+    dictionary = weakref.ref(store.derived.lookup(0, ENCODED_VIEW).dictionary)
+    assert dictionary().verdicts and len(dictionary().rank)
+    del store, runner
+    gc.collect()
+    assert dictionary() is None
+    assert report.results["wc"].output
+
+
+def test_a_handles_roll_over_leaves_another_handles_views_alone(
+        tmp_path, monkeypatch):
+    """Two handles share no dictionary: one whose vocabulary rolls its
+    dictionary over drops its own encodings only, and the other's warm
+    lap is still served whole from its table."""
+    monkeypatch.setattr(tokens, "TOKEN_DICTIONARY_CAP", 1_000)
+    quiet = BlockStore.create(tmp_path / "quiet",
+                              _lines(10_000, vocabulary=53), 2_000)
+    busy = BlockStore.create(tmp_path / "busy",
+                             [f"word{i}" for i in range(1_500)], 2_000)
+    job = [wordcount_job("wc", ".*a$")]
+    cold = SharedScanRunner(quiet).run(job)
+    assert cold.io.physical_blocks_read == quiet.num_blocks
+    SharedScanRunner(busy).run(job)
+    warm = SharedScanRunner(quiet).run(job)
+    assert warm.io.physical_blocks_read == 0
+    assert warm.io.view_blocks_read == quiet.num_blocks
+    assert quiet.derived.stats()["invalidated"] == 0
+    assert warm.results["wc"].output == cold.results["wc"].output
+    assert busy.derived.stats()["invalidated"] > 0  # it did roll over
 
 
 @pytest.mark.parametrize("backend", MAP_BACKENDS)
@@ -1062,7 +1094,8 @@ def test_two_wordcount_runners_on_one_handle_share_the_encoder(
     dictionary over (a cap of half the vocabulary) and absorb ids from
     each other's dictionaries at once, and every job still reads as its
     per-record run — under ``REPRO_RACECHECK=1`` a write to the
-    encoder's state outside its lock fails this test."""
+    handle's dictionary state outside its table's lock fails this
+    test."""
     store = BlockStore.create(tmp_path / "corpus", _lines(), 2_000)
     patterns = ("^t.*", ".*a$", ".*e.*")
 
@@ -1073,7 +1106,6 @@ def test_two_wordcount_runners_on_one_handle_share_the_encoder(
     reference = FifoLocalRunner(BlockStore(store.directory)).run(
         [wordcount_job(p, p, batched=False) for p in patterns]).results
     monkeypatch.setattr(tokens, "TOKEN_DICTIONARY_CAP", 60)
-    monkeypatch.setattr(tokens, "ENCODER", TokenEncoder())
     seen = {}
     start = threading.Barrier(2)
 

@@ -13,7 +13,7 @@ from repro.localrt.engine import (
 )
 from repro.localrt.jobs import PatternWordCount, PatternWordCountBlock
 from repro.localrt.records import DelimitedReader, TextLineReader
-from repro.localrt.tokens import TokenEncoder
+from repro.localrt.tokens import DerivedViews
 from tests.localrt.helpers import run_map_on_block
 
 
@@ -173,14 +173,14 @@ def test_wave_builds_the_encoded_view_once(monkeypatch):
     """However many wordcount riders share a block, it is tokenized and
     dictionary-encoded once; every rider maps from that one view."""
     built = []
-    original = TokenEncoder.encode
+    original = DerivedViews.encode
 
-    def spying(self, counts):
-        encoded = original(self, counts)
+    def spying(self, *args):
+        encoded = original(self, *args)
         built.append(encoded)
         return encoded
 
-    monkeypatch.setattr(TokenEncoder, "encode", spying)
+    monkeypatch.setattr(DerivedViews, "encode", spying)
     patterns = ["^a.*", "^b.*", "^a.*", ".*"]
     states = [upper_state(PatternWordCountBlock(pattern), combiner=True)
               for pattern in patterns]

@@ -346,12 +346,12 @@ def test_wordcount_kernel_without_a_verdict_vector_equals_per_record(
     """A rider whose pattern finds the verdict table full of vectors in
     use matches the block's own words instead; nothing observable moves."""
     monkeypatch.setattr(tokens, "VERDICT_PATTERNS_CAP", 1)
-    monkeypatch.setattr(tokens, "ENCODER", tokens.TokenEncoder())
     data = b"the thing\nsolo the\n\nend"
+    block = BlockData(data).bind(tokens.DerivedViews(), 0)  # a fresh table
     jobs = [wordcount_job(pattern, pattern, use_combiner=use_combiner)
             for pattern in ("^th.*", "^so.*", ".*")]
-    _, outputs, counters = collect_map_outputs(jobs, TextLineReader(), data)
-    dictionary = BlockData(data).encoded().dictionary
+    _, outputs, counters = collect_map_outputs(jobs, TextLineReader(), block)
+    dictionary = block.encoded().dictionary
     assert list(dictionary.verdicts) == ["^th.*"]  # the others had no room
     for job, records, job_counters in zip(jobs, outputs, counters):
         oracle = wordcount_job(job.job_id, job.job_id, batched=False,

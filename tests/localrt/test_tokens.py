@@ -1,4 +1,4 @@
-"""The process-wide token dictionary: ids, verdicts, bounds, roll-over,
+"""A store handle's token dictionary: ids, verdicts, bounds, roll-over,
 and the threads that share it."""
 
 import gc
@@ -27,7 +27,6 @@ from repro.localrt.jobs import (
 from repro.localrt.output import write_output
 from repro.localrt.runners import SharedScanRunner
 from repro.localrt.storage import BlockStore
-from repro.localrt.tokens import TokenEncoder
 from repro.workloads.text import TextCorpusGenerator
 
 
@@ -44,9 +43,9 @@ def _decoded(encoded):
 # ------------------------------------------------------------------ encoding
 
 def test_encode_assigns_each_word_one_dense_id():
-    encoder = TokenEncoder()
-    first = encoder.encode(Counter("b a b c".split()))
-    second = encoder.encode(Counter("c d a".split()))
+    views = tokens.DerivedViews()
+    first = views.encode(Counter("b a b c".split()))
+    second = views.encode(Counter("c d a".split()))
     assert (_decoded(first), first.counts.tolist()) == (
         ("b", "a", "c"), [2, 1, 1])
     assert first.total == 4
@@ -54,49 +53,48 @@ def test_encode_assigns_each_word_one_dense_id():
     assert _ids(second) == (2, 3, 1)  # known words keep their ids
     assert second.dictionary is first.dictionary
     assert _decoded(second) == ("c", "d", "a")
-    assert encoder.current_size() == 4
+    assert len(views._dictionary.words) == 4
 
 
 @pytest.mark.parametrize("text", ["", "one", "one two", "a b c d e"])
 def test_ids_and_verdicts_have_one_shape_for_any_number_of_words(text):
     """``itemgetter`` answers a bare item for one key and refuses none;
     the encoded view's arrays and a rider's verdicts hide both."""
-    encoder = TokenEncoder()
-    encoder.encode(Counter("pad the ids so they are not 0..n".split()))
-    encoded = encoder.encode(Counter(text.split()))
+    views = tokens.DerivedViews()
+    views.encode(Counter("pad the ids so they are not 0..n".split()))
+    encoded = views.encode(Counter(text.split()))
     words = text.split()
     assert encoded.ids.shape == encoded.counts.shape == (len(words),)
     assert _decoded(encoded) == tuple(words)
-    hits = encoder.matches(encoded.dictionary, encoded.ids, "^o",
-                           re.compile("^o").match)
+    hits = encoded.dictionary.matches(encoded.ids, "^o",
+                                      re.compile("^o").match)
     assert hits.tolist() == [word.startswith("o") for word in words]
 
 
 def test_verdicts_match_each_word_once_per_pattern():
-    encoder = TokenEncoder()
+    views = tokens.DerivedViews()
     asked = []
 
     def match(word):
         asked.append(word)
         return re.match("^t", word)
 
-    first = encoder.encode(Counter("the cat".split()))
-    assert encoder.matches(first.dictionary, first.ids, "^t",
-                           match).tolist() == [True, False]
+    first = views.encode(Counter("the cat".split()))
+    assert first.dictionary.matches(first.ids, "^t",
+                                    match).tolist() == [True, False]
     assert asked == ["the", "cat"]
     vector = first.dictionary.verdicts["^t"]
-    second = encoder.encode(Counter("cat tom the".split()))
-    assert encoder.matches(second.dictionary, second.ids, "^t",
-                           match).tolist() == [
-        False, True, True]
+    second = views.encode(Counter("cat tom the".split()))
+    assert second.dictionary.matches(second.ids, "^t",
+                                     match).tolist() == [False, True, True]
     # One array per (dictionary, pattern), extended and never redone:
     # a longer array replaces it, and the one a reader holds is as it was.
     extended = second.dictionary.verdicts["^t"]
     assert extended is not vector and vector.tolist() == [True, False]
     assert extended.tolist() == [True, False, True]
     assert asked == ["the", "cat", "tom"]
-    assert encoder.matches(first.dictionary, first.ids, "^t",
-                           match).tolist() == [
+    assert first.dictionary.matches(first.ids, "^t",
+                                    match).tolist() == [
         True, False]  # ids still valid
     assert asked == ["the", "cat", "tom"]
 
@@ -120,20 +118,20 @@ def test_more_patterns_than_the_table_holds_never_thrash_it(monkeypatch):
     let alone the whole dictionary again."""
     cap = 3
     monkeypatch.setattr(tokens, "VERDICT_PATTERNS_CAP", cap)
-    encoder = TokenEncoder()
+    views = tokens.DerivedViews()
     vocabulary = [f"{letter}{i}" for letter in "abcd" for i in range(30)]
-    encoder.encode(Counter(vocabulary))  # the dictionary is far wider ...
+    views.encode(Counter(vocabulary))  # the dictionary is far wider ...
     blocks = [vocabulary[lo::12] for lo in range(12)]  # ... than a block
     matchers = {f"^{letter}": _CountingMatch(f"^{letter}")
                 for letter in "abcd"}
     assert len(matchers) == cap + 1
     for lap in range(2):
         for words in blocks:
-            encoded = encoder.encode(Counter(words))
+            encoded = views.encode(Counter(words))
             for pattern, match in matchers.items():
                 before = match.calls
-                selected = encoder.matches(encoded.dictionary, encoded.ids,
-                                           pattern, match)
+                selected = encoded.dictionary.matches(encoded.ids,
+                                                      pattern, match)
                 assert selected.tolist() == [w.startswith(pattern[1])
                                              for w in words]
                 if (lap, words) != (0, blocks[0]):  # vectors built there
@@ -147,15 +145,14 @@ def test_more_patterns_than_the_table_holds_never_thrash_it(monkeypatch):
 def test_full_verdict_table_drops_only_an_idle_vector(monkeypatch):
     monkeypatch.setattr(tokens, "VERDICT_PATTERNS_CAP", 2)
     monkeypatch.setattr(tokens, "VERDICT_IDLE_BLOCKS", 3)
-    encoder = TokenEncoder()
+    views = tokens.DerivedViews()
     counts = Counter(["aa", "bb"])
 
     def ride(*patterns):
-        encoded = encoder.encode(counts)
+        encoded = views.encode(counts)
         for pattern in patterns:
-            assert encoder.matches(
-                encoded.dictionary, encoded.ids, pattern,
-                re.compile(pattern).match,
+            assert encoded.dictionary.matches(
+                encoded.ids, pattern, re.compile(pattern).match,
             ).tolist() == [pattern == "^a", pattern == "^b"]
         table = encoded.dictionary.verdicts
         assert len(table) <= 2 and set(table) == set(encoded.dictionary.used)
@@ -174,7 +171,6 @@ def test_idle_clock_runs_on_blocks_served_from_a_warm_table(monkeypatch):
     ever looks idle and a new pattern matches uncached for ever."""
     monkeypatch.setattr(tokens, "VERDICT_PATTERNS_CAP", 2)
     monkeypatch.setattr(tokens, "VERDICT_IDLE_BLOCKS", 3)
-    monkeypatch.setattr(tokens, "ENCODER", TokenEncoder())
     views = tokens.DerivedViews()
     blocks = [b"aa bb\n", b"bb cc\n"]
     matchers = {pattern: _CountingMatch(pattern)
@@ -184,9 +180,8 @@ def test_idle_clock_runs_on_blocks_served_from_a_warm_table(monkeypatch):
         for index, raw in enumerate(blocks):
             encoded = BlockData(raw).bind(views, index).encoded()
             for pattern in patterns:
-                assert tokens.ENCODER.matches(
-                    encoded.dictionary, encoded.ids, pattern,
-                    matchers[pattern]).tolist() == [
+                assert encoded.dictionary.matches(
+                    encoded.ids, pattern, matchers[pattern]).tolist() == [
                         word.startswith(pattern[1])
                         for word in _decoded(encoded)]
         return sorted(encoded.dictionary.verdicts)
@@ -194,10 +189,10 @@ def test_idle_clock_runs_on_blocks_served_from_a_warm_table(monkeypatch):
     assert lap("^a", "^b") == ["^a", "^b"]  # cold: both blocks encoded
     assert views.stats()["admitted"] == 2
     encodes = []
-    original = TokenEncoder.encode
+    original = tokens.DerivedViews.encode
     monkeypatch.setattr(
-        TokenEncoder, "encode",
-        lambda self, counts: encodes.append(counts) or original(self, counts))
+        tokens.DerivedViews, "encode",
+        lambda self, *args: encodes.append(args) or original(self, *args))
     # ^a's job is gone; ^c arrives at a full table, every block warm.
     assert lap("^b", "^c") == ["^a", "^b"]  # ^a idle for 2 blocks: ^c waits
     uncached = matchers["^c"].calls
@@ -226,7 +221,6 @@ def test_a_riding_patterns_vector_outlives_a_long_scan_at_a_full_table(
     ``^c``, which finish during that scan, find it in use, and ``^a``'s
     own reduce matches no word again."""
     monkeypatch.setattr(tokens, "VERDICT_PATTERNS_CAP", 2)
-    monkeypatch.setattr(tokens, "ENCODER", TokenEncoder())
     blocks = tokens.VERDICT_IDLE_BLOCKS + 16
     store = BlockStore.create(
         tmp_path / "s", [f"a{i} b{i} c{i}" for i in range(blocks)], 8)
@@ -247,16 +241,15 @@ def test_a_riding_patterns_vector_outlives_a_long_scan_at_a_full_table(
     assert len(report.result("a").output) == blocks
 
 
-def test_wave_sums_are_the_blocks_summed_and_riders_add_them(monkeypatch):
+def test_wave_sums_are_the_blocks_summed_and_riders_add_them():
     """A wave's sums are dense when its blocks hold one id per
     ``WAVE_DENSE_SHARE`` slots of their span and list their ids
     otherwise; either way they are the blocks' counts summed, with how
     many blocks hold each word, a rider's arrays grow (at least
     doubling) to take them, and settling them into the job's run state
     keeps the matching words' totals, block presence and sum."""
-    encoder = TokenEncoder()
-    monkeypatch.setattr(tokens, "ENCODER", encoder)
-    encoder.encode(Counter(f"pad{i}" for i in range(64)))
+    views = tokens.DerivedViews()
+    views.encode(Counter(f"pad{i}" for i in range(64)))
     state = JobRunState(wordcount_job("wc", "^[yz]$"))
     rider = WaveWordSums(state.job.mapper)
     expected, presence = Counter(), Counter()
@@ -279,13 +272,13 @@ def test_wave_sums_are_the_blocks_summed_and_riders_add_them(monkeypatch):
         expected.update(summed)
         rider.add(sums)
 
-    first = encoder.encode(Counter("x y y z".split()))
-    add(first, encoder.encode(Counter("y z z z".split())))  # sparse
-    add(encoder.encode(Counter(f"pad{i}" for i in range(0, 64, 2))))
+    first = views.encode(Counter("x y y z".split()))
+    add(first, views.encode(Counter("y z z z".split())))  # sparse
+    add(views.encode(Counter(f"pad{i}" for i in range(0, 64, 2))))
     dictionary = first.dictionary
     sized = len(rider.arrays[dictionary][0])
     assert sized == len(dictionary.words)
-    add(encoder.encode(Counter("x y y z late".split())))  # one id past
+    add(views.encode(Counter("x y y z late".split())))  # one id past
     totals, held = rider.arrays[dictionary]
     assert len(totals) == 2 * sized
     assert {i: t for i, t in enumerate(totals.tolist()) if t} \
@@ -311,11 +304,10 @@ def _lap(views, texts):
             for index, text in enumerate(texts)]
 
 
-def test_a_warm_chunk_is_summed_once(monkeypatch):
+def test_a_warm_chunk_is_summed_once():
     """A second lap meets the same kept views, and the first block's
     memo hands back the same sums; each group length has a slot of its
     own, and a block derived again is a new object the memo misses."""
-    monkeypatch.setattr(tokens, "ENCODER", TokenEncoder())
     views = tokens.DerivedViews()
     texts = [b"apple ant\n", b"bee ant cow\n"]
     first = _lap(views, texts)
@@ -326,7 +318,8 @@ def test_a_warm_chunk_is_summed_once(monkeypatch):
     head = tokens.WaveSums.of(second[:1])
     assert head is not sums and tokens.WaveSums.of(first[:1]) is head
     assert tokens.WaveSums.of(second) is sums
-    fresh = BlockData(texts[1]).encoded()  # unbound: derived again
+    # Derived again, against the same dictionary, and not kept.
+    fresh = views.encode(BlockData(texts[1]).token_counts())
     again = tokens.WaveSums.of([first[0], fresh])
     assert again is not sums
     (kept,), (summed,) = sums, again
@@ -336,16 +329,16 @@ def test_a_warm_chunk_is_summed_once(monkeypatch):
 
 
 def test_wave_sums_memo_misses_after_a_roll_over(monkeypatch):
-    """A roll-over retires every kept view, so the next lap's blocks are
-    new objects, encoded against the new dictionary: the memo misses."""
+    """A roll-over drops every encoded view its table kept, so the next
+    lap's blocks are new objects, encoded against the new dictionary:
+    the memo misses."""
     monkeypatch.setattr(tokens, "TOKEN_DICTIONARY_CAP", 6)
-    monkeypatch.setattr(tokens, "ENCODER", TokenEncoder())
-    tokens.ENCODER.encode(Counter("x y z".split()))
     views = tokens.DerivedViews()
+    views.encode(Counter("x y z".split()))
     texts = [b"a b\n", b"b c\n"]
     first = _lap(views, texts)  # the dictionary is full
     sums = tokens.WaveSums.of(first)
-    tokens.ENCODER.encode(Counter(["d"]))  # a 7th word: roll
+    views.encode(Counter(["d"]))  # a 7th word: roll
     second = _lap(views, texts)
     assert second[0] is not first[0]
     again = tokens.WaveSums.of(second)
@@ -354,14 +347,13 @@ def test_wave_sums_memo_misses_after_a_roll_over(monkeypatch):
     assert tokens.WaveSums.of(_lap(views, texts)) is again
 
 
-def test_memoised_sums_are_read_only(monkeypatch):
+def test_memoised_sums_are_read_only():
     """Dense or sparse, the arrays every later lap's riders share cannot
     be written through."""
-    encoder = TokenEncoder()
-    monkeypatch.setattr(tokens, "ENCODER", encoder)
-    dense = tokens.WaveSums.of([encoder.encode(Counter("a b a".split()))])
-    encoder.encode(Counter(f"pad{i}" for i in range(64)))
-    sparse = tokens.WaveSums.of([encoder.encode(Counter(["z"]))])
+    views = tokens.DerivedViews()
+    dense = tokens.WaveSums.of([views.encode(Counter("a b a".split()))])
+    views.encode(Counter(f"pad{i}" for i in range(64)))
+    sparse = tokens.WaveSums.of([views.encode(Counter(["z"]))])
     assert dense[0].ids is None and sparse[0].ids is not None
     for sums in (dense[0], sparse[0]):
         for array in (sums.totals, sums.presence):
@@ -374,38 +366,38 @@ def test_memoised_sums_are_read_only(monkeypatch):
 def test_roll_over_replaces_the_dictionary_and_never_passes_the_cap(
         monkeypatch):
     monkeypatch.setattr(tokens, "TOKEN_DICTIONARY_CAP", 5)
-    encoder = TokenEncoder()
-    old = encoder.encode(Counter("a b c".split()))
-    same = encoder.encode(Counter("c d e".split()))  # 5 words: fits
-    assert same.dictionary is old.dictionary and encoder.current_size() == 5
-    rolled = encoder.encode(Counter("e f".split()))  # a 6th word: roll
+    views = tokens.DerivedViews()
+    old = views.encode(Counter("a b c".split()))
+    same = views.encode(Counter("c d e".split()))  # 5 words: fits
+    assert same.dictionary is old.dictionary
+    assert len(views._dictionary.words) == 5
+    rolled = views.encode(Counter("e f".split()))  # a 6th word: roll
     assert rolled.dictionary is not old.dictionary
-    assert _ids(rolled) == (0, 1) and encoder.current_size() == 2
+    assert _ids(rolled) == (0, 1) and len(views._dictionary.words) == 2
     # The in-flight block still reads its own dictionary, untouched.
     assert _decoded(old) == ("a", "b", "c")
     assert len(old.dictionary.words) == 5
-    assert encoder.encode(Counter(["f"])).dictionary is rolled.dictionary
+    assert views.encode(Counter(["f"])).dictionary is rolled.dictionary
 
 
 def test_block_wider_than_the_cap_gets_a_dictionary_of_its_own(monkeypatch):
     monkeypatch.setattr(tokens, "TOKEN_DICTIONARY_CAP", 3)
-    encoder = TokenEncoder()
-    shared = encoder.encode(Counter("a b".split()))
-    wide = encoder.encode(Counter("a b c d e".split()))
+    views = tokens.DerivedViews()
+    shared = views.encode(Counter("a b".split()))
+    wide = views.encode(Counter("a b c d e".split()))
     assert wide.dictionary is not shared.dictionary
     assert _decoded(wide) == ("a", "b", "c", "d", "e")
-    assert encoder.current_size() == 2  # the shared one is as it was
-    assert encoder.encode(Counter(["b"])).dictionary is shared.dictionary
+    assert len(views._dictionary.words) == 2  # the shared one is as it was
+    assert views.encode(Counter(["b"])).dictionary is shared.dictionary
 
 
 def test_rolled_over_dictionary_is_collectable(monkeypatch):
     monkeypatch.setattr(tokens, "TOKEN_DICTIONARY_CAP", 2)
-    encoder = TokenEncoder()
-    in_flight = encoder.encode(Counter("a b".split()))
-    encoder.matches(in_flight.dictionary, in_flight.ids, "^a",
-                    re.compile("^a").match)
+    views = tokens.DerivedViews()
+    in_flight = views.encode(Counter("a b".split()))
+    in_flight.dictionary.matches(in_flight.ids, "^a", re.compile("^a").match)
     old = weakref.ref(in_flight.dictionary)
-    encoder.encode(Counter(["c"]))  # rolls over
+    views.encode(Counter(["c"]))  # rolls over
     gc.collect()
     assert old() is not None  # the in-flight block keeps it alive
     del in_flight
@@ -445,28 +437,28 @@ def test_roll_over_mid_scan_changes_nothing_observable(tmp_path, monkeypatch):
     """With room for only a handful of words the dictionary rolls over
     again and again while three jobs ride one circular scan; outputs,
     counters and logical reads equal the uncapped run's under every
-    ``map_backend`` name, and the shared dictionary never passes its
-    cap."""
+    ``map_backend`` name, each on a fresh handle, and the handle's
+    dictionary never passes its cap."""
     store = _corpus_store(tmp_path)
     reference = _scan(store, "serial", tmp_path / "reference")
 
     cap = 40
     monkeypatch.setattr(tokens, "TOKEN_DICTIONARY_CAP", cap)
-    monkeypatch.setattr(tokens, "ENCODER", TokenEncoder())  # start empty
     generations = []  # strong references: ids of dead ones get reused
     sizes = []
-    original = TokenEncoder.encode
+    original = tokens.DerivedViews.encode
 
-    def spying(self, counts):
-        encoded = original(self, counts)
+    def spying(self, *args):
+        encoded = original(self, *args)
         if encoded.dictionary not in generations:
             generations.append(encoded.dictionary)
-        sizes.append(self.current_size())
+        sizes.append(len(self._dictionary.words))
         return encoded
 
-    monkeypatch.setattr(TokenEncoder, "encode", spying)
+    monkeypatch.setattr(tokens.DerivedViews, "encode", spying)
     for backend in MAP_BACKENDS:
-        assert _scan(store, backend, tmp_path / "capped") == reference, backend
+        assert _scan(BlockStore(store.directory), backend,
+                     tmp_path / "capped") == reference, backend
     assert len(generations) > 2
     assert max(sizes) <= cap
     assert all(len(dictionary.words) <= cap for dictionary in generations)
@@ -479,7 +471,7 @@ def test_concurrent_encoders_assign_each_word_exactly_one_id():
     threads than cores, a switch interval that interleaves them inside
     ``encode``): a lost update would give a word two ids or an id two
     words."""
-    encoder = TokenEncoder()
+    views = tokens.DerivedViews()
     vocabulary = [f"w{i}" for i in range(400)]
     seen = [[] for _ in range(4)]
     start = threading.Barrier(4)
@@ -488,10 +480,9 @@ def test_concurrent_encoders_assign_each_word_exactly_one_id():
         start.wait(timeout=10)
         for round_ in range(60):
             lo = (k * 50 + round_ * 7) % 300
-            encoded = encoder.encode(Counter(vocabulary[lo:lo + 100]))
-            seen[k].append((encoded, encoder.matches(
-                encoded.dictionary, encoded.ids, "5$",
-                re.compile(".*5$").match).tolist()))
+            encoded = views.encode(Counter(vocabulary[lo:lo + 100]))
+            seen[k].append((encoded, encoded.dictionary.matches(
+                encoded.ids, "5$", re.compile(".*5$").match).tolist()))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -518,13 +509,16 @@ def test_concurrent_encoders_assign_each_word_exactly_one_id():
 
 
 def test_process_encoder_is_shared_by_every_block():
-    """``BlockData.encoded`` goes through the one module-level encoder,
-    so blocks of different jobs and waves share ids and verdicts."""
+    """The process keeps one encoding table, for blocks in hand: every
+    unbound ``BlockData`` encodes against it and no store handle reads
+    it, so blocks in hand of different jobs and calls share ids and
+    verdicts, and none of them is kept as a block's view."""
     first = BlockData(b"shared-token-x other\n").encoded()
     second = BlockData(b"shared-token-x\n").encoded()
     assert first.dictionary is second.dictionary
+    assert first.dictionary is tokens.UNBOUND._dictionary
     assert _ids(second)[0] == _ids(first)[0]
-    assert tokens.ENCODER.current_size() >= 2
+    assert tokens.UNBOUND.stats()["resident_blocks"] == 0
 
 
 # ------------------------------------------------------------- read-only views
@@ -534,11 +528,10 @@ def _raises_on_write(array):
         array[0] = array[0]
 
 
-def test_shared_arrays_are_read_only_and_the_kernels_still_work(monkeypatch):
+def test_shared_arrays_are_read_only_and_the_kernels_still_work():
     """What a kept view hands every rider cannot be written through; the
     kernel's gathers and masks and the wave's sums make arrays of their
     own, and a job's own accumulators stay writable."""
-    monkeypatch.setattr(tokens, "ENCODER", TokenEncoder())
     views = tokens.DerivedViews()
     text = BlockData(b"apple ant bee\nant cow\n").bind(views, 0)
     encoded = text.encoded()

@@ -31,7 +31,6 @@ from repro.localrt.output import write_output
 from repro.localrt.records import DelimitedReader
 from repro.localrt.runners import SharedScanRunner
 from repro.localrt.storage import BlockStore
-from repro.localrt.tokens import TokenEncoder
 from repro.workloads.tpch import LINEITEM_COLUMNS, LineitemGenerator
 
 WORDS = [stem + suffix for stem in ("th", "run", "eat", "app", "mot", "sad")
@@ -111,9 +110,9 @@ def _assert_table_changes_nothing(tmp_path_factory, directory, table_cap,
                                   bound_caps, run_plan,
                                   one_lookup_per_visit=False):
     """``run_plan(store, backend, batched, out_root)`` under every name,
-    two ways — kernels with a table of ``table_cap`` bytes (and a fresh
-    encoder, under ``bound_caps``), and the per-record oracle — each on
-    a fresh store handle, hence a table, of its own: outputs and logical
+    two ways — kernels with a table of ``table_cap`` bytes (under
+    ``bound_caps``), and the per-record oracle — each on a fresh store
+    handle, hence a table and a dictionary, of its own: outputs and logical
     reads must not differ, the table's run reads the disk no more often
     than the oracle does, and every visit is booked in one tier."""
     outcomes = {}
@@ -125,7 +124,6 @@ def _assert_table_changes_nothing(tmp_path_factory, directory, table_cap,
                     for name, value in bound_caps.items():
                         patch.setattr(tokens, name, value)
                     patch.setattr(tokens, "DERIVED_VIEWS_CAP_BYTES", table_cap)
-                    patch.setattr(tokens, "ENCODER", TokenEncoder())
                 store = BlockStore(directory)
                 outputs, reads = run_plan(
                     store, backend, variant != "per-record", out_root)

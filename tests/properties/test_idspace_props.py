@@ -25,7 +25,7 @@ a prefix of its chunk (as any caller of ``execute_map_wave`` may), so a
 wave's summing riders fall into groups that rode different blocks.
 
 A job whose whole shuffle is one accumulator reduces by sorting its ids
-on the dictionary's per-word codes (``TokenEncoder.codes``), so the
+on the dictionary's per-word codes (``TokenDictionary.codes``), so the
 corpus holds words whose ``repr`` order is not their ``str`` order, and
 the jobs draw their partition count.
 """
@@ -48,7 +48,7 @@ from repro.localrt.live import SharedScanCore
 from repro.localrt.parallel import MapTaskSpec, execute_map_wave
 from repro.localrt.records import TextLineReader
 from repro.localrt.storage import BlockStore
-from repro.localrt.tokens import TokenEncoder
+from repro.localrt.tokens import DerivedViews, TokenDictionary
 
 #: Words whose ``repr`` sorts them otherwise than ``str`` does: ``'a'``
 #: follows ``'a!'``, ``"don't"`` is double-quoted, a backslash doubles.
@@ -183,7 +183,7 @@ def test_id_space_shuffle_matches_per_record(tmp_path_factory, case, data,
     refused = []  # patterns the verdict table had no room for
     sorted_ids = []  # reduces that sorted one accumulator's ids
     absorb_wave = PatternWordCountBlock.absorb_wave
-    vector = TokenEncoder._vector
+    vector = TokenDictionary._vector
     in_order = engine._sums_in_reduce_order
 
     def recording_absorb_wave(groups):
@@ -191,8 +191,8 @@ def test_id_space_shuffle_matches_per_record(tmp_path_factory, case, data,
         waves.append([{block.dictionary for block in blocks}
                       for blocks, _ in groups])
 
-    def recording_vector(self, dictionary, pattern):
-        kept = vector(self, dictionary, pattern)
+    def recording_vector(self, pattern):
+        kept = vector(self, pattern)
         if kept is None:
             refused.append(pattern)
         return kept
@@ -204,10 +204,9 @@ def test_id_space_shuffle_matches_per_record(tmp_path_factory, case, data,
     with pytest.MonkeyPatch.context() as patch:
         for name, value in caps.items():
             patch.setattr(tokens, name, value)
-        patch.setattr(tokens, "ENCODER", TokenEncoder())
         patch.setattr(PatternWordCountBlock, "absorb_wave",
                       staticmethod(recording_absorb_wave))
-        patch.setattr(TokenEncoder, "_vector", recording_vector)
+        patch.setattr(TokenDictionary, "_vector", recording_vector)
         patch.setattr(engine, "_sums_in_reduce_order", recording_in_order)
         fold = case == "fold"
         run = (directory, rider_set, seg, laps, parts)
@@ -241,12 +240,12 @@ def test_codes_partition_like_the_partitioner_and_rank_like_sort_key(
     ``default_partitioner`` partition, and ordering the ids by ``rank``
     orders their words by ``_sort_key``."""
     cut = data.draw(st.integers(0, len(words)), label="first block")
-    encoder = TokenEncoder()
-    dictionary = encoder.encode(Counter(words[:cut] or words)).dictionary
+    views = DerivedViews()
+    dictionary = views.encode(Counter(words[:cut] or words)).dictionary
     if cut:
-        encoder.codes(dictionary, cut - 1)  # digests the first block's words
-        encoder.encode(Counter(words[cut:]))
-    digests, rank = encoder.codes(dictionary, len(words) - 1)
+        dictionary.codes(cut - 1)  # digests the first block's words
+        views.encode(Counter(words[cut:]))
+    digests, rank = dictionary.codes(len(words) - 1)
     assert [digest % parts for digest in digests.tolist()] == [
         default_partitioner(word, parts) for word in dictionary.words]
     ordered = sorted(range(len(words)), key=rank.__getitem__)
@@ -254,15 +253,15 @@ def test_codes_partition_like_the_partitioner_and_rank_like_sort_key(
         words, key=engine._sort_key)
 
 
-def test_a_dictionary_that_does_not_grow_is_ranked_once(monkeypatch):
+def test_a_dictionary_that_does_not_grow_is_ranked_once():
     """Reduces against a dictionary that has stopped growing read the
     rank they find; one whose ids reach past it ranks the dictionary
     again, and one whose ids do not leaves it as it is."""
-    monkeypatch.setattr(tokens, "ENCODER", TokenEncoder())
+    views = DerivedViews()
 
     def reduce_one(text):
         state = JobRunState(wordcount_job("wc", "^a", num_partitions=3))
-        encoded = BlockData(text).encoded()
+        encoded = views.encode(BlockData(text).token_counts())
         PatternWordCountBlock.absorb_wave([([encoded], [state])])
         return run_reduce(state), encoded.dictionary
 

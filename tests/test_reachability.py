@@ -54,8 +54,6 @@ KEPT = {
          "repro.analysis.racecheck:reset_racecheck_state",
          "repro.analysis.racecheck:set_racecheck"),
         "lock-order and race-check switches: safety tooling the suite drives"),
-    "repro.localrt.tokens:TokenEncoder.current_size":
-        "bounded-state probe: tests show the state stays under its cap",
     "repro.obs.live.telemetry:ServiceTelemetry.record_fail":
         "failed-job edge: a job that fails mid-scan is to be booked with it",
 }
