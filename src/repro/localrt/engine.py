@@ -86,8 +86,9 @@ class JobRunState:
     the job's reduce is the identity (an :class:`IdentityReducer` and no
     combiner): absorbing it is one append to ``rows``, and a reduce
     whose whole shuffle is rows orders them with one stable sort over
-    their key codes.  A record list that arrives after some first spills
-    them into ``groups``, in arrival order, so ``groups`` always holds
+    their key codes and gathers its output once, in that order.  A
+    record list that arrives after some first spills them into
+    ``groups``, in arrival order, so ``groups`` always holds
     the older records and value order within a key is arrival order.
     Readers see every home through :meth:`shuffle` (key -> values) and
     :func:`count_pending_values`.
@@ -158,7 +159,7 @@ class JobRunState:
         """Move the row-space partials into ``groups``, oldest first."""
         groups = self.groups
         for partial in self.rows:
-            for key, value in partial.records:
+            for key, value in partial:
                 groups[key].append(value)
         self.rows = []
 
@@ -446,13 +447,19 @@ def _rows_in_reduce_order(partials: list[tokens.RowPartial],
     order code sorts as the key's ``repr`` (equal exactly when the
     ``(int, int)`` keys are), so a stable ``lexsort`` on the two puts
     equal keys' records in arrival order — the bucket, sort and
-    :class:`IdentityReducer` order of the ``groups`` path.
+    :class:`IdentityReducer` order of the ``groups`` path.  The
+    partitions go to the sort in the narrowest unsigned type that holds
+    them (a byte, for up to 256), which ``lexsort`` orders by radix.
+    The partials' record arrays are joined and permuted as arrays: the
+    one pass over the job's records is the ``tolist`` that builds its
+    output.
     """
     hashes = np.concatenate([partial.hashes for partial in partials])
     order = np.concatenate([partial.order for partial in partials])
-    records = [record for partial in partials for record in partial.records]
-    permutation = np.lexsort((order, hashes % num_partitions))
-    return list(map(records.__getitem__, permutation.tolist()))
+    records = np.concatenate([partial.records for partial in partials])
+    partitions = (hashes % num_partitions).astype(
+        np.min_scalar_type(num_partitions - 1))
+    return records[np.lexsort((order, partitions))].tolist()
 
 
 def _sort_key(key: Hashable) -> tuple[str, str]:

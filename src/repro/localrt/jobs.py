@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from itertools import chain
-from typing import Any, Hashable, Iterator, Sequence, cast
+from typing import Any, Hashable, Iterator, NamedTuple, Sequence, cast
 
 import numpy as np
 
@@ -297,7 +297,7 @@ class SelectionMapper(Mapper):
     (orderkey, linenumber)."""
 
     def __init__(self, threshold: float) -> None:
-        if threshold <= 0:
+        if not threshold > 0:  # NaN too: it compares false either way
             raise ExecutionError("selection threshold must be positive")
         self.threshold = threshold
 
@@ -387,32 +387,60 @@ def _key_codes(records: "list[Record]") -> "tuple[Any, Any] | None":
             codes[0::2] * _ORDER_RADIX + codes[1::2])
 
 
+class QuantityColumn(NamedTuple):
+    """A lineitem block's ``l_quantity`` column as the selection riders
+    read it (the ``quantities`` view; every array in it read-only).
+
+    A selection ``l_quantity < t`` selects a prefix of the column sorted,
+    so the rows it selects are the same prefix of the column's argsort,
+    put back in row order (:meth:`rows_below`): a sort of the selected
+    rows alone, not a pass over the block's."""
+
+    #: Each line's end offset: its newline (a line starts one byte past
+    #: the one before it).
+    ends: np.ndarray
+    #: The rows in ascending quantity order (a stable argsort), int32.
+    rank: np.ndarray
+    #: The quantities in that order (float64; each an integer).
+    ranked: np.ndarray
+
+    def rows_below(self, threshold: float) -> np.ndarray:
+        """The rows whose quantity is ``< threshold``, ascending — what
+        ``flatnonzero(quantities < threshold)`` is."""
+        rows = self.rank[:self.ranked.searchsorted(threshold)].copy()
+        rows.sort()
+        return rows
+
+
 class SelectionBlockMapper(SelectionMapper, DelimitedBlockMapper):
     """Columnar single-pass selection over a raw lineitem block.
 
     The fast path vectorizes the whole predicate with numpy: one pass
     over the raw bytes locates every newline and delimiter, validates
     the field-count contract for all lines at once, parses the
-    ``l_quantity`` column as integers, and applies ``< threshold`` as an
-    array mask.  Decode + split + tuple construction — the dominant
-    per-record cost — is paid only for *qualifying* rows, and only once
-    per row: the parsed record goes into the block's row table
+    ``l_quantity`` column as integers and keeps it sorted, with its
+    argsort (a :class:`QuantityColumn`), so ``< threshold`` is a prefix.
+    Decode + split + tuple construction — the dominant per-record cost —
+    is paid only for *qualifying* rows, and only once per row: the
+    parsed record goes into the block's row table
     (:class:`~repro.localrt.tokens.RowTable`, a ``memo`` view keyed by
     the reader contract, never by the threshold), where every other
     selection rider — in this wave or, through the store handle's
     derived-view table, on a later lap — finds it.  A warm visit is a
-    mask, a ``flatnonzero`` and a gather.  Blocks the vectorized shape
-    check rejects (malformed lines, non-integer quantities, a multi-byte
-    delimiter, a trailing partial line) take a per-line scalar path that
-    reproduces the per-record reader's exact errors and results, and
-    shares rows through the same table.
+    ``searchsorted``, a sort of the selected rows, and one gather of
+    their kept flags, records and key codes each.  Blocks the vectorized
+    shape check rejects (malformed lines, non-integer quantities, a
+    multi-byte delimiter, a trailing partial line) take a per-line
+    scalar path that reproduces the per-record reader's exact errors and
+    results, and shares rows through the same table.
 
     A rider's output is a :class:`~repro.localrt.tokens.RowPartial` —
-    its records plus their keys' codes, gathered from the row table,
-    which keeps them beside each record, or computed with the records a
-    rider parses — which an identity-reduce job keeps in row space until
-    its reduce orders every row with one sort.  Where a key part falls
-    outside the codes' range, the output is the plain record list.
+    its records, gathered from the row table as one object array, plus
+    their keys' codes, which the table keeps beside each record or the
+    rider computes with the records it parses — which an identity-reduce
+    job keeps in row space until its reduce orders every row with one
+    sort and gathers them once.  Where a key part falls outside the
+    codes' range, the output is the plain record list.
     """
 
     def __init__(self, threshold: float, *, delimiter: str = "|",
@@ -425,57 +453,56 @@ class SelectionBlockMapper(SelectionMapper, DelimitedBlockMapper):
                   ) -> tuple[int, "list[Record] | tokens.RowPartial",
                              Counters | None]:
         block = data if isinstance(data, BlockData) else BlockData(data)
-        columnar = self._columnar_quantities(block)
-        if columnar is None:
+        column = self._columnar_quantities(block)
+        if column is None:
             return self._map_block_lines(block, base_offset)
-        quantities, ends = columnar
-        count = int(ends.size)
+        count = len(column.ends)
         table: tokens.RowTable = block.memo(
             self._rows_view, lambda: tokens.RowTable(count, len(block)))
-        hits = np.flatnonzero(quantities < self.threshold)
-        outputs: list[Record] = list(map(table.slots.__getitem__,
-                                         hits.tolist()))
-        if None in outputs:
-            missing = [position for position, record in enumerate(outputs)
-                       if record is None]
+        hits = column.rows_below(self.threshold)
+        # The flags before the slots (see RowTable): a row flagged here
+        # is in the gather below, and a row not flagged is parsed here.
+        # (``take``: a gather at int32 rows without converting them.)
+        kept = table.kept.take(hits)
+        records = table.slots.take(hits)
+        if np.count_nonzero(kept) < len(kept):
+            missing = np.flatnonzero(~kept)
             rows = hits[missing]
+            ends = column.ends
             starts = np.where(rows > 0, ends[rows - 1] + 1, 0)
             raw = block.raw()
             lines = [raw[start:end] for start, end
                      in zip(starts.tolist(), ends[rows].tolist())]
             parsed = list(map(self._row_record, lines))
-            table.keep(rows.tolist(), map(len, lines), parsed,
-                       _key_codes(parsed))
-            for position, record in zip(missing, parsed):
-                outputs[position] = record
+            table.keep(rows, map(len, lines), parsed, _key_codes(parsed))
+            records[missing] = np.fromiter(parsed, object, len(parsed))
         # Read after the slots: a record kept without codes clears
         # ``ordered`` before its slot fills, and every row this rider
         # parsed has its codes written, kept or past the budget.
         if not table.ordered:
-            return count, outputs, None
-        return count, tokens.RowPartial(outputs, table.hashes[hits],
-                                        table.order[hits]), None
+            return count, records.tolist(), None
+        return count, tokens.RowPartial(records, table.hashes.take(hits),
+                                        table.order.take(hits)), None
 
     def _columnar_quantities(self, block: BlockData,
-                             ) -> "tuple[Any, Any] | None":
+                             ) -> "QuantityColumn | None":
         """Vectorized parse of the ``l_quantity`` column.
 
-        Returns ``(quantities, line_ends)`` — a float64 array of the
-        column parsed per line and each line's end offset (its newline;
-        a line starts one byte past the one before it) — or ``None``
-        whenever the block falls outside the fast path's strict shape:
-        multi-byte delimiter, unknown field count, a block not ending in
-        ``\\n``, any line whose delimiter count differs from the
-        expected-fields contract, or a quantity that is not a plain 1-9
-        digit ASCII integer.  Callers must treat
+        Returns the block's :class:`QuantityColumn` — each line's end
+        offset, and the column parsed per line in ascending order with
+        its argsort — or ``None`` whenever the block falls outside the
+        fast path's strict shape: multi-byte delimiter, unknown field
+        count, a block not ending in ``\\n``, any line whose delimiter
+        count differs from the expected-fields contract, or a quantity
+        that is not a plain 1-9 digit ASCII integer.  Callers must treat
         ``None`` as "use the per-line path", which reproduces the
         reader-identical errors for genuinely malformed input.
 
         The result (including a rejection) is memoized per
         ``(delimiter, field count)``, so every selection rider — in this
         wave or, through the store handle's derived-view table, on a
-        later lap — shares one structural pass: the delimited analogue
-        of the shared tokenization.  Both arrays in it are read-only.
+        later lap — shares one structural pass and one sort: the
+        delimited analogue of the shared tokenization.
         """
         if self.expected_fields is None or len(self._delimiter_bytes) != 1:
             return None
@@ -484,7 +511,7 @@ class SelectionBlockMapper(SelectionMapper, DelimitedBlockMapper):
             key, lambda: self._columnar_quantities_uncached(block))
 
     def _columnar_quantities_uncached(self, block: BlockData,
-                                      ) -> "tuple[Any, Any] | None":
+                                      ) -> "QuantityColumn | None":
         expected = self.expected_fields
         if expected is None or expected <= _QUANTITY_INDEX:
             return None
@@ -525,8 +552,11 @@ class SelectionBlockMapper(SelectionMapper, DelimitedBlockMapper):
             if bool(((digits > 9) & active).any()):
                 return None
             values = np.where(active, values * 10 + digits, values)
-        return (tokens.frozen(values.astype(np.float64)),
-                tokens.frozen(newlines))
+        # The copies own their memory: the view outlives the wave.
+        rank = np.argsort(values, kind="stable").astype(np.int32)
+        return QuantityColumn(
+            tokens.frozen(newlines), tokens.frozen(rank),
+            tokens.frozen(values[rank].astype(np.float64)))
 
     def _row_record(self, line: bytes) -> Record:
         """The record every selection emits for the row ``line``: the

@@ -182,9 +182,13 @@ class SharedScanCore(_LocalRunnerBase):
     def __init__(self, store: BlockStoreProtocol,
                  config: ExecutionConfig | None = None, *,
                  reader: RecordReader | None = None,
-                 tracer: Tracer | None = None) -> None:
+                 tracer: Tracer | None = None,
+                 scan_file: DfsFile | None = None) -> None:
         super().__init__(store, config, reader=reader, tracer=tracer)
-        self._loop = ScanLoop(_scan_file(store))
+        # ``scan_file`` is what ``_scan_file(store)`` returns, passed by
+        # a caller that keeps one for every core it builds.
+        self._loop = ScanLoop(scan_file if scan_file is not None
+                              else _scan_file(store))
         #: Run state of every job waiting for or riding the scan.
         self._run_states: dict[str, JobRunState] = {}
         #: Logical blocks read when this core started (baseline for

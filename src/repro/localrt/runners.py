@@ -52,13 +52,16 @@ import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
+from ..common.config import ExecutionConfig
 from ..common.errors import ExecutionError
 from ..obs.export import export_chrome
 from ..obs.metrics import MetricsRegistry
-from .api import JobResult, LocalJob
+from ..obs.tracer import Tracer
+from .api import BlockStoreProtocol, JobResult, LocalJob
 from .engine import JobRunState, count_pending_values, run_reduce
-from .live import SharedScanCore, _LocalRunnerBase
+from .live import SharedScanCore, _LocalRunnerBase, _scan_file
 from .parallel import MapTaskSpec, execute_map_wave
+from .records import RecordReader
 from .storage import ReadStats
 
 #: Hook invoked after each shared-scan iteration's map phase:
@@ -190,6 +193,15 @@ class SharedScanRunner(_LocalRunnerBase):
 
     _tracer_name = "shared-scan"
 
+    def __init__(self, store: BlockStoreProtocol,
+                 config: ExecutionConfig | None = None, *,
+                 reader: RecordReader | None = None,
+                 tracer: Tracer | None = None) -> None:
+        super().__init__(store, config, reader=reader, tracer=tracer)
+        # The store as the scan loop's block chain: built once, planned
+        # over by every run's fresh core.
+        self._scan_file = _scan_file(store)
+
     @property
     def blocks_per_segment(self) -> int:
         return self.config.blocks_per_segment
@@ -226,7 +238,7 @@ class SharedScanRunner(_LocalRunnerBase):
         results: dict[str, JobResult] = {}
         # A fresh core per run: the pointer starts at block 0.
         core = SharedScanCore(self.store, self.config, reader=self.reader,
-                              tracer=self.tracer)
+                              tracer=self.tracer, scan_file=self._scan_file)
         iteration = 0
         with self.tracer.span("s3.run", jobs=len(jobs),
                               segment=self.blocks_per_segment):

@@ -89,8 +89,10 @@ array cannot grow in place, nor can a ``bytearray`` while a numpy view
 of it is alive) — so a gather at ids a block was handed reads an array
 no one writes while another runner extends; and a row-table slot goes
 from ``None`` to a finished record once, after its row's key codes are
-written (a rewrite of them writes the values already there); racing
-runners replace an :class:`EncodedBlock`'s memo slot with equal sums.
+written (a rewrite of them writes the values already there), and its
+row's kept flag is raised after that, so a reader that reads the flags
+first never takes an empty slot for a kept one; racing runners replace
+an :class:`EncodedBlock`'s memo slot with equal sums.
 """
 
 from __future__ import annotations
@@ -389,24 +391,28 @@ class WaveSums:
 
 class RowPartial:
     """One selection rider's map output for one block, still in row
-    space: its ``records`` and, one entry per record, their keys' codes
-    — ``hashes[i]`` is ``hash(key)``, so ``hashes % P`` is
-    :func:`~repro.localrt.api.default_partitioner`'s partition, and
-    ``order[i]`` sorts as the key's ``repr`` does (what
+    space: ``records``, an object array of the rows it selected in row
+    order (the very records the block's :class:`RowTable` holds, or the
+    rider's own parse of a row the table did not keep), and, one entry
+    per record, their keys' codes — ``hashes[i]`` is ``hash(key)``, so
+    ``hashes % P`` is :func:`~repro.localrt.api.default_partitioner`'s
+    partition, and ``order[i]`` sorts as the key's ``repr`` does (what
     :func:`~repro.localrt.engine._sort_key` compares), equal exactly
     when the keys are.
 
     What the columnar selection kernel hands the shuffle instead of a
-    bare record list.  ``len()``, iteration and ``==`` read as
-    ``records``, so any consumer of a record list reads it as one; a job
-    whose reduce is the identity keeps it whole until its reduce, which
-    orders every row it absorbed with one sort over the codes
-    (:meth:`~repro.localrt.engine.JobRunState.absorb`).
+    bare record list: the rider gathers its records with one ``take``
+    from the table, and nothing walks them one by one until the job's
+    reduce.  ``len()``, iteration and ``==`` read as the record list, so
+    any consumer of a record list reads it as one; a job whose reduce is
+    the identity keeps it whole until its reduce, which concatenates
+    every partial it absorbed and orders them with one sort over the
+    codes and one gather (:meth:`~repro.localrt.engine.JobRunState.absorb`).
     """
 
     __slots__ = ("records", "hashes", "order")
 
-    def __init__(self, records: list[Any], hashes: np.ndarray,
+    def __init__(self, records: np.ndarray, hashes: np.ndarray,
                  order: np.ndarray) -> None:
         self.records = records
         self.hashes = hashes
@@ -416,15 +422,15 @@ class RowPartial:
         return len(self.records)
 
     def __iter__(self) -> Iterator[Any]:
-        return iter(self.records)
+        return iter(self.records.tolist())
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (list, RowPartial)):
-            return self.records == list(other)
+            return self.records.tolist() == list(other)
         return NotImplemented
 
     def __repr__(self) -> str:
-        return f"RowPartial({self.records!r})"
+        return f"RowPartial({self.records.tolist()!r})"
 
 
 def frozen(array: np.ndarray) -> np.ndarray:
@@ -584,17 +590,23 @@ class DerivedViews:
 class RowTable:
     """A delimited block's parsed records: one write-once slot each.
 
-    The derived view that is *filled by its readers*: ``slots[i]`` is
-    ``None`` until the first rider that emits record ``i`` parses it
-    and offers it (:meth:`keep`); from then on every rider — of any
-    parameters, in this wave or a later lap — takes that one immutable
-    record.  What a slot holds is a pure function of the block's bytes
-    and the view's key, so the table is observably immutable although
-    it fills over time, and reading ``slots`` needs no lock: a slot is
-    ``None`` or a finished record.  Writes and the budget sit under
-    ``_lock`` (a leaf: nothing is acquired while it is held), because
-    two runners sharing a store handle may fill one block's table at
-    once.  The budget is row *text*: at most
+    The derived view that is *filled by its readers*: ``slots`` is an
+    object array, one slot per record, and slot ``i`` is ``None`` until
+    the first rider that emits record ``i`` parses it and offers it
+    (:meth:`keep`); from then on every rider — of any parameters, in
+    this wave or a later lap — takes that one immutable record.  What a
+    slot holds is a pure function of the block's bytes and the view's
+    key, so the table is observably immutable although it fills over
+    time.  Writes sit under ``_lock`` (a leaf: nothing is acquired while
+    it is held), because two runners sharing a store handle may fill one
+    block's table at once; reads take no lock.  ``kept[i]`` is raised,
+    under the lock, only after slot ``i`` is filled, so a rider gathers
+    rows by reading their flags *first* and their slots second: a row
+    whose flag it read raised is in the slots it reads next, and a row
+    whose flag was down is its own to parse (the slot may fill
+    meanwhile, with an equal record).  Read the other way round, a slot
+    filled between the two reads would pass for kept while the rider
+    holds its ``None``.  The budget is row *text*: at most
     ``block_bytes // ROW_TABLE_TEXT_DIVISOR`` bytes of the block are
     kept parsed, and a record past it is not kept — its next reader
     parses it again, for itself.
@@ -609,15 +621,18 @@ class RowTable:
     """
 
     def __init__(self, records: int, block_bytes: int) -> None:
-        self.slots: list[Any] = [None] * records
+        self.slots: np.ndarray = np.full(records, None, object)
         self.hashes = np.zeros(records, np.int64)
         self.order = np.zeros(records, np.int64)
         self.ordered = True
         self._lock = ordered_lock("RowTable._lock")
+        self.kept = np.zeros(records, bool)  # guarded-by: _lock
         self._room = block_bytes // ROW_TABLE_TEXT_DIVISOR  # guarded-by: _lock
-        register_instance(self, fields=("_room",), guard="RowTable._lock")
+        register_instance(self, fields=("kept", "_room"),
+                          guard="RowTable._lock")
 
-    def keep(self, rows: Sequence[int], text_bytes: Iterable[int],
+    def keep(self, rows: "Sequence[int] | np.ndarray",
+             text_bytes: Iterable[int],
              records: Iterable[Any],
              codes: "tuple[np.ndarray, np.ndarray] | None" = None) -> None:
         """Offer ``records``, each parsed from that many bytes of the
@@ -625,19 +640,27 @@ class RowTable:
         order)`` codes if the caller has them: an empty slot takes its
         record while the budget lasts (a slot another rider filled
         meanwhile keeps what it has — an equal record, by construction,
-        and the codes written for it again are the ones it has)."""
-        slots = self.slots
+        and the codes written for it again are the ones it has), and the
+        rows taken raise their flags once every slot is written."""
+        index = np.asarray(rows, np.intp)
+        chosen: list[bool] = []
         with self._lock:
             if codes is None:
                 self.ordered = False
             else:
-                self.hashes[rows], self.order[rows] = codes
+                self.hashes[index], self.order[index] = codes
+            kept = self.kept
             room = self._room
-            for row, size, record in zip(rows, text_bytes, records):
-                if size <= room and slots[row] is None:
-                    slots[row] = record
+            for size, full in zip(text_bytes, kept[index].tolist()):
+                fits = size <= room and not full
+                if fits:
                     room -= size
+                chosen.append(fits)
             self._room = room
+            mask = np.array(chosen, bool)
+            taken = index[mask]
+            self.slots[taken] = np.fromiter(records, object, len(index))[mask]
+            kept[taken] = True
 
 
 #: The table a block in hand (an unbound

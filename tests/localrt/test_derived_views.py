@@ -22,6 +22,7 @@ from repro.localrt.jobs import (
     AggregationBlockMapper,
     PatternWordCountBlock,
     SelectionBlockMapper,
+    SelectionMapper,
     aggregation_job,
     selection_job,
     wordcount_job,
@@ -703,7 +704,9 @@ def test_aggregation_riders_share_one_per_line_pass(tmp_path, monkeypatch):
 def _has_unkept_rows(views, index, threshold):
     """Whether block ``index``'s kept row table lacks a row that a
     selection at ``threshold`` emits."""
-    quantities, _ends = views.lookup(index, QUANTITIES_VIEW)
+    column = views.lookup(index, QUANTITIES_VIEW)
+    quantities = np.empty_like(column.ranked)
+    quantities[column.rank] = column.ranked
     table = views.lookup(index, ROWS_VIEW)
     return any(table.slots[row] is None
                for row in np.flatnonzero(quantities < threshold).tolist())
@@ -1085,6 +1088,104 @@ def test_two_runners_on_one_handle_fill_one_table(tmp_path):
                         if slot is not None)
         budget = len(block) // tokens.ROW_TABLE_TEXT_DIVISOR
         assert kept_text == budget - table._room <= budget
+
+
+def test_runners_filling_one_row_table_never_emit_none(
+        tmp_path, monkeypatch):
+    """Four runners (more threads than cores) on one store handle,
+    selections from narrow to wide, map the same blocks at once, round
+    after round on a fresh handle, with a budget that keeps only part of
+    each block: every block output a rider hands the shuffle is free of
+    ``None`` (a slot read empty but taken for kept), two runners are
+    seen writing one table, and each job reads as its per-record run."""
+    rows = _lineitem_rows()
+    store = BlockStore.create(tmp_path / "lineitem", rows, 3_000)
+    thresholds = {"s10": 10.0, "s20": 20.0, "s35": 35.0, "s51": 51.0}
+    reference = {name: FifoLocalRunner(
+        BlockStore(store.directory), reader=LINEITEM_READER).run(
+            [selection_job(name, threshold, batched=False)]).results[name]
+        for name, threshold in thresholds.items()}
+    emitted_none = []
+    writers = {}
+    map_block, keep = SelectionBlockMapper.map_block, RowTable.keep
+
+    def checked_map_block(self, data, base_offset):
+        count, output, counters = map_block(self, data, base_offset)
+        emitted_none.extend(record for record in output if record is None)
+        return count, output, counters
+
+    def recording_keep(self, *args):
+        writers.setdefault(id(self), set()).add(threading.get_ident())
+        keep(self, *args)
+
+    monkeypatch.setattr(SelectionBlockMapper, "map_block", checked_map_block)
+    monkeypatch.setattr(RowTable, "keep", recording_keep)
+    monkeypatch.setattr(tokens, "ROW_TABLE_TEXT_DIVISOR", 2)
+    for _round in range(4):
+        handle = BlockStore(store.directory)
+        outputs = {}
+        start = threading.Barrier(len(thresholds))
+
+        def scan(name):
+            start.wait(timeout=10)
+            with SharedScanRunner(handle, reader=LINEITEM_READER) as runner:
+                outputs[name] = runner.run(
+                    [selection_job(name, thresholds[name])]).results[name]
+
+        _run_interleaved(*(functools.partial(scan, name)
+                           for name in thresholds))
+        for name, result in outputs.items():
+            assert result.output == reference[name].output
+            assert (result.map_output_records
+                    == reference[name].map_output_records)
+    assert emitted_none == []
+    assert any(len(threads) >= 2 for threads in writers.values())
+
+
+class _FilledAfterTheGather:
+    """A row table's ``slots`` that run ``fill`` right after the first
+    gather of a rider's rows (``take``), as another rider filling the
+    table between this rider's two reads would."""
+
+    def __init__(self, slots, fill):
+        self._slots, self._fill = slots, fill
+
+    def take(self, rows):
+        gathered = self._slots.take(rows)
+        if self._fill is not None:
+            fill, self._fill = self._fill, None
+            fill()
+        return gathered
+
+    def __setitem__(self, index, value):
+        self._slots[index] = value
+
+
+def test_a_row_filled_between_the_flag_and_slot_reads_is_emitted():
+    """The interleaving that fixes the order of a rider's reads: another
+    rider fills every row between this rider's read of the kept flags
+    and its gather of the slots.  The flags, read first, said the rows
+    were missing, so this rider parses them — it never emits the
+    ``None`` its gather read (as it would if it gathered first and then
+    read flags the other rider had raised meanwhile)."""
+    text = "".join(row + "\n" for row in _lineitem_rows(2_000))
+    data = text.encode()
+    views = DerivedViews()
+    # A selection of nothing publishes the block's empty row table.
+    SelectionBlockMapper(0.5).map_block(BlockData(data).bind(views, 0), 0)
+    table = views.lookup(0, ROWS_VIEW)
+    other = SelectionBlockMapper(51.0)
+    table.slots = _FilledAfterTheGather(
+        table.slots, lambda: other.map_block(BlockData(data).bind(views, 0), 0))
+    count, output, _ = SelectionBlockMapper(51.0).map_block(
+        BlockData(data).bind(views, 0), 0)
+    assert table.slots._fill is None  # the other rider filled the table
+    assert table.kept.any()
+    records = list(output)
+    assert None not in records
+    assert records == [record for key, value in LINEITEM_READER.read(text, 0)
+                       for record in SelectionMapper(51.0).map(key, value)]
+    assert count == len(records)
 
 
 def test_two_wordcount_runners_on_one_handle_share_the_encoder(

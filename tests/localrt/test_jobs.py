@@ -12,6 +12,7 @@ from repro.localrt.jobs import (
     PatternWordCount,
     PatternWordCountBlock,
     SelectionBlockMapper,
+    SelectionMapper,
     aggregation_job,
     selection_job,
     wordcount_job,
@@ -173,6 +174,19 @@ def _row(orderkey, linenumber, quantity):
     return "|".join(fields)
 
 
+@pytest.mark.parametrize("make", [
+    SelectionMapper, SelectionBlockMapper,
+    lambda threshold: selection_job("s", threshold),
+    lambda threshold: selection_job("s", threshold, batched=False)])
+@pytest.mark.parametrize("threshold", [float("nan"), 0.0, -1.0])
+def test_selection_refuses_a_threshold_that_is_not_positive(make, threshold):
+    """NaN included: every ``q < nan`` is false, so the per-record path
+    would select nothing while a sorted prefix (``searchsorted(nan)``)
+    would select every row."""
+    with pytest.raises(ExecutionError, match="positive"):
+        make(threshold)
+
+
 def test_selection_columnar_rejects_malformed_with_reader_error():
     mapper = SelectionBlockMapper(5.0)
     good = (_row(1, 1, 2) + "\n" + _row(2, 1, 7) + "\n").encode()
@@ -237,9 +251,10 @@ def test_memoised_columnar_value_owns_only_what_it_needs():
     """The structural pass's result outlives its wave (the store
     handle's derived-view table keeps it), so no array in it may be a
     view that pins a larger intermediate — the mark table is 16 fields
-    wide, the value needs one column of it.  Nor may the key codes the
-    row table keeps beside its records: one int64 each per row, not the
-    digit columns they were built from."""
+    wide, the value needs one column of it, its sorted copy and its
+    argsort (int32).  Nor may the key codes the row table keeps beside
+    its records: one int64 each per row, not the digit columns they were
+    built from."""
     views = tokens.DerivedViews()
     rows = "".join(_row(order, 1, order % 9 + 1) + "\n"
                    for order in range(1, 40))
@@ -250,9 +265,9 @@ def test_memoised_columnar_value_owns_only_what_it_needs():
     assert views.lookup(0, key) is value
     (_, table), = ((key, value) for key, value in block._derived.items()
                    if key[0] == "rows")
-    quantities, ends = value
-    for array in (quantities, ends, table.hashes, table.order):
-        assert len(array) == 39 and array.dtype.itemsize == 8
+    for array in (*value, table.hashes, table.order):
+        assert len(array) == 39
+        assert array.dtype.itemsize == (4 if array is value.rank else 8)
         assert array.base is None or array.base.nbytes == array.nbytes
 
 

@@ -556,9 +556,9 @@ def test_shared_arrays_are_read_only_and_the_kernels_still_work():
         for order, quantity in ((3, 1), (1, 9), (2, 2)))).bind(views, 1)
     count, selected, _ = SelectionBlockMapper(5.0).map_block(rows, 0)
     assert [key for key, _ in selected] == [(3, 1), (2, 1)]
-    (quantities, ends), = (value for key, value in rows._derived.items()
-                           if key[0] == "quantities")
-    for array in (quantities, ends):
+    column, = (value for key, value in rows._derived.items()
+               if key[0] == "quantities")
+    for array in column:
         _raises_on_write(array)
     selected.order[0] = selected.order[0]  # a gather: the rider's own
     state = JobRunState(selection_job("sel", 5.0, num_partitions=1))
@@ -611,15 +611,19 @@ def test_riders_racing_on_one_row_table_get_their_own_rows_codes():
 def test_a_row_table_writes_a_rows_codes_before_its_slot_fills():
     """What lets a rider that finds a slot filled gather the row's codes
     without the lock: by the time ``keep`` takes a record for its slot,
-    the codes it was offered with are in place."""
+    the codes it was offered with are in place — and no row's kept flag
+    is raised before every slot ``keep`` fills is written, so a rider
+    that reads the flags first never finds a flagged slot empty."""
     table = tokens.RowTable(2, 10 ** 6)
 
     def records():
         for row in (0, 1):
             assert (table.hashes[row], table.order[row]) == (row + 5, row + 9)
+            assert not table.kept.any()
             yield ("record", row)
 
     table.keep([0, 1], [1, 1], records(), (np.array([5, 6]), np.array([9, 10])))
-    assert table.slots == [("record", 0), ("record", 1)] and table.ordered
+    assert table.slots.tolist() == [("record", 0), ("record", 1)]
+    assert table.kept.tolist() == [True, True] and table.ordered
     table.keep([0], [1], [("record", 0)])  # offered without codes
     assert not table.ordered

@@ -110,7 +110,9 @@ def _all_views_kept(store, rider_set):
             table = views.lookup(index, ROWS_VIEW)
             if columnar in (MISSING, None) or table is MISSING:
                 return False
-            rows = np.flatnonzero(columnar[0] < threshold).tolist()
+            quantities = np.empty_like(columnar.ranked)
+            quantities[columnar.rank] = columnar.ranked
+            rows = np.flatnonzero(quantities < threshold).tolist()
             if any(table.slots[row] is None for row in rows):
                 return False
     return True

@@ -20,9 +20,11 @@ table, so which tier served a visit is not compared).  Each case also
 checks that it really happened.
 """
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import repro.localrt.engine as engine
@@ -30,13 +32,18 @@ import repro.localrt.jobs as jobs_module
 import repro.localrt.tokens as tokens
 from repro.common.config import ExecutionConfig
 from repro.ext.aggregation import fold_partial_aggregates
-from repro.localrt.api import IdentityReducer, default_partitioner
+from repro.localrt.api import BlockData, IdentityReducer, default_partitioner
 from repro.localrt.engine import JobRunState, _sort_key
-from repro.localrt.jobs import aggregation_job, selection_job
+from repro.localrt.jobs import (
+    SelectionBlockMapper,
+    SelectionMapper,
+    aggregation_job,
+    selection_job,
+)
 from repro.localrt.records import DelimitedReader
 from repro.localrt.runners import SharedScanRunner
 from repro.localrt.storage import BlockStore
-from repro.localrt.tokens import RowTable
+from repro.localrt.tokens import DerivedViews, RowPartial, RowTable
 from repro.workloads.tpch import LINEITEM_COLUMNS
 
 READER = DelimitedReader("|", len(LINEITEM_COLUMNS))
@@ -67,6 +74,16 @@ riders = st.lists(
     st.tuples(st.integers(2, 51), st.integers(1, 8), st.booleans(),
               st.integers(0, 5)),
     min_size=0, max_size=3)
+
+
+#: A threshold at an integer quantity, just below or just above one
+#: (the neighbouring doubles), or ``inf``: where a sorted prefix's end
+#: (``searchsorted``) and the per-record ``<`` could part.
+thresholds = st.one_of(
+    st.just(math.inf),
+    st.tuples(st.integers(1, 51), st.sampled_from((-math.inf, 0, math.inf)))
+    .map(lambda drawn: float(np.nextafter(drawn[0], drawn[1]))
+         if drawn[1] else float(drawn[0])))
 
 
 class _IdentityByAnotherName(IdentityReducer):
@@ -208,6 +225,106 @@ def test_row_space_shuffle_matches_per_record(tmp_path_factory, case, data,
         assert refused
     if case == "fold":
         assert any(folded)
+
+
+# ------------------------------------------------------ the sorted prefix
+
+def _per_record(text, threshold):
+    mapper = SelectionMapper(threshold)
+    return [record for key, value in READER.read(text, 0)
+            for record in mapper.map(key, value)]
+
+
+@given(drawn=rows, riders_in_turn=st.lists(thresholds, min_size=1,
+                                           max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_a_sorted_prefix_selects_what_the_per_record_mapper_does(
+        drawn, riders_in_turn):
+    """Riders in turn on one block and one table — each may find rows an
+    earlier one kept — select, at thresholds on, just off and past the
+    integer quantities, exactly the per-record rows in row order, and
+    none of them is ``None``."""
+    text = "".join(_line(serial, *row) + "\n"
+                   for serial, row in enumerate(drawn))
+    views = DerivedViews()
+    for threshold in riders_in_turn:
+        count, selected, _ = SelectionBlockMapper(threshold).map_block(
+            BlockData(text.encode()).bind(views, 0), 0)
+        assert count == len(drawn)
+        assert isinstance(selected, RowPartial)  # every key has codes
+        assert list(selected) == _per_record(text, threshold)
+
+
+MIX_CASES = ("one-threshold", "wider-joins", "past-budget")
+
+
+@pytest.mark.parametrize("case", MIX_CASES)
+@given(data=st.data(), drawn=rows, seg=st.integers(1, 3),
+       laps=st.integers(1, 2), first=thresholds, second=thresholds,
+       partitions=st.tuples(st.integers(1, 8), st.integers(1, 8)))
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_rider_mixes_on_one_row_table_match_per_record(
+        tmp_path_factory, case, data, drawn, seg, laps, first, second,
+        partitions):
+    """Two selection riders share each block's row table:
+    ``one-threshold`` — both at one threshold in one wave, where the
+    second takes every record the first kept;
+    ``wider-joins`` — a wider rider joins a lap after a narrower one
+    has kept some of a block's rows and not others, so it gathers the
+    kept ones and parses the rest; ``past-budget`` — a rider that
+    selects every row meets a table that keeps half a block.  Every run
+    reads as its per-record run."""
+    block_size = data.draw(st.integers(60, 400), label="block")
+    lines = [_line(serial, *row) for serial, row in enumerate(drawn)]
+    divisor = 1  # a block this small keeps no row at the stock share
+    if case == "one-threshold":
+        rider_set = [(first, partitions[0], True, 0),
+                     (first, partitions[0], True, 0)]
+    elif case == "wider-joins":
+        narrow, wide = sorted((first, second))
+        assume(narrow < math.inf)
+        below, above = math.ceil(narrow) - 1, math.ceil(narrow)
+        assume(below >= 1 and above < wide)
+        # Block 0 holds a row only the wider rider selects, past one
+        # the narrower one keeps before the wider rider gets there.
+        lines = [_line("n", 1, 1, below), _line("w", 2, 1, above), *lines]
+        rider_set = [(narrow, partitions[0], True, 0),
+                     (wide, partitions[1], True, 1)]
+    else:
+        divisor = 2
+        rider_set = [(first, partitions[0], True, 0),
+                     (math.inf, partitions[1], True,
+                      data.draw(st.integers(0, 2), label="arrival"))]
+    directory = tmp_path_factory.mktemp("rowspace-mix")
+    BlockStore.create(directory, lines, block_size_bytes=block_size)
+
+    refused = []  # rows offered to a row table and not kept
+    topped_up = []  # rows kept into a table some rider already filled
+    keep = RowTable.keep
+
+    def recording_keep(self, rows, text_bytes, records, codes=None):
+        rows = list(rows)
+        had = int(self.kept.sum())
+        keep(self, rows, text_bytes, records, codes)
+        refused.extend(row for row in rows if not self.kept[row])
+        if had:
+            topped_up.append(int(self.kept.sum()) - had)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tokens, "ROW_TABLE_TEXT_DIVISOR", divisor)
+        patch.setattr(RowTable, "keep", recording_keep)
+        batched = _run(directory, rider_set, seg, laps, True, None)
+        per_record = _run(directory, rider_set, seg, laps, False, None)
+
+    assert batched == per_record
+    if case == "one-threshold":
+        for outputs, _reads in batched:
+            assert outputs["s0"][0] == outputs["s1"][0]
+    if case == "wider-joins":
+        assert any(topped_up)
+    if case == "past-budget":
+        assert refused
 
 
 # ---------------------------------------------------------------- the codes
