@@ -1,8 +1,9 @@
 """Perf-regression gate: re-run benchmarks, compare against baselines.
 
-Runs the six payload-emitting benchmarks (``bench_cache``,
+Runs the seven payload-emitting benchmarks (``bench_cache``,
 ``bench_service``, ``bench_trace``, ``bench_localrt``, ``bench_shard``,
-``bench_live`` — the ``BENCHMARKS`` tuple below is the list) and gates
+``bench_live``, ``bench_riders`` — the ``BENCHMARKS`` tuple below is
+the list) and gates
 each fresh ``BENCH_*.json`` against the committed baseline
 with the default metric specs from :mod:`repro.obs.regress` — only
 hardware-independent metrics (hit ratios, block counters, invariant
@@ -45,7 +46,7 @@ BASELINE_DIR = ROOT / "benchmarks" / "baselines"
 
 #: Benchmarks that emit a gateable payload.
 BENCHMARKS = ("bench_cache", "bench_service", "bench_trace",
-              "bench_localrt", "bench_shard", "bench_live")
+              "bench_localrt", "bench_shard", "bench_live", "bench_riders")
 
 
 def baseline_path(name: str, smoke: bool) -> pathlib.Path:

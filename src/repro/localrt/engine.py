@@ -6,9 +6,10 @@ which maps it for every job of the batch — the real, byte-level
 realisation of the merged sub-jobs that the simulator models in time —
 and :func:`absorb_map_result` folds each job's share into its run state.
 A summing wordcount job skips both: the wave sums its blocks' counts
-once for all such riders and adds the sums to each rider's
-:class:`WaveShuffle`, which applies the job's pattern when the shuffle
-is next read (:meth:`JobRunState.settle`).
+once and adds them to its scan's running sums once, for all such
+riders; a rider's :class:`WaveShuffle` is the part of those sums it
+rode, and applies the job's pattern when the shuffle is next read
+(:meth:`JobRunState.settle`).
 
 Two execution paths share :func:`collect_map_outputs`.  The *batched*
 path hands the whole block (as a :class:`~repro.localrt.api.BlockData`)
@@ -29,7 +30,7 @@ from __future__ import annotations
 import copy
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Mapping, Protocol
+from typing import Any, Hashable, Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -55,7 +56,7 @@ MapOutput = list[Record] | tokens.RowPartial
 
 class WaveShuffle(Protocol):
     """What map waves added to a job's shuffle in bulk, before the job's
-    map filter applied (:class:`~repro.localrt.jobs.WaveWordSums`)."""
+    map filter applied (:class:`~repro.localrt.jobs.SumsInterval`)."""
 
     def settle(self, state: "JobRunState") -> None:
         """Filter what was added and fold it into ``state``'s ``sums``,
@@ -68,18 +69,26 @@ class JobRunState:
 
     The shuffle has three homes.  Records land in ``groups``, one table
     per job (key -> values in arrival order).  A summing wordcount
-    rider's counts stay in token-dictionary id space instead: a map wave
-    adds its blocks' unfiltered per-word sums to the rider's ``pending``
-    shuffle once per wave, and :meth:`settle` — run by every reader of
-    the shuffle, and by the reduce — applies the job's pattern once and
-    folds the result into ``sums``, the record counts and the counters.
-    ``sums`` holds one dense int64 accumulator per dictionary generation
-    the job has met (more than one only across a roll-over or an
-    over-wide block); ``summed_records`` counts the combined records
+    rider's counts stay in token-dictionary id space instead: its map
+    waves add their blocks' unfiltered per-word sums to the scan's
+    running sums once per wave, for every rider at once, and the rider's
+    ``pending`` shuffle is the part of them it rode — the running sums
+    now less where they stood when it joined.  :meth:`settle` — run by
+    every reader of the shuffle, and by the reduce — takes that
+    difference and applies the job's pattern in one pass, in the order
+    the job's reduce emits its words: the ids of the dictionary's reduce
+    order for the job's partition count that the pattern matches
+    (:meth:`~repro.localrt.tokens.TokenDictionary.matching_order`),
+    masked by the nonzero totals.  ``sums`` holds, per
+    dictionary generation the job has met (more than one only across a
+    roll-over or an over-wide block), the matching ids in that order
+    and their totals; ``summed_records`` counts the combined records
     those totals stand for, so record counts read exactly as if every
     one had been appended to ``groups``.  A reduce whose whole shuffle
-    is one accumulator orders its ids with one sort over the codes the
-    dictionary keeps per word, and decodes only the words it emits.
+    is one such pair decodes the words it emits, in the order it holds
+    them.  The map task and record counts, and the ``wordcount``
+    counters, of a summing rider's blocks also wait in the running sums
+    until it settles.
 
     A selection rider's block output (a
     :class:`~repro.localrt.tokens.RowPartial`) stays in row space when
@@ -100,9 +109,10 @@ class JobRunState:
     #: not once per absorbed record.
     groups: "defaultdict[Hashable, list[Any]]" = field(
         default_factory=lambda: defaultdict(list))
-    #: dictionary -> per-id totals settled in id space.
-    sums: "dict[tokens.TokenDictionary, np.ndarray]" = field(
-        default_factory=dict)
+    #: dictionary -> (matching ids in reduce order, their totals),
+    #: settled in id space.
+    sums: "dict[tokens.TokenDictionary, tuple[np.ndarray, np.ndarray]]" \
+        = field(default_factory=dict)
     summed_records: int = 0
     #: What map waves added and the job's pattern has not filtered yet.
     pending: "WaveShuffle | None" = None
@@ -115,6 +125,11 @@ class JobRunState:
     map_output_records: int = 0
     #: Job-level counters (framework built-ins + user counters).
     counters: Counters = field(default_factory=Counters)
+    #: How a map wave over a reader treats the job, resolved at the
+    #: job's first wave over it (:mod:`repro.localrt.parallel`): ``(the
+    #: reader, the job's batch kernel or None for per-record, whether
+    #: the wave sums the job's blocks)``.
+    route: "tuple[RecordReader, BlockMapper | None, bool] | None" = None
 
     def __post_init__(self) -> None:
         # Exact types: a subclass may reduce differently.
@@ -134,18 +149,24 @@ class JobRunState:
             groups[key].append(value)
 
     def adopt_sums(self, dictionary: tokens.TokenDictionary,
-                   totals: np.ndarray, records: int) -> None:
-        """Add ``totals``, indexed by id of ``dictionary`` and no longer
-        the caller's, to the id-space shuffle, as the sums of
-        ``records`` records: the longer of it and the job's accumulator
-        for the dictionary takes the other's totals and becomes the
-        accumulator."""
-        acc = self.sums.get(dictionary)
-        if acc is not None:
-            if len(acc) > len(totals):
-                acc, totals = totals, acc
-            totals[:len(acc)] += acc
-        self.sums[dictionary] = totals
+                   ids: np.ndarray, totals: np.ndarray,
+                   records: int) -> None:
+        """Add ``totals`` of the ids ``ids`` of ``dictionary``, in the
+        job's reduce order, to the id-space shuffle, as the sums of
+        ``records`` records.  A job that already holds sums against the
+        dictionary merges the two in one dense array, in that order."""
+        held = self.sums.get(dictionary)
+        if held is not None and len(held[0]) and len(ids):
+            order = dictionary.order(self.job.num_partitions, max(
+                int(held[0].max()), int(ids.max())))
+            acc = np.zeros(len(order), np.int64)
+            acc[held[0]] = held[1]
+            acc[ids] += totals
+            ids = order[acc[order] != 0]
+            totals = acc[ids]
+        elif held is not None and len(held[0]):
+            ids, totals = held
+        self.sums[dictionary] = (ids, totals)
         self.summed_records += records
 
     def settle(self) -> None:
@@ -165,8 +186,8 @@ class JobRunState:
 
     def shuffle(self) -> "Mapping[Hashable, list[Any]]":
         """The shuffle as key -> values: ``groups`` (into which any
-        row-space partials are spilled first), plus each id accumulated
-        in ``sums`` (after :meth:`settle`) decoded once, as
+        row-space partials are spilled first), plus each id held in
+        ``sums`` (after :meth:`settle`) decoded once, as
         ``[its total]``."""
         self.settle()
         if self.rows:
@@ -174,11 +195,8 @@ class JobRunState:
         if not self.sums:
             return self.groups
         merged: dict[Hashable, list[Any]] = dict(self.groups)
-        for dictionary, acc in self.sums.items():
-            hit = np.flatnonzero(acc)
-            for key, total in zip(
-                    map(dictionary.words.__getitem__, hit.tolist()),
-                    acc[hit].tolist()):
+        for dictionary, (ids, totals) in self.sums.items():
+            for key, total in _decoded(dictionary, ids, totals):
                 values = merged.get(key)
                 merged[key] = [total] if values is None else values + [total]
         return merged
@@ -254,25 +272,27 @@ def _collect_per_record(jobs: list[LocalJob], reader: RecordReader,
 
 def collect_map_outputs(jobs: list[LocalJob], reader: RecordReader,
                         block_data: "bytes | BlockData",
-                        base_offset: int = 0,
+                        base_offset: int = 0, *,
+                        kernels: "Sequence[BlockMapper | None] | None" = None,
                         ) -> tuple[int, list[MapOutput],
                                    "list[Counters | None]"]:
     """The pure (side-effect-free) half of a shared map task.
 
     Splits the wave's jobs into batched and per-record subsets (see
-    :func:`batch_mapper_for`).  Batched jobs receive one shared
-    :class:`BlockData` wrapping the block's bytes, so decoding and
-    tokenization are amortized across every job in the wave; per-record
-    jobs share one reader parse of the decoded text.  Per-job combiners
-    apply identically on both paths.  Returns ``(record_count,
-    outputs_per_job, counters_per_job)`` without touching any job's
-    shuffle state, so a wave can collect every block before it absorbs
-    any (see :mod:`repro.localrt.parallel`).  A selection kernel's
-    output may be a partial still in row space (:data:`MapOutput`).
-    Every path must agree on the block's record count; a batch kernel
-    that disagrees with the reader (or another kernel) raises
-    :class:`ExecutionError` rather than silently corrupting
-    ``map_input_records``.
+    :func:`batch_mapper_for`; a caller that resolved them already
+    passes each job's kernel, or ``None``, as ``kernels``).  Batched
+    jobs receive one shared :class:`BlockData` wrapping the block's
+    bytes, so decoding and tokenization are amortized across every job
+    in the wave; per-record jobs share one reader parse of the decoded
+    text.  Per-job combiners apply identically on both paths.  Returns
+    ``(record_count, outputs_per_job, counters_per_job)`` without
+    touching any job's shuffle state, so a wave can collect every block
+    before it absorbs any (see :mod:`repro.localrt.parallel`).  A
+    selection kernel's output may be a partial still in row space
+    (:data:`MapOutput`).  Every path must agree on the block's record
+    count; a batch kernel that disagrees with the reader (or another
+    kernel) raises :class:`ExecutionError` rather than silently
+    corrupting ``map_input_records``.
 
     ``block_data`` is the block's bytes or a :class:`BlockData`, used
     as it is: a per-record mapper decodes the block, so it is read if
@@ -280,7 +300,8 @@ def collect_map_outputs(jobs: list[LocalJob], reader: RecordReader,
     """
     if not jobs:
         raise ExecutionError("map task with no participating job")
-    kernels = [batch_mapper_for(job, reader) for job in jobs]
+    if kernels is None:
+        kernels = [batch_mapper_for(job, reader) for job in jobs]
     data = (block_data if isinstance(block_data, BlockData)
             else BlockData(block_data))
     if not any(kernel is not None for kernel in kernels):
@@ -363,8 +384,8 @@ def run_reduce(state: JobRunState,
     (Hadoop's sort phase), partitions in index order.  A job whose whole
     shuffle is row-space partials gets the same order from one stable
     sort of its rows (:func:`_rows_in_reduce_order`), and one whose
-    whole shuffle is one id-space accumulator from one sort of its ids
-    (:func:`_sums_in_reduce_order`).  An enabled
+    whole shuffle is one id-space pair holds its ids in that order
+    already (:meth:`JobRunState.adopt_sums`).  An enabled
     ``tracer`` records the whole phase as one ``reduce.job`` span.
     """
     if tracer is not None and tracer.enabled:
@@ -386,9 +407,8 @@ def _run_reduce(state: JobRunState) -> list[Record]:
     if state.rows and not state.groups and not state.sums:
         output = _rows_in_reduce_order(state.rows, state.job.num_partitions)
     elif len(state.sums) == 1 and not state.groups and not state.rows:
-        [(dictionary, acc)] = state.sums.items()
-        output = _sums_in_reduce_order(dictionary, acc,
-                                       state.job.num_partitions)
+        [(dictionary, (ids, totals))] = state.sums.items()
+        output = list(_decoded(dictionary, ids, totals))
     else:
         output = _reduce_groups(state)
     state.counters.increment(FRAMEWORK_GROUP, "reduce_output_records",
@@ -415,27 +435,13 @@ def _reduce_groups(state: JobRunState) -> list[Record]:
     return output
 
 
-def _sums_in_reduce_order(dictionary: tokens.TokenDictionary,
-                          acc: np.ndarray,
-                          num_partitions: int) -> list[Record]:
-    """A summing reduce over one id-space accumulator: ``(word, total)``
-    for each word with a nonzero total, in partition index order, then
-    :func:`_sort_key` order.
-
-    The dictionary's codes give each word its
-    :func:`default_partitioner` partition (``digests % P``) and its
-    ``repr`` position (``rank``; distinct words never tie), so one
-    ``lexsort`` on the two is the bucket and sort order of the
-    ``groups`` path, and each word's total is what
-    :class:`SumReducer` makes of ``[total]``.
-    """
-    hit = np.flatnonzero(acc)
-    if not len(hit):
-        return []
-    digests, rank = dictionary.codes(int(hit[-1]))
-    hit = hit[np.lexsort((rank[hit], digests[hit] % num_partitions))]
-    return list(zip(map(dictionary.words.__getitem__, hit.tolist()),
-                    acc[hit].tolist()))
+def _decoded(dictionary: tokens.TokenDictionary, ids: np.ndarray,
+             totals: np.ndarray) -> "Iterator[Record]":
+    """``(word, total)`` per id of ``ids``, in their order: what
+    :class:`SumReducer` makes of ``[total]`` for each word.  The ids
+    come from the dictionary's reduce order, so its ``word_array``
+    reaches them."""
+    return zip(dictionary.word_array[ids].tolist(), totals.tolist())
 
 
 def _rows_in_reduce_order(partials: list[tokens.RowPartial],

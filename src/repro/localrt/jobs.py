@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 from itertools import chain
+from operator import add, sub
 from typing import Any, Hashable, Iterator, NamedTuple, Sequence, cast
 
 import numpy as np
@@ -88,12 +89,14 @@ class PatternWordCountBlock(PatternWordCount, BlockMapper):
     A map wave does not call ``map_block`` for a rider that
     :meth:`rides_wave`: the pattern commutes with the job's per-word
     sum, so :meth:`absorb_wave` adds the wave's unfiltered block sums
-    (:class:`~repro.localrt.tokens.WaveSums`, built once for every rider
-    that rode the same blocks) to the rider's :class:`WaveWordSums`, and
-    the pattern is applied once, when the job's shuffle is read.  That
-    is a summing job's one way into id space; ``map_block`` serves
-    every other rider and direct caller with a plain record list, which
-    the job's shuffle keeps in ``groups``.
+    (:class:`~repro.localrt.tokens.WaveSums`, built once for the whole
+    wave) to its scan's running sums (:class:`ScanSums`) once, and a
+    rider's raw totals are the running sums less where they stood when
+    it joined (its :class:`SumsInterval`).  The pattern is applied once,
+    when the job's shuffle is read.  That is a summing job's one way
+    into id space; ``map_block`` serves every other rider and direct
+    caller with a plain record list, which the job's shuffle keeps in
+    ``groups``.
 
     ``counted`` controls the emission shape: ``True`` (for jobs with the
     standard ``SumReducer`` combiner) emits one ``(word, count)`` record
@@ -148,120 +151,287 @@ class PatternWordCountBlock(PatternWordCount, BlockMapper):
 
     @staticmethod
     def absorb_wave(groups: "Sequence[tuple[Sequence[tokens.EncodedBlock], "
-                            "Sequence[JobRunState]]]") -> None:
+                            "Sequence[JobRunState]]]",
+                    scan: "ScanSums | None" = None) -> None:
         """Fold one wave into its riders that :meth:`rides_wave`, given
-        as ``(blocks, riders)`` groups: the encoded blocks the group's
-        riders each rode in this wave, in scan order.
+        as ``(blocks, riders)`` groups: a rider rode, in this wave, the
+        encoded blocks of every group that lists it.
 
-        Per group, the blocks are summed once (per dictionary) and every
-        rider adds the sums to its :class:`WaveWordSums` — nothing is
-        gathered, masked or allocated per (block, rider).  The map task
-        and record counts, and the ``words_scanned`` counter, do not
-        depend on the pattern and are booked now; the riding patterns'
-        verdict arrays are marked used, under one lock acquisition per
-        dictionary the wave met.
+        The wave's blocks are summed once and added to ``scan``'s
+        running sums once (by default, a scan of this wave alone; see
+        :meth:`ScanSums.add_wave`), so a rider that rode every block
+        costs nothing here.  Its map task, record and token counts wait
+        in the running sums, like its word totals, until its shuffle is
+        read.  The riding patterns' verdict arrays are marked used,
+        under one lock acquisition per dictionary the wave met.
         """
+        if scan is None:
+            scan = ScanSums()
+        blocks = list({id(block): block
+                       for held, _ in groups for block in held}.values())
+        riders: list[JobRunState]
+        skipped: list[tuple[JobRunState, list[tokens.EncodedBlock]]]
+        if len(groups) == 1:
+            riders, skipped = list(groups[0][1]), []
+        else:
+            rode: dict[int, tuple[JobRunState, set[int]]] = {}
+            for held, group in groups:
+                for state in group:
+                    rode.setdefault(id(state), (state, set()))[1].update(
+                        map(id, held))
+            riders = [state for state, _ in rode.values()]
+            skipped = [(state, [block for block in blocks
+                                if id(block) not in mine])
+                       for state, mine in rode.values()
+                       if len(mine) < len(blocks)]
+        shared = tokens.WaveSums.of(blocks)
+        scan.add_wave(shared, blocks, riders, skipped)
         # Insertion-ordered sets: the order patterns claim free room in
         # a verdict table must not depend on string hashing.
-        dictionaries: dict[tokens.TokenDictionary, None] = {}
-        patterns: dict[str, None] = {}
-        for blocks, riders in groups:
-            shared = tokens.WaveSums.of(blocks)
-            dictionaries.update(dict.fromkeys(
-                sums.dictionary for sums in shared))
-            lines = sum(block.lines for block in blocks)
-            scanned = [block.total for block in blocks if block.lines]
-            for state in riders:
-                state.map_tasks += len(blocks)
-                state.map_input_records += lines
-                if scanned:
-                    # As per-block counters would: both cells exist once
-                    # a non-empty block is mapped, even at zero.
-                    state.counters.increment("wordcount", "words_scanned",
-                                             sum(scanned))
-                    state.counters.increment("wordcount", "words_matched", 0)
-                pending = state.pending
-                if not isinstance(pending, WaveWordSums):
-                    pending = state.pending = WaveWordSums(
-                        cast(PatternWordCountBlock, state.job.mapper))
-                for sums in shared:
-                    pending.add(sums)
-                patterns[pending.kernel.pattern] = None
-        for dictionary in dictionaries:
+        patterns = dict.fromkeys(
+            cast(PatternWordCountBlock, state.job.mapper).pattern
+            for state in riders)
+        for dictionary in dict.fromkeys(sums.dictionary for sums in shared):
             dictionary.keep_verdicts(patterns)
 
 
-class WaveWordSums:
-    """A wave-summed wordcount rider's shuffle before its pattern
-    applies, and how it settles into the job's run state: per
-    dictionary, every word's summed count and the number of blocks
-    holding it, over the :class:`~repro.localrt.tokens.WaveSums` added
-    to it.
+def _block_counts(blocks: "Sequence[tokens.EncodedBlock]",
+                  ) -> tuple[int, int, int, int]:
+    """What mapping ``blocks`` books besides its records: map tasks,
+    input records, the ``words_scanned`` counter, and the non-empty
+    blocks (a rider that mapped one has both ``wordcount`` counter
+    cells, even at zero, as per-block counters would)."""
+    full = [block for block in blocks if block.lines]
+    return (len(blocks), sum(block.lines for block in full),
+            sum(block.total for block in full), len(full))
 
-    Each pair of arrays is as long as its dictionary was when the rider
-    first met it, and grows — to the dictionary's size, at least
-    doubling, up to :data:`~repro.localrt.tokens.TOKEN_DICTIONARY_CAP`
-    — only when a wave's sums reach past it, so a rider's adds cost
-    O(its waves' ids).
 
-    :meth:`settle` gathers the pattern's verdicts at the ids with a
-    nonzero total — the only place the pattern is applied — so the
-    job's ``sums`` hold what mapping every block would have absorbed,
-    and its record counts are the block presence of the matching ids:
-    one combined record per (block, matching word).
+def _widened(pair: np.ndarray, width: int) -> np.ndarray:
+    """A writable ``(2, width)`` copy of ``pair``, zero past its end."""
+    grown = np.zeros((2, width), np.int64)
+    grown[:, :pair.shape[1]] = pair
+    return grown
+
+
+def _dense(sums: tokens.WaveSums) -> np.ndarray:
+    """``sums`` as a ``(2, span)`` array indexed by id."""
+    pair = np.zeros((2, sums.span), np.int64)
+    sums.add_to(pair)
+    return pair
+
+
+class RunningSums:
+    """One scan's running sums against one token dictionary: ``pair``,
+    every word's summed count and block presence (as in
+    :class:`~repro.localrt.tokens.WaveSums`, indexed by id, grown with
+    the dictionary), and ``counts`` (:func:`_block_counts`), over every
+    block its waves' summing riders rode; ``waves`` counts the adds.
+    int64 keeps every total exact, so differences of them are too."""
+
+    __slots__ = ("dictionary", "pair", "counts", "waves", "_mark")
+
+    def __init__(self, dictionary: tokens.TokenDictionary) -> None:
+        self.dictionary = dictionary
+        self.pair = np.zeros((2, len(dictionary.words)), np.int64)
+        self.counts: tuple[int, ...] = (0, 0, 0, 0)
+        self.waves = 0
+        self._mark: "tuple[int, np.ndarray | None, tuple[int, ...]] | None" \
+            = None
+
+    def mark(self) -> "tuple[int, np.ndarray | None, tuple[int, ...]]":
+        """Where the sums stand: ``(waves, pair, counts)``, the pair a
+        read-only copy (``None`` before the first add) shared by every
+        rider that joins before the next add."""
+        if self._mark is None:
+            self._mark = (self.waves, tokens.frozen(self.pair.copy())
+                          if self.waves else None, self.counts)
+        return self._mark
+
+    def add(self, sums: tokens.WaveSums, counts: tuple[int, ...]) -> None:
+        """Add one wave's sums and counts."""
+        if sums.span > self.pair.shape[1]:
+            self.pair = _widened(self.pair, max(
+                sums.span, len(self.dictionary.words)))
+        sums.add_to(self.pair)
+        self.counts = tuple(map(add, self.counts, counts))
+        self.waves += 1
+        self._mark = None
+
+
+class SumsInterval:
+    """A summing wordcount rider's shuffle before its pattern applies:
+    the part of its scan's :class:`RunningSums` it rode.
+
+    ``base`` is where the running sums stood when the rider joined
+    (``None``: at zero), plus the sums of every block a wave added that
+    the rider did not ride (:meth:`skip`), and ``counts`` likewise, so
+    the rider's raw totals are the running pair less ``base``.  ``base``
+    is shared with the riders that joined beside it until a skip makes
+    it the rider's own.  ``waves`` is the running sums' add count after
+    the last wave the rider rode: an interval that missed a wave of its
+    running sums cannot say what it rode, and settling it raises.
+
+    :meth:`settle` takes the difference and applies the pattern in the
+    dictionary's reduce order (:func:`_settle_pair`) — the only place
+    the pattern is applied — so the job's ``sums`` hold what mapping
+    every block would have absorbed, and its record counts are the
+    block presence of the matching ids: one combined record per (block,
+    matching word).
     """
 
-    __slots__ = ("kernel", "arrays")
+    __slots__ = ("kernel", "running", "waves", "base", "counts")
 
-    def __init__(self, kernel: PatternWordCountBlock) -> None:
+    def __init__(self, kernel: PatternWordCountBlock, running: RunningSums,
+                 ) -> None:
         self.kernel = kernel
-        #: dictionary -> (totals, presence), two int64 arrays by id.
-        self.arrays: dict[tokens.TokenDictionary,
-                          tuple[np.ndarray, np.ndarray]] = {}
+        self.running = running
+        self.waves, self.base, self.counts = running.mark()
 
-    def add(self, sums: tokens.WaveSums) -> None:
-        """Add one wave's sums: two slice adds, or two scatters at their
-        ids."""
-        dictionary = sums.dictionary
-        held = self.arrays.get(dictionary)
-        span = sums.span
-        if held is None or len(held[0]) < span:
-            size = len(dictionary.words)
-            if held is not None:
-                size = max(size, min(2 * len(held[0]),
-                                     tokens.TOKEN_DICTIONARY_CAP))
-            grown = (np.zeros(size, np.int64), np.zeros(size, np.int64))
-            if held is not None:
-                for old, new in zip(held, grown):
-                    new[:len(old)] = old
-            held = self.arrays[dictionary] = grown
-        totals, presence = held
-        if sums.ids is None:
-            totals[:span] += sums.totals
-            presence[:span] += sums.presence
-        else:
-            totals[sums.ids] += sums.totals
-            presence[sums.ids] += sums.presence
+    def skip(self, sums: "Sequence[tokens.WaveSums]",
+             counts: tuple[int, ...]) -> None:
+        """Take out what the last wave added for blocks the rider did not
+        ride (their ``sums`` and ``counts``)."""
+        width = self.running.pair.shape[1]
+        base = self.base
+        if base is None or not base.flags.writeable or \
+                base.shape[1] < width:
+            base = _widened(np.zeros((2, 0), np.int64) if base is None
+                            else base, width)
+        for part in sums:
+            part.add_to(base)
+        self.base = base
+        self.counts = tuple(map(add, self.counts, counts))
 
     def settle(self, state: JobRunState) -> None:
-        """Apply the pattern, consuming the sums: per dictionary, the
-        totals with every word the pattern does not match zeroed go to
-        ``state``'s ``sums``, the matching words' presence to its record
-        counts and their total to ``words_matched``."""
-        arrays, self.arrays = self.arrays, {}
-        matched = 0
-        for dictionary, (totals, presence) in arrays.items():
-            hit = np.flatnonzero(totals)
-            kept = dictionary.matches(hit, self.kernel.pattern,
-                                      self.kernel._regex.match)
-            totals[hit[~kept]] = 0
-            hit = hit[kept]
-            matched += int(totals[hit].sum())
-            records = int(presence[hit].sum())
-            state.adopt_sums(dictionary, totals, records)
-            state.map_output_records += records
-        if matched:
-            state.counters.increment("wordcount", "words_matched", matched)
+        running = self.running
+        if self.waves != running.waves:
+            raise ExecutionError(
+                f"job {state.job.job_id!r}: its scan's running sums "
+                f"passed a wave it did not ride")
+        pair, base = running.pair, self.base
+        if base is not None:
+            pair = pair - (base if base.shape[1] == pair.shape[1]
+                           else _widened(base, pair.shape[1]))
+        _settle(state, self.kernel, [(running.dictionary, pair)],
+                tuple(map(sub, running.counts, self.counts)))
+
+
+class ScanSums:
+    """The running sums of one circular scan's summing wordcount riders:
+    its current :class:`RunningSums`, ``None`` until a wave adds to it.
+
+    Owned by whoever runs the scan's waves and settles its riders — a
+    :class:`~repro.localrt.live.SharedScanCore`'s wave thread — so it
+    has no lock.  Every rider of a running sums rides every wave added
+    to it until it settles (the scan loop never pauses a rider); a rider
+    absent from a wave of its running sums raises when it settles.
+    """
+
+    __slots__ = ("running",)
+
+    def __init__(self) -> None:
+        self.running: RunningSums | None = None
+
+    def add_wave(self, shared: "Sequence[tokens.WaveSums]",
+                 blocks: "Sequence[tokens.EncodedBlock]",
+                 riders: Sequence[JobRunState],
+                 skipped: "Sequence[tuple[JobRunState, "
+                          "list[tokens.EncodedBlock]]]") -> None:
+        """Fold one wave, summed (``shared``, one per dictionary), into
+        ``riders``; each of ``skipped`` names a rider and the blocks of
+        the wave it did not ride.
+
+        The sums are added to the running sums once.  A rider already
+        in them costs one check; one that joins opens its interval at
+        where they stood before the add (:meth:`RunningSums.mark`), and
+        one that rode part of the wave takes the rest out of its own
+        (:meth:`SumsInterval.skip`).  A wave against a new dictionary —
+        a roll-over at the wave boundary — starts new running sums, and
+        every rider closes its interval on the old ones as it joins
+        them; a wave whose blocks span two dictionaries settles each
+        rider's part of it directly and starts over at the next.
+        """
+        running = self.running
+        if len(shared) > 1:
+            self.running = None
+            counts = _block_counts(blocks)
+            missed = {id(state): held for state, held in skipped}
+            for state in riders:
+                state.settle()
+                held = missed.get(id(state))
+                rode = blocks if held is None else [
+                    block for block in blocks if block not in held]
+                _settle(state, cast(PatternWordCountBlock, state.job.mapper),
+                        [(part.dictionary, _dense(part))
+                         for part in tokens.WaveSums.of(rode)],
+                        counts if held is None else _block_counts(rode))
+            return
+        sums, = shared
+        if running is None or running.dictionary is not sums.dictionary:
+            running = self.running = RunningSums(sums.dictionary)
+        after = running.waves + 1
+        for state in riders:
+            interval = state.pending
+            if not isinstance(interval, SumsInterval) or \
+                    interval.running is not running:
+                state.settle()  # an interval on other sums closes first
+                interval = state.pending = SumsInterval(
+                    cast(PatternWordCountBlock, state.job.mapper), running)
+            elif interval.waves != running.waves:
+                interval.waves = -1  # it settles with the error
+                continue
+            interval.waves = after
+        running.add(sums, _block_counts(blocks))
+        for state, held in skipped:
+            cast(SumsInterval, state.pending).skip(
+                tokens.WaveSums.of(held), _block_counts(held))
+
+
+def _settle(state: JobRunState, kernel: PatternWordCountBlock,
+            parts: "Sequence[tuple[tokens.TokenDictionary, np.ndarray]]",
+            counts: tuple[int, ...]) -> None:
+    """Book a rider's raw sums — per dictionary, a ``(2, n)`` pair
+    indexed by id, as :class:`RunningSums` keeps it — and the map
+    counts of the blocks they sum into ``state``, applying its
+    pattern."""
+    tasks, lines, scanned, nonempty = counts
+    state.map_tasks += tasks
+    state.map_input_records += lines
+    matched = sum(_settle_pair(state, kernel, dictionary, pair)
+                  for dictionary, pair in parts)
+    if nonempty:
+        state.counters.increment("wordcount", "words_scanned", scanned)
+    if nonempty or matched:
+        state.counters.increment("wordcount", "words_matched", matched)
+
+
+def _settle_pair(state: JobRunState, kernel: PatternWordCountBlock,
+                 dictionary: tokens.TokenDictionary,
+                 pair: np.ndarray) -> int:
+    """One dictionary's part of :func:`_settle`: the ids with a nonzero
+    total that the pattern matches, in the job's reduce order — the
+    ids of the dictionary's order that the pattern matches
+    (:meth:`~repro.localrt.tokens.TokenDictionary.matching_order`),
+    masked by the totals — go to ``state``'s ``sums`` with their totals,
+    and their presence to its record counts; returns their total
+    (``words_matched``)."""
+    totals, presence = pair
+    order, matching = dictionary.matching_order(
+        state.job.num_partitions, len(totals) - 1, kernel.pattern,
+        kernel._regex.match)
+    if len(order) > len(totals):
+        totals, presence = _widened(pair, len(order))
+    if matching is not None:
+        ids = matching[totals[matching] != 0]
+    else:  # no room in the verdict table: match the words summed
+        ids = order[totals[order] != 0]
+        ids = ids[dictionary.matches(ids, kernel.pattern,
+                                     kernel._regex.match)]
+    kept = totals[ids]
+    records = int(presence[ids].sum())
+    state.adopt_sums(dictionary, ids, kept, records)
+    state.map_output_records += records
+    return int(kept.sum())
 
 
 def wordcount_job(job_id: str, pattern: str, *,

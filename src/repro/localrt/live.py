@@ -23,7 +23,10 @@ The core's surface is split by what each call touches:
 * :meth:`~SharedScanCore.run` and :meth:`~SharedScanCore.finish` touch
   **no scheduling state**: everything they need travels in the
   :class:`Wave` that ``plan`` returned, so the service runs them outside
-  its lock while submissions and cancellations keep arriving.
+  its lock while submissions and cancellations keep arriving.  They
+  share the scan's running word sums
+  (:class:`~repro.localrt.jobs.ScanSums`), which only the thread running
+  the waves touches.
 
 This module also holds the construction and trace plumbing that every
 local front-end shares (:class:`_LocalRunnerBase`); the FIFO oracle in
@@ -49,6 +52,7 @@ from ..schedulers.s3.scanloop import ScanLoop
 from ..schedulers.s3.state import S3JobState
 from .api import BlockStoreProtocol, JobResult, LocalJob
 from .engine import JobRunState, count_pending_values, run_reduce
+from .jobs import ScanSums
 from .parallel import MapTaskSpec, execute_map_wave
 from .records import RecordReader, TextLineReader
 from .storage import ReadStats
@@ -191,6 +195,8 @@ class SharedScanCore(_LocalRunnerBase):
                               else _scan_file(store))
         #: Run state of every job waiting for or riding the scan.
         self._run_states: dict[str, JobRunState] = {}
+        #: The summing wordcount riders' running sums (run / finish only).
+        self._sums = ScanSums()
         #: Logical blocks read when this core started (baseline for
         #: per-job virtual completion times).
         self._blocks_baseline = store.logical_blocks_read()
@@ -258,7 +264,8 @@ class SharedScanCore(_LocalRunnerBase):
         """Run one planned wave's map phase (blocks read exactly once);
         its trace payloads are built only while the tracer is on."""
         if not self.tracer.enabled:
-            execute_map_wave(self.store, self.reader, wave.tasks)
+            execute_map_wave(self.store, self.reader, wave.tasks,
+                             sums=self._sums)
             return
         label = f"iter_{wave.index}"
         wave_before = self.store.stats_snapshot()
@@ -268,7 +275,7 @@ class SharedScanCore(_LocalRunnerBase):
                               jobs=len(wave.riders),
                               job_ids=[s.job.job_id for s in wave.riders]):
             execute_map_wave(self.store, self.reader, wave.tasks,
-                             tracer=self.tracer)
+                             tracer=self.tracer, sums=self._sums)
         self._absorb_wave(label, wave_before)
 
     def finish(self, run_state: JobRunState,

@@ -14,12 +14,17 @@ rider's output never leaves the process that absorbs it.
 A summing wordcount rider
 (:meth:`~repro.localrt.jobs.PatternWordCountBlock.rides_wave`) is not
 mapped block by block.  The collect phase keeps each block's encoded
-view for it, and the absorb phase groups such riders by the blocks they
-rode in the wave (a task list may give riders of one wave different
-blocks, such as a prefix of the chunk for a finishing rider), sums each
-group's blocks once and adds the sums to every rider of the group
-(:meth:`~repro.localrt.jobs.PatternWordCountBlock.absorb_wave`): its
+view for it, and the absorb phase hands the wave's blocks, grouped by
+the task rider lists that named them (a task list may give riders of
+one wave different blocks, such as a prefix of the chunk for a
+finishing rider), to
+:meth:`~repro.localrt.jobs.PatternWordCountBlock.absorb_wave`, which
+sums them once and adds the sums to the scan's running sums once: its
 pattern is applied once, at reduce, not per (block, rider).
+
+How a wave treats each job — its batch kernel, or per-record, or summed
+— depends on the job and the reader alone, so it is resolved at the
+job's first wave and kept on its run state (``JobRunState.route``).
 
 :func:`make_backend` keeps the wave's collect phase reachable as an
 object (``run_wave`` + ``close``) for callers that time it on its own.
@@ -28,21 +33,22 @@ object (``run_wave`` + ``close``) for callers that time it on its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, cast
 
 from ..common.config import MAP_BACKENDS
 from ..common.errors import ExecutionError
 from ..obs.tracer import Tracer
 from . import tokens
-from .api import BlockData, BlockStoreProtocol
+from .api import BlockData, BlockMapper, BlockStoreProtocol
 from .counters import Counters
 from .engine import (
     JobRunState,
     MapOutput,
     absorb_map_result,
+    batch_mapper_for,
     collect_map_outputs,
 )
-from .jobs import PatternWordCountBlock
+from .jobs import PatternWordCountBlock, ScanSums
 from .records import RecordReader
 
 #: One map task's collected result: ``(record_count, outputs_per_job,
@@ -50,6 +56,7 @@ from .records import RecordReader
 #: for the riders mapped block by block (a wave-summed one has none).
 TaskResult = tuple[int, "Sequence[MapOutput]", "Sequence[Counters]"]
 _Split = tuple[list[JobRunState], list[JobRunState]]  #: mapped, summed riders
+Route = tuple[RecordReader, "BlockMapper | None", bool]  #: JobRunState.route
 
 
 @dataclass(frozen=True)
@@ -92,6 +99,18 @@ def make_backend(name: str, *, workers: int | None = None,
     return SerialMapBackend()
 
 
+def _route(state: JobRunState, reader: RecordReader) -> Route:
+    """``state.route`` for ``reader``, resolved on first use: a batch
+    kernel that declines the reader raises here, at the job's first
+    wave (:func:`~repro.localrt.engine.batch_mapper_for`)."""
+    route = state.route
+    if route is None or route[0] is not reader:
+        route = state.route = (
+            reader, batch_mapper_for(state.job, reader),
+            PatternWordCountBlock.rides_wave(state.job, reader))
+    return route
+
+
 def _split_riders(tasks: Sequence[MapTaskSpec],
                   reader: RecordReader) -> list[_Split]:
     """Each task's :data:`_Split`, decided once per rider-set tuple."""
@@ -100,7 +119,7 @@ def _split_riders(tasks: Sequence[MapTaskSpec],
         if id(task.states) not in splits:
             mapped, summed = splits[id(task.states)] = ([], [])
             for state in task.states:
-                (summed if PatternWordCountBlock.rides_wave(state.job, reader)
+                (summed if _route(state, reader)[2]
                  else mapped).append(state)
     return [splits[id(task.states)] for task in tasks]
 
@@ -135,7 +154,8 @@ def _collect_in_parent(store: BlockStoreProtocol, reader: RecordReader,
         if mapped:
             count, outputs, counters = collect_map_outputs(
                 [state.job for state in mapped], reader, data,
-                store.block_offset(index))
+                store.block_offset(index),
+                kernels=[cast(Route, state.route)[1] for state in mapped])
         else:
             count, outputs, counters = data.line_count(), [], []
     except UnicodeDecodeError as exc:
@@ -148,13 +168,16 @@ def _collect_in_parent(store: BlockStoreProtocol, reader: RecordReader,
 
 def execute_map_wave(store: BlockStoreProtocol, reader: RecordReader,
                      tasks: Sequence[MapTaskSpec], *,
-                     tracer: Tracer | None = None) -> None:
+                     tracer: Tracer | None = None,
+                     sums: ScanSums | None = None) -> None:
     """Run a wave of block-level map tasks.
 
     Collect (read + map + combine) runs task by task, then shuffle
     absorption folds the results in ``tasks`` order, so a block that
     fails leaves every job's shuffle state as it was.  The wave-summed
-    riders are folded last, one group per list of blocks ridden (see
+    riders are folded last, into ``sums`` — the running sums of the
+    scan the wave belongs to, which every one of their riders rides
+    whole until it settles; by default, a scan of this wave alone (see
     the module docstring).
 
     An enabled ``tracer`` records a ``map.wave`` span around the collect
@@ -170,32 +193,28 @@ def execute_map_wave(store: BlockStoreProtocol, reader: RecordReader,
     splits = _split_riders(tasks, reader)
     if tracer is None or not tracer.enabled:
         _absorb_wave(splits, [_collect_in_parent(store, reader, task, split)
-                              for task, split in zip(tasks, splits)])
+                              for task, split in zip(tasks, splits)], sums)
         return
     with tracer.span("map.wave", blocks=len(tasks)):
         results = [_collect_in_parent(store, reader, task, split, tracer)
                    for task, split in zip(tasks, splits)]
     with tracer.span("shuffle.absorb", blocks=len(tasks)):
-        _absorb_wave(splits, results)
+        _absorb_wave(splits, results, sums)
 
 
 def _absorb_wave(splits: Sequence[_Split], results: Sequence[
-        tuple[TaskResult, "tokens.EncodedBlock | None"]]) -> None:
+        tuple[TaskResult, "tokens.EncodedBlock | None"]],
+                 sums: ScanSums | None) -> None:
     """Fold a wave's collected results into its riders, in task order."""
-    # id(state) -> (state, the encoded blocks it rode, in task order)
-    rode: dict[int, tuple[JobRunState, list[tokens.EncodedBlock]]] = {}
+    # id(summed riders list) -> (the blocks it named, the list)
+    groups: dict[int, tuple[list[tokens.EncodedBlock],
+                            list[JobRunState]]] = {}
     for (mapped, summed), ((record_count, outputs, task_counters),
                            encoded) in zip(splits, results, strict=True):
         for state, buffer, counters in zip(mapped, outputs,
                                            task_counters, strict=True):
             absorb_map_result(state, record_count, buffer, counters)
         if encoded is not None:
-            for state in summed:
-                rode.setdefault(id(state), (state, []))[1].append(encoded)
-    groups: dict[tuple[int, ...], tuple[list[tokens.EncodedBlock],
-                                        list[JobRunState]]] = {}
-    for state, blocks in rode.values():
-        groups.setdefault(tuple(map(id, blocks)),
-                          (blocks, []))[1].append(state)
+            groups.setdefault(id(summed), ([], summed))[0].append(encoded)
     if groups:
-        PatternWordCountBlock.absorb_wave(list(groups.values()))
+        PatternWordCountBlock.absorb_wave(list(groups.values()), sums)

@@ -17,19 +17,21 @@ by id, so each vocabulary word is matched once per pattern per handle,
 whichever job or wave meets it first.  A filter commutes with a per-word
 sum, so a summing wordcount rider does not filter block by block at
 all: a map wave sums its blocks' counts once (a :class:`WaveSums`, with
-how many blocks hold each word) for every rider that rode those blocks,
-each rider adds that to its own raw totals once per wave, and its
-pattern is applied once, at reduce — a gather of the verdict array at
-the ids its totals reach (see
-:class:`~repro.localrt.jobs.PatternWordCountBlock`).  Its shuffle stays
-in id space through the job's reduce, which orders the ids by two
-per-word codes the dictionary keeps — the partition digest and the
-``repr`` rank — and decodes each emitted key once (see
-:class:`~repro.localrt.engine.JobRunState`).  A direct ``map_block``
-call gathers the verdicts at the block's ids instead and emits plain
-records.  A block in hand rather than read from a store (an unbound
-``BlockData``) encodes against :data:`UNBOUND`, a table no handle
-reads.
+how many blocks hold each word) and adds them to its scan's running
+sums once, for every rider at once; a rider's raw totals are the
+running sums now less the running sums when it joined, and its pattern
+is applied once, when its shuffle is read (see
+:class:`~repro.localrt.jobs.PatternWordCountBlock`).  The dictionary
+also owns the order a job's reduce emits those ids in: per partition
+count, the permutation of its ids by partition digest, then ``repr``
+rank (:meth:`TokenDictionary.order`), and per pattern the ids of it
+the pattern matches (:meth:`TokenDictionary.matching_order`), so a
+job's output is those ids masked by its totals, and only the words it
+emits are decoded (see :class:`~repro.localrt.engine.JobRunState`).
+A direct ``map_block`` call gathers the verdicts at the block's ids
+instead and emits plain records.  A block in hand rather than read
+from a store (an unbound ``BlockData``) encodes against
+:data:`UNBOUND`, a table no handle reads.
 
 *Across time*, to jobs that never overlap: the table keeps each block's
 compact derived views (its :class:`EncodedBlock`, a kernel's ``memo``
@@ -54,7 +56,10 @@ vectors for at most :data:`VERDICT_PATTERNS_CAP` patterns and only ever
 drops an idle one: a pattern that finds the table full of vectors still
 in use matches each block's own words instead, uncached, so its cost
 per block never exceeds the block's vocabulary however many patterns
-ride the scan.
+ride the scan.  Its reduce orders are as bounded: one per partition
+count for at most :data:`ORDER_PARTITIONS_CAP` counts, and the matching
+ids of one for at most :data:`MATCHING_ORDERS_CAP` (pattern, count)
+pairs, the oldest dropped first.
 
 A :class:`DerivedViews` table is bounded by
 :data:`DERIVED_VIEWS_CAP_BYTES` and *stops admitting* at the bound
@@ -77,13 +82,14 @@ a store handle encode, look up and fill views at once.  A handle's
 derived state has one lock, ``DerivedViews._lock``: every table
 operation and every mutation of a dictionary the table made — id
 assignment, roll-over, verdict extension, the idle clock, the words'
-reduce codes — happens under it.  Besides it, each row table has its own
-``RowTable._lock``, a leaf taken for writes to that table only, and
-neither lock is ever taken while the other is held.  What leaves the
-lock is safe to read without it by construction: an id is never
-reassigned and words are append-only; a verdict array, like a
-dictionary's ``digests`` and ``rank``, is never written once published
-(it is published read-only, like every array a shared view holds) —
+reduce codes and orders — happens under it.  Besides it, each row
+table has its own ``RowTable._lock``, a leaf taken for writes to that
+table only, and neither lock is ever taken while the other is held.
+What leaves the lock is safe to read without it by construction: an id
+is never reassigned and words are append-only; a verdict array, like a
+dictionary's ``digests``, ``rank`` and reduce orders, is never written
+once published (it is published read-only, like every array a shared
+view holds) —
 extending it builds a longer array under the lock and replaces it (an
 array cannot grow in place, nor can a ``bytearray`` while a numpy view
 of it is alive) — so a gather at ids a block was handed reads an array
@@ -107,10 +113,12 @@ from ..analysis.racecheck import register_instance
 
 #: Most words one dictionary holds before a fresh one replaces it.  A
 #: word costs one ``dict`` slot and one list slot, plus a byte per
-#: pattern that has been matched against the dictionary, sixteen per
-#: summing job whose map waves met it while the sums wait for the job's
-#: pattern (eight once it applies), and sixteen for its reduce codes
-#: once a summing job has reduced against it.
+#: pattern that has been matched against the dictionary, twenty-four
+#: for its reduce codes and its slot in ``word_array`` and eight per
+#: partition count for its reduce order once a summing job has reduced
+#: against it, and sixteen in each scan's running sums whose waves met
+#: it (and in each distinct point at which a summing rider still
+#: scanning joined that scan).
 TOKEN_DICTIONARY_CAP = 1 << 17
 
 #: Most patterns one dictionary keeps verdict vectors for.
@@ -126,14 +134,13 @@ VERDICT_IDLE_BLOCKS = 64
 
 #: A :class:`WaveSums` is dense — indexed by id up to the highest id its
 #: blocks hold — when its blocks hold at least one id per this many
-#: slots of that span, and otherwise lists its distinct ids.  A rider
-#: (:class:`~repro.localrt.jobs.WaveWordSums`) adds a dense one with two
-#: slice adds, a sparse one with two scatters
-#: at its ids; on one core of a 2-CPU x86 host a scatter costs about
-#: eight slot adds per id (numpy 2.4, int64: at 4 435 slots the two
-#: break even at one id in eight to sixteen, at 2**17 slots at one in
-#: eight).  Either way a rider's add costs O(its wave's ids), never
-#: O(the dictionary).
+#: slots of that span, and otherwise lists its distinct ids.  A scan's
+#: running sums (:class:`~repro.localrt.jobs.RunningSums`) add a dense
+#: one with one slice add, a sparse one with one scatter at its ids; on
+#: one core of a 2-CPU x86 host a scatter costs about eight slot adds
+#: per id (numpy 2.4, int64: at 4 435 slots the two break even at one
+#: id in eight to sixteen, at 2**17 slots at one in eight).  Either way
+#: an add costs O(the wave's ids), never O(the dictionary).
 WAVE_DENSE_SHARE = 8
 
 #: Most block bytes one :class:`DerivedViews` table answers for.  Every
@@ -152,6 +159,16 @@ DERIVED_VIEWS_CAP_BYTES = 1 << 26
 #: to 12 % wide shares every row it emits, a wider one parses the rest
 #: for itself.
 ROW_TABLE_TEXT_DIVISOR = 8
+
+#: Most partition counts one dictionary keeps a reduce order for
+#: (:meth:`TokenDictionary.order`); a new one past it drops the oldest.
+ORDER_PARTITIONS_CAP = 16
+
+#: Most (pattern, partition count) pairs one dictionary keeps the
+#: matching ids of its reduce order for
+#: (:meth:`TokenDictionary.matching_order`); a new one past it drops the
+#: oldest.  Each holds at most one id per word.
+MATCHING_ORDERS_CAP = 32
 
 #: What :meth:`DerivedViews.lookup` answers for a view it does not hold
 #: (``None`` is a value: a kernel memoises its rejection of a block).
@@ -202,7 +219,9 @@ class TokenDictionary:
     ``used[pattern]`` the value of ``blocks`` — the idle clock: blocks
     mapped against this dictionary, freshly encoded or served from the
     table — at its last use.  ``digests`` and ``rank`` are the words'
-    reduce codes (:meth:`codes`).
+    reduce codes (:meth:`codes`), ``orders[P]`` the ids in reduce
+    order for ``P`` partitions (:meth:`order`), and ``matching`` the
+    ids of it each pattern matches (:meth:`matching_order`).
     """
 
     def __init__(self, lock: Any) -> None:
@@ -214,7 +233,18 @@ class TokenDictionary:
         self.used: dict[str, int] = {}
         self.digests = frozen(np.zeros(0, np.int64))
         self.rank = frozen(np.zeros(0, np.int64))
-        register_instance(self, fields=("blocks", "digests", "rank"),
+        #: ``words`` as an object array, as far as ``digests`` reaches:
+        #: a reduce decodes its ids with one gather.
+        self.word_array = frozen(np.zeros(0, object))
+        #: partition count -> ids in reduce order, and (pattern,
+        #: partition count) -> (that order, the pattern's verdicts, the
+        #: ids of the order it matches); both tables replaced, never
+        #: written: a reader may hold the one it read.
+        self.orders: dict[int, np.ndarray] = {}
+        self.matching: dict[tuple[str, int],
+                            tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        register_instance(self, fields=("blocks", "digests", "rank",
+                                        "word_array", "orders", "matching"),
                           guard="DerivedViews._lock")
 
     def matches(self, ids: np.ndarray, pattern: str,
@@ -229,14 +259,23 @@ class TokenDictionary:
         keeps nothing.
         """
         with self._lock:
-            vector = self._vector(pattern)
-            if vector is not None and len(vector) < len(self.words):
-                vector = self.verdicts[pattern] = frozen(np.concatenate(
-                    (vector, _verdicts(self.words[len(vector):], match))))
+            vector = self._verdicts_for(pattern, match)
         if vector is None:
             return _verdicts(list(map(self.words.__getitem__, ids.tolist())),
                              match)
         return vector[ids]
+
+    def _verdicts_for(self, pattern: str,
+                      match: Callable[[str], object]) -> np.ndarray | None:
+        """``pattern``'s verdict array, extended (``match`` run once per
+        word it did not cover) to every id assigned so far, the caller
+        holding the lock; ``None`` when the full table has no room for it
+        (see :meth:`matches`)."""
+        vector = self._vector(pattern)
+        if vector is not None and len(vector) < len(self.words):
+            vector = self.verdicts[pattern] = frozen(np.concatenate(
+                (vector, _verdicts(self.words[len(vector):], match))))
+        return vector
 
     def keep_verdicts(self, patterns: Iterable[str]) -> None:
         """Mark each pattern's verdict array used now — making an empty
@@ -275,23 +314,97 @@ class TokenDictionary:
 
         While the dictionary does not grow, this is a read of the arrays
         it has.  A call whose ``last`` is not ranked yet digests the
-        words added since the last call and ranks every word again.
+        words added since the last call (and extends ``word_array`` by
+        them) and ranks every word again.
         """
         with self._lock:
-            rank = self.rank
-            if last >= len(rank):
-                words = self.words
-                known = len(self.digests)
-                self.digests = frozen(np.concatenate((
-                    self.digests,
-                    np.fromiter(map(str_digest, words[known:]), np.int64,
-                                len(words) - known))))
-                reprs = list(map(repr, words))
-                rank = np.empty(len(words), np.int64)
-                rank[sorted(range(len(words)), key=reprs.__getitem__)] = \
-                    np.arange(len(words))
-                self.rank = rank = frozen(rank)
-            return self.digests, rank
+            return self._codes(last)
+
+    def _codes(self, last: int) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`codes`, the caller holding the lock."""
+        rank = self.rank
+        if last >= len(rank):
+            words = self.words
+            known = len(self.digests)
+            fresh = words[known:]
+            self.digests = frozen(np.concatenate((
+                self.digests,
+                np.fromiter(map(str_digest, fresh), np.int64, len(fresh)))))
+            added = np.empty(len(fresh), object)
+            added[:] = fresh
+            self.word_array = frozen(np.concatenate((self.word_array,
+                                                     added)))
+            reprs = list(map(repr, words))
+            rank = np.empty(len(words), np.int64)
+            rank[sorted(range(len(words)), key=reprs.__getitem__)] = \
+                np.arange(len(words))
+            self.rank = rank = frozen(rank)
+        return self.digests, rank
+
+    def order(self, num_partitions: int, last: int) -> np.ndarray:
+        """Every id up to at least ``last``, in the order a reduce over
+        ``num_partitions`` partitions emits their words: partition index
+        (``digests % P``), then ``repr`` (``rank``) — the bucket and
+        sort order of :func:`~repro.localrt.engine.run_reduce`, so a
+        job's output ids are the order masked by its nonzero totals.
+
+        Built once per partition count, under the lock, from the codes
+        (:meth:`codes`), and built again only for a ``last`` past it —
+        once the dictionary has grown since.
+        """
+        with self._lock:
+            return self._order(num_partitions, last)
+
+    def _order(self, num_partitions: int, last: int) -> np.ndarray:
+        """:meth:`order`, the caller holding the lock."""
+        ordered = self.orders.get(num_partitions)
+        if ordered is None or last >= len(ordered):
+            digests, rank = self._codes(last)
+            ordered = frozen(np.lexsort((rank, digests % num_partitions)))
+            self.orders = _replaced(self.orders, num_partitions, ordered,
+                                    ORDER_PARTITIONS_CAP)
+        return ordered
+
+    def matching_order(self, num_partitions: int, last: int, pattern: str,
+                       match: Callable[[str], object],
+                       ) -> tuple[np.ndarray, np.ndarray | None]:
+        """:meth:`order` and, in that order, the ids of it that
+        ``pattern`` matches (its verdict array, extended as
+        :meth:`matches` extends it, gathered over the order), under one
+        acquisition of the lock.
+
+        The matching ids are kept per (pattern, partition count) while
+        neither the order nor the verdict array is replaced, for at most
+        :data:`MATCHING_ORDERS_CAP` pairs (a new one past it drops the
+        oldest), so a reduce against a dictionary that does not grow
+        masks only the words its pattern matches.  They are ``None``
+        when the verdict table has no room for the pattern.
+        """
+        with self._lock:
+            ordered = self._order(num_partitions, last)
+            vector = self._verdicts_for(pattern, match)
+            if vector is None:
+                return ordered, None
+            key = (pattern, num_partitions)
+            held = self.matching.get(key)
+            if held is None or held[0] is not ordered or held[1] is not vector:
+                held = (ordered, vector, frozen(ordered[vector[ordered]]))
+                self.matching = _replaced(self.matching, key, held,
+                                          MATCHING_ORDERS_CAP)
+            return ordered, held[2]
+
+
+def _replaced(table: dict[Any, Any], key: Hashable, value: Any,
+              cap: int) -> dict[Any, Any]:
+    """A copy of ``table`` with ``key`` set to ``value`` last, its oldest
+    entry dropped to stay within ``cap`` (a published table is replaced,
+    never written: a reader may hold the one it read)."""
+    table = dict(table)
+    table.pop(key, None)
+    while len(table) >= cap:
+        del table[next(iter(table))]
+    table[key] = value
+    return table
 
 
 class EncodedBlock:
@@ -326,25 +439,25 @@ class EncodedBlock:
 
 
 class WaveSums:
-    """What one wave's blocks encoded against ``dictionary`` add to each
-    summing wordcount rider that rode exactly those blocks: every word's
-    summed count (``totals``) and the number of blocks holding it
-    (``presence``), unfiltered, built once for all of those riders.
+    """What one wave's blocks encoded against ``dictionary`` add to the
+    running sums of every summing wordcount rider that rode exactly those
+    blocks: every word's summed count and the number of blocks holding
+    it, unfiltered, built once for all of those riders — ``pair``, a
+    ``(2, n)`` int64 array whose rows are the totals and the presence.
 
-    ``ids`` lists the words (sorted, distinct) the two arrays are
-    aligned with, or is ``None`` when they are dense: indexed by id, up
-    to the highest id the blocks hold (see :data:`WAVE_DENSE_SHARE`).
-    The arrays are read-only: :meth:`of` memoises them for later laps.
+    ``ids`` lists the words (sorted, distinct) the columns are aligned
+    with, or is ``None`` when they are dense: indexed by id, up to the
+    highest id the blocks hold (see :data:`WAVE_DENSE_SHARE`).  The
+    array is read-only: :meth:`of` memoises it for later laps.
     """
 
-    __slots__ = ("dictionary", "ids", "totals", "presence")
+    __slots__ = ("dictionary", "ids", "pair")
 
     def __init__(self, dictionary: TokenDictionary, ids: np.ndarray | None,
-                 totals: np.ndarray, presence: np.ndarray) -> None:
+                 pair: np.ndarray) -> None:
         self.dictionary = dictionary
         self.ids = ids
-        self.totals = totals
-        self.presence = presence
+        self.pair = pair
 
     @classmethod
     def of(cls, blocks: Sequence[EncodedBlock]) -> list["WaveSums"]:
@@ -373,20 +486,29 @@ class WaveSums:
         # ``len(ids)`` bounds the distinct ids, so a dense add costs at
         # most WAVE_DENSE_SHARE slot adds per id the blocks hold.
         if len(ids) * WAVE_DENSE_SHARE >= span:
-            return cls(dictionary, None,
-                       frozen(np.bincount(ids, counts, span).astype(np.int64)),
-                       frozen(np.bincount(ids, minlength=span)))
+            return cls(dictionary, None, frozen(np.stack((
+                np.bincount(ids, counts, span).astype(np.int64),
+                np.bincount(ids, minlength=span)))))
         distinct, slots = np.unique(ids, return_inverse=True)
-        return cls(dictionary, frozen(distinct),
-                   frozen(np.bincount(slots, counts).astype(np.int64)),
-                   frozen(np.bincount(slots)))
+        return cls(dictionary, frozen(distinct), frozen(np.stack((
+            np.bincount(slots, counts).astype(np.int64),
+            np.bincount(slots)))))
 
     @property
     def span(self) -> int:
         """One past the highest id the sums cover."""
         if self.ids is None:
-            return len(self.totals)
+            return self.pair.shape[1]
         return int(self.ids[-1]) + 1 if len(self.ids) else 0
+
+    def add_to(self, pair: np.ndarray) -> None:
+        """Add the sums to ``pair``, a ``(2, n)`` array indexed by id
+        with ``n`` at least :attr:`span`: one slice add, or one scatter
+        at the ids."""
+        if self.ids is None:
+            pair[:, :self.pair.shape[1]] += self.pair
+        else:
+            pair[:, self.ids] += self.pair
 
 
 class RowPartial:

@@ -315,6 +315,22 @@ DEFAULT_SPECS: dict[str, tuple[MetricSpec, ...]] = {
         MetricSpec("replay.response_p99"),
         # *_seconds are wall clock and deliberately absent.
     ),
+    "bench_riders": (
+        MetricSpec("checks.outputs_equal_fifo"),
+        MetricSpec("checks.counts_stable"),
+        MetricSpec("checks.every_visit_physical_or_view"),
+        MetricSpec("checks.one_lap_per_run"),
+        MetricSpec("checks.warm_loads_no_bytes"),
+        MetricSpec("checks.cold_reads_each_block_once"),
+        MetricSpec("num_blocks"),
+        # Per (cell, riders): reads by tier and records; the cpu_ms_*
+        # rows and the ratio at ten are CPU time and deliberately absent.
+        *(MetricSpec(f"{cell}.n{riders}.{count}")
+          for cell in ("warm", "cold") for riders in (1, 2, 4, 8, 10)
+          for count in ("logical_blocks_read", "physical_blocks_read",
+                        "view_blocks_read", "records_in", "records_out",
+                        "outputs_equal_fifo")),
+    ),
     "bench_trace": (
         MetricSpec("checks.traced_io_counters_identical"),
         MetricSpec("checks.traced_outputs_identical"),

@@ -273,3 +273,30 @@ def test_detector_covers_the_token_dictionary_codes():
         in_thread(unguarded, name="rogue")
     assert "TokenDictionary.rank" in str(excinfo.value)
     assert "expected guard: DerivedViews._lock" in str(excinfo.value)
+
+
+def test_detector_covers_the_token_dictionary_reduce_orders():
+    """A dictionary's reduce orders, pattern masks of them and word
+    array are replaced, never written, and only under its table's lock:
+    extending them from a second thread passes, while a rebind outside
+    the lock trips the detector."""
+    import re
+    from collections import Counter
+
+    import repro.localrt.tokens as tokens
+
+    views = tokens.DerivedViews()
+    dictionary = views.encode(Counter(["b", "a"])).dictionary
+    match = re.compile("^a").match
+    dictionary.matching_order(2, 1, "^a", match)
+    views.encode(Counter(["ab"]))
+    in_thread(lambda: dictionary.matching_order(2, 2, "^a", match))
+    assert len(dictionary.orders[2]) == len(dictionary.word_array) == 3
+    assert sorted(dictionary.matching["^a", 2][2].tolist()) == [1, 2]
+
+    for field in ("orders", "matching", "word_array"):
+        with pytest.raises(RaceError) as excinfo:
+            def unguarded():
+                setattr(dictionary, field, getattr(dictionary, field))
+            in_thread(unguarded, name="rogue")
+        assert f"TokenDictionary.{field}" in str(excinfo.value)

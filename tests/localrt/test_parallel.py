@@ -279,3 +279,42 @@ def test_wave_sums_equal_the_per_rider_path_over_one_plan(tmp_path):
     assert none_summed == [(False, True)] * 5
     assert summed == [(True, False)] * 3 + [(False, True)] * 2
     assert all(output for output, *_ in per_rider.values())
+
+
+def test_a_rider_kernel_is_resolved_once_per_job(tmp_path, monkeypatch):
+    """A wave resolves how it treats a job — batch kernel, per-record or
+    summed — at the job's first wave, not once per (job, block); a
+    kernel that declines the wave's reader still raises, with its
+    message, at that first wave, before any block is read."""
+    import repro.localrt.parallel as parallel
+    from repro.localrt.jobs import selection_job
+
+    store = BlockStore.create(
+        tmp_path / "s", [f"the thing {i} is running" for i in range(60)],
+        block_size_bytes=100)
+    assert store.num_blocks >= 8
+    calls = []
+    resolve = parallel.batch_mapper_for
+
+    def counting(job, reader):
+        calls.append(job.job_id)
+        return resolve(job, reader)
+
+    monkeypatch.setattr(parallel, "batch_mapper_for", counting)
+    jobs = [wordcount_job("sum", "^th.*"),
+            wordcount_job("plain", ".*ing$", use_combiner=False),
+            wordcount_job("records", "^t.*", batched=False)]
+    report = SharedScanRunner(store, ExecutionConfig(
+        blocks_per_segment=3)).run(jobs, {"records": 1})
+    assert sorted(calls) == ["plain", "records", "sum"]
+    assert all(report.result(job.job_id).output for job in jobs)
+
+    before = store.stats_snapshot().blocks_read
+    with pytest.raises(ExecutionError, match=(
+            r"^job 'sel': SelectionBlockMapper does not support "
+            r"TextLineReader; pass a reader its map_block kernel supports, "
+            r"or construct the job with batched=False$")):
+        SharedScanRunner(store).run([wordcount_job("wc", "^th.*"),
+                                     selection_job("sel", 10.0)])
+    assert calls[3:] == ["wc", "sel"]
+    assert store.stats_snapshot().blocks_read == before

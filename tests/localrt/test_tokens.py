@@ -14,12 +14,12 @@ import pytest
 
 import repro.localrt.tokens as tokens
 from repro.common.config import MAP_BACKENDS, ExecutionConfig
-from repro.localrt.api import BlockData
+from repro.localrt.api import BlockData, default_partitioner
 from repro.localrt.engine import JobRunState, absorb_map_result, run_reduce
 from repro.localrt.jobs import (
     PatternWordCountBlock,
+    ScanSums,
     SelectionBlockMapper,
-    WaveWordSums,
     _key_codes,
     selection_job,
     wordcount_job,
@@ -245,16 +245,18 @@ def test_wave_sums_are_the_blocks_summed_and_riders_add_them():
     """A wave's sums are dense when its blocks hold one id per
     ``WAVE_DENSE_SHARE`` slots of their span and list their ids
     otherwise; either way they are the blocks' counts summed, with how
-    many blocks hold each word, a rider's arrays grow (at least
-    doubling) to take them, and settling them into the job's run state
-    keeps the matching words' totals, block presence and sum."""
+    many blocks hold each word.  A scan's running sums grow to take
+    them, a rider that joined after the first wave settles the
+    difference, and settling keeps the matching words' totals, in reduce
+    order, their block presence and their sum."""
     views = tokens.DerivedViews()
     views.encode(Counter(f"pad{i}" for i in range(64)))
-    state = JobRunState(wordcount_job("wc", "^[yz]$"))
-    rider = WaveWordSums(state.job.mapper)
+    scan = ScanSums()
+    early = JobRunState(wordcount_job("early", "^[yz]$"))
+    late = JobRunState(wordcount_job("late", "^[yz]$", num_partitions=2))
     expected, presence = Counter(), Counter()
 
-    def add(*blocks):
+    def add(riders, *blocks, book=True):
         sums, = tokens.WaveSums.of(blocks)
         ids = [block.ids.tolist() for block in blocks]
         span = max(map(max, ids)) + 1
@@ -265,35 +267,49 @@ def test_wave_sums_are_the_blocks_summed_and_riders_add_them():
         for block in blocks:
             summed.update(dict(zip(block.ids.tolist(),
                                    block.counts.tolist())))
-            presence.update(block.ids.tolist())
+            if book:
+                presence.update(block.ids.tolist())
         at = range(span) if sums.ids is None else sums.ids.tolist()
-        assert {i: t for i, t in zip(at, sums.totals.tolist()) if t} \
+        assert {i: t for i, t in zip(at, sums.pair[0].tolist()) if t} \
             == dict(summed)
-        expected.update(summed)
-        rider.add(sums)
+        if book:
+            expected.update(summed)
+        PatternWordCountBlock.absorb_wave([(blocks, riders)], scan)
 
     first = views.encode(Counter("x y y z".split()))
-    add(first, views.encode(Counter("y z z z".split())))  # sparse
-    add(views.encode(Counter(f"pad{i}" for i in range(0, 64, 2))))
+    add([early], first, views.encode(Counter("y z z z".split())),
+        book=False)  # sparse, before ``late`` joins
+    add([early, late], views.encode(Counter(f"pad{i}"
+                                            for i in range(0, 64, 2))))
     dictionary = first.dictionary
-    sized = len(rider.arrays[dictionary][0])
-    assert sized == len(dictionary.words)
-    add(views.encode(Counter("x y y z late".split())))  # one id past
-    totals, held = rider.arrays[dictionary]
-    assert len(totals) == 2 * sized
-    assert {i: t for i, t in enumerate(totals.tolist()) if t} \
-        == dict(expected)
-    assert {i: n for i, n in enumerate(held.tolist()) if n} \
-        == dict(presence)
-    rider.settle(state)
-    assert not rider.arrays
-    assert list(state.sums) == [dictionary]
-    assert state.sums[dictionary] is totals
-    assert {dictionary.words[i]: t for i, t in enumerate(totals.tolist())
-            if t} == {"y": 5, "z": 5}
-    assert state.counters.value("wordcount", "words_matched") == 10
+    running = scan.running
+    assert running.dictionary is dictionary
+    assert running.pair.shape[1] == len(dictionary.words)
+    add([early, late], views.encode(Counter("x y y z late".split())))
+    assert running.pair.shape[1] == len(dictionary.words) == 68
+    assert running.waves == 3
+    assert late.pending.base.shape[1] == 67  # where the sums stood
+    late.settle()
+    assert not late.pending
+    ids, totals = late.sums[dictionary]
+    words = [dictionary.words[i] for i in ids.tolist()]
+    assert dict(zip(words, totals.tolist())) == {"y": 2, "z": 1}
+    assert words == sorted(words, key=lambda word: (
+        default_partitioner(word, 2), repr(word)))
+    assert late.counters.value("wordcount", "words_matched") == 3
+    assert late.map_output_records == late.summed_records == 2
+    # (encoded with no line count, as no store visit would)
+    assert (late.map_tasks, late.map_input_records) == (2, 0)
+    assert {dictionary.words[i]: t for i, t in expected.items()} == {
+        **{f"pad{i}": 1 for i in range(0, 64, 2)},
+        "x": 1, "y": 2, "z": 1, "late": 1}
+    early.settle()
+    ids, totals = early.sums[dictionary]
+    assert dict(zip([dictionary.words[i] for i in ids.tolist()],
+                    totals.tolist())) == {"y": 5, "z": 5}
+    assert early.counters.value("wordcount", "words_matched") == 10
     # each in three blocks
-    assert state.map_output_records == state.summed_records == 6
+    assert early.map_output_records == early.summed_records == 6
 
 
 # ------------------------------------------------------------ wave-sums memo
@@ -324,8 +340,7 @@ def test_a_warm_chunk_is_summed_once():
     assert again is not sums
     (kept,), (summed,) = sums, again
     assert kept.ids is None and summed.ids is None
-    assert kept.totals.tolist() == summed.totals.tolist() == [1, 2, 1, 1]
-    assert kept.presence.tolist() == summed.presence.tolist() == [1, 2, 1, 1]
+    assert kept.pair.tolist() == summed.pair.tolist() == [[1, 2, 1, 1]] * 2
 
 
 def test_wave_sums_memo_misses_after_a_roll_over(monkeypatch):
@@ -356,8 +371,7 @@ def test_memoised_sums_are_read_only():
     sparse = tokens.WaveSums.of([views.encode(Counter(["z"]))])
     assert dense[0].ids is None and sparse[0].ids is not None
     for sums in (dense[0], sparse[0]):
-        for array in (sums.totals, sums.presence):
-            _raises_on_write(array)
+        _raises_on_write(sums.pair)
     _raises_on_write(sparse[0].ids)
 
 
@@ -546,8 +560,8 @@ def test_shared_arrays_are_read_only_and_the_kernels_still_work():
         PatternWordCountBlock.absorb_wave([([encoded], [state])])
         state.settle()  # the second adds to the first's accumulator
     _raises_on_write(encoded.dictionary.verdicts["^a"])
-    accumulator, = state.sums.values()
-    assert accumulator.flags.writeable
+    (ids, totals), = state.sums.values()
+    assert ids.flags.writeable and totals.flags.writeable
     assert sorted(run_reduce(state)) == [("ant", 4), ("apple", 2)]
 
     rows = BlockData(b"".join(
