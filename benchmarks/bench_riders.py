@@ -25,6 +25,14 @@ Per (cell, n) it records, machine-readably in ``BENCH_riders.json``:
   drifts between speeds moves every n alike; the cells run one after
   the other, so no cold run's allocations sit between two warm runs.
 
+A third cell, **steady**, is the fixed cost of one wave: one warm
+summing rider on ``core_churn``'s geometry (64 KB of the same text in
+1 KB blocks, two blocks a wave), where the map work is a few
+microseconds and a job rides about thirty waves.  It records the
+gated waves, logical and view-served reads and FIFO-equal output of
+one run, and the ungated ``cpu_us_per_wave``: the median, with its
+quartiles, over ``steady_samples`` samples of ``STEADY_RUNS`` runs.
+
 Run directly (``--smoke`` shrinks the corpus and the run count for
 CI)::
 
@@ -62,6 +70,11 @@ RIDERS = (1, 2, 4, 8, 10)
 
 #: The scan's segment: four blocks a wave, as on ``wc_dense``.
 BLOCKS_PER_SEGMENT = 4
+
+#: The steady cell's corpus, block size and segment (``core_churn``'s),
+#: and the runs timed together as one sample.
+STEADY_CORPUS_BYTES, STEADY_BLOCK_SIZE, STEADY_SEGMENT = 64 << 10, 1 << 10, 2
+STEADY_RUNS = 10
 
 
 def build_store(directory: pathlib.Path, corpus_bytes: int,
@@ -148,6 +161,33 @@ def bench(directory: pathlib.Path, runs: int) -> dict:
     return cells
 
 
+def steady(directory: pathlib.Path, samples: int) -> dict:
+    """The steady cell: one warm summing rider, run after run."""
+    store = build_store(directory, STEADY_CORPUS_BYTES, STEADY_BLOCK_SIZE)
+    with FifoLocalRunner(BlockStore(directory)) as fifo:
+        oracle = fifo.run(make_jobs(1)).results["r0"].output
+    runner = SharedScanRunner(store, ExecutionConfig(
+        blocks_per_segment=STEADY_SEGMENT))
+    runner.run(make_jobs(1))                # fills the derived views
+    report = runner.run(make_jobs(1))
+    row = {"waves": report.iterations,
+           "logical_blocks_read": report.io.blocks_read,
+           "physical_blocks_read": report.io.physical_blocks_read,
+           "view_blocks_read": report.io.view_blocks_read,
+           "outputs_equal_fifo": report.results["r0"].output == oracle}
+    per_wave = []
+    for _ in range(samples):
+        started = time.process_time()
+        for _ in range(STEADY_RUNS):
+            runner.run(make_jobs(1))
+        per_wave.append((time.process_time() - started) * 1e6
+                        / (STEADY_RUNS * report.iterations))
+    q1, median, q3 = statistics.quantiles(per_wave, n=4, method="inclusive")
+    row.update(cpu_us_per_wave=median, cpu_us_per_wave_q1=q1,
+               cpu_us_per_wave_q3=q3)
+    return row
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
@@ -157,15 +197,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.smoke:
-        corpus_bytes, block_size, runs = 256 << 10, 8 << 10, 3
+        corpus_bytes, block_size, runs, steady_samples = \
+            256 << 10, 8 << 10, 3, 15
     else:
-        corpus_bytes, block_size, runs = 4 << 20, 128 << 10, 15
+        corpus_bytes, block_size, runs, steady_samples = \
+            4 << 20, 128 << 10, 15, 31
 
     with tempfile.TemporaryDirectory() as tmp:
         directory = pathlib.Path(tmp) / "corpus"
         num_blocks = build_store(directory, corpus_bytes,
                                  block_size).num_blocks
         cells = bench(directory, runs)
+        steady_row = steady(pathlib.Path(tmp) / "steady", steady_samples)
 
     rows = [row for cell in cells.values() for key, row in cell.items()
             if key.startswith("n")]
@@ -183,6 +226,7 @@ def main(argv: list[str] | None = None) -> int:
         "cold_reads_each_block_once": all(
             row["physical_blocks_read"] == num_blocks
             for row in cells["cold"].values() if isinstance(row, dict)),
+        "steady_loads_no_bytes": steady_row["physical_blocks_read"] == 0,
     }
     payload = {
         "benchmark": "bench_riders",
@@ -193,6 +237,8 @@ def main(argv: list[str] | None = None) -> int:
         "blocks_per_segment": BLOCKS_PER_SEGMENT,
         "runs": runs,
         **cells,
+        "steady": steady_row,
+        "steady_samples": steady_samples,
         "checks": checks,
     }
     args.out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -167,13 +167,14 @@ class PatternWordCountBlock(PatternWordCount, BlockMapper):
         """
         if scan is None:
             scan = ScanSums()
-        blocks = list({id(block): block
-                       for held, _ in groups for block in held}.values())
-        riders: list[JobRunState]
-        skipped: list[tuple[JobRunState, list[tokens.EncodedBlock]]]
+        blocks: Sequence[tokens.EncodedBlock]
+        riders: Sequence[JobRunState]
+        skipped: list[tuple[JobRunState, list[tokens.EncodedBlock]]] = []
         if len(groups) == 1:
-            riders, skipped = list(groups[0][1]), []
+            (blocks, riders), = groups
         else:
+            blocks = list({id(block): block
+                           for held, _ in groups for block in held}.values())
             rode: dict[int, tuple[JobRunState, set[int]]] = {}
             for held, group in groups:
                 for state in group:
@@ -188,22 +189,19 @@ class PatternWordCountBlock(PatternWordCount, BlockMapper):
         scan.add_wave(shared, blocks, riders, skipped)
         # Insertion-ordered sets: the order patterns claim free room in
         # a verdict table must not depend on string hashing.
-        patterns = dict.fromkeys(
-            cast(PatternWordCountBlock, state.job.mapper).pattern
-            for state in riders)
-        for dictionary in dict.fromkeys(sums.dictionary for sums in shared):
-            dictionary.keep_verdicts(patterns)
+        patterns = dict.fromkeys([kernel.pattern for kernel in cast(
+            "list[PatternWordCountBlock]",
+            [state.job.mapper for state in riders])])
+        for sums in shared:  # one per dictionary
+            sums.dictionary.keep_verdicts(patterns)
 
 
-def _block_counts(blocks: "Sequence[tokens.EncodedBlock]",
-                  ) -> tuple[int, int, int, int]:
-    """What mapping ``blocks`` books besides its records: map tasks,
-    input records, the ``words_scanned`` counter, and the non-empty
-    blocks (a rider that mapped one has both ``wordcount`` counter
-    cells, even at zero, as per-block counters would)."""
-    full = [block for block in blocks if block.lines]
-    return (len(blocks), sum(block.lines for block in full),
-            sum(block.total for block in full), len(full))
+def _counts(parts: "Sequence[tokens.WaveSums]") -> tuple[int, ...]:
+    """What mapping the blocks summed in ``parts`` books besides its
+    records (:attr:`~repro.localrt.tokens.WaveSums.counts`, added)."""
+    if len(parts) == 1:
+        return parts[0].counts
+    return tuple(map(sum, zip(*(part.counts for part in parts))))
 
 
 def _widened(pair: np.ndarray, width: int) -> np.ndarray:
@@ -224,15 +222,17 @@ class RunningSums:
     """One scan's running sums against one token dictionary: ``pair``,
     every word's summed count and block presence (as in
     :class:`~repro.localrt.tokens.WaveSums`, indexed by id, grown with
-    the dictionary), and ``counts`` (:func:`_block_counts`), over every
+    the dictionary), and ``counts`` (as in
+    :attr:`~repro.localrt.tokens.WaveSums.counts`), over every
     block its waves' summing riders rode; ``waves`` counts the adds.
     int64 keeps every total exact, so differences of them are too."""
 
-    __slots__ = ("dictionary", "pair", "counts", "waves", "_mark")
+    __slots__ = ("dictionary", "pair", "rows", "counts", "waves", "_mark")
 
     def __init__(self, dictionary: tokens.TokenDictionary) -> None:
         self.dictionary = dictionary
         self.pair = np.zeros((2, len(dictionary.words)), np.int64)
+        self.rows = tuple(self.pair)  # what a wave's add writes through
         self.counts: tuple[int, ...] = (0, 0, 0, 0)
         self.waves = 0
         self._mark: "tuple[int, np.ndarray | None, tuple[int, ...]] | None" \
@@ -247,13 +247,17 @@ class RunningSums:
                           if self.waves else None, self.counts)
         return self._mark
 
-    def add(self, sums: tokens.WaveSums, counts: tuple[int, ...]) -> None:
+    def add(self, sums: tokens.WaveSums) -> None:
         """Add one wave's sums and counts."""
         if sums.span > self.pair.shape[1]:
             self.pair = _widened(self.pair, max(
                 sums.span, len(self.dictionary.words)))
-        sums.add_to(self.pair)
-        self.counts = tuple(map(add, self.counts, counts))
+            self.rows = tuple(self.pair)
+        sums.add_to(self.rows)
+        tasks, lines, scanned, nonempty = self.counts
+        more_tasks, more_lines, more_scanned, more_nonempty = sums.counts
+        self.counts = (tasks + more_tasks, lines + more_lines,
+                       scanned + more_scanned, nonempty + more_nonempty)
         self.waves += 1
         self._mark = None
 
@@ -287,10 +291,9 @@ class SumsInterval:
         self.running = running
         self.waves, self.base, self.counts = running.mark()
 
-    def skip(self, sums: "Sequence[tokens.WaveSums]",
-             counts: tuple[int, ...]) -> None:
+    def skip(self, sums: "Sequence[tokens.WaveSums]") -> None:
         """Take out what the last wave added for blocks the rider did not
-        ride (their ``sums`` and ``counts``)."""
+        ride (their ``sums``)."""
         width = self.running.pair.shape[1]
         base = self.base
         if base is None or not base.flags.writeable or \
@@ -300,7 +303,7 @@ class SumsInterval:
         for part in sums:
             part.add_to(base)
         self.base = base
-        self.counts = tuple(map(add, self.counts, counts))
+        self.counts = tuple(map(add, self.counts, _counts(sums)))
 
     def settle(self, state: JobRunState) -> None:
         running = self.running
@@ -354,17 +357,15 @@ class ScanSums:
         running = self.running
         if len(shared) > 1:
             self.running = None
-            counts = _block_counts(blocks)
             missed = {id(state): held for state, held in skipped}
             for state in riders:
                 state.settle()
                 held = missed.get(id(state))
-                rode = blocks if held is None else [
-                    block for block in blocks if block not in held]
+                parts = shared if held is None else tokens.WaveSums.of(
+                    [block for block in blocks if block not in held])
                 _settle(state, cast(PatternWordCountBlock, state.job.mapper),
-                        [(part.dictionary, _dense(part))
-                         for part in tokens.WaveSums.of(rode)],
-                        counts if held is None else _block_counts(rode))
+                        [(part.dictionary, _dense(part)) for part in parts],
+                        _counts(parts))
             return
         sums, = shared
         if running is None or running.dictionary is not sums.dictionary:
@@ -381,10 +382,9 @@ class ScanSums:
                 interval.waves = -1  # it settles with the error
                 continue
             interval.waves = after
-        running.add(sums, _block_counts(blocks))
+        running.add(sums)
         for state, held in skipped:
-            cast(SumsInterval, state.pending).skip(
-                tokens.WaveSums.of(held), _block_counts(held))
+            cast(SumsInterval, state.pending).skip(tokens.WaveSums.of(held))
 
 
 def _settle(state: JobRunState, kernel: PatternWordCountBlock,

@@ -448,16 +448,25 @@ class WaveSums:
     ``ids`` lists the words (sorted, distinct) the columns are aligned
     with, or is ``None`` when they are dense: indexed by id, up to the
     highest id the blocks hold (see :data:`WAVE_DENSE_SHARE`).  The
-    array is read-only: :meth:`of` memoises it for later laps.
+    array is read-only: :meth:`of` memoises it for later laps, with
+    ``counts``, what mapping the blocks books besides its records: map
+    tasks, input records, ``words_scanned`` and the non-empty blocks.
     """
 
-    __slots__ = ("dictionary", "ids", "pair")
+    __slots__ = ("dictionary", "ids", "pair", "rows", "span", "counts")
 
     def __init__(self, dictionary: TokenDictionary, ids: np.ndarray | None,
-                 pair: np.ndarray) -> None:
+                 pair: np.ndarray, blocks: Sequence[EncodedBlock]) -> None:
         self.dictionary = dictionary
         self.ids = ids
         self.pair = pair
+        self.rows: tuple[np.ndarray, ...] = tuple(pair)  # kept views
+        #: One past the highest id the sums cover.
+        self.span = pair.shape[1] if ids is None else \
+            int(ids[-1]) + 1 if len(ids) else 0
+        full = [block for block in blocks if block.lines]
+        self.counts = (len(blocks), sum(block.lines for block in full),
+                       sum(block.total for block in full), len(full))
 
     @classmethod
     def of(cls, blocks: Sequence[EncodedBlock]) -> list["WaveSums"]:
@@ -488,27 +497,24 @@ class WaveSums:
         if len(ids) * WAVE_DENSE_SHARE >= span:
             return cls(dictionary, None, frozen(np.stack((
                 np.bincount(ids, counts, span).astype(np.int64),
-                np.bincount(ids, minlength=span)))))
+                np.bincount(ids, minlength=span)))), blocks)
         distinct, slots = np.unique(ids, return_inverse=True)
         return cls(dictionary, frozen(distinct), frozen(np.stack((
             np.bincount(slots, counts).astype(np.int64),
-            np.bincount(slots)))))
+            np.bincount(slots)))), blocks)
 
-    @property
-    def span(self) -> int:
-        """One past the highest id the sums cover."""
-        if self.ids is None:
-            return self.pair.shape[1]
-        return int(self.ids[-1]) + 1 if len(self.ids) else 0
-
-    def add_to(self, pair: np.ndarray) -> None:
+    def add_to(self, pair: "np.ndarray | Sequence[np.ndarray]") -> None:
         """Add the sums to ``pair``, a ``(2, n)`` array indexed by id
-        with ``n`` at least :attr:`span`: one slice add, or one scatter
-        at the ids."""
+        with ``n`` at least :attr:`span`, or its rows: per row, one
+        slice add, or one scatter at the ids."""
+        totals, presence = pair
+        more_totals, more_presence = self.rows
         if self.ids is None:
-            pair[:, :self.pair.shape[1]] += self.pair
+            totals[:self.span] += more_totals
+            presence[:self.span] += more_presence
         else:
-            pair[:, self.ids] += self.pair
+            totals[self.ids] += more_totals
+            presence[self.ids] += more_presence
 
 
 class RowPartial:

@@ -322,6 +322,7 @@ DEFAULT_SPECS: dict[str, tuple[MetricSpec, ...]] = {
         MetricSpec("checks.one_lap_per_run"),
         MetricSpec("checks.warm_loads_no_bytes"),
         MetricSpec("checks.cold_reads_each_block_once"),
+        MetricSpec("checks.steady_loads_no_bytes"),
         MetricSpec("num_blocks"),
         # Per (cell, riders): reads by tier and records; the cpu_ms_*
         # rows and the ratio at ten are CPU time and deliberately absent.
@@ -329,6 +330,10 @@ DEFAULT_SPECS: dict[str, tuple[MetricSpec, ...]] = {
           for cell in ("warm", "cold") for riders in (1, 2, 4, 8, 10)
           for count in ("logical_blocks_read", "physical_blocks_read",
                         "view_blocks_read", "records_in", "records_out",
+                        "outputs_equal_fifo")),
+        # The steady cell's counts; cpu_us_per_wave* is CPU time.
+        *(MetricSpec(f"steady.{count}")
+          for count in ("waves", "logical_blocks_read", "view_blocks_read",
                         "outputs_equal_fifo")),
     ),
     "bench_trace": (

@@ -26,7 +26,11 @@ class Iteration:
 
     ``block_jobs`` maps each block index to the ids of the jobs whose scan
     needs that block — the per-block batch whose size drives the shared-scan
-    cost model; blocks needed by the same jobs share one tuple.  Jobs
+    cost model; blocks needed by the same jobs share one tuple, usually
+    ``participants`` itself.  A job takes a shorter prefix of the chunk
+    only when its scan ends inside it, which only a chunk size that
+    varies while it scans brings about (the simulator's partial
+    initialisation of a sub-job).  Jobs
     finishing their scan inside this iteration are listed in
     ``finishing_jobs``; they complete when this iteration's merged reduce
     phase ends.  The plan carries no slot state: the simulator's S3
@@ -45,7 +49,7 @@ class Iteration:
     def __post_init__(self) -> None:
         if not self.chunk:
             raise SchedulingError(f"{self.iteration_id}: empty chunk")
-        if set(self.block_jobs) != set(self.chunk):
+        if self.block_jobs.keys() != set(self.chunk):
             raise SchedulingError(f"{self.iteration_id}: block/job map mismatch")
 
     @property
@@ -67,7 +71,7 @@ class Iteration:
 
 
 @race_checked(fields=("pointer", "active", "waiting", "last_admitted",
-                      "_iteration_counter"),
+                      "_iteration_counter", "_riders"),
               guard="SchedulerService._cond")
 class ScanLoop:
     """Circular scan state for one file (pointer + active jobs).
@@ -86,6 +90,7 @@ class ScanLoop:
     def __init__(self, dfs_file: DfsFile) -> None:
         self.dfs_file = dfs_file
         self.pointer = 0
+        #: Jobs scanning, in admit order; replaced, never changed in place.
         self.active: list[S3JobState] = []
         #: Jobs waiting for admission (only when max_jobs_per_iteration caps).
         self.waiting: list[S3JobState] = []
@@ -93,6 +98,10 @@ class ScanLoop:
         #: the scheduler turns these into ``s3.align`` trace events.
         self.last_admitted: tuple[str, ...] = ()
         self._iteration_counter = 0
+        #: ``(active, participants, profiles)``, shared by every build
+        #: while ``active`` is the same list.
+        self._riders: tuple[list[S3JobState], tuple[str, ...],
+                            dict[str, JobProfile]] | None = None
 
     @property
     def num_blocks(self) -> int:
@@ -158,38 +167,42 @@ class ScanLoop:
         self._admit_waiting(max_jobs)
         if not self.active:
             return None
+        active = self.active
+        if self._riders is None or self._riders[0] is not active:
+            self._riders = (active, tuple(job.job_id for job in active),
+                            {job.job_id: job.spec.profile for job in active})
+        _, participants, profiles = self._riders
         n = self.num_blocks
+        covered = [job.covered for job in active]
+        most = max(covered)
         # Never wrap inside a chunk: segment boundaries stay aligned with the
         # file end, as in the fixed-segment grid (the last segment is ragged).
-        chunk_len = min(chunk_size, n - self.pointer)
-        # Never scan blocks nobody needs.
-        chunk_len = min(chunk_len, max(job.remaining for job in self.active))
+        # Never scan blocks nobody needs (every job needs all n blocks).
+        chunk_len = min(chunk_size, n - self.pointer, n - min(covered))
         chunk = tuple(range(self.pointer, self.pointer + chunk_len))
-
-        profiles: dict[str, JobProfile] = {}
-        finishing: list[str] = []
-        participants: list[str] = []
-        takes: list[int] = []
-        for job in self.active:
-            take = min(chunk_len, job.remaining)
-            if take <= 0:
-                raise SchedulingError(
-                    f"{job.job_id}: active job with nothing remaining")
-            participants.append(job.job_id)
-            takes.append(take)
-            profiles[job.job_id] = job.spec.profile
-            job.advance(take)
-            if job.done_scanning:
-                finishing.append(job.job_id)
-        # Takes are prefixes of the chunk: one riders tuple per distinct take.
-        riders = everyone = tuple(participants)
-        block_jobs: dict[int, tuple[str, ...]] = {}
-        for offset, block in enumerate(chunk):
-            if offset in takes:
-                riders = tuple(job_id for job_id, take
-                               in zip(participants, takes) if take > offset)
-            block_jobs[block] = riders
-        self.active = [job for job in self.active if not job.done_scanning]
+        if n - most >= chunk_len:  # every job takes the whole chunk
+            for job, done in zip(active, covered):
+                job.covered = done + chunk_len
+            block_jobs = dict.fromkeys(chunk, participants)
+        else:
+            takes = [min(chunk_len, n - done) for done in covered]
+            for job, take in zip(active, takes):
+                if take <= 0:
+                    raise SchedulingError(
+                        f"{job.job_id}: active job with nothing remaining")
+                job.advance(take)
+            # Takes are prefixes of the chunk: one riders tuple per take.
+            riders = participants
+            block_jobs = {}
+            for offset, block in enumerate(chunk):
+                if offset in takes:
+                    riders = tuple(job_id for job_id, take
+                                   in zip(participants, takes) if take > offset)
+                block_jobs[block] = riders
+        finishing: tuple[str, ...] = ()
+        if n - most <= chunk_len:  # some job's scan ends in this chunk
+            finishing = tuple(job.job_id for job in active if job.covered == n)
+            self.active = [job for job in active if job.covered < n]
         self.pointer = (self.pointer + chunk_len) % n
         self._iteration_counter += 1
         return Iteration(
@@ -198,8 +211,8 @@ class ScanLoop:
             chunk=chunk,
             block_jobs=block_jobs,
             profiles=profiles,
-            participants=everyone,
-            finishing_jobs=tuple(finishing),
+            participants=participants,
+            finishing_jobs=finishing,
             file_fraction=chunk_len / n,
         )
 
@@ -226,5 +239,5 @@ class ScanLoop:
         if admitted:
             admitted_ids = {job.job_id for job in admitted}
             self.waiting = [j for j in self.waiting if j.job_id not in admitted_ids]
-            self.active.extend(admitted)
+            self.active = self.active + admitted
             self.last_admitted = tuple(job.job_id for job in admitted)

@@ -52,10 +52,6 @@ class S3JobState:
         """Blocks still to scan."""
         return self.total_blocks - self.covered
 
-    @property
-    def done_scanning(self) -> bool:
-        return self.covered >= self.total_blocks
-
     def admit(self, pointer: int) -> None:
         """Align the job's scan to start at the current pointer."""
         if self.cancelled:

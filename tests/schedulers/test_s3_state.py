@@ -17,7 +17,7 @@ def test_initial_state():
     state = make_state()
     assert not state.admitted
     assert state.remaining == 10
-    assert not state.done_scanning
+    assert state.remaining
     assert state.covered_blocks() == set()
 
 
@@ -52,7 +52,7 @@ def test_advance_and_wraparound_coverage():
     state.advance(4)   # wraps: 0,1,2,3
     assert state.covered_blocks() == {7, 8, 9, 0, 1, 2, 3}
     state.advance(3)
-    assert state.done_scanning
+    assert not state.remaining
     assert state.covered_blocks() == set(range(10))
 
 
