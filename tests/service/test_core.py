@@ -11,8 +11,8 @@ import weakref
 import pytest
 
 from repro.common.config import ExecutionConfig, TraceConfig
-from repro.common.errors import AdmissionRejected, ServiceError
-from repro.localrt.jobs import wordcount_job
+from repro.common.errors import AdmissionRejected, ExecutionError, ServiceError
+from repro.localrt.jobs import selection_job, wordcount_job
 from repro.localrt.runners import FifoLocalRunner
 from repro.localrt.storage import BlockStore
 from repro.service.config import ServiceConfig
@@ -261,6 +261,20 @@ def test_shutdown_cancels_everything_no_strands(store):
         service.submit(wordcount_job("c", r"c"))
     # Idempotent.
     service.shutdown()
+
+
+def test_a_declining_kernel_fails_the_core_once_admitted(store):
+    """A rider whose batch kernel declines the store's reader is
+    admitted like any job; its first wave's run, outside the service's
+    lock, fails the core and cancels it with the kernel's error."""
+    service = make_service(store)
+    job_id = service.submit(selection_job("sel", 10.0), tenant="t")
+    with pytest.raises(ExecutionError, match="does not support"):
+        service.step()
+    ticket = service.status(job_id)
+    assert ticket.status is JobStatus.CANCELLED
+    assert ticket.admitted_at is not None  # it was SCANNING
+    assert "does not support TextLineReader" in ticket.error
 
 
 def test_metrics_and_events_emitted(store):
