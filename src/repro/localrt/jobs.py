@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from itertools import chain
-from operator import add, sub
+from operator import sub
 from typing import Any, Hashable, Iterator, NamedTuple, Sequence, cast
 
 import numpy as np
@@ -150,43 +150,25 @@ class PatternWordCountBlock(PatternWordCount, BlockMapper):
                 and mapper.supports_reader(reader))
 
     @staticmethod
-    def absorb_wave(groups: "Sequence[tuple[Sequence[tokens.EncodedBlock], "
-                            "Sequence[JobRunState]]]",
+    def absorb_wave(blocks: "Sequence[tokens.EncodedBlock]",
+                    riders: Sequence[JobRunState],
                     scan: "ScanSums | None" = None) -> None:
-        """Fold one wave into its riders that :meth:`rides_wave`, given
-        as ``(blocks, riders)`` groups: a rider rode, in this wave, the
-        encoded blocks of every group that lists it.
+        """Fold one wave — its encoded ``blocks``, every one of which
+        each of ``riders`` rode — into its riders that
+        :meth:`rides_wave`.
 
         The wave's blocks are summed once and added to ``scan``'s
         running sums once (by default, a scan of this wave alone; see
-        :meth:`ScanSums.add_wave`), so a rider that rode every block
-        costs nothing here.  Its map task, record and token counts wait
-        in the running sums, like its word totals, until its shuffle is
-        read.  The riding patterns' verdict arrays are marked used,
-        under one lock acquisition per dictionary the wave met.
+        :meth:`ScanSums.add_wave`), so a rider already in them costs
+        nothing here.  Its map task, record and token counts wait in the
+        running sums, like its word totals, until its shuffle is read.
+        The riding patterns' verdict arrays are marked used, under one
+        lock acquisition per dictionary the wave met.
         """
         if scan is None:
             scan = ScanSums()
-        blocks: Sequence[tokens.EncodedBlock]
-        riders: Sequence[JobRunState]
-        skipped: list[tuple[JobRunState, list[tokens.EncodedBlock]]] = []
-        if len(groups) == 1:
-            (blocks, riders), = groups
-        else:
-            blocks = list({id(block): block
-                           for held, _ in groups for block in held}.values())
-            rode: dict[int, tuple[JobRunState, set[int]]] = {}
-            for held, group in groups:
-                for state in group:
-                    rode.setdefault(id(state), (state, set()))[1].update(
-                        map(id, held))
-            riders = [state for state, _ in rode.values()]
-            skipped = [(state, [block for block in blocks
-                                if id(block) not in mine])
-                       for state, mine in rode.values()
-                       if len(mine) < len(blocks)]
         shared = tokens.WaveSums.of(blocks)
-        scan.add_wave(shared, blocks, riders, skipped)
+        scan.add_wave(shared, riders)
         # Insertion-ordered sets: the order patterns claim free room in
         # a verdict table must not depend on string hashing.
         patterns = dict.fromkeys([kernel.pattern for kernel in cast(
@@ -267,11 +249,9 @@ class SumsInterval:
     the part of its scan's :class:`RunningSums` it rode.
 
     ``base`` is where the running sums stood when the rider joined
-    (``None``: at zero), plus the sums of every block a wave added that
-    the rider did not ride (:meth:`skip`), and ``counts`` likewise, so
-    the rider's raw totals are the running pair less ``base``.  ``base``
-    is shared with the riders that joined beside it until a skip makes
-    it the rider's own.  ``waves`` is the running sums' add count after
+    (``None``: at zero), shared with the riders that joined beside it,
+    and ``counts`` likewise, so the rider's raw totals are the running
+    pair less ``base``.  ``waves`` is the running sums' add count after
     the last wave the rider rode: an interval that missed a wave of its
     running sums cannot say what it rode, and settling it raises.
 
@@ -290,20 +270,6 @@ class SumsInterval:
         self.kernel = kernel
         self.running = running
         self.waves, self.base, self.counts = running.mark()
-
-    def skip(self, sums: "Sequence[tokens.WaveSums]") -> None:
-        """Take out what the last wave added for blocks the rider did not
-        ride (their ``sums``)."""
-        width = self.running.pair.shape[1]
-        base = self.base
-        if base is None or not base.flags.writeable or \
-                base.shape[1] < width:
-            base = _widened(np.zeros((2, 0), np.int64) if base is None
-                            else base, width)
-        for part in sums:
-            part.add_to(base)
-        self.base = base
-        self.counts = tuple(map(add, self.counts, _counts(sums)))
 
     def settle(self, state: JobRunState) -> None:
         running = self.running
@@ -325,9 +291,10 @@ class ScanSums:
 
     Owned by whoever runs the scan's waves and settles its riders — a
     :class:`~repro.localrt.live.SharedScanCore`'s wave thread — so it
-    has no lock.  Every rider of a running sums rides every wave added
-    to it until it settles (the scan loop never pauses a rider); a rider
-    absent from a wave of its running sums raises when it settles.
+    has no lock.  A wave is one merged sub-job: each of its riders rides
+    every block of it.  Every rider of a running sums rides every wave
+    added to it until it settles (the scan loop never pauses a rider); a
+    rider absent from a wave of its running sums raises when it settles.
     """
 
     __slots__ = ("running",)
@@ -336,36 +303,28 @@ class ScanSums:
         self.running: RunningSums | None = None
 
     def add_wave(self, shared: "Sequence[tokens.WaveSums]",
-                 blocks: "Sequence[tokens.EncodedBlock]",
-                 riders: Sequence[JobRunState],
-                 skipped: "Sequence[tuple[JobRunState, "
-                          "list[tokens.EncodedBlock]]]") -> None:
+                 riders: Sequence[JobRunState]) -> None:
         """Fold one wave, summed (``shared``, one per dictionary), into
-        ``riders``; each of ``skipped`` names a rider and the blocks of
-        the wave it did not ride.
+        ``riders``, each of which rode every block of it.
 
         The sums are added to the running sums once.  A rider already
         in them costs one check; one that joins opens its interval at
-        where they stood before the add (:meth:`RunningSums.mark`), and
-        one that rode part of the wave takes the rest out of its own
-        (:meth:`SumsInterval.skip`).  A wave against a new dictionary —
-        a roll-over at the wave boundary — starts new running sums, and
-        every rider closes its interval on the old ones as it joins
-        them; a wave whose blocks span two dictionaries settles each
-        rider's part of it directly and starts over at the next.
+        where they stood before the add (:meth:`RunningSums.mark`).  A
+        wave against a new dictionary — a roll-over at the wave boundary
+        — starts new running sums, and every rider closes its interval
+        on the old ones as it joins them; a wave whose blocks span two
+        dictionaries settles every rider's share of it directly, from
+        one dense pair per dictionary, and starts over at the next.
         """
         running = self.running
         if len(shared) > 1:
             self.running = None
-            missed = {id(state): held for state, held in skipped}
+            parts = [(part.dictionary, _dense(part)) for part in shared]
+            counts = _counts(shared)
             for state in riders:
                 state.settle()
-                held = missed.get(id(state))
-                parts = shared if held is None else tokens.WaveSums.of(
-                    [block for block in blocks if block not in held])
                 _settle(state, cast(PatternWordCountBlock, state.job.mapper),
-                        [(part.dictionary, _dense(part)) for part in parts],
-                        _counts(parts))
+                        parts, counts)
             return
         sums, = shared
         if running is None or running.dictionary is not sums.dictionary:
@@ -383,8 +342,6 @@ class ScanSums:
                 continue
             interval.waves = after
         running.add(sums)
-        for state, held in skipped:
-            cast(SumsInterval, state.pending).skip(tokens.WaveSums.of(held))
 
 
 def _settle(state: JobRunState, kernel: PatternWordCountBlock,

@@ -55,7 +55,7 @@ from ..schedulers.s3.state import S3JobState
 from .api import BlockStoreProtocol, JobResult, LocalJob
 from .engine import JobRunState, count_pending_values, run_reduce
 from .jobs import ScanSums
-from .parallel import MapTaskSpec, Split, run_map_wave, split_riders
+from .parallel import Split, run_map_wave, split_riders
 from .records import RecordReader, TextLineReader
 from .storage import ReadStats
 
@@ -126,7 +126,7 @@ class _LocalRunnerBase:
             args={location: len(held)
                   for location, held in sorted(plan.items())})
 
-    def _absorb_wave(self, label: str, before: ReadStats) -> None:
+    def _book_wave_io(self, label: str, before: ReadStats) -> None:
         """Record one wave's I/O delta as an ``io.wave`` event + metrics."""
         delta = self.store.stats_snapshot().delta(before)
         self.metrics.absorb_read_stats(delta)
@@ -163,8 +163,10 @@ class Wave:
     #: Where the scan pointer sat when the wave was planned: the start
     #: block of every job in ``admitted`` (sub-job alignment).
     pointer: int
-    tasks: tuple[MapTaskSpec, ...]
-    #: Every job riding this wave, in admit order.
+    #: The iteration's chunk: distinct blocks, in scan order.
+    blocks: tuple[int, ...]
+    #: Every job riding this wave — each rides every block — in admit
+    #: order.
     riders: tuple[JobRunState, ...]
     #: Ids of the jobs this plan admitted at ``pointer``.
     admitted: tuple[str, ...]
@@ -260,15 +262,12 @@ class SharedScanCore(_LocalRunnerBase):
         if self._riders is None or self._riders[0] is not everyone:
             self._riders = everyone, tuple(
                 map(self._run_states.__getitem__, everyone))
-        riders = self._riders[1]
         # Takes are prefixes of the chunk and a fixed chunk size makes only
         # whole ones (see Iteration), so every block has the same riders.
         assert iteration.block_jobs[iteration.chunk[-1]] is everyone
         return Wave(
-            index=index, pointer=pointer,
-            tasks=tuple([MapTaskSpec(block, riders)
-                         for block in iteration.chunk]),
-            riders=riders, admitted=loop.last_admitted,
+            index=index, pointer=pointer, blocks=iteration.chunk,
+            riders=self._riders[1], admitted=loop.last_admitted,
             finishing=tuple([self._run_states.pop(job_id)
                              for job_id in iteration.finishing_jobs]))
 
@@ -278,21 +277,21 @@ class SharedScanCore(_LocalRunnerBase):
         its trace payloads are built only while the tracer is on."""
         if self._split is None or self._split[0] is not wave.riders:
             self._split = wave.riders, split_riders(wave.riders, self.reader)
-        splits = (self._split[1],) * len(wave.tasks)
+        split = self._split[1]
         if not self.tracer.enabled:
-            run_map_wave(self.store, self.reader, wave.tasks, splits,
-                         sums=self._sums)
+            run_map_wave(self.store, self.reader, wave.blocks, wave.riders,
+                         split, sums=self._sums)
             return
         label = f"iter_{wave.index}"
         wave_before = self.store.stats_snapshot()
-        self._wave_placement(label, [task.block_index for task in wave.tasks])
+        self._wave_placement(label, wave.blocks)
         with self.tracer.span("s3.iteration", subject=label,
-                              pointer=wave.pointer, blocks=len(wave.tasks),
+                              pointer=wave.pointer, blocks=len(wave.blocks),
                               jobs=len(wave.riders),
                               job_ids=[s.job.job_id for s in wave.riders]):
-            run_map_wave(self.store, self.reader, wave.tasks, splits,
-                         tracer=self.tracer, sums=self._sums)
-        self._absorb_wave(label, wave_before)
+            run_map_wave(self.store, self.reader, wave.blocks, wave.riders,
+                         split, tracer=self.tracer, sums=self._sums)
+        self._book_wave_io(label, wave_before)
 
     def finish(self, run_state: JobRunState,
                completed_iteration: int) -> JobResult:

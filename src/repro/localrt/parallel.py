@@ -1,23 +1,23 @@
 """The map wave of the local runtime: collect every block, then absorb.
 
-Map tasks over distinct blocks are independent.  :func:`execute_map_wave`
-collects them one by one in the calling thread — each block visit a
-lazy :class:`~repro.localrt.api.BlockData` bound to the store handle's
+A wave is the paper's merged sub-job (Algorithm 1): a tuple of distinct
+blocks and one rider set that rides every one of them.  The blocks are
+independent.  :func:`execute_map_wave` collects them one by one in the
+calling thread — each block visit a lazy
+:class:`~repro.localrt.api.BlockData` bound to the store handle's
 derived-view table and mapped by every rider at once
 (:func:`repro.localrt.engine.collect_map_outputs`), which reads the
 block through the store handle only on a view miss, whatever the
 riders — and then folds the results into each job's shuffle state **in
-task order**.  This is the
-only map path: every ``ExecutionConfig.map_backend`` name runs it, so a
-rider's output never leaves the process that absorbs it.
+block order**.  This is the only map path: every
+``ExecutionConfig.map_backend`` name runs it, so a rider's output never
+leaves the process that absorbs it.
 
 A summing wordcount rider
 (:meth:`~repro.localrt.jobs.PatternWordCountBlock.rides_wave`) is not
 mapped block by block.  The collect phase keeps each block's encoded
-view for it, and the absorb phase hands the wave's blocks, grouped by
-the task rider lists that named them (a task list may give riders of
-one wave different blocks, such as a prefix of the chunk for a
-finishing rider), to
+view for it, and the absorb phase hands the wave's blocks and its
+summing riders to
 :meth:`~repro.localrt.jobs.PatternWordCountBlock.absorb_wave`, which
 sums them once and adds the sums to the scan's running sums once: its
 pattern is applied once, at reduce, not per (block, rider).
@@ -25,11 +25,13 @@ pattern is applied once, at reduce, not per (block, rider).
 How a wave treats each job — its batch kernel, or per-record, or summed
 — depends on the job and the reader alone, so it is resolved at the
 job's first wave and kept on its run state (``JobRunState.route``); a
-scan core splits a rider set once (:func:`split_riders`,
-:func:`run_map_wave`).
+wave splits its riders once (:func:`split_riders`), and a scan core
+keeps that split while its rider set is unchanged
+(:func:`run_map_wave`).
 
 :func:`make_backend` keeps the wave's collect phase reachable as an
-object (``run_wave`` + ``close``) for callers that time it on its own.
+object (``run_wave`` + ``close``) over per-block :class:`MapTaskSpec`
+tasks, for callers that time it on its own.
 """
 
 from __future__ import annotations
@@ -61,10 +63,9 @@ Split = tuple[list[JobRunState], list[JobRunState]]  #: mapped, summed riders
 Route = tuple[RecordReader, "BlockMapper | None", bool]  #: JobRunState.route
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class MapTaskSpec:
-    """One block-level map task: which block, which participating jobs
-    (never changed; not frozen, whose constructor costs twice as much)."""
+    """One block-level map task: which block, which participating jobs."""
 
     block_index: int
     states: tuple[JobRunState, ...]
@@ -85,8 +86,9 @@ class SerialMapBackend:
                  tracer: Tracer | None = None) -> list[TaskResult]:
         """Collect every task's map output, in task order, without
         touching any job's shuffle state."""
-        return [_collect_in_parent(store, reader, task, split, tracer)[0]
-                for task, split in zip(tasks, _split_tasks(tasks, reader))]
+        return [_collect_in_parent(
+            store, reader, task.block_index, task.states,
+            split_riders(task.states, reader), tracer)[0] for task in tasks]
 
     def close(self) -> None:
         """Nothing to release."""
@@ -125,23 +127,14 @@ def split_riders(states: Sequence[JobRunState],
     return mapped, summed
 
 
-def _split_tasks(tasks: Sequence[MapTaskSpec],
-                 reader: RecordReader) -> list[Split]:
-    """Each task's :data:`Split`, decided once per rider-set tuple."""
-    splits: dict[int, Split] = {}
-    for task in tasks:
-        if id(task.states) not in splits:
-            splits[id(task.states)] = split_riders(task.states, reader)
-    return [splits[id(task.states)] for task in tasks]
-
-
 def _collect_in_parent(store: BlockStoreProtocol, reader: RecordReader,
-                       task: MapTaskSpec, split: Split,
-                       tracer: Tracer | None = None,
+                       index: int, riders: Sequence[JobRunState],
+                       split: Split, tracer: Tracer | None = None,
                        ) -> tuple[TaskResult, "tokens.EncodedBlock | None"]:
-    """Map + combine one block for its mapped riders (``split``), and
-    return its encoded view beside the result for its wave-summed ones;
-    a block with no mapped rider collects that view alone.
+    """Map + combine block ``index`` for the mapped ones of ``riders``
+    (``split``), and return its encoded view beside the result for the
+    wave-summed ones; a block with no mapped rider collects that view
+    alone.
 
     Every rider mix takes this one path: a lazy :class:`BlockData`
     bound to the store handle's derived-view table reads the block only
@@ -153,11 +146,10 @@ def _collect_in_parent(store: BlockStoreProtocol, reader: RecordReader,
     that raises publishes nothing.
     """
     if tracer is not None and tracer.enabled:
-        with tracer.span("map.task", subject=f"block_{task.block_index}",
-                         jobs=len(task.states),
-                         job_ids=[s.job.job_id for s in task.states]):
-            return _collect_in_parent(store, reader, task, split)
-    index = task.block_index
+        with tracer.span("map.task", subject=f"block_{index}",
+                         jobs=len(riders),
+                         job_ids=[s.job.job_id for s in riders]):
+            return _collect_in_parent(store, reader, index, riders, split)
     mapped, summed = split
     data = BlockData.from_store(store, index)
     try:
@@ -178,13 +170,15 @@ def _collect_in_parent(store: BlockStoreProtocol, reader: RecordReader,
 
 
 def execute_map_wave(store: BlockStoreProtocol, reader: RecordReader,
-                     tasks: Sequence[MapTaskSpec], *,
+                     blocks: Sequence[int],
+                     riders: Sequence[JobRunState], *,
                      tracer: Tracer | None = None,
                      sums: ScanSums | None = None) -> None:
-    """Run a wave of block-level map tasks.
+    """Run one merged sub-job: every one of ``riders`` maps every one of
+    ``blocks``.
 
-    Collect (read + map + combine) runs task by task, then shuffle
-    absorption folds the results in ``tasks`` order, so a block that
+    Collect (read + map + combine) runs block by block, then shuffle
+    absorption folds the results in ``blocks`` order, so a block that
     fails leaves every job's shuffle state as it was.  The wave-summed
     riders are folded last, into ``sums`` — the running sums of the
     scan the wave belongs to, which every one of their riders rides
@@ -196,45 +190,45 @@ def execute_map_wave(store: BlockStoreProtocol, reader: RecordReader,
     ``shuffle.absorb`` span around the fold into job shuffle state;
     without one, no span is opened at all.
     """
-    if not tasks:
+    if not blocks:
         return
-    seen_blocks = [t.block_index for t in tasks]
-    if len(set(seen_blocks)) != len(seen_blocks):
-        raise ExecutionError(f"duplicate blocks in wave: {seen_blocks}")
-    run_map_wave(store, reader, tasks, _split_tasks(tasks, reader),
+    if len(set(blocks)) != len(blocks):
+        raise ExecutionError(f"duplicate blocks in wave: {list(blocks)}")
+    if not riders:
+        raise ExecutionError(f"map wave over blocks {list(blocks)} has no jobs")
+    run_map_wave(store, reader, blocks, riders, split_riders(riders, reader),
                  tracer=tracer, sums=sums)
 
 
 def run_map_wave(store: BlockStoreProtocol, reader: RecordReader,
-                 tasks: Sequence[MapTaskSpec], splits: Sequence[Split], *,
-                 tracer: Tracer | None = None,
+                 blocks: Sequence[int], riders: Sequence[JobRunState],
+                 split: Split, *, tracer: Tracer | None = None,
                  sums: ScanSums | None = None) -> None:
-    """:func:`execute_map_wave` for distinct blocks whose ``splits[i]``
-    is ``split_riders(tasks[i].states, reader)``."""
+    """:func:`execute_map_wave` unchecked: ``blocks`` are distinct,
+    ``riders`` is not empty and ``split`` is
+    ``split_riders(riders, reader)``."""
     if tracer is None or not tracer.enabled:
-        _absorb_wave(splits, [_collect_in_parent(store, reader, task, split)
-                              for task, split in zip(tasks, splits)], sums)
+        _absorb_wave(split, [_collect_in_parent(store, reader, index,
+                                                riders, split)
+                             for index in blocks], sums)
         return
-    with tracer.span("map.wave", blocks=len(tasks)):
-        results = [_collect_in_parent(store, reader, task, split, tracer)
-                   for task, split in zip(tasks, splits)]
-    with tracer.span("shuffle.absorb", blocks=len(tasks)):
-        _absorb_wave(splits, results, sums)
+    with tracer.span("map.wave", blocks=len(blocks)):
+        results = [_collect_in_parent(store, reader, index, riders, split,
+                                      tracer) for index in blocks]
+    with tracer.span("shuffle.absorb", blocks=len(blocks)):
+        _absorb_wave(split, results, sums)
 
 
-def _absorb_wave(splits: Sequence[Split], results: Sequence[
+def _absorb_wave(split: Split, results: Sequence[
         tuple[TaskResult, "tokens.EncodedBlock | None"]],
                  sums: ScanSums | None) -> None:
-    """Fold a wave's collected results into its riders, in task order."""
-    # id(summed riders list) -> (the blocks it named, the list)
-    groups: dict[int, tuple[list[tokens.EncodedBlock],
-                            list[JobRunState]]] = {}
-    for (mapped, summed), ((record_count, outputs, task_counters),
-                           encoded) in zip(splits, results, strict=True):
+    """Fold a wave's collected results into its riders, in block order."""
+    mapped, summed = split
+    for (record_count, outputs, task_counters), _ in results:
         for state, buffer, counters in zip(mapped, outputs,
                                            task_counters, strict=True):
             absorb_map_result(state, record_count, buffer, counters)
-        if encoded is not None:
-            groups.setdefault(id(summed), ([], summed))[0].append(encoded)
-    if groups:
-        PatternWordCountBlock.absorb_wave(list(groups.values()), sums)
+    if summed:
+        PatternWordCountBlock.absorb_wave(cast(
+            "list[tokens.EncodedBlock]", [encoded for _, encoded in results]),
+            summed, sums)

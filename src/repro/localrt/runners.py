@@ -60,7 +60,7 @@ from ..obs.tracer import Tracer
 from .api import BlockStoreProtocol, JobResult, LocalJob
 from .engine import JobRunState, count_pending_values, run_reduce
 from .live import SharedScanCore, _LocalRunnerBase, _scan_file
-from .parallel import MapTaskSpec, execute_map_wave
+from .parallel import execute_map_wave
 from .records import RecordReader
 from .storage import ReadStats
 
@@ -156,19 +156,17 @@ class FifoLocalRunner(_LocalRunnerBase):
         before_blocks = self.store.logical_blocks_read()
         for job in jobs:
             state = JobRunState(job)
-            tasks = [MapTaskSpec(block_index=index, states=(state,))
-                     for index in range(self.store.num_blocks)]
+            blocks = range(self.store.num_blocks)
             job_before = self.store.stats_snapshot() if traced else None
-            self._wave_placement(job.job_id,
-                                 [task.block_index for task in tasks])
+            self._wave_placement(job.job_id, blocks)
             with self.tracer.span("fifo.job", subject=job.job_id,
-                                  blocks=len(tasks)):
-                execute_map_wave(self.store, self.reader, tasks,
+                                  blocks=len(blocks)):
+                execute_map_wave(self.store, self.reader, blocks, (state,),
                                  tracer=self.tracer)
                 reduce_input = count_pending_values(state)
                 output = run_reduce(state, self.tracer)
             if job_before is not None:
-                self._absorb_wave(job.job_id, job_before)
+                self._book_wave_io(job.job_id, job_before)
             results[job.job_id] = JobResult(
                 job_id=job.job_id,
                 output=output,

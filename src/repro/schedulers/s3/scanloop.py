@@ -30,11 +30,13 @@ class Iteration:
     ``participants`` itself.  A job takes a shorter prefix of the chunk
     only when its scan ends inside it, which only a chunk size that
     varies while it scans brings about (the simulator's partial
-    initialisation of a sub-job).  Jobs
-    finishing their scan inside this iteration are listed in
-    ``finishing_jobs``; they complete when this iteration's merged reduce
-    phase ends.  The plan carries no slot state: the simulator's S3
-    scheduler tracks its tasks in a dispatch record of its own.
+    initialisation of a sub-job); the local runtime's fixed chunk makes
+    only whole takes, so each of its waves is one rider set over every
+    block of the chunk.  Jobs finishing their scan inside this iteration
+    are listed in ``finishing_jobs``; they complete when this
+    iteration's merged reduce phase ends.  The plan carries no slot
+    state: the simulator's S3 scheduler tracks its tasks in a dispatch
+    record of its own.
     """
 
     iteration_id: str

@@ -83,14 +83,15 @@ def test_execute_map_wave_validation(corpus_store):
     reader = TextLineReader()
     state = JobRunState(wordcount_job("a", ".*"))
     with pytest.raises(ExecutionError, match="duplicate"):
-        execute_map_wave(corpus_store, reader,
-                         [MapTaskSpec(0, (state,)), MapTaskSpec(0, (state,))])
+        execute_map_wave(corpus_store, reader, [0, 0], (state,))
+    with pytest.raises(ExecutionError, match="no jobs"):
+        execute_map_wave(corpus_store, reader, [0], ())
     with pytest.raises(ExecutionError, match="no jobs"):
         MapTaskSpec(0, ())
 
 
 def test_empty_wave_is_noop(corpus_store):
-    execute_map_wave(corpus_store, TextLineReader(), [])
+    execute_map_wave(corpus_store, TextLineReader(), [], ())
 
 
 def test_invalid_workers_on_runners(corpus_store):
@@ -191,8 +192,7 @@ def test_unroutable_block_fails_the_wave_before_any_absorb(tmp_path):
     state = JobRunState(wordcount_job("wc", ".*"))
     with pytest.raises(ExecutionError, match="all 2 replicas of block 0"):
         # Block 1 still routes (to shard 2) and is mapped; block 0 cannot.
-        execute_map_wave(store, TextLineReader(),
-                         [MapTaskSpec(1, (state,)), MapTaskSpec(0, (state,))])
+        execute_map_wave(store, TextLineReader(), [1, 0], (state,))
     assert store.stats_snapshot().blocks_read == 1
     assert (state.map_input_records, state.map_output_records) == (0, 0)
     assert not state.shuffle()
@@ -223,9 +223,9 @@ def test_wave_sums_equal_the_per_rider_path_over_one_plan(tmp_path):
     and ``absorb_map_result`` per block, as the benchmark's layered
     replay runs it, so every rider's records land in ``groups``) and
     through ``execute_map_wave``, which sums the summing riders' blocks
-    per wave: every ``JobResult`` field is equal.  The plan's waves hand
-    riders different prefixes of a chunk, and mix the summing riders
-    with a no-combiner and a per-record wordcount."""
+    per wave: every ``JobResult`` field is equal.  Riders join and leave
+    between the plan's waves, which mix the summing riders with a
+    no-combiner and a per-record wordcount."""
     lines = [f"the thing {i} is running to the {i % 7} motion {i % 3}ing"
              for i in range(90)]
     store = BlockStore.create(tmp_path / "s", lines, 300)
@@ -239,26 +239,24 @@ def test_wave_sums_equal_the_per_rider_path_over_one_plan(tmp_path):
                 wordcount_job("plain", ".*ing$", use_combiner=False),
                 wordcount_job("records", "^th.*", batched=False)]
 
-    # wave -> block -> riders (job indexes): sum1 rides a prefix of its
-    # first and last chunk, sum2 only a block here and there.
-    plan = [{0: (0, 1, 2, 3, 4), 1: (0, 1, 2, 3, 4), 2: (0, 2, 3, 4)},
-            {3: (0, 1, 2, 3), 4: (0, 1, 3), 5: (0, 1, 3)},
-            {6: (0, 1, 4), 7: (0, 4), 8: (0, 2, 4)}]
+    # (blocks, riders as job indexes): sum1 and plain leave after the
+    # first wave, sum2 joins at the second, records skips the second.
+    plan = [((0, 1, 2), (0, 1, 3, 4)), ((3, 4, 5), (0, 2, 3)),
+            ((6, 7, 8), (0, 2, 4))]
 
     def results(per_rider):
         states = [JobRunState(job) for job in jobs()]
-        for wave in plan:
-            tasks = [MapTaskSpec(block, tuple(states[i] for i in riders))
-                     for block, riders in wave.items()]
+        for blocks, riders in plan:
+            wave = [states[i] for i in riders]
             if not per_rider:
-                execute_map_wave(store, reader, tasks)
+                execute_map_wave(store, reader, blocks, wave)
                 continue
-            for task in tasks:
+            for block in blocks:
                 count, outputs, counters = collect_map_outputs(
-                    [state.job for state in task.states], reader,
-                    BlockData(store.read_block_bytes(task.block_index)),
-                    store.block_offset(task.block_index))
-                for state, output, task_counters in zip(task.states, outputs,
+                    [state.job for state in wave], reader,
+                    BlockData(store.read_block_bytes(block)),
+                    store.block_offset(block))
+                for state, output, task_counters in zip(wave, outputs,
                                                         counters):
                     absorb_map_result(state, count, output, task_counters)
         # (waiting for its pattern, holding records in ``groups``)

@@ -9,7 +9,7 @@ from repro.common.errors import ExecutionError
 from repro.localrt.api import BlockStoreProtocol
 from repro.localrt.engine import JobRunState
 from repro.localrt.jobs import wordcount_job
-from repro.localrt.parallel import MapTaskSpec, execute_map_wave
+from repro.localrt.parallel import execute_map_wave
 from repro.localrt.records import TextLineReader
 from repro.localrt.runners import FifoLocalRunner, SharedScanRunner
 from repro.localrt.sharded import MANIFEST_NAME, ShardedBlockStore, shard_id
@@ -165,9 +165,7 @@ def test_all_replicas_down_raises(sharded):
 
 def _wave(store, job, blocks):
     """One map wave of ``job`` alone over ``blocks``."""
-    execute_map_wave(store, TextLineReader(),
-                     [MapTaskSpec(block, (JobRunState(job),))
-                      for block in blocks])
+    execute_map_wave(store, TextLineReader(), blocks, (JobRunState(job),))
 
 
 def _warm_handle(sharded):

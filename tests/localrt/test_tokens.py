@@ -274,7 +274,7 @@ def test_wave_sums_are_the_blocks_summed_and_riders_add_them():
             == dict(summed)
         if book:
             expected.update(summed)
-        PatternWordCountBlock.absorb_wave([(blocks, riders)], scan)
+        PatternWordCountBlock.absorb_wave(blocks, riders, scan)
 
     first = views.encode(Counter("x y y z".split()))
     add([early], first, views.encode(Counter("y z z z".split())),
@@ -557,7 +557,7 @@ def test_shared_arrays_are_read_only_and_the_kernels_still_work():
         count, records, _ = PatternWordCountBlock("^a").map_block(block, 0)
         assert (count, records) == (2, [("apple", 1), ("ant", 2)])
         assert block.encoded() is encoded
-        PatternWordCountBlock.absorb_wave([([encoded], [state])])
+        PatternWordCountBlock.absorb_wave([encoded], [state])
         state.settle()  # the second adds to the first's accumulator
     _raises_on_write(encoded.dictionary.verdicts["^a"])
     (ids, totals), = state.sums.values()

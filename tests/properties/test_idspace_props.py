@@ -5,9 +5,8 @@ A batched wordcount rider whose reducer and combiner both sum is not
 mapped block by block on a map wave: the wave sums the raw counts of the
 blocks its summing riders rode once and adds them to the scan's running
 sums once (``ScanSums``); a rider's raw totals are the running sums less
-where they stood when it joined, less what it skipped of a wave it rode
-part of, and its pattern is applied once, when its shuffle is read
-(``JobRunState.settle``).  For any rider set, arrival iterations and
+where they stood when it joined, and its pattern is applied once, when
+its shuffle is read (``JobRunState.settle``).  For any rider set, arrival iterations and
 cancellation, in each of the cases where that is easiest to get wrong —
 a dictionary roll-over inside one wave, an over-wide block with a
 dictionary of its own, a verdict table too full to keep a rider's
@@ -20,14 +19,10 @@ instead (``view_blocks_read``), so the run never reads the disk more
 often, and every visit is one or the other.  Each case also checks that
 it really happened.
 
-The scheduler keeps every chunk on one grid, so riders that share a
-wave ride the same blocks; the first property also hands a wave's
-finishing riders a prefix of its chunk (as any caller of
-``execute_map_wave`` may), so a wave's summing riders fall into groups
-that rode different blocks and the running sums take the rest out of
-theirs.  The second drives the scan core itself, on a segment size that
-does not divide the block count, and holds every run to a solo
-per-record FIFO run.
+A wave is one merged sub-job: every rider of it rides every block of
+it.  Both properties drive the scan core's waves (``core.run``); the
+second does so on a segment size that does not divide the block count,
+and holds every run to a solo per-record FIFO run.
 
 A job's shuffle is settled in the order its reduce emits it — the
 dictionary's reduce order for its partition count
@@ -59,7 +54,7 @@ from repro.localrt.engine import (
 )
 from repro.localrt.jobs import PatternWordCountBlock, ScanSums, wordcount_job
 from repro.localrt.live import SharedScanCore
-from repro.localrt.parallel import MapTaskSpec, execute_map_wave
+from repro.localrt.parallel import execute_map_wave
 from repro.localrt.records import TextLineReader
 from repro.localrt.runners import FifoLocalRunner
 from repro.localrt.storage import BlockStore
@@ -81,8 +76,7 @@ SEED_LINES = [" ".join(WORDS[i:i + 3]) for i in range(0, 12, 3)]
 #: per segment range).  Blocks of at most 24 bytes hold one or two seed
 #: lines, so under a cap of eight the dictionary rolls over at block 1
 #: or 2 — inside the first wave, which covers blocks 0-2 (the first job
-#: is admitted at block 0, and riders admitted together finish together,
-#: so the first wave is never cut).  A block of the short odd words may
+#: is admitted at block 0).  A block of the short odd words may
 #: be over-wide: either way a job's shuffle spans two dictionaries.
 CASES = {
     "roll-over": ({"TOKEN_DICTIONARY_CAP": 8}, (8, 24), (3, 3)),
@@ -104,21 +98,7 @@ riders = st.lists(
     min_size=0, max_size=3)
 
 
-def _wave_tasks(wave, cut):
-    """The wave's tasks, its finishing riders cut from the last ``cut``
-    blocks of the chunk when a rider that is not finishing keeps them."""
-    finishing = {id(state) for state in wave.finishing}
-    if len(wave.finishing) == len(wave.riders):
-        return wave.tasks
-    cut = min(cut, len(wave.tasks) - 1)
-    return [MapTaskSpec(task.block_index, tuple(
-        state for state in task.states
-        if position < len(wave.tasks) - cut or id(state) not in finishing))
-        for position, task in enumerate(wave.tasks)]
-
-
-def _run(directory, rider_set, seg, laps, parts, batched, fold, cancel,
-         cut):
+def _run(directory, rider_set, seg, laps, parts, batched, fold, cancel):
     """``laps`` scans of the rider set on one store handle, with the job
     ``j{cancel[0]}`` cancelled before iteration ``cancel[1]`` plans:
     what each exposes to a caller."""
@@ -146,8 +126,7 @@ def _run(directory, rider_set, seg, laps, parts, batched, fold, cancel,
                     core.cancel(f"j{cancel[0]}")
                 wave = core.plan(iteration)
                 if wave is not None:
-                    execute_map_wave(store, TextLineReader(),
-                                     _wave_tasks(wave, cut), sums=core._sums)
+                    core.run(wave)
                     if fold:
                         fold_partial_aggregates(list(wave.riders))
                     for state in wave.finishing:
@@ -172,12 +151,12 @@ def _run(directory, rider_set, seg, laps, parts, batched, fold, cancel,
 @given(data=st.data(), corpus=corpora, laps=st.integers(1, 2),
        parts=st.integers(1, 8),
        first=st.tuples(st.sampled_from(PATTERNS), st.integers(0, 6)),
-       others=riders, cut=st.integers(1, 2))
+       others=riders)
 @settings(max_examples=12, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_id_space_shuffle_matches_per_record(tmp_path_factory, case, data,
                                              corpus, laps, parts, first,
-                                             others, cut):
+                                             others):
     caps, (smallest, largest), (fewest, most) = CASES[case]
     block_size = data.draw(st.integers(smallest, largest), label="block")
     seg = data.draw(st.integers(fewest, most), label="seg")
@@ -201,10 +180,9 @@ def test_id_space_shuffle_matches_per_record(tmp_path_factory, case, data,
     vector = TokenDictionary._vector
     order = TokenDictionary._order
 
-    def recording_absorb_wave(groups, scan=None):
-        absorb_wave(groups, scan)
-        waves.append({block.dictionary for blocks, _ in groups
-                      for block in blocks})
+    def recording_absorb_wave(blocks, riders, scan=None):
+        absorb_wave(blocks, riders, scan)
+        waves.append({block.dictionary for block in blocks})
 
     def recording_vector(self, pattern):
         kept = vector(self, pattern)
@@ -225,8 +203,8 @@ def test_id_space_shuffle_matches_per_record(tmp_path_factory, case, data,
         patch.setattr(TokenDictionary, "_order", recording_order)
         fold = case == "fold"
         run = (directory, rider_set, seg, laps, parts)
-        batched = _run(*run, True, fold, cancel, cut)
-        per_record = _run(*run, False, fold, cancel, cut)
+        batched = _run(*run, True, fold, cancel)
+        per_record = _run(*run, False, fold, cancel)
 
     assert [lap[:2] for lap in batched] == [lap[:2] for lap in per_record]
     for (_, logical, physical, served), (_, _, oracle, none_served) in zip(
@@ -272,7 +250,7 @@ def _reduce_one(views, text, parts=3, pattern="^a"):
     and the block's dictionary."""
     state = JobRunState(wordcount_job("wc", pattern, num_partitions=parts))
     encoded = views.encode(BlockData(text).token_counts())
-    PatternWordCountBlock.absorb_wave([([encoded], [state])])
+    PatternWordCountBlock.absorb_wave([encoded], [state])
     return run_reduce(state), encoded.dictionary
 
 
@@ -353,12 +331,11 @@ def _fields(state):
 
 
 def test_a_rider_sums_exactly_the_blocks_it_rode(tmp_path):
-    """On one scan's running sums, a rider that rides part of a wave —
-    mid-lap or in its last wave — sums the blocks it rode; a rider
-    absent from a wave of the running sums it rides raises when it
-    settles; and a rider absent from one call of ``execute_map_wave``
-    (a scan of that wave alone, by default) sums the blocks of the
-    calls it was in."""
+    """On one scan's running sums, a rider that joins late sums the
+    blocks of the waves it rode; a rider absent from a wave of the
+    running sums it rides raises when it settles; and a rider absent
+    from one call of ``execute_map_wave`` (a scan of that wave alone, by
+    default) sums the blocks of the calls it was in."""
     lines = [f"the {WORDS[i % len(WORDS)]} {WORDS[(3 * i) % len(WORDS)]} "
              f"th{i % 5}ing" for i in range(60)]
     store = BlockStore.create(tmp_path / "s", lines, 200)
@@ -370,19 +347,14 @@ def test_a_rider_sums_exactly_the_blocks_it_rode(tmp_path):
         return wordcount_job(name, "^th.*", num_partitions=3)
 
     scan = ScanSums()
-    whole, part, last, absent = (JobRunState(job(name)) for name in
-                                 ("whole", "part", "last", "absent"))
-    rode = {"whole": [0, 1, 2, 3, 4, 5], "part": [0, 1, 3, 4, 5],
-            "last": [0, 1, 2, 3, 4]}
-    for wave, blocks in enumerate(plan):
-        execute_map_wave(store, reader, [
-            MapTaskSpec(block, tuple(
-                state for state in (whole, part, last, absent)
-                if block in rode.get(state.job.job_id, (0, 1, 4, 5))))
-            for block in blocks], sums=scan)
-        if wave == 1:
-            assert part.pending.base.flags.writeable  # its own, now
-    for state in (whole, part, last):
+    whole, late, absent = (JobRunState(job(name)) for name in
+                           ("whole", "late", "absent"))
+    rode = {"whole": [0, 1, 2, 3, 4, 5], "late": [2, 3, 4, 5]}
+    for blocks, riders in zip(plan, [(whole, absent), (whole, late),
+                                     (whole, late, absent)]):
+        execute_map_wave(store, reader, blocks, riders, sums=scan)
+    assert late.pending.base is not None  # it joined where the sums stood
+    for state in (whole, late):
         assert _fields(state) == _record_path(
             store, job(state.job.job_id), rode[state.job.job_id])
     with pytest.raises(ExecutionError, match="did not ride"):
@@ -390,8 +362,7 @@ def test_a_rider_sums_exactly_the_blocks_it_rode(tmp_path):
 
     apart = JobRunState(job("apart"))
     for blocks in (plan[0], plan[2]):
-        execute_map_wave(store, reader, [MapTaskSpec(block, (apart,))
-                                         for block in blocks])
+        execute_map_wave(store, reader, blocks, (apart,))
     assert _fields(apart) == _record_path(store, job("apart"), [0, 1, 4, 5])
 
 
@@ -477,8 +448,7 @@ def test_running_sums_match_the_per_record_fifo_oracle(
 
     The scan loop keeps every lap on one grid — a job ends where it
     started, on a segment boundary — so it never cuts a wave short for
-    a rider; the property above and the test before this one cut waves
-    by hand."""
+    a rider."""
     directory = tmp_path_factory.mktemp("running-corpus")
     store = BlockStore.create(directory, corpus, block_size_bytes=block)
     blocks = store.num_blocks
@@ -495,9 +465,9 @@ def test_running_sums_match_the_per_record_fifo_oracle(
     dictionaries = set()
     add_wave = ScanSums.add_wave
 
-    def recording_add_wave(self, shared, blocks, riders, skipped):
+    def recording_add_wave(self, shared, riders):
         dictionaries.update(sums.dictionary for sums in shared)
-        return add_wave(self, shared, blocks, riders, skipped)
+        return add_wave(self, shared, riders)
 
     with pytest.MonkeyPatch.context() as patch:
         if cap is not None:
